@@ -63,7 +63,6 @@ from .axioms import (
     check_nom,
     check_sp,
     find_reference_bundle,
-    merge_reports,
     nom_report_bounds,
     nom_truthful_bounds,
     refresh_witness,

@@ -12,16 +12,18 @@ says how strong the evidence is:
 * NOT_APPLICABLE  - a precondition of the check itself failed.
 
 Witnesses always replay: feeding the witness back through the mechanism
-reproduces the violating inequality exactly. Scans never early-exit, so
-`profiles_checked` and the reported witness (the lexicographically first
-violation) do not depend on how the scan is partitioned across workers.
+reproduces the violating inequality exactly. Each pointwise axiom is
+defined once, as a per-profile generator of its violations; the scan,
+witness replay (`refresh_witness`) and shrinking all run that one
+definition. Scans never early-exit: `profiles_checked` counts every
+profile, and the reported witness is the lexicographically first
+violation.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Iterator
@@ -68,8 +70,7 @@ class GridSpace:
     In exhaustive mode `profiles()` yields the full cartesian product in
     lexicographic order, refusing to start if it exceeds `budget`. In
     sampled mode it yields `samples` profiles drawn uniformly; each draw
-    is keyed by `(seed, index)`, so any worker can regenerate any slice
-    of the stream independently.
+    is keyed by `(seed, index)`, so the stream depends on nothing else.
     """
 
     config: MarketConfig
@@ -78,7 +79,6 @@ class GridSpace:
     seed: int = 0
     samples: int = 0
     budget: int = 1_000_000
-    workers: int = 1
 
     def __post_init__(self) -> None:
         if len(self.values) != self.config.n:
@@ -96,8 +96,6 @@ class GridSpace:
             raise ValueError(f"unknown mode: {self.mode}")
         if self.mode == MODE_SAMPLED and self.samples < 1:
             raise ValueError("sampled mode needs samples >= 1")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
 
     @classmethod
     def shared(
@@ -214,182 +212,128 @@ def witness_from_json(data: dict) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Scan plumbing
-# ---------------------------------------------------------------------------
-
-PerProfile = Callable[[Profile], "tuple[tuple, dict] | None"]
-
-
-def _scan_part(
-    profiles: Iterable[Profile], per_profile: PerProfile
-) -> tuple["tuple[tuple, dict] | None", int]:
-    best: tuple[tuple, dict] | None = None
-    count = 0
-    for profile in profiles:
-        count += 1
-        hit = per_profile(profile)
-        if hit is not None and (best is None or hit[0] < best[0]):
-            best = hit
-    return best, count
-
-
-def _scan_profiles(
-    grid: GridSpace, per_profile: PerProfile
-) -> tuple["tuple[tuple, dict] | None", int]:
-    """Full sweep keeping the lexicographically first violation.
-
-    With several workers the profile stream is split round-robin and the
-    partial results merged; because every partition is fully scanned and
-    the merge takes the smallest witness key, the outcome is identical
-    for any worker count.
-    """
-    if grid.workers <= 1:
-        return _scan_part(grid.profiles(), per_profile)
-    profiles = list(grid.profiles())
-    parts = [profiles[k :: grid.workers] for k in range(grid.workers)]
-    parts = [part for part in parts if part]
-    with ThreadPoolExecutor(max_workers=max(1, len(parts))) as pool:
-        results = list(
-            pool.map(lambda part: _scan_part(part, per_profile), parts)
-        )
-    best: tuple[tuple, dict] | None = None
-    count = 0
-    for hit, part_count in results:
-        count += part_count
-        if hit is not None and (best is None or hit[0] < best[0]):
-            best = hit
-    return best, count
-
-
-def _report_from_scan(
-    axiom: str,
-    grid: GridSpace,
-    best: "tuple[tuple, dict] | None",
-    count: int,
-    details: dict | None = None,
-) -> AxiomReport:
-    if best is None:
-        return AxiomReport(axiom, grid.pass_verdict, None, count, details or {})
-    return AxiomReport(axiom, "FAIL", best[1], count, details or {})
-
-
-def witness_sort_key(axiom: str, witness: dict) -> tuple:
-    """Total order on witnesses of one axiom; the scans report the minimum."""
-    if axiom in ("IR", "NS"):
-        return (witness["profile"], witness["agent"])
-    if axiom == "SP":
-        return (witness["profile"], witness["agent"], witness["misreport"])
-    if axiom in ("EE", "EFF"):
-        return (witness["profile"],)
-    if axiom in ("EF", "AIW"):
-        return (witness["profile"], witness["agent"], witness["other"])
-    if axiom == "NOM":
-        return (
-            witness["agent"],
-            witness["true_value"],
-            witness["misreport"],
-            0 if witness["direction"] == "SUP" else 1,
-        )
-    if axiom == "BEST_CASE":
-        return (witness["agent"], witness["value"])
-    raise ValueError(f"unknown axiom: {axiom}")
-
-
-def merge_reports(a: AxiomReport, b: AxiomReport) -> AxiomReport:
-    """Combine two partial scan reports for the same axiom.
-
-    Associative and commutative: FAIL wins over any pass, the smaller
-    witness key wins between two FAILs, and PASS_SAMPLED wins over
-    PASS_EXHAUSTIVE (a sample taints the whole).
-    """
-    if a.axiom != b.axiom:
-        raise ValueError("cannot merge reports for different axioms")
-    count = a.profiles_checked + b.profiles_checked
-    details = dict(a.details or b.details)
-    fails = [r for r in (a, b) if r.verdict == "FAIL"]
-    if fails:
-        best = min(
-            fails, key=lambda r: witness_sort_key(a.axiom, r.witness or {})
-        )
-        return AxiomReport(a.axiom, "FAIL", best.witness, count, details)
-    verdict = (
-        "PASS_SAMPLED"
-        if "PASS_SAMPLED" in (a.verdict, b.verdict)
-        else a.verdict
-    )
-    return AxiomReport(a.axiom, verdict, None, count, details)
-
-
-# ---------------------------------------------------------------------------
 # Pointwise axioms
 # ---------------------------------------------------------------------------
 
-
-def check_ir(mechanism: Mechanism, grid: GridSpace) -> AxiomReport:
-    """Individual rationality: every agent's utility is non-negative."""
-
-    def per_profile(profile: Profile):
-        alloc = mechanism.evaluate(profile)
-        for i in range(profile.config.n):
-            u = utility(alloc.bundles[i], profile.values[i])
-            if u < 0:
-                witness = {"profile": profile.values, "agent": i, "utility": u}
-                return (witness_sort_key("IR", witness), witness)
-        return None
-
-    best, count = _scan_profiles(grid, per_profile)
-    return _report_from_scan("IR", grid, best, count)
+# `reports[i]` lists the misreports agent i may try; only SP deviates.
+Reports = tuple[tuple[Fraction, ...], ...]
 
 
-def check_no_subsidy(mechanism: Mechanism, grid: GridSpace) -> AxiomReport:
-    """No subsidy: no agent is ever paid money (every transfer is >= 0)."""
+@dataclass(frozen=True)
+class PointwiseAxiom:
+    """An axiom that holds or fails profile by profile.
 
-    def per_profile(profile: Profile):
-        alloc = mechanism.evaluate(profile)
-        for i in range(profile.config.n):
-            if alloc.bundles[i].t < 0:
-                witness = {
-                    "profile": profile.values,
-                    "agent": i,
-                    "transfer": alloc.bundles[i].t,
-                }
-                return (witness_sort_key("NS", witness), witness)
-        return None
-
-    best, count = _scan_profiles(grid, per_profile)
-    return _report_from_scan("NS", grid, best, count)
-
-
-def check_sp(mechanism: Mechanism, grid: GridSpace) -> AxiomReport:
-    """Strategy-proofness: no single-agent misreport from the grid ever pays.
-
-    Misreports range over the deviator's own value set, so on an
-    exhaustive sweep the verdict is exhaustive at grid scope.
+    `violations(mechanism, profile, reports)` yields every violation at
+    one profile, in witness-key order. A witness is identified by its
+    profile plus the `identity` fields; its sort key is that tuple, and
+    the scan reports the smallest key found. Replay runs the same
+    generator on the witness's profile and keeps the violation whose
+    identity matches, so the scan and the replay cannot drift apart.
     """
 
-    def per_profile(profile: Profile):
-        alloc = mechanism.evaluate(profile)
-        for i in range(profile.config.n):
-            truth = profile.values[i]
-            honest = utility(alloc.bundles[i], truth)
-            for report in grid.values[i]:
-                if report == truth:
-                    continue
-                deviated = mechanism.evaluate(profile.with_value(i, report))
-                gained = utility(deviated.bundles[i], truth)
-                if gained > honest:
-                    witness = {
-                        "profile": profile.values,
-                        "agent": i,
-                        "misreport": report,
-                        "truthful_utility": honest,
-                        "misreport_utility": gained,
-                    }
-                    return (witness_sort_key("SP", witness), witness)
+    name: str
+    identity: tuple[str, ...]
+    violations: Callable[[Mechanism, Profile, Reports], Iterator[dict]]
+
+    def key(self, witness: dict) -> tuple:
+        return (witness["profile"], *(witness[k] for k in self.identity))
+
+    def check(self, mechanism: Mechanism, grid: GridSpace) -> AxiomReport:
+        """Sweep the grid; FAIL with the smallest-key violation, else pass."""
+        best: dict | None = None
+        best_key: tuple = ()
+        count = 0
+        violations, reports = self.violations, grid.values
+        for profile in grid.profiles():
+            count += 1
+            hit = next(violations(mechanism, profile, reports), None)
+            if hit is not None:
+                key = self.key(hit)
+                if best is None or key < best_key:
+                    best, best_key = hit, key
+        if best is None:
+            return AxiomReport(self.name, grid.pass_verdict, None, count)
+        return AxiomReport(self.name, "FAIL", best, count)
+
+    def refresh(
+        self, mechanism: Mechanism, witness: dict, market: MarketConfig
+    ) -> dict | None:
+        """The violation with the witness's identity, recomputed, or None."""
+        profile = Profile(market, witness["profile"])
+        # A recorded misreport is replayed as given, even off the grid.
+        reports = tuple(
+            (witness["misreport"],)
+            if "misreport" in self.identity and k == witness["agent"]
+            else ()
+            for k in range(market.n)
+        )
+        for found in self.violations(mechanism, profile, reports):
+            if all(found[k] == witness[k] for k in self.identity):
+                return found
         return None
 
-    best, count = _scan_profiles(grid, per_profile)
-    return _report_from_scan("SP", grid, best, count)
+
+def _ir_violations(
+    mechanism: Mechanism, profile: Profile, reports: Reports
+) -> Iterator[dict]:
+    """Individual rationality: every agent's utility is non-negative."""
+    alloc = mechanism.evaluate(profile)
+    for i in range(profile.config.n):
+        u = utility(alloc.bundles[i], profile.values[i])
+        if u < 0:
+            yield {"profile": profile.values, "agent": i, "utility": u}
+
+
+def _ns_violations(
+    mechanism: Mechanism, profile: Profile, reports: Reports
+) -> Iterator[dict]:
+    """No subsidy: no agent is ever paid money (every transfer is >= 0)."""
+    alloc = mechanism.evaluate(profile)
+    for i in range(profile.config.n):
+        if alloc.bundles[i].t < 0:
+            yield {
+                "profile": profile.values,
+                "agent": i,
+                "transfer": alloc.bundles[i].t,
+            }
+
+
+def _sp_violations(
+    mechanism: Mechanism, profile: Profile, reports: Reports
+) -> Iterator[dict]:
+    """Strategy-proofness: no single-agent misreport ever pays.
+
+    A scan passes each agent's own grid value set as the misreports, so
+    on an exhaustive sweep the verdict is exhaustive at grid scope.
+    """
+    alloc = mechanism.evaluate(profile)
+    for i in range(profile.config.n):
+        truth = profile.values[i]
+        honest = utility(alloc.bundles[i], truth)
+        for report in reports[i]:
+            if report == truth:
+                continue
+            deviated = mechanism.evaluate(profile.with_value(i, report))
+            gained = utility(deviated.bundles[i], truth)
+            if gained > honest:
+                yield {
+                    "profile": profile.values,
+                    "agent": i,
+                    "misreport": report,
+                    "truthful_utility": honest,
+                    "misreport_utility": gained,
+                }
+
+
+def _reference_bundle(
+    values: tuple[Fraction, ...], us: tuple[Fraction, ...]
+) -> Bundle | None:
+    if all(u == us[0] for u in us):
+        return Bundle(0, -us[0])
+    diffs = [v - u for v, u in zip(values, us)]
+    if all(d == diffs[0] for d in diffs):
+        return Bundle(1, diffs[0])
+    return None
 
 
 def find_reference_bundle(mechanism: Mechanism, profile: Profile) -> Bundle | None:
@@ -401,113 +345,105 @@ def find_reference_bundle(mechanism: Mechanism, profile: Profile) -> Bundle | No
     prefer or disprefer it.
     """
     us = utilities(mechanism.evaluate(profile), profile)
-    if all(u == us[0] for u in us):
-        return Bundle(0, -us[0])
-    diffs = [v - u for v, u in zip(profile.values, us)]
-    if all(d == diffs[0] for d in diffs):
-        return Bundle(1, diffs[0])
-    return None
+    return _reference_bundle(profile.values, us)
 
 
-def check_ee(mechanism: Mechanism, grid: GridSpace) -> AxiomReport:
+def _ee_violations(
+    mechanism: Mechanism, profile: Profile, reports: Reports
+) -> Iterator[dict]:
     """Egalitarian-equivalence: a reference bundle exists at every profile."""
-
-    def per_profile(profile: Profile):
-        if find_reference_bundle(mechanism, profile) is None:
-            witness = {
-                "profile": profile.values,
-                "utilities": utilities(mechanism.evaluate(profile), profile),
-            }
-            return (witness_sort_key("EE", witness), witness)
-        return None
-
-    best, count = _scan_profiles(grid, per_profile)
-    return _report_from_scan("EE", grid, best, count)
+    us = utilities(mechanism.evaluate(profile), profile)
+    if _reference_bundle(profile.values, us) is None:
+        yield {"profile": profile.values, "utilities": us}
 
 
-def check_efficiency(mechanism: Mechanism, grid: GridSpace) -> AxiomReport:
+def _eff_violations(
+    mechanism: Mechanism, profile: Profile, reports: Reports
+) -> Iterator[dict]:
     """Decision efficiency: the objects always go to a surplus-maximizing set."""
-
-    def per_profile(profile: Profile):
-        achieved = achieved_surplus(mechanism.evaluate(profile), profile)
-        optimum = optimal_surplus(profile)
-        if achieved != optimum:
-            witness = {
-                "profile": profile.values,
-                "achieved": achieved,
-                "optimum": optimum,
-            }
-            return (witness_sort_key("EFF", witness), witness)
-        return None
-
-    best, count = _scan_profiles(grid, per_profile)
-    return _report_from_scan("EFF", grid, best, count)
+    achieved = achieved_surplus(mechanism.evaluate(profile), profile)
+    optimum = optimal_surplus(profile)
+    if achieved != optimum:
+        yield {"profile": profile.values, "achieved": achieved, "optimum": optimum}
 
 
-def check_envy_freeness(mechanism: Mechanism, grid: GridSpace) -> AxiomReport:
+def _ef_violations(
+    mechanism: Mechanism, profile: Profile, reports: Reports
+) -> Iterator[dict]:
     """Envy-freeness: no agent prefers another agent's bundle to their own."""
+    alloc = mechanism.evaluate(profile)
+    for i in range(profile.config.n):
+        own = utility(alloc.bundles[i], profile.values[i])
+        for j in range(profile.config.n):
+            if j == i:
+                continue
+            envied = utility(alloc.bundles[j], profile.values[i])
+            if envied > own:
+                yield {
+                    "profile": profile.values,
+                    "agent": i,
+                    "other": j,
+                    "own_utility": own,
+                    "other_bundle_utility": envied,
+                }
 
-    def per_profile(profile: Profile):
-        alloc = mechanism.evaluate(profile)
-        for i in range(profile.config.n):
-            own = utility(alloc.bundles[i], profile.values[i])
-            for j in range(profile.config.n):
-                if j == i:
-                    continue
-                envied = utility(alloc.bundles[j], profile.values[i])
-                if envied > own:
-                    witness = {
-                        "profile": profile.values,
-                        "agent": i,
-                        "other": j,
-                        "own_utility": own,
-                        "other_bundle_utility": envied,
-                    }
-                    return (witness_sort_key("EF", witness), witness)
-        return None
 
-    best, count = _scan_profiles(grid, per_profile)
-    return _report_from_scan("EF", grid, best, count)
+def _aiw_violations(
+    mechanism: Mechanism, profile: Profile, reports: Reports
+) -> Iterator[dict]:
+    """Anonymity in welfare: swapping two agents' valuations swaps their utilities."""
+    alloc = mechanism.evaluate(profile)
+    for i in range(profile.config.n):
+        mine = utility(alloc.bundles[i], profile.values[i])
+        for j in range(profile.config.n):
+            if j == i:
+                continue
+            swapped = profile.swapped(i, j)
+            theirs = utility(
+                mechanism.evaluate(swapped).bundles[j], profile.values[i]
+            )
+            if mine != theirs:
+                yield {
+                    "profile": profile.values,
+                    "agent": i,
+                    "other": j,
+                    "swapped_profile": swapped.values,
+                    "utility": mine,
+                    "swapped_utility": theirs,
+                }
+
+
+POINTWISE: dict[str, PointwiseAxiom] = {
+    axiom.name: axiom
+    for axiom in (
+        PointwiseAxiom("IR", ("agent",), _ir_violations),
+        PointwiseAxiom("NS", ("agent",), _ns_violations),
+        PointwiseAxiom("SP", ("agent", "misreport"), _sp_violations),
+        PointwiseAxiom("EE", (), _ee_violations),
+        PointwiseAxiom("EFF", (), _eff_violations),
+        PointwiseAxiom("EF", ("agent", "other"), _ef_violations),
+        PointwiseAxiom("AIW", ("agent", "other"), _aiw_violations),
+    )
+}
+
+check_ir = POINTWISE["IR"].check
+check_no_subsidy = POINTWISE["NS"].check
+check_sp = POINTWISE["SP"].check
+check_ee = POINTWISE["EE"].check
+check_efficiency = POINTWISE["EFF"].check
+check_envy_freeness = POINTWISE["EF"].check
 
 
 def check_anonymity_in_welfare(
     mechanism: Mechanism, grid: GridSpace
 ) -> AxiomReport:
-    """Anonymity in welfare: swapping two agents' valuations swaps their utilities.
-
-    Needs a shared value set, otherwise the swapped profile can leave the
-    grid; heterogeneous grids are a usage error.
-    """
+    """Sweep AIW. Needs a shared value set, otherwise the swapped profile
+    can leave the grid; heterogeneous grids are a usage error."""
     if not grid.is_shared:
         raise ValueError(
             "anonymity in welfare needs a shared value set across agents"
         )
-
-    def per_profile(profile: Profile):
-        alloc = mechanism.evaluate(profile)
-        for i in range(profile.config.n):
-            for j in range(profile.config.n):
-                if j == i:
-                    continue
-                swapped = profile.swapped(i, j)
-                mine = utility(alloc.bundles[i], profile.values[i])
-                theirs = utility(
-                    mechanism.evaluate(swapped).bundles[j], profile.values[i]
-                )
-                if mine != theirs:
-                    witness = {
-                        "profile": profile.values,
-                        "agent": i,
-                        "other": j,
-                        "swapped_profile": swapped.values,
-                        "utility": mine,
-                        "swapped_utility": theirs,
-                    }
-                    return (witness_sort_key("AIW", witness), witness)
-        return None
-
-    best, count = _scan_profiles(grid, per_profile)
-    return _report_from_scan("AIW", grid, best, count)
+    return POINTWISE["AIW"].check(mechanism, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -522,10 +458,11 @@ def _second_price_bounds(
 
     Best case: opponents all at zero let a positive report win for free,
     so the supremum is the full valuation. A zero report can still win at
-    price zero, but only for agents whose index precedes the last m-1
-    (the canonical tie-break fills low indices first); for everyone else
-    the zero report never trades. Worst case: overbidding can win at any
-    price up to the report, so the infimum is min(0, v - r).
+    price zero, but only for the first m-1 agents (agent < m-1): against
+    one positive opponent at the highest index, the canonical tie-break
+    hands the m-1 spare objects to the lowest zero reporters. For everyone
+    else the zero report never trades. Worst case: overbidding can win at
+    any price up to the report, so the infimum is min(0, v - r).
     """
     zero = Fraction(0)
     sup = true_value if (report > 0 or agent < m - 1) else zero
@@ -613,13 +550,6 @@ def has_analytic_bounds(mechanism: Mechanism, market: MarketConfig) -> bool:
     return nom_report_bounds(mechanism, market, 0, 1, 1) is not None
 
 
-def _analytic_sup_realizer(
-    market: MarketConfig, agent: int
-) -> tuple[Fraction, ...]:
-    """Opponents realizing the best-case bound for a positive report: all zero."""
-    return (Fraction(0),) * (market.n - 1)
-
-
 def _grid_bundle_map(
     mechanism: Mechanism, grid: GridSpace
 ) -> tuple[dict, int]:
@@ -657,99 +587,101 @@ def _grid_report_bounds(
     return best, worst, best_opp, worst_opp
 
 
+# bounds(agent, report, true_value): (sup, inf, sup realizer, inf realizer)
+# of the agent's utility, or None when the scope saw nothing of that report.
+NomBounds = Callable[[int, Fraction, Fraction], "tuple | None"]
+
+
+def _nom_bounds(
+    mechanism: Mechanism, grid: GridSpace, analytic: bool
+) -> tuple[NomBounds, str, int]:
+    """The utility bounds NOM and BEST_CASE compare, their scope, and the
+    number of profiles swept to get them.
+
+    With analytic bounds (the built-in families) they range over every
+    real opponent profile, and all-zero opponents are recorded as the
+    best-case realizer. Otherwise they range over the bundles the grid
+    produced, with the smallest opponent profile producing each bound.
+    """
+    market = grid.config
+    if analytic and has_analytic_bounds(mechanism, market):
+        zeros = (Fraction(0),) * (market.n - 1)
+
+        def analytic_bounds(agent, report, true_value):
+            sup, inf = nom_report_bounds(
+                mechanism, market, agent, report, true_value
+            )
+            return sup, inf, zeros, None
+
+        return analytic_bounds, "analytic", 0
+    seen, count = _grid_bundle_map(mechanism, grid)
+
+    def grid_bounds(agent, report, true_value):
+        slot = seen.get((agent, report))
+        if slot is None:
+            return None  # value never sampled, nothing to compare against
+        return _grid_report_bounds(slot, true_value)
+
+    return grid_bounds, "grid", count
+
+
+def _nom_witnesses(
+    agent: int,
+    true_value: Fraction,
+    report: Fraction,
+    truthful: tuple,
+    misreported: tuple,
+    scope: str,
+) -> Iterator[dict]:
+    """The SUP, then INF, obvious manipulation of one (agent, value, misreport).
+
+    A misreport is an obvious manipulation when it beats truth-telling in
+    the best case (SUP) or the worst case (INF) over opponents.
+    """
+    for pick, direction in enumerate(("SUP", "INF")):
+        if misreported[pick] > truthful[pick]:
+            witness = {
+                "agent": agent,
+                "true_value": true_value,
+                "misreport": report,
+                "direction": direction,
+                "truthful_bound": truthful[pick],
+                "misreport_bound": misreported[pick],
+            }
+            if misreported[2 + pick] is not None:
+                witness["realizing_opponents"] = misreported[2 + pick]
+            witness["scope"] = scope
+            yield witness
+
+
+def _iter_nom(
+    values: tuple[tuple[Fraction, ...], ...], bounds: NomBounds, scope: str
+) -> Iterator[dict]:
+    for i, vals in enumerate(values):
+        for true_value in vals:
+            truthful = bounds(i, true_value, true_value)
+            if truthful is None:
+                continue
+            for report in vals:
+                if report == true_value:
+                    continue
+                misreported = bounds(i, report, true_value)
+                if misreported is not None:
+                    yield from _nom_witnesses(
+                        i, true_value, report, truthful, misreported, scope
+                    )
+
+
 def iter_nom_violations(
     mechanism: Mechanism, grid: GridSpace, analytic: bool = True
 ) -> Iterator[dict]:
     """Obvious manipulations in (agent, true value, misreport) order.
 
-    A misreport is an obvious manipulation when it beats truth-telling in
-    the best case (SUP) or the worst case (INF) over opponents. With
-    analytic bounds the comparison covers all real opponents; otherwise
-    bounds are taken over the grid only and flagged as such.
+    With analytic bounds the comparison covers all real opponents;
+    otherwise bounds are taken over the grid only and flagged as such.
     """
-    market = grid.config
-    if analytic and has_analytic_bounds(mechanism, market):
-        for i in range(market.n):
-            vals = grid.values[i]
-            for true_value in vals:
-                t_sup, t_inf = nom_report_bounds(
-                    mechanism, market, i, true_value, true_value
-                )
-                for report in vals:
-                    if report == true_value:
-                        continue
-                    r_sup, r_inf = nom_report_bounds(
-                        mechanism, market, i, report, true_value
-                    )
-                    if r_sup > t_sup:
-                        yield {
-                            "agent": i,
-                            "true_value": true_value,
-                            "misreport": report,
-                            "direction": "SUP",
-                            "truthful_bound": t_sup,
-                            "misreport_bound": r_sup,
-                            "realizing_opponents": _analytic_sup_realizer(
-                                market, i
-                            ),
-                            "scope": "analytic",
-                        }
-                    if r_inf > t_inf:
-                        yield {
-                            "agent": i,
-                            "true_value": true_value,
-                            "misreport": report,
-                            "direction": "INF",
-                            "truthful_bound": t_inf,
-                            "misreport_bound": r_inf,
-                            "scope": "analytic",
-                        }
-        return
-    seen, _ = _grid_bundle_map(mechanism, grid)
-    yield from _iter_grid_nom(market, grid, seen)
-
-
-def _iter_grid_nom(
-    market: MarketConfig, grid: GridSpace, seen: dict
-) -> Iterator[dict]:
-    for i in range(market.n):
-        vals = grid.values[i]
-        for true_value in vals:
-            truth_slot = seen.get((i, true_value))
-            if truth_slot is None:
-                continue  # value never sampled, nothing to compare against
-            t_sup, t_inf, _, _ = _grid_report_bounds(truth_slot, true_value)
-            for report in vals:
-                if report == true_value:
-                    continue
-                report_slot = seen.get((i, report))
-                if report_slot is None:
-                    continue
-                r_sup, r_inf, sup_opp, inf_opp = _grid_report_bounds(
-                    report_slot, true_value
-                )
-                if r_sup > t_sup:
-                    yield {
-                        "agent": i,
-                        "true_value": true_value,
-                        "misreport": report,
-                        "direction": "SUP",
-                        "truthful_bound": t_sup,
-                        "misreport_bound": r_sup,
-                        "realizing_opponents": sup_opp,
-                        "scope": "grid",
-                    }
-                if r_inf > t_inf:
-                    yield {
-                        "agent": i,
-                        "true_value": true_value,
-                        "misreport": report,
-                        "direction": "INF",
-                        "truthful_bound": t_inf,
-                        "misreport_bound": r_inf,
-                        "realizing_opponents": inf_opp,
-                        "scope": "grid",
-                    }
+    bounds, scope, _ = _nom_bounds(mechanism, grid, analytic)
+    return _iter_nom(grid.values, bounds, scope)
 
 
 def check_nom(
@@ -764,27 +696,29 @@ def check_nom(
     evidence at grid scope, not a proof over the reals (flagged in the
     witness and details).
     """
-    market = grid.config
-    use_analytic = analytic and has_analytic_bounds(mechanism, market)
-    details: dict[str, Any] = {"scope": "analytic" if use_analytic else "grid"}
-    if use_analytic and grid.is_shared:
+    bounds, scope, count = _nom_bounds(mechanism, grid, analytic)
+    details: dict[str, Any] = {"scope": scope}
+    if scope == "analytic" and grid.is_shared:
         details["truthful_bounds"] = {
-            rat_str(v): [
-                rat_str(b)
-                for b in nom_report_bounds(mechanism, market, 0, v, v)
-            ]
+            rat_str(v): [rat_str(b) for b in bounds(0, v, v)[:2]]
             for v in grid.shared_values
         }
-    if use_analytic:
-        witness = next(iter_nom_violations(mechanism, grid, True), None)
-        if witness is not None:
-            return AxiomReport("NOM", "FAIL", witness, 0, details)
-        return AxiomReport("NOM", "PASS_ANALYTIC", None, 0, details)
-    seen, count = _grid_bundle_map(mechanism, grid)
-    witness = next(_iter_grid_nom(market, grid, seen), None)
+    witness = next(_iter_nom(grid.values, bounds, scope), None)
     if witness is not None:
         return AxiomReport("NOM", "FAIL", witness, count, details)
-    return AxiomReport("NOM", "PASS_SAMPLED", None, count, details)
+    verdict = "PASS_ANALYTIC" if scope == "analytic" else "PASS_SAMPLED"
+    return AxiomReport("NOM", verdict, None, count, details)
+
+
+def _best_case_gaps(
+    values: tuple[tuple[Fraction, ...], ...], bounds: NomBounds
+) -> Iterator[dict]:
+    """(agent, value) pairs whose best-case truthful utility is not the value."""
+    for i, vals in enumerate(values):
+        for value in vals:
+            truthful = bounds(i, value, value)
+            if truthful is not None and truthful[0] != value:
+                yield {"agent": i, "value": value, "best_case": truthful[0]}
 
 
 def check_best_case_utility(
@@ -797,9 +731,9 @@ def check_best_case_utility(
     failure makes this check NOT_APPLICABLE. Transfers being non-negative
     caps utility at v_i, so the question is whether some opponent profile
     attains the cap. For the built-in families the all-zero opponents do,
-    analytically; for black-box mechanisms only grid evidence is reported.
+    analytically; for black-box mechanisms only grid evidence is reported,
+    over the values the grid (or its sample) actually produced.
     """
-    market = grid.config
     pre = {
         "EFF": check_efficiency(mechanism, grid),
         "IR": check_ir(mechanism, grid),
@@ -814,18 +748,11 @@ def check_best_case_utility(
             0,
             {"reason": "precondition failed: " + ", ".join(failing)},
         )
-    if has_analytic_bounds(mechanism, market):
-        for i in range(market.n):
-            for value in grid.values[i]:
-                sup = nom_report_bounds(mechanism, market, i, value, value)[0]
-                if sup != value:
-                    return AxiomReport(
-                        "BEST_CASE",
-                        "FAIL",
-                        {"agent": i, "value": value, "best_case": sup},
-                        0,
-                        {"scope": "analytic"},
-                    )
+    bounds, scope, count = _nom_bounds(mechanism, grid, analytic=True)
+    gap = next(_best_case_gaps(grid.values, bounds), None)
+    if scope == "analytic":
+        if gap is not None:
+            return AxiomReport("BEST_CASE", "FAIL", gap, 0, {"scope": "analytic"})
         return AxiomReport(
             "BEST_CASE",
             "PASS_ANALYTIC",
@@ -836,19 +763,12 @@ def check_best_case_utility(
                 "realizer": "all-zero opponents attain the bound",
             },
         )
-    seen, count = _grid_bundle_map(mechanism, grid)
-    unsupported: list[dict] = []
-    for i in range(market.n):
-        for value in grid.values[i]:
-            sup, _, _, _ = _grid_report_bounds(seen[(i, value)], value)
-            if sup != value:
-                unsupported.append({"agent": i, "value": value, "best_case": sup})
     details: dict[str, Any] = {
         "scope": "grid",
         "reason": "grid evidence cannot settle a bound over all real opponents",
     }
-    if unsupported:
-        details["first_unattained"] = unsupported[0]
+    if gap is not None:
+        details["first_unattained"] = gap
     return AxiomReport("BEST_CASE", "NOT_CERTIFIED", None, count, details)
 
 
@@ -942,138 +862,38 @@ def refresh_witness(
     Returns the refreshed witness if it still demonstrates a violation,
     or None if it no longer does. Only the identifying fields (profile,
     agent, misreport, ...) are trusted; recorded utilities and bounds are
-    recomputed from the mechanism.
+    recomputed by the same definition the scan uses.
     """
     market = grid.config
-    if axiom == "IR":
-        profile = Profile(market, witness["profile"])
-        i = witness["agent"]
-        u = utility(mechanism.evaluate(profile).bundles[i], profile.values[i])
-        if u < 0:
-            return {"profile": profile.values, "agent": i, "utility": u}
-        return None
-    if axiom == "NS":
-        profile = Profile(market, witness["profile"])
-        i = witness["agent"]
-        t = mechanism.evaluate(profile).bundles[i].t
-        if t < 0:
-            return {"profile": profile.values, "agent": i, "transfer": t}
-        return None
-    if axiom == "SP":
-        profile = Profile(market, witness["profile"])
-        i = witness["agent"]
-        report = witness["misreport"]
-        honest = utility(
-            mechanism.evaluate(profile).bundles[i], profile.values[i]
-        )
-        gained = utility(
-            mechanism.evaluate(profile.with_value(i, report)).bundles[i],
-            profile.values[i],
-        )
-        if gained > honest:
-            return {
-                "profile": profile.values,
-                "agent": i,
-                "misreport": report,
-                "truthful_utility": honest,
-                "misreport_utility": gained,
-            }
-        return None
-    if axiom == "EE":
-        profile = Profile(market, witness["profile"])
-        if find_reference_bundle(mechanism, profile) is None:
-            return {
-                "profile": profile.values,
-                "utilities": utilities(mechanism.evaluate(profile), profile),
-            }
-        return None
-    if axiom == "EFF":
-        profile = Profile(market, witness["profile"])
-        achieved = achieved_surplus(mechanism.evaluate(profile), profile)
-        optimum = optimal_surplus(profile)
-        if achieved != optimum:
-            return {
-                "profile": profile.values,
-                "achieved": achieved,
-                "optimum": optimum,
-            }
-        return None
-    if axiom == "EF":
-        profile = Profile(market, witness["profile"])
-        i, j = witness["agent"], witness["other"]
-        alloc = mechanism.evaluate(profile)
-        own = utility(alloc.bundles[i], profile.values[i])
-        envied = utility(alloc.bundles[j], profile.values[i])
-        if envied > own:
-            return {
-                "profile": profile.values,
-                "agent": i,
-                "other": j,
-                "own_utility": own,
-                "other_bundle_utility": envied,
-            }
-        return None
-    if axiom == "AIW":
-        profile = Profile(market, witness["profile"])
-        i, j = witness["agent"], witness["other"]
-        swapped = profile.swapped(i, j)
-        mine = utility(
-            mechanism.evaluate(profile).bundles[i], profile.values[i]
-        )
-        theirs = utility(
-            mechanism.evaluate(swapped).bundles[j], profile.values[i]
-        )
-        if mine != theirs:
-            return {
-                "profile": profile.values,
-                "agent": i,
-                "other": j,
-                "swapped_profile": swapped.values,
-                "utility": mine,
-                "swapped_utility": theirs,
-            }
-        return None
+    if axiom in POINTWISE:
+        return POINTWISE[axiom].refresh(mechanism, witness, market)
     if axiom == "NOM":
+        analytic = witness.get("scope") == "analytic"
+        if analytic and not has_analytic_bounds(mechanism, market):
+            raise ValueError("analytic witness for a family without analytic bounds")
+        bounds, scope, _ = _nom_bounds(mechanism, grid, analytic)
         i = witness["agent"]
         true_value = witness["true_value"]
         report = witness["misreport"]
-        direction = witness["direction"]
-        if witness.get("scope") == "analytic":
-            truthful = nom_report_bounds(
-                mechanism, market, i, true_value, true_value
-            )
-            misreported = nom_report_bounds(
-                mechanism, market, i, report, true_value
-            )
-            if truthful is None or misreported is None:
-                raise ValueError(
-                    "analytic witness for a family without analytic bounds"
-                )
-            pick = 0 if direction == "SUP" else 1
-            if misreported[pick] > truthful[pick]:
-                out = dict(witness)
-                out["truthful_bound"] = truthful[pick]
-                out["misreport_bound"] = misreported[pick]
-                return out
+        truthful = bounds(i, true_value, true_value)
+        misreported = bounds(i, report, true_value)
+        if truthful is None or misreported is None:
             return None
-        for candidate in iter_nom_violations(mechanism, grid, analytic=False):
-            if (
-                candidate["agent"] == i
-                and candidate["true_value"] == true_value
-                and candidate["misreport"] == report
-                and candidate["direction"] == direction
-            ):
-                return candidate
+        for found in _nom_witnesses(
+            i, true_value, report, truthful, misreported, scope
+        ):
+            if found["direction"] == witness["direction"]:
+                return found
         return None
     if axiom == "BEST_CASE":
-        i = witness["agent"]
-        value = witness["value"]
-        bounds = nom_report_bounds(mechanism, market, i, value, value)
-        if bounds is None:
+        if not has_analytic_bounds(mechanism, market):
             raise ValueError("best-case replay needs analytic bounds")
-        if bounds[0] != value:
-            return {"agent": i, "value": value, "best_case": bounds[0]}
-        return None
+        bounds, _, _ = _nom_bounds(mechanism, grid, analytic=True)
+        i = witness["agent"]
+        only = tuple(
+            (witness["value"],) if k == i else () for k in range(market.n)
+        )
+        return next(_best_case_gaps(only, bounds), None)
     raise ValueError(f"unknown axiom: {axiom}")
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -65,8 +64,6 @@ from .model import (
 )
 from .search import SUITES
 
-WORKERS_ENV = "MECHLAB_WORKERS"
-
 AXIOM_CATALOG = (*CHECKERS.keys(), "WELFARE_COMPARE")
 
 
@@ -74,17 +71,21 @@ class ConfigError(ValueError):
     """Anything wrong with inputs that the user must fix."""
 
 
-def _workers_from_env() -> int:
-    raw = os.environ.get(WORKERS_ENV, "").strip()
-    if not raw:
-        return 1
+def _integer(value: Any, what: str) -> int:
+    """An integer config field; a JSON float or boolean is refused, never truncated."""
+    if isinstance(value, (bool, float)):
+        raise ConfigError(f"{what} must be an integer, got {json.dumps(value)}")
     try:
-        workers = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{WORKERS_ENV} must be an integer, got {raw!r}") from exc
-    if workers < 1:
-        raise ConfigError(f"{WORKERS_ENV} must be >= 1, got {workers}")
-    return workers
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{what} must be an integer, got {value!r}") from exc
+
+
+def _section(doc: dict, key: str, default: dict) -> dict:
+    section = doc.get(key, default)
+    if not isinstance(section, dict):
+        raise ConfigError(f"{key} section must be an object")
+    return section
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +106,7 @@ def parse_winner_rule(spec: Any, market: MarketConfig) -> WinnerRule:
     if family == RULE_EFFICIENT_WINNERS:
         return WinnerRule.efficient()
     if family == RULE_DICTATORIAL_THRESHOLD:
-        agent = int(spec["agent"])
+        agent = _integer(spec["agent"], "dictator agent")
         if not 0 <= agent < market.n:
             raise ConfigError(f"dictator index out of range: {agent}")
         return WinnerRule.dictatorial_threshold(agent, rat(spec["threshold"]))
@@ -113,7 +114,9 @@ def parse_winner_rule(spec: Any, market: MarketConfig) -> WinnerRule:
         entries = {}
         for entry in spec.get("entries", []):
             key = tuple(rat(v) for v in entry["profile"])
-            entries[key] = frozenset(int(i) for i in entry["winners"])
+            entries[key] = frozenset(
+                _integer(i, "rule table winner") for i in entry["winners"]
+            )
         return WinnerRule.rule_table(market, entries)
     raise ConfigError(f"unknown winner rule family: {family}")
 
@@ -247,14 +250,13 @@ class AuditConfig:
     json_path: str | None
     text_path: str | None
 
-    def grid(self, workers: int = 1) -> GridSpace:
+    def grid(self) -> GridSpace:
         return GridSpace(
             self.market,
             self.values,
             mode=self.mode,
             seed=self.seed,
             samples=self.samples,
-            workers=workers,
         )
 
     def echo(self) -> dict:
@@ -290,8 +292,8 @@ def _parse_grid_values(
             raise ConfigError("per_agent grid needs one value list per agent")
         return tuple(tuple(rat(v) for v in row) for row in rows)
     if "range" in doc:
-        rng = doc["range"]
-        denominator = int(rng.get("denominator", 1))
+        rng = _section(doc, "range", {})
+        denominator = _integer(rng.get("denominator", 1), "range denominator")
         if denominator < 1:
             raise ConfigError("range denominator must be >= 1")
         top = rat(rng["max"])
@@ -322,17 +324,18 @@ def load_config(path: str) -> AuditConfig:
         raise ConfigError("config needs a market section")
     try:
         market = MarketConfig(
-            int(market_doc["agents"]), int(market_doc["objects"])
+            _integer(market_doc["agents"], "agents"),
+            _integer(market_doc["objects"], "objects"),
         )
     except (KeyError, ValueError, TypeError) as exc:
         raise ConfigError(f"bad market section: {exc}") from exc
     values = _parse_grid_values(doc.get("grid"), market)
-    mode_doc = doc.get("mode", {"kind": "exhaustive"})
+    mode_doc = _section(doc, "mode", {"kind": "exhaustive"})
     kind = mode_doc.get("kind", "exhaustive")
     if kind not in ("exhaustive", "sampled"):
         raise ConfigError(f"unknown mode kind: {kind!r}")
-    seed = int(mode_doc.get("seed", 0))
-    samples = int(mode_doc.get("samples", 0))
+    seed = _integer(mode_doc.get("seed", 0), "seed")
+    samples = _integer(mode_doc.get("samples", 0), "samples")
     if kind == "sampled" and samples < 1:
         raise ConfigError("sampled mode needs samples >= 1")
     mech_docs = doc.get("mechanisms")
@@ -355,7 +358,7 @@ def load_config(path: str) -> AuditConfig:
     shared = all(vals == values[0] for vals in values)
     if "AIW" in axioms and not shared:
         raise ConfigError("AIW needs a shared value set across agents")
-    output = doc.get("output", {})
+    output = _section(doc, "output", {})
     return AuditConfig(
         market=market,
         values=values,
@@ -461,8 +464,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_audit(args: argparse.Namespace) -> int:
     config = load_config(args.config)
-    workers = _workers_from_env()
-    grid = config.grid(workers=workers)
+    grid = config.grid()
     started = time.monotonic()
     verdicts: list[str] = []
     results = []
@@ -531,8 +533,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
 
 
 def cmd_suite(args: argparse.Namespace) -> int:
-    workers = _workers_from_env()
-    result = SUITES[args.name](workers=workers)
+    result = SUITES[args.name]()
     print(result.title)
     print(result.format_table())
     if result.matched:
@@ -546,8 +547,7 @@ def cmd_suite(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     config = load_config(args.config)
-    workers = _workers_from_env()
-    grid = config.grid(workers=workers)
+    grid = config.grid()
     first = parse_mechanism(args.a, config.market)
     second = parse_mechanism(args.b, config.market)
     outcome = welfare_compare(first, second, grid)

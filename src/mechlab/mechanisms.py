@@ -383,6 +383,25 @@ def _rule_condition_violation(
     return None
 
 
+def _scan_rule_table(rule: WinnerRule) -> tuple[int, tuple[str, dict] | None]:
+    """Check a rule table entry by entry, in sorted order.
+
+    Returns how many entries were checked and the first violated
+    condition with its witness, or None when every entry holds.
+    """
+    market = rule.market
+    if market is None:
+        raise ValueError("rule table has no market attached")
+    assert rule.table is not None
+    checked = 0
+    for values in sorted(rule.table):
+        checked += 1
+        hit = _rule_condition_violation(market, values, rule.table[values])
+        if hit is not None:
+            return checked, hit
+    return checked, None
+
+
 def validate_winner_rule(rule: WinnerRule, grid: "GridSpace") -> ValidityReport:
     """Check selection conditions (i)-(iv).
 
@@ -400,28 +419,17 @@ def validate_winner_rule(rule: WinnerRule, grid: "GridSpace") -> ValidityReport:
         )
     if rule.family != RULE_TABLE:
         raise ValueError(f"unknown winner rule family: {rule.family}")
-    market = rule.market
-    if market is None:
-        raise ValueError("rule table has no market attached")
-    assert rule.table is not None
-    checked = 0
-    for values in sorted(rule.table):
-        checked += 1
-        selected = rule.table[values]
-        hit = _rule_condition_violation(market, values, selected)
-        if hit is not None:
-            condition, witness = hit
-            return ValidityReport(
-                subject=label,
-                verdict="FAIL",
-                condition=condition,
-                witness={
-                    "profile": witness["profile"],
-                    "winners": witness["winners"],
-                },
-                profiles_checked=checked,
-                details={"method": "entry scan (off-table profiles select nobody)"},
-            )
+    checked, hit = _scan_rule_table(rule)
+    if hit is not None:
+        condition, witness = hit
+        return ValidityReport(
+            subject=label,
+            verdict="FAIL",
+            condition=condition,
+            witness=witness,
+            profiles_checked=checked,
+            details={"method": "entry scan (off-table profiles select nobody)"},
+        )
     return ValidityReport(
         subject=label,
         verdict="PASS_ANALYTIC",
@@ -487,18 +495,13 @@ def selective_vickrey_mechanism(rule: WinnerRule) -> Mechanism:
     an invalid table is a construction error, not a mechanism that limps.
     """
     if rule.family == RULE_TABLE:
-        market = rule.market
-        if market is None:
-            raise ValueError("rule table has no market attached")
-        assert rule.table is not None
-        for values in sorted(rule.table):
-            hit = _rule_condition_violation(market, values, rule.table[values])
-            if hit is not None:
-                condition, witness = hit
-                raise ValueError(
-                    f"invalid winner rule, condition {condition} at profile "
-                    f"({', '.join(rat_str(v) for v in witness['profile'])})"
-                )
+        _, hit = _scan_rule_table(rule)
+        if hit is not None:
+            condition, witness = hit
+            raise ValueError(
+                f"invalid winner rule, condition {condition} at profile "
+                f"({', '.join(rat_str(v) for v in witness['profile'])})"
+            )
 
     def fn(profile: Profile) -> Allocation:
         selected = rule.select(profile)

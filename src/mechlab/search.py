@@ -18,6 +18,7 @@ from typing import Any, Iterable, Iterator, Mapping
 
 from .axioms import (
     CHECKERS,
+    POINTWISE,
     GridSpace,
     refresh_witness,
     iter_nom_violations,
@@ -110,9 +111,6 @@ def enumerate_uniform_tail(
     return (p for p in _as_space(grid).profiles() if has_uniform_tail(p))
 
 
-_SHRINKABLE = ("IR", "NS", "SP", "EE", "EFF", "EF", "AIW")
-
-
 def shrink_witness(
     mechanism: Mechanism,
     axiom: str,
@@ -127,17 +125,17 @@ def shrink_witness(
     violates. Passes repeat until nothing moves, so the result is a
     deterministic local minimum (not a global one).
     """
-    if axiom not in _SHRINKABLE:
+    if axiom not in POINTWISE:
         raise ValueError(f"shrinking is not defined for {axiom} witnesses")
     space = _as_space(grid)
     current = refresh_witness(mechanism, axiom, witness, space)
     if current is None:
         raise ValueError("witness does not replay to a violation")
 
-    identity_keys = ("profile", "agent", "other", "misreport")
+    identity_keys = ("profile", *POINTWISE[axiom].identity)
 
     def identity(w: dict) -> dict:
-        return {k: w[k] for k in identity_keys if k in w}
+        return {k: w[k] for k in identity_keys}
 
     def coordinates(w: dict) -> list[tuple[str, int]]:
         coords = [("profile", k) for k in range(space.config.n)]
@@ -350,9 +348,9 @@ def _run_axiom_cells(
             witnesses[(row, axiom)] = report.witness
 
 
-def suite_independence(workers: int = 1) -> SuiteResult:
+def suite_independence() -> SuiteResult:
     """Four mechanisms, four axioms: each fails exactly the axiom it drops."""
-    grid = GridConfig(3, 1, values=(0, 1, 2, 3)).space(workers=workers)
+    grid = GridConfig(3, 1, values=(0, 1, 2, 3)).space()
     mechanisms = [
         vickrey_mechanism(),
         pay_as_bid_mechanism(),
@@ -388,7 +386,6 @@ DEFAULT_SUITE_SEED = 1729
 def suite_sp_class(
     count: int = DEFAULT_RANDOM_RULES,
     seed: int = DEFAULT_SUITE_SEED,
-    workers: int = 1,
 ) -> SuiteResult:
     """Every valid uncompromising winner rule prices clean: EE, SP, IR, NS.
 
@@ -396,7 +393,7 @@ def suite_sp_class(
     the structural checks and the four axioms; the expected pattern is
     all-pass across the board.
     """
-    grid = GridConfig(3, 1, values=(0, 1, 2, 3)).space(workers=workers)
+    grid = GridConfig(3, 1, values=(0, 1, 2, 3)).space()
     rules: list[tuple[str, WinnerRule]] = [
         ("empty", WinnerRule.empty()),
         ("strict_winners", WinnerRule.strict()),
@@ -433,7 +430,7 @@ def suite_sp_class(
     )
 
 
-def suite_nom_class(workers: int = 1) -> SuiteResult:
+def suite_nom_class() -> SuiteResult:
     """EV/PAB pricing variants: reachability of the EV branch decides NOM.
 
     Pricing rules that let every positive valuation reach an
@@ -441,7 +438,7 @@ def suite_nom_class(workers: int = 1) -> SuiteResult:
     always-PAB variant (negative threshold) loses both properties while
     keeping EE, IR and NS.
     """
-    grid = GridConfig(3, 1, values=(0, 1, 2, 3)).space(workers=workers)
+    grid = GridConfig(3, 1, values=(0, 1, 2, 3)).space()
     variants = [
         ev_pab_mechanism(PricingRule.always_ev()),
         ev_pab_mechanism(PricingRule.ev_iff_price_zero()),
@@ -477,9 +474,9 @@ def suite_nom_class(workers: int = 1) -> SuiteResult:
     )
 
 
-def suite_welfare(workers: int = 1) -> SuiteResult:
+def suite_welfare() -> SuiteResult:
     """The always-EV pricing weakly dominates every other pricing variant."""
-    grid = GridConfig(3, 1, values=(0, 1, 2, 3)).space(workers=workers)
+    grid = GridConfig(3, 1, values=(0, 1, 2, 3)).space()
     best = ev_pab_mechanism(PricingRule.always_ev())
     rivals = [
         (ev_pab_mechanism(PricingRule.ev_iff_price_zero()), "DOMINATES"),
@@ -517,9 +514,9 @@ def suite_welfare(workers: int = 1) -> SuiteResult:
     )
 
 
-def suite_anonymity(workers: int = 1) -> SuiteResult:
+def suite_anonymity() -> SuiteResult:
     """Name-sensitive winner rules break anonymity in welfare; efficient ones keep it."""
-    grid = GridConfig(3, 1, values=(0, 1, 2, 3)).space(workers=workers)
+    grid = GridConfig(3, 1, values=(0, 1, 2, 3)).space()
     dictator = selective_vickrey_mechanism(
         WinnerRule.dictatorial_threshold(0, 2)
     )

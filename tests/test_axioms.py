@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from mechlab import (
-    AxiomReport,
     Bundle,
     GridSpace,
     MarketConfig,
@@ -26,7 +25,6 @@ from mechlab import (
     ev_pab_mechanism,
     find_reference_bundle,
     make_profile,
-    merge_reports,
     no_trade_mechanism,
     nom_report_bounds,
     nom_truthful_bounds,
@@ -439,32 +437,6 @@ def test_welfare_incomparable_dictators():
 
 
 # report plumbing
-
-
-def test_merge_reports_counts_and_fail_precedence():
-    a = AxiomReport("IR", "PASS_EXHAUSTIVE", None, 10)
-    b = AxiomReport("IR", "FAIL", {"profile": (2, 0, 0), "agent": 0, "utility": -1}, 10)
-    c = AxiomReport("IR", "FAIL", {"profile": (1, 0, 0), "agent": 0, "utility": -1}, 10)
-    merged = merge_reports(merge_reports(a, b), c)
-    assert merged.verdict == "FAIL"
-    assert merged.profiles_checked == 30
-    assert merged.witness["profile"] == (1, 0, 0), "earliest witness wins"
-    assert merge_reports(b, c) == merge_reports(c, b)
-
-
-def test_merge_reports_keeps_weakest_pass():
-    a = AxiomReport("IR", "PASS_EXHAUSTIVE", None, 10)
-    b = AxiomReport("IR", "PASS_SAMPLED", None, 5)
-    assert merge_reports(a, b).verdict == "PASS_SAMPLED"
-
-
-def test_workers_do_not_change_reports():
-    serial = GridConfig(3, 1, values=(0, 1, 2, 3)).space()
-    parallel = GridConfig(3, 1, values=(0, 1, 2, 3)).space(workers=3)
-    for check in (check_sp, check_ee, check_ir):
-        assert check(pay_as_bid_mechanism(), serial) == check(
-            pay_as_bid_mechanism(), parallel
-        )
 
 
 def test_witness_json_round_trip():

@@ -113,16 +113,6 @@ def test_audit_reports_are_byte_identical_modulo_timing(tmp_path, capsys):
     assert json.dumps(clean(first), sort_keys=True) == json.dumps(clean(second), sort_keys=True)
 
 
-def test_audit_worker_env_does_not_change_report(tmp_path, capsys, monkeypatch):
-    path = write_config(tmp_path, mechanisms=["PAY_AS_BID"], axioms=["SP", "EE"])
-    main(["audit", "--config", str(path)])
-    serial = clean(capsys.readouterr().out)
-    monkeypatch.setenv("MECHLAB_WORKERS", "3")
-    main(["audit", "--config", str(path)])
-    parallel = clean(capsys.readouterr().out)
-    assert serial == parallel
-
-
 def test_audit_writes_requested_files(tmp_path, capsys):
     json_out = tmp_path / "report.json"
     text_out = tmp_path / "table.txt"
@@ -255,3 +245,56 @@ def test_load_config_grid_round_trip(tmp_path):
     echo = config.echo()
     assert echo["schema"] == 1
     assert echo["grid"]["per_agent"] == [["0", "1", "2", "3"]] * 3
+
+
+def test_sampled_best_case_skips_unsampled_values(tmp_path, capsys):
+    """Grid evidence for BEST_CASE only covers values the sample drew; this
+    sample never draws 0 or 1 for agent 0."""
+    path = write_config(
+        tmp_path,
+        mode={"kind": "sampled", "seed": 4, "samples": 4},
+        mechanisms=[{"family": "EV_PAB", "pricing": {"family": "RULE_TABLE", "entries": []}}],
+        axioms=["BEST_CASE"],
+    )
+    assert main(["audit", "--config", str(path)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    (cell,) = report["results"][0]["reports"]
+    assert cell["verdict"] == "NOT_CERTIFIED"
+    assert cell["profiles_checked"] == 4
+    assert cell["details"]["scope"] == "grid"
+    assert cell["details"]["first_unattained"] == {"agent": 0, "value": "2", "best_case": "0"}
+
+
+DICTATOR = {"family": "DICTATORIAL_THRESHOLD", "threshold": "1"}
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"mode": "exhaustive"},
+        {"output": "x.json"},
+        {"market": {"agents": 3.9, "objects": 1}},
+        {"market": {"agents": 3, "objects": True}},
+        {"mode": {"kind": "sampled", "seed": 1.5, "samples": 2}},
+        {"mode": {"kind": "sampled", "seed": 1, "samples": 2.7}},
+        {"grid": {"range": {"max": "2", "denominator": 2.0}}},
+        {"grid": {"range": 2}},
+        {"mechanisms": [{"family": "SELECTIVE_VICKREY", "rule": dict(DICTATOR, agent=0.0)}]},
+        {"mechanisms": [{"family": "SELECTIVE_VICKREY", "rule": {
+            "family": "RULE_TABLE",
+            "entries": [{"profile": ["2", "0", "0"], "winners": [0.0]}],
+        }}]},
+    ],
+    ids=[
+        "mode-not-object", "output-not-object", "float-agents", "bool-objects",
+        "float-seed", "float-samples", "float-denominator", "range-not-object",
+        "float-dictator", "float-winner",
+    ],
+)
+def test_config_boundary_errors_exit_two(tmp_path, capsys, overrides):
+    path = write_config(tmp_path, **overrides)
+    assert main(["audit", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err

@@ -1,0 +1,277 @@
+"""Brute-force oracles for the analytic NOM bounds and for the pointwise scans.
+
+Nothing here goes through the checkers' per-profile definitions: the
+oracles enumerate every identity with their own loops, so a scan, a
+replay or a bound that drifts from the plain definition of its axiom
+shows up as a disagreement.
+"""
+
+import itertools
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mechlab import (
+    CHECKERS,
+    Bundle,
+    GridSpace,
+    MarketConfig,
+    PricingRule,
+    WinnerRule,
+    builtin_mechanisms,
+    efficient_vickrey_mechanism,
+    ev_pab_mechanism,
+    make_profile,
+    no_trade_mechanism,
+    nom_report_bounds,
+    pay_as_bid_mechanism,
+    random_winner_rule_table,
+    refresh_witness,
+    replay_witness,
+    selective_vickrey_mechanism,
+    shrink_witness,
+    utility,
+    vickrey_mechanism,
+)
+from mechlab.axioms import MODE_SAMPLED, iter_nom_violations
+from mechlab.search import GridConfig
+
+# analytic NOM bounds
+
+
+VALUES = (0, Fraction(1, 2), 1, 2, 3)
+MARKETS = ((3, 1), (3, 2), (4, 2), (4, 3))
+
+
+FAMILIES = {
+    "vickrey": lambda market: vickrey_mechanism(),
+    "efficient_vickrey": lambda market: efficient_vickrey_mechanism(),
+    "pay_as_bid": lambda market: pay_as_bid_mechanism(),
+    "no_trade(fee=1)": lambda market: no_trade_mechanism(1),
+    "no_trade(fee=-1)": lambda market: no_trade_mechanism(-1),
+    **{
+        f"selective_vickrey({rule.label})": (
+            lambda market, rule=rule: selective_vickrey_mechanism(rule)
+        )
+        for rule in (WinnerRule.empty(), WinnerRule.strict(), WinnerRule.efficient())
+    },
+    "selective_vickrey(dictator 0 above 1)": lambda market: selective_vickrey_mechanism(
+        WinnerRule.dictatorial_threshold(0, 1)
+    ),
+    "selective_vickrey(dictator n-1 above 0)": lambda market: selective_vickrey_mechanism(
+        WinnerRule.dictatorial_threshold(market.n - 1, 0)
+    ),
+    **{
+        f"ev_pab({pricing.label})": lambda market, pricing=pricing: ev_pab_mechanism(pricing)
+        for pricing in (
+            PricingRule.always_ev(),
+            PricingRule.ev_iff_price_zero(),
+            PricingRule.threshold(-1),
+            PricingRule.threshold(0),
+            PricingRule.threshold(Fraction(3, 2)),
+        )
+    },
+}
+
+
+def zero_report_realizer(market):
+    """Opponents against which a zero report wins for free: all zero but
+    the last, so the tie-break hands the spare objects to low indices."""
+    return (Fraction(0),) * (market.n - 2) + (Fraction(1),)
+
+
+def utility_at(mechanism, market, agent, report, opponents, true_value):
+    values = list(opponents)
+    values.insert(agent, report)
+    allocation = mechanism.evaluate(make_profile(market, values))
+    return utility(allocation.bundles[agent], true_value)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(
+    market=st.sampled_from(MARKETS),
+    values=st.sets(st.sampled_from(VALUES), min_size=1, max_size=4),
+)
+def test_analytic_nom_bounds_are_sound_and_attained(family, market, values):
+    market = MarketConfig(*market)
+    mechanism = FAMILIES[family](market)
+    grid = GridSpace.shared(market, sorted(values))
+    values = grid.shared_values
+    for profile in grid.profiles():
+        allocation = mechanism.evaluate(profile)
+        for agent in range(market.n):
+            for true_value in values:
+                sup, inf = nom_report_bounds(
+                    mechanism, market, agent, profile.values[agent], true_value
+                )
+                assert inf <= utility(allocation.bundles[agent], true_value) <= sup
+    for witness in iter_nom_violations(mechanism, grid, analytic=True):
+        if witness["direction"] != "SUP":
+            continue
+        agent, report = witness["agent"], witness["misreport"]
+        opponents = witness["realizing_opponents"]
+        if report == 0:
+            # The recorded all-zero realizer is wrong here; see the xfail below.
+            opponents = zero_report_realizer(market)
+        got = utility_at(
+            mechanism, market, agent, report, opponents, witness["true_value"]
+        )
+        assert got == witness["misreport_bound"], witness
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="a zero report's SUP witness records all-zero opponents, at which "
+    "the zero report loses; the recorded bytes are pinned by the benchmark "
+    "reference, so the fix waits for a reference refresh",
+)
+def test_zero_report_sup_witness_replays_at_its_realizer():
+    grid = GridSpace.shared(MarketConfig(4, 2), range(6))
+    mechanism = pay_as_bid_mechanism()
+    witness = next(iter_nom_violations(mechanism, grid))
+    assert (witness["direction"], witness["misreport"]) == ("SUP", 0)
+    got = utility_at(
+        mechanism,
+        grid.config,
+        witness["agent"],
+        witness["misreport"],
+        witness["realizing_opponents"],
+        witness["true_value"],
+    )
+    assert got == witness["misreport_bound"]
+
+
+# pointwise scans against brute force
+
+IDENTITY = {
+    "IR": ("agent",),
+    "NS": ("agent",),
+    "SP": ("agent", "misreport"),
+    "EE": (),
+    "EFF": (),
+    "EF": ("agent", "other"),
+    "AIW": ("agent", "other"),
+}
+
+GRIDS = (
+    GridConfig(3, 1, values=(0, 1, 2, 3)).space(),
+    GridConfig(4, 2, values=(0, 1, 2)).space(),
+    # A sample arrives out of order, and its smallest violating profile
+    # can hold several violations, so the within-profile order shows.
+    GridConfig(3, 1, values=range(6)).space(mode=MODE_SAMPLED, seed=2, samples=30),
+)
+
+
+def oracle_mechanisms(grid):
+    """The built-in tour, fee variants that break IR and NS, and one seeded rule table."""
+    table = random_winner_rule_table(grid, random.Random(f"oracle:{grid.config}"))
+    return [
+        *builtin_mechanisms(),
+        no_trade_mechanism(1),
+        no_trade_mechanism(-1),
+        selective_vickrey_mechanism(WinnerRule.rule_table(grid.config, table)),
+    ]
+
+
+def brute_violations(axiom, mechanism, grid):
+    """Every violation of `axiom` on the grid, by direct enumeration."""
+    market = grid.config
+    agents = range(market.n)
+    for combo in sorted({profile.values for profile in grid.profiles()}):
+        profile = make_profile(market, combo)
+        bundles = mechanism.evaluate(profile).bundles
+        us = tuple(utility(b, v) for b, v in zip(bundles, combo))
+        base = {"profile": combo}
+        if axiom == "IR":
+            for i in agents:
+                if us[i] < 0:
+                    yield {**base, "agent": i, "utility": us[i]}
+        elif axiom == "NS":
+            for i in agents:
+                if bundles[i].t < 0:
+                    yield {**base, "agent": i, "transfer": bundles[i].t}
+        elif axiom == "SP":
+            for i in agents:
+                for report in grid.values[i]:
+                    lied = list(combo)
+                    lied[i] = report
+                    gained = utility(
+                        mechanism.evaluate(make_profile(market, lied)).bundles[i],
+                        combo[i],
+                    )
+                    if gained > us[i]:
+                        yield {
+                            **base,
+                            "agent": i,
+                            "misreport": report,
+                            "truthful_utility": us[i],
+                            "misreport_utility": gained,
+                        }
+        elif axiom == "EE":
+            indifferent = any(
+                all(utility(ref, v) == u for v, u in zip(combo, us))
+                for ref in (Bundle(0, -us[0]), Bundle(1, combo[0] - us[0]))
+            )
+            if not indifferent:
+                yield {**base, "utilities": us}
+        elif axiom == "EFF":
+            achieved = sum(v for b, v in zip(bundles, combo) if b.x == 1)
+            optimum = sum(sorted(combo, reverse=True)[: market.m])
+            if achieved != optimum:
+                yield {**base, "achieved": achieved, "optimum": optimum}
+        elif axiom == "EF":
+            for i, j in itertools.permutations(agents, 2):
+                envied = utility(bundles[j], combo[i])
+                if envied > us[i]:
+                    yield {
+                        **base,
+                        "agent": i,
+                        "other": j,
+                        "own_utility": us[i],
+                        "other_bundle_utility": envied,
+                    }
+        elif axiom == "AIW":
+            for i, j in itertools.permutations(agents, 2):
+                swapped = list(combo)
+                swapped[i], swapped[j] = swapped[j], swapped[i]
+                theirs = utility(
+                    mechanism.evaluate(make_profile(market, swapped)).bundles[j],
+                    combo[i],
+                )
+                if theirs != us[i]:
+                    yield {
+                        **base,
+                        "agent": i,
+                        "other": j,
+                        "swapped_profile": tuple(swapped),
+                        "utility": us[i],
+                        "swapped_utility": theirs,
+                    }
+
+
+@pytest.mark.parametrize("axiom", sorted(IDENTITY))
+def test_scan_and_replay_agree_with_brute_force(axiom):
+    failures = 0
+    for grid in GRIDS:
+        for mechanism in oracle_mechanisms(grid):
+            found = list(brute_violations(axiom, mechanism, grid))
+            report = CHECKERS[axiom](mechanism, grid)
+            assert report.profiles_checked == grid.size if grid.samples == 0 else grid.samples
+            if not found:
+                assert report.verdict == grid.pass_verdict, mechanism.name
+                continue
+            failures += 1
+            first = min(
+                found, key=lambda w: (w["profile"], *(w[k] for k in IDENTITY[axiom]))
+            )
+            assert report.verdict == "FAIL", mechanism.name
+            assert report.witness == first, mechanism.name
+            for witness in found:
+                assert refresh_witness(mechanism, axiom, witness, grid) == witness
+            shrunk = shrink_witness(mechanism, axiom, first, grid)
+            assert replay_witness(mechanism, axiom, shrunk, grid), mechanism.name
+    assert failures, f"no mechanism violates {axiom}; the oracle is vacuous"
