@@ -75,8 +75,6 @@ from .search import (
     GridConfig,
     SUITES,
     SuiteResult,
-    enumerate_profiles,
-    enumerate_uniform_tail,
     find_obvious_manipulation,
     random_uncompromising_rules,
     random_winner_rule_table,

@@ -60,17 +60,18 @@ from .model import (
 MODE_EXHAUSTIVE = "exhaustive"
 MODE_SAMPLED = "sampled"
 
-AXIOMS = ("EE", "SP", "NOM", "EFF", "IR", "NS", "EF", "AIW", "BEST_CASE")
-
 
 @dataclass(frozen=True)
 class GridSpace:
     """A finite set of valuations per agent, plus how to sweep them.
 
-    In exhaustive mode `profiles()` yields the full cartesian product in
-    lexicographic order, refusing to start if it exceeds `budget`. In
-    sampled mode it yields `samples` profiles drawn uniformly; each draw
-    is keyed by `(seed, index)`, so the stream depends on nothing else.
+    This is the one place a grid declaration becomes values: explicit
+    value sets are sorted and de-duplicated here, and `from_range` builds
+    a range. In exhaustive mode `profiles()` yields the full cartesian
+    product in lexicographic order, refusing to start if it exceeds
+    `budget`. In sampled mode it yields `samples` profiles drawn
+    uniformly; each draw is keyed by `(seed, index)`, so the stream
+    depends on nothing else.
     """
 
     config: MarketConfig
@@ -107,6 +108,33 @@ class GridSpace:
         vals = tuple(rat(v) for v in values)
         return cls(config, tuple(vals for _ in range(config.n)), **kwargs)
 
+    @classmethod
+    def from_range(
+        cls,
+        config: MarketConfig,
+        max_value: RationalLike,
+        denominator: int = 1,
+        **kwargs: Any,
+    ) -> "GridSpace":
+        """The shared grid 0, 1/q, ..., max with q = `denominator`.
+
+        An exhaustive grid over budget is refused before any value is built.
+        """
+        top = rat(max_value)
+        if denominator < 1:
+            raise ValueError("range denominator must be >= 1")
+        steps = top * denominator
+        if top < 0 or steps.denominator != 1:
+            raise ValueError(
+                "range max must be a non-negative multiple of 1/denominator"
+            )
+        count = int(steps) + 1
+        if kwargs.get("mode", MODE_EXHAUSTIVE) == MODE_EXHAUSTIVE:
+            _refuse_over_budget(count**config.n, kwargs.get("budget", cls.budget))
+        return cls.shared(
+            config, (Fraction(k, denominator) for k in range(count)), **kwargs
+        )
+
     @property
     def is_shared(self) -> bool:
         return all(vals == self.values[0] for vals in self.values)
@@ -130,11 +158,7 @@ class GridSpace:
 
     def profiles(self) -> Iterator[Profile]:
         if self.mode == MODE_EXHAUSTIVE:
-            if self.size > self.budget:
-                raise ValueError(
-                    f"{self.size} profiles exceed the enumeration budget "
-                    f"({self.budget}); switch to sampled mode with a seed"
-                )
+            _refuse_over_budget(self.size, self.budget)
             for combo in itertools.product(*self.values):
                 yield Profile(self.config, combo)
         else:
@@ -142,6 +166,14 @@ class GridSpace:
                 rng = random.Random(f"{self.seed}:{index}")
                 combo = tuple(rng.choice(vals) for vals in self.values)
                 yield Profile(self.config, combo)
+
+
+def _refuse_over_budget(size: int, budget: int) -> None:
+    if size > budget:
+        raise ValueError(
+            f"{size} profiles exceed the enumeration budget "
+            f"({budget}); switch to sampled mode with a seed"
+        )
 
 
 @dataclass(frozen=True)

@@ -15,12 +15,13 @@ import json
 import sys
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Any, Sequence
 
 from . import __version__
 from .axioms import (
     CHECKERS,
+    MODE_EXHAUSTIVE,
+    MODE_SAMPLED,
     GridSpace,
     find_reference_bundle,
     welfare_compare,
@@ -62,7 +63,7 @@ from .model import (
     rat_str,
     utilities,
 )
-from .search import SUITES
+from .search import SUITES, format_rows
 
 AXIOM_CATALOG = (*CHECKERS.keys(), "WELFARE_COMPARE")
 
@@ -240,70 +241,66 @@ def mechanism_to_spec(mechanism: Mechanism) -> dict:
 
 @dataclass(frozen=True)
 class AuditConfig:
-    market: MarketConfig
-    values: tuple[tuple[Fraction, ...], ...]
-    mode: str
-    seed: int
-    samples: int
+    space: GridSpace
     mechanisms: tuple[Mechanism, ...]
     axioms: tuple[str, ...]
     json_path: str | None
     text_path: str | None
 
     def grid(self) -> GridSpace:
-        return GridSpace(
-            self.market,
-            self.values,
-            mode=self.mode,
-            seed=self.seed,
-            samples=self.samples,
-        )
+        return self.space
 
     def echo(self) -> dict:
+        """The config as audited: the grid is the normalised one."""
+        grid = self.space
         doc: dict[str, Any] = {
             "schema": 1,
-            "market": {"agents": self.market.n, "objects": self.market.m},
+            "market": {"agents": grid.config.n, "objects": grid.config.m},
             "grid": {
                 "per_agent": [
-                    [rat_str(v) for v in vals] for vals in self.values
+                    [rat_str(v) for v in vals] for vals in grid.values
                 ]
             },
-            "mode": {"kind": self.mode},
+            "mode": {"kind": grid.mode},
             "mechanisms": [mechanism_to_spec(m) for m in self.mechanisms],
             "axioms": list(self.axioms),
         }
-        if self.mode == "sampled":
-            doc["mode"]["seed"] = self.seed
-            doc["mode"]["samples"] = self.samples
+        if grid.mode == MODE_SAMPLED:
+            doc["mode"]["seed"] = grid.seed
+            doc["mode"]["samples"] = grid.samples
         return doc
 
 
-def _parse_grid_values(
-    doc: Any, market: MarketConfig
-) -> tuple[tuple[Fraction, ...], ...]:
+def _json_list(value: Any, what: str) -> list:
+    """A config field that must be a JSON list; a string is not iterated."""
+    if not isinstance(value, list):
+        raise ConfigError(f"{what} must be a JSON list, got {json.dumps(value)}")
+    return value
+
+
+def _parse_grid(doc: Any, market: MarketConfig, sweep: dict) -> GridSpace:
+    """Hand the grid section to `GridSpace`, which checks values and budget."""
     if not isinstance(doc, dict):
         raise ConfigError("grid section must be an object")
-    if "values" in doc:
-        shared = tuple(rat(v) for v in doc["values"])
-        return tuple(shared for _ in range(market.n))
-    if "per_agent" in doc:
-        rows = doc["per_agent"]
-        if len(rows) != market.n:
-            raise ConfigError("per_agent grid needs one value list per agent")
-        return tuple(tuple(rat(v) for v in row) for row in rows)
-    if "range" in doc:
-        rng = _section(doc, "range", {})
-        denominator = _integer(rng.get("denominator", 1), "range denominator")
-        if denominator < 1:
-            raise ConfigError("range denominator must be >= 1")
-        top = rat(rng["max"])
-        steps = top * denominator
-        if steps.denominator != 1 or top < 0:
-            raise ConfigError("range max must be a non-negative multiple of 1/denominator")
-        shared = tuple(
-            Fraction(k, denominator) for k in range(int(steps) + 1)
-        )
-        return tuple(shared for _ in range(market.n))
+    try:
+        if "values" in doc:
+            values = _json_list(doc["values"], "grid values")
+            return GridSpace.shared(market, values, **sweep)
+        if "per_agent" in doc:
+            rows = _json_list(doc["per_agent"], "per_agent grid")
+            return GridSpace(
+                market,
+                tuple(_json_list(row, "per_agent row") for row in rows),
+                **sweep,
+            )
+        if "range" in doc:
+            rng = _section(doc, "range", {})
+            denominator = _integer(rng.get("denominator", 1), "range denominator")
+            return GridSpace.from_range(market, rng["max"], denominator, **sweep)
+    except ConfigError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad grid: {exc}") from exc
     raise ConfigError("grid section needs values, per_agent, or range")
 
 
@@ -329,15 +326,13 @@ def load_config(path: str) -> AuditConfig:
         )
     except (KeyError, ValueError, TypeError) as exc:
         raise ConfigError(f"bad market section: {exc}") from exc
-    values = _parse_grid_values(doc.get("grid"), market)
-    mode_doc = _section(doc, "mode", {"kind": "exhaustive"})
-    kind = mode_doc.get("kind", "exhaustive")
-    if kind not in ("exhaustive", "sampled"):
-        raise ConfigError(f"unknown mode kind: {kind!r}")
-    seed = _integer(mode_doc.get("seed", 0), "seed")
-    samples = _integer(mode_doc.get("samples", 0), "samples")
-    if kind == "sampled" and samples < 1:
-        raise ConfigError("sampled mode needs samples >= 1")
+    mode = _section(doc, "mode", {})
+    sweep = {
+        "mode": mode.get("kind", MODE_EXHAUSTIVE),
+        "seed": _integer(mode.get("seed", 0), "seed"),
+        "samples": _integer(mode.get("samples", 0), "samples"),
+    }
+    grid = _parse_grid(doc.get("grid"), market, sweep)
     mech_docs = doc.get("mechanisms")
     if not mech_docs:
         raise ConfigError("config needs at least one mechanism")
@@ -355,16 +350,14 @@ def load_config(path: str) -> AuditConfig:
             )
     if "WELFARE_COMPARE" in axioms and len(mechanisms) < 2:
         raise ConfigError("WELFARE_COMPARE needs at least two mechanisms")
-    shared = all(vals == values[0] for vals in values)
-    if "AIW" in axioms and not shared:
+    if "AIW" in axioms and not grid.is_shared:
         raise ConfigError("AIW needs a shared value set across agents")
     output = _section(doc, "output", {})
+    for key in ("json", "text"):
+        if output.get(key) is not None and not isinstance(output[key], str):
+            raise ConfigError(f"output {key} must be a path string")
     return AuditConfig(
-        market=market,
-        values=values,
-        mode=kind,
-        seed=seed,
-        samples=samples,
+        space=grid,
         mechanisms=mechanisms,
         axioms=axioms,
         json_path=output.get("json"),
@@ -390,21 +383,6 @@ def _compact_witness(witness: dict | None) -> str:
     return " ".join(parts)
 
 
-def _format_rows(header: Sequence[str], rows: list[Sequence[str]]) -> str:
-    widths = [
-        max(len(str(line[k])) for line in [header, *rows])
-        for k in range(len(header))
-    ]
-
-    def render(line: Sequence[str]) -> str:
-        return "  ".join(
-            str(cell).ljust(width) for cell, width in zip(line, widths)
-        ).rstrip()
-
-    divider = "  ".join("-" * width for width in widths)
-    return "\n".join([render(header), divider, *(render(row) for row in rows)])
-
-
 def _audit_table(report_doc: dict) -> str:
     rows: list[Sequence[str]] = []
     for result in report_doc["results"]:
@@ -428,7 +406,7 @@ def _audit_table(report_doc: dict) -> str:
                 _compact_witness(comparison.get("strict_first")),
             )
         )
-    return _format_rows(
+    return format_rows(
         ("mechanism", "axiom", "verdict", "profiles", "witness"), rows
     )
 
@@ -548,8 +526,8 @@ def cmd_suite(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     grid = config.grid()
-    first = parse_mechanism(args.a, config.market)
-    second = parse_mechanism(args.b, config.market)
+    first = parse_mechanism(args.a, grid.config)
+    second = parse_mechanism(args.b, grid.config)
     outcome = welfare_compare(first, second, grid)
     print(f"first:  {first.name}")
     print(f"second: {second.name}")

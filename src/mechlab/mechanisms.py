@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
@@ -383,23 +384,57 @@ def _rule_condition_violation(
     return None
 
 
-def _scan_rule_table(rule: WinnerRule) -> tuple[int, tuple[str, dict] | None]:
-    """Check a rule table entry by entry, in sorted order.
+# A violated condition and its witness.
+Hit = tuple[str, dict]
 
-    Returns how many entries were checked and the first violated
-    condition with its witness, or None when every entry holds.
+
+def _scan_rule_table(
+    rule: WinnerRule,
+    violation: Callable[[tuple[Fraction, ...], frozenset[int]], Hit | None],
+    on: Iterable[Iterable[Fraction]] | None = None,
+) -> tuple[int, Hit | None]:
+    """Walk a rule table's entries in sorted order up to the first violation.
+
+    With `on` (one value set per agent), entries off those sets are
+    skipped. Returns how many entries were checked and the first hit, or
+    None when every entry holds.
     """
-    market = rule.market
-    if market is None:
-        raise ValueError("rule table has no market attached")
     assert rule.table is not None
+    value_sets = None if on is None else [frozenset(vals) for vals in on]
     checked = 0
     for values in sorted(rule.table):
+        if value_sets is not None and (
+            len(values) != len(value_sets)
+            or any(v not in vals for v, vals in zip(values, value_sets))
+        ):
+            continue
         checked += 1
-        hit = _rule_condition_violation(market, values, rule.table[values])
+        hit = violation(values, rule.table[values])
         if hit is not None:
             return checked, hit
     return checked, None
+
+
+def _scan_rule_conditions(rule: WinnerRule) -> tuple[int, Hit | None]:
+    """Check selection conditions (i)-(iv) entry by entry."""
+    if rule.market is None:
+        raise ValueError("rule table has no market attached")
+    return _scan_rule_table(rule, partial(_rule_condition_violation, rule.market))
+
+
+def _table_report(
+    label: str, scan: tuple[int, Hit | None], verdict: str, details: dict
+) -> ValidityReport:
+    checked, hit = scan
+    condition, witness = hit or (None, None)
+    return ValidityReport(
+        subject=label,
+        verdict="FAIL" if hit else verdict,
+        condition=condition,
+        witness=witness,
+        profiles_checked=checked,
+        details=details,
+    )
 
 
 def validate_winner_rule(rule: WinnerRule, grid: "GridSpace") -> ValidityReport:
@@ -419,22 +454,11 @@ def validate_winner_rule(rule: WinnerRule, grid: "GridSpace") -> ValidityReport:
         )
     if rule.family != RULE_TABLE:
         raise ValueError(f"unknown winner rule family: {rule.family}")
-    checked, hit = _scan_rule_table(rule)
-    if hit is not None:
-        condition, witness = hit
-        return ValidityReport(
-            subject=label,
-            verdict="FAIL",
-            condition=condition,
-            witness=witness,
-            profiles_checked=checked,
-            details={"method": "entry scan (off-table profiles select nobody)"},
-        )
-    return ValidityReport(
-        subject=label,
-        verdict="PASS_ANALYTIC",
-        profiles_checked=checked,
-        details={"method": "entry scan (off-table profiles select nobody)"},
+    return _table_report(
+        label,
+        _scan_rule_conditions(rule),
+        "PASS_ANALYTIC",
+        {"method": "entry scan (off-table profiles select nobody)"},
     )
 
 
@@ -443,9 +467,11 @@ def check_uncompromising(rule: WinnerRule, grid: "GridSpace") -> ValidityReport:
 
     Required: if agent i is selected at v and v'_i exceeds the Vickrey
     price of v, then i is still selected at (v'_i, v_-i). The built-in
-    families satisfy this for every real-valued raise (analytic verdict);
-    rule tables are checked over the grid's value sets only, which is the
-    same scope the strategy checkers use.
+    families satisfy this for every real-valued raise (analytic verdict).
+    A rule table is checked over the grid's value sets, the scope the
+    strategy checkers use: each table entry on those sets is raised to
+    every grid value above its price. Off-table profiles select nobody,
+    so this covers every profile of the grid, sampled or not.
     """
     label = rule.label
     if rule.family in _ANALYTIC_RULE_FAMILIES:
@@ -456,35 +482,22 @@ def check_uncompromising(rule: WinnerRule, grid: "GridSpace") -> ValidityReport:
         )
     if rule.family != RULE_TABLE:
         raise ValueError(f"unknown winner rule family: {rule.family}")
-    checked = 0
-    for profile in grid.profiles():
-        checked += 1
-        selected = rule.select(profile)
-        if not selected:
-            continue
+
+    def dropped(values: tuple[Fraction, ...], selected: frozenset[int]) -> Hit | None:
+        profile = Profile(grid.config, values)
         price = vickrey_price(profile)
         for i in sorted(selected):
             for raised in grid.values[i]:
-                if raised <= price:
-                    continue
-                if i not in rule.select(profile.with_value(i, raised)):
-                    return ValidityReport(
-                        subject=label,
-                        verdict="FAIL",
-                        condition="selected agent dropped after raising their report",
-                        witness={
-                            "profile": profile.values,
-                            "agent": i,
-                            "raised_value": raised,
-                        },
-                        profiles_checked=checked,
-                        details={"scope": "grid"},
-                    )
-    return ValidityReport(
-        subject=label,
-        verdict="PASS_EXHAUSTIVE",
-        profiles_checked=checked,
-        details={"scope": "grid"},
+                if raised > price and i not in rule.select(profile.with_value(i, raised)):
+                    witness = {"profile": values, "agent": i, "raised_value": raised}
+                    return "selected agent dropped after raising their report", witness
+        return None
+
+    return _table_report(
+        label,
+        _scan_rule_table(rule, dropped, grid.values),
+        "PASS_EXHAUSTIVE",
+        {"scope": "grid"},
     )
 
 
@@ -495,7 +508,7 @@ def selective_vickrey_mechanism(rule: WinnerRule) -> Mechanism:
     an invalid table is a construction error, not a mechanism that limps.
     """
     if rule.family == RULE_TABLE:
-        _, hit = _scan_rule_table(rule)
+        _, hit = _scan_rule_conditions(rule)
         if hit is not None:
             condition, witness = hit
             raise ValueError(

@@ -1,4 +1,4 @@
-"""Profile enumeration, witness shrinking, and mechanism comparison suites.
+"""Grid declarations, witness shrinking, and mechanism comparison suites.
 
 The suites pin down the behavioral fingerprints of the built-in
 mechanism families on small shared grids: which axiom each mechanism
@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Any, Iterable, Mapping, Sequence
 
 from .axioms import (
     CHECKERS,
@@ -42,80 +42,44 @@ from .mechanisms import (
 from .model import (
     MarketConfig,
     Profile,
+    RationalLike,
     has_uniform_tail,
-    rat,
     vickrey_price,
 )
 
 
 @dataclass(frozen=True)
 class GridConfig:
-    """A declarative grid: explicit values, or the range 0..max in 1/q steps."""
+    """A declarative grid: explicit values, or the range 0..max in 1/q steps.
+
+    `space()` hands the declaration to `GridSpace`, which normalises and
+    checks the values and applies the enumeration budget.
+    """
 
     n: int
     m: int
-    values: tuple[Fraction, ...] | None = None
-    max_value: Fraction | None = None
+    values: Iterable[RationalLike] | None = None
+    max_value: RationalLike | None = None
     denominator: int = 1
 
     def __post_init__(self) -> None:
         if (self.values is None) == (self.max_value is None):
             raise ValueError("give either explicit values or a range, not both")
-        if self.values is not None:
-            vals = sorted({rat(v) for v in self.values})
-            if not vals or vals[0] < 0:
-                raise ValueError("values must be non-empty and non-negative")
-            object.__setattr__(self, "values", tuple(vals))
-        else:
-            object.__setattr__(self, "max_value", rat(self.max_value))
-            if self.max_value < 0:
-                raise ValueError("range maximum must be non-negative")
-            if self.denominator < 1:
-                raise ValueError("denominator must be a positive integer")
-            steps = self.max_value * self.denominator
-            if steps.denominator != 1:
-                raise ValueError(
-                    "range maximum must be a multiple of 1/denominator"
-                )
-
-    @property
-    def value_set(self) -> tuple[Fraction, ...]:
-        if self.values is not None:
-            return self.values
-        steps = int(self.max_value * self.denominator)
-        return tuple(
-            Fraction(k, self.denominator) for k in range(steps + 1)
-        )
 
     def space(self, **kwargs: Any) -> GridSpace:
-        return GridSpace.shared(
-            MarketConfig(self.n, self.m), self.value_set, **kwargs
-        )
-
-
-def _as_space(grid: "GridSpace | GridConfig") -> GridSpace:
-    if isinstance(grid, GridConfig):
-        return grid.space()
-    return grid
-
-
-def enumerate_profiles(grid: "GridSpace | GridConfig") -> Iterator[Profile]:
-    """All grid profiles in lexicographic order (or the seeded sample)."""
-    return _as_space(grid).profiles()
-
-
-def enumerate_uniform_tail(
-    grid: "GridSpace | GridConfig",
-) -> Iterator[Profile]:
-    """The grid profiles whose tail of losing ranks is one tie class."""
-    return (p for p in _as_space(grid).profiles() if has_uniform_tail(p))
+        market = MarketConfig(self.n, self.m)
+        if self.values is None:
+            return GridSpace.from_range(
+                market, self.max_value, self.denominator, **kwargs
+            )
+        return GridSpace.shared(market, self.values, **kwargs)
 
 
 def shrink_witness(
     mechanism: Mechanism,
     axiom: str,
     witness: dict,
-    grid: "GridSpace | GridConfig",
+    grid: GridSpace,
 ) -> dict:
     """Greedily lower a witness's coordinates while the violation persists.
 
@@ -127,8 +91,7 @@ def shrink_witness(
     """
     if axiom not in POINTWISE:
         raise ValueError(f"shrinking is not defined for {axiom} witnesses")
-    space = _as_space(grid)
-    current = refresh_witness(mechanism, axiom, witness, space)
+    current = refresh_witness(mechanism, axiom, witness, grid)
     if current is None:
         raise ValueError("witness does not replay to a violation")
 
@@ -138,7 +101,7 @@ def shrink_witness(
         return {k: w[k] for k in identity_keys}
 
     def coordinates(w: dict) -> list[tuple[str, int]]:
-        coords = [("profile", k) for k in range(space.config.n)]
+        coords = [("profile", k) for k in range(grid.config.n)]
         if "misreport" in w:
             coords.append(("misreport", w["agent"]))
         return coords
@@ -162,11 +125,11 @@ def shrink_witness(
         for kind, k in coordinates(current):
             while True:
                 here = reading(current, kind, k)
-                below = [g for g in space.values[k] if g < here]
+                below = [g for g in grid.values[k] if g < here]
                 if not below:
                     break
                 candidate = lowered(current, kind, k, below[-1])
-                refreshed = refresh_witness(mechanism, axiom, candidate, space)
+                refreshed = refresh_witness(mechanism, axiom, candidate, grid)
                 if refreshed is None:
                     break
                 current = refreshed
@@ -176,11 +139,11 @@ def shrink_witness(
 
 def find_obvious_manipulation(
     mechanism: Mechanism,
-    grid: "GridSpace | GridConfig",
+    grid: GridSpace,
     analytic: bool = True,
 ) -> dict | None:
     """First misreport that beats truth in best or worst case, or None."""
-    return next(iter_nom_violations(mechanism, _as_space(grid), analytic), None)
+    return next(iter_nom_violations(mechanism, grid, analytic), None)
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +219,22 @@ def random_uncompromising_rules(
 # ---------------------------------------------------------------------------
 
 
+def format_rows(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
+    """An aligned text table: header, dashed divider, one line per row."""
+    widths = [
+        max(len(str(line[k])) for line in [header, *rows])
+        for k in range(len(header))
+    ]
+
+    def render(line: Sequence[str]) -> str:
+        return "  ".join(
+            str(cell).ljust(width) for cell, width in zip(line, widths)
+        ).rstrip()
+
+    divider = "  ".join("-" * width for width in widths)
+    return "\n".join([render(header), divider, *(render(row) for row in rows)])
+
+
 @dataclass(frozen=True)
 class SuiteResult:
     """A (row x column) verdict matrix plus the pattern it is expected to show.
@@ -297,19 +276,13 @@ class SuiteResult:
         ]
 
     def format_table(self) -> str:
-        header = ["mechanism / rule", *self.columns]
-        body = [
-            [row, *(self.cells[(row, column)] for column in self.columns)]
-            for row in self.rows
-        ]
-        widths = [
-            max(len(line[k]) for line in [header, *body])
-            for k in range(len(header))
-        ]
-        def render(line: list[str]) -> str:
-            return "  ".join(cell.ljust(w) for cell, w in zip(line, widths)).rstrip()
-        rule = "  ".join("-" * w for w in widths)
-        return "\n".join([render(header), rule, *(render(line) for line in body)])
+        return format_rows(
+            ("mechanism / rule", *self.columns),
+            [
+                (row, *(self.cells[(row, column)] for column in self.columns))
+                for row in self.rows
+            ],
+        )
 
     def to_json(self) -> dict:
         return {

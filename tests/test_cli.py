@@ -5,7 +5,7 @@ import json
 import pytest
 
 from mechlab import GridSpace, MarketConfig, refresh_witness, witness_from_json
-from mechlab.cli import load_config, main, parse_mechanism
+from mechlab.cli import ConfigError, load_config, main, parse_mechanism
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -247,6 +247,44 @@ def test_load_config_grid_round_trip(tmp_path):
     assert echo["grid"]["per_agent"] == [["0", "1", "2", "3"]] * 3
 
 
+def test_echo_shows_the_audited_grid(tmp_path):
+    """The echo prints the grid after normalisation: sorted, without repeats."""
+    path = write_config(tmp_path, grid={"values": ["3", "1", "0", "2", "1", "2/2"]})
+    assert load_config(str(path)).echo()["grid"]["per_agent"] == [["0", "1", "2", "3"]] * 3
+    path = write_config(tmp_path, grid={"per_agent": [["1", "0"], ["0"], ["2", "1/2"]]})
+    assert load_config(str(path)).echo()["grid"]["per_agent"] == [["0", "1"], ["0"], ["1/2", "2"]]
+
+
+def test_range_over_budget_is_refused_at_load(tmp_path):
+    path = write_config(tmp_path, grid={"range": {"max": "2000"}})
+    with pytest.raises(ConfigError, match="budget"):
+        load_config(str(path))
+
+
+@pytest.mark.parametrize("key", ["json", "text"])
+def test_output_paths_must_be_strings(tmp_path, key):
+    path = write_config(tmp_path, output={key: True})
+    with pytest.raises(ConfigError, match=f"output {key} must be a path string"):
+        load_config(str(path))
+
+
+INDEPENDENCE_STDOUT = """\
+each mechanism fails exactly the axiom it drops
+mechanism / rule  EE               SP               IR               NS
+----------------  ---------------  ---------------  ---------------  ---------------
+vickrey           FAIL             PASS_EXHAUSTIVE  PASS_EXHAUSTIVE  PASS_EXHAUSTIVE
+pay_as_bid        PASS_EXHAUSTIVE  FAIL             PASS_EXHAUSTIVE  PASS_EXHAUSTIVE
+no_trade(fee=1)   PASS_EXHAUSTIVE  PASS_EXHAUSTIVE  FAIL             PASS_EXHAUSTIVE
+no_trade(fee=-1)  PASS_EXHAUSTIVE  PASS_EXHAUSTIVE  PASS_EXHAUSTIVE  FAIL
+expected pattern: matched
+"""
+
+
+def test_suite_independence_stdout_is_pinned(capsys):
+    assert main(["suite", "independence"]) == 0
+    assert capsys.readouterr().out == INDEPENDENCE_STDOUT
+
+
 def test_sampled_best_case_skips_unsampled_values(tmp_path, capsys):
     """Grid evidence for BEST_CASE only covers values the sample drew; this
     sample never draws 0 or 1 for agent 0."""
@@ -284,11 +322,15 @@ DICTATOR = {"family": "DICTATORIAL_THRESHOLD", "threshold": "1"}
             "family": "RULE_TABLE",
             "entries": [{"profile": ["2", "0", "0"], "winners": [0.0]}],
         }}]},
+        {"grid": {"values": "13"}},
+        {"grid": {"per_agent": ["01", "02", "03"]}},
+        {"grid": {"per_agent": [["0", "1"], ["0", "2"], ["0", "1"]]}, "axioms": ["AIW"]},
     ],
     ids=[
         "mode-not-object", "output-not-object", "float-agents", "bool-objects",
         "float-seed", "float-samples", "float-denominator", "range-not-object",
-        "float-dictator", "float-winner",
+        "float-dictator", "float-winner", "values-string", "per-agent-strings",
+        "aiw-unshared-grid",
     ],
 )
 def test_config_boundary_errors_exit_two(tmp_path, capsys, overrides):

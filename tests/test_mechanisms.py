@@ -1,5 +1,6 @@
 """Mechanism families: allocation sets, canonical selection, winner and pricing rules."""
 
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -274,6 +275,49 @@ def test_check_uncompromising_complete_table_passes():
     report = check_uncompromising(rule, grid)
     assert report.verdict == "PASS_EXHAUSTIVE"
     assert report.details["scope"] == "grid"
+
+
+def grid_sweep_uncompromising(rule, grid):
+    """Oracle: `check_uncompromising` as a sweep over every grid profile.
+
+    This is how the check ran before it walked table entries; it returns
+    the verdict and the first witness in grid order.
+    """
+    for profile in grid.profiles():
+        selected = rule.select(profile)
+        price = vickrey_price(profile)
+        for i in sorted(selected):
+            for raised in grid.values[i]:
+                if raised > price and i not in rule.select(profile.with_value(i, raised)):
+                    return "FAIL", {"profile": profile.values, "agent": i, "raised_value": raised}
+    return "PASS_EXHAUSTIVE", None
+
+
+def uncompromising_cases():
+    """Seeded random tables and copies with entries removed, on grids
+    narrower, equal to and wider than the one each table was drawn on."""
+    from mechlab import random_winner_rule_table
+
+    for market, values in ((CFG1, range(4)), (MarketConfig(4, 2), range(3))):
+        drawn_on = GridConfig(market.n, market.m, values=values).space()
+        for seed in range(6):
+            rng = random.Random(f"uncompromising:{seed}")
+            table = random_winner_rule_table(drawn_on, rng)
+            kept = [key for key in sorted(table) if rng.random() < 0.8]
+            for entries in (table, {key: table[key] for key in kept}):
+                rule = WinnerRule.rule_table(market, entries)
+                for top in (len(values) - 2, len(values) - 1, len(values)):
+                    yield rule, GridConfig(market.n, market.m, values=range(top + 1)).space()
+
+
+def test_check_uncompromising_entry_walk_matches_grid_sweep():
+    verdicts = set()
+    for rule, grid in uncompromising_cases():
+        report = check_uncompromising(rule, grid)
+        verdict, witness = grid_sweep_uncompromising(rule, grid)
+        assert (report.verdict, report.witness) == (verdict, witness), (rule.table, grid.values)
+        verdicts.add(verdict)
+    assert verdicts == {"PASS_EXHAUSTIVE", "FAIL"}
 
 
 def test_selective_mechanism_rejects_invalid_table():

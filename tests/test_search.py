@@ -27,8 +27,6 @@ from mechlab import (
 from mechlab.search import (
     GridConfig,
     SUITES,
-    enumerate_profiles,
-    enumerate_uniform_tail,
     suite_anonymity,
     suite_independence,
     suite_nom_class,
@@ -40,14 +38,14 @@ CFG1 = MarketConfig(3, 1)
 
 
 def test_grid_config_explicit_values():
-    gc = GridConfig(3, 1, values=(0, 1, 2, 3))
-    assert gc.value_set == (0, 1, 2, 3)
+    gc = GridConfig(3, 1, values=(3, 0, 1, 2, 1))
+    assert gc.space().shared_values == (0, 1, 2, 3)
     assert gc.space().size == 64
 
 
 def test_grid_config_range_values():
     gc = GridConfig(3, 1, max_value=3, denominator=2)
-    assert gc.value_set == (
+    assert gc.space().shared_values == (
         0, Fraction(1, 2), 1, Fraction(3, 2), 2, Fraction(5, 2), 3,
     )
 
@@ -59,22 +57,40 @@ def test_grid_config_requires_exactly_one_source():
         GridConfig(3, 1, values=(0, 1), max_value=2)
 
 
-def test_enumerate_profiles_counts_and_order():
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"max_value": -1}, "non-negative"),
+        ({"max_value": Fraction(1, 3), "denominator": 2}, "multiple of 1/denominator"),
+        ({"max_value": 2, "denominator": 0}, "denominator must be >= 1"),
+        ({"values": (0, -1)}, "non-negative"),
+    ],
+)
+def test_grid_config_checks_come_from_grid_space(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        GridConfig(3, 1, **kwargs).space()
+
+
+def test_grid_profiles_counts_and_order():
     """3 agents over {0,1} gives 8 profiles in lexicographic order."""
-    small = [p.values for p in enumerate_profiles(GridConfig(3, 1, values=(0, 1)))]
+    small = [p.values for p in GridConfig(3, 1, values=(0, 1)).space().profiles()]
     assert len(small) == 8
     assert small[0] == (0, 0, 0)
     assert small == sorted(small)
-    assert len(list(enumerate_profiles(GridConfig(3, 1, values=(0, 1, 2, 3))))) == 64
-    assert len(list(enumerate_profiles(GridConfig(2, 1, values=(0,))))) == 1
+    assert len(list(GridConfig(3, 1, values=(0, 1, 2, 3)).space().profiles())) == 64
+    assert len(list(GridConfig(2, 1, values=(0,)).space().profiles())) == 1
 
 
-def test_enumerate_uniform_tail_is_a_filter():
-    gc = GridConfig(3, 1, values=(0, 1, 2))
-    tail = {p.values for p in enumerate_uniform_tail(gc)}
+def uniform_tail_profiles(grid):
+    return [p for p in grid.profiles() if has_uniform_tail(p)]
+
+
+def test_uniform_tail_is_a_filter():
+    grid = GridConfig(3, 1, values=(0, 1, 2)).space()
+    tail = {p.values for p in uniform_tail_profiles(grid)}
     assert (2, 1, 1) in tail
     assert (2, 1, 0) not in tail
-    everything = {p.values for p in enumerate_profiles(gc)}
+    everything = {p.values for p in grid.profiles()}
     assert tail == {v for v in everything if has_uniform_tail_values(v)}
 
 
@@ -84,15 +100,31 @@ def has_uniform_tail_values(values):
     return has_uniform_tail(make_profile(CFG1, values))
 
 
-def test_enumerate_uniform_tail_everything_when_one_loser():
-    gc = GridConfig(3, 2, values=(0, 1, 2))
-    assert len(list(enumerate_uniform_tail(gc))) == 27
+def test_uniform_tail_everything_when_one_loser():
+    grid = GridConfig(3, 2, values=(0, 1, 2)).space()
+    assert len(uniform_tail_profiles(grid)) == 27
 
 
 def test_enumeration_budget_guard():
-    gc = GridConfig(3, 1, values=tuple(range(101)))
+    grid = GridConfig(3, 1, values=tuple(range(101))).space()
     with pytest.raises(ValueError, match="budget"):
-        list(enumerate_profiles(gc))
+        list(grid.profiles())
+
+
+def test_range_over_budget_is_refused_before_building_values(monkeypatch):
+    """A 2001-value range on 3 agents is 8e9 profiles: refused with the
+    message `profiles()` gives, before a single range value is built."""
+    import mechlab.axioms
+
+    def no_values(*args):
+        raise AssertionError("a range value was built")
+
+    monkeypatch.setattr(mechlab.axioms, "Fraction", no_values)
+    with pytest.raises(ValueError, match="8012006001 profiles exceed the enumeration budget"):
+        GridConfig(3, 1, max_value=2000).space()
+    monkeypatch.undo()
+    sampled = GridConfig(3, 1, max_value=20).space(mode="sampled", seed=1, samples=3)
+    assert len(sampled.shared_values) == 21
 
 
 # shrinking
