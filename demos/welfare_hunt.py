@@ -5,10 +5,10 @@ Run: python3 demos/welfare_hunt.py
 
 from mechlab import (
     PricingRule,
+    check_nom,
     check_sp,
     check_uncompromising,
     ev_pab_mechanism,
-    find_obvious_manipulation,
     pay_as_bid_mechanism,
     random_uncompromising_rules,
     selective_vickrey_mechanism,
@@ -40,7 +40,7 @@ for pricing in (
 print()
 print("Hunting obvious manipulations (best/worst case over all opponents)")
 for mech in (always, pay_as_bid_mechanism()):
-    w = find_obvious_manipulation(mech, grid)
+    w = check_nom(mech, grid).witness
     if w is None:
         print(f"  {mech.name}: none")
     else:

@@ -38,6 +38,7 @@ from .mechanisms import (
     efficient_vickrey_mechanism,
     efficient_vickrey_set,
     ev_pab_mechanism,
+    mechanism_from_spec,
     no_trade_mechanism,
     pay_as_bid_mechanism,
     pay_as_bid_set,
@@ -64,7 +65,6 @@ from .axioms import (
     check_sp,
     find_reference_bundle,
     nom_report_bounds,
-    nom_truthful_bounds,
     refresh_witness,
     replay_witness,
     welfare_compare,
@@ -75,7 +75,6 @@ from .search import (
     GridConfig,
     SUITES,
     SuiteResult,
-    find_obvious_manipulation,
     random_uncompromising_rules,
     random_winner_rule_table,
     shrink_witness,

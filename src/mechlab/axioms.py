@@ -28,22 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Iterator
 
-from .mechanisms import (
-    FAMILY_EFFICIENT_VICKREY,
-    FAMILY_EV_PAB,
-    FAMILY_NO_TRADE,
-    FAMILY_PAY_AS_BID,
-    FAMILY_SELECTIVE_VICKREY,
-    FAMILY_VICKREY,
-    Mechanism,
-    PRICING_ALWAYS_EV,
-    PRICING_EV_IFF_PRICE_ZERO,
-    PRICING_THRESHOLD,
-    RULE_DICTATORIAL_THRESHOLD,
-    RULE_EFFICIENT_WINNERS,
-    RULE_EMPTY,
-    RULE_STRICT_WINNERS,
-)
+from .mechanisms import Mechanism
 from .model import (
     Bundle,
     MarketConfig,
@@ -66,12 +51,13 @@ class GridSpace:
     """A finite set of valuations per agent, plus how to sweep them.
 
     This is the one place a grid declaration becomes values: explicit
-    value sets are sorted and de-duplicated here, and `from_range` builds
-    a range. In exhaustive mode `profiles()` yields the full cartesian
-    product in lexicographic order, refusing to start if it exceeds
-    `budget`. In sampled mode it yields `samples` profiles drawn
-    uniformly; each draw is keyed by `(seed, index)`, so the stream
-    depends on nothing else.
+    value sets are sorted and de-duplicated here (a set shared by several
+    agents once), and `from_range` builds a range. An exhaustive grid of
+    more than `budget` profiles is refused at construction. In exhaustive
+    mode `profiles()` yields the full cartesian product in lexicographic
+    order. In sampled mode it yields `samples` profiles drawn uniformly;
+    each draw is keyed by `(seed, index)`, so the stream depends on
+    nothing else.
     """
 
     config: MarketConfig
@@ -84,19 +70,25 @@ class GridSpace:
     def __post_init__(self) -> None:
         if len(self.values) != self.config.n:
             raise ValueError("need one value set per agent")
-        normalized = []
+        normalized: dict[int, tuple[Fraction, ...]] = {}  # by id of the input
         for vals in self.values:
+            if id(vals) in normalized:
+                continue
             vs = sorted({rat(v) for v in vals})
             if not vs:
                 raise ValueError("value sets must be non-empty")
             if vs[0] < 0:
                 raise ValueError("grid valuations must be non-negative")
-            normalized.append(tuple(vs))
-        object.__setattr__(self, "values", tuple(normalized))
+            normalized[id(vals)] = tuple(vs)
+        object.__setattr__(
+            self, "values", tuple(normalized[id(vals)] for vals in self.values)
+        )
         if self.mode not in (MODE_EXHAUSTIVE, MODE_SAMPLED):
             raise ValueError(f"unknown mode: {self.mode}")
         if self.mode == MODE_SAMPLED and self.samples < 1:
             raise ValueError("sampled mode needs samples >= 1")
+        if self.mode == MODE_EXHAUSTIVE:
+            _refuse_over_budget(self.size, self.budget)
 
     @classmethod
     def shared(
@@ -158,7 +150,6 @@ class GridSpace:
 
     def profiles(self) -> Iterator[Profile]:
         if self.mode == MODE_EXHAUSTIVE:
-            _refuse_over_budget(self.size, self.budget)
             for combo in itertools.product(*self.values):
                 yield Profile(self.config, combo)
         else:
@@ -483,37 +474,6 @@ def check_anonymity_in_welfare(
 # ---------------------------------------------------------------------------
 
 
-def _second_price_bounds(
-    agent: int, m: int, report: Fraction, true_value: Fraction
-) -> tuple[Fraction, Fraction]:
-    """Bounds for families whose winners pay the Vickrey price.
-
-    Best case: opponents all at zero let a positive report win for free,
-    so the supremum is the full valuation. A zero report can still win at
-    price zero, but only for the first m-1 agents (agent < m-1): against
-    one positive opponent at the highest index, the canonical tie-break
-    hands the m-1 spare objects to the lowest zero reporters. For everyone
-    else the zero report never trades. Worst case: overbidding can win at
-    any price up to the report, so the infimum is min(0, v - r).
-    """
-    zero = Fraction(0)
-    sup = true_value if (report > 0 or agent < m - 1) else zero
-    inf = min(zero, true_value - report)
-    return (sup, inf)
-
-
-def _own_bid_bounds(
-    agent: int, m: int, report: Fraction, true_value: Fraction
-) -> tuple[Fraction, Fraction]:
-    """Bounds when winners pay their own report: utility is v - r or 0."""
-    zero = Fraction(0)
-    winnable = report > 0 or agent < m - 1
-    if not winnable:
-        return (zero, zero)
-    gain = true_value - report
-    return (max(gain, zero), min(gain, zero))
-
-
 def nom_report_bounds(
     mechanism: Mechanism,
     market: MarketConfig,
@@ -525,61 +485,13 @@ def nom_report_bounds(
 
     The agent reports `report` while valuing the object at `true_value`;
     the bounds range over every non-negative opponent profile, not just a
-    grid. Returns None for families without a closed form (rule tables),
-    in which case callers fall back to grid-relative bounds.
+    grid. They are the family's own closed form (`Mechanism.bounds`);
+    None for families without one (rule tables), in which case callers
+    fall back to grid-relative bounds.
     """
-    r = rat(report)
-    v = rat(true_value)
-    zero = Fraction(0)
-    family = mechanism.family
-    if family == FAMILY_NO_TRADE:
-        fee = mechanism.params["fee"]
-        return (-fee, -fee)
-    if family in (FAMILY_VICKREY, FAMILY_EFFICIENT_VICKREY):
-        return _second_price_bounds(agent, market.m, r, v)
-    if family == FAMILY_PAY_AS_BID:
-        return _own_bid_bounds(agent, market.m, r, v)
-    if family == FAMILY_SELECTIVE_VICKREY:
-        rule = mechanism.params["rule"]
-        if rule.family == RULE_EMPTY:
-            return (zero, zero)
-        if rule.family == RULE_STRICT_WINNERS:
-            if r > 0:
-                return (v, min(zero, v - r))
-            return (zero, zero)
-        if rule.family == RULE_EFFICIENT_WINNERS:
-            return _second_price_bounds(agent, market.m, r, v)
-        if rule.family == RULE_DICTATORIAL_THRESHOLD:
-            chosen, threshold = rule.params
-            if agent != chosen or r <= threshold:
-                return (zero, zero)
-            gain = v - threshold
-            return (max(gain, zero), min(gain, zero))
+    if mechanism.bounds is None:
         return None
-    if family == FAMILY_EV_PAB:
-        pricing = mechanism.params["pricing"]
-        if pricing.family in (PRICING_ALWAYS_EV, PRICING_EV_IFF_PRICE_ZERO):
-            return _second_price_bounds(agent, market.m, r, v)
-        if pricing.family == PRICING_THRESHOLD:
-            if pricing.params[0] >= 0:
-                return _second_price_bounds(agent, market.m, r, v)
-            return _own_bid_bounds(agent, market.m, r, v)
-        return None
-    return None
-
-
-def nom_truthful_bounds(
-    mechanism: Mechanism,
-    market: MarketConfig,
-    agent: int,
-    value: RationalLike,
-) -> tuple[Fraction, Fraction] | None:
-    """Analytic (sup, inf) of truthful utility over all real opponents."""
-    return nom_report_bounds(mechanism, market, agent, value, value)
-
-
-def has_analytic_bounds(mechanism: Mechanism, market: MarketConfig) -> bool:
-    return nom_report_bounds(mechanism, market, 0, 1, 1) is not None
+    return mechanism.bounds(agent, market.m, rat(report), rat(true_value))
 
 
 def _grid_bundle_map(
@@ -636,13 +548,11 @@ def _nom_bounds(
     produced, with the smallest opponent profile producing each bound.
     """
     market = grid.config
-    if analytic and has_analytic_bounds(mechanism, market):
+    if analytic and mechanism.bounds is not None:
         zeros = (Fraction(0),) * (market.n - 1)
 
         def analytic_bounds(agent, report, true_value):
-            sup, inf = nom_report_bounds(
-                mechanism, market, agent, report, true_value
-            )
+            sup, inf = mechanism.bounds(agent, market.m, report, true_value)
             return sup, inf, zeros, None
 
         return analytic_bounds, "analytic", 0
@@ -901,7 +811,7 @@ def refresh_witness(
         return POINTWISE[axiom].refresh(mechanism, witness, market)
     if axiom == "NOM":
         analytic = witness.get("scope") == "analytic"
-        if analytic and not has_analytic_bounds(mechanism, market):
+        if analytic and mechanism.bounds is None:
             raise ValueError("analytic witness for a family without analytic bounds")
         bounds, scope, _ = _nom_bounds(mechanism, grid, analytic)
         i = witness["agent"]
@@ -918,7 +828,7 @@ def refresh_witness(
                 return found
         return None
     if axiom == "BEST_CASE":
-        if not has_analytic_bounds(mechanism, market):
+        if mechanism.bounds is None:
             raise ValueError("best-case replay needs analytic bounds")
         bounds, _, _ = _nom_bounds(mechanism, grid, analytic=True)
         i = witness["agent"]

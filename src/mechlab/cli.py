@@ -27,38 +27,12 @@ from .axioms import (
     welfare_compare,
     witness_to_json,
 )
-from .mechanisms import (
-    EV,
-    FAMILY_EFFICIENT_VICKREY,
-    FAMILY_EV_PAB,
-    FAMILY_NO_TRADE,
-    FAMILY_PAY_AS_BID,
-    FAMILY_SELECTIVE_VICKREY,
-    FAMILY_VICKREY,
-    Mechanism,
-    PAB,
-    PRICING_ALWAYS_EV,
-    PRICING_EV_IFF_PRICE_ZERO,
-    PRICING_TABLE,
-    PRICING_THRESHOLD,
-    PricingRule,
-    RULE_DICTATORIAL_THRESHOLD,
-    RULE_EFFICIENT_WINNERS,
-    RULE_EMPTY,
-    RULE_STRICT_WINNERS,
-    RULE_TABLE,
-    WinnerRule,
-    ev_pab_mechanism,
-    efficient_vickrey_mechanism,
-    no_trade_mechanism,
-    pay_as_bid_mechanism,
-    selective_vickrey_mechanism,
-    vickrey_mechanism,
-)
+from .mechanisms import Mechanism, mechanism_from_spec
 from .model import (
     MarketConfig,
     Profile,
     has_uniform_tail,
+    integer,
     rat,
     rat_str,
     utilities,
@@ -73,13 +47,11 @@ class ConfigError(ValueError):
 
 
 def _integer(value: Any, what: str) -> int:
-    """An integer config field; a JSON float or boolean is refused, never truncated."""
-    if isinstance(value, (bool, float)):
-        raise ConfigError(f"{what} must be an integer, got {json.dumps(value)}")
+    """An integer config field (see `model.integer`), refused as a `ConfigError`."""
     try:
-        return int(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{what} must be an integer, got {value!r}") from exc
+        return integer(value, what)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _section(doc: dict, key: str, default: dict) -> dict:
@@ -89,149 +61,13 @@ def _section(doc: dict, key: str, default: dict) -> dict:
     return section
 
 
-# ---------------------------------------------------------------------------
-# Mechanism specs (JSON <-> objects)
-# ---------------------------------------------------------------------------
-
-
-def parse_winner_rule(spec: Any, market: MarketConfig) -> WinnerRule:
-    if isinstance(spec, str):
-        spec = {"family": spec}
-    if not isinstance(spec, dict) or "family" not in spec:
-        raise ConfigError(f"winner rule spec needs a family: {spec!r}")
-    family = str(spec["family"]).upper()
-    if family == RULE_EMPTY:
-        return WinnerRule.empty()
-    if family == RULE_STRICT_WINNERS:
-        return WinnerRule.strict()
-    if family == RULE_EFFICIENT_WINNERS:
-        return WinnerRule.efficient()
-    if family == RULE_DICTATORIAL_THRESHOLD:
-        agent = _integer(spec["agent"], "dictator agent")
-        if not 0 <= agent < market.n:
-            raise ConfigError(f"dictator index out of range: {agent}")
-        return WinnerRule.dictatorial_threshold(agent, rat(spec["threshold"]))
-    if family == RULE_TABLE:
-        entries = {}
-        for entry in spec.get("entries", []):
-            key = tuple(rat(v) for v in entry["profile"])
-            entries[key] = frozenset(
-                _integer(i, "rule table winner") for i in entry["winners"]
-            )
-        return WinnerRule.rule_table(market, entries)
-    raise ConfigError(f"unknown winner rule family: {family}")
-
-
-def winner_rule_to_spec(rule: WinnerRule) -> dict:
-    if rule.family == RULE_DICTATORIAL_THRESHOLD:
-        agent, threshold = rule.params
-        return {
-            "family": rule.family,
-            "agent": agent,
-            "threshold": rat_str(threshold),
-        }
-    if rule.family == RULE_TABLE:
-        return {
-            "family": rule.family,
-            "entries": [
-                {
-                    "profile": [rat_str(v) for v in key],
-                    "winners": sorted(rule.table[key]),
-                }
-                for key in sorted(rule.table or {})
-            ],
-        }
-    return {"family": rule.family}
-
-
-def parse_pricing_rule(spec: Any) -> PricingRule:
-    if isinstance(spec, str):
-        spec = {"family": spec}
-    if not isinstance(spec, dict) or "family" not in spec:
-        raise ConfigError(f"pricing rule spec needs a family: {spec!r}")
-    family = str(spec["family"]).upper()
-    if family == PRICING_ALWAYS_EV:
-        return PricingRule.always_ev()
-    if family == PRICING_EV_IFF_PRICE_ZERO:
-        return PricingRule.ev_iff_price_zero()
-    if family == PRICING_THRESHOLD:
-        return PricingRule.threshold(rat(spec["cutoff"]))
-    if family == PRICING_TABLE:
-        entries = {}
-        for entry in spec.get("entries", []):
-            key = tuple(rat(v) for v in entry["profile"])
-            entries[key] = str(entry["mode"])
-        return PricingRule.rule_table(entries)
-    raise ConfigError(f"unknown pricing rule family: {family}")
-
-
-def pricing_rule_to_spec(pricing: PricingRule) -> dict:
-    if pricing.family == PRICING_THRESHOLD:
-        return {"family": pricing.family, "cutoff": rat_str(pricing.params[0])}
-    if pricing.family == PRICING_TABLE:
-        return {
-            "family": pricing.family,
-            "entries": [
-                {
-                    "profile": [rat_str(v) for v in key],
-                    "mode": pricing.table[key],
-                }
-                for key in sorted(pricing.table or {})
-            ],
-        }
-    return {"family": pricing.family}
-
-
 def parse_mechanism(spec: Any, market: MarketConfig) -> Mechanism:
-    """Build a mechanism from a JSON spec (or a bare family name)."""
+    """Build a mechanism from a JSON spec, JSON text, or a bare family name."""
     if isinstance(spec, str):
-        text = spec.strip()
-        if text.startswith("{"):
-            spec = json.loads(text)
-        else:
-            spec = {"family": text}
-    if not isinstance(spec, dict) or "family" not in spec:
-        raise ConfigError(f"mechanism spec needs a family: {spec!r}")
-    family = str(spec["family"]).upper()
-    if family == FAMILY_VICKREY:
-        return vickrey_mechanism()
-    if family == FAMILY_EFFICIENT_VICKREY:
-        return efficient_vickrey_mechanism()
-    if family == FAMILY_PAY_AS_BID:
-        return pay_as_bid_mechanism()
-    if family == FAMILY_NO_TRADE:
-        return no_trade_mechanism(rat(spec.get("fee", 0)))
-    if family == FAMILY_SELECTIVE_VICKREY:
-        if "rule" not in spec:
-            raise ConfigError("SELECTIVE_VICKREY needs a winner rule")
-        return selective_vickrey_mechanism(
-            parse_winner_rule(spec["rule"], market)
-        )
-    if family == FAMILY_EV_PAB:
-        if "pricing" not in spec:
-            raise ConfigError("EV_PAB needs a pricing rule")
-        return ev_pab_mechanism(parse_pricing_rule(spec["pricing"]))
-    raise ConfigError(f"unknown mechanism family: {family}")
-
-
-def mechanism_to_spec(mechanism: Mechanism) -> dict:
-    """Canonical JSON spec for a parsed mechanism, used in config echoes."""
-    if mechanism.family == FAMILY_NO_TRADE:
-        return {
-            "family": mechanism.family,
-            "fee": rat_str(mechanism.params["fee"]),
-        }
-    if mechanism.family == FAMILY_SELECTIVE_VICKREY:
-        return {
-            "family": mechanism.family,
-            "rule": winner_rule_to_spec(mechanism.params["rule"]),
-        }
-    if mechanism.family == FAMILY_EV_PAB:
-        return {
-            "family": mechanism.family,
-            "pricing": pricing_rule_to_spec(mechanism.params["pricing"]),
-        }
-    return {"family": mechanism.family}
+        spec = spec.strip()
+        if spec.startswith("{"):
+            spec = json.loads(spec)
+    return mechanism_from_spec(spec, market)
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +98,7 @@ class AuditConfig:
                 ]
             },
             "mode": {"kind": grid.mode},
-            "mechanisms": [mechanism_to_spec(m) for m in self.mechanisms],
+            "mechanisms": [m.spec for m in self.mechanisms],
             "axioms": list(self.axioms),
         }
         if grid.mode == MODE_SAMPLED:
@@ -596,9 +432,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, TypeError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

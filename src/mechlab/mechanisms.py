@@ -14,6 +14,12 @@ subsidy). Two composite families are built on top:
 Set-valued operations return every allocation the family admits; a
 mechanism resolves the set with `select_canonical`, which is deterministic
 and, within any one family, utility-invariant across the tied choices.
+
+Each family is defined once, here: its constructor also sets the
+closed-form utility bounds the NOM and BEST_CASE checkers use
+(`Mechanism.bounds`), and its JSON spec is parsed by `mechanism_from_spec`
+(with `WinnerRule.from_spec` and `PricingRule.from_spec`) and echoed by
+`Mechanism.spec`.
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ from .model import (
     ZERO_BUNDLE,
     all_zero_allocation,
     has_uniform_tail,
+    integer,
     rat,
     rat_str,
     vickrey_price,
@@ -165,12 +172,13 @@ def _allocation_key(allocation: Allocation) -> tuple:
 
 
 def select_canonical(allocations: Iterable[Allocation]) -> Allocation:
-    """Deterministic representative: smallest winner set in lexicographic index order.
+    """Deterministic representative: the least sorted winner tuple.
 
-    The empty winner set sorts first, so when a Vickrey set contains the
-    option of leaving tied agents unserved, that option is chosen. Within
-    each family the tied alternatives give every agent the same utility,
-    so the pick is axiom-neutral.
+    Winner tuples compare lexicographically, then by bundle contents. The
+    empty tuple comes first, but (0, 2) precedes (2,), so a tied agent
+    indexed below a strict winner takes a spare object rather than leave
+    it unsold. Within each family the tied alternatives give every agent
+    the same utility, so the pick is axiom-neutral.
     """
     pool = list(allocations)
     if not pool:
@@ -178,12 +186,19 @@ def select_canonical(allocations: Iterable[Allocation]) -> Allocation:
     return min(pool, key=_allocation_key)
 
 
+# bounds(agent, m, report, true_value): the (sup, inf) of the agent's
+# utility over every non-negative opponent profile, in closed form.
+Bounds = Callable[[int, int, Fraction, Fraction], tuple[Fraction, Fraction]]
+
+
 class Mechanism:
     """A named, deterministic map from profiles to feasible allocations.
 
-    `family` and `params` describe how the mechanism was built, which the
-    axiom checkers use to pick analytic shortcuts where they exist.
-    Evaluations are cached; rules are read-only after construction.
+    `family` and `params` describe how the mechanism was built, and
+    `spec` is the JSON spec that rebuilds it. `bounds`, set by the
+    families that have a closed form, lets the NOM and BEST_CASE
+    checkers skip the grid. Evaluations are cached; rules are read-only
+    after construction.
     """
 
     def __init__(
@@ -192,12 +207,23 @@ class Mechanism:
         family: str,
         fn: Callable[[Profile], Allocation],
         params: Mapping[str, Any] | None = None,
+        bounds: Bounds | None = None,
     ) -> None:
         self.name = name
         self.family = family
         self.params: dict[str, Any] = dict(params or {})
+        self.bounds = bounds
         self._fn = fn
         self._cache: dict[Profile, Allocation] = {}
+
+    @property
+    def spec(self) -> dict:
+        """The JSON spec `mechanism_from_spec` rebuilds this mechanism from."""
+        spec: dict[str, Any] = {"family": self.family}
+        for key, value in self.params.items():
+            nested = isinstance(value, (WinnerRule, PricingRule))
+            spec[key] = value.spec if nested else rat_str(value)
+        return spec
 
     def evaluate(self, profile: Profile) -> Allocation:
         cached = self._cache.get(profile)
@@ -210,11 +236,50 @@ class Mechanism:
         return f"Mechanism({self.name!r})"
 
 
+def _second_price_bounds(
+    agent: int, m: int, report: Fraction, true_value: Fraction
+) -> tuple[Fraction, Fraction]:
+    """Bounds for families whose winners pay the Vickrey price.
+
+    Best case: opponents all at zero let a positive report win for free,
+    so the supremum is the full valuation. A zero report can still win at
+    price zero, but only for the first m-1 agents (agent < m-1): against
+    one positive opponent at the highest index, the canonical tie-break
+    hands the m-1 spare objects to the lowest zero reporters. For everyone
+    else the zero report never trades. Worst case: overbidding can win at
+    any price up to the report, so the infimum is min(0, v - r).
+    """
+    zero = Fraction(0)
+    sup = true_value if (report > 0 or agent < m - 1) else zero
+    inf = min(zero, true_value - report)
+    return (sup, inf)
+
+
+def _own_bid_bounds(
+    agent: int, m: int, report: Fraction, true_value: Fraction
+) -> tuple[Fraction, Fraction]:
+    """Bounds when winners pay their own report: utility is v - r or 0."""
+    zero = Fraction(0)
+    winnable = report > 0 or agent < m - 1
+    if not winnable:
+        return (zero, zero)
+    gain = true_value - report
+    return (max(gain, zero), min(gain, zero))
+
+
+def _flat_bounds(
+    fee: Fraction, agent: int, m: int, report: Fraction, true_value: Fraction
+) -> tuple[Fraction, Fraction]:
+    """Bounds when nobody ever trades and everyone pays `fee`."""
+    return (-fee, -fee)
+
+
 def vickrey_mechanism() -> Mechanism:
     return Mechanism(
         "vickrey",
         FAMILY_VICKREY,
         lambda p: select_canonical(vickrey_set(p)),
+        bounds=_second_price_bounds,
     )
 
 
@@ -223,6 +288,7 @@ def efficient_vickrey_mechanism() -> Mechanism:
         "efficient_vickrey",
         FAMILY_EFFICIENT_VICKREY,
         lambda p: select_canonical(efficient_vickrey_set(p)),
+        bounds=_second_price_bounds,
     )
 
 
@@ -231,6 +297,7 @@ def pay_as_bid_mechanism() -> Mechanism:
         "pay_as_bid",
         FAMILY_PAY_AS_BID,
         lambda p: select_canonical(pay_as_bid_set(p)),
+        bounds=_own_bid_bounds,
     )
 
 
@@ -242,12 +309,31 @@ def no_trade_mechanism(fee: RationalLike = 0) -> Mechanism:
         FAMILY_NO_TRADE,
         lambda p: no_trade_allocation(p, f),
         params={"fee": f},
+        bounds=partial(_flat_bounds, f),
     )
+
+
+def _family_spec(spec: Any, what: str) -> tuple[dict, str]:
+    """A spec as a dict plus its upper-cased family; a string names the family."""
+    if isinstance(spec, str):
+        spec = {"family": spec}
+    if not isinstance(spec, dict) or "family" not in spec:
+        raise ValueError(f"{what} spec needs a family: {spec!r}")
+    return spec, str(spec["family"]).upper()
 
 
 # ---------------------------------------------------------------------------
 # Winner rules (selective Vickrey)
 # ---------------------------------------------------------------------------
+
+
+WINNER_RULE_FAMILIES = (
+    RULE_EMPTY,
+    RULE_STRICT_WINNERS,
+    RULE_DICTATORIAL_THRESHOLD,
+    RULE_EFFICIENT_WINNERS,
+    RULE_TABLE,
+)
 
 
 @dataclass(frozen=True)
@@ -268,6 +354,10 @@ class WinnerRule:
     params: tuple = ()
     market: MarketConfig | None = None
     table: Mapping[tuple[Fraction, ...], frozenset[int]] | None = None
+
+    def __post_init__(self) -> None:
+        if self.family not in WINNER_RULE_FAMILIES:
+            raise ValueError(f"unknown winner rule family: {self.family}")
 
     @classmethod
     def empty(cls) -> "WinnerRule":
@@ -299,6 +389,48 @@ class WinnerRule:
         }
         return cls(RULE_TABLE, market=market, table=frozen)
 
+    @classmethod
+    def from_spec(cls, spec: Any, market: MarketConfig) -> "WinnerRule":
+        """A rule from its JSON spec (the inverse of `spec`) or bare family name."""
+        spec, family = _family_spec(spec, "winner rule")
+        if family == RULE_DICTATORIAL_THRESHOLD:
+            agent = integer(spec["agent"], "dictator agent")
+            if not 0 <= agent < market.n:
+                raise ValueError(f"dictator index out of range: {agent}")
+            return cls.dictatorial_threshold(agent, rat(spec["threshold"]))
+        if family == RULE_TABLE:
+            entries = {
+                tuple(rat(v) for v in entry["profile"]): [
+                    integer(i, "rule table winner") for i in entry["winners"]
+                ]
+                for entry in spec.get("entries", [])
+            }
+            return cls.rule_table(market, entries)
+        return cls(family)
+
+    @property
+    def spec(self) -> dict:
+        """The canonical JSON spec; table entries sorted by profile."""
+        if self.family == RULE_DICTATORIAL_THRESHOLD:
+            agent, threshold = self.params
+            return {
+                "family": self.family,
+                "agent": agent,
+                "threshold": rat_str(threshold),
+            }
+        if self.family == RULE_TABLE:
+            return {
+                "family": self.family,
+                "entries": [
+                    {
+                        "profile": [rat_str(v) for v in key],
+                        "winners": sorted(self.table[key]),
+                    }
+                    for key in sorted(self.table or {})
+                ],
+            }
+        return {"family": self.family}
+
     @property
     def label(self) -> str:
         if self.family == RULE_DICTATORIAL_THRESHOLD:
@@ -307,6 +439,19 @@ class WinnerRule:
         if self.family == RULE_TABLE:
             return f"rule_table[{len(self.table or {})}]"
         return self.family.lower()
+
+    @property
+    def bounds(self) -> Bounds | None:
+        """Selective Vickrey's closed-form bounds under this rule; None for a table."""
+        if self.family == RULE_EMPTY:
+            return partial(_flat_bounds, Fraction(0))
+        if self.family == RULE_STRICT_WINNERS:
+            return _strict_winner_bounds
+        if self.family == RULE_EFFICIENT_WINNERS:
+            return _second_price_bounds
+        if self.family == RULE_DICTATORIAL_THRESHOLD:
+            return partial(_dictator_bounds, *self.params)
+        return None
 
     def select(self, profile: Profile) -> frozenset[int]:
         """The winner set for a profile (empty when nobody trades)."""
@@ -331,10 +476,35 @@ class WinnerRule:
             ):
                 return frozenset({agent})
             return frozenset()
-        if self.family == RULE_TABLE:
-            assert self.table is not None
-            return self.table.get(profile.values, frozenset())
-        raise ValueError(f"unknown winner rule family: {self.family}")
+        assert self.table is not None
+        return self.table.get(profile.values, frozenset())
+
+
+def _strict_winner_bounds(
+    agent: int, m: int, report: Fraction, true_value: Fraction
+) -> tuple[Fraction, Fraction]:
+    """Strict winners trade at the price: a positive report can win for free
+    against all-zero opponents, or at any price below the report."""
+    zero = Fraction(0)
+    if report > 0:
+        return (true_value, min(zero, true_value - report))
+    return (zero, zero)
+
+
+def _dictator_bounds(
+    chosen: int,
+    threshold: Fraction,
+    agent: int,
+    m: int,
+    report: Fraction,
+    true_value: Fraction,
+) -> tuple[Fraction, Fraction]:
+    """Only the dictator trades, at the threshold, when reporting above it."""
+    zero = Fraction(0)
+    if agent != chosen or report <= threshold:
+        return (zero, zero)
+    gain = true_value - threshold
+    return (max(gain, zero), min(gain, zero))
 
 
 @dataclass(frozen=True)
@@ -351,14 +521,6 @@ class ValidityReport:
     @property
     def ok(self) -> bool:
         return self.verdict.startswith("PASS")
-
-
-_ANALYTIC_RULE_FAMILIES = {
-    RULE_EMPTY,
-    RULE_STRICT_WINNERS,
-    RULE_EFFICIENT_WINNERS,
-    RULE_DICTATORIAL_THRESHOLD,
-}
 
 
 def _rule_condition_violation(
@@ -446,14 +608,12 @@ def validate_winner_rule(rule: WinnerRule, grid: "GridSpace") -> ValidityReport:
     entry scan is complete as well.
     """
     label = rule.label
-    if rule.family in _ANALYTIC_RULE_FAMILIES:
+    if rule.family != RULE_TABLE:
         return ValidityReport(
             subject=label,
             verdict="PASS_ANALYTIC",
             details={"method": "family satisfies the conditions by construction"},
         )
-    if rule.family != RULE_TABLE:
-        raise ValueError(f"unknown winner rule family: {rule.family}")
     return _table_report(
         label,
         _scan_rule_conditions(rule),
@@ -474,14 +634,12 @@ def check_uncompromising(rule: WinnerRule, grid: "GridSpace") -> ValidityReport:
     so this covers every profile of the grid, sampled or not.
     """
     label = rule.label
-    if rule.family in _ANALYTIC_RULE_FAMILIES:
+    if rule.family != RULE_TABLE:
         return ValidityReport(
             subject=label,
             verdict="PASS_ANALYTIC",
             details={"method": "raising a selected report keeps the rule's trigger"},
         )
-    if rule.family != RULE_TABLE:
-        raise ValueError(f"unknown winner rule family: {rule.family}")
 
     def dropped(values: tuple[Fraction, ...], selected: frozenset[int]) -> Hit | None:
         profile = Profile(grid.config, values)
@@ -529,6 +687,7 @@ def selective_vickrey_mechanism(rule: WinnerRule) -> Mechanism:
         FAMILY_SELECTIVE_VICKREY,
         fn,
         params={"rule": rule},
+        bounds=rule.bounds,
     )
 
 
@@ -540,6 +699,14 @@ EV = "EV"
 PAB = "PAB"
 
 
+PRICING_RULE_FAMILIES = (
+    PRICING_ALWAYS_EV,
+    PRICING_EV_IFF_PRICE_ZERO,
+    PRICING_THRESHOLD,
+    PRICING_TABLE,
+)
+
+
 @dataclass(frozen=True)
 class PricingRule:
     """Classifies each uniform-tail profile as efficient-Vickrey or pay-as-bid."""
@@ -547,6 +714,10 @@ class PricingRule:
     family: str
     params: tuple = ()
     table: Mapping[tuple[Fraction, ...], str] | None = None
+
+    def __post_init__(self) -> None:
+        if self.family not in PRICING_RULE_FAMILIES:
+            raise ValueError(f"unknown pricing rule family: {self.family}")
 
     @classmethod
     def always_ev(cls) -> "PricingRule":
@@ -571,6 +742,35 @@ class PricingRule:
             frozen[tuple(rat(v) for v in key)] = mode
         return cls(PRICING_TABLE, table=frozen)
 
+    @classmethod
+    def from_spec(cls, spec: Any) -> "PricingRule":
+        """A rule from its JSON spec (the inverse of `spec`) or bare family name."""
+        spec, family = _family_spec(spec, "pricing rule")
+        if family == PRICING_THRESHOLD:
+            return cls.threshold(rat(spec["cutoff"]))
+        if family == PRICING_TABLE:
+            entries = {
+                tuple(rat(v) for v in entry["profile"]): str(entry["mode"])
+                for entry in spec.get("entries", [])
+            }
+            return cls.rule_table(entries)
+        return cls(family)
+
+    @property
+    def spec(self) -> dict:
+        """The canonical JSON spec; table entries sorted by profile."""
+        if self.family == PRICING_THRESHOLD:
+            return {"family": self.family, "cutoff": rat_str(self.params[0])}
+        if self.family == PRICING_TABLE:
+            return {
+                "family": self.family,
+                "entries": [
+                    {"profile": [rat_str(v) for v in key], "mode": self.table[key]}
+                    for key in sorted(self.table or {})
+                ],
+            }
+        return {"family": self.family}
+
     @property
     def label(self) -> str:
         if self.family == PRICING_THRESHOLD:
@@ -578,6 +778,27 @@ class PricingRule:
         if self.family == PRICING_TABLE:
             return f"rule_table[{len(self.table or {})}]"
         return self.family.lower()
+
+    @property
+    def reaches_ev(self) -> bool | None:
+        """Whether every valuation can reach the EV branch; None for a table.
+
+        The built-in families price all-zero opponents (price zero) EV,
+        except a negative threshold, which never prices any profile EV.
+        A finite table can only be judged on a grid.
+        """
+        if self.family == PRICING_TABLE:
+            return None
+        return self.family != PRICING_THRESHOLD or self.params[0] >= 0
+
+    @property
+    def bounds(self) -> Bounds | None:
+        """EV/PAB's closed-form bounds: Vickrey's when every valuation reaches
+        EV, pay-as-bid's when none does; None for a table."""
+        reaches = self.reaches_ev
+        if reaches is None:
+            return None
+        return _second_price_bounds if reaches else _own_bid_bounds
 
     def classify(self, profile: Profile) -> str:
         """EV or PAB for a uniform-tail profile."""
@@ -587,10 +808,8 @@ class PricingRule:
             return EV if vickrey_price(profile) == 0 else PAB
         if self.family == PRICING_THRESHOLD:
             return EV if vickrey_price(profile) <= self.params[0] else PAB
-        if self.family == PRICING_TABLE:
-            assert self.table is not None
-            return self.table.get(profile.values, PAB)
-        raise ValueError(f"unknown pricing rule family: {self.family}")
+        assert self.table is not None
+        return self.table.get(profile.values, PAB)
 
 
 def ev_pab_mechanism(pricing: PricingRule) -> Mechanism:
@@ -606,6 +825,7 @@ def ev_pab_mechanism(pricing: PricingRule) -> Mechanism:
         FAMILY_EV_PAB,
         fn,
         params={"pricing": pricing},
+        bounds=pricing.bounds,
     )
 
 
@@ -614,28 +834,19 @@ def check_ev_support(pricing: PricingRule, grid: "GridSpace") -> ValidityReport:
 
     Required: for each agent i and each v_i > 0 there are opponents, with
     minimum valuation zero, forming a uniform-tail profile the rule prices
-    EV. The built-in families satisfy this with all-zero opponents
-    whenever the threshold is non-negative. A finite pricing table can
-    only ever be certified relative to the grid's value sets: values it
-    never mentions fall back to pay-as-bid.
+    EV. The built-in families settle this analytically (`reaches_ev`). A
+    finite pricing table can only ever be certified relative to the
+    grid's value sets: values it never mentions fall back to pay-as-bid.
     """
     label = pricing.label
-    if pricing.family in (PRICING_ALWAYS_EV, PRICING_EV_IFF_PRICE_ZERO):
+    reaches = pricing.reaches_ev
+    if reaches:
         return ValidityReport(
             subject=label,
             verdict="PASS_ANALYTIC",
             details={"witness_shape": "all-zero opponents price at zero, classified EV"},
         )
-    if pricing.family == PRICING_THRESHOLD:
-        cutoff = pricing.params[0]
-        if cutoff >= 0:
-            return ValidityReport(
-                subject=label,
-                verdict="PASS_ANALYTIC",
-                details={
-                    "witness_shape": "all-zero opponents price at zero, classified EV"
-                },
-            )
+    if reaches is False:
         first_positive = next(
             (v for v in grid.values[0] if v > 0), Fraction(1)
         )
@@ -645,8 +856,6 @@ def check_ev_support(pricing: PricingRule, grid: "GridSpace") -> ValidityReport:
             condition="no profile is ever classified EV",
             witness={"agent": 0, "value": first_positive},
         )
-    if pricing.family != PRICING_TABLE:
-        raise ValueError(f"unknown pricing rule family: {pricing.family}")
     assert pricing.table is not None
     market = grid.config
     checked = 0
@@ -696,3 +905,27 @@ def builtin_mechanisms() -> list[Mechanism]:
         selective_vickrey_mechanism(WinnerRule.strict()),
         ev_pab_mechanism(PricingRule.always_ev()),
     ]
+
+
+def mechanism_from_spec(spec: Any, market: MarketConfig) -> Mechanism:
+    """A mechanism from its JSON spec (the inverse of `Mechanism.spec`) or
+    bare family name."""
+    spec, family = _family_spec(spec, "mechanism")
+    if family == FAMILY_NO_TRADE:
+        return no_trade_mechanism(rat(spec.get("fee", 0)))
+    if family == FAMILY_SELECTIVE_VICKREY:
+        if "rule" not in spec:
+            raise ValueError("SELECTIVE_VICKREY needs a winner rule")
+        return selective_vickrey_mechanism(WinnerRule.from_spec(spec["rule"], market))
+    if family == FAMILY_EV_PAB:
+        if "pricing" not in spec:
+            raise ValueError("EV_PAB needs a pricing rule")
+        return ev_pab_mechanism(PricingRule.from_spec(spec["pricing"]))
+    plain = {
+        FAMILY_VICKREY: vickrey_mechanism,
+        FAMILY_EFFICIENT_VICKREY: efficient_vickrey_mechanism,
+        FAMILY_PAY_AS_BID: pay_as_bid_mechanism,
+    }
+    if family not in plain:
+        raise ValueError(f"unknown mechanism family: {family}")
+    return plain[family]()

@@ -9,9 +9,10 @@ creep into a verdict.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Any, Iterable, Union
 
 RationalLike = Union[int, str, Fraction]
 
@@ -31,6 +32,16 @@ def rat(value: RationalLike) -> Fraction:
     if isinstance(value, str):
         return Fraction(value.strip())
     raise TypeError(f"expected int, str or Fraction, got {type(value).__name__}")
+
+
+def integer(value: Any, what: str) -> int:
+    """An integer count or index; a float or boolean is refused, never truncated."""
+    if isinstance(value, (bool, float)):
+        raise ValueError(f"{what} must be an integer, got {json.dumps(value)}")
+    try:
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from exc
 
 
 def rat_str(value: RationalLike) -> str:

@@ -21,7 +21,6 @@ from .axioms import (
     POINTWISE,
     GridSpace,
     refresh_witness,
-    iter_nom_violations,
     welfare_compare,
     witness_to_json,
 )
@@ -135,15 +134,6 @@ def shrink_witness(
                 current = refreshed
                 moved = True
     return current
-
-
-def find_obvious_manipulation(
-    mechanism: Mechanism,
-    grid: GridSpace,
-    analytic: bool = True,
-) -> dict | None:
-    """First misreport that beats truth in best or worst case, or None."""
-    return next(iter_nom_violations(mechanism, grid, analytic), None)
 
 
 # ---------------------------------------------------------------------------

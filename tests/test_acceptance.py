@@ -25,7 +25,6 @@ from mechlab import (
     check_uncompromising,
     efficient_vickrey_mechanism,
     ev_pab_mechanism,
-    find_obvious_manipulation,
     find_reference_bundle,
     make_profile,
     no_trade_mechanism,
@@ -180,7 +179,7 @@ def test_criterion_06_ev_pricing_is_not_obviously_manipulable():
     ok &= nom.details["truthful_bounds"] == {
         "0": ["0", "0"], "1": ["1", "0"], "2": ["2", "0"], "3": ["3", "0"],
     }
-    manipulation = find_obvious_manipulation(pay_as_bid_mechanism(), GRID)
+    manipulation = check_nom(pay_as_bid_mechanism(), GRID).witness
     ok &= manipulation is not None
     ok &= manipulation["direction"] == "SUP"
     ok &= manipulation["truthful_bound"] == 0

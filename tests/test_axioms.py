@@ -27,7 +27,6 @@ from mechlab import (
     make_profile,
     no_trade_mechanism,
     nom_report_bounds,
-    nom_truthful_bounds,
     pay_as_bid_mechanism,
     refresh_witness,
     replay_witness,
@@ -90,9 +89,20 @@ def test_grid_space_rejects_wrong_arity():
 
 
 def test_grid_space_budget():
-    big = GridSpace.shared(CFG1, tuple(range(101)))
     with pytest.raises(ValueError, match="budget"):
-        next(big.profiles())
+        GridSpace.shared(CFG1, tuple(range(101)))
+
+
+def test_shared_value_set_is_normalised_once():
+    """Every agent of a shared grid holds the one normalised tuple; a
+    sampled grid over the enumeration budget is still accepted."""
+    market = MarketConfig(4, 1)
+    for grid in (
+        GridSpace.shared(market, (3, 1, 2, 1)),
+        GridSpace.from_range(market, 5, 2),
+        GridSpace.from_range(market, 200, mode=MODE_SAMPLED, samples=1),
+    ):
+        assert grid.values[0] is grid.values[-1]
 
 
 def test_grid_space_sampling_is_seed_deterministic():
@@ -247,10 +257,10 @@ def test_efficiency_passes_for_surplus_maximizers():
 def test_nom_truthful_bounds_examples():
     """Best case equals the valuation under EV pricing, zero under own-bid."""
     aev = ev_pab_mechanism(PricingRule.always_ev())
-    assert nom_truthful_bounds(aev, CFG1, 0, 3) == (3, 0)
-    assert nom_truthful_bounds(pay_as_bid_mechanism(), CFG1, 0, 4) == (0, 0)
-    assert nom_truthful_bounds(no_trade_mechanism(0), CFG1, 0, 2) == (0, 0)
-    assert nom_truthful_bounds(vickrey_mechanism(), CFG1, 0, 2) == (2, 0)
+    assert nom_report_bounds(aev, CFG1, 0, 3, 3) == (3, 0)
+    assert nom_report_bounds(pay_as_bid_mechanism(), CFG1, 0, 4, 4) == (0, 0)
+    assert nom_report_bounds(no_trade_mechanism(0), CFG1, 0, 2, 2) == (0, 0)
+    assert nom_report_bounds(vickrey_mechanism(), CFG1, 0, 2, 2) == (2, 0)
 
 
 def test_nom_report_bounds_own_bid_shading():

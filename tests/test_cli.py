@@ -195,6 +195,26 @@ def test_welfare_compare_needs_two_mechanisms(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("BOGUS", "unknown mechanism family: BOGUS"),
+        ('{"family":"SELECTIVE_VICKREY","rule":"BOGUS"}', "unknown winner rule family: BOGUS"),
+        ('{"family":"EV_PAB","pricing":"BOGUS"}', "unknown pricing rule family: BOGUS"),
+        ('{"family":"SELECTIVE_VICKREY","rule":{"family":"DICTATORIAL_THRESHOLD",'
+         '"agent":5,"threshold":"1"}}', "dictator index out of range: 5"),
+        ('{"family":"SELECTIVE_VICKREY","rule":{"family":"DICTATORIAL_THRESHOLD",'
+         '"threshold":"1"}}', "'agent'"),
+    ],
+    ids=["family", "winner-rule", "pricing-rule", "dictator-range", "dictator-agent"],
+)
+def test_eval_bad_spec_exits_two_with_one_line(capsys, spec, message):
+    assert main(["eval", "--mech", spec, "--profile", "1,0,0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_suite_subcommand(capsys):
     assert main(["suite", "independence"]) == 0
     out = capsys.readouterr().out
@@ -253,6 +273,82 @@ def test_echo_shows_the_audited_grid(tmp_path):
     assert load_config(str(path)).echo()["grid"]["per_agent"] == [["0", "1", "2", "3"]] * 3
     path = write_config(tmp_path, grid={"per_agent": [["1", "0"], ["0"], ["2", "1/2"]]})
     assert load_config(str(path)).echo()["grid"]["per_agent"] == [["0", "1"], ["0"], ["1/2", "2"]]
+
+
+def test_explicit_grid_over_budget_is_refused_at_load(tmp_path):
+    """101 values on 3 agents is 1030301 profiles: the grid is refused at
+    load, before the bad mechanism next to it, and before a NOM-only
+    audit (which never enumerates) could pass on it."""
+    path = write_config(
+        tmp_path,
+        grid={"values": [str(v) for v in range(101)]},
+        mechanisms=["NO_SUCH_FAMILY"],
+        axioms=["NOM"],
+    )
+    with pytest.raises(ConfigError, match="budget"):
+        load_config(str(path))
+
+
+TABLE_RULE = {"family": "RULE_TABLE", "entries": [
+    {"profile": ["3", "1", "1"], "winners": [0]},
+    {"profile": ["0", "2", "0"], "winners": [1]},
+]}
+TABLE_PRICING = {"family": "RULE_TABLE", "entries": [
+    {"profile": ["2", "0", "0"], "mode": "EV"},
+    {"profile": ["0", "1", "0"], "mode": "PAB"},
+]}
+ECHO_INPUT = [
+    "vickrey",
+    {"family": "EFFICIENT_VICKREY"},
+    "PAY_AS_BID",
+    {"family": "NO_TRADE", "fee": "-2/4"},
+    {"family": "SELECTIVE_VICKREY", "rule": "EMPTY"},
+    {"family": "selective_vickrey", "rule": {"family": "strict_winners"}},
+    {"family": "SELECTIVE_VICKREY", "rule": "EFFICIENT_WINNERS"},
+    {"family": "SELECTIVE_VICKREY", "rule": {
+        "family": "DICTATORIAL_THRESHOLD", "agent": 1, "threshold": "3/2"}},
+    {"family": "SELECTIVE_VICKREY", "rule": TABLE_RULE},
+    {"family": "EV_PAB", "pricing": "ALWAYS_EV"},
+    {"family": "EV_PAB", "pricing": {"family": "ev_iff_price_zero"}},
+    {"family": "EV_PAB", "pricing": {"family": "THRESHOLD", "cutoff": "2/2"}},
+    {"family": "EV_PAB", "pricing": TABLE_PRICING},
+]
+ECHO_MECHANISMS = [
+    {"family": "VICKREY"},
+    {"family": "EFFICIENT_VICKREY"},
+    {"family": "PAY_AS_BID"},
+    {"family": "NO_TRADE", "fee": "-1/2"},
+    {"family": "SELECTIVE_VICKREY", "rule": {"family": "EMPTY"}},
+    {"family": "SELECTIVE_VICKREY", "rule": {"family": "STRICT_WINNERS"}},
+    {"family": "SELECTIVE_VICKREY", "rule": {"family": "EFFICIENT_WINNERS"}},
+    {"family": "SELECTIVE_VICKREY", "rule": {
+        "family": "DICTATORIAL_THRESHOLD", "agent": 1, "threshold": "3/2"}},
+    {"family": "SELECTIVE_VICKREY", "rule": {"family": "RULE_TABLE", "entries": [
+        {"profile": ["0", "2", "0"], "winners": [1]},
+        {"profile": ["3", "1", "1"], "winners": [0]},
+    ]}},
+    {"family": "EV_PAB", "pricing": {"family": "ALWAYS_EV"}},
+    {"family": "EV_PAB", "pricing": {"family": "EV_IFF_PRICE_ZERO"}},
+    {"family": "EV_PAB", "pricing": {"family": "THRESHOLD", "cutoff": "1"}},
+    {"family": "EV_PAB", "pricing": {"family": "RULE_TABLE", "entries": [
+        {"profile": ["0", "1", "0"], "mode": "PAB"},
+        {"profile": ["2", "0", "0"], "mode": "EV"},
+    ]}},
+]
+
+
+def test_echo_mechanisms_are_canonical_and_round_trip(tmp_path):
+    """Every family, winner rule and pricing rule echoes its canonical spec
+    (upper-case families, reduced rationals, sorted table entries), and
+    the echo loads back to the same echo and the same mechanisms."""
+    first = load_config(str(write_config(tmp_path, mechanisms=ECHO_INPUT)))
+    echo = first.echo()
+    assert echo["mechanisms"] == ECHO_MECHANISMS
+    again = tmp_path / "echo.json"
+    again.write_text(json.dumps(echo))
+    second = load_config(str(again))
+    assert second.echo() == echo
+    assert [m.name for m in second.mechanisms] == [m.name for m in first.mechanisms]
 
 
 def test_range_over_budget_is_refused_at_load(tmp_path):

@@ -139,6 +139,30 @@ def test_select_canonical_prefers_no_trade():
     assert alloc.winners == ()
 
 
+@pytest.mark.parametrize(
+    "make, values, m, winners",
+    [
+        (vickrey_mechanism, (1, 1, 3, 1), 2, (0, 2)),
+        (vickrey_mechanism, (0, 3, 0), 2, (0, 1)),
+        (efficient_vickrey_mechanism, (0, 3, 0), 2, (0, 1)),
+        (pay_as_bid_mechanism, (0, 3, 0), 2, (0, 1)),
+    ],
+    ids=["vickrey-1131", "vickrey-030", "efficient-vickrey-030", "pay-as-bid-030"],
+)
+def test_canonical_pick_is_the_least_sorted_winner_tuple(make, values, m, winners):
+    """(0, 2) sorts before (2,): a tied agent indexed below the strict
+    winner takes the spare object instead of leaving it unsold."""
+    profile = make_profile(MarketConfig(len(values), m), values)
+    assert make().evaluate(profile).winners == winners
+
+
+def test_rules_refuse_an_unknown_family_at_construction():
+    with pytest.raises(ValueError, match="unknown winner rule family: NOPE"):
+        WinnerRule("NOPE")
+    with pytest.raises(ValueError, match="unknown pricing rule family: NOPE"):
+        PricingRule("NOPE")
+
+
 def test_select_canonical_rejects_empty_input():
     with pytest.raises(ValueError):
         select_canonical(frozenset())
