@@ -66,7 +66,10 @@ def parse_mechanism(spec: Any, market: MarketConfig) -> Mechanism:
     if isinstance(spec, str):
         spec = spec.strip()
         if spec.startswith("{"):
-            spec = json.loads(spec)
+            try:
+                spec = json.loads(spec)
+            except RecursionError:
+                raise ValueError("mechanism spec is nested too deeply") from None
     return mechanism_from_spec(spec, market)
 
 
@@ -148,6 +151,8 @@ def load_config(path: str) -> AuditConfig:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise ConfigError("config is nested too deeply") from None
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
     if doc.get("schema", 1) != 1:
@@ -169,14 +174,14 @@ def load_config(path: str) -> AuditConfig:
         "samples": _integer(mode.get("samples", 0), "samples"),
     }
     grid = _parse_grid(doc.get("grid"), market, sweep)
-    mech_docs = doc.get("mechanisms")
+    mech_docs = _json_list(doc.get("mechanisms", []), "mechanisms")
     if not mech_docs:
         raise ConfigError("config needs at least one mechanism")
     try:
         mechanisms = tuple(parse_mechanism(m, market) for m in mech_docs)
     except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"bad mechanism spec: {exc}") from exc
-    axioms = tuple(doc.get("axioms") or ())
+    axioms = tuple(_json_list(doc.get("axioms", []), "axioms"))
     if not axioms:
         raise ConfigError("config needs at least one axiom")
     for axiom in axioms:

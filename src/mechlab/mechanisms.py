@@ -85,10 +85,28 @@ def strict_winners(profile: Profile) -> frozenset[int]:
     return frozenset(i for i, v in enumerate(profile.values) if v > price)
 
 
-def tied_agents(profile: Profile) -> frozenset[int]:
-    """Agents whose valuation equals the Vickrey price exactly."""
+def _vickrey_winner_sets(
+    profile: Profile, efficient: bool = False
+) -> tuple[Fraction, list[frozenset[int]]]:
+    """The Vickrey price and every winner set a Vickrey-price family admits.
+
+    Agents above the price always win and agents below it never do; the
+    agents exactly at the price fill the objects left over. Vickrey lets
+    them take any number of those objects. An efficient assignment must
+    hand out all of them unless the price is zero, where a winner at the
+    price adds nothing to the surplus. Sets come by size, then in
+    lexicographic order, as a search over subsets of agents lists them.
+    """
     price = vickrey_price(profile)
-    return frozenset(i for i, v in enumerate(profile.values) if v == price)
+    strict = frozenset(i for i, v in enumerate(profile.values) if v > price)
+    tied = [i for i, v in enumerate(profile.values) if v == price]
+    room = profile.config.m - len(strict)
+    sizes = (room,) if efficient and price > 0 else range(room + 1)
+    return price, [
+        strict.union(extra)
+        for size in sizes
+        for extra in itertools.combinations(tied, size)
+    ]
 
 
 def vickrey_set(profile: Profile) -> set[Allocation]:
@@ -98,16 +116,8 @@ def vickrey_set(profile: Profile) -> set[Allocation]:
     below it keep the zero bundle; agents exactly at the price may win or
     not, in every combination that stays within the m-object supply.
     """
-    config = profile.config
-    price = vickrey_price(profile)
-    strict = strict_winners(profile)
-    tied = sorted(tied_agents(profile))
-    room = config.m - len(strict)
-    out: set[Allocation] = set()
-    for size in range(0, room + 1):
-        for extra in itertools.combinations(tied, size):
-            out.add(_winners_allocation(config, strict | set(extra), price))
-    return out
+    price, sets = _vickrey_winner_sets(profile)
+    return {_winners_allocation(profile.config, s, price) for s in sets}
 
 
 def efficient_winner_sets(profile: Profile) -> list[frozenset[int]]:
@@ -116,27 +126,13 @@ def efficient_winner_sets(profile: Profile) -> list[frozenset[int]]:
     Handing an object to a zero-valuation agent is optimal-neutral, so
     such agents appear both included and excluded among the maximizers.
     """
-    agents = range(profile.config.n)
-    best: Fraction | None = None
-    sets: list[frozenset[int]] = []
-    for size in range(0, profile.config.m + 1):
-        for combo in itertools.combinations(agents, size):
-            total = sum((profile.values[i] for i in combo), Fraction(0))
-            if best is None or total > best:
-                best = total
-                sets = [frozenset(combo)]
-            elif total == best:
-                sets.append(frozenset(combo))
-    return sets
+    return _vickrey_winner_sets(profile, efficient=True)[1]
 
 
 def efficient_vickrey_set(profile: Profile) -> set[Allocation]:
     """Surplus-maximizing object assignments with winners paying the Vickrey price."""
-    price = vickrey_price(profile)
-    return {
-        _winners_allocation(profile.config, s, price)
-        for s in efficient_winner_sets(profile)
-    }
+    price, sets = _vickrey_winner_sets(profile, efficient=True)
+    return {_winners_allocation(profile.config, s, price) for s in sets}
 
 
 def pay_as_bid_set(profile: Profile) -> set[Allocation]:
@@ -145,17 +141,15 @@ def pay_as_bid_set(profile: Profile) -> set[Allocation]:
     Every agent ends up with utility zero under their report: winners pay
     exactly what they bid and losers pay nothing.
     """
-    out: set[Allocation] = set()
-    for s in efficient_winner_sets(profile):
-        out.add(
-            Allocation(
-                tuple(
-                    Bundle(1, profile.values[i]) if i in s else ZERO_BUNDLE
-                    for i in range(profile.config.n)
-                )
+    return {
+        Allocation(
+            tuple(
+                Bundle(1, v) if i in s else ZERO_BUNDLE
+                for i, v in enumerate(profile.values)
             )
         )
-    return out
+        for s in efficient_winner_sets(profile)
+    }
 
 
 def no_trade_allocation(profile: Profile, fee: RationalLike = 0) -> Allocation:
@@ -499,9 +493,10 @@ def _dictator_bounds(
     report: Fraction,
     true_value: Fraction,
 ) -> tuple[Fraction, Fraction]:
-    """Only the dictator trades, at the threshold, when reporting above it."""
+    """Only the dictator trades, at the threshold, when reporting above it
+    while every opponent reports the threshold: never if it is negative."""
     zero = Fraction(0)
-    if agent != chosen or report <= threshold:
+    if agent != chosen or report <= threshold or threshold < 0:
         return (zero, zero)
     gain = true_value - threshold
     return (max(gain, zero), min(gain, zero))

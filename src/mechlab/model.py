@@ -142,11 +142,10 @@ def has_uniform_tail(profile: Profile) -> bool:
 
     On these profiles every losing agent values the object identically,
     so a single Vickrey price clears the market. Trivially true when
-    m = n - 1 (only one rank is in the tail).
+    m = n - 1 (only one rank is in the tail). Equivalently, no agent values
+    the object below the Vickrey price.
     """
-    ordered = sorted(profile.values, reverse=True)
-    tail = ordered[profile.config.m :]
-    return all(v == tail[0] for v in tail)
+    return min(profile.values) == vickrey_price(profile)
 
 
 @dataclass(frozen=True)

@@ -270,6 +270,17 @@ def test_nom_report_bounds_own_bid_shading():
     assert nom_report_bounds(pay_as_bid_mechanism(), CFG1, 0, 2, 0) == (0, -2)
 
 
+def below_zero_dictator():
+    """Opponents cannot report a negative threshold, so this dictator never wins."""
+    return selective_vickrey_mechanism(WinnerRule.dictatorial_threshold(0, -1))
+
+
+def test_nom_bounds_of_a_dictator_below_zero_are_zero():
+    assert nom_report_bounds(below_zero_dictator(), CFG1, 0, 2, 2) == (0, 0)
+    report = check_nom(below_zero_dictator(), GridSpace.shared(CFG1, [0]))
+    assert report.details["truthful_bounds"] == {"0": ["0", "0"]}
+
+
 def test_nom_pay_as_bid_obviously_manipulable():
     report = check_nom(pay_as_bid_mechanism(), GRID)
     assert report.verdict == "FAIL"
@@ -331,6 +342,11 @@ def test_best_case_pay_as_bid_fails():
     report = check_best_case_utility(pay_as_bid_mechanism(), GRID)
     assert report.verdict == "FAIL"
     assert report.witness == {"agent": 0, "value": 1, "best_case": 0}
+
+
+def test_best_case_dictator_below_zero_passes_on_zero_grid():
+    report = check_best_case_utility(below_zero_dictator(), GridSpace.shared(CFG1, [0]))
+    assert report.verdict == "PASS_ANALYTIC"
 
 
 def test_best_case_requires_preconditions():

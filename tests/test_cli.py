@@ -205,8 +205,12 @@ def test_welfare_compare_needs_two_mechanisms(tmp_path, capsys):
          '"agent":5,"threshold":"1"}}', "dictator index out of range: 5"),
         ('{"family":"SELECTIVE_VICKREY","rule":{"family":"DICTATORIAL_THRESHOLD",'
          '"threshold":"1"}}', "'agent'"),
+        ('{"a":' * 5000 + "1" + "}" * 5000, "mechanism spec is nested too deeply"),
     ],
-    ids=["family", "winner-rule", "pricing-rule", "dictator-range", "dictator-agent"],
+    ids=[
+        "family", "winner-rule", "pricing-rule", "dictator-range", "dictator-agent",
+        "nested-too-deep",
+    ],
 )
 def test_eval_bad_spec_exits_two_with_one_line(capsys, spec, message):
     assert main(["eval", "--mech", spec, "--profile", "1,0,0"]) == 2
@@ -403,36 +407,52 @@ DICTATOR = {"family": "DICTATORIAL_THRESHOLD", "threshold": "1"}
 
 
 @pytest.mark.parametrize(
-    "overrides",
+    "overrides, message",
     [
-        {"mode": "exhaustive"},
-        {"output": "x.json"},
-        {"market": {"agents": 3.9, "objects": 1}},
-        {"market": {"agents": 3, "objects": True}},
-        {"mode": {"kind": "sampled", "seed": 1.5, "samples": 2}},
-        {"mode": {"kind": "sampled", "seed": 1, "samples": 2.7}},
-        {"grid": {"range": {"max": "2", "denominator": 2.0}}},
-        {"grid": {"range": 2}},
-        {"mechanisms": [{"family": "SELECTIVE_VICKREY", "rule": dict(DICTATOR, agent=0.0)}]},
-        {"mechanisms": [{"family": "SELECTIVE_VICKREY", "rule": {
+        ({"mode": "exhaustive"}, ""),
+        ({"output": "x.json"}, ""),
+        ({"market": {"agents": 3.9, "objects": 1}}, ""),
+        ({"market": {"agents": 3, "objects": True}}, ""),
+        ({"mode": {"kind": "sampled", "seed": 1.5, "samples": 2}}, ""),
+        ({"mode": {"kind": "sampled", "seed": 1, "samples": 2.7}}, ""),
+        ({"grid": {"range": {"max": "2", "denominator": 2.0}}}, ""),
+        ({"grid": {"range": 2}}, ""),
+        ({"mechanisms": [{"family": "SELECTIVE_VICKREY", "rule": dict(DICTATOR, agent=0.0)}]}, ""),
+        ({"mechanisms": [{"family": "SELECTIVE_VICKREY", "rule": {
             "family": "RULE_TABLE",
             "entries": [{"profile": ["2", "0", "0"], "winners": [0.0]}],
-        }}]},
-        {"grid": {"values": "13"}},
-        {"grid": {"per_agent": ["01", "02", "03"]}},
-        {"grid": {"per_agent": [["0", "1"], ["0", "2"], ["0", "1"]]}, "axioms": ["AIW"]},
+        }}]}, ""),
+        ({"grid": {"values": "13"}}, ""),
+        ({"grid": {"per_agent": ["01", "02", "03"]}}, ""),
+        ({"grid": {"per_agent": [["0", "1"], ["0", "2"], ["0", "1"]]}, "axioms": ["AIW"]}, ""),
+        ({"axioms": "SP"}, 'error: axioms must be a JSON list, got "SP"'),
+        ({"mechanisms": "VICKREY"}, 'error: mechanisms must be a JSON list, got "VICKREY"'),
+        (
+            {"mechanisms": {"family": "VICKREY"}},
+            'error: mechanisms must be a JSON list, got {"family": "VICKREY"}',
+        ),
     ],
     ids=[
         "mode-not-object", "output-not-object", "float-agents", "bool-objects",
         "float-seed", "float-samples", "float-denominator", "range-not-object",
         "float-dictator", "float-winner", "values-string", "per-agent-strings",
-        "aiw-unshared-grid",
+        "aiw-unshared-grid", "axioms-string", "mechanisms-string", "mechanisms-object",
     ],
 )
-def test_config_boundary_errors_exit_two(tmp_path, capsys, overrides):
+def test_config_boundary_errors_exit_two(tmp_path, capsys, overrides, message):
     path = write_config(tmp_path, **overrides)
     assert main(["audit", "--config", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+    assert lines[0].startswith(message), captured.err
+
+
+def test_deeply_nested_config_exits_two(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    assert main(["audit", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: config is nested too deeply\n"

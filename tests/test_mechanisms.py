@@ -2,12 +2,13 @@
 
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from mechlab import (
+    Allocation,
     Bundle,
     MarketConfig,
     Mechanism,
@@ -20,6 +21,7 @@ from mechlab import (
     efficient_vickrey_mechanism,
     efficient_vickrey_set,
     ev_pab_mechanism,
+    has_uniform_tail,
     is_feasible,
     make_profile,
     no_trade_mechanism,
@@ -36,7 +38,7 @@ from mechlab import (
     vickrey_price,
     vickrey_set,
 )
-from mechlab.mechanisms import EV
+from mechlab.mechanisms import EV, efficient_winner_sets
 from mechlab.search import GridConfig
 
 CFG1 = MarketConfig(3, 1)
@@ -196,6 +198,77 @@ def test_efficient_winner_sets_scale_invariant(values, scale):
     assert {tuple(sorted(a.winners)) for a in efficient_vickrey_set(p)} == {
         tuple(sorted(a.winners)) for a in efficient_vickrey_set(q)
     }
+
+
+def subset_search_winner_sets(profile):
+    """Oracle: every set of at most m agents maximizing the winners' total
+    valuation, by size and then lexicographically (the search that chose
+    efficient winners before the shared winner-set rule)."""
+    best, sets = None, []
+    for size in range(profile.config.m + 1):
+        for combo in combinations(range(profile.config.n), size):
+            total = sum((profile.values[i] for i in combo), Fraction(0))
+            if best is None or total > best:
+                best, sets = total, [frozenset(combo)]
+            elif total == best:
+                sets.append(frozenset(combo))
+    return sets
+
+
+def subset_search_vickrey_sets(profile):
+    """Oracle: every set of at most m agents that holds everyone above the
+    Vickrey price and nobody below it."""
+    price = vickrey_price(profile)
+    return [
+        frozenset(combo)
+        for size in range(profile.config.m + 1)
+        for combo in combinations(range(profile.config.n), size)
+        if all(profile.values[i] >= price for i in combo)
+        and all(i in combo for i, v in enumerate(profile.values) if v > price)
+    ]
+
+
+def sorted_tail_is_uniform(profile):
+    """Oracle: the valuations ranked (m+1)-th or lower are all equal."""
+    tail = sorted(profile.values, reverse=True)[profile.config.m:]
+    return all(v == tail[0] for v in tail)
+
+
+def priced(profile, sets, pay):
+    return {
+        Allocation(tuple(
+            Bundle(1, pay(i)) if i in s else ZERO_BUNDLE for i in range(profile.config.n)
+        ))
+        for s in sets
+    }
+
+
+def assert_winner_sets_match_subset_search(profile):
+    price = vickrey_price(profile)
+    efficient = subset_search_winner_sets(profile)
+    assert efficient_winner_sets(profile) == efficient
+    assert efficient_vickrey_set(profile) == priced(profile, efficient, lambda i: price)
+    assert pay_as_bid_set(profile) == priced(profile, efficient, profile.values.__getitem__)
+    assert vickrey_set(profile) == priced(
+        profile, subset_search_vickrey_sets(profile), lambda i: price
+    )
+    assert has_uniform_tail(profile) == sorted_tail_is_uniform(profile)
+
+
+TIE_VALUES = (0, Fraction(1, 2), 1, 2)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_winner_sets_match_subset_search(n):
+    for m in range(1, n):
+        for values in product(TIE_VALUES, repeat=n):
+            assert_winner_sets_match_subset_search(make_profile(MarketConfig(n, m), values))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(1, 5), st.lists(st.sampled_from(TIE_VALUES), min_size=6, max_size=6))
+def test_winner_sets_match_subset_search_six_agents(m, values):
+    assert_winner_sets_match_subset_search(make_profile(MarketConfig(6, m), values))
 
 
 # winner rules

@@ -64,6 +64,9 @@ FAMILIES = {
     "selective_vickrey(dictator n-1 above 0)": lambda market: selective_vickrey_mechanism(
         WinnerRule.dictatorial_threshold(market.n - 1, 0)
     ),
+    "selective_vickrey(dictator 0 above -1)": lambda market: selective_vickrey_mechanism(
+        WinnerRule.dictatorial_threshold(0, -1)
+    ),
     **{
         f"ev_pab({pricing.label})": lambda market, pricing=pricing: ev_pab_mechanism(pricing)
         for pricing in (
