@@ -7,39 +7,35 @@ from mechlab import (
     MarketConfig,
     PricingRule,
     WinnerRule,
-    efficient_vickrey_set,
+    efficient_vickrey_mechanism,
     ev_pab_mechanism,
     make_profile,
     pay_as_bid_mechanism,
-    select_canonical,
     selective_vickrey_mechanism,
     utilities,
     vickrey_mechanism,
-    vickrey_set,
 )
 
-cfg = MarketConfig(3, 1)
 
-
-def show(mech, values):
-    p = make_profile(cfg, values)
+def show(mech, values, m=1):
+    p = make_profile(MarketConfig(len(values), m), values)
     alloc = mech.evaluate(p)
     print(f"  {mech.name:34s} {str(values):12s} -> winners={alloc.winners} "
           f"transfers={tuple(str(t) for t in alloc.transfers)} "
           f"utilities={tuple(str(u) for u in utilities(alloc, p))}")
 
 
-print("Allocation sets before canonical selection")
-for values in ((5, 3, 2), (3, 3, 2)):
-    p = make_profile(cfg, values)
-    zs = vickrey_set(p)
-    print(f"  vickrey set at {values}: "
-          f"{sorted(tuple(sorted(a.winners)) for a in zs)} "
-          f"-> canonical winners {select_canonical(zs).winners}")
-    es = efficient_vickrey_set(p)
-    print(f"  efficient subset:       "
-          f"{sorted(tuple(sorted(a.winners)) for a in es)} "
-          f"-> canonical winners {select_canonical(es).winners}")
+print("Ties at the price: the canonical winner pick")
+print(" (3,3,2), one object: nobody is above the price 3, so Vickrey sells")
+print(" nothing, while the efficient families sell to the lowest tied index")
+for mech in (vickrey_mechanism(), efficient_vickrey_mechanism(), pay_as_bid_mechanism()):
+    show(mech, (3, 3, 2))
+print(" (1,1,3,1), two objects: agent 0, tied at the price 1 and indexed")
+print(" below the strict winner 2, takes the spare object")
+show(vickrey_mechanism(), (1, 1, 3, 1), m=2)
+print(" (0,3,0), two objects: at price 0 the spare object goes to agent 0")
+for mech in (vickrey_mechanism(), efficient_vickrey_mechanism(), pay_as_bid_mechanism()):
+    show(mech, (0, 3, 0), m=2)
 
 print()
 print("Canonical mechanisms on (3,2,2): uniform tail at price 2")

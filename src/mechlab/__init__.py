@@ -17,7 +17,6 @@ from .model import (
     achieved_surplus,
     all_zero_allocation,
     has_uniform_tail,
-    is_feasible,
     kth_highest,
     make_profile,
     optimal_surplus,
@@ -36,18 +35,14 @@ from .mechanisms import (
     check_ev_support,
     check_uncompromising,
     efficient_vickrey_mechanism,
-    efficient_vickrey_set,
     ev_pab_mechanism,
     mechanism_from_spec,
     no_trade_mechanism,
     pay_as_bid_mechanism,
-    pay_as_bid_set,
-    select_canonical,
     selective_vickrey_mechanism,
     strict_winners,
     validate_winner_rule,
     vickrey_mechanism,
-    vickrey_set,
 )
 from .axioms import (
     AxiomReport,

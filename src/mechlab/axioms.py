@@ -614,18 +614,6 @@ def _iter_nom(
                     )
 
 
-def iter_nom_violations(
-    mechanism: Mechanism, grid: GridSpace, analytic: bool = True
-) -> Iterator[dict]:
-    """Obvious manipulations in (agent, true value, misreport) order.
-
-    With analytic bounds the comparison covers all real opponents;
-    otherwise bounds are taken over the grid only and flagged as such.
-    """
-    bounds, scope, _ = _nom_bounds(mechanism, grid, analytic)
-    return _iter_nom(grid.values, bounds, scope)
-
-
 def check_nom(
     mechanism: Mechanism, grid: GridSpace, analytic: bool = True
 ) -> AxiomReport:

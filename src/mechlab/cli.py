@@ -15,7 +15,8 @@ import json
 import sys
 import time
 from dataclasses import dataclass
-from typing import Any, Sequence
+from functools import partial
+from typing import Any, Callable, Sequence
 
 from . import __version__
 from .axioms import (
@@ -33,6 +34,7 @@ from .model import (
     Profile,
     has_uniform_tail,
     integer,
+    json_list,
     rat,
     rat_str,
     utilities,
@@ -46,12 +48,17 @@ class ConfigError(ValueError):
     """Anything wrong with inputs that the user must fix."""
 
 
-def _integer(value: Any, what: str) -> int:
-    """An integer config field (see `model.integer`), refused as a `ConfigError`."""
+def _field(parse: Callable[[Any, str], Any], value: Any, what: str) -> Any:
+    """A config field checked by `parse` (`model.integer` or `model.json_list`),
+    refused as a `ConfigError`."""
     try:
-        return integer(value, what)
+        return parse(value, what)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+
+
+_integer = partial(_field, integer)
+_json_list = partial(_field, json_list)
 
 
 def _section(doc: dict, key: str, default: dict) -> dict:
@@ -108,13 +115,6 @@ class AuditConfig:
             doc["mode"]["seed"] = grid.seed
             doc["mode"]["samples"] = grid.samples
         return doc
-
-
-def _json_list(value: Any, what: str) -> list:
-    """A config field that must be a JSON list; a string is not iterated."""
-    if not isinstance(value, list):
-        raise ConfigError(f"{what} must be a JSON list, got {json.dumps(value)}")
-    return value
 
 
 def _parse_grid(doc: Any, market: MarketConfig, sweep: dict) -> GridSpace:

@@ -11,10 +11,6 @@ subsidy). Two composite families are built on top:
 * EV/PAB: a pricing rule classifies each uniform-tail profile as either
   efficient-Vickrey or pay-as-bid, and off-tail profiles are pay-as-bid.
 
-Set-valued operations return every allocation the family admits; a
-mechanism resolves the set with `select_canonical`, which is deterministic
-and, within any one family, utility-invariant across the tied choices.
-
 Each family is defined once, here: its constructor also sets the
 closed-form utility bounds the NOM and BEST_CASE checkers use
 (`Mechanism.bounds`), and its JSON spec is parsed by `mechanism_from_spec`
@@ -24,7 +20,6 @@ closed-form utility bounds the NOM and BEST_CASE checkers use
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
@@ -43,6 +38,7 @@ from .model import (
     all_zero_allocation,
     has_uniform_tail,
     integer,
+    json_list,
     rat,
     rat_str,
     vickrey_price,
@@ -68,13 +64,15 @@ PRICING_TABLE = "RULE_TABLE"
 
 
 def _winners_allocation(
-    config: MarketConfig, winners: Iterable[int], price: Fraction
+    profile: Profile, winners: Iterable[int], price: Fraction | None = None
 ) -> Allocation:
+    """Winners hold an object and pay `price`, or their own report when
+    `price` is None; everyone else keeps the zero bundle."""
     chosen = set(winners)
     return Allocation(
         tuple(
-            Bundle(1, price) if i in chosen else ZERO_BUNDLE
-            for i in range(config.n)
+            Bundle(1, v if price is None else price) if i in chosen else ZERO_BUNDLE
+            for i, v in enumerate(profile.values)
         )
     )
 
@@ -85,99 +83,42 @@ def strict_winners(profile: Profile) -> frozenset[int]:
     return frozenset(i for i, v in enumerate(profile.values) if v > price)
 
 
-def _vickrey_winner_sets(
+def _vickrey_winners(
     profile: Profile, efficient: bool = False
-) -> tuple[Fraction, list[frozenset[int]]]:
-    """The Vickrey price and every winner set a Vickrey-price family admits.
+) -> tuple[Fraction, tuple[int, ...]]:
+    """The Vickrey price and the one winner tuple a Vickrey-price family picks.
 
-    Agents above the price always win and agents below it never do; the
-    agents exactly at the price fill the objects left over. Vickrey lets
-    them take any number of those objects. An efficient assignment must
-    hand out all of them unless the price is zero, where a winner at the
-    price adds nothing to the surplus. Sets come by size, then in
-    lexicographic order, as a search over subsets of agents lists them.
+    Agents above the price always win and agents below it never do; agents
+    exactly at the price take the spare objects, lowest index first. An
+    efficient family at a positive price hands out every object. Otherwise
+    (Vickrey, or a price of zero, where a winner at the price adds nothing
+    to the surplus) only tied agents indexed below the highest strict
+    winner take one, so nobody trades when nobody is above the price.
+    Among every winner set the family admits, this is the least sorted
+    tuple: () precedes (0,), but (0, 2) precedes (2,). The tied choices
+    give every agent the same utility, so the pick is axiom-neutral.
     """
+    values = profile.values
     price = vickrey_price(profile)
-    strict = frozenset(i for i, v in enumerate(profile.values) if v > price)
-    tied = [i for i, v in enumerate(profile.values) if v == price]
+    strict = [i for i, v in enumerate(values) if v > price]
+    if efficient and price > 0:
+        reach = len(values)
+    else:
+        reach = strict[-1] if strict else 0
+    tied = [i for i in range(reach) if values[i] == price]
     room = profile.config.m - len(strict)
-    sizes = (room,) if efficient and price > 0 else range(room + 1)
-    return price, [
-        strict.union(extra)
-        for size in sizes
-        for extra in itertools.combinations(tied, size)
-    ]
+    return price, tuple(sorted(strict + tied[:room]))
 
 
-def vickrey_set(profile: Profile) -> set[Allocation]:
-    """All Vickrey allocations of a profile.
-
-    Agents above the (m+1)-th highest valuation win and pay it; agents
-    below it keep the zero bundle; agents exactly at the price may win or
-    not, in every combination that stays within the m-object supply.
-    """
-    price, sets = _vickrey_winner_sets(profile)
-    return {_winners_allocation(profile.config, s, price) for s in sets}
-
-
-def efficient_winner_sets(profile: Profile) -> list[frozenset[int]]:
-    """Every feasible winner set maximizing the total valuation of winners.
-
-    Handing an object to a zero-valuation agent is optimal-neutral, so
-    such agents appear both included and excluded among the maximizers.
-    """
-    return _vickrey_winner_sets(profile, efficient=True)[1]
-
-
-def efficient_vickrey_set(profile: Profile) -> set[Allocation]:
-    """Surplus-maximizing object assignments with winners paying the Vickrey price."""
-    price, sets = _vickrey_winner_sets(profile, efficient=True)
-    return {_winners_allocation(profile.config, s, price) for s in sets}
-
-
-def pay_as_bid_set(profile: Profile) -> set[Allocation]:
-    """Surplus-maximizing object assignments with each winner paying their own report.
-
-    Every agent ends up with utility zero under their report: winners pay
-    exactly what they bid and losers pay nothing.
-    """
-    return {
-        Allocation(
-            tuple(
-                Bundle(1, v) if i in s else ZERO_BUNDLE
-                for i, v in enumerate(profile.values)
-            )
-        )
-        for s in efficient_winner_sets(profile)
-    }
+def _vickrey_allocation(profile: Profile, efficient: bool) -> Allocation:
+    price, winners = _vickrey_winners(profile, efficient)
+    return _winners_allocation(profile, winners, price)
 
 
 def no_trade_allocation(profile: Profile, fee: RationalLike = 0) -> Allocation:
     """Nobody gets an object and everyone pays `fee` (receives it if negative)."""
     f = rat(fee)
     return Allocation(tuple(Bundle(0, f) for _ in range(profile.config.n)))
-
-
-def _allocation_key(allocation: Allocation) -> tuple:
-    return (
-        allocation.winners,
-        tuple((b.x, b.t) for b in allocation.bundles),
-    )
-
-
-def select_canonical(allocations: Iterable[Allocation]) -> Allocation:
-    """Deterministic representative: the least sorted winner tuple.
-
-    Winner tuples compare lexicographically, then by bundle contents. The
-    empty tuple comes first, but (0, 2) precedes (2,), so a tied agent
-    indexed below a strict winner takes a spare object rather than leave
-    it unsold. Within each family the tied alternatives give every agent
-    the same utility, so the pick is axiom-neutral.
-    """
-    pool = list(allocations)
-    if not pool:
-        raise ValueError("cannot select from an empty allocation set")
-    return min(pool, key=_allocation_key)
 
 
 # bounds(agent, m, report, true_value): the (sup, inf) of the agent's
@@ -272,7 +213,7 @@ def vickrey_mechanism() -> Mechanism:
     return Mechanism(
         "vickrey",
         FAMILY_VICKREY,
-        lambda p: select_canonical(vickrey_set(p)),
+        partial(_vickrey_allocation, efficient=False),
         bounds=_second_price_bounds,
     )
 
@@ -281,7 +222,7 @@ def efficient_vickrey_mechanism() -> Mechanism:
     return Mechanism(
         "efficient_vickrey",
         FAMILY_EFFICIENT_VICKREY,
-        lambda p: select_canonical(efficient_vickrey_set(p)),
+        partial(_vickrey_allocation, efficient=True),
         bounds=_second_price_bounds,
     )
 
@@ -290,7 +231,7 @@ def pay_as_bid_mechanism() -> Mechanism:
     return Mechanism(
         "pay_as_bid",
         FAMILY_PAY_AS_BID,
-        lambda p: select_canonical(pay_as_bid_set(p)),
+        lambda p: _winners_allocation(p, _vickrey_winners(p, efficient=True)[1]),
         bounds=_own_bid_bounds,
     )
 
@@ -305,6 +246,31 @@ def no_trade_mechanism(fee: RationalLike = 0) -> Mechanism:
         params={"fee": f},
         bounds=partial(_flat_bounds, f),
     )
+
+
+def _table(
+    pairs: Iterable[tuple[Iterable[RationalLike], Any]],
+    outcome: Callable[[Any], Any],
+) -> dict[tuple[Fraction, ...], Any]:
+    """A rule table keyed by normalised profile from (profile, outcome)
+    pairs; two profiles that normalise alike are refused."""
+    table: dict[tuple[Fraction, ...], Any] = {}
+    for key, value in pairs:
+        values = tuple(rat(v) for v in key)
+        if values in table:
+            shown = ", ".join(rat_str(v) for v in values)
+            raise ValueError(f"rule table lists profile ({shown}) twice")
+        table[values] = outcome(value)
+    return table
+
+
+def _spec_entries(spec: dict, outcome: Callable[[dict], Any]) -> list[tuple[list, Any]]:
+    """The (profile, outcome) pairs of a rule table's JSON spec; `entries`
+    and each entry's profile must be JSON lists."""
+    return [
+        (json_list(entry["profile"], "rule table profile"), outcome(entry))
+        for entry in json_list(spec.get("entries", []), "rule table entries")
+    ]
 
 
 def _family_spec(spec: Any, what: str) -> tuple[dict, str]:
@@ -377,11 +343,7 @@ class WinnerRule:
         market: MarketConfig,
         entries: Mapping[tuple[RationalLike, ...], Iterable[int]],
     ) -> "WinnerRule":
-        frozen = {
-            tuple(rat(v) for v in key): frozenset(winners)
-            for key, winners in entries.items()
-        }
-        return cls(RULE_TABLE, market=market, table=frozen)
+        return cls(RULE_TABLE, market=market, table=_table(entries.items(), frozenset))
 
     @classmethod
     def from_spec(cls, spec: Any, market: MarketConfig) -> "WinnerRule":
@@ -393,13 +355,11 @@ class WinnerRule:
                 raise ValueError(f"dictator index out of range: {agent}")
             return cls.dictatorial_threshold(agent, rat(spec["threshold"]))
         if family == RULE_TABLE:
-            entries = {
-                tuple(rat(v) for v in entry["profile"]): [
-                    integer(i, "rule table winner") for i in entry["winners"]
-                ]
-                for entry in spec.get("entries", [])
-            }
-            return cls.rule_table(market, entries)
+            pairs = _spec_entries(spec, lambda entry: [
+                integer(i, "rule table winner")
+                for i in json_list(entry["winners"], "rule table winners")
+            ])
+            return cls(RULE_TABLE, market=market, table=_table(pairs, frozenset))
         return cls(family)
 
     @property
@@ -458,9 +418,7 @@ class WinnerRule:
         if self.family == RULE_EFFICIENT_WINNERS:
             if not has_uniform_tail(profile):
                 return frozenset()
-            return frozenset(
-                select_canonical(efficient_vickrey_set(profile)).winners
-            )
+            return frozenset(_vickrey_winners(profile, efficient=True)[1])
         if self.family == RULE_DICTATORIAL_THRESHOLD:
             agent, threshold = self.params
             if profile.values[agent] > threshold and all(
@@ -673,9 +631,7 @@ def selective_vickrey_mechanism(rule: WinnerRule) -> Mechanism:
         selected = rule.select(profile)
         if not selected:
             return all_zero_allocation(profile.config)
-        return _winners_allocation(
-            profile.config, selected, vickrey_price(profile)
-        )
+        return _winners_allocation(profile, selected, vickrey_price(profile))
 
     return Mechanism(
         f"selective_vickrey({rule.label})",
@@ -700,6 +656,12 @@ PRICING_RULE_FAMILIES = (
     PRICING_THRESHOLD,
     PRICING_TABLE,
 )
+
+
+def _pricing_mode(mode: str) -> str:
+    if mode not in (EV, PAB):
+        raise ValueError(f"pricing mode must be EV or PAB, got {mode!r}")
+    return mode
 
 
 @dataclass(frozen=True)
@@ -730,12 +692,7 @@ class PricingRule:
     def rule_table(
         cls, entries: Mapping[tuple[RationalLike, ...], str]
     ) -> "PricingRule":
-        frozen = {}
-        for key, mode in entries.items():
-            if mode not in (EV, PAB):
-                raise ValueError(f"pricing mode must be EV or PAB, got {mode!r}")
-            frozen[tuple(rat(v) for v in key)] = mode
-        return cls(PRICING_TABLE, table=frozen)
+        return cls(PRICING_TABLE, table=_table(entries.items(), _pricing_mode))
 
     @classmethod
     def from_spec(cls, spec: Any) -> "PricingRule":
@@ -744,11 +701,8 @@ class PricingRule:
         if family == PRICING_THRESHOLD:
             return cls.threshold(rat(spec["cutoff"]))
         if family == PRICING_TABLE:
-            entries = {
-                tuple(rat(v) for v in entry["profile"]): str(entry["mode"])
-                for entry in spec.get("entries", [])
-            }
-            return cls.rule_table(entries)
+            pairs = _spec_entries(spec, lambda entry: str(entry["mode"]))
+            return cls(PRICING_TABLE, table=_table(pairs, _pricing_mode))
         return cls(family)
 
     @property
@@ -811,9 +765,10 @@ def ev_pab_mechanism(pricing: PricingRule) -> Mechanism:
     """Efficient-Vickrey or pay-as-bid on uniform-tail profiles, pay-as-bid off them."""
 
     def fn(profile: Profile) -> Allocation:
+        price, winners = _vickrey_winners(profile, efficient=True)
         if has_uniform_tail(profile) and pricing.classify(profile) == EV:
-            return select_canonical(efficient_vickrey_set(profile))
-        return select_canonical(pay_as_bid_set(profile))
+            return _winners_allocation(profile, winners, price)
+        return _winners_allocation(profile, winners)
 
     return Mechanism(
         f"ev_pab({pricing.label})",

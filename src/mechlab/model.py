@@ -44,6 +44,13 @@ def integer(value: Any, what: str) -> int:
         raise ValueError(f"{what} must be an integer, got {value!r}") from exc
 
 
+def json_list(value: Any, what: str) -> list:
+    """A field that must be a JSON list; a string or object is refused, not iterated."""
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a JSON list, got {json.dumps(value)}")
+    return value
+
+
 def rat_str(value: RationalLike) -> str:
     """Canonical "p/q" form (the "/q" is omitted when q is 1)."""
     return str(rat(value))
@@ -165,13 +172,6 @@ class Allocation:
 
 def all_zero_allocation(config: MarketConfig) -> Allocation:
     return Allocation((ZERO_BUNDLE,) * config.n)
-
-
-def is_feasible(allocation: Allocation, config: MarketConfig) -> bool:
-    """Feasibility: one bundle per agent and at most m objects handed out."""
-    if len(allocation.bundles) != config.n:
-        return False
-    return sum(b.x for b in allocation.bundles) <= config.m
 
 
 def utilities(allocation: Allocation, profile: Profile) -> tuple[Fraction, ...]:

@@ -406,6 +406,10 @@ def test_sampled_best_case_skips_unsampled_values(tmp_path, capsys):
 DICTATOR = {"family": "DICTATORIAL_THRESHOLD", "threshold": "1"}
 
 
+def winner_table(entries):
+    return {"family": "SELECTIVE_VICKREY", "rule": {"family": "RULE_TABLE", "entries": entries}}
+
+
 @pytest.mark.parametrize(
     "overrides, message",
     [
@@ -431,12 +435,31 @@ DICTATOR = {"family": "DICTATORIAL_THRESHOLD", "threshold": "1"}
             {"mechanisms": {"family": "VICKREY"}},
             'error: mechanisms must be a JSON list, got {"family": "VICKREY"}',
         ),
+        (
+            {"mechanisms": [winner_table({"profile": ["2", "1", "1"], "winners": [0]})]},
+            "error: bad mechanism spec: rule table entries must be a JSON list, got {",
+        ),
+        (
+            {"mechanisms": [winner_table([{"profile": "211", "winners": [0]}])]},
+            'error: bad mechanism spec: rule table profile must be a JSON list, got "211"',
+        ),
+        (
+            {"mechanisms": [winner_table([{"profile": ["2", "1", "1"], "winners": "0"}])]},
+            'error: bad mechanism spec: rule table winners must be a JSON list, got "0"',
+        ),
+        (
+            {"mechanisms": [{"family": "EV_PAB", "pricing": {
+                "family": "RULE_TABLE", "entries": [{"profile": "000", "mode": "EV"}],
+            }}]},
+            'error: bad mechanism spec: rule table profile must be a JSON list, got "000"',
+        ),
     ],
     ids=[
         "mode-not-object", "output-not-object", "float-agents", "bool-objects",
         "float-seed", "float-samples", "float-denominator", "range-not-object",
         "float-dictator", "float-winner", "values-string", "per-agent-strings",
         "aiw-unshared-grid", "axioms-string", "mechanisms-string", "mechanisms-object",
+        "entries-object", "profile-string", "winners-string", "pricing-profile-string",
     ],
 )
 def test_config_boundary_errors_exit_two(tmp_path, capsys, overrides, message):
@@ -447,6 +470,31 @@ def test_config_boundary_errors_exit_two(tmp_path, capsys, overrides, message):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
     assert lines[0].startswith(message), captured.err
+
+
+@pytest.mark.parametrize(
+    "mechanism",
+    [
+        winner_table([
+            {"profile": ["2", "1", "1"], "winners": [0]},
+            {"profile": ["2", "2/2", "1"], "winners": []},
+        ]),
+        {"family": "EV_PAB", "pricing": {"family": "RULE_TABLE", "entries": [
+            {"profile": ["2", "1", "1"], "mode": "EV"},
+            {"profile": ["4/2", "1", "1"], "mode": "PAB"},
+        ]}},
+    ],
+    ids=["winner-table", "pricing-table"],
+)
+def test_rule_table_profile_listed_twice_exits_two(tmp_path, capsys, mechanism):
+    """Two entries whose profiles normalise alike: neither silently wins."""
+    path = write_config(tmp_path, mechanisms=[mechanism])
+    assert main(["audit", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: bad mechanism spec: rule table lists profile (2, 1, 1) twice\n"
+    )
 
 
 def test_deeply_nested_config_exits_two(tmp_path, capsys):

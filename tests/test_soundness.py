@@ -36,7 +36,7 @@ from mechlab import (
     utility,
     vickrey_mechanism,
 )
-from mechlab.axioms import MODE_SAMPLED, iter_nom_violations
+from mechlab.axioms import MODE_SAMPLED, _iter_nom, _nom_bounds
 from mechlab.search import GridConfig
 
 # analytic NOM bounds
@@ -80,6 +80,12 @@ FAMILIES = {
 }
 
 
+def iter_nom_violations(mechanism, grid, analytic=True):
+    """Obvious manipulations in (agent, true value, misreport) order."""
+    bounds, scope, _ = _nom_bounds(mechanism, grid, analytic)
+    return _iter_nom(grid.values, bounds, scope)
+
+
 def zero_report_realizer(market):
     """Opponents against which a zero report wins for free: all zero but
     the last, so the tie-break hands the spare objects to low indices."""
@@ -94,7 +100,7 @@ def utility_at(mechanism, market, agent, report, opponents, true_value):
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
-@settings(max_examples=8, deadline=None, derandomize=True)
+@settings(max_examples=8, deadline=None)
 @given(
     market=st.sampled_from(MARKETS),
     values=st.sets(st.sampled_from(VALUES), min_size=1, max_size=4),
