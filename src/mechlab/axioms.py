@@ -44,6 +44,7 @@ from .model import (
 
 MODE_EXHAUSTIVE = "exhaustive"
 MODE_SAMPLED = "sampled"
+ENUMERATION_BUDGET = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -53,11 +54,11 @@ class GridSpace:
     This is the one place a grid declaration becomes values: explicit
     value sets are sorted and de-duplicated here (a set shared by several
     agents once), and `from_range` builds a range. An exhaustive grid of
-    more than `budget` profiles is refused at construction. In exhaustive
-    mode `profiles()` yields the full cartesian product in lexicographic
-    order. In sampled mode it yields `samples` profiles drawn uniformly;
-    each draw is keyed by `(seed, index)`, so the stream depends on
-    nothing else.
+    more than `ENUMERATION_BUDGET` profiles is refused at construction.
+    In exhaustive mode `profiles()` yields the full cartesian product in
+    lexicographic order. In sampled mode it yields `samples` profiles
+    drawn uniformly; each draw is keyed by `(seed, index)`, so the stream
+    depends on nothing else.
     """
 
     config: MarketConfig
@@ -65,7 +66,6 @@ class GridSpace:
     mode: str = MODE_EXHAUSTIVE
     seed: int = 0
     samples: int = 0
-    budget: int = 1_000_000
 
     def __post_init__(self) -> None:
         if len(self.values) != self.config.n:
@@ -88,7 +88,7 @@ class GridSpace:
         if self.mode == MODE_SAMPLED and self.samples < 1:
             raise ValueError("sampled mode needs samples >= 1")
         if self.mode == MODE_EXHAUSTIVE:
-            _refuse_over_budget(self.size, self.budget)
+            _refuse_over_budget(self.size)
 
     @classmethod
     def shared(
@@ -122,7 +122,7 @@ class GridSpace:
             )
         count = int(steps) + 1
         if kwargs.get("mode", MODE_EXHAUSTIVE) == MODE_EXHAUSTIVE:
-            _refuse_over_budget(count**config.n, kwargs.get("budget", cls.budget))
+            _refuse_over_budget(count**config.n)
         return cls.shared(
             config, (Fraction(k, denominator) for k in range(count)), **kwargs
         )
@@ -159,11 +159,11 @@ class GridSpace:
                 yield Profile(self.config, combo)
 
 
-def _refuse_over_budget(size: int, budget: int) -> None:
-    if size > budget:
+def _refuse_over_budget(size: int) -> None:
+    if size > ENUMERATION_BUDGET:
         raise ValueError(
             f"{size} profiles exceed the enumeration budget "
-            f"({budget}); switch to sampled mode with a seed"
+            f"({ENUMERATION_BUDGET}); switch to sampled mode with a seed"
         )
 
 

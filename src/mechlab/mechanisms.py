@@ -15,11 +15,15 @@ Each family is defined once, here: its constructor also sets the
 closed-form utility bounds the NOM and BEST_CASE checkers use
 (`Mechanism.bounds`), and its JSON spec is parsed by `mechanism_from_spec`
 (with `WinnerRule.from_spec` and `PricingRule.from_spec`) and echoed by
-`Mechanism.spec`.
+`Mechanism.spec`. Winner and pricing rules are records built the same
+way: each rule constructor sets the rule's label, its `select` or
+`classify` function, its bounds and its spec echo, and only the three
+`from_spec` parsers read a family name. Rule tables take the market.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
@@ -60,7 +64,6 @@ RULE_TABLE = "RULE_TABLE"
 PRICING_ALWAYS_EV = "ALWAYS_EV"
 PRICING_EV_IFF_PRICE_ZERO = "EV_IFF_PRICE_ZERO"
 PRICING_THRESHOLD = "THRESHOLD"
-PRICING_TABLE = "RULE_TABLE"
 
 
 def _winners_allocation(
@@ -124,6 +127,8 @@ def no_trade_allocation(profile: Profile, fee: RationalLike = 0) -> Allocation:
 # bounds(agent, m, report, true_value): the (sup, inf) of the agent's
 # utility over every non-negative opponent profile, in closed form.
 Bounds = Callable[[int, int, Fraction, Fraction], tuple[Fraction, Fraction]]
+# select(profile): the agents a winner rule lets trade.
+Select = Callable[[Profile], frozenset[int]]
 
 
 class Mechanism:
@@ -248,27 +253,58 @@ def no_trade_mechanism(fee: RationalLike = 0) -> Mechanism:
     )
 
 
+def _profile_text(values: Iterable[Fraction]) -> str:
+    return f"({', '.join(rat_str(v) for v in values)})"
+
+
 def _table(
+    market: MarketConfig,
     pairs: Iterable[tuple[Iterable[RationalLike], Any]],
     outcome: Callable[[Any], Any],
 ) -> dict[tuple[Fraction, ...], Any]:
-    """A rule table keyed by normalised profile from (profile, outcome)
-    pairs; two profiles that normalise alike are refused."""
+    """A rule table keyed by normalised profile from (profile, outcome) pairs;
+    each profile must list one non-negative value per agent of `market`, and
+    two profiles that normalise alike are refused."""
     table: dict[tuple[Fraction, ...], Any] = {}
     for key, value in pairs:
         values = tuple(rat(v) for v in key)
+        if len(values) != market.n or min(values) < 0:
+            raise ValueError(
+                f"rule table profile {_profile_text(values)} must list "
+                f"{market.n} non-negative values"
+            )
         if values in table:
-            shown = ", ".join(rat_str(v) for v in values)
-            raise ValueError(f"rule table lists profile ({shown}) twice")
+            raise ValueError(f"rule table lists profile {_profile_text(values)} twice")
         table[values] = outcome(value)
     return table
 
 
-def _spec_entries(spec: dict, outcome: Callable[[dict], Any]) -> list[tuple[list, Any]]:
-    """The (profile, outcome) pairs of a rule table's JSON spec; `entries`
-    and each entry's profile must be JSON lists."""
+def _table_spec(table: Mapping, outcome_key: str, render: Callable) -> dict:
+    """A rule table's canonical JSON spec, entries sorted by profile."""
+    entries = [
+        {"profile": [rat_str(v) for v in key], outcome_key: render(table[key])}
+        for key in sorted(table)
+    ]
+    return {"family": RULE_TABLE, "entries": entries}
+
+
+def _required(spec: Any, key: str, what: str) -> Any:
+    """`spec[key]`; refused, naming `what`, unless `spec` is an object with `key`."""
+    if not isinstance(spec, dict):
+        raise ValueError(f"{what} must be a JSON object, got {json.dumps(spec)}")
+    if key not in spec:
+        raise ValueError(f"{what} is missing its {key}")
+    return spec[key]
+
+
+def _spec_entries(spec: dict, outcome_key: str, parse: Callable) -> list[tuple]:
+    """The (profile, outcome) pairs of a rule table's JSON spec: `entries` is
+    a JSON list of objects, each with a JSON-list profile and the outcome
+    under `outcome_key`, which `parse` reads."""
+    what = "rule table entry"
     return [
-        (json_list(entry["profile"], "rule table profile"), outcome(entry))
+        (json_list(_required(entry, "profile", what), "rule table profile"),
+         parse(_required(entry, outcome_key, what)))
         for entry in json_list(spec.get("entries", []), "rule table entries")
     ]
 
@@ -287,16 +323,12 @@ def _family_spec(spec: Any, what: str) -> tuple[dict, str]:
 # ---------------------------------------------------------------------------
 
 
-WINNER_RULE_FAMILIES = (
-    RULE_EMPTY,
-    RULE_STRICT_WINNERS,
-    RULE_DICTATORIAL_THRESHOLD,
-    RULE_EFFICIENT_WINNERS,
-    RULE_TABLE,
-)
+def _on_tail(pick: Select) -> Select:
+    """`pick` on uniform-tail profiles; nobody on any other profile."""
+    return lambda profile: pick(profile) if has_uniform_tail(profile) else frozenset()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WinnerRule:
     """Selects which agents trade on a uniform-tail profile.
 
@@ -306,130 +338,108 @@ class WinnerRule:
       (iii) if anybody is selected, everyone strictly above the price is;
       (iv)  at most m agents are selected.
 
-    Rule tables map specific value tuples to winner sets and select nobody
-    off the table; `market` records the market a table was written for.
+    Each constructor builds one record: the rule's `label`, its `select`
+    function, selective Vickrey's closed-form `bounds` under it (None for
+    a table) and the `echo` that renders its JSON spec.
+      empty: nobody trades.
+      strict: on a uniform-tail profile, everyone strictly above the price.
+      efficient: on a uniform-tail profile, the efficient families' winners.
+      dictatorial_threshold(a, t): agent a alone, when a reports above t
+        and every other agent reports exactly t.
+      rule_table: the listed winner set at each listed profile, nobody off
+        the table; `market` records the market the table was written for.
     """
 
-    family: str
-    params: tuple = ()
+    label: str
+    select: Select
+    bounds: Bounds | None
+    echo: Callable[[], dict]
     market: MarketConfig | None = None
     table: Mapping[tuple[Fraction, ...], frozenset[int]] | None = None
 
-    def __post_init__(self) -> None:
-        if self.family not in WINNER_RULE_FAMILIES:
-            raise ValueError(f"unknown winner rule family: {self.family}")
+    @property
+    def spec(self) -> dict:
+        """The canonical JSON spec; table entries sorted by profile."""
+        return self.echo()
 
     @classmethod
     def empty(cls) -> "WinnerRule":
-        return cls(RULE_EMPTY)
+        return cls(
+            "empty", lambda profile: frozenset(), partial(_flat_bounds, Fraction(0)),
+            lambda: {"family": RULE_EMPTY},
+        )
 
     @classmethod
     def strict(cls) -> "WinnerRule":
-        return cls(RULE_STRICT_WINNERS)
+        return cls(
+            "strict_winners", _on_tail(strict_winners), _strict_winner_bounds,
+            lambda: {"family": RULE_STRICT_WINNERS},
+        )
 
     @classmethod
     def efficient(cls) -> "WinnerRule":
-        return cls(RULE_EFFICIENT_WINNERS)
+        return cls(
+            "efficient_winners",
+            _on_tail(lambda p: frozenset(_vickrey_winners(p, efficient=True)[1])),
+            _second_price_bounds,
+            lambda: {"family": RULE_EFFICIENT_WINNERS},
+        )
 
     @classmethod
-    def dictatorial_threshold(
-        cls, agent: int, threshold: RationalLike
-    ) -> "WinnerRule":
-        return cls(RULE_DICTATORIAL_THRESHOLD, params=(agent, rat(threshold)))
+    def dictatorial_threshold(cls, agent: int, threshold: RationalLike) -> "WinnerRule":
+        cut = rat(threshold)
+
+        def select(profile: Profile) -> frozenset[int]:
+            others = (v for i, v in enumerate(profile.values) if i != agent)
+            if profile.values[agent] > cut and all(v == cut for v in others):
+                return frozenset({agent})
+            return frozenset()
+
+        return cls(
+            f"dictatorial_threshold({agent},{rat_str(cut)})",
+            select,
+            partial(_dictator_bounds, agent, cut),
+            lambda: {"family": RULE_DICTATORIAL_THRESHOLD, "agent": agent,
+                     "threshold": rat_str(cut)},
+        )
 
     @classmethod
     def rule_table(
-        cls,
-        market: MarketConfig,
-        entries: Mapping[tuple[RationalLike, ...], Iterable[int]],
+        cls, market: MarketConfig, entries: Mapping[tuple[RationalLike, ...], Iterable[int]]
     ) -> "WinnerRule":
-        return cls(RULE_TABLE, market=market, table=_table(entries.items(), frozenset))
+        return cls._of_table(market, entries.items())
+
+    @classmethod
+    def _of_table(cls, market: MarketConfig, pairs: Iterable[tuple]) -> "WinnerRule":
+        table = _table(market, pairs, frozenset)
+        return cls(
+            f"rule_table[{len(table)}]",
+            lambda profile: table.get(profile.values, frozenset()),
+            None,
+            partial(_table_spec, table, "winners", sorted),
+            market=market,
+            table=table,
+        )
 
     @classmethod
     def from_spec(cls, spec: Any, market: MarketConfig) -> "WinnerRule":
         """A rule from its JSON spec (the inverse of `spec`) or bare family name."""
         spec, family = _family_spec(spec, "winner rule")
         if family == RULE_DICTATORIAL_THRESHOLD:
-            agent = integer(spec["agent"], "dictator agent")
+            what = "DICTATORIAL_THRESHOLD winner rule"
+            agent = integer(_required(spec, "agent", what), "dictator agent")
             if not 0 <= agent < market.n:
                 raise ValueError(f"dictator index out of range: {agent}")
-            return cls.dictatorial_threshold(agent, rat(spec["threshold"]))
+            return cls.dictatorial_threshold(agent, _required(spec, "threshold", what))
         if family == RULE_TABLE:
-            pairs = _spec_entries(spec, lambda entry: [
-                integer(i, "rule table winner")
-                for i in json_list(entry["winners"], "rule table winners")
-            ])
-            return cls(RULE_TABLE, market=market, table=_table(pairs, frozenset))
-        return cls(family)
-
-    @property
-    def spec(self) -> dict:
-        """The canonical JSON spec; table entries sorted by profile."""
-        if self.family == RULE_DICTATORIAL_THRESHOLD:
-            agent, threshold = self.params
-            return {
-                "family": self.family,
-                "agent": agent,
-                "threshold": rat_str(threshold),
-            }
-        if self.family == RULE_TABLE:
-            return {
-                "family": self.family,
-                "entries": [
-                    {
-                        "profile": [rat_str(v) for v in key],
-                        "winners": sorted(self.table[key]),
-                    }
-                    for key in sorted(self.table or {})
-                ],
-            }
-        return {"family": self.family}
-
-    @property
-    def label(self) -> str:
-        if self.family == RULE_DICTATORIAL_THRESHOLD:
-            agent, threshold = self.params
-            return f"dictatorial_threshold({agent},{rat_str(threshold)})"
-        if self.family == RULE_TABLE:
-            return f"rule_table[{len(self.table or {})}]"
-        return self.family.lower()
-
-    @property
-    def bounds(self) -> Bounds | None:
-        """Selective Vickrey's closed-form bounds under this rule; None for a table."""
-        if self.family == RULE_EMPTY:
-            return partial(_flat_bounds, Fraction(0))
-        if self.family == RULE_STRICT_WINNERS:
-            return _strict_winner_bounds
-        if self.family == RULE_EFFICIENT_WINNERS:
-            return _second_price_bounds
-        if self.family == RULE_DICTATORIAL_THRESHOLD:
-            return partial(_dictator_bounds, *self.params)
-        return None
-
-    def select(self, profile: Profile) -> frozenset[int]:
-        """The winner set for a profile (empty when nobody trades)."""
-        if self.family == RULE_EMPTY:
-            return frozenset()
-        if self.family == RULE_STRICT_WINNERS:
-            if not has_uniform_tail(profile):
-                return frozenset()
-            return strict_winners(profile)
-        if self.family == RULE_EFFICIENT_WINNERS:
-            if not has_uniform_tail(profile):
-                return frozenset()
-            return frozenset(_vickrey_winners(profile, efficient=True)[1])
-        if self.family == RULE_DICTATORIAL_THRESHOLD:
-            agent, threshold = self.params
-            if profile.values[agent] > threshold and all(
-                v == threshold
-                for i, v in enumerate(profile.values)
-                if i != agent
-            ):
-                return frozenset({agent})
-            return frozenset()
-        assert self.table is not None
-        return self.table.get(profile.values, frozenset())
+            return cls._of_table(market, _spec_entries(spec, "winners", lambda w: [
+                integer(i, "rule table winner") for i in json_list(w, "rule table winners")
+            ]))
+        plain = {RULE_EMPTY: cls.empty, RULE_STRICT_WINNERS: cls.strict,
+                 RULE_EFFICIENT_WINNERS: cls.efficient}
+        if family not in plain:
+            raise ValueError(f"unknown winner rule family: {family}")
+        return plain[family]()
 
 
 def _strict_winner_bounds(
@@ -561,7 +571,7 @@ def validate_winner_rule(rule: WinnerRule, grid: "GridSpace") -> ValidityReport:
     entry scan is complete as well.
     """
     label = rule.label
-    if rule.family != RULE_TABLE:
+    if rule.table is None:
         return ValidityReport(
             subject=label,
             verdict="PASS_ANALYTIC",
@@ -587,7 +597,7 @@ def check_uncompromising(rule: WinnerRule, grid: "GridSpace") -> ValidityReport:
     so this covers every profile of the grid, sampled or not.
     """
     label = rule.label
-    if rule.family != RULE_TABLE:
+    if rule.table is None:
         return ValidityReport(
             subject=label,
             verdict="PASS_ANALYTIC",
@@ -618,13 +628,13 @@ def selective_vickrey_mechanism(rule: WinnerRule) -> Mechanism:
     Rule tables are validated against conditions (i)-(iv) at construction;
     an invalid table is a construction error, not a mechanism that limps.
     """
-    if rule.family == RULE_TABLE:
+    if rule.table is not None:
         _, hit = _scan_rule_conditions(rule)
         if hit is not None:
             condition, witness = hit
             raise ValueError(
                 f"invalid winner rule, condition {condition} at profile "
-                f"({', '.join(rat_str(v) for v in witness['profile'])})"
+                f"{_profile_text(witness['profile'])}"
             )
 
     def fn(profile: Profile) -> Allocation:
@@ -650,95 +660,38 @@ EV = "EV"
 PAB = "PAB"
 
 
-PRICING_RULE_FAMILIES = (
-    PRICING_ALWAYS_EV,
-    PRICING_EV_IFF_PRICE_ZERO,
-    PRICING_THRESHOLD,
-    PRICING_TABLE,
-)
-
-
 def _pricing_mode(mode: str) -> str:
     if mode not in (EV, PAB):
         raise ValueError(f"pricing mode must be EV or PAB, got {mode!r}")
     return mode
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PricingRule:
-    """Classifies each uniform-tail profile as efficient-Vickrey or pay-as-bid."""
+    """Classifies each uniform-tail profile as efficient-Vickrey or pay-as-bid.
 
-    family: str
-    params: tuple = ()
+    Each constructor builds one record: the rule's `label`, its `classify`
+    function, whether every valuation can reach the EV branch
+    (`reaches_ev`; None for a table, which can only be judged on a grid)
+    and the `echo` that renders its JSON spec.
+      always_ev: EV everywhere.
+      ev_iff_price_zero: EV exactly when the Vickrey price is zero.
+      threshold(c): EV when the Vickrey price is at most c. The price is
+        never negative, so a negative c never prices EV; every other rule
+        prices all-zero opponents (price zero) EV.
+      rule_table: the listed mode at each listed profile, PAB off the table.
+    """
+
+    label: str
+    classify: Callable[[Profile], str]
+    reaches_ev: bool | None
+    echo: Callable[[], dict]
     table: Mapping[tuple[Fraction, ...], str] | None = None
-
-    def __post_init__(self) -> None:
-        if self.family not in PRICING_RULE_FAMILIES:
-            raise ValueError(f"unknown pricing rule family: {self.family}")
-
-    @classmethod
-    def always_ev(cls) -> "PricingRule":
-        return cls(PRICING_ALWAYS_EV)
-
-    @classmethod
-    def ev_iff_price_zero(cls) -> "PricingRule":
-        return cls(PRICING_EV_IFF_PRICE_ZERO)
-
-    @classmethod
-    def threshold(cls, cutoff: RationalLike) -> "PricingRule":
-        return cls(PRICING_THRESHOLD, params=(rat(cutoff),))
-
-    @classmethod
-    def rule_table(
-        cls, entries: Mapping[tuple[RationalLike, ...], str]
-    ) -> "PricingRule":
-        return cls(PRICING_TABLE, table=_table(entries.items(), _pricing_mode))
-
-    @classmethod
-    def from_spec(cls, spec: Any) -> "PricingRule":
-        """A rule from its JSON spec (the inverse of `spec`) or bare family name."""
-        spec, family = _family_spec(spec, "pricing rule")
-        if family == PRICING_THRESHOLD:
-            return cls.threshold(rat(spec["cutoff"]))
-        if family == PRICING_TABLE:
-            pairs = _spec_entries(spec, lambda entry: str(entry["mode"]))
-            return cls(PRICING_TABLE, table=_table(pairs, _pricing_mode))
-        return cls(family)
 
     @property
     def spec(self) -> dict:
         """The canonical JSON spec; table entries sorted by profile."""
-        if self.family == PRICING_THRESHOLD:
-            return {"family": self.family, "cutoff": rat_str(self.params[0])}
-        if self.family == PRICING_TABLE:
-            return {
-                "family": self.family,
-                "entries": [
-                    {"profile": [rat_str(v) for v in key], "mode": self.table[key]}
-                    for key in sorted(self.table or {})
-                ],
-            }
-        return {"family": self.family}
-
-    @property
-    def label(self) -> str:
-        if self.family == PRICING_THRESHOLD:
-            return f"threshold({rat_str(self.params[0])})"
-        if self.family == PRICING_TABLE:
-            return f"rule_table[{len(self.table or {})}]"
-        return self.family.lower()
-
-    @property
-    def reaches_ev(self) -> bool | None:
-        """Whether every valuation can reach the EV branch; None for a table.
-
-        The built-in families price all-zero opponents (price zero) EV,
-        except a negative threshold, which never prices any profile EV.
-        A finite table can only be judged on a grid.
-        """
-        if self.family == PRICING_TABLE:
-            return None
-        return self.family != PRICING_THRESHOLD or self.params[0] >= 0
+        return self.echo()
 
     @property
     def bounds(self) -> Bounds | None:
@@ -749,16 +702,61 @@ class PricingRule:
             return None
         return _second_price_bounds if reaches else _own_bid_bounds
 
-    def classify(self, profile: Profile) -> str:
-        """EV or PAB for a uniform-tail profile."""
-        if self.family == PRICING_ALWAYS_EV:
-            return EV
-        if self.family == PRICING_EV_IFF_PRICE_ZERO:
-            return EV if vickrey_price(profile) == 0 else PAB
-        if self.family == PRICING_THRESHOLD:
-            return EV if vickrey_price(profile) <= self.params[0] else PAB
-        assert self.table is not None
-        return self.table.get(profile.values, PAB)
+    @classmethod
+    def always_ev(cls) -> "PricingRule":
+        return cls(
+            "always_ev", lambda profile: EV, True, lambda: {"family": PRICING_ALWAYS_EV}
+        )
+
+    @classmethod
+    def ev_iff_price_zero(cls) -> "PricingRule":
+        return cls(
+            "ev_iff_price_zero",
+            lambda profile: EV if vickrey_price(profile) == 0 else PAB,
+            True,
+            lambda: {"family": PRICING_EV_IFF_PRICE_ZERO},
+        )
+
+    @classmethod
+    def threshold(cls, cutoff: RationalLike) -> "PricingRule":
+        cut = rat(cutoff)
+        return cls(
+            f"threshold({rat_str(cut)})",
+            lambda profile: EV if vickrey_price(profile) <= cut else PAB,
+            cut >= 0,
+            lambda: {"family": PRICING_THRESHOLD, "cutoff": rat_str(cut)},
+        )
+
+    @classmethod
+    def rule_table(
+        cls, market: MarketConfig, entries: Mapping[tuple[RationalLike, ...], str]
+    ) -> "PricingRule":
+        return cls._of_table(market, entries.items())
+
+    @classmethod
+    def _of_table(cls, market: MarketConfig, pairs: Iterable[tuple]) -> "PricingRule":
+        table = _table(market, pairs, _pricing_mode)
+        return cls(
+            f"rule_table[{len(table)}]",
+            lambda profile: table.get(profile.values, PAB),
+            None,
+            partial(_table_spec, table, "mode", str),
+            table=table,
+        )
+
+    @classmethod
+    def from_spec(cls, spec: Any, market: MarketConfig) -> "PricingRule":
+        """A rule from its JSON spec (the inverse of `spec`) or bare family name."""
+        spec, family = _family_spec(spec, "pricing rule")
+        if family == PRICING_THRESHOLD:
+            return cls.threshold(_required(spec, "cutoff", "THRESHOLD pricing rule"))
+        if family == RULE_TABLE:
+            return cls._of_table(market, _spec_entries(spec, "mode", str))
+        plain = {PRICING_ALWAYS_EV: cls.always_ev,
+                 PRICING_EV_IFF_PRICE_ZERO: cls.ev_iff_price_zero}
+        if family not in plain:
+            raise ValueError(f"unknown pricing rule family: {family}")
+        return plain[family]()
 
 
 def ev_pab_mechanism(pricing: PricingRule) -> Mechanism:
@@ -870,7 +868,7 @@ def mechanism_from_spec(spec: Any, market: MarketConfig) -> Mechanism:
     if family == FAMILY_EV_PAB:
         if "pricing" not in spec:
             raise ValueError("EV_PAB needs a pricing rule")
-        return ev_pab_mechanism(PricingRule.from_spec(spec["pricing"]))
+        return ev_pab_mechanism(PricingRule.from_spec(spec["pricing"], market))
     plain = {
         FAMILY_VICKREY: vickrey_mechanism,
         FAMILY_EFFICIENT_VICKREY: efficient_vickrey_mechanism,

@@ -18,6 +18,7 @@ from mechlab import (
     check_anonymity_in_welfare,
     check_ee,
     check_efficiency,
+    check_ev_support,
     check_ir,
     check_no_subsidy,
     check_nom,
@@ -37,6 +38,7 @@ from mechlab import (
     vickrey_mechanism,
     welfare_compare,
     random_uncompromising_rules,
+    random_winner_rule_table,
 )
 from mechlab.cli import load_config, main
 from mechlab.search import GridConfig
@@ -290,3 +292,42 @@ def test_criterion_10_audit_reports_are_deterministic(tmp_path, capsys):
 
     ok = run() == run()
     report(10, ok, "repeat audits byte-identical once timing is stripped")
+
+
+def random_pricing_table(grid, rng):
+    """Each grid profile listed with probability 1/2, priced EV or PAB at random."""
+    return {p.values: rng.choice(("EV", "PAB")) for p in grid.profiles() if rng.random() < 0.5}
+
+
+MID_CAPACITY_GRIDS = [
+    GridConfig(4, 2, values=(0, 1, 2)).space(),
+    GridConfig(5, 2, values=(0, 1, 2)).space(),
+]
+
+
+def test_criterion_11_paper_results_hold_between_one_and_n_minus_one_objects():
+    """At 1 < m < n-1, random uncompromising tables pass EE/SP/IR/NS, and
+    EV/PAB under random pricing tables passes EE/EFF/IR/NS, is never
+    strictly above always-EV, and fails NOM exactly when EV support fails."""
+    ok, nom_fails = True, 0
+    for grid in MID_CAPACITY_GRIDS:
+        market = grid.config
+        always_ev = ev_pab_mechanism(PricingRule.always_ev())
+        for seed in range(5):
+            table = random_winner_rule_table(grid, random.Random(f"winners:{market}:{seed}"))
+            rule = WinnerRule.rule_table(market, table)
+            ok &= validate_winner_rule(rule, grid).ok and check_uncompromising(rule, grid).ok
+            selective = selective_vickrey_mechanism(rule)
+            for check in CORE_AXIOMS:
+                ok &= check(selective, grid).verdict == "PASS_EXHAUSTIVE"
+
+            modes = random_pricing_table(grid, random.Random(f"pricing:{market}:{seed}"))
+            pricing = PricingRule.rule_table(market, modes)
+            mech = ev_pab_mechanism(pricing)
+            for check in (check_ee, check_efficiency, check_ir, check_no_subsidy):
+                ok &= check(mech, grid).verdict == "PASS_EXHAUSTIVE"
+            ok &= welfare_compare(always_ev, mech, grid).strict_second is None
+            nom_failed = check_nom(mech, grid).verdict == "FAIL"
+            ok &= nom_failed == (check_ev_support(pricing, grid).verdict == "FAIL")
+            nom_fails += nom_failed
+    report(11, ok, f"(4,2) and (5,2): 10 winner and 10 pricing tables, NOM fails {nom_fails}")

@@ -204,12 +204,26 @@ def test_welfare_compare_needs_two_mechanisms(tmp_path, capsys):
         ('{"family":"SELECTIVE_VICKREY","rule":{"family":"DICTATORIAL_THRESHOLD",'
          '"agent":5,"threshold":"1"}}', "dictator index out of range: 5"),
         ('{"family":"SELECTIVE_VICKREY","rule":{"family":"DICTATORIAL_THRESHOLD",'
-         '"threshold":"1"}}', "'agent'"),
+         '"threshold":"1"}}', "DICTATORIAL_THRESHOLD winner rule is missing its agent"),
+        ('{"family":"SELECTIVE_VICKREY","rule":{"family":"DICTATORIAL_THRESHOLD",'
+         '"agent":0}}', "DICTATORIAL_THRESHOLD winner rule is missing its threshold"),
+        ('{"family":"EV_PAB","pricing":"THRESHOLD"}',
+         "THRESHOLD pricing rule is missing its cutoff"),
+        ('{"family":"SELECTIVE_VICKREY","rule":{"family":"RULE_TABLE",'
+         '"entries":[{"winners":[0]}]}}', "rule table entry is missing its profile"),
+        ('{"family":"SELECTIVE_VICKREY","rule":{"family":"RULE_TABLE",'
+         '"entries":[{"profile":["1","0","0"]}]}}', "rule table entry is missing its winners"),
+        ('{"family":"EV_PAB","pricing":{"family":"RULE_TABLE",'
+         '"entries":[{"profile":["1","0","0"]}]}}', "rule table entry is missing its mode"),
+        ('{"family":"EV_PAB","pricing":{"family":"RULE_TABLE",'
+         '"entries":[[["1","0","0"],"EV"]]}}',
+         'rule table entry must be a JSON object, got [["1", "0", "0"], "EV"]'),
         ('{"a":' * 5000 + "1" + "}" * 5000, "mechanism spec is nested too deeply"),
     ],
     ids=[
         "family", "winner-rule", "pricing-rule", "dictator-range", "dictator-agent",
-        "nested-too-deep",
+        "dictator-threshold", "threshold-cutoff", "entry-profile", "entry-winners",
+        "entry-mode", "entry-list", "nested-too-deep",
     ],
 )
 def test_eval_bad_spec_exits_two_with_one_line(capsys, spec, message):
@@ -453,6 +467,31 @@ def winner_table(entries):
             }}]},
             'error: bad mechanism spec: rule table profile must be a JSON list, got "000"',
         ),
+        (
+            {"mechanisms": [winner_table([{"profile": ["2", "1", "1", "0"], "winners": [0]}])]},
+            "error: bad mechanism spec: rule table profile (2, 1, 1, 0) must list 3 "
+            "non-negative values",
+        ),
+        (
+            {"mechanisms": [winner_table([{"profile": ["1", "-1", "1"], "winners": []}])]},
+            "error: bad mechanism spec: rule table profile (1, -1, 1) must list 3 "
+            "non-negative values",
+        ),
+        (
+            {"mechanisms": [{"family": "EV_PAB", "pricing": {"family": "RULE_TABLE", "entries": [
+                {"profile": ["1", "0", "0", "0"], "mode": "EV"},
+                {"profile": ["2", "0", "0", "0"], "mode": "EV"},
+            ]}}]},
+            "error: bad mechanism spec: rule table profile (1, 0, 0, 0) must list 3 "
+            "non-negative values",
+        ),
+        (
+            {"mechanisms": [{"family": "EV_PAB", "pricing": {"family": "RULE_TABLE", "entries": [
+                {"profile": ["1", "-1", "1"], "mode": "PAB"},
+            ]}}]},
+            "error: bad mechanism spec: rule table profile (1, -1, 1) must list 3 "
+            "non-negative values",
+        ),
     ],
     ids=[
         "mode-not-object", "output-not-object", "float-agents", "bool-objects",
@@ -460,6 +499,8 @@ def winner_table(entries):
         "float-dictator", "float-winner", "values-string", "per-agent-strings",
         "aiw-unshared-grid", "axioms-string", "mechanisms-string", "mechanisms-object",
         "entries-object", "profile-string", "winners-string", "pricing-profile-string",
+        "winner-profile-length", "winner-profile-negative", "pricing-profile-length",
+        "pricing-profile-negative",
     ],
 )
 def test_config_boundary_errors_exit_two(tmp_path, capsys, overrides, message):

@@ -5,6 +5,7 @@ allocation a Vickrey-price family admits, and `select_canonical` takes
 the least by (winner tuple, bundles).
 """
 
+import json
 import random
 from fractions import Fraction
 from itertools import combinations, product
@@ -39,8 +40,8 @@ from mechlab import (
     vickrey_mechanism,
     vickrey_price,
 )
-from mechlab.mechanisms import EV
-from mechlab.search import GridConfig
+from mechlab.mechanisms import EV, PAB
+from mechlab.search import GridConfig, random_winner_rule_table
 
 CFG1 = MarketConfig(3, 1)
 CFG2 = MarketConfig(3, 2)
@@ -257,16 +258,113 @@ def test_canonical_pick_is_the_least_sorted_winner_tuple(make, values, m, winner
 
 def test_rules_refuse_an_unknown_family_at_construction():
     with pytest.raises(ValueError, match="unknown winner rule family: NOPE"):
-        WinnerRule("NOPE")
+        WinnerRule.from_spec("NOPE", CFG1)
     with pytest.raises(ValueError, match="unknown pricing rule family: NOPE"):
-        PricingRule("NOPE")
+        PricingRule.from_spec({"family": "nope"}, CFG1)
+
+
+# Each rule by its definition in the class docstrings, on bare value tuples.
+
+
+def oracle_price(values, m):
+    return sorted(values, reverse=True)[m]
+
+
+def oracle_on_tail(pick):
+    def select(values, m):
+        return pick(values, m) if min(values) == oracle_price(values, m) else frozenset()
+    return select
+
+
+def oracle_strict(values, m):
+    return frozenset(i for i, v in enumerate(values) if v > oracle_price(values, m))
+
+
+def oracle_efficient(values, m):
+    profile = make_profile(MarketConfig(len(values), m), values)
+    return frozenset(select_canonical(efficient_vickrey_set(profile)).winners)
+
+
+def oracle_dictator(agent, cut):
+    def select(values, m):
+        others = [v for i, v in enumerate(values) if i != agent]
+        return frozenset({agent}) if values[agent] > cut and set(others) == {cut} else frozenset()
+    return select
+
+
+def oracle_threshold(cut):
+    """EV when the price is at most `cut`; at cut 0 that is EV iff the price
+    is zero, since no price is negative."""
+    return lambda values, m: EV if oracle_price(values, m) <= cut else PAB
+
+
+def random_pricing_table(grid, rng):
+    """Each grid profile listed with probability 1/2, priced EV or PAB at random."""
+    return {p.values: rng.choice((EV, PAB)) for p in grid.profiles() if rng.random() < 0.5}
+
+
+def rules_with_oracles(grid):
+    """Every built-in winner and pricing rule plus three seeded random tables
+    of each kind, each paired with its oracle."""
+    winners = [
+        (WinnerRule.empty(), lambda values, m: frozenset()),
+        (WinnerRule.strict(), oracle_on_tail(oracle_strict)),
+        (WinnerRule.efficient(), oracle_on_tail(oracle_efficient)),
+        *(
+            (WinnerRule.dictatorial_threshold(agent, cut), oracle_dictator(agent, cut))
+            for agent, cut in ((0, 2), (0, -1), (1, Fraction(1, 2)))
+        ),
+    ]
+    pricings = [
+        (PricingRule.always_ev(), lambda values, m: EV),
+        (PricingRule.ev_iff_price_zero(), oracle_threshold(0)),
+        *((PricingRule.threshold(cut), oracle_threshold(cut)) for cut in (0, 1, -1)),
+    ]
+    for seed in range(3):
+        table = random_winner_rule_table(grid, random.Random(f"winners:{seed}"))
+        winners.append((
+            WinnerRule.rule_table(grid.config, table),
+            lambda values, m, table=table: table.get(values, frozenset()),
+        ))
+        modes = random_pricing_table(grid, random.Random(f"pricing:{seed}"))
+        pricings.append((
+            PricingRule.rule_table(grid.config, modes),
+            lambda values, m, modes=modes: modes.get(values, PAB),
+        ))
+    return [(WinnerRule, rule, "select", oracle) for rule, oracle in winners] + [
+        (PricingRule, rule, "classify", oracle) for rule, oracle in pricings
+    ]
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [GridConfig(3, 1, values=range(4)).space(), GridConfig(4, 2, values=range(3)).space()],
+    ids=["3x1-0..3", "4x2-0..2"],
+)
+def test_rule_records_match_their_definitions_and_round_trip(grid):
+    """Each rule record selects or classifies as its definition says, and
+    `from_spec` of its JSON spec rebuilds the same label, spec, outcomes
+    and closed-form bounds."""
+    market, values = grid.config, grid.shared_values
+    for kind, rule, outcome, oracle in rules_with_oracles(grid):
+        again = kind.from_spec(json.loads(json.dumps(rule.spec)), market)
+        assert (again.label, again.spec) == (rule.label, rule.spec)
+        for profile in grid.profiles():
+            want = oracle(profile.values, market.m)
+            assert getattr(rule, outcome)(profile) == want, (rule.label, profile.values)
+            assert getattr(again, outcome)(profile) == want, (rule.label, profile.values)
+        assert (rule.bounds is None) == (again.bounds is None), rule.label
+        if rule.bounds is not None:
+            for agent, report, value in product(market.agents, values, values):
+                args = (agent, market.m, report, value)
+                assert rule.bounds(*args) == again.bounds(*args), (rule.label, args)
 
 
 def test_rule_tables_refuse_a_profile_listed_twice():
     with pytest.raises(ValueError, match=r"rule table lists profile \(2, 1, 1\) twice"):
         WinnerRule.rule_table(CFG1, {(2, 1, 1): (0,), ("4/2", "1", 1): ()})
     with pytest.raises(ValueError, match=r"rule table lists profile \(1, 1, 1\) twice"):
-        PricingRule.rule_table({(1, 1, 1): EV, ("1", "2/2", 1): "PAB"})
+        PricingRule.rule_table(CFG1, {(1, 1, 1): EV, ("1", "2/2", 1): "PAB"})
 
 
 def test_vickrey_canonical_allocates_only_strict_winners():
@@ -541,7 +639,7 @@ def test_check_ev_support_negative_threshold_fails():
 
 def test_check_ev_support_table_verdicts():
     grid = GridConfig(3, 1, values=(0, 1, 2, 3)).space()
-    sparse = PricingRule.rule_table({(0, 0, 0): EV})
+    sparse = PricingRule.rule_table(grid.config, {(0, 0, 0): EV})
     gap = check_ev_support(sparse, grid)
     assert gap.verdict == "FAIL"
     assert gap.witness == {"agent": 0, "value": 1}
@@ -551,7 +649,7 @@ def test_check_ev_support_table_verdicts():
             key = [0, 0, 0]
             key[i] = v
             entries[tuple(key)] = EV
-    covering = check_ev_support(PricingRule.rule_table(entries), grid)
+    covering = check_ev_support(PricingRule.rule_table(grid.config, entries), grid)
     # grid coverage is not coverage of every rational valuation
     assert covering.verdict == "NOT_CERTIFIED"
 
