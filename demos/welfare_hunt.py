@@ -7,14 +7,13 @@ from mechlab import (
     PricingRule,
     check_nom,
     check_sp,
-    check_uncompromising,
     ev_pab_mechanism,
     pay_as_bid_mechanism,
     random_uncompromising_rules,
     selective_vickrey_mechanism,
-    validate_winner_rule,
     welfare_compare,
 )
+from mechlab.axioms import check_uncompromising, validate_winner_rule
 from mechlab.search import GridConfig
 
 grid = GridConfig(3, 1, values=(0, 1, 2, 3)).space()
@@ -52,6 +51,6 @@ print()
 print("Random uncompromising winner rules are strategyproof by construction")
 for rule in random_uncompromising_rules(grid, count=3, seed=99):
     mech = selective_vickrey_mechanism(rule)
-    print(f"  {rule.label:22s} valid={validate_winner_rule(rule, grid).ok} "
-          f"uncompromising={check_uncompromising(rule, grid).ok} "
+    print(f"  {rule.label:22s} valid={validate_winner_rule(rule, grid).passed} "
+          f"uncompromising={check_uncompromising(rule, grid).passed} "
           f"SP={check_sp(mech, grid).verdict}")

@@ -29,11 +29,8 @@ from .model import (
 from .mechanisms import (
     Mechanism,
     PricingRule,
-    ValidityReport,
     WinnerRule,
     builtin_mechanisms,
-    check_ev_support,
-    check_uncompromising,
     efficient_vickrey_mechanism,
     ev_pab_mechanism,
     mechanism_from_spec,
@@ -41,7 +38,6 @@ from .mechanisms import (
     pay_as_bid_mechanism,
     selective_vickrey_mechanism,
     strict_winners,
-    validate_winner_rule,
     vickrey_mechanism,
 )
 from .axioms import (
@@ -54,14 +50,17 @@ from .axioms import (
     check_ee,
     check_efficiency,
     check_envy_freeness,
+    check_ev_support,
     check_ir,
     check_no_subsidy,
     check_nom,
     check_sp,
+    check_uncompromising,
     find_reference_bundle,
     nom_report_bounds,
     refresh_witness,
     replay_witness,
+    validate_winner_rule,
     welfare_compare,
     witness_from_json,
     witness_to_json,

@@ -18,6 +18,11 @@ witness replay (`refresh_witness`) and shrinking all run that one
 definition. Scans never early-exit: `profiles_checked` counts every
 profile, and the reported witness is the lexicographically first
 violation.
+
+The structural checks on winner and pricing rules (`validate_winner_rule`,
+`check_uncompromising`, `check_ev_support`) return the same report, with
+the failed condition in `details["condition"]`; they are not in
+`CHECKERS`, which maps the axioms a mechanism is audited against.
 """
 
 from __future__ import annotations
@@ -28,18 +33,20 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Iterator
 
-from .mechanisms import Mechanism
+from .mechanisms import EV, Hit, Mechanism, PricingRule, WinnerRule
 from .model import (
     Bundle,
     MarketConfig,
     Profile,
     RationalLike,
     achieved_surplus,
+    has_uniform_tail,
     optimal_surplus,
     rat,
     rat_str,
     utilities,
     utility,
+    vickrey_price,
 )
 
 MODE_EXHAUSTIVE = "exhaustive"
@@ -169,7 +176,12 @@ def _refuse_over_budget(size: int) -> None:
 
 @dataclass(frozen=True)
 class AxiomReport:
-    """One checker's verdict for one mechanism, with the first witness on FAIL."""
+    """One checker's verdict, with the first witness on FAIL.
+
+    The axiom checkers judge a mechanism; the rule checks (`VALID`,
+    `UNCOMPROMISING`, `EV_SUPPORT`) judge a winner or pricing rule, and a
+    failed one names the violated condition in `details["condition"]`.
+    """
 
     axiom: str
     verdict: str
@@ -703,6 +715,123 @@ def check_best_case_utility(
 
 
 # ---------------------------------------------------------------------------
+# Rule conditions (selective Vickrey winner rules, EV/PAB pricing rules)
+# ---------------------------------------------------------------------------
+
+
+def _refuse_other_market(market: MarketConfig, grid: GridSpace) -> None:
+    """A rule table is only checked on a grid of the market it was written for."""
+    if market != grid.config:
+        raise ValueError(
+            f"rule table market (n={market.n}, m={market.m}) differs from "
+            f"the grid market (n={grid.config.n}, m={grid.config.m})"
+        )
+
+
+def _scan_report(
+    axiom: str, scan: tuple[int, Hit | None], verdict: str, details: dict
+) -> AxiomReport:
+    """`verdict` when a table's entry scan found no violation, else FAIL
+    with the first one's witness and condition."""
+    checked, hit = scan
+    if hit is None:
+        return AxiomReport(axiom, verdict, None, checked, details)
+    condition, witness = hit
+    details = {**details, "condition": condition}
+    return AxiomReport(axiom, "FAIL", witness, checked, details)
+
+
+def validate_winner_rule(rule: WinnerRule, grid: GridSpace) -> AxiomReport:
+    """VALID: selection conditions (i)-(iv).
+
+    The built-in families satisfy them by construction, so the verdict is
+    analytic. A rule table is checked entry by entry; profiles off the
+    table select nobody and satisfy every condition vacuously, so the
+    entry scan is complete as well.
+    """
+    if rule.table is None:
+        details = {"method": "family satisfies the conditions by construction"}
+        return AxiomReport("VALID", "PASS_ANALYTIC", details=details)
+    _refuse_other_market(rule.market, grid)
+    return _scan_report(
+        "VALID",
+        rule.scan_conditions(),
+        "PASS_ANALYTIC",
+        {"method": "entry scan (off-table profiles select nobody)"},
+    )
+
+
+def check_uncompromising(rule: WinnerRule, grid: GridSpace) -> AxiomReport:
+    """UNCOMPROMISING: a selected agent stays selected after raising their report.
+
+    Required: if agent i is selected at v and v'_i exceeds the Vickrey
+    price of v, then i is still selected at (v'_i, v_-i). The built-in
+    families satisfy this for every real-valued raise (analytic verdict).
+    A rule table is checked over the grid's value sets, the scope the
+    strategy checkers use: each table entry on those sets is raised to
+    every grid value above its price. Off-table profiles select nobody,
+    so this covers every profile of the grid, sampled or not.
+    """
+    if rule.table is None:
+        details = {"method": "raising a selected report keeps the rule's trigger"}
+        return AxiomReport("UNCOMPROMISING", "PASS_ANALYTIC", details=details)
+    _refuse_other_market(rule.market, grid)
+
+    def dropped(values: tuple[Fraction, ...], selected: frozenset[int]) -> Hit | None:
+        profile = Profile(grid.config, values)
+        price = vickrey_price(profile)
+        for i in sorted(selected):
+            for raised in grid.values[i]:
+                if raised > price and i not in rule.select(profile.with_value(i, raised)):
+                    witness = {"profile": values, "agent": i, "raised_value": raised}
+                    return "selected agent dropped after raising their report", witness
+        return None
+
+    return _scan_report(
+        "UNCOMPROMISING",
+        rule.scan_entries(dropped, grid.values),
+        "PASS_EXHAUSTIVE",
+        {"scope": "grid"},
+    )
+
+
+def check_ev_support(pricing: PricingRule, grid: GridSpace) -> AxiomReport:
+    """EV_SUPPORT: every positive valuation can reach an efficient-Vickrey outcome.
+
+    Required: for each agent i and each v_i > 0 there are opponents, with
+    minimum valuation zero, forming a uniform-tail profile the rule prices
+    EV. The built-in families settle this analytically (`reaches_ev`). A
+    finite pricing table can only ever be certified relative to the
+    grid's value sets: values it never mentions fall back to pay-as-bid.
+    """
+    reaches = pricing.reaches_ev
+    if reaches:
+        details = {"witness_shape": "all-zero opponents price at zero, classified EV"}
+        return AxiomReport("EV_SUPPORT", "PASS_ANALYTIC", details=details)
+    if reaches is False:
+        first_positive = next((v for v in grid.values[0] if v > 0), Fraction(1))
+        witness = {"agent": 0, "value": first_positive}
+        details = {"condition": "no profile is ever classified EV"}
+        return AxiomReport("EV_SUPPORT", "FAIL", witness, details=details)
+    _refuse_other_market(pricing.market, grid)
+    market = grid.config
+    supported = set()  # (agent, value) pairs an EV-priced entry reaches
+    for key, mode in pricing.table.items():
+        if mode == EV and has_uniform_tail(Profile(market, key)):
+            zeros = key.count(0)  # an agent is reached if some opponent reports 0
+            supported.update((i, v) for i, v in enumerate(key) if zeros > (v == 0))
+    wanted = [(i, v) for i in market.agents for v in grid.values[i] if v > 0]
+    details = {"scope": "grid"}
+    for checked, (i, value) in enumerate(wanted, 1):
+        if (i, value) not in supported:
+            details["condition"] = "no EV-classified profile supports this valuation"
+            witness = {"agent": i, "value": value}
+            return AxiomReport("EV_SUPPORT", "FAIL", witness, checked, details)
+    details["reason"] = "a finite table cannot cover every positive valuation"
+    return AxiomReport("EV_SUPPORT", "NOT_CERTIFIED", None, len(wanted), details)
+
+
+# ---------------------------------------------------------------------------
 # Welfare comparison
 # ---------------------------------------------------------------------------
 
@@ -721,6 +850,12 @@ class WelfareComparison:
     strict_first: dict | None
     strict_second: dict | None
     profiles_checked: int
+
+    @property
+    def never_beaten(self) -> bool:
+        """The second mechanism never gives anyone strictly more: the
+        relation is DOMINATES or EQUAL."""
+        return self.strict_second is None
 
     def to_json(self) -> dict:
         out: dict[str, Any] = {

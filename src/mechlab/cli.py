@@ -307,11 +307,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
         base = config.mechanisms[0]
         for other in config.mechanisms[1:]:
             outcome = welfare_compare(base, other, grid)
-            verdict = (
-                grid.pass_verdict
-                if outcome.relation in ("DOMINATES", "EQUAL")
-                else "FAIL"
-            )
+            verdict = grid.pass_verdict if outcome.never_beaten else "FAIL"
             verdicts.append(verdict)
             comparisons.append(
                 {

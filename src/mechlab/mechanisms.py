@@ -18,19 +18,19 @@ closed-form utility bounds the NOM and BEST_CASE checkers use
 `Mechanism.spec`. Winner and pricing rules are records built the same
 way: each rule constructor sets the rule's label, its `select` or
 `classify` function, its bounds and its spec echo, and only the three
-`from_spec` parsers read a family name. Rule tables take the market.
+`from_spec` parsers read a family name. Rule tables take and record the
+market. `WinnerRule.scan_entries` is the one walk over a winner table's
+entries: construction validates a table with it, and the rule checks in
+`axioms` (`validate_winner_rule`, `check_uncompromising`) report from it.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping
-
-if TYPE_CHECKING:  # pragma: no cover - annotation-only import
-    from .axioms import GridSpace
+from typing import Any, Callable, Iterable, Mapping
 
 from .model import (
     Allocation,
@@ -45,6 +45,7 @@ from .model import (
     json_list,
     rat,
     rat_str,
+    rational,
     vickrey_price,
 )
 
@@ -129,6 +130,8 @@ def no_trade_allocation(profile: Profile, fee: RationalLike = 0) -> Allocation:
 Bounds = Callable[[int, int, Fraction, Fraction], tuple[Fraction, Fraction]]
 # select(profile): the agents a winner rule lets trade.
 Select = Callable[[Profile], frozenset[int]]
+# A violated rule condition and its witness.
+Hit = tuple[str, dict]
 
 
 class Mechanism:
@@ -242,7 +245,7 @@ def pay_as_bid_mechanism() -> Mechanism:
 
 
 def no_trade_mechanism(fee: RationalLike = 0) -> Mechanism:
-    f = rat(fee)
+    f = rational(fee, "NO_TRADE fee")
     name = "no_trade" if f == 0 else f"no_trade(fee={rat_str(f)})"
     return Mechanism(
         name,
@@ -267,7 +270,7 @@ def _table(
     two profiles that normalise alike are refused."""
     table: dict[tuple[Fraction, ...], Any] = {}
     for key, value in pairs:
-        values = tuple(rat(v) for v in key)
+        values = tuple(rational(v, "rule table profile value") for v in key)
         if len(values) != market.n or min(values) < 0:
             raise ValueError(
                 f"rule table profile {_profile_text(values)} must list "
@@ -362,6 +365,34 @@ class WinnerRule:
         """The canonical JSON spec; table entries sorted by profile."""
         return self.echo()
 
+    def scan_entries(
+        self,
+        violation: Callable[[tuple[Fraction, ...], frozenset[int]], Hit | None],
+        on: Iterable[Iterable[Fraction]] | None = None,
+    ) -> tuple[int, Hit | None]:
+        """Walk the table's entries in sorted order up to the first violation.
+
+        With `on` (one value set per agent), entries off those sets are
+        skipped. Returns how many entries were checked and the first hit, or
+        None when every entry holds.
+        """
+        value_sets = None if on is None else [frozenset(vals) for vals in on]
+        checked = 0
+        for values in sorted(self.table):
+            if value_sets is not None and any(
+                v not in vals for v, vals in zip(values, value_sets)
+            ):
+                continue
+            checked += 1
+            hit = violation(values, self.table[values])
+            if hit is not None:
+                return checked, hit
+        return checked, None
+
+    def scan_conditions(self) -> tuple[int, Hit | None]:
+        """Check the table's selection conditions (i)-(iv) entry by entry."""
+        return self.scan_entries(partial(_rule_condition_violation, self.market))
+
     @classmethod
     def empty(cls) -> "WinnerRule":
         return cls(
@@ -387,7 +418,7 @@ class WinnerRule:
 
     @classmethod
     def dictatorial_threshold(cls, agent: int, threshold: RationalLike) -> "WinnerRule":
-        cut = rat(threshold)
+        cut = rational(threshold, "DICTATORIAL_THRESHOLD winner rule threshold")
 
         def select(profile: Profile) -> frozenset[int]:
             others = (v for i, v in enumerate(profile.values) if i != agent)
@@ -470,31 +501,12 @@ def _dictator_bounds(
     return (max(gain, zero), min(gain, zero))
 
 
-@dataclass(frozen=True)
-class ValidityReport:
-    """Outcome of a structural check on a rule, with a witness when it fails."""
-
-    subject: str
-    verdict: str  # PASS_ANALYTIC | PASS_EXHAUSTIVE | FAIL | NOT_CERTIFIED
-    condition: str | None = None
-    witness: dict | None = None
-    profiles_checked: int = 0
-    details: dict = field(default_factory=dict)
-
-    @property
-    def ok(self) -> bool:
-        return self.verdict.startswith("PASS")
-
-
 def _rule_condition_violation(
     market: MarketConfig, values: tuple[Fraction, ...], selected: frozenset[int]
-) -> tuple[str, dict] | None:
+) -> Hit | None:
     """First violated selection condition at one profile, or None."""
     profile = Profile(market, values)
-    witness = {
-        "profile": values,
-        "winners": sorted(selected),
-    }
+    witness = {"profile": values, "winners": sorted(selected)}
     if selected and not has_uniform_tail(profile):
         return "(i) selection off a uniform-tail profile", witness
     if any(i < 0 or i >= market.n for i in selected):
@@ -509,119 +521,6 @@ def _rule_condition_violation(
     return None
 
 
-# A violated condition and its witness.
-Hit = tuple[str, dict]
-
-
-def _scan_rule_table(
-    rule: WinnerRule,
-    violation: Callable[[tuple[Fraction, ...], frozenset[int]], Hit | None],
-    on: Iterable[Iterable[Fraction]] | None = None,
-) -> tuple[int, Hit | None]:
-    """Walk a rule table's entries in sorted order up to the first violation.
-
-    With `on` (one value set per agent), entries off those sets are
-    skipped. Returns how many entries were checked and the first hit, or
-    None when every entry holds.
-    """
-    assert rule.table is not None
-    value_sets = None if on is None else [frozenset(vals) for vals in on]
-    checked = 0
-    for values in sorted(rule.table):
-        if value_sets is not None and (
-            len(values) != len(value_sets)
-            or any(v not in vals for v, vals in zip(values, value_sets))
-        ):
-            continue
-        checked += 1
-        hit = violation(values, rule.table[values])
-        if hit is not None:
-            return checked, hit
-    return checked, None
-
-
-def _scan_rule_conditions(rule: WinnerRule) -> tuple[int, Hit | None]:
-    """Check selection conditions (i)-(iv) entry by entry."""
-    if rule.market is None:
-        raise ValueError("rule table has no market attached")
-    return _scan_rule_table(rule, partial(_rule_condition_violation, rule.market))
-
-
-def _table_report(
-    label: str, scan: tuple[int, Hit | None], verdict: str, details: dict
-) -> ValidityReport:
-    checked, hit = scan
-    condition, witness = hit or (None, None)
-    return ValidityReport(
-        subject=label,
-        verdict="FAIL" if hit else verdict,
-        condition=condition,
-        witness=witness,
-        profiles_checked=checked,
-        details=details,
-    )
-
-
-def validate_winner_rule(rule: WinnerRule, grid: "GridSpace") -> ValidityReport:
-    """Check selection conditions (i)-(iv).
-
-    The built-in families satisfy them by construction, so the verdict is
-    analytic. A rule table is checked entry by entry; profiles off the
-    table select nobody and satisfy every condition vacuously, so the
-    entry scan is complete as well.
-    """
-    label = rule.label
-    if rule.table is None:
-        return ValidityReport(
-            subject=label,
-            verdict="PASS_ANALYTIC",
-            details={"method": "family satisfies the conditions by construction"},
-        )
-    return _table_report(
-        label,
-        _scan_rule_conditions(rule),
-        "PASS_ANALYTIC",
-        {"method": "entry scan (off-table profiles select nobody)"},
-    )
-
-
-def check_uncompromising(rule: WinnerRule, grid: "GridSpace") -> ValidityReport:
-    """Check that a selected agent stays selected after raising their report.
-
-    Required: if agent i is selected at v and v'_i exceeds the Vickrey
-    price of v, then i is still selected at (v'_i, v_-i). The built-in
-    families satisfy this for every real-valued raise (analytic verdict).
-    A rule table is checked over the grid's value sets, the scope the
-    strategy checkers use: each table entry on those sets is raised to
-    every grid value above its price. Off-table profiles select nobody,
-    so this covers every profile of the grid, sampled or not.
-    """
-    label = rule.label
-    if rule.table is None:
-        return ValidityReport(
-            subject=label,
-            verdict="PASS_ANALYTIC",
-            details={"method": "raising a selected report keeps the rule's trigger"},
-        )
-
-    def dropped(values: tuple[Fraction, ...], selected: frozenset[int]) -> Hit | None:
-        profile = Profile(grid.config, values)
-        price = vickrey_price(profile)
-        for i in sorted(selected):
-            for raised in grid.values[i]:
-                if raised > price and i not in rule.select(profile.with_value(i, raised)):
-                    witness = {"profile": values, "agent": i, "raised_value": raised}
-                    return "selected agent dropped after raising their report", witness
-        return None
-
-    return _table_report(
-        label,
-        _scan_rule_table(rule, dropped, grid.values),
-        "PASS_EXHAUSTIVE",
-        {"scope": "grid"},
-    )
-
-
 def selective_vickrey_mechanism(rule: WinnerRule) -> Mechanism:
     """Winner-rule trade at the Vickrey price, no-trade when nobody is selected.
 
@@ -629,7 +528,7 @@ def selective_vickrey_mechanism(rule: WinnerRule) -> Mechanism:
     an invalid table is a construction error, not a mechanism that limps.
     """
     if rule.table is not None:
-        _, hit = _scan_rule_conditions(rule)
+        _, hit = rule.scan_conditions()
         if hit is not None:
             condition, witness = hit
             raise ValueError(
@@ -679,13 +578,15 @@ class PricingRule:
       threshold(c): EV when the Vickrey price is at most c. The price is
         never negative, so a negative c never prices EV; every other rule
         prices all-zero opponents (price zero) EV.
-      rule_table: the listed mode at each listed profile, PAB off the table.
+      rule_table: the listed mode at each listed profile, PAB off the table;
+        `market` records the market the table was written for.
     """
 
     label: str
     classify: Callable[[Profile], str]
     reaches_ev: bool | None
     echo: Callable[[], dict]
+    market: MarketConfig | None = None
     table: Mapping[tuple[Fraction, ...], str] | None = None
 
     @property
@@ -719,7 +620,7 @@ class PricingRule:
 
     @classmethod
     def threshold(cls, cutoff: RationalLike) -> "PricingRule":
-        cut = rat(cutoff)
+        cut = rational(cutoff, "THRESHOLD pricing rule cutoff")
         return cls(
             f"threshold({rat_str(cut)})",
             lambda profile: EV if vickrey_price(profile) <= cut else PAB,
@@ -741,6 +642,7 @@ class PricingRule:
             lambda profile: table.get(profile.values, PAB),
             None,
             partial(_table_spec, table, "mode", str),
+            market=market,
             table=table,
         )
 
@@ -777,72 +679,6 @@ def ev_pab_mechanism(pricing: PricingRule) -> Mechanism:
     )
 
 
-def check_ev_support(pricing: PricingRule, grid: "GridSpace") -> ValidityReport:
-    """Check that every positive valuation can reach an efficient-Vickrey outcome.
-
-    Required: for each agent i and each v_i > 0 there are opponents, with
-    minimum valuation zero, forming a uniform-tail profile the rule prices
-    EV. The built-in families settle this analytically (`reaches_ev`). A
-    finite pricing table can only ever be certified relative to the
-    grid's value sets: values it never mentions fall back to pay-as-bid.
-    """
-    label = pricing.label
-    reaches = pricing.reaches_ev
-    if reaches:
-        return ValidityReport(
-            subject=label,
-            verdict="PASS_ANALYTIC",
-            details={"witness_shape": "all-zero opponents price at zero, classified EV"},
-        )
-    if reaches is False:
-        first_positive = next(
-            (v for v in grid.values[0] if v > 0), Fraction(1)
-        )
-        return ValidityReport(
-            subject=label,
-            verdict="FAIL",
-            condition="no profile is ever classified EV",
-            witness={"agent": 0, "value": first_positive},
-        )
-    assert pricing.table is not None
-    market = grid.config
-    checked = 0
-    ev_entries = sorted(k for k, mode in pricing.table.items() if mode == EV)
-    for i in range(market.n):
-        for value in grid.values[i]:
-            if value <= 0:
-                continue
-            checked += 1
-            found = False
-            for key in ev_entries:
-                if len(key) != market.n or key[i] != value:
-                    continue
-                opponents = [v for j, v in enumerate(key) if j != i]
-                if min(opponents) != 0:
-                    continue
-                if has_uniform_tail(Profile(market, key)):
-                    found = True
-                    break
-            if not found:
-                return ValidityReport(
-                    subject=label,
-                    verdict="FAIL",
-                    condition="no EV-classified profile supports this valuation",
-                    witness={"agent": i, "value": value},
-                    profiles_checked=checked,
-                    details={"scope": "grid"},
-                )
-    return ValidityReport(
-        subject=label,
-        verdict="NOT_CERTIFIED",
-        profiles_checked=checked,
-        details={
-            "scope": "grid",
-            "reason": "a finite table cannot cover every positive valuation",
-        },
-    )
-
-
 def builtin_mechanisms() -> list[Mechanism]:
     """A tour of one mechanism per family, for demos and smoke tests."""
     return [
@@ -860,7 +696,7 @@ def mechanism_from_spec(spec: Any, market: MarketConfig) -> Mechanism:
     bare family name."""
     spec, family = _family_spec(spec, "mechanism")
     if family == FAMILY_NO_TRADE:
-        return no_trade_mechanism(rat(spec.get("fee", 0)))
+        return no_trade_mechanism(spec.get("fee", 0))
     if family == FAMILY_SELECTIVE_VICKREY:
         if "rule" not in spec:
             raise ValueError("SELECTIVE_VICKREY needs a winner rule")

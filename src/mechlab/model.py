@@ -30,8 +30,21 @@ def rat(value: RationalLike) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value.strip())
+        try:
+            return Fraction(value.strip())
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
     raise TypeError(f"expected int, str or Fraction, got {type(value).__name__}")
+
+
+def rational(value: Any, what: str) -> Fraction:
+    """An exact rational field; anything `rat` refuses is refused naming `what`."""
+    try:
+        return rat(value)
+    except (TypeError, ValueError):
+        raise ValueError(
+            f"{what} must be an exact rational, got {json.dumps(value, default=repr)}"
+        ) from None
 
 
 def integer(value: Any, what: str) -> int:

@@ -6,7 +6,9 @@ drops, that every valid uncompromising winner rule yields a clean
 strategy-proof mechanism, that the EV/PAB family trades efficiency
 against manipulability, and how the pricing variants rank in welfare.
 Each suite carries its own expected pattern so a caller can ask whether
-reality still matches it.
+reality still matches it. Every suite sweeps `SUITE_GRID` and is a list
+of rows (label, report per column, the columns expected to read other
+than PASS) that `SuiteResult.from_rows` turns into the matrix.
 """
 
 from __future__ import annotations
@@ -19,8 +21,12 @@ from typing import Any, Iterable, Mapping, Sequence
 from .axioms import (
     CHECKERS,
     POINTWISE,
+    AxiomReport,
     GridSpace,
+    check_ev_support,
+    check_uncompromising,
     refresh_witness,
+    validate_winner_rule,
     welfare_compare,
     witness_to_json,
 )
@@ -28,14 +34,11 @@ from .mechanisms import (
     Mechanism,
     PricingRule,
     WinnerRule,
-    check_ev_support,
-    check_uncompromising,
     ev_pab_mechanism,
     no_trade_mechanism,
     pay_as_bid_mechanism,
     selective_vickrey_mechanism,
     strict_winners,
-    validate_winner_rule,
     vickrey_mechanism,
 )
 from .model import (
@@ -225,6 +228,11 @@ def format_rows(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
     return "\n".join([render(header), divider, *(render(row) for row in rows)])
 
 
+# One suite row: its label, the report of each column (anything with a
+# `verdict` and a `witness`) and the columns expected to read other than PASS.
+Row = tuple[str, Mapping[str, Any], Mapping[str, str]]
+
+
 @dataclass(frozen=True)
 class SuiteResult:
     """A (row x column) verdict matrix plus the pattern it is expected to show.
@@ -242,6 +250,25 @@ class SuiteResult:
     expected: Mapping[tuple[str, str], str]
     witnesses: Mapping[tuple[str, str], dict] = field(default_factory=dict)
 
+    @classmethod
+    def from_rows(
+        cls, name: str, title: str, columns: tuple[str, ...], rows: Iterable[Row]
+    ) -> "SuiteResult":
+        """The matrix of `rows`, keeping every witness a report carries."""
+        labels = []
+        cells: dict = {}
+        expected: dict = {}
+        witnesses: dict = {}
+        for label, reports, unusual in rows:
+            labels.append(label)
+            for column in columns:
+                report = reports[column]
+                cells[(label, column)] = report.verdict
+                expected[(label, column)] = unusual.get(column, "PASS")
+                if report.witness is not None:
+                    witnesses[(label, column)] = report.witness
+        return cls(name, title, tuple(labels), columns, cells, expected, witnesses)
+
     def cell_ok(self, row: str, column: str) -> bool:
         got = self.cells[(row, column)]
         want = self.expected[(row, column)]
@@ -251,11 +278,7 @@ class SuiteResult:
 
     @property
     def matched(self) -> bool:
-        return all(
-            self.cell_ok(row, column)
-            for row in self.rows
-            for column in self.columns
-        )
+        return not self.mismatches()
 
     def mismatches(self) -> list[tuple[str, str, str, str]]:
         return [
@@ -275,19 +298,17 @@ class SuiteResult:
         )
 
     def to_json(self) -> dict:
+        def matrix(cells: Mapping[tuple[str, str], str]) -> dict:
+            columns = self.columns
+            return {row: {col: cells[(row, col)] for col in columns} for row in self.rows}
+
         return {
             "suite": self.name,
             "title": self.title,
             "columns": list(self.columns),
             "rows": list(self.rows),
-            "cells": {
-                row: {col: self.cells[(row, col)] for col in self.columns}
-                for row in self.rows
-            },
-            "expected": {
-                row: {col: self.expected[(row, col)] for col in self.columns}
-                for row in self.rows
-            },
+            "cells": matrix(self.cells),
+            "expected": matrix(self.expected),
             "matched": self.matched,
             "witnesses": {
                 f"{row} / {col}": witness_to_json(witness)
@@ -296,49 +317,35 @@ class SuiteResult:
         }
 
 
-def _run_axiom_cells(
-    mechanism: Mechanism,
-    grid: GridSpace,
-    columns: Iterable[str],
-    row: str,
-    cells: dict,
-    witnesses: dict,
-) -> None:
-    for axiom in columns:
-        report = CHECKERS[axiom](mechanism, grid)
-        cells[(row, axiom)] = report.verdict
-        if report.witness is not None:
-            witnesses[(row, axiom)] = report.witness
+# The grid every suite sweeps.
+SUITE_GRID = GridConfig(3, 1, values=(0, 1, 2, 3))
+
+
+def _checked(
+    mechanism: Mechanism, grid: GridSpace, axioms: Iterable[str]
+) -> dict[str, AxiomReport]:
+    """Each named axiom's report on `mechanism`, keyed by the axiom."""
+    return {axiom: CHECKERS[axiom](mechanism, grid) for axiom in axioms}
 
 
 def suite_independence() -> SuiteResult:
     """Four mechanisms, four axioms: each fails exactly the axiom it drops."""
-    grid = GridConfig(3, 1, values=(0, 1, 2, 3)).space()
-    mechanisms = [
-        vickrey_mechanism(),
-        pay_as_bid_mechanism(),
-        no_trade_mechanism(1),
-        no_trade_mechanism(-1),
-    ]
-    dropped = dict(zip((m.name for m in mechanisms), ("EE", "SP", "IR", "NS")))
+    grid = SUITE_GRID.space()
     columns = ("EE", "SP", "IR", "NS")
-    cells: dict = {}
-    witnesses: dict = {}
-    expected: dict = {}
-    for mech in mechanisms:
-        _run_axiom_cells(mech, grid, columns, mech.name, cells, witnesses)
-        for axiom in columns:
-            expected[(mech.name, axiom)] = (
-                "FAIL" if dropped[mech.name] == axiom else "PASS"
-            )
-    return SuiteResult(
+    dropped = [
+        (vickrey_mechanism(), "EE"),
+        (pay_as_bid_mechanism(), "SP"),
+        (no_trade_mechanism(1), "IR"),
+        (no_trade_mechanism(-1), "NS"),
+    ]
+    return SuiteResult.from_rows(
         "independence",
         "each mechanism fails exactly the axiom it drops",
-        tuple(m.name for m in mechanisms),
         columns,
-        cells,
-        expected,
-        witnesses,
+        [
+            (mech.name, _checked(mech, grid, columns), {axiom: "FAIL"})
+            for mech, axiom in dropped
+        ],
     )
 
 
@@ -356,7 +363,7 @@ def suite_sp_class(
     the structural checks and the four axioms; the expected pattern is
     all-pass across the board.
     """
-    grid = GridConfig(3, 1, values=(0, 1, 2, 3)).space()
+    grid = SUITE_GRID.space()
     rules: list[tuple[str, WinnerRule]] = [
         ("empty", WinnerRule.empty()),
         ("strict_winners", WinnerRule.strict()),
@@ -365,31 +372,20 @@ def suite_sp_class(
     ]
     for index, rule in enumerate(random_uncompromising_rules(grid, count, seed)):
         rules.append((f"random[{index}] {rule.label}", rule))
-    columns = ("VALID", "UNCOMPROMISING", "EE", "SP", "IR", "NS")
-    cells: dict = {}
-    witnesses: dict = {}
-    expected: dict = {}
-    for row, rule in rules:
-        validity = validate_winner_rule(rule, grid)
-        raising = check_uncompromising(rule, grid)
-        cells[(row, "VALID")] = validity.verdict
-        cells[(row, "UNCOMPROMISING")] = raising.verdict
-        for check in (validity, raising):
-            if check.witness is not None:
-                column = "VALID" if check is validity else "UNCOMPROMISING"
-                witnesses[(row, column)] = check.witness
+    rows = []
+    for label, rule in rules:
+        reports = {
+            "VALID": validate_winner_rule(rule, grid),
+            "UNCOMPROMISING": check_uncompromising(rule, grid),
+        }
         mech = selective_vickrey_mechanism(rule)
-        _run_axiom_cells(mech, grid, ("EE", "SP", "IR", "NS"), row, cells, witnesses)
-        for column in columns:
-            expected[(row, column)] = "PASS"
-    return SuiteResult(
+        reports.update(_checked(mech, grid, ("EE", "SP", "IR", "NS")))
+        rows.append((label, reports, {}))
+    return SuiteResult.from_rows(
         "sp-class",
         "valid uncompromising winner rules give EE + SP + IR + NS",
-        tuple(row for row, _ in rules),
-        columns,
-        cells,
-        expected,
-        witnesses,
+        ("VALID", "UNCOMPROMISING", "EE", "SP", "IR", "NS"),
+        rows,
     )
 
 
@@ -401,45 +397,30 @@ def suite_nom_class() -> SuiteResult:
     always-PAB variant (negative threshold) loses both properties while
     keeping EE, IR and NS.
     """
-    grid = GridConfig(3, 1, values=(0, 1, 2, 3)).space()
+    grid = SUITE_GRID.space()
     variants = [
-        ev_pab_mechanism(PricingRule.always_ev()),
-        ev_pab_mechanism(PricingRule.ev_iff_price_zero()),
-        ev_pab_mechanism(PricingRule.threshold(1)),
-        ev_pab_mechanism(PricingRule.threshold(-1)),
+        (PricingRule.always_ev(), {}),
+        (PricingRule.ev_iff_price_zero(), {}),
+        (PricingRule.threshold(1), {}),
+        (PricingRule.threshold(-1), {"EV_SUPPORT": "FAIL", "NOM": "FAIL"}),
     ]
-    columns = ("EV_SUPPORT", "EE", "IR", "NS", "NOM")
-    cells: dict = {}
-    witnesses: dict = {}
-    expected: dict = {}
-    for mech in variants:
-        support = check_ev_support(mech.params["pricing"], grid)
-        cells[(mech.name, "EV_SUPPORT")] = support.verdict
-        if support.witness is not None:
-            witnesses[(mech.name, "EV_SUPPORT")] = support.witness
-        _run_axiom_cells(
-            mech, grid, ("EE", "IR", "NS", "NOM"), mech.name, cells, witnesses
-        )
-        starved = mech.name == "ev_pab(threshold(-1))"
-        for column in columns:
-            if starved and column in ("EV_SUPPORT", "NOM"):
-                expected[(mech.name, column)] = "FAIL"
-            else:
-                expected[(mech.name, column)] = "PASS"
-    return SuiteResult(
+    rows = []
+    for pricing, unusual in variants:
+        mech = ev_pab_mechanism(pricing)
+        reports = {"EV_SUPPORT": check_ev_support(pricing, grid)}
+        reports.update(_checked(mech, grid, ("EE", "IR", "NS", "NOM")))
+        rows.append((mech.name, reports, unusual))
+    return SuiteResult.from_rows(
         "nom-class",
         "EV-branch support separates NOM from obvious manipulability",
-        tuple(m.name for m in variants),
-        columns,
-        cells,
-        expected,
-        witnesses,
+        ("EV_SUPPORT", "EE", "IR", "NS", "NOM"),
+        rows,
     )
 
 
 def suite_welfare() -> SuiteResult:
     """The always-EV pricing weakly dominates every other pricing variant."""
-    grid = GridConfig(3, 1, values=(0, 1, 2, 3)).space()
+    grid = SUITE_GRID.space()
     best = ev_pab_mechanism(PricingRule.always_ev())
     rivals = [
         (ev_pab_mechanism(PricingRule.ev_iff_price_zero()), "DOMINATES"),
@@ -447,61 +428,37 @@ def suite_welfare() -> SuiteResult:
         (ev_pab_mechanism(PricingRule.threshold(1)), "DOMINATES"),
         (ev_pab_mechanism(PricingRule.threshold(2)), "EQUAL"),
     ]
-    columns = ("RELATION", "NEVER_BEATEN")
-    cells: dict = {}
-    witnesses: dict = {}
-    expected: dict = {}
     rows = []
     for rival, relation in rivals:
-        row = f"{best.name} vs {rival.name}"
-        rows.append(row)
         outcome = welfare_compare(best, rival, grid)
-        cells[(row, "RELATION")] = outcome.relation
-        cells[(row, "NEVER_BEATEN")] = (
-            "PASS" if outcome.strict_second is None else "FAIL"
-        )
-        if outcome.strict_first is not None:
-            witnesses[(row, "RELATION")] = outcome.strict_first
-        if outcome.strict_second is not None:
-            witnesses[(row, "NEVER_BEATEN")] = outcome.strict_second
-        expected[(row, "RELATION")] = relation
-        expected[(row, "NEVER_BEATEN")] = "PASS"
-    return SuiteResult(
+        beaten = "PASS" if outcome.never_beaten else "FAIL"
+        reports = {
+            "RELATION": AxiomReport("RELATION", outcome.relation, outcome.strict_first),
+            "NEVER_BEATEN": AxiomReport("NEVER_BEATEN", beaten, outcome.strict_second),
+        }
+        rows.append((f"{best.name} vs {rival.name}", reports, {"RELATION": relation}))
+    return SuiteResult.from_rows(
         "welfare",
         "always-EV pricing is welfare-optimal among the pricing variants",
-        tuple(rows),
-        columns,
-        cells,
-        expected,
-        witnesses,
+        ("RELATION", "NEVER_BEATEN"),
+        rows,
     )
 
 
 def suite_anonymity() -> SuiteResult:
     """Name-sensitive winner rules break anonymity in welfare; efficient ones keep it."""
-    grid = GridConfig(3, 1, values=(0, 1, 2, 3)).space()
-    dictator = selective_vickrey_mechanism(
-        WinnerRule.dictatorial_threshold(0, 2)
-    )
-    efficient = selective_vickrey_mechanism(WinnerRule.efficient())
+    grid = SUITE_GRID.space()
     columns = ("AIW", "EE", "SP", "IR", "NS")
-    cells: dict = {}
-    witnesses: dict = {}
-    expected: dict = {}
-    for mech in (dictator, efficient):
-        _run_axiom_cells(mech, grid, columns, mech.name, cells, witnesses)
-        for column in columns:
-            expected[(mech.name, column)] = (
-                "FAIL" if (mech is dictator and column == "AIW") else "PASS"
-            )
-    return SuiteResult(
+    dictator = selective_vickrey_mechanism(WinnerRule.dictatorial_threshold(0, 2))
+    efficient = selective_vickrey_mechanism(WinnerRule.efficient())
+    return SuiteResult.from_rows(
         "anonymity",
         "welfare anonymity separates dictatorial from efficient selection",
-        (dictator.name, efficient.name),
         columns,
-        cells,
-        expected,
-        witnesses,
+        [
+            (dictator.name, _checked(dictator, grid, columns), {"AIW": "FAIL"}),
+            (efficient.name, _checked(efficient, grid, columns), {}),
+        ],
     )
 
 

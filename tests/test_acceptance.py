@@ -18,12 +18,10 @@ from mechlab import (
     check_anonymity_in_welfare,
     check_ee,
     check_efficiency,
-    check_ev_support,
     check_ir,
     check_no_subsidy,
     check_nom,
     check_sp,
-    check_uncompromising,
     efficient_vickrey_mechanism,
     ev_pab_mechanism,
     find_reference_bundle,
@@ -34,12 +32,12 @@ from mechlab import (
     selective_vickrey_mechanism,
     utilities,
     utility,
-    validate_winner_rule,
     vickrey_mechanism,
     welfare_compare,
     random_uncompromising_rules,
     random_winner_rule_table,
 )
+from mechlab.axioms import check_ev_support, check_uncompromising, validate_winner_rule
 from mechlab.cli import load_config, main
 from mechlab.search import GridConfig
 
@@ -97,8 +95,8 @@ def test_criterion_02_uncompromising_rules_satisfy_core_axioms():
     rules += random_uncompromising_rules(GRID, count=20, seed=1729)
     ok = len(rules) >= 23
     for rule in rules:
-        ok &= validate_winner_rule(rule, GRID).ok
-        ok &= check_uncompromising(rule, GRID).ok
+        ok &= validate_winner_rule(rule, GRID).passed
+        ok &= check_uncompromising(rule, GRID).passed
         mech = selective_vickrey_mechanism(rule)
         for check in CORE_AXIOMS:
             ok &= check(mech, GRID).verdict == "PASS_EXHAUSTIVE"
@@ -119,7 +117,7 @@ def test_criterion_03_uncompromising_equivalence_at_grid_scope():
 
     cfg = MarketConfig(3, 1)
     compromising = WinnerRule.rule_table(cfg, {(3, 2, 2): (0,)})
-    ok &= validate_winner_rule(compromising, GRID5).ok
+    ok &= validate_winner_rule(compromising, GRID5).passed
     drop = check_uncompromising(compromising, GRID5)
     ok &= drop.verdict == "FAIL"
     ok &= drop.witness["profile"] == (3, 2, 2)
@@ -316,7 +314,7 @@ def test_criterion_11_paper_results_hold_between_one_and_n_minus_one_objects():
         for seed in range(5):
             table = random_winner_rule_table(grid, random.Random(f"winners:{market}:{seed}"))
             rule = WinnerRule.rule_table(market, table)
-            ok &= validate_winner_rule(rule, grid).ok and check_uncompromising(rule, grid).ok
+            ok &= validate_winner_rule(rule, grid).passed and check_uncompromising(rule, grid).passed
             selective = selective_vickrey_mechanism(rule)
             for check in CORE_AXIOMS:
                 ok &= check(selective, grid).verdict == "PASS_EXHAUSTIVE"

@@ -462,6 +462,20 @@ def test_welfare_incomparable_dictators():
     assert cmp.strict_second["profile"] == (2, 3, 2)
 
 
+def test_never_beaten_is_dominates_or_equal():
+    aev = ev_pab_mechanism(PricingRule.always_ev())
+    iff_zero = ev_pab_mechanism(PricingRule.ev_iff_price_zero())
+    dictators = [
+        selective_vickrey_mechanism(WinnerRule.dictatorial_threshold(i, 2)) for i in (0, 1)
+    ]
+    pairs = [(aev, aev), (aev, iff_zero), (iff_zero, aev), tuple(dictators)]
+    outcomes = [welfare_compare(first, second, GRID) for first, second in pairs]
+    assert [cmp.relation for cmp in outcomes] == [
+        "EQUAL", "DOMINATES", "DOMINATED", "INCOMPARABLE"
+    ]
+    assert [cmp.never_beaten for cmp in outcomes] == [True, True, False, False]
+
+
 # report plumbing
 
 

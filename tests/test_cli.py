@@ -233,6 +233,47 @@ def test_eval_bad_spec_exits_two_with_one_line(capsys, spec, message):
     assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ('{"family":"EV_PAB","pricing":{"family":"THRESHOLD","cutoff":0.5}}',
+         "THRESHOLD pricing rule cutoff must be an exact rational, got 0.5"),
+        ('{"family":"EV_PAB","pricing":{"family":"THRESHOLD","cutoff":"x"}}',
+         'THRESHOLD pricing rule cutoff must be an exact rational, got "x"'),
+        ('{"family":"EV_PAB","pricing":{"family":"THRESHOLD","cutoff":"1/0"}}',
+         'THRESHOLD pricing rule cutoff must be an exact rational, got "1/0"'),
+        ('{"family":"SELECTIVE_VICKREY","rule":{"family":"DICTATORIAL_THRESHOLD",'
+         '"agent":0,"threshold":0.5}}',
+         "DICTATORIAL_THRESHOLD winner rule threshold must be an exact rational, got 0.5"),
+        ('{"family":"NO_TRADE","fee":0.5}', "NO_TRADE fee must be an exact rational, got 0.5"),
+        ('{"family":"NO_TRADE","fee":true}', "NO_TRADE fee must be an exact rational, got true"),
+        ('{"family":"EV_PAB","pricing":{"family":"RULE_TABLE",'
+         '"entries":[{"profile":[1,0.5,0],"mode":"EV"}]}}',
+         "rule table profile value must be an exact rational, got 0.5"),
+        ('{"family":"SELECTIVE_VICKREY","rule":{"family":"RULE_TABLE",'
+         '"entries":[{"profile":["1","x","0"],"winners":[0]}]}}',
+         'rule table profile value must be an exact rational, got "x"'),
+    ],
+    ids=[
+        "cutoff-float", "cutoff-text", "cutoff-zero-denominator", "dictator-threshold-float",
+        "fee-float", "fee-boolean", "pricing-profile-float", "winner-profile-text",
+    ],
+)
+def test_eval_rational_field_errors_name_the_field(capsys, spec, message):
+    assert main(["eval", "--mech", spec, "--profile", "1,0,0"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
+def test_zero_denominator_exits_two(tmp_path, capsys):
+    """A "p/0" value is a user error at every boundary, not a crash."""
+    assert main(["eval", "--mech", "VICKREY", "--profile", "1/0,0,0"]) == 2
+    assert capsys.readouterr().err == "error: zero denominator in '1/0'\n"
+    path = write_config(tmp_path, grid={"values": ["0", "1/0"]})
+    assert main(["audit", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == "error: bad grid: zero denominator in '1/0'\n"
+
+
 def test_suite_subcommand(capsys):
     assert main(["suite", "independence"]) == 0
     out = capsys.readouterr().out

@@ -23,8 +23,6 @@ from mechlab import (
     ZERO_BUNDLE,
     all_zero_allocation,
     builtin_mechanisms,
-    check_ev_support,
-    check_uncompromising,
     efficient_vickrey_mechanism,
     ev_pab_mechanism,
     has_uniform_tail,
@@ -36,10 +34,10 @@ from mechlab import (
     selective_vickrey_mechanism,
     strict_winners,
     utilities,
-    validate_winner_rule,
     vickrey_mechanism,
     vickrey_price,
 )
+from mechlab.axioms import check_ev_support, check_uncompromising, validate_winner_rule
 from mechlab.mechanisms import EV, PAB
 from mechlab.search import GridConfig, random_winner_rule_table
 
@@ -503,18 +501,18 @@ def test_validate_winner_rule_rejects_off_tail_entry():
     rule = WinnerRule.rule_table(CFG1, {(3, 2, 1): (0,)})
     report = validate_winner_rule(rule, grid)
     assert report.verdict == "FAIL"
-    assert report.condition.startswith("(i)")
+    assert report.details["condition"].startswith("(i)")
     assert report.witness["profile"] == (3, 2, 1)
 
 
 def test_validate_winner_rule_condition_details():
     grid = GridConfig(3, 1, values=(0, 1, 2, 3)).space()
     out_of_range = WinnerRule.rule_table(CFG1, {(2, 2, 2): (5,)})
-    assert validate_winner_rule(out_of_range, grid).condition.startswith("(ii)")
+    assert validate_winner_rule(out_of_range, grid).details["condition"].startswith("(ii)")
     skips_strict = WinnerRule.rule_table(CFG1, {(3, 2, 2): (1,)})
-    assert validate_winner_rule(skips_strict, grid).condition.startswith("(iii)")
+    assert validate_winner_rule(skips_strict, grid).details["condition"].startswith("(iii)")
     over_capacity = WinnerRule.rule_table(CFG1, {(2, 2, 2): (0, 1)})
-    assert validate_winner_rule(over_capacity, grid).condition.startswith("(iv)")
+    assert validate_winner_rule(over_capacity, grid).details["condition"].startswith("(iv)")
 
 
 def test_check_uncompromising_builtin_rules():
@@ -527,7 +525,7 @@ def test_check_uncompromising_catches_dropped_winner():
     """Selecting at (3,2,2) but not at (4,2,2) punishes a raised report."""
     grid = GridConfig(3, 1, values=(0, 1, 2, 3, 4)).space()
     rule = WinnerRule.rule_table(CFG1, {(3, 2, 2): (0,)})
-    assert validate_winner_rule(rule, grid).ok
+    assert validate_winner_rule(rule, grid).passed
     report = check_uncompromising(rule, grid)
     assert report.verdict == "FAIL"
     assert report.witness["profile"] == (3, 2, 2)
@@ -584,6 +582,46 @@ def test_check_uncompromising_entry_walk_matches_grid_sweep():
         assert (report.verdict, report.witness) == (verdict, witness), (rule.table, grid.values)
         verdicts.add(verdict)
     assert verdicts == {"PASS_EXHAUSTIVE", "FAIL"}
+
+
+def test_failed_rule_check_json_carries_its_condition():
+    grid = GridConfig(3, 1, values=(0, 1, 2, 3)).space()
+    failed = [
+        validate_winner_rule(WinnerRule.rule_table(CFG1, {(3, 2, 1): (0,)}), grid),
+        check_uncompromising(WinnerRule.rule_table(CFG1, {(2, 1, 1): (0,)}), grid),
+        check_ev_support(PricingRule.threshold(-1), grid),
+        check_ev_support(PricingRule.rule_table(CFG1, {(0, 0, 0): EV}), grid),
+    ]
+    assert [report.axiom for report in failed] == [
+        "VALID", "UNCOMPROMISING", "EV_SUPPORT", "EV_SUPPORT"
+    ]
+    for report in failed:
+        doc = report.to_json()
+        assert (doc["verdict"], report.passed) == ("FAIL", False)
+        assert doc["details"]["condition"] == report.details["condition"]
+        assert doc["witness"]
+    assert failed[0].to_json()["details"]["condition"].startswith("(i)")
+
+
+@pytest.mark.parametrize("table_market", [MarketConfig(4, 1), MarketConfig(3, 2)])
+def test_rule_checks_refuse_a_table_for_another_market(table_market):
+    """A table written for another market than the grid's is refused, naming
+    both markets, instead of passing or failing on entries that never match."""
+    grid = GridConfig(3, 1, values=(0, 1, 2, 3)).space()
+    profile = (2,) * table_market.n
+    winners = WinnerRule.rule_table(table_market, {profile: ()})
+    pricing = PricingRule.rule_table(table_market, {profile: EV})
+    message = (
+        rf"rule table market \(n={table_market.n}, m={table_market.m}\) differs "
+        r"from the grid market \(n=3, m=1\)"
+    )
+    for check, rule in (
+        (validate_winner_rule, winners),
+        (check_uncompromising, winners),
+        (check_ev_support, pricing),
+    ):
+        with pytest.raises(ValueError, match=message):
+            check(rule, grid)
 
 
 def test_selective_mechanism_rejects_invalid_table():

@@ -1,5 +1,7 @@
 """Profile enumeration, witness shrinking, manipulation search, rule sampling, suites."""
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -10,7 +12,6 @@ from mechlab import (
     WinnerRule,
     check_nom,
     check_sp,
-    check_uncompromising,
     ev_pab_mechanism,
     has_uniform_tail,
     no_trade_mechanism,
@@ -21,9 +22,9 @@ from mechlab import (
     refresh_witness,
     selective_vickrey_mechanism,
     shrink_witness,
-    validate_winner_rule,
     vickrey_mechanism,
 )
+from mechlab.axioms import check_uncompromising, validate_winner_rule
 from mechlab.search import (
     GridConfig,
     SUITES,
@@ -210,8 +211,8 @@ def test_random_rules_are_valid_and_uncompromising():
     rules = random_uncompromising_rules(grid, count=6, seed=11)
     assert len(rules) == 6
     for rule in rules:
-        assert validate_winner_rule(rule, grid).ok, rule.label
-        assert check_uncompromising(rule, grid).ok, rule.label
+        assert validate_winner_rule(rule, grid).passed, rule.label
+        assert check_uncompromising(rule, grid).passed, rule.label
         mech = selective_vickrey_mechanism(rule)
         assert check_sp(mech, grid).verdict == "PASS_EXHAUSTIVE", rule.label
 
@@ -293,3 +294,21 @@ def test_suite_format_table_lists_every_row():
         assert row in text
     for col in result.columns:
         assert col in text
+
+
+@pytest.mark.parametrize(
+    "name, kwargs, digest",
+    [
+        ("independence", {}, "3c8e9cd93e6a93a1d14f7ebd4222a42efacaeda516102bb77fc549d35852abce"),
+        ("sp-class", {}, "7ae6d93330757faf8122697ce8a69e44639560b5aab4048fd2b032d2118985a0"),
+        ("sp-class", {"seed": 5}, "07d784651f36853368c905884161e417be95fbc2184a226ff276614cbcd19155"),
+        ("nom-class", {}, "0dbac4c93f5343db598f7855360a66fc0b5fe0772f7cdd851bc7ee7355dd9b0b"),
+        ("welfare", {}, "e2f44f1aab55fc07f1e05c369fee4ee83269958805ae9787267576df495de5dc"),
+        ("anonymity", {}, "a67447e0ea3d225db8256cc2f59dab1735f4fd690a86c9d84c3ed4d482986379"),
+    ],
+    ids=["independence", "sp-class", "sp-class-seed-5", "nom-class", "welfare", "anonymity"],
+)
+def test_suite_json_is_pinned(name, kwargs, digest):
+    """Every suite's JSON, byte for byte: sp-class at its default seed and one other."""
+    text = json.dumps(SUITES[name](**kwargs).to_json(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
