@@ -57,7 +57,6 @@ from .axioms import (
     check_sp,
     check_uncompromising,
     find_reference_bundle,
-    nom_report_bounds,
     refresh_witness,
     replay_witness,
     validate_winner_rule,

@@ -12,12 +12,16 @@ says how strong the evidence is:
 * NOT_APPLICABLE  - a precondition of the check itself failed.
 
 Witnesses always replay: feeding the witness back through the mechanism
-reproduces the violating inequality exactly. Each pointwise axiom is
-defined once, as a per-profile generator of its violations; the scan,
-witness replay (`refresh_witness`) and shrinking all run that one
-definition. Scans never early-exit: `profiles_checked` counts every
-profile, and the reported witness is the lexicographically first
-violation.
+reproduces the violating inequality exactly. Each axiom is defined once,
+as a generator of its violations, and the check, witness replay
+(`refresh_witness`) and shrinking all run that one definition. A
+pointwise axiom's generator judges one profile; `scan` sweeps the grid
+once for any number of them, never early-exits (`profiles_checked`
+counts every profile) and reports each axiom's lexicographically first
+violation. NOM's and BEST_CASE's generators judge an agent's values
+against utility bounds over all opponents: analytic when the mechanism
+has closed-form bounds, grid-relative otherwise. A mechanism built on a
+rule table is refused on a grid of another market.
 
 The structural checks on winner and pricing rules (`validate_winner_rule`,
 `check_uncompromising`, `check_ev_support`) return the same report, with
@@ -31,7 +35,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .mechanisms import EV, Hit, Mechanism, PricingRule, WinnerRule
 from .model import (
@@ -174,6 +178,16 @@ def _refuse_over_budget(size: int) -> None:
         )
 
 
+def _refuse_other_market(market: MarketConfig | None, grid: GridSpace) -> None:
+    """A rule table, or a mechanism built on one, is only checked on a grid
+    of the market it was written for; None means there is no table."""
+    if market is not None and market != grid.config:
+        raise ValueError(
+            f"rule table market (n={market.n}, m={market.m}) differs from "
+            f"the grid market (n={grid.config.n}, m={grid.config.m})"
+        )
+
+
 @dataclass(frozen=True)
 class AxiomReport:
     """One checker's verdict, with the first witness on FAIL.
@@ -250,7 +264,8 @@ def witness_from_json(data: dict) -> dict:
 # Pointwise axioms
 # ---------------------------------------------------------------------------
 
-# `reports[i]` lists the misreports agent i may try; only SP deviates.
+# `reports[i]` lists the values agent i may report; only SP deviates, and
+# the bound axioms (NOM, BEST_CASE) also read them as true values.
 Reports = tuple[tuple[Fraction, ...], ...]
 
 
@@ -275,25 +290,13 @@ class PointwiseAxiom:
 
     def check(self, mechanism: Mechanism, grid: GridSpace) -> AxiomReport:
         """Sweep the grid; FAIL with the smallest-key violation, else pass."""
-        best: dict | None = None
-        best_key: tuple = ()
-        count = 0
-        violations, reports = self.violations, grid.values
-        for profile in grid.profiles():
-            count += 1
-            hit = next(violations(mechanism, profile, reports), None)
-            if hit is not None:
-                key = self.key(hit)
-                if best is None or key < best_key:
-                    best, best_key = hit, key
-        if best is None:
-            return AxiomReport(self.name, grid.pass_verdict, None, count)
-        return AxiomReport(self.name, "FAIL", best, count)
+        return scan(mechanism, grid, (self,))[self.name]
 
     def refresh(
-        self, mechanism: Mechanism, witness: dict, market: MarketConfig
+        self, mechanism: Mechanism, witness: dict, grid: GridSpace
     ) -> dict | None:
         """The violation with the witness's identity, recomputed, or None."""
+        market = grid.config
         profile = Profile(market, witness["profile"])
         # A recorded misreport is replayed as given, even off the grid.
         reports = tuple(
@@ -461,6 +464,35 @@ POINTWISE: dict[str, PointwiseAxiom] = {
     )
 }
 
+
+def scan(
+    mechanism: Mechanism, grid: GridSpace, axioms: Sequence[PointwiseAxiom]
+) -> dict[str, AxiomReport]:
+    """Sweep the grid once for several pointwise axioms; reports by name.
+
+    Each axiom runs its own generator on every profile and keeps its own
+    smallest-key violation, so its report is the one it would get alone.
+    """
+    _refuse_other_market(mechanism.market, grid)
+    best: list[tuple | None] = [None] * len(axioms)  # (key, witness) per axiom
+    count = 0
+    reports = grid.values
+    for profile in grid.profiles():
+        count += 1
+        for k, axiom in enumerate(axioms):
+            hit = next(axiom.violations(mechanism, profile, reports), None)
+            if hit is not None:
+                key = axiom.key(hit)
+                if best[k] is None or key < best[k][0]:
+                    best[k] = (key, hit)
+    return {
+        axiom.name: AxiomReport(axiom.name, grid.pass_verdict, None, count)
+        if found is None
+        else AxiomReport(axiom.name, "FAIL", found[1], count)
+        for axiom, found in zip(axioms, best)
+    }
+
+
 check_ir = POINTWISE["IR"].check
 check_no_subsidy = POINTWISE["NS"].check
 check_sp = POINTWISE["SP"].check
@@ -484,26 +516,6 @@ def check_anonymity_in_welfare(
 # ---------------------------------------------------------------------------
 # Manipulation bounds (best/worst case over all real opponents)
 # ---------------------------------------------------------------------------
-
-
-def nom_report_bounds(
-    mechanism: Mechanism,
-    market: MarketConfig,
-    agent: int,
-    report: RationalLike,
-    true_value: RationalLike,
-) -> tuple[Fraction, Fraction] | None:
-    """Analytic (sup, inf) of the agent's utility over all real opponents.
-
-    The agent reports `report` while valuing the object at `true_value`;
-    the bounds range over every non-negative opponent profile, not just a
-    grid. They are the family's own closed form (`Mechanism.bounds`);
-    None for families without one (rule tables), in which case callers
-    fall back to grid-relative bounds.
-    """
-    if mechanism.bounds is None:
-        return None
-    return mechanism.bounds(agent, market.m, rat(report), rat(true_value))
 
 
 def _grid_bundle_map(
@@ -549,18 +561,20 @@ NomBounds = Callable[[int, Fraction, Fraction], "tuple | None"]
 
 
 def _nom_bounds(
-    mechanism: Mechanism, grid: GridSpace, analytic: bool
+    mechanism: Mechanism, grid: GridSpace
 ) -> tuple[NomBounds, str, int]:
     """The utility bounds NOM and BEST_CASE compare, their scope, and the
     number of profiles swept to get them.
 
-    With analytic bounds (the built-in families) they range over every
-    real opponent profile, and all-zero opponents are recorded as the
-    best-case realizer. Otherwise they range over the bundles the grid
-    produced, with the smallest opponent profile producing each bound.
+    With the mechanism's closed-form bounds (the built-in families) they
+    range over every real opponent profile, and all-zero opponents are
+    recorded as the best-case realizer. Otherwise they range over the
+    bundles the grid produced, with the smallest opponent profile
+    producing each bound.
     """
+    _refuse_other_market(mechanism.market, grid)
     market = grid.config
-    if analytic and mechanism.bounds is not None:
+    if mechanism.bounds is not None:
         zeros = (Fraction(0),) * (market.n - 1)
 
         def analytic_bounds(agent, report, true_value):
@@ -579,38 +593,53 @@ def _nom_bounds(
     return grid_bounds, "grid", count
 
 
-def _nom_witnesses(
-    agent: int,
-    true_value: Fraction,
-    report: Fraction,
-    truthful: tuple,
-    misreported: tuple,
-    scope: str,
-) -> Iterator[dict]:
-    """The SUP, then INF, obvious manipulation of one (agent, value, misreport).
+@dataclass(frozen=True)
+class BoundAxiom:
+    """An axiom judged on one agent's utility bounds, value by value.
+
+    `violations(values, bounds, scope)` yields every violation over the
+    agents' value sets, in grid order, under the bounds `_nom_bounds`
+    gives. A witness is identified by its `identity` fields; `values`
+    names those that hold the agent's own values. The check reports the
+    first violation. Replay runs the same generator with the witness's
+    agent narrowed to those values (and every other agent to none) and
+    keeps the violation whose identity matches. A witness replays only at
+    the scope of the mechanism's bounds; one without `scope` is analytic.
+    """
+
+    name: str
+    identity: tuple[str, ...]
+    values: tuple[str, ...]
+    violations: Callable[[Reports, NomBounds, str], Iterator[dict]]
+
+    def refresh(
+        self, mechanism: Mechanism, witness: dict, grid: GridSpace
+    ) -> dict | None:
+        """The violation with the witness's identity, recomputed, or None."""
+        bounds, scope, _ = _nom_bounds(mechanism, grid)
+        recorded = witness.get("scope", "analytic")
+        if recorded != scope:
+            raise ValueError(
+                f"{self.name} witness at {recorded} scope cannot replay "
+                f"on a mechanism with {scope} bounds"
+            )
+        own = tuple(witness[k] for k in self.values)
+        narrowed = tuple(
+            own if k == witness["agent"] else () for k in range(grid.config.n)
+        )
+        for found in self.violations(narrowed, bounds, scope):
+            if all(found[k] == witness[k] for k in self.identity):
+                return found
+        return None
+
+
+def _nom_violations(values: Reports, bounds: NomBounds, scope: str) -> Iterator[dict]:
+    """Every obvious manipulation, by agent, true value and misreport; SUP
+    before INF.
 
     A misreport is an obvious manipulation when it beats truth-telling in
     the best case (SUP) or the worst case (INF) over opponents.
     """
-    for pick, direction in enumerate(("SUP", "INF")):
-        if misreported[pick] > truthful[pick]:
-            witness = {
-                "agent": agent,
-                "true_value": true_value,
-                "misreport": report,
-                "direction": direction,
-                "truthful_bound": truthful[pick],
-                "misreport_bound": misreported[pick],
-            }
-            if misreported[2 + pick] is not None:
-                witness["realizing_opponents"] = misreported[2 + pick]
-            witness["scope"] = scope
-            yield witness
-
-
-def _iter_nom(
-    values: tuple[tuple[Fraction, ...], ...], bounds: NomBounds, scope: str
-) -> Iterator[dict]:
     for i, vals in enumerate(values):
         for true_value in vals:
             truthful = bounds(i, true_value, true_value)
@@ -620,41 +649,26 @@ def _iter_nom(
                 if report == true_value:
                     continue
                 misreported = bounds(i, report, true_value)
-                if misreported is not None:
-                    yield from _nom_witnesses(
-                        i, true_value, report, truthful, misreported, scope
-                    )
+                if misreported is None:
+                    continue
+                for pick, direction in enumerate(("SUP", "INF")):
+                    if misreported[pick] <= truthful[pick]:
+                        continue
+                    witness = {
+                        "agent": i,
+                        "true_value": true_value,
+                        "misreport": report,
+                        "direction": direction,
+                        "truthful_bound": truthful[pick],
+                        "misreport_bound": misreported[pick],
+                    }
+                    if misreported[2 + pick] is not None:
+                        witness["realizing_opponents"] = misreported[2 + pick]
+                    witness["scope"] = scope
+                    yield witness
 
 
-def check_nom(
-    mechanism: Mechanism, grid: GridSpace, analytic: bool = True
-) -> AxiomReport:
-    """Non-obvious manipulability: no misreport beats truth in best or worst case.
-
-    With analytic bounds (the built-in families) the verdict covers every
-    real opponent profile and only the misreport ranges over the grid, so
-    a pass is PASS_ANALYTIC and a FAIL is a proof. Without them both
-    sides are grid-relative: a pass is only PASS_SAMPLED, and a FAIL is
-    evidence at grid scope, not a proof over the reals (flagged in the
-    witness and details).
-    """
-    bounds, scope, count = _nom_bounds(mechanism, grid, analytic)
-    details: dict[str, Any] = {"scope": scope}
-    if scope == "analytic" and grid.is_shared:
-        details["truthful_bounds"] = {
-            rat_str(v): [rat_str(b) for b in bounds(0, v, v)[:2]]
-            for v in grid.shared_values
-        }
-    witness = next(_iter_nom(grid.values, bounds, scope), None)
-    if witness is not None:
-        return AxiomReport("NOM", "FAIL", witness, count, details)
-    verdict = "PASS_ANALYTIC" if scope == "analytic" else "PASS_SAMPLED"
-    return AxiomReport("NOM", verdict, None, count, details)
-
-
-def _best_case_gaps(
-    values: tuple[tuple[Fraction, ...], ...], bounds: NomBounds
-) -> Iterator[dict]:
+def _best_case_gaps(values: Reports, bounds: NomBounds, scope: str) -> Iterator[dict]:
     """(agent, value) pairs whose best-case truthful utility is not the value."""
     for i, vals in enumerate(values):
         for value in vals:
@@ -663,24 +677,58 @@ def _best_case_gaps(
                 yield {"agent": i, "value": value, "best_case": truthful[0]}
 
 
+BY_BOUNDS: dict[str, BoundAxiom] = {
+    axiom.name: axiom
+    for axiom in (
+        BoundAxiom(
+            "NOM",
+            ("agent", "true_value", "misreport", "direction"),
+            ("true_value", "misreport"),
+            _nom_violations,
+        ),
+        BoundAxiom("BEST_CASE", ("agent", "value"), ("value",), _best_case_gaps),
+    )
+}
+
+
+def check_nom(mechanism: Mechanism, grid: GridSpace) -> AxiomReport:
+    """Non-obvious manipulability: no misreport beats truth in best or worst case.
+
+    With analytic bounds (the built-in families) the verdict covers every
+    real opponent profile and only the misreport ranges over the grid, so
+    a pass is PASS_ANALYTIC and a FAIL is a proof. Without them (rule
+    tables, custom mechanisms) both sides are grid-relative: a pass is
+    only PASS_SAMPLED, and a FAIL is evidence at grid scope, not a proof
+    over the reals (flagged in the witness and details).
+    """
+    bounds, scope, count = _nom_bounds(mechanism, grid)
+    details: dict[str, Any] = {"scope": scope}
+    if scope == "analytic" and grid.is_shared:
+        details["truthful_bounds"] = {
+            rat_str(v): [rat_str(b) for b in bounds(0, v, v)[:2]]
+            for v in grid.shared_values
+        }
+    witness = next(BY_BOUNDS["NOM"].violations(grid.values, bounds, scope), None)
+    if witness is not None:
+        return AxiomReport("NOM", "FAIL", witness, count, details)
+    verdict = "PASS_ANALYTIC" if scope == "analytic" else "PASS_SAMPLED"
+    return AxiomReport("NOM", verdict, None, count, details)
+
+
 def check_best_case_utility(
     mechanism: Mechanism, grid: GridSpace
 ) -> AxiomReport:
     """Best-case truthful utility equals the full valuation (a free object).
 
     Meaningful only for mechanisms that are decision-efficient, individually
-    rational and subsidy-free on the grid; those are checked first and a
-    failure makes this check NOT_APPLICABLE. Transfers being non-negative
+    rational and subsidy-free on the grid; one sweep checks those first,
+    and a failure makes this NOT_APPLICABLE. Transfers being non-negative
     caps utility at v_i, so the question is whether some opponent profile
     attains the cap. For the built-in families the all-zero opponents do,
     analytically; for black-box mechanisms only grid evidence is reported,
     over the values the grid (or its sample) actually produced.
     """
-    pre = {
-        "EFF": check_efficiency(mechanism, grid),
-        "IR": check_ir(mechanism, grid),
-        "NS": check_no_subsidy(mechanism, grid),
-    }
+    pre = scan(mechanism, grid, [POINTWISE[k] for k in ("EFF", "IR", "NS")])
     failing = sorted(k for k, r in pre.items() if r.verdict == "FAIL")
     if failing:
         return AxiomReport(
@@ -690,8 +738,8 @@ def check_best_case_utility(
             0,
             {"reason": "precondition failed: " + ", ".join(failing)},
         )
-    bounds, scope, count = _nom_bounds(mechanism, grid, analytic=True)
-    gap = next(_best_case_gaps(grid.values, bounds), None)
+    bounds, scope, count = _nom_bounds(mechanism, grid)
+    gap = next(BY_BOUNDS["BEST_CASE"].violations(grid.values, bounds, scope), None)
     if scope == "analytic":
         if gap is not None:
             return AxiomReport("BEST_CASE", "FAIL", gap, 0, {"scope": "analytic"})
@@ -719,21 +767,12 @@ def check_best_case_utility(
 # ---------------------------------------------------------------------------
 
 
-def _refuse_other_market(market: MarketConfig, grid: GridSpace) -> None:
-    """A rule table is only checked on a grid of the market it was written for."""
-    if market != grid.config:
-        raise ValueError(
-            f"rule table market (n={market.n}, m={market.m}) differs from "
-            f"the grid market (n={grid.config.n}, m={grid.config.m})"
-        )
-
-
 def _scan_report(
-    axiom: str, scan: tuple[int, Hit | None], verdict: str, details: dict
+    axiom: str, entries: tuple[int, Hit | None], verdict: str, details: dict
 ) -> AxiomReport:
     """`verdict` when a table's entry scan found no violation, else FAIL
     with the first one's witness and condition."""
-    checked, hit = scan
+    checked, hit = entries
     if hit is None:
         return AxiomReport(axiom, verdict, None, checked, details)
     condition, witness = hit
@@ -875,42 +914,29 @@ def welfare_compare(
     first: Mechanism, second: Mechanism, grid: GridSpace
 ) -> WelfareComparison:
     """Compare two mechanisms agent by agent on every grid profile."""
-    first_above: dict | None = None
-    second_above: dict | None = None
-    first_ge_everywhere = True
-    second_ge_everywhere = True
+    _refuse_other_market(first.market, grid)
+    _refuse_other_market(second.market, grid)
+    above: dict[bool, dict] = {}  # first strict witness, by whether `first` is above
     count = 0
     for profile in grid.profiles():
         count += 1
         us_first = utilities(first.evaluate(profile), profile)
         us_second = utilities(second.evaluate(profile), profile)
         for i, (ua, ub) in enumerate(zip(us_first, us_second)):
-            if ua > ub:
-                second_ge_everywhere = False
-                if first_above is None:
-                    first_above = {
-                        "profile": profile.values,
-                        "agent": i,
-                        "first_utility": ua,
-                        "second_utility": ub,
-                    }
-            elif ub > ua:
-                first_ge_everywhere = False
-                if second_above is None:
-                    second_above = {
-                        "profile": profile.values,
-                        "agent": i,
-                        "first_utility": ua,
-                        "second_utility": ub,
-                    }
-    if first_above is None and second_above is None:
-        relation = "EQUAL"
-    elif first_ge_everywhere:
-        relation = "DOMINATES"
-    elif second_ge_everywhere:
-        relation = "DOMINATED"
-    else:
-        relation = "INCOMPARABLE"
+            if ua != ub and (ua > ub) not in above:
+                above[ua > ub] = {
+                    "profile": profile.values,
+                    "agent": i,
+                    "first_utility": ua,
+                    "second_utility": ub,
+                }
+    first_above, second_above = above.get(True), above.get(False)
+    relation = {
+        (False, False): "EQUAL",
+        (True, False): "DOMINATES",
+        (False, True): "DOMINATED",
+        (True, True): "INCOMPARABLE",
+    }[(first_above is not None, second_above is not None)]
     return WelfareComparison(relation, first_above, second_above, count)
 
 
@@ -929,37 +955,11 @@ def refresh_witness(
     agent, misreport, ...) are trusted; recorded utilities and bounds are
     recomputed by the same definition the scan uses.
     """
-    market = grid.config
-    if axiom in POINTWISE:
-        return POINTWISE[axiom].refresh(mechanism, witness, market)
-    if axiom == "NOM":
-        analytic = witness.get("scope") == "analytic"
-        if analytic and mechanism.bounds is None:
-            raise ValueError("analytic witness for a family without analytic bounds")
-        bounds, scope, _ = _nom_bounds(mechanism, grid, analytic)
-        i = witness["agent"]
-        true_value = witness["true_value"]
-        report = witness["misreport"]
-        truthful = bounds(i, true_value, true_value)
-        misreported = bounds(i, report, true_value)
-        if truthful is None or misreported is None:
-            return None
-        for found in _nom_witnesses(
-            i, true_value, report, truthful, misreported, scope
-        ):
-            if found["direction"] == witness["direction"]:
-                return found
-        return None
-    if axiom == "BEST_CASE":
-        if mechanism.bounds is None:
-            raise ValueError("best-case replay needs analytic bounds")
-        bounds, _, _ = _nom_bounds(mechanism, grid, analytic=True)
-        i = witness["agent"]
-        only = tuple(
-            (witness["value"],) if k == i else () for k in range(market.n)
-        )
-        return next(_best_case_gaps(only, bounds), None)
-    raise ValueError(f"unknown axiom: {axiom}")
+    _refuse_other_market(mechanism.market, grid)
+    definition = POINTWISE.get(axiom) or BY_BOUNDS.get(axiom)
+    if definition is None:
+        raise ValueError(f"unknown axiom: {axiom}")
+    return definition.refresh(mechanism, witness, grid)
 
 
 def replay_witness(

@@ -140,8 +140,10 @@ class Mechanism:
     `family` and `params` describe how the mechanism was built, and
     `spec` is the JSON spec that rebuilds it. `bounds`, set by the
     families that have a closed form, lets the NOM and BEST_CASE
-    checkers skip the grid. Evaluations are cached; rules are read-only
-    after construction.
+    checkers skip the grid. `market` is the market a rule table was
+    written for (None when the mechanism has no table), so a checker can
+    refuse a grid of another market. Evaluations are cached; rules are
+    read-only after construction.
     """
 
     def __init__(
@@ -151,11 +153,13 @@ class Mechanism:
         fn: Callable[[Profile], Allocation],
         params: Mapping[str, Any] | None = None,
         bounds: Bounds | None = None,
+        market: MarketConfig | None = None,
     ) -> None:
         self.name = name
         self.family = family
         self.params: dict[str, Any] = dict(params or {})
         self.bounds = bounds
+        self.market = market
         self._fn = fn
         self._cache: dict[Profile, Allocation] = {}
 
@@ -548,6 +552,7 @@ def selective_vickrey_mechanism(rule: WinnerRule) -> Mechanism:
         fn,
         params={"rule": rule},
         bounds=rule.bounds,
+        market=rule.market,
     )
 
 
@@ -676,6 +681,7 @@ def ev_pab_mechanism(pricing: PricingRule) -> Mechanism:
         fn,
         params={"pricing": pricing},
         bounds=pricing.bounds,
+        market=pricing.market,
     )
 
 

@@ -97,40 +97,27 @@ def shrink_witness(
     if current is None:
         raise ValueError("witness does not replay to a violation")
 
-    identity_keys = ("profile", *POINTWISE[axiom].identity)
-
-    def identity(w: dict) -> dict:
-        return {k: w[k] for k in identity_keys}
-
-    def coordinates(w: dict) -> list[tuple[str, int]]:
-        coords = [("profile", k) for k in range(grid.config.n)]
-        if "misreport" in w:
-            coords.append(("misreport", w["agent"]))
-        return coords
-
-    def reading(w: dict, kind: str, k: int) -> Fraction:
-        return w["profile"][k] if kind == "profile" else w["misreport"]
-
-    def lowered(w: dict, kind: str, k: int, value: Fraction) -> dict:
-        ident = identity(w)
-        if kind == "profile":
-            vals = list(ident["profile"])
-            vals[k] = value
-            ident["profile"] = tuple(vals)
-        else:
-            ident["misreport"] = value
-        return ident
-
+    identity = POINTWISE[axiom].identity
+    n = grid.config.n
+    # Coordinate k < n is profile slot k; coordinate n, when the witness has
+    # a misreport, walks down the deviating agent's values.
+    pools = grid.values
+    if "misreport" in identity:
+        pools += (grid.values[current["agent"]],)
     moved = True
     while moved:
         moved = False
-        for kind, k in coordinates(current):
+        for k, pool in enumerate(pools):
             while True:
-                here = reading(current, kind, k)
-                below = [g for g in grid.values[k] if g < here]
+                point = [*current["profile"], current.get("misreport")]
+                below = [g for g in pool if g < point[k]]
                 if not below:
                     break
-                candidate = lowered(current, kind, k, below[-1])
+                point[k] = below[-1]
+                candidate = {f: current[f] for f in identity}
+                candidate["profile"] = tuple(point[:n])
+                if k == n:
+                    candidate["misreport"] = point[n]
                 refreshed = refresh_witness(mechanism, axiom, candidate, grid)
                 if refreshed is None:
                     break

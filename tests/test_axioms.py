@@ -12,6 +12,7 @@ from mechlab import (
     PricingRule,
     WinnerRule,
     ZERO_BUNDLE,
+    builtin_mechanisms,
     check_anonymity_in_welfare,
     check_best_case_utility,
     check_ee,
@@ -26,7 +27,6 @@ from mechlab import (
     find_reference_bundle,
     make_profile,
     no_trade_mechanism,
-    nom_report_bounds,
     pay_as_bid_mechanism,
     refresh_witness,
     replay_witness,
@@ -37,7 +37,7 @@ from mechlab import (
     witness_from_json,
     witness_to_json,
 )
-from mechlab.axioms import MODE_SAMPLED
+from mechlab.axioms import BY_BOUNDS, MODE_SAMPLED, POINTWISE, _nom_bounds, scan
 from mechlab.model import Allocation
 from mechlab.search import GridConfig
 
@@ -257,17 +257,17 @@ def test_efficiency_passes_for_surplus_maximizers():
 def test_nom_truthful_bounds_examples():
     """Best case equals the valuation under EV pricing, zero under own-bid."""
     aev = ev_pab_mechanism(PricingRule.always_ev())
-    assert nom_report_bounds(aev, CFG1, 0, 3, 3) == (3, 0)
-    assert nom_report_bounds(pay_as_bid_mechanism(), CFG1, 0, 4, 4) == (0, 0)
-    assert nom_report_bounds(no_trade_mechanism(0), CFG1, 0, 2, 2) == (0, 0)
-    assert nom_report_bounds(vickrey_mechanism(), CFG1, 0, 2, 2) == (2, 0)
+    assert aev.bounds(0, CFG1.m, 3, 3) == (3, 0)
+    assert pay_as_bid_mechanism().bounds(0, CFG1.m, 4, 4) == (0, 0)
+    assert no_trade_mechanism(0).bounds(0, CFG1.m, 2, 2) == (0, 0)
+    assert vickrey_mechanism().bounds(0, CFG1.m, 2, 2) == (2, 0)
 
 
 def test_nom_report_bounds_own_bid_shading():
     # reporting 2 with value 4 can win at price 2, never lose money
-    assert nom_report_bounds(pay_as_bid_mechanism(), CFG1, 0, 2, 4) == (2, 0)
+    assert pay_as_bid_mechanism().bounds(0, CFG1.m, 2, 4) == (2, 0)
     # overbidding with value 0 risks paying the bid
-    assert nom_report_bounds(pay_as_bid_mechanism(), CFG1, 0, 2, 0) == (0, -2)
+    assert pay_as_bid_mechanism().bounds(0, CFG1.m, 2, 0) == (0, -2)
 
 
 def below_zero_dictator():
@@ -276,7 +276,7 @@ def below_zero_dictator():
 
 
 def test_nom_bounds_of_a_dictator_below_zero_are_zero():
-    assert nom_report_bounds(below_zero_dictator(), CFG1, 0, 2, 2) == (0, 0)
+    assert below_zero_dictator().bounds(0, CFG1.m, 2, 2) == (0, 0)
     report = check_nom(below_zero_dictator(), GridSpace.shared(CFG1, [0]))
     assert report.details["truthful_bounds"] == {"0": ["0", "0"]}
 
@@ -306,11 +306,41 @@ def test_nom_always_ev_passes_with_bounds_table():
 
 
 def test_nom_grid_route_matches_analytic_identity():
-    report = check_nom(pay_as_bid_mechanism(), GRID, analytic=False)
+    report = check_nom(opaque(pay_as_bid_mechanism()), GRID)
     assert report.verdict == "FAIL"
     assert report.details["scope"] == "grid"
     w = report.witness
     assert (w["agent"], w["true_value"], w["misreport"]) == (0, 2, 1)
+
+
+def test_bound_witnesses_replay_exactly_through_their_generator():
+    """Every NOM and BEST_CASE violation the checks' generators yield replays
+    to itself, at analytic and at grid scope."""
+    mechs = [pay_as_bid_mechanism(), vickrey_mechanism(), no_trade_mechanism(1),
+             ev_pab_mechanism(PricingRule.threshold(1))]
+    replayed = set()
+    for mech in [*mechs, *map(opaque, mechs)]:
+        bounds, scope, _ = _nom_bounds(mech, GRID)
+        for name, axiom in BY_BOUNDS.items():
+            if name == "BEST_CASE" and scope == "grid":
+                continue  # grid evidence is NOT_CERTIFIED, never a witness
+            for witness in axiom.violations(GRID.values, bounds, scope):
+                assert refresh_witness(mech, name, witness, GRID) == witness
+                replayed.add((name, scope))
+    assert replayed == {("NOM", "analytic"), ("NOM", "grid"), ("BEST_CASE", "analytic")}
+
+
+def test_bound_witness_replays_only_at_the_mechanism_scope():
+    pab = pay_as_bid_mechanism()
+    grid_witness = check_nom(opaque(pab), GRID).witness
+    assert replay_witness(opaque(pab), "NOM", grid_witness, GRID)
+    with pytest.raises(ValueError, match="NOM witness at grid scope cannot replay "
+                       "on a mechanism with analytic bounds"):
+        refresh_witness(pab, "NOM", grid_witness, GRID)
+    gap = check_best_case_utility(pab, GRID).witness
+    assert "scope" not in gap and replay_witness(pab, "BEST_CASE", gap, GRID)
+    with pytest.raises(ValueError, match="BEST_CASE witness at analytic scope"):
+        refresh_witness(opaque(pab), "BEST_CASE", gap, GRID)
 
 
 def test_sp_implies_nom_at_grid_scope():
@@ -320,7 +350,7 @@ def test_sp_implies_nom_at_grid_scope():
         selective_vickrey_mechanism(WinnerRule.strict()),
         no_trade_mechanism(0),
     ):
-        assert check_nom(mech, GRID, analytic=False).verdict == "PASS_SAMPLED", mech.name
+        assert check_nom(opaque(mech), GRID).verdict == "PASS_SAMPLED", mech.name
 
 
 def test_nom_custom_mechanism_takes_grid_route():
@@ -420,6 +450,25 @@ def test_anonymity_needs_shared_grid():
     het = GridSpace(CFG1, ((0, 1), (0, 1), (0, 1, 2)))
     with pytest.raises(ValueError, match="shared value set"):
         check_anonymity_in_welfare(vickrey_mechanism(), het)
+
+
+# one sweep for several axioms
+
+
+@pytest.mark.parametrize(
+    "grid", [GRID, GridSpace.shared(CFG1, range(4), mode=MODE_SAMPLED, seed=3, samples=20)]
+)
+def test_one_scan_reports_what_each_axiom_reports_alone(grid):
+    every = list(POINTWISE.values())
+    mechs = [*builtin_mechanisms(), no_trade_mechanism(1), no_trade_mechanism(-1),
+             ev_pab_mechanism(PricingRule.threshold(-1)), grant_first_mechanism(),
+             selective_vickrey_mechanism(WinnerRule.dictatorial_threshold(0, 2))]
+    failed = set()
+    for mech in mechs:
+        reports = scan(mech, grid, every)
+        assert reports == {axiom.name: axiom.check(mech, grid) for axiom in every}
+        failed |= {name for name, report in reports.items() if report.verdict == "FAIL"}
+    assert failed == set(POINTWISE)
 
 
 # welfare comparison

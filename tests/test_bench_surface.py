@@ -1,14 +1,30 @@
-"""The names the benchmark's traced run replaces exist and are called.
+"""The benchmark's own harness, run against the current code.
 
 `bench/layers.py` swaps public names on mechlab's modules for timing
 wrappers and puts them back afterwards. A rename there would only show
-as a crash of the traced benchmark run; this test fails first. It
-imports from `bench/` and changes nothing there.
+as a crash of the traced benchmark run; these tests fail first. An audit
+of every axiom also goes through `bench/gate.py`, which replays and
+shrinks its witnesses. The tests import from `bench/` and change
+nothing there.
 """
 
+import json
+import random
 from pathlib import Path
+from types import SimpleNamespace
 
-from mechlab import axioms, search
+import pytest
+
+from mechlab import (
+    GridSpace,
+    MarketConfig,
+    axioms,
+    cli,
+    efficient_vickrey_mechanism,
+    random_winner_rule_table,
+    rat_str,
+    search,
+)
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -37,3 +53,79 @@ def test_tracer_installs_and_uninstalls_on_the_current_names(monkeypatch):
     spans = {span[0] for span in tracer.spans}
     assert set(layers.SEARCH_SPANS.values()) <= spans
     assert {"mechanisms.construct", "axioms.WELFARE_COMPARE", "axioms.NOM"} <= spans
+
+
+@pytest.fixture
+def bench(monkeypatch):
+    """The benchmark's modules, imported from `bench/`."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    import gate
+    import layers
+    import workloads
+
+    return SimpleNamespace(gate=gate, layers=layers, workloads=workloads)
+
+
+# SHA-256 of the audit's `results` plus `comparisons`, as the gate digests them.
+AUDIT_DIGEST = "be560bc886bd1051aaa43e83d863354454ba6a48f6c0e8601b98d976cb7bcd16"
+
+
+def test_an_audit_of_every_axiom_passes_the_bench_gate(bench, tmp_path, capsys):
+    """The gate replays and shrinks every FAIL witness of a 3x1 audit with
+    the built-in families, a seeded winner table and an EV_PAB pricing
+    table, and finds nothing wrong; the report bytes are pinned."""
+    market = MarketConfig(3, 1)
+    values = [str(v) for v in range(4)]
+    table = random_winner_rule_table(
+        GridSpace.shared(market, values), random.Random("bench-surface")
+    )
+    winner_entries = [
+        {"profile": [rat_str(v) for v in key], "winners": sorted(winners)}
+        for key, winners in sorted(table.items())
+    ]
+    pricing_entries = [
+        {"profile": profile, "mode": mode}
+        for profile, mode in (
+            (["1", "0", "0"], "EV"),
+            (["0", "2", "0"], "EV"),
+            (["3", "1", "1"], "PAB"),
+            (["2", "2", "2"], "EV"),
+        )
+    ]
+    config = {
+        "schema": 1,
+        "market": {"agents": 3, "objects": 1},
+        "grid": {"values": values},
+        "mode": {"kind": "exhaustive"},
+        "mechanisms": [
+            *bench.workloads.BUILTIN_SPECS,
+            {"family": "SELECTIVE_VICKREY",
+             "rule": {"family": "RULE_TABLE", "entries": winner_entries}},
+            {"family": "EV_PAB",
+             "pricing": {"family": "RULE_TABLE", "entries": pricing_entries}},
+        ],
+        "axioms": [*axioms.CHECKERS, "WELFARE_COMPARE"],
+    }
+    path = tmp_path / "audit.json"
+    path.write_text(json.dumps(config))
+    assert cli.main(["audit", "--config", str(path)]) == 1
+    output = {"report": capsys.readouterr().out}
+    workload = bench.workloads.AUDIT_EXHAUSTIVE
+    problems, stats = bench.gate.check(workload, str(path), output)
+    assert problems == {}
+    assert stats["replayed"] and stats["shrunk"] and stats["welfare"]
+    assert bench.gate.results_digest(workload, output) == AUDIT_DIGEST
+
+
+def test_best_case_sweeps_the_grid_once(bench):
+    """EFF, IR and NS share one sweep, and analytic bounds need none."""
+    grid = GridSpace.shared(MarketConfig(3, 1), range(4))
+    tracer = bench.layers.Tracer()
+    tracer.install()
+    try:
+        report = axioms.check_best_case_utility(efficient_vickrey_mechanism(), grid)
+    finally:
+        tracer.uninstall()
+    assert report.verdict == "PASS_ANALYTIC"
+    sweeps = [count for (_, name), (count, _) in tracer.hot.items() if name == "axioms.sweep"]
+    assert sum(sweeps) == 1

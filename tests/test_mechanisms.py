@@ -37,7 +37,14 @@ from mechlab import (
     vickrey_mechanism,
     vickrey_price,
 )
-from mechlab.axioms import check_ev_support, check_uncompromising, validate_winner_rule
+from mechlab.axioms import (
+    CHECKERS,
+    check_ev_support,
+    check_uncompromising,
+    refresh_witness,
+    validate_winner_rule,
+    welfare_compare,
+)
 from mechlab.mechanisms import EV, PAB
 from mechlab.search import GridConfig, random_winner_rule_table
 
@@ -622,6 +629,32 @@ def test_rule_checks_refuse_a_table_for_another_market(table_market):
     ):
         with pytest.raises(ValueError, match=message):
             check(rule, grid)
+
+
+def test_axiom_checks_refuse_a_table_mechanism_for_another_market():
+    """A mechanism keeps its rule table's market, and every axiom check,
+    witness replay and welfare comparison refuses a grid of another
+    market. Without this, SP and EE passed the 4-agent winner table on a
+    3-agent grid and NOM failed the pricing table, as no entry matches."""
+    grid = GridConfig(3, 1, values=(0, 1, 2, 3)).space()
+    four = MarketConfig(4, 1)
+    winners = selective_vickrey_mechanism(WinnerRule.rule_table(four, {(3, 2, 2, 2): (0,)}))
+    pricing = ev_pab_mechanism(PricingRule.rule_table(four, {(1, 0, 0, 0): EV}))
+    assert winners.market == pricing.market == four
+    assert all(m.market is None for m in builtin_mechanisms())
+    nom = {"agent": 0, "true_value": 2, "misreport": 1, "direction": "SUP", "scope": "grid"}
+    calls = [
+        *(lambda m, check=check: check(m, grid) for check in CHECKERS.values()),
+        lambda m: refresh_witness(m, "EE", {"profile": (0, 0, 0)}, grid),
+        lambda m: refresh_witness(m, "NOM", nom, grid),
+        lambda m: welfare_compare(vickrey_mechanism(), m, grid),
+        lambda m: welfare_compare(m, vickrey_mechanism(), grid),
+    ]
+    message = r"rule table market \(n=4, m=1\) differs from the grid market \(n=3, m=1\)"
+    for mechanism in (winners, pricing):
+        for call in calls:
+            with pytest.raises(ValueError, match=message):
+                call(mechanism)
 
 
 def test_selective_mechanism_rejects_invalid_table():

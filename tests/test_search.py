@@ -34,6 +34,7 @@ from mechlab.search import (
     suite_sp_class,
     suite_welfare,
 )
+from test_axioms import opaque
 
 CFG1 = MarketConfig(3, 1)
 
@@ -149,6 +150,31 @@ def test_shrink_sp_witness():
     assert refresh_witness(pay_as_bid_mechanism(), "SP", small, grid) is not None
 
 
+@pytest.mark.parametrize(
+    "axiom, mechanism, witness, grid, shrunk",
+    [
+        ("IR", no_trade_mechanism(1), {"profile": (3, 2, 1), "agent": 2}, (3, 1),
+         {"profile": (0, 0, 0), "agent": 2, "utility": -1}),
+        ("NS", no_trade_mechanism(-1), {"profile": (3, 2, 1), "agent": 1}, (3, 1),
+         {"profile": (0, 0, 0), "agent": 1, "transfer": -1}),
+        ("EFF", selective_vickrey_mechanism(WinnerRule.strict()), {"profile": (3, 2, 1)},
+         (3, 1), {"profile": (1, 1, 0), "achieved": 0, "optimum": 1}),
+        ("EF", ev_pab_mechanism(PricingRule.threshold(-1)),
+         {"profile": (3, 2, 0), "agent": 0, "other": 1}, (3, 2),
+         {"profile": (2, 1, 0), "agent": 0, "other": 1, "own_utility": 0,
+          "other_bundle_utility": 1}),
+        ("AIW", selective_vickrey_mechanism(WinnerRule.dictatorial_threshold(0, 2)),
+         {"profile": (3, 2, 2), "agent": 0, "other": 1}, (3, 1),
+         {"profile": (3, 2, 2), "agent": 0, "other": 1, "swapped_profile": (2, 3, 2),
+          "utility": 1, "swapped_utility": 0}),
+    ],
+)
+def test_shrink_pins_each_pointwise_witness(axiom, mechanism, witness, grid, shrunk):
+    """The exact local minimum of every pointwise axiom without a pin above."""
+    grid = GridConfig(*grid, values=(0, 1, 2, 3)).space()
+    assert shrink_witness(mechanism, axiom, witness, grid) == shrunk
+
+
 def test_shrink_rejects_non_violations():
     grid = GridConfig(3, 1, values=(0, 1, 2, 3)).space()
     with pytest.raises(ValueError, match="does not replay"):
@@ -188,7 +214,7 @@ def test_find_obvious_manipulation_none_for_clean_mechanisms():
 
 def test_find_obvious_manipulation_grid_route_agrees():
     grid = GridConfig(3, 1, values=(0, 1, 2, 3, 4)).space()
-    w = check_nom(pay_as_bid_mechanism(), grid, analytic=False).witness
+    w = check_nom(opaque(pay_as_bid_mechanism()), grid).witness
     assert (w["agent"], w["true_value"], w["misreport"]) == (0, 2, 1)
     assert w["scope"] == "grid"
 

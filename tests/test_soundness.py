@@ -26,7 +26,6 @@ from mechlab import (
     ev_pab_mechanism,
     make_profile,
     no_trade_mechanism,
-    nom_report_bounds,
     pay_as_bid_mechanism,
     random_winner_rule_table,
     refresh_witness,
@@ -36,7 +35,7 @@ from mechlab import (
     utility,
     vickrey_mechanism,
 )
-from mechlab.axioms import MODE_SAMPLED, _iter_nom, _nom_bounds
+from mechlab.axioms import BY_BOUNDS, MODE_SAMPLED, _nom_bounds
 from mechlab.search import GridConfig
 
 # analytic NOM bounds
@@ -80,10 +79,10 @@ FAMILIES = {
 }
 
 
-def iter_nom_violations(mechanism, grid, analytic=True):
+def iter_nom_violations(mechanism, grid):
     """Obvious manipulations in (agent, true value, misreport) order."""
-    bounds, scope, _ = _nom_bounds(mechanism, grid, analytic)
-    return _iter_nom(grid.values, bounds, scope)
+    bounds, scope, _ = _nom_bounds(mechanism, grid)
+    return BY_BOUNDS["NOM"].violations(grid.values, bounds, scope)
 
 
 def zero_report_realizer(market):
@@ -114,11 +113,11 @@ def test_analytic_nom_bounds_are_sound_and_attained(family, market, values):
         allocation = mechanism.evaluate(profile)
         for agent in range(market.n):
             for true_value in values:
-                sup, inf = nom_report_bounds(
-                    mechanism, market, agent, profile.values[agent], true_value
+                sup, inf = mechanism.bounds(
+                    agent, market.m, profile.values[agent], true_value
                 )
                 assert inf <= utility(allocation.bundles[agent], true_value) <= sup
-    for witness in iter_nom_violations(mechanism, grid, analytic=True):
+    for witness in iter_nom_violations(mechanism, grid):
         if witness["direction"] != "SUP":
             continue
         agent, report = witness["agent"], witness["misreport"]
