@@ -15,13 +15,18 @@ Witnesses always replay: feeding the witness back through the mechanism
 reproduces the violating inequality exactly. Each axiom is defined once,
 as a generator of its violations, and the check, witness replay
 (`refresh_witness`) and shrinking all run that one definition. A
-pointwise axiom's generator judges one profile; `scan` sweeps the grid
-once for any number of them, never early-exits (`profiles_checked`
-counts every profile) and reports each axiom's lexicographically first
-violation. NOM's and BEST_CASE's generators judge an agent's values
-against utility bounds over all opponents: analytic when the mechanism
-has closed-form bounds, grid-relative otherwise. A mechanism built on a
-rule table is refused on a grid of another market.
+pointwise axiom's generator judges one profile, reading the mechanism's
+outcomes and the profile's values as scaled ints off the mechanism's one
+`OutcomeTable` for the grid (see `grid`), so every grid profile is
+evaluated once per mechanism, however many checkers read it; its
+witness fields are exact `Fraction`s. `scan` sweeps the grid once for
+any number of them, never early-exits (`profiles_checked` counts every
+profile) and reports each axiom's lexicographically first violation.
+`welfare_compare` and the grid-scope NOM bounds read the same tables.
+NOM's and BEST_CASE's generators judge an agent's values against
+utility bounds over all opponents: analytic when the mechanism has
+closed-form bounds, grid-relative otherwise. A mechanism built on a rule
+table is refused on a grid of another market.
 
 The structural checks on winner and pricing rules (`validate_winner_rule`,
 `check_uncompromising`, `check_ev_support`) return the same report, with
@@ -31,151 +36,30 @@ the failed condition in `details["condition"]`; they are not in
 
 from __future__ import annotations
 
-import itertools
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
+from .grid import (  # the grid names are part of the checkers' interface
+    ENUMERATION_BUDGET,
+    MODE_EXHAUSTIVE,
+    MODE_SAMPLED,
+    GridPoint,
+    GridSpace,
+    OutcomeTable,
+)
 from .mechanisms import EV, Hit, Mechanism, PricingRule, WinnerRule
 from .model import (
     Bundle,
     MarketConfig,
     Profile,
-    RationalLike,
-    achieved_surplus,
     has_uniform_tail,
-    optimal_surplus,
     rat,
     rat_str,
     utilities,
     utility,
     vickrey_price,
 )
-
-MODE_EXHAUSTIVE = "exhaustive"
-MODE_SAMPLED = "sampled"
-ENUMERATION_BUDGET = 1_000_000
-
-
-@dataclass(frozen=True)
-class GridSpace:
-    """A finite set of valuations per agent, plus how to sweep them.
-
-    This is the one place a grid declaration becomes values: explicit
-    value sets are sorted and de-duplicated here (a set shared by several
-    agents once), and `from_range` builds a range. An exhaustive grid of
-    more than `ENUMERATION_BUDGET` profiles is refused at construction.
-    In exhaustive mode `profiles()` yields the full cartesian product in
-    lexicographic order. In sampled mode it yields `samples` profiles
-    drawn uniformly; each draw is keyed by `(seed, index)`, so the stream
-    depends on nothing else.
-    """
-
-    config: MarketConfig
-    values: tuple[tuple[Fraction, ...], ...]
-    mode: str = MODE_EXHAUSTIVE
-    seed: int = 0
-    samples: int = 0
-
-    def __post_init__(self) -> None:
-        if len(self.values) != self.config.n:
-            raise ValueError("need one value set per agent")
-        normalized: dict[int, tuple[Fraction, ...]] = {}  # by id of the input
-        for vals in self.values:
-            if id(vals) in normalized:
-                continue
-            vs = sorted({rat(v) for v in vals})
-            if not vs:
-                raise ValueError("value sets must be non-empty")
-            if vs[0] < 0:
-                raise ValueError("grid valuations must be non-negative")
-            normalized[id(vals)] = tuple(vs)
-        object.__setattr__(
-            self, "values", tuple(normalized[id(vals)] for vals in self.values)
-        )
-        if self.mode not in (MODE_EXHAUSTIVE, MODE_SAMPLED):
-            raise ValueError(f"unknown mode: {self.mode}")
-        if self.mode == MODE_SAMPLED and self.samples < 1:
-            raise ValueError("sampled mode needs samples >= 1")
-        if self.mode == MODE_EXHAUSTIVE:
-            _refuse_over_budget(self.size)
-
-    @classmethod
-    def shared(
-        cls,
-        config: MarketConfig,
-        values: Iterable[RationalLike],
-        **kwargs: Any,
-    ) -> "GridSpace":
-        vals = tuple(rat(v) for v in values)
-        return cls(config, tuple(vals for _ in range(config.n)), **kwargs)
-
-    @classmethod
-    def from_range(
-        cls,
-        config: MarketConfig,
-        max_value: RationalLike,
-        denominator: int = 1,
-        **kwargs: Any,
-    ) -> "GridSpace":
-        """The shared grid 0, 1/q, ..., max with q = `denominator`.
-
-        An exhaustive grid over budget is refused before any value is built.
-        """
-        top = rat(max_value)
-        if denominator < 1:
-            raise ValueError("range denominator must be >= 1")
-        steps = top * denominator
-        if top < 0 or steps.denominator != 1:
-            raise ValueError(
-                "range max must be a non-negative multiple of 1/denominator"
-            )
-        count = int(steps) + 1
-        if kwargs.get("mode", MODE_EXHAUSTIVE) == MODE_EXHAUSTIVE:
-            _refuse_over_budget(count**config.n)
-        return cls.shared(
-            config, (Fraction(k, denominator) for k in range(count)), **kwargs
-        )
-
-    @property
-    def is_shared(self) -> bool:
-        return all(vals == self.values[0] for vals in self.values)
-
-    @property
-    def shared_values(self) -> tuple[Fraction, ...]:
-        if not self.is_shared:
-            raise ValueError("agents do not share a common value set")
-        return self.values[0]
-
-    @property
-    def size(self) -> int:
-        out = 1
-        for vals in self.values:
-            out *= len(vals)
-        return out
-
-    @property
-    def pass_verdict(self) -> str:
-        return "PASS_EXHAUSTIVE" if self.mode == MODE_EXHAUSTIVE else "PASS_SAMPLED"
-
-    def profiles(self) -> Iterator[Profile]:
-        if self.mode == MODE_EXHAUSTIVE:
-            for combo in itertools.product(*self.values):
-                yield Profile(self.config, combo)
-        else:
-            for index in range(self.samples):
-                rng = random.Random(f"{self.seed}:{index}")
-                combo = tuple(rng.choice(vals) for vals in self.values)
-                yield Profile(self.config, combo)
-
-
-def _refuse_over_budget(size: int) -> None:
-    if size > ENUMERATION_BUDGET:
-        raise ValueError(
-            f"{size} profiles exceed the enumeration budget "
-            f"({ENUMERATION_BUDGET}); switch to sampled mode with a seed"
-        )
 
 
 def _refuse_other_market(market: MarketConfig | None, grid: GridSpace) -> None:
@@ -264,29 +148,28 @@ def witness_from_json(data: dict) -> dict:
 # Pointwise axioms
 # ---------------------------------------------------------------------------
 
-# `reports[i]` lists the values agent i may report; only SP deviates, and
-# the bound axioms (NOM, BEST_CASE) also read them as true values.
-Reports = tuple[tuple[Fraction, ...], ...]
+# `reports[i]` lists the indices, into agent i's value set, of the values
+# agent i may report; only SP deviates.
+Reports = tuple[Sequence[int], ...]
 
 
 @dataclass(frozen=True)
 class PointwiseAxiom:
     """An axiom that holds or fails profile by profile.
 
-    `violations(mechanism, profile, reports)` yields every violation at
-    one profile, in witness-key order. A witness is identified by its
-    profile plus the `identity` fields; its sort key is that tuple, and
-    the scan reports the smallest key found. Replay runs the same
-    generator on the witness's profile and keeps the violation whose
-    identity matches, so the scan and the replay cannot drift apart.
+    `violations(table, point, reports)` yields every violation at one
+    profile, in witness-key order, reading the mechanism's outcomes off
+    its `OutcomeTable`. A witness is identified by its profile plus the
+    `identity` fields; its sort key is that tuple, and the scan reports
+    the smallest key found. Replay runs the same generator on a table
+    over the witness's own values (plus its misreport) and keeps the
+    violation whose identity matches, so the scan and the replay cannot
+    drift apart.
     """
 
     name: str
     identity: tuple[str, ...]
-    violations: Callable[[Mechanism, Profile, Reports], Iterator[dict]]
-
-    def key(self, witness: dict) -> tuple:
-        return (witness["profile"], *(witness[k] for k in self.identity))
+    violations: Callable[[OutcomeTable, GridPoint, Reports], Iterator[dict]]
 
     def check(self, mechanism: Mechanism, grid: GridSpace) -> AxiomReport:
         """Sweep the grid; FAIL with the smallest-key violation, else pass."""
@@ -299,78 +182,76 @@ class PointwiseAxiom:
         market = grid.config
         profile = Profile(market, witness["profile"])
         # A recorded misreport is replayed as given, even off the grid.
+        values = set(profile.values)
+        misreport = None
+        if "misreport" in self.identity:
+            misreport = rat(witness["misreport"])
+            if misreport < 0:
+                raise ValueError("valuations must be non-negative")
+            values.add(misreport)
+        table = OutcomeTable(mechanism, market, (tuple(sorted(values)),) * market.n)
         reports = tuple(
-            (witness["misreport"],)
-            if "misreport" in self.identity and k == witness["agent"]
+            (table.position[k][misreport],)
+            if misreport is not None and k == witness["agent"]
             else ()
             for k in range(market.n)
         )
-        for found in self.violations(mechanism, profile, reports):
+        for found in self.violations(table, table.point(profile.values), reports):
             if all(found[k] == witness[k] for k in self.identity):
                 return found
         return None
 
 
-def _ir_violations(
-    mechanism: Mechanism, profile: Profile, reports: Reports
-) -> Iterator[dict]:
+def _ir_violations(table: OutcomeTable, at: GridPoint, reports: Reports) -> Iterator[dict]:
     """Individual rationality: every agent's utility is non-negative."""
-    alloc = mechanism.evaluate(profile)
-    for i in range(profile.config.n):
-        u = utility(alloc.bundles[i], profile.values[i])
+    x, t = table[at.rank]
+    for i, v in enumerate(at.scaled):
+        u = v * x[i] - t[i]
         if u < 0:
-            yield {"profile": profile.values, "agent": i, "utility": u}
+            yield {"profile": at.values, "agent": i, "utility": table.exact(u)}
 
 
-def _ns_violations(
-    mechanism: Mechanism, profile: Profile, reports: Reports
-) -> Iterator[dict]:
+def _ns_violations(table: OutcomeTable, at: GridPoint, reports: Reports) -> Iterator[dict]:
     """No subsidy: no agent is ever paid money (every transfer is >= 0)."""
-    alloc = mechanism.evaluate(profile)
-    for i in range(profile.config.n):
-        if alloc.bundles[i].t < 0:
-            yield {
-                "profile": profile.values,
-                "agent": i,
-                "transfer": alloc.bundles[i].t,
-            }
+    _, t = table[at.rank]
+    for i, paid in enumerate(t):
+        if paid < 0:
+            yield {"profile": at.values, "agent": i, "transfer": table.exact(paid)}
 
 
-def _sp_violations(
-    mechanism: Mechanism, profile: Profile, reports: Reports
-) -> Iterator[dict]:
+def _sp_violations(table: OutcomeTable, at: GridPoint, reports: Reports) -> Iterator[dict]:
     """Strategy-proofness: no single-agent misreport ever pays.
 
-    A scan passes each agent's own grid value set as the misreports, so
-    on an exhaustive sweep the verdict is exhaustive at grid scope.
+    A scan passes each agent's whole value set as the misreports, so on
+    an exhaustive sweep the verdict is exhaustive at grid scope.
     """
-    alloc = mechanism.evaluate(profile)
-    for i in range(profile.config.n):
-        truth = profile.values[i]
-        honest = utility(alloc.bundles[i], truth)
-        for report in reports[i]:
-            if report == truth:
+    x, t = table[at.rank]
+    for i, v in enumerate(at.scaled):
+        honest = v * x[i] - t[i]
+        own, step = at.index[i], table.stride[i]
+        base = at.rank - own * step
+        for k in reports[i]:
+            if k == own:
                 continue
-            deviated = mechanism.evaluate(profile.with_value(i, report))
-            gained = utility(deviated.bundles[i], truth)
+            dx, dt = table[base + k * step]
+            gained = v * dx[i] - dt[i]
             if gained > honest:
                 yield {
-                    "profile": profile.values,
+                    "profile": at.values,
                     "agent": i,
-                    "misreport": report,
-                    "truthful_utility": honest,
-                    "misreport_utility": gained,
+                    "misreport": table.values[i][k],
+                    "truthful_utility": table.exact(honest),
+                    "misreport_utility": table.exact(gained),
                 }
 
 
-def _reference_bundle(
-    values: tuple[Fraction, ...], us: tuple[Fraction, ...]
-) -> Bundle | None:
+def _reference_bundle(values: Sequence, us: Sequence) -> tuple | None:
+    """(x, t) of a bundle every agent is exactly indifferent to, or None."""
     if all(u == us[0] for u in us):
-        return Bundle(0, -us[0])
+        return (0, -us[0])
     diffs = [v - u for v, u in zip(values, us)]
     if all(d == diffs[0] for d in diffs):
-        return Bundle(1, diffs[0])
+        return (1, diffs[0])
     return None
 
 
@@ -383,71 +264,75 @@ def find_reference_bundle(mechanism: Mechanism, profile: Profile) -> Bundle | No
     prefer or disprefer it.
     """
     us = utilities(mechanism.evaluate(profile), profile)
-    return _reference_bundle(profile.values, us)
+    reference = _reference_bundle(profile.values, us)
+    return None if reference is None else Bundle(*reference)
 
 
-def _ee_violations(
-    mechanism: Mechanism, profile: Profile, reports: Reports
-) -> Iterator[dict]:
+def _ee_violations(table: OutcomeTable, at: GridPoint, reports: Reports) -> Iterator[dict]:
     """Egalitarian-equivalence: a reference bundle exists at every profile."""
-    us = utilities(mechanism.evaluate(profile), profile)
-    if _reference_bundle(profile.values, us) is None:
-        yield {"profile": profile.values, "utilities": us}
+    x, t = table[at.rank]
+    us = [v * xi - ti for v, xi, ti in zip(at.scaled, x, t)]
+    if _reference_bundle(at.scaled, us) is None:
+        yield {"profile": at.values, "utilities": tuple(map(table.exact, us))}
 
 
-def _eff_violations(
-    mechanism: Mechanism, profile: Profile, reports: Reports
-) -> Iterator[dict]:
+def _eff_violations(table: OutcomeTable, at: GridPoint, reports: Reports) -> Iterator[dict]:
     """Decision efficiency: the objects always go to a surplus-maximizing set."""
-    achieved = achieved_surplus(mechanism.evaluate(profile), profile)
-    optimum = optimal_surplus(profile)
+    x, _ = table[at.rank]
+    achieved = sum(v for v, xi in zip(at.scaled, x) if xi)
+    optimum = sum(sorted(at.scaled, reverse=True)[: table.config.m])
     if achieved != optimum:
-        yield {"profile": profile.values, "achieved": achieved, "optimum": optimum}
+        yield {
+            "profile": at.values,
+            "achieved": table.exact(achieved),
+            "optimum": table.exact(optimum),
+        }
 
 
-def _ef_violations(
-    mechanism: Mechanism, profile: Profile, reports: Reports
-) -> Iterator[dict]:
+def _ef_violations(table: OutcomeTable, at: GridPoint, reports: Reports) -> Iterator[dict]:
     """Envy-freeness: no agent prefers another agent's bundle to their own."""
-    alloc = mechanism.evaluate(profile)
-    for i in range(profile.config.n):
-        own = utility(alloc.bundles[i], profile.values[i])
-        for j in range(profile.config.n):
+    x, t = table[at.rank]
+    for i, v in enumerate(at.scaled):
+        own = v * x[i] - t[i]
+        for j in range(len(x)):
             if j == i:
                 continue
-            envied = utility(alloc.bundles[j], profile.values[i])
+            envied = v * x[j] - t[j]
             if envied > own:
                 yield {
-                    "profile": profile.values,
+                    "profile": at.values,
                     "agent": i,
                     "other": j,
-                    "own_utility": own,
-                    "other_bundle_utility": envied,
+                    "own_utility": table.exact(own),
+                    "other_bundle_utility": table.exact(envied),
                 }
 
 
-def _aiw_violations(
-    mechanism: Mechanism, profile: Profile, reports: Reports
-) -> Iterator[dict]:
-    """Anonymity in welfare: swapping two agents' valuations swaps their utilities."""
-    alloc = mechanism.evaluate(profile)
-    for i in range(profile.config.n):
-        mine = utility(alloc.bundles[i], profile.values[i])
-        for j in range(profile.config.n):
+def _aiw_violations(table: OutcomeTable, at: GridPoint, reports: Reports) -> Iterator[dict]:
+    """Anonymity in welfare: swapping two agents' valuations swaps their utilities.
+
+    The value sets are shared, so the swap moves agent i's index to j and
+    back: one rank step per agent.
+    """
+    x, t = table[at.rank]
+    index, stride = at.index, table.stride
+    for i, v in enumerate(at.scaled):
+        mine = v * x[i] - t[i]
+        for j in range(len(x)):
             if j == i:
                 continue
-            swapped = profile.swapped(i, j)
-            theirs = utility(
-                mechanism.evaluate(swapped).bundles[j], profile.values[i]
-            )
+            sx, st = table[at.rank + (index[j] - index[i]) * (stride[i] - stride[j])]
+            theirs = v * sx[j] - st[j]
             if mine != theirs:
+                swapped = list(at.values)
+                swapped[i], swapped[j] = swapped[j], swapped[i]
                 yield {
-                    "profile": profile.values,
+                    "profile": at.values,
                     "agent": i,
                     "other": j,
-                    "swapped_profile": swapped.values,
-                    "utility": mine,
-                    "swapped_utility": theirs,
+                    "swapped_profile": tuple(swapped),
+                    "utility": table.exact(mine),
+                    "swapped_utility": table.exact(theirs),
                 }
 
 
@@ -472,17 +357,19 @@ def scan(
 
     Each axiom runs its own generator on every profile and keeps its own
     smallest-key violation, so its report is the one it would get alone.
+    Ranks order profiles as their values do, so a key compares the rank.
     """
     _refuse_other_market(mechanism.market, grid)
+    table = OutcomeTable.of(mechanism, grid)
+    reports = table.indices  # every agent may report every value
     best: list[tuple | None] = [None] * len(axioms)  # (key, witness) per axiom
     count = 0
-    reports = grid.values
-    for profile in grid.profiles():
+    for at in table.points(grid):
         count += 1
         for k, axiom in enumerate(axioms):
-            hit = next(axiom.violations(mechanism, profile, reports), None)
+            hit = next(axiom.violations(table, at, reports), None)
             if hit is not None:
-                key = axiom.key(hit)
+                key = (at.rank, *(hit[f] for f in axiom.identity))
                 if best[k] is None or key < best[k][0]:
                     best[k] = (key, hit)
     return {
@@ -523,21 +410,27 @@ def _grid_bundle_map(
 ) -> tuple[dict, int]:
     """For each (agent, report): every bundle seen on the grid, with the
     lexicographically smallest opponent profile that produced it."""
-    seen: dict[tuple[int, Fraction], dict[Bundle, tuple[Fraction, ...]]] = {}
+    table = OutcomeTable.of(mechanism, grid)
+    # (agent, report) -> scaled (x, t) -> (rank, values) of the least profile;
+    # rank order is profile order, and a sampled profile may repeat
+    seen: dict[tuple[int, Fraction], dict[tuple, tuple]] = {}
     count = 0
-    for profile in grid.profiles():
+    for at in table.points(grid):
         count += 1
-        alloc = mechanism.evaluate(profile)
-        for i in range(profile.config.n):
-            opponents = tuple(
-                v for j, v in enumerate(profile.values) if j != i
-            )
-            slot = seen.setdefault((i, profile.values[i]), {})
-            bundle = alloc.bundles[i]
-            if bundle not in slot or opponents < slot[bundle]:
-                slot[bundle] = opponents
-        # a profile may repeat in sampled mode; the min-merge absorbs it
-    return seen, count
+        x, t = table[at.rank]
+        for i, value in enumerate(at.values):
+            slot = seen.setdefault((i, value), {})
+            held = slot.get((x[i], t[i]))
+            if held is None or at.rank < held[0]:
+                slot[(x[i], t[i])] = (at.rank, at.values)
+    bundles = {
+        (i, value): {
+            Bundle(xi, table.exact(ti)): values[:i] + values[i + 1 :]
+            for (xi, ti), (_, values) in slot.items()
+        }
+        for (i, value), slot in seen.items()
+    }
+    return bundles, count
 
 
 def _grid_report_bounds(
@@ -558,6 +451,8 @@ def _grid_report_bounds(
 # bounds(agent, report, true_value): (sup, inf, sup realizer, inf realizer)
 # of the agent's utility, or None when the scope saw nothing of that report.
 NomBounds = Callable[[int, Fraction, Fraction], "tuple | None"]
+# `values[i]` lists the values agent i may hold, as truth and as a report.
+ValueSets = tuple[tuple[Fraction, ...], ...]
 
 
 def _nom_bounds(
@@ -610,7 +505,7 @@ class BoundAxiom:
     name: str
     identity: tuple[str, ...]
     values: tuple[str, ...]
-    violations: Callable[[Reports, NomBounds, str], Iterator[dict]]
+    violations: Callable[[ValueSets, NomBounds, str], Iterator[dict]]
 
     def refresh(
         self, mechanism: Mechanism, witness: dict, grid: GridSpace
@@ -633,7 +528,7 @@ class BoundAxiom:
         return None
 
 
-def _nom_violations(values: Reports, bounds: NomBounds, scope: str) -> Iterator[dict]:
+def _nom_violations(values: ValueSets, bounds: NomBounds, scope: str) -> Iterator[dict]:
     """Every obvious manipulation, by agent, true value and misreport; SUP
     before INF.
 
@@ -668,7 +563,7 @@ def _nom_violations(values: Reports, bounds: NomBounds, scope: str) -> Iterator[
                     yield witness
 
 
-def _best_case_gaps(values: Reports, bounds: NomBounds, scope: str) -> Iterator[dict]:
+def _best_case_gaps(values: ValueSets, bounds: NomBounds, scope: str) -> Iterator[dict]:
     """(agent, value) pairs whose best-case truthful utility is not the value."""
     for i, vals in enumerate(values):
         for value in vals:
@@ -916,19 +811,20 @@ def welfare_compare(
     """Compare two mechanisms agent by agent on every grid profile."""
     _refuse_other_market(first.market, grid)
     _refuse_other_market(second.market, grid)
+    one, two = OutcomeTable.of(first, grid), OutcomeTable.of(second, grid)
     above: dict[bool, dict] = {}  # first strict witness, by whether `first` is above
     count = 0
-    for profile in grid.profiles():
+    for at in one.points(grid):
         count += 1
-        us_first = utilities(first.evaluate(profile), profile)
-        us_second = utilities(second.evaluate(profile), profile)
-        for i, (ua, ub) in enumerate(zip(us_first, us_second)):
+        (xa, ta), (xb, tb) = one[at.rank], two[at.rank]
+        for i, v in enumerate(at.scaled):
+            ua, ub = v * xa[i] - ta[i], v * xb[i] - tb[i]
             if ua != ub and (ua > ub) not in above:
                 above[ua > ub] = {
-                    "profile": profile.values,
+                    "profile": at.values,
                     "agent": i,
-                    "first_utility": ua,
-                    "second_utility": ub,
+                    "first_utility": one.exact(ua),
+                    "second_utility": one.exact(ub),
                 }
     first_above, second_above = above.get(True), above.get(False)
     relation = {

@@ -1,0 +1,280 @@
+"""Value grids, and a mechanism's outcomes over one.
+
+`GridSpace` is the one place a grid declaration becomes values. An
+`OutcomeTable` holds a mechanism's outcome at each profile of a grid's
+value sets, indexed by mixed-radix rank and scaled to integers, so the
+axiom checkers in `axioms` evaluate each profile once and compare ints.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+import random
+import weakref
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Any, Iterable, Iterator, NamedTuple
+
+from .mechanisms import Mechanism
+from .model import MarketConfig, Profile, RationalLike, rat
+
+MODE_EXHAUSTIVE = "exhaustive"
+MODE_SAMPLED = "sampled"
+ENUMERATION_BUDGET = 1_000_000
+
+
+@dataclass(frozen=True)
+class GridSpace:
+    """A finite set of valuations per agent, plus how to sweep them.
+
+    This is the one place a grid declaration becomes values: explicit
+    value sets are sorted and de-duplicated here (a set shared by several
+    agents once), and `from_range` builds a range. An exhaustive grid of
+    more than `ENUMERATION_BUDGET` profiles, or a sample of more than
+    that many draws, is refused at construction.
+    In exhaustive mode `profiles()` yields the full cartesian product in
+    lexicographic order. In sampled mode it yields `samples` profiles
+    drawn uniformly; each draw is keyed by `(seed, index)`, so the stream
+    depends on nothing else.
+    """
+
+    config: MarketConfig
+    values: tuple[tuple[Fraction, ...], ...]
+    mode: str = MODE_EXHAUSTIVE
+    seed: int = 0
+    samples: int = 0
+
+    def __post_init__(self) -> None:
+        if len(self.values) != self.config.n:
+            raise ValueError("need one value set per agent")
+        normalized: dict[int, tuple[Fraction, ...]] = {}  # by id of the input
+        for vals in self.values:
+            if id(vals) in normalized:
+                continue
+            vs = sorted({rat(v) for v in vals})
+            if not vs:
+                raise ValueError("value sets must be non-empty")
+            if vs[0] < 0:
+                raise ValueError("grid valuations must be non-negative")
+            normalized[id(vals)] = tuple(vs)
+        object.__setattr__(
+            self, "values", tuple(normalized[id(vals)] for vals in self.values)
+        )
+        if self.mode not in (MODE_EXHAUSTIVE, MODE_SAMPLED):
+            raise ValueError(f"unknown mode: {self.mode}")
+        if self.mode == MODE_SAMPLED and self.samples < 1:
+            raise ValueError("sampled mode needs samples >= 1")
+        if self.mode == MODE_SAMPLED and self.samples > ENUMERATION_BUDGET:
+            raise ValueError(
+                f"{self.samples} samples exceed the enumeration budget "
+                f"({ENUMERATION_BUDGET}); draw fewer samples"
+            )
+        if self.mode == MODE_EXHAUSTIVE:
+            _refuse_over_budget(self.size)
+
+    @classmethod
+    def shared(
+        cls,
+        config: MarketConfig,
+        values: Iterable[RationalLike],
+        **kwargs: Any,
+    ) -> "GridSpace":
+        vals = tuple(rat(v) for v in values)
+        return cls(config, tuple(vals for _ in range(config.n)), **kwargs)
+
+    @classmethod
+    def from_range(
+        cls,
+        config: MarketConfig,
+        max_value: RationalLike,
+        denominator: int = 1,
+        **kwargs: Any,
+    ) -> "GridSpace":
+        """The shared grid 0, 1/q, ..., max with q = `denominator`.
+
+        An exhaustive grid over budget is refused before any value is built.
+        """
+        top = rat(max_value)
+        if denominator < 1:
+            raise ValueError("range denominator must be >= 1")
+        steps = top * denominator
+        if top < 0 or steps.denominator != 1:
+            raise ValueError(
+                "range max must be a non-negative multiple of 1/denominator"
+            )
+        count = int(steps) + 1
+        if kwargs.get("mode", MODE_EXHAUSTIVE) == MODE_EXHAUSTIVE:
+            _refuse_over_budget(count**config.n)
+        return cls.shared(
+            config, (Fraction(k, denominator) for k in range(count)), **kwargs
+        )
+
+    @property
+    def is_shared(self) -> bool:
+        return all(vals == self.values[0] for vals in self.values)
+
+    @property
+    def shared_values(self) -> tuple[Fraction, ...]:
+        if not self.is_shared:
+            raise ValueError("agents do not share a common value set")
+        return self.values[0]
+
+    @property
+    def size(self) -> int:
+        out = 1
+        for vals in self.values:
+            out *= len(vals)
+        return out
+
+    @property
+    def pass_verdict(self) -> str:
+        return "PASS_EXHAUSTIVE" if self.mode == MODE_EXHAUSTIVE else "PASS_SAMPLED"
+
+    def profiles(self) -> Iterator[Profile]:
+        if self.mode == MODE_EXHAUSTIVE:
+            for combo in itertools.product(*self.values):
+                yield Profile.trusted(self.config, combo)
+        else:
+            for index in range(self.samples):
+                rng = random.Random(f"{self.seed}:{index}")
+                combo = tuple(rng.choice(vals) for vals in self.values)
+                yield Profile.trusted(self.config, combo)
+
+
+def _refuse_over_budget(size: int) -> None:
+    if size > ENUMERATION_BUDGET:
+        raise ValueError(
+            f"{size} profiles exceed the enumeration budget "
+            f"({ENUMERATION_BUDGET}); switch to sampled mode with a seed"
+        )
+
+
+# ---------------------------------------------------------------------------
+# Outcome tables
+# ---------------------------------------------------------------------------
+
+
+class GridPoint(NamedTuple):
+    """One profile as the pointwise generators read it: its table `rank`,
+    the `index` of each agent's value in their value set, the exact
+    `values`, and those values `scaled` by the table's common denominator."""
+
+    rank: int
+    index: tuple[int, ...]
+    values: tuple[Fraction, ...]
+    scaled: tuple[int, ...]
+
+
+class OutcomeTable(dict):
+    """A mechanism's outcomes on one market's value sets, keyed by rank.
+
+    A profile whose agent i reports the k_i-th value of their set has the
+    mixed-radix rank sum(k_i * stride[i]), so a single-agent misreport is
+    one addition and a swap two. The value sets are sorted, so ranks order
+    profiles as their values do. Each rank maps to (object indicators,
+    transfers). Values and transfers are scaled by `scale`, the common
+    denominator of the value sets: a transfer that is a multiple of
+    1/scale is stored as an int, any other as the exact `Fraction`, and a
+    positive scale preserves every comparison. `exact` turns a scaled
+    quantity back into a `Fraction` when a witness is built.
+
+    A rank is evaluated on its first read and kept. `of` gives the
+    mechanism's one table per (market, value sets), shared by every
+    checker; replay builds a throwaway one. The table reaches its
+    mechanism through a weak reference, so the two form no cycle.
+    """
+
+    def __init__(
+        self,
+        mechanism: Mechanism,
+        config: MarketConfig,
+        values: tuple[tuple[Fraction, ...], ...],
+    ) -> None:
+        super().__init__()
+        self.mechanism = weakref.ref(mechanism)
+        self.config = config
+        self.values = values
+        distinct = {id(vals): vals for vals in values}  # a shared set once
+        self.scale = math.lcm(*(v.denominator for vals in distinct.values() for v in vals))
+        scaled = {
+            key: tuple(v.numerator * (self.scale // v.denominator) for v in vals)
+            for key, vals in distinct.items()
+        }
+        position = {
+            key: {v: k for k, v in enumerate(vals)} for key, vals in distinct.items()
+        }
+        self.scaled = tuple(scaled[id(vals)] for vals in values)
+        self.position = tuple(position[id(vals)] for vals in values)
+        self.indices = tuple(range(len(vals)) for vals in values)
+        strides = [1]
+        for vals in reversed(values[1:]):
+            strides.append(strides[-1] * len(vals))
+        self.stride = tuple(reversed(strides))
+        self._interned: dict[tuple, tuple] = {}
+
+    @classmethod
+    def of(cls, mechanism: Mechanism, grid: GridSpace) -> "OutcomeTable":
+        """The mechanism's table for the grid's market and value sets."""
+        tables = _TABLES.setdefault(mechanism, [])
+        # Compared, not hashed: a large value set is costly to hash, and a
+        # checker usually passes the very tuples the table holds.
+        for table in tables:
+            if table.config == grid.config and table.values == grid.values:
+                return table
+        table = cls(mechanism, grid.config, grid.values)
+        tables.append(table)
+        return table
+
+    def __missing__(self, rank: int) -> tuple:
+        rest, values = rank, []
+        for vals, step in zip(self.values, self.stride):
+            k, rest = divmod(rest, step)
+            values.append(vals[k])
+        profile = Profile.trusted(self.config, tuple(values))
+        bundles = self.mechanism().evaluate(profile).bundles
+        outcome = (
+            tuple(b.x for b in bundles),
+            tuple(self._scale_transfer(b.t) for b in bundles),
+        )
+        outcome = self._interned.setdefault(outcome, outcome)
+        self[rank] = outcome
+        return outcome
+
+    def _scale_transfer(self, t: Fraction) -> int | Fraction:
+        num = t.numerator * self.scale
+        if num % t.denominator:
+            return Fraction(num, t.denominator)
+        return num // t.denominator
+
+    def exact(self, quantity: int | Fraction) -> Fraction:
+        """A scaled quantity as the exact rational it stands for."""
+        return Fraction(quantity, self.scale)
+
+    def point(self, values: tuple[Fraction, ...]) -> GridPoint:
+        """The point of a profile whose values lie in the value sets."""
+        index = tuple(pos[v] for pos, v in zip(self.position, values))
+        rank = sum(k * step for k, step in zip(index, self.stride))
+        scaled = tuple(sc[k] for sc, k in zip(self.scaled, index))
+        return GridPoint(rank, index, values, scaled)
+
+    def points(self, grid: GridSpace) -> Iterator[GridPoint]:
+        """A point for each profile `grid.profiles()` yields. An exhaustive
+        grid yields the product of its value sets in order, so its ranks
+        and indices are counted, not looked up."""
+        profiles = (profile.values for profile in grid.profiles())
+        if grid.mode != MODE_EXHAUSTIVE:
+            return map(self.point, profiles)
+        return map(
+            GridPoint,
+            itertools.count(),
+            itertools.product(*self.indices),
+            profiles,
+            itertools.product(*self.scaled),
+        )
+
+
+# Each mechanism's tables, one per (market, value sets). An entry dies with its
+# mechanism, and a deterministic mechanism fills its table the same way for
+# every caller, so sharing it changes no result.
+_TABLES: "weakref.WeakKeyDictionary[Mechanism, list]" = weakref.WeakKeyDictionary()

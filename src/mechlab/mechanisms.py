@@ -142,8 +142,10 @@ class Mechanism:
     families that have a closed form, lets the NOM and BEST_CASE
     checkers skip the grid. `market` is the market a rule table was
     written for (None when the mechanism has no table), so a checker can
-    refuse a grid of another market. Evaluations are cached; rules are
-    read-only after construction.
+    refuse a grid of another market. `evaluate` runs the mechanism every
+    time it is called; the axiom checkers evaluate each grid profile once
+    into an outcome table (`grid.OutcomeTable`). Rules are read-only
+    after construction.
     """
 
     def __init__(
@@ -161,7 +163,6 @@ class Mechanism:
         self.bounds = bounds
         self.market = market
         self._fn = fn
-        self._cache: dict[Profile, Allocation] = {}
 
     @property
     def spec(self) -> dict:
@@ -173,11 +174,7 @@ class Mechanism:
         return spec
 
     def evaluate(self, profile: Profile) -> Allocation:
-        cached = self._cache.get(profile)
-        if cached is None:
-            cached = self._fn(profile)
-            self._cache[profile] = cached
-        return cached
+        return self._fn(profile)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Mechanism({self.name!r})"

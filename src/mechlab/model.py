@@ -128,17 +128,29 @@ class Profile:
             raise ValueError("valuations must be non-negative")
         object.__setattr__(self, "values", vals)
 
+    @classmethod
+    def trusted(cls, config: MarketConfig, values: tuple[Fraction, ...]) -> "Profile":
+        """A profile of values that are already normalised: one non-negative
+        `Fraction` per agent. Nothing is checked; `Profile(...)` checks all."""
+        profile = object.__new__(cls)
+        object.__setattr__(profile, "config", config)
+        object.__setattr__(profile, "values", values)
+        return profile
+
     def with_value(self, agent: int, value: RationalLike) -> "Profile":
         """Copy of this profile with one agent's valuation replaced."""
+        new = rat(value)
+        if new < 0:
+            raise ValueError("valuations must be non-negative")
         vals = list(self.values)
-        vals[agent] = rat(value)
-        return Profile(self.config, tuple(vals))
+        vals[agent] = new
+        return Profile.trusted(self.config, tuple(vals))
 
     def swapped(self, i: int, j: int) -> "Profile":
         """Copy of this profile with the valuations of agents i and j exchanged."""
         vals = list(self.values)
         vals[i], vals[j] = vals[j], vals[i]
-        return Profile(self.config, tuple(vals))
+        return Profile.trusted(self.config, tuple(vals))
 
 
 def make_profile(config: MarketConfig, values: Iterable[RationalLike]) -> Profile:

@@ -37,7 +37,14 @@ from mechlab import (
     witness_from_json,
     witness_to_json,
 )
-from mechlab.axioms import BY_BOUNDS, MODE_SAMPLED, POINTWISE, _nom_bounds, scan
+from mechlab.axioms import (
+    BY_BOUNDS,
+    ENUMERATION_BUDGET,
+    MODE_SAMPLED,
+    POINTWISE,
+    _nom_bounds,
+    scan,
+)
 from mechlab.model import Allocation
 from mechlab.search import GridConfig
 
@@ -91,6 +98,17 @@ def test_grid_space_rejects_wrong_arity():
 def test_grid_space_budget():
     with pytest.raises(ValueError, match="budget"):
         GridSpace.shared(CFG1, tuple(range(101)))
+
+
+def test_grid_space_refuses_samples_over_budget():
+    """A sample is swept like a grid, and its outcomes are kept per
+    mechanism, so its size is capped like an exhaustive grid's."""
+    with pytest.raises(ValueError, match="samples exceed the enumeration budget"):
+        GridSpace.from_range(
+            MarketConfig(5, 2), 10, 2, mode=MODE_SAMPLED, seed=1, samples=10**12
+        )
+    at_cap = GridSpace.shared(CFG1, (0, 1), mode=MODE_SAMPLED, samples=ENUMERATION_BUDGET)
+    assert at_cap.samples == ENUMERATION_BUDGET
 
 
 def test_shared_value_set_is_normalised_once():

@@ -129,3 +129,15 @@ def test_best_case_sweeps_the_grid_once(bench):
     assert report.verdict == "PASS_ANALYTIC"
     sweeps = [count for (_, name), (count, _) in tracer.hot.items() if name == "axioms.sweep"]
     assert sum(sweeps) == 1
+
+
+@pytest.mark.parametrize("name", ["audit-exhaustive", "audit-sampled"])
+def test_audit_workloads_match_the_bench_reference(bench, tmp_path, capsys, name):
+    """The two audit workloads at the default seed, run through `cli.main`,
+    give every operation digest stored in `bench/reference.json`."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(bench.workloads.generate(name, bench.workloads.DEFAULT_SEED)))
+    assert cli.main(["audit", "--config", str(path)]) == 1
+    output = {"report": capsys.readouterr().out}
+    reference = bench.gate.load_reference(name)
+    assert bench.gate.cell_digests(name, output) == reference["cells"]

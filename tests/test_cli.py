@@ -475,6 +475,11 @@ def winner_table(entries):
         ({"mode": {"kind": "sampled", "seed": 1.5, "samples": 2}}, ""),
         ({"mode": {"kind": "sampled", "seed": 1, "samples": 2.7}}, ""),
         ({"grid": {"range": {"max": "2", "denominator": 2.0}}}, ""),
+        (
+            {"grid": {"range": {"max": "10", "denominator": 2}},
+             "mode": {"kind": "sampled", "seed": 1, "samples": 10**12}},
+            "error: bad grid: 1000000000000 samples exceed the enumeration budget",
+        ),
         ({"grid": {"range": 2}}, ""),
         ({"mechanisms": [{"family": "SELECTIVE_VICKREY", "rule": dict(DICTATOR, agent=0.0)}]}, ""),
         ({"mechanisms": [{"family": "SELECTIVE_VICKREY", "rule": {
@@ -536,7 +541,8 @@ def winner_table(entries):
     ],
     ids=[
         "mode-not-object", "output-not-object", "float-agents", "bool-objects",
-        "float-seed", "float-samples", "float-denominator", "range-not-object",
+        "float-seed", "float-samples", "float-denominator", "samples-over-budget",
+        "range-not-object",
         "float-dictator", "float-winner", "values-string", "per-agent-strings",
         "aiw-unshared-grid", "axioms-string", "mechanisms-string", "mechanisms-object",
         "entries-object", "profile-string", "winners-string", "pricing-profile-string",

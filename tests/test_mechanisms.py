@@ -749,14 +749,19 @@ def test_builtin_catalog_names():
     ]
 
 
-def test_mechanism_evaluate_caches_by_profile():
+def test_an_audit_evaluates_each_grid_profile_once():
+    """Every axiom checker and the welfare comparison read one outcome
+    table per mechanism and grid: across a full audit on an exhaustive
+    grid, the mechanism runs exactly once at each grid profile."""
     calls = []
 
     def fn(profile):
         calls.append(profile.values)
-        return no_trade_mechanism(0).evaluate(profile)
+        return vickrey_mechanism().evaluate(profile)
 
     mech = Mechanism("probe", "CUSTOM", fn)
-    p = make_profile(CFG1, (1, 2, 3))
-    assert mech.evaluate(p) == mech.evaluate(p)
-    assert len(calls) == 1
+    grid = GridConfig(3, 1, values=(0, 1, 2, 3)).space()
+    for check in CHECKERS.values():
+        check(mech, grid)
+    welfare_compare(mech, pay_as_bid_mechanism(), grid)
+    assert sorted(calls) == sorted(p.values for p in grid.profiles())
