@@ -6,10 +6,10 @@ Run: python3 demos/mechanism_tour.py
 from mechlab import (
     MarketConfig,
     PricingRule,
+    Profile,
     WinnerRule,
     efficient_vickrey_mechanism,
     ev_pab_mechanism,
-    make_profile,
     pay_as_bid_mechanism,
     selective_vickrey_mechanism,
     utilities,
@@ -18,7 +18,7 @@ from mechlab import (
 
 
 def show(mech, values, m=1):
-    p = make_profile(MarketConfig(len(values), m), values)
+    p = Profile(MarketConfig(len(values), m), values)
     alloc = mech.evaluate(p)
     print(f"  {mech.name:34s} {str(values):12s} -> winners={alloc.winners} "
           f"transfers={tuple(str(t) for t in alloc.transfers)} "

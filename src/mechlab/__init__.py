@@ -14,12 +14,8 @@ from .model import (
     MarketConfig,
     Profile,
     ZERO_BUNDLE,
-    achieved_surplus,
     all_zero_allocation,
     has_uniform_tail,
-    kth_highest,
-    make_profile,
-    optimal_surplus,
     rat,
     rat_str,
     utilities,

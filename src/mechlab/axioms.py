@@ -15,18 +15,20 @@ Witnesses always replay: feeding the witness back through the mechanism
 reproduces the violating inequality exactly. Each axiom is defined once,
 as a generator of its violations, and the check, witness replay
 (`refresh_witness`) and shrinking all run that one definition. A
-pointwise axiom's generator judges one profile, reading the mechanism's
-outcomes and the profile's values as scaled ints off the mechanism's one
-`OutcomeTable` for the grid (see `grid`), so every grid profile is
-evaluated once per mechanism, however many checkers read it; its
-witness fields are exact `Fraction`s. `scan` sweeps the grid once for
-any number of them, never early-exits (`profiles_checked` counts every
-profile) and reports each axiom's lexicographically first violation.
-`welfare_compare` and the grid-scope NOM bounds read the same tables.
-NOM's and BEST_CASE's generators judge an agent's values against
-utility bounds over all opponents: analytic when the mechanism has
-closed-form bounds, grid-relative otherwise. A mechanism built on a rule
-table is refused on a grid of another market.
+pointwise axiom's generator reads only (table, point): one profile's
+outcomes and values as scaled ints off the mechanism's one `OutcomeTable`
+for the grid (see `grid`), with SP misreports and AIW swaps ranging over
+the table's value sets. So every grid profile is evaluated once per
+mechanism, however many checkers read it, and a replay narrows the value
+sets of a throwaway table to the witness; witness fields are exact
+`Fraction`s. `scan` sweeps the grid once for any number of them, never
+early-exits (`profiles_checked` counts every profile) and reports each
+axiom's lexicographically first violation. `welfare_compare` and the
+grid-scope NOM bounds read the same tables, which refuse a mechanism
+built on another market's rule table. NOM's and BEST_CASE's generators
+judge an agent's values against utility bounds over all opponents:
+analytic when the mechanism has closed-form bounds, grid-relative
+otherwise.
 
 The structural checks on winner and pricing rules (`validate_winner_rule`,
 `check_uncompromising`, `check_ev_support`) return the same report, with
@@ -38,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .grid import (  # the grid names are part of the checkers' interface
     ENUMERATION_BUDGET,
@@ -47,11 +49,11 @@ from .grid import (  # the grid names are part of the checkers' interface
     GridPoint,
     GridSpace,
     OutcomeTable,
+    _refuse_other_market,
 )
 from .mechanisms import EV, Hit, Mechanism, PricingRule, WinnerRule
 from .model import (
     Bundle,
-    MarketConfig,
     Profile,
     has_uniform_tail,
     rat,
@@ -60,16 +62,6 @@ from .model import (
     utility,
     vickrey_price,
 )
-
-
-def _refuse_other_market(market: MarketConfig | None, grid: GridSpace) -> None:
-    """A rule table, or a mechanism built on one, is only checked on a grid
-    of the market it was written for; None means there is no table."""
-    if market is not None and market != grid.config:
-        raise ValueError(
-            f"rule table market (n={market.n}, m={market.m}) differs from "
-            f"the grid market (n={grid.config.n}, m={grid.config.m})"
-        )
 
 
 @dataclass(frozen=True)
@@ -148,28 +140,28 @@ def witness_from_json(data: dict) -> dict:
 # Pointwise axioms
 # ---------------------------------------------------------------------------
 
-# `reports[i]` lists the indices, into agent i's value set, of the values
-# agent i may report; only SP deviates.
-Reports = tuple[Sequence[int], ...]
+def _matching(found: Iterable[dict], witness: dict, identity: Sequence[str]) -> dict | None:
+    """The first violation whose `identity` fields equal the witness's, or None."""
+    return next((f for f in found if all(f[k] == witness[k] for k in identity)), None)
 
 
 @dataclass(frozen=True)
 class PointwiseAxiom:
     """An axiom that holds or fails profile by profile.
 
-    `violations(table, point, reports)` yields every violation at one
-    profile, in witness-key order, reading the mechanism's outcomes off
-    its `OutcomeTable`. A witness is identified by its profile plus the
-    `identity` fields; its sort key is that tuple, and the scan reports
-    the smallest key found. Replay runs the same generator on a table
-    over the witness's own values (plus its misreport) and keeps the
-    violation whose identity matches, so the scan and the replay cannot
-    drift apart.
+    `violations(table, point)` yields every violation at one profile, in
+    witness-key order, reading the mechanism's outcomes off its
+    `OutcomeTable`; a deviation ranges over the table's value sets. A
+    witness is identified by its profile plus the `identity` fields; its
+    sort key is that tuple, and the scan reports the smallest key found.
+    Replay runs the same generator on a throwaway table whose value sets
+    are narrowed to the witness and keeps the violation whose identity
+    matches, so the scan and the replay cannot drift apart.
     """
 
     name: str
     identity: tuple[str, ...]
-    violations: Callable[[OutcomeTable, GridPoint, Reports], Iterator[dict]]
+    violations: Callable[[OutcomeTable, GridPoint], Iterator[dict]]
 
     def check(self, mechanism: Mechanism, grid: GridSpace) -> AxiomReport:
         """Sweep the grid; FAIL with the smallest-key violation, else pass."""
@@ -178,31 +170,28 @@ class PointwiseAxiom:
     def refresh(
         self, mechanism: Mechanism, witness: dict, grid: GridSpace
     ) -> dict | None:
-        """The violation with the witness's identity, recomputed, or None."""
+        """The violation with the witness's identity, recomputed, or None.
+
+        For SP each agent holds only their own value, and the deviating
+        agent also the misreport (as given, even off the grid): two
+        profiles. Every other axiom reads the profile's values as one set
+        all agents share, which AIW's swaps need.
+        """
         market = grid.config
-        profile = Profile(market, witness["profile"])
-        # A recorded misreport is replayed as given, even off the grid.
-        values = set(profile.values)
-        misreport = None
+        values = Profile(market, witness["profile"]).values
         if "misreport" in self.identity:
-            misreport = rat(witness["misreport"])
+            agent, misreport = witness["agent"], rat(witness["misreport"])
             if misreport < 0:
                 raise ValueError("valuations must be non-negative")
-            values.add(misreport)
-        table = OutcomeTable(mechanism, market, (tuple(sorted(values)),) * market.n)
-        reports = tuple(
-            (table.position[k][misreport],)
-            if misreport is not None and k == witness["agent"]
-            else ()
-            for k in range(market.n)
-        )
-        for found in self.violations(table, table.point(profile.values), reports):
-            if all(found[k] == witness[k] for k in self.identity):
-                return found
-        return None
+            sets = [(v,) for v in values]
+            sets[agent] = tuple(sorted({values[agent], misreport}))
+        else:
+            sets = [tuple(sorted(set(values)))] * market.n
+        table = OutcomeTable(mechanism, market, tuple(sets))
+        return _matching(self.violations(table, table.point(values)), witness, self.identity)
 
 
-def _ir_violations(table: OutcomeTable, at: GridPoint, reports: Reports) -> Iterator[dict]:
+def _ir_violations(table: OutcomeTable, at: GridPoint) -> Iterator[dict]:
     """Individual rationality: every agent's utility is non-negative."""
     x, t = table[at.rank]
     for i, v in enumerate(at.scaled):
@@ -211,7 +200,7 @@ def _ir_violations(table: OutcomeTable, at: GridPoint, reports: Reports) -> Iter
             yield {"profile": at.values, "agent": i, "utility": table.exact(u)}
 
 
-def _ns_violations(table: OutcomeTable, at: GridPoint, reports: Reports) -> Iterator[dict]:
+def _ns_violations(table: OutcomeTable, at: GridPoint) -> Iterator[dict]:
     """No subsidy: no agent is ever paid money (every transfer is >= 0)."""
     _, t = table[at.rank]
     for i, paid in enumerate(t):
@@ -219,18 +208,18 @@ def _ns_violations(table: OutcomeTable, at: GridPoint, reports: Reports) -> Iter
             yield {"profile": at.values, "agent": i, "transfer": table.exact(paid)}
 
 
-def _sp_violations(table: OutcomeTable, at: GridPoint, reports: Reports) -> Iterator[dict]:
+def _sp_violations(table: OutcomeTable, at: GridPoint) -> Iterator[dict]:
     """Strategy-proofness: no single-agent misreport ever pays.
 
-    A scan passes each agent's whole value set as the misreports, so on
-    an exhaustive sweep the verdict is exhaustive at grid scope.
+    Each agent misreports every other value of their set, so on an
+    exhaustive sweep the verdict is exhaustive at grid scope.
     """
     x, t = table[at.rank]
     for i, v in enumerate(at.scaled):
         honest = v * x[i] - t[i]
         own, step = at.index[i], table.stride[i]
         base = at.rank - own * step
-        for k in reports[i]:
+        for k in table.indices[i]:
             if k == own:
                 continue
             dx, dt = table[base + k * step]
@@ -268,7 +257,7 @@ def find_reference_bundle(mechanism: Mechanism, profile: Profile) -> Bundle | No
     return None if reference is None else Bundle(*reference)
 
 
-def _ee_violations(table: OutcomeTable, at: GridPoint, reports: Reports) -> Iterator[dict]:
+def _ee_violations(table: OutcomeTable, at: GridPoint) -> Iterator[dict]:
     """Egalitarian-equivalence: a reference bundle exists at every profile."""
     x, t = table[at.rank]
     us = [v * xi - ti for v, xi, ti in zip(at.scaled, x, t)]
@@ -276,7 +265,7 @@ def _ee_violations(table: OutcomeTable, at: GridPoint, reports: Reports) -> Iter
         yield {"profile": at.values, "utilities": tuple(map(table.exact, us))}
 
 
-def _eff_violations(table: OutcomeTable, at: GridPoint, reports: Reports) -> Iterator[dict]:
+def _eff_violations(table: OutcomeTable, at: GridPoint) -> Iterator[dict]:
     """Decision efficiency: the objects always go to a surplus-maximizing set."""
     x, _ = table[at.rank]
     achieved = sum(v for v, xi in zip(at.scaled, x) if xi)
@@ -289,7 +278,7 @@ def _eff_violations(table: OutcomeTable, at: GridPoint, reports: Reports) -> Ite
         }
 
 
-def _ef_violations(table: OutcomeTable, at: GridPoint, reports: Reports) -> Iterator[dict]:
+def _ef_violations(table: OutcomeTable, at: GridPoint) -> Iterator[dict]:
     """Envy-freeness: no agent prefers another agent's bundle to their own."""
     x, t = table[at.rank]
     for i, v in enumerate(at.scaled):
@@ -308,12 +297,15 @@ def _ef_violations(table: OutcomeTable, at: GridPoint, reports: Reports) -> Iter
                 }
 
 
-def _aiw_violations(table: OutcomeTable, at: GridPoint, reports: Reports) -> Iterator[dict]:
+def _aiw_violations(table: OutcomeTable, at: GridPoint) -> Iterator[dict]:
     """Anonymity in welfare: swapping two agents' valuations swaps their utilities.
 
-    The value sets are shared, so the swap moves agent i's index to j and
-    back: one rank step per agent.
+    A table whose agents hold different value sets is refused, since a
+    swap could leave it. With one shared set the swap moves agent i's
+    index to j and back: one rank step per agent.
     """
+    if not table.shared:
+        raise ValueError("anonymity in welfare needs a shared value set across agents")
     x, t = table[at.rank]
     index, stride = at.index, table.stride
     for i, v in enumerate(at.scaled):
@@ -359,15 +351,13 @@ def scan(
     smallest-key violation, so its report is the one it would get alone.
     Ranks order profiles as their values do, so a key compares the rank.
     """
-    _refuse_other_market(mechanism.market, grid)
     table = OutcomeTable.of(mechanism, grid)
-    reports = table.indices  # every agent may report every value
     best: list[tuple | None] = [None] * len(axioms)  # (key, witness) per axiom
     count = 0
     for at in table.points(grid):
         count += 1
         for k, axiom in enumerate(axioms):
-            hit = next(axiom.violations(table, at, reports), None)
+            hit = next(axiom.violations(table, at), None)
             if hit is not None:
                 key = (at.rank, *(hit[f] for f in axiom.identity))
                 if best[k] is None or key < best[k][0]:
@@ -386,18 +376,7 @@ check_sp = POINTWISE["SP"].check
 check_ee = POINTWISE["EE"].check
 check_efficiency = POINTWISE["EFF"].check
 check_envy_freeness = POINTWISE["EF"].check
-
-
-def check_anonymity_in_welfare(
-    mechanism: Mechanism, grid: GridSpace
-) -> AxiomReport:
-    """Sweep AIW. Needs a shared value set, otherwise the swapped profile
-    can leave the grid; heterogeneous grids are a usage error."""
-    if not grid.is_shared:
-        raise ValueError(
-            "anonymity in welfare needs a shared value set across agents"
-        )
-    return POINTWISE["AIW"].check(mechanism, grid)
+check_anonymity_in_welfare = POINTWISE["AIW"].check
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +446,6 @@ def _nom_bounds(
     bundles the grid produced, with the smallest opponent profile
     producing each bound.
     """
-    _refuse_other_market(mechanism.market, grid)
     market = grid.config
     if mechanism.bounds is not None:
         zeros = (Fraction(0),) * (market.n - 1)
@@ -522,10 +500,7 @@ class BoundAxiom:
         narrowed = tuple(
             own if k == witness["agent"] else () for k in range(grid.config.n)
         )
-        for found in self.violations(narrowed, bounds, scope):
-            if all(found[k] == witness[k] for k in self.identity):
-                return found
-        return None
+        return _matching(self.violations(narrowed, bounds, scope), witness, self.identity)
 
 
 def _nom_violations(values: ValueSets, bounds: NomBounds, scope: str) -> Iterator[dict]:
@@ -686,10 +661,10 @@ def validate_winner_rule(rule: WinnerRule, grid: GridSpace) -> AxiomReport:
     if rule.table is None:
         details = {"method": "family satisfies the conditions by construction"}
         return AxiomReport("VALID", "PASS_ANALYTIC", details=details)
-    _refuse_other_market(rule.market, grid)
+    _refuse_other_market(rule.market, grid.config)
     return _scan_report(
         "VALID",
-        rule.scan_conditions(),
+        rule.conditions,
         "PASS_ANALYTIC",
         {"method": "entry scan (off-table profiles select nobody)"},
     )
@@ -709,7 +684,7 @@ def check_uncompromising(rule: WinnerRule, grid: GridSpace) -> AxiomReport:
     if rule.table is None:
         details = {"method": "raising a selected report keeps the rule's trigger"}
         return AxiomReport("UNCOMPROMISING", "PASS_ANALYTIC", details=details)
-    _refuse_other_market(rule.market, grid)
+    _refuse_other_market(rule.market, grid.config)
 
     def dropped(values: tuple[Fraction, ...], selected: frozenset[int]) -> Hit | None:
         profile = Profile(grid.config, values)
@@ -747,7 +722,7 @@ def check_ev_support(pricing: PricingRule, grid: GridSpace) -> AxiomReport:
         witness = {"agent": 0, "value": first_positive}
         details = {"condition": "no profile is ever classified EV"}
         return AxiomReport("EV_SUPPORT", "FAIL", witness, details=details)
-    _refuse_other_market(pricing.market, grid)
+    _refuse_other_market(pricing.market, grid.config)
     market = grid.config
     supported = set()  # (agent, value) pairs an EV-priced entry reaches
     for key, mode in pricing.table.items():
@@ -809,8 +784,6 @@ def welfare_compare(
     first: Mechanism, second: Mechanism, grid: GridSpace
 ) -> WelfareComparison:
     """Compare two mechanisms agent by agent on every grid profile."""
-    _refuse_other_market(first.market, grid)
-    _refuse_other_market(second.market, grid)
     one, two = OutcomeTable.of(first, grid), OutcomeTable.of(second, grid)
     above: dict[bool, dict] = {}  # first strict witness, by whether `first` is above
     count = 0
@@ -851,7 +824,6 @@ def refresh_witness(
     agent, misreport, ...) are trusted; recorded utilities and bounds are
     recomputed by the same definition the scan uses.
     """
-    _refuse_other_market(mechanism.market, grid)
     definition = POINTWISE.get(axiom) or BY_BOUNDS.get(axiom)
     if definition is None:
         raise ValueError(f"unknown axiom: {axiom}")

@@ -4,6 +4,9 @@
 `OutcomeTable` holds a mechanism's outcome at each profile of a grid's
 value sets, indexed by mixed-radix rank and scaled to integers, so the
 axiom checkers in `axioms` evaluate each profile once and compare ints.
+The table also holds what a checker must know of the mechanism on the
+grid: whether its rule table fits the market, and whether the value sets
+are shared.
 """
 
 from __future__ import annotations
@@ -30,9 +33,10 @@ class GridSpace:
 
     This is the one place a grid declaration becomes values: explicit
     value sets are sorted and de-duplicated here (a set shared by several
-    agents once), and `from_range` builds a range. An exhaustive grid of
-    more than `ENUMERATION_BUDGET` profiles, or a sample of more than
-    that many draws, is refused at construction.
+    agents once), and `from_range` builds a range. More than
+    `ENUMERATION_BUDGET` agents in a shared grid, values in a range,
+    profiles in an exhaustive grid or draws in a sample are refused,
+    counted from the declared lengths before the grid is built.
     In exhaustive mode `profiles()` yields the full cartesian product in
     lexicographic order. In sampled mode it yields `samples` profiles
     drawn uniformly; each draw is keyed by `(seed, index)`, so the stream
@@ -65,13 +69,10 @@ class GridSpace:
             raise ValueError(f"unknown mode: {self.mode}")
         if self.mode == MODE_SAMPLED and self.samples < 1:
             raise ValueError("sampled mode needs samples >= 1")
-        if self.mode == MODE_SAMPLED and self.samples > ENUMERATION_BUDGET:
-            raise ValueError(
-                f"{self.samples} samples exceed the enumeration budget "
-                f"({ENUMERATION_BUDGET}); draw fewer samples"
-            )
+        if self.mode == MODE_SAMPLED:
+            _refuse_over_budget(self.samples, "samples", "draw fewer samples")
         if self.mode == MODE_EXHAUSTIVE:
-            _refuse_over_budget(self.size)
+            _refuse_profiles_over_budget(map(len, self.values))
 
     @classmethod
     def shared(
@@ -80,8 +81,9 @@ class GridSpace:
         values: Iterable[RationalLike],
         **kwargs: Any,
     ) -> "GridSpace":
+        _refuse_over_budget(config.n, "agents", "declare fewer agents")
         vals = tuple(rat(v) for v in values)
-        return cls(config, tuple(vals for _ in range(config.n)), **kwargs)
+        return cls(config, (vals,) * config.n, **kwargs)
 
     @classmethod
     def from_range(
@@ -93,7 +95,8 @@ class GridSpace:
     ) -> "GridSpace":
         """The shared grid 0, 1/q, ..., max with q = `denominator`.
 
-        An exhaustive grid over budget is refused before any value is built.
+        A range over budget, or an exhaustive grid over budget, is refused
+        before any value is built.
         """
         top = rat(max_value)
         if denominator < 1:
@@ -104,8 +107,10 @@ class GridSpace:
                 "range max must be a non-negative multiple of 1/denominator"
             )
         count = int(steps) + 1
+        _refuse_over_budget(count, "range values", "use a coarser or shorter range")
         if kwargs.get("mode", MODE_EXHAUSTIVE) == MODE_EXHAUSTIVE:
-            _refuse_over_budget(count**config.n)
+            _refuse_over_budget(config.n, "agents", "declare fewer agents")
+            _refuse_profiles_over_budget(itertools.repeat(count, config.n))
         return cls.shared(
             config, (Fraction(k, denominator) for k in range(count)), **kwargs
         )
@@ -122,10 +127,7 @@ class GridSpace:
 
     @property
     def size(self) -> int:
-        out = 1
-        for vals in self.values:
-            out *= len(vals)
-        return out
+        return math.prod(map(len, self.values))
 
     @property
     def pass_verdict(self) -> str:
@@ -142,17 +144,45 @@ class GridSpace:
                 yield Profile.trusted(self.config, combo)
 
 
-def _refuse_over_budget(size: int) -> None:
-    if size > ENUMERATION_BUDGET:
+# A count over the budget is printed exactly up to this; a profile count
+# stops there, so no grid builds, or prints, a long number.
+_EXACT_COUNT = 10**18
+
+
+def _refuse_over_budget(count: int, what: str, advice: str) -> None:
+    """Refuse more than `ENUMERATION_BUDGET` of `what`."""
+    if count > ENUMERATION_BUDGET:
+        shown = count if count <= _EXACT_COUNT else f"more than {_EXACT_COUNT}"
         raise ValueError(
-            f"{size} profiles exceed the enumeration budget "
-            f"({ENUMERATION_BUDGET}); switch to sampled mode with a seed"
+            f"{shown} {what} exceed the enumeration budget "
+            f"({ENUMERATION_BUDGET}); {advice}"
         )
+
+
+def _refuse_profiles_over_budget(lengths: Iterable[int]) -> None:
+    """Refuse an exhaustive grid of more profiles than the budget, from its
+    value-set lengths. Each length is at least 1, so the product only grows."""
+    size = 1
+    for length in lengths:
+        size *= length
+        if size > _EXACT_COUNT:
+            break
+    _refuse_over_budget(size, "profiles", "switch to sampled mode with a seed")
 
 
 # ---------------------------------------------------------------------------
 # Outcome tables
 # ---------------------------------------------------------------------------
+
+
+def _refuse_other_market(market: MarketConfig | None, config: MarketConfig) -> None:
+    """A rule table, or a mechanism built on one, is only read on a grid of
+    the market it was written for; None means there is no table."""
+    if market is not None and market != config:
+        raise ValueError(
+            f"rule table market (n={market.n}, m={market.m}) differs from "
+            f"the grid market (n={config.n}, m={config.m})"
+        )
 
 
 class GridPoint(NamedTuple):
@@ -181,8 +211,12 @@ class OutcomeTable(dict):
 
     A rank is evaluated on its first read and kept. `of` gives the
     mechanism's one table per (market, value sets), shared by every
-    checker; replay builds a throwaway one. The table reaches its
-    mechanism through a weak reference, so the two form no cycle.
+    checker; replay builds a throwaway one narrowed to the witness. The
+    table reaches its mechanism through a weak reference, so the two form
+    no cycle. Construction refuses a mechanism built on another market's
+    rule table (`Mechanism.market`), so no checker repeats that check, and
+    `shared` records whether every agent holds one value set, as a swap of
+    two agents' values needs.
     """
 
     def __init__(
@@ -191,10 +225,12 @@ class OutcomeTable(dict):
         config: MarketConfig,
         values: tuple[tuple[Fraction, ...], ...],
     ) -> None:
+        _refuse_other_market(mechanism.market, config)
         super().__init__()
         self.mechanism = weakref.ref(mechanism)
         self.config = config
         self.values = values
+        self.shared = values.count(values[0]) == len(values)
         distinct = {id(vals): vals for vals in values}  # a shared set once
         self.scale = math.lcm(*(v.denominator for vals in distinct.values() for v in vals))
         scaled = {

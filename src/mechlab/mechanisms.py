@@ -20,8 +20,10 @@ way: each rule constructor sets the rule's label, its `select` or
 `classify` function, its bounds and its spec echo, and only the three
 `from_spec` parsers read a family name. Rule tables take and record the
 market. `WinnerRule.scan_entries` is the one walk over a winner table's
-entries: construction validates a table with it, and the rule checks in
-`axioms` (`validate_winner_rule`, `check_uncompromising`) report from it.
+entries, and the rule checks in `axioms` (`validate_winner_rule`,
+`check_uncompromising`) report from it. A table's selection conditions
+are scanned once per rule (`WinnerRule.conditions`): the mechanism's
+construction and `validate_winner_rule` read the same result.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from typing import Any, Callable, Iterable, Mapping
 
 from .model import (
@@ -390,8 +392,10 @@ class WinnerRule:
                 return checked, hit
         return checked, None
 
-    def scan_conditions(self) -> tuple[int, Hit | None]:
-        """Check the table's selection conditions (i)-(iv) entry by entry."""
+    @cached_property
+    def conditions(self) -> tuple[int, Hit | None]:
+        """The table's selection conditions (i)-(iv), checked entry by entry
+        once per rule: the entries checked and the first violation."""
         return self.scan_entries(partial(_rule_condition_violation, self.market))
 
     @classmethod
@@ -529,7 +533,7 @@ def selective_vickrey_mechanism(rule: WinnerRule) -> Mechanism:
     an invalid table is a construction error, not a mechanism that limps.
     """
     if rule.table is not None:
-        _, hit = rule.scan_conditions()
+        _, hit = rule.conditions
         if hit is not None:
             condition, witness = hit
             raise ValueError(

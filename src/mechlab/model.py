@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Iterable, Union
+from typing import Any, Union
 
 RationalLike = Union[int, str, Fraction]
 
@@ -21,7 +21,8 @@ def rat(value: RationalLike) -> Fraction:
     """Parse an exact rational from an int, a "p/q" string, or a Fraction.
 
     Floats are rejected: exactness is the point of this package, and a
-    float that survived this far is already a bug.
+    float that survived this far is already a bug. So is exponent
+    notation: "1e10000000" would take `Fraction` unbounded time to expand.
     """
     if isinstance(value, Fraction):
         return value
@@ -30,6 +31,8 @@ def rat(value: RationalLike) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        if "e" in value or "E" in value:
+            raise ValueError(f"exponent notation is not accepted: {value!r}")
         try:
             return Fraction(value.strip())
         except ZeroDivisionError:
@@ -153,20 +156,9 @@ class Profile:
         return Profile.trusted(self.config, tuple(vals))
 
 
-def make_profile(config: MarketConfig, values: Iterable[RationalLike]) -> Profile:
-    return Profile(config, tuple(rat(v) for v in values))
-
-
-def kth_highest(profile: Profile, k: int) -> Fraction:
-    """The k-th highest valuation, 1-indexed (k=1 is the maximum)."""
-    if not 1 <= k <= profile.config.n:
-        raise ValueError(f"k must be in 1..{profile.config.n}, got {k}")
-    return sorted(profile.values, reverse=True)[k - 1]
-
-
 def vickrey_price(profile: Profile) -> Fraction:
     """The (m+1)-th highest valuation: the price a winner pays under Vickrey rules."""
-    return kth_highest(profile, profile.config.m + 1)
+    return sorted(profile.values, reverse=True)[profile.config.m]
 
 
 def has_uniform_tail(profile: Profile) -> bool:
@@ -203,18 +195,4 @@ def utilities(allocation: Allocation, profile: Profile) -> tuple[Fraction, ...]:
     """Per-agent utilities of an allocation under a profile."""
     return tuple(
         utility(b, v) for b, v in zip(allocation.bundles, profile.values)
-    )
-
-
-def optimal_surplus(profile: Profile) -> Fraction:
-    """The largest achievable total valuation: the sum of the m highest values."""
-    ordered = sorted(profile.values, reverse=True)
-    return sum(ordered[: profile.config.m], Fraction(0))
-
-
-def achieved_surplus(allocation: Allocation, profile: Profile) -> Fraction:
-    """Total valuation realized by an allocation's object assignment."""
-    return sum(
-        (v for b, v in zip(allocation.bundles, profile.values) if b.x == 1),
-        Fraction(0),
     )

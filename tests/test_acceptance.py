@@ -13,6 +13,7 @@ from mechlab import (
     Bundle,
     MarketConfig,
     PricingRule,
+    Profile,
     WinnerRule,
     builtin_mechanisms,
     check_anonymity_in_welfare,
@@ -25,7 +26,6 @@ from mechlab import (
     efficient_vickrey_mechanism,
     ev_pab_mechanism,
     find_reference_bundle,
-    make_profile,
     no_trade_mechanism,
     pay_as_bid_mechanism,
     refresh_witness,
@@ -193,7 +193,7 @@ def test_criterion_07_always_ev_maximizes_welfare_in_class():
     second = ev_pab_mechanism(PricingRule.ev_iff_price_zero())
     cmp = welfare_compare(first, second, GRID)
     ok = cmp.relation == "DOMINATES"
-    p = make_profile(MarketConfig(3, 1), (3, 1, 1))
+    p = Profile(MarketConfig(3, 1), (3, 1, 1))
     ok &= utilities(first.evaluate(p), p)[0] == 2
     ok &= utilities(second.evaluate(p), p)[0] == 0
     rivals = [
@@ -242,7 +242,7 @@ def test_criterion_09_reference_bundle_matches_brute_force():
     for _ in range(1200):
         mech = rng.choice(pool)
         cfg = MarketConfig(3, rng.choice((1, 2)))
-        p = make_profile(cfg, tuple(rng.choice(values) for _ in range(3)))
+        p = Profile(cfg, tuple(rng.choice(values) for _ in range(3)))
         outcome = utilities(mech.evaluate(p), p)
         candidates = set()
         for v, u in zip(p.values, outcome):

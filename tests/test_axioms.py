@@ -10,6 +10,7 @@ from mechlab import (
     MarketConfig,
     Mechanism,
     PricingRule,
+    Profile,
     WinnerRule,
     ZERO_BUNDLE,
     builtin_mechanisms,
@@ -25,7 +26,6 @@ from mechlab import (
     efficient_vickrey_mechanism,
     ev_pab_mechanism,
     find_reference_bundle,
-    make_profile,
     no_trade_mechanism,
     pay_as_bid_mechanism,
     refresh_witness,
@@ -46,7 +46,7 @@ from mechlab.axioms import (
     scan,
 )
 from mechlab.model import Allocation
-from mechlab.search import GridConfig
+from mechlab.search import GridConfig, shrink_witness
 
 CFG1 = MarketConfig(3, 1)
 GRID = GridConfig(3, 1, values=(0, 1, 2, 3)).space()
@@ -190,6 +190,36 @@ def test_sp_witness_replays_at_other_profiles():
     assert fresh["misreport_utility"] == 2
 
 
+def test_an_sp_replay_evaluates_two_profiles(monkeypatch):
+    """A replay narrows its table to the witness: every agent holds their own
+    value and the deviating agent also the misreport. So an SP replay, alone
+    or inside shrinking, evaluates the truthful and the misreported profile."""
+    import mechlab.search
+
+    calls = []
+
+    def fn(profile):
+        calls.append(profile.values)
+        return pay_as_bid_mechanism().evaluate(profile)
+
+    mech = Mechanism("counted", "CUSTOM", fn)
+    witness = {"profile": (4, 1, 0), "agent": 0, "misreport": 2}
+    assert refresh_witness(mech, "SP", witness, GRID5) is not None
+    assert sorted(calls) == [(2, 1, 0), (4, 1, 0)]
+    replays = []
+    replay = mechlab.search.refresh_witness
+
+    def counted(*args):
+        before = len(calls)
+        found = replay(*args)
+        replays.append(len(calls) - before)
+        return found
+
+    monkeypatch.setattr(mechlab.search, "refresh_witness", counted)
+    assert shrink_witness(mech, "SP", witness, GRID5)["profile"] == (2, 0, 0)
+    assert len(replays) > 5 and max(replays) <= 2
+
+
 def test_sp_passes_for_price_based_mechanisms():
     for mech in (
         vickrey_mechanism(),
@@ -215,9 +245,9 @@ def test_sp_fails_for_always_ev_pricing():
 
 def test_find_reference_bundle_examples():
     aev = ev_pab_mechanism(PricingRule.always_ev())
-    assert find_reference_bundle(aev, make_profile(CFG1, (3, 2, 2))) == Bundle(1, 2)
-    assert find_reference_bundle(vickrey_mechanism(), make_profile(CFG1, (3, 2, 1))) is None
-    assert find_reference_bundle(no_trade_mechanism(0), make_profile(CFG1, (3, 2, 1))) == Bundle(0, 0)
+    assert find_reference_bundle(aev, Profile(CFG1, (3, 2, 2))) == Bundle(1, 2)
+    assert find_reference_bundle(vickrey_mechanism(), Profile(CFG1, (3, 2, 1))) is None
+    assert find_reference_bundle(no_trade_mechanism(0), Profile(CFG1, (3, 2, 1))) == Bundle(0, 0)
 
 
 def test_ee_vickrey_fails():
@@ -464,10 +494,30 @@ def test_anonymity_symmetric_rules_pass():
         assert check_anonymity_in_welfare(mech, GRID).verdict == "PASS_EXHAUSTIVE"
 
 
-def test_anonymity_needs_shared_grid():
-    het = GridSpace(CFG1, ((0, 1), (0, 1), (0, 1, 2)))
-    with pytest.raises(ValueError, match="shared value set"):
-        check_anonymity_in_welfare(vickrey_mechanism(), het)
+@pytest.mark.parametrize(
+    "values",
+    [
+        ((0, 1), (0, 1), (0, 1, 2)),
+        ((0, 1, 2), (0, 1, 2), (5, 6, 7)),
+        ((0, 1), (0, 1, 2), (0, 1, 2, 3)),
+    ],
+)
+def test_anonymity_needs_shared_grid(values):
+    """A swap can leave such a grid, so the AIW generator itself refuses the
+    table, and the public scan and record check refuse it like the alias.
+    Read as if shared, the second grid gives vickrey a FAIL at (0, 0, 5)
+    whose witness does not replay, and the third indexes past a value set."""
+    het = GridSpace(CFG1, values)
+    calls = [
+        check_anonymity_in_welfare,
+        POINTWISE["AIW"].check,
+        lambda mech, grid: scan(mech, grid, list(POINTWISE.values())),
+    ]
+    message = "^anonymity in welfare needs a shared value set across agents$"
+    for mech in builtin_mechanisms():
+        for call in calls:
+            with pytest.raises(ValueError, match=message):
+                call(mech, het)
 
 
 # one sweep for several axioms
@@ -508,7 +558,7 @@ def test_welfare_always_ev_dominates_iff_zero():
     assert cmp.relation == "DOMINATES"
     assert cmp.strict_second is None
     assert cmp.profiles_checked == 64
-    p = make_profile(CFG1, (3, 1, 1))
+    p = Profile(CFG1, (3, 1, 1))
     u_first = first.evaluate(p)
     u_second = second.evaluate(p)
     assert u_first.bundles[0] == Bundle(1, 1)

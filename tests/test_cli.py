@@ -1,6 +1,7 @@
 """Command line surface: eval, audit, suite, compare, config validation, exit codes."""
 
 import json
+import time
 
 import pytest
 
@@ -538,6 +539,17 @@ def winner_table(entries):
             "error: bad mechanism spec: rule table profile (1, -1, 1) must list 3 "
             "non-negative values",
         ),
+        ({"market": {"agents": 10**5, "objects": 1}, "grid": {"values": ["0", "1"]}},
+         "error: bad grid: more than 1000000000000000000 profiles exceed the enumeration budget"),
+        ({"market": {"agents": 10**5, "objects": 1}, "grid": {"range": {"max": "1"}}},
+         "error: bad grid: more than 1000000000000000000 profiles exceed the enumeration budget"),
+        ({"market": {"agents": 10**9, "objects": 1}, "grid": {"values": ["0"]}},
+         "error: bad grid: 1000000000 agents exceed the enumeration budget"),
+        ({"grid": {"range": {"max": "2000000"}},
+          "mode": {"kind": "sampled", "seed": 1, "samples": 3}},
+         "error: bad grid: 2000001 range values exceed the enumeration budget"),
+        ({"grid": {"values": ["0", "1e10000000"]}},
+         "error: bad grid: exponent notation is not accepted: '1e10000000'"),
     ],
     ids=[
         "mode-not-object", "output-not-object", "float-agents", "bool-objects",
@@ -547,17 +559,24 @@ def winner_table(entries):
         "aiw-unshared-grid", "axioms-string", "mechanisms-string", "mechanisms-object",
         "entries-object", "profile-string", "winners-string", "pricing-profile-string",
         "winner-profile-length", "winner-profile-negative", "pricing-profile-length",
-        "pricing-profile-negative",
+        "pricing-profile-negative", "many-agents-values", "many-agents-range",
+        "agents-over-budget", "sampled-range-over-budget", "exponent-grid-value",
     ],
 )
 def test_config_boundary_errors_exit_two(tmp_path, capsys, overrides, message):
+    """Refused fast and in one short line: a grid is counted from its declared
+    lengths, stopping early, before anything is built, so a long grid
+    neither takes seconds nor prints a 4,300-digit count, and an exponent
+    is never expanded."""
     path = write_config(tmp_path, **overrides)
+    started = time.perf_counter()
     assert main(["audit", "--config", str(path)]) == 2
+    assert time.perf_counter() - started < 1
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
-    assert lines[0].startswith(message), captured.err
+    assert lines[0].startswith(message) and len(lines[0]) < 200, captured.err
 
 
 @pytest.mark.parametrize(
@@ -592,3 +611,10 @@ def test_deeply_nested_config_exits_two(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: config is nested too deeply\n"
+
+
+def test_eval_refuses_exponent_notation_fast(capsys):
+    started = time.perf_counter()
+    assert main(["eval", "--mech", "vickrey", "--profile", "1e10000000,0,0"]) == 2
+    assert time.perf_counter() - started < 1
+    assert capsys.readouterr().err == "error: exponent notation is not accepted: '1e10000000'\n"

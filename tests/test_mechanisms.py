@@ -19,6 +19,7 @@ from mechlab import (
     MarketConfig,
     Mechanism,
     PricingRule,
+    Profile,
     WinnerRule,
     ZERO_BUNDLE,
     all_zero_allocation,
@@ -26,10 +27,7 @@ from mechlab import (
     efficient_vickrey_mechanism,
     ev_pab_mechanism,
     has_uniform_tail,
-    make_profile,
     no_trade_mechanism,
-    optimal_surplus,
-    achieved_surplus,
     pay_as_bid_mechanism,
     selective_vickrey_mechanism,
     strict_winners,
@@ -39,9 +37,11 @@ from mechlab import (
 )
 from mechlab.axioms import (
     CHECKERS,
+    POINTWISE,
     check_ev_support,
     check_uncompromising,
     refresh_witness,
+    scan,
     validate_winner_rule,
     welfare_compare,
 )
@@ -61,7 +61,7 @@ def shape(allocations):
 
 def grid_profiles(cfg, values=(0, 1, 2, 3)):
     for combo in product(values, repeat=cfg.n):
-        yield make_profile(cfg, combo)
+        yield Profile(cfg, combo)
 
 
 def is_feasible(allocation, config):
@@ -154,21 +154,21 @@ def selective_efficient_oracle(profile):
 
 
 def test_strict_winners_examples():
-    assert strict_winners(make_profile(CFG1, (5, 3, 2))) == frozenset({0})
-    assert strict_winners(make_profile(CFG1, (3, 3, 2))) == frozenset()
-    assert strict_winners(make_profile(CFG2, (3, 2, 2))) == frozenset({0})
+    assert strict_winners(Profile(CFG1, (5, 3, 2))) == frozenset({0})
+    assert strict_winners(Profile(CFG1, (3, 3, 2))) == frozenset()
+    assert strict_winners(Profile(CFG2, (3, 2, 2))) == frozenset({0})
 
 
 def test_vickrey_set_unique_winner():
     """Bids 5,3,2 with m=1: agent 0 wins at the second price 3."""
-    profile = make_profile(CFG1, (5, 3, 2))
+    profile = Profile(CFG1, (5, 3, 2))
     assert shape(vickrey_set(profile)) == {((0,), (3, 0, 0))}
     assert shape({vickrey_mechanism().evaluate(profile)}) == {((0,), (3, 0, 0))}
 
 
 def test_vickrey_set_tie_includes_no_trade():
     """Bids 3,3,2: either tied agent may win at 3, or nobody trades."""
-    allocs = vickrey_set(make_profile(CFG1, (3, 3, 2)))
+    allocs = vickrey_set(Profile(CFG1, (3, 3, 2)))
     assert shape(allocs) == {
         ((), (0, 0, 0)),
         ((0,), (3, 0, 0)),
@@ -178,18 +178,18 @@ def test_vickrey_set_tie_includes_no_trade():
 
 def test_vickrey_set_all_zero_has_every_subset():
     # all ties at price 0: every winner set within capacity, all paying 0
-    allocs = vickrey_set(make_profile(CFG2, (0, 0, 0)))
+    allocs = vickrey_set(Profile(CFG2, (0, 0, 0)))
     assert len(allocs) == 7
     assert all(all(t == 0 for t in a.transfers) for a in allocs)
 
 
 def test_efficient_vickrey_set_examples():
     """Ties keep all maximizers: (3,3,2) gives two allocations, (3,2,2) one."""
-    tie = efficient_vickrey_set(make_profile(CFG1, (3, 3, 2)))
+    tie = efficient_vickrey_set(Profile(CFG1, (3, 3, 2)))
     assert shape(tie) == {((0,), (3, 0, 0)), ((1,), (0, 3, 0))}
-    unique = efficient_vickrey_set(make_profile(CFG1, (3, 2, 2)))
+    unique = efficient_vickrey_set(Profile(CFG1, (3, 2, 2)))
     assert shape(unique) == {((0,), (2, 0, 0))}
-    flat = efficient_vickrey_set(make_profile(CFG1, (0, 0, 0)))
+    flat = efficient_vickrey_set(Profile(CFG1, (0, 0, 0)))
     assert len(flat) == 4, "any feasible winner set maximizes zero surplus"
 
 
@@ -203,13 +203,13 @@ def test_efficient_vickrey_utility_invariance():
 
 
 def test_pay_as_bid_set_examples():
-    assert shape(pay_as_bid_set(make_profile(CFG1, (3, 2, 1)))) == {((0,), (3, 0, 0))}
-    assert shape(pay_as_bid_set(make_profile(CFG1, (3, 3, 2)))) == {
+    assert shape(pay_as_bid_set(Profile(CFG1, (3, 2, 1)))) == {((0,), (3, 0, 0))}
+    assert shape(pay_as_bid_set(Profile(CFG1, (3, 3, 2)))) == {
         ((0,), (3, 0, 0)),
         ((1,), (0, 3, 0)),
     }
     mech = pay_as_bid_mechanism()
-    assert mech.evaluate(make_profile(CFG1, (3, 3, 2))).bundles == (
+    assert mech.evaluate(Profile(CFG1, (3, 3, 2))).bundles == (
         Bundle(1, 3), ZERO_BUNDLE, ZERO_BUNDLE
     )
 
@@ -222,7 +222,7 @@ def test_pay_as_bid_utility_nullity():
 
 
 def test_no_trade_fee_and_subsidy():
-    p = make_profile(CFG1, (3, 2, 1))
+    p = Profile(CFG1, (3, 2, 1))
     fee = no_trade_mechanism(1).evaluate(p)
     assert utilities(fee, p) == (-1, -1, -1)
     subsidy = no_trade_mechanism(-1).evaluate(p)
@@ -232,14 +232,14 @@ def test_no_trade_fee_and_subsidy():
 
 def test_select_canonical_prefers_lowest_winner():
     """Tied maximizers (3,3,2): the canonical efficient-Vickrey pick is agent 0."""
-    alloc = efficient_vickrey_mechanism().evaluate(make_profile(CFG1, (3, 3, 2)))
+    alloc = efficient_vickrey_mechanism().evaluate(Profile(CFG1, (3, 3, 2)))
     assert alloc.winners == (0,)
     assert alloc.transfers == (3, 0, 0)
 
 
 def test_select_canonical_prefers_no_trade():
     # with nobody above the price, Vickrey leaves every object unsold
-    alloc = vickrey_mechanism().evaluate(make_profile(CFG1, (3, 3, 2)))
+    alloc = vickrey_mechanism().evaluate(Profile(CFG1, (3, 3, 2)))
     assert alloc.winners == ()
     assert alloc == all_zero_allocation(CFG1)
 
@@ -257,7 +257,7 @@ def test_select_canonical_prefers_no_trade():
 def test_canonical_pick_is_the_least_sorted_winner_tuple(make, values, m, winners):
     """(0, 2) sorts before (2,): a tied agent indexed below the strict
     winner takes the spare object instead of leaving it unsold."""
-    profile = make_profile(MarketConfig(len(values), m), values)
+    profile = Profile(MarketConfig(len(values), m), values)
     assert make().evaluate(profile).winners == winners
 
 
@@ -286,7 +286,7 @@ def oracle_strict(values, m):
 
 
 def oracle_efficient(values, m):
-    profile = make_profile(MarketConfig(len(values), m), values)
+    profile = Profile(MarketConfig(len(values), m), values)
     return frozenset(select_canonical(efficient_vickrey_set(profile)).winners)
 
 
@@ -374,15 +374,16 @@ def test_rule_tables_refuse_a_profile_listed_twice():
 
 def test_vickrey_canonical_allocates_only_strict_winners():
     mech = vickrey_mechanism()
-    p = make_profile(CFG1, (5, 3, 2))
+    p = Profile(CFG1, (5, 3, 2))
     assert mech.evaluate(p).winners == (0,)
-    assert mech.evaluate(make_profile(CFG1, (3, 3, 2))).winners == ()
+    assert mech.evaluate(Profile(CFG1, (3, 3, 2))).winners == ()
 
 
 def test_efficient_vickrey_achieves_optimum():
     mech = efficient_vickrey_mechanism()
     for p in grid_profiles(CFG2):
-        assert achieved_surplus(mech.evaluate(p), p) == optimal_surplus(p)
+        achieved = sum(v for v, b in zip(p.values, mech.evaluate(p).bundles) if b.x)
+        assert achieved == sum(sorted(p.values, reverse=True)[: CFG2.m])
 
 
 def test_all_builtin_outputs_feasible():
@@ -395,8 +396,8 @@ def test_all_builtin_outputs_feasible():
        st.fractions(min_value="1/3", max_value=5))
 def test_efficient_winner_sets_scale_invariant(values, scale):
     # rescaling all bids leaves every Vickrey-price family's winners unchanged
-    p = make_profile(CFG1, values)
-    q = make_profile(CFG1, tuple(v * scale for v in values))
+    p = Profile(CFG1, values)
+    q = Profile(CFG1, tuple(v * scale for v in values))
     for mech in (vickrey_mechanism(), efficient_vickrey_mechanism(), pay_as_bid_mechanism()):
         assert mech.evaluate(p).winners == mech.evaluate(q).winners, mech.name
 
@@ -436,13 +437,13 @@ def test_winner_sets_match_subset_search(n):
     values, every m < n."""
     for m in range(1, n):
         for values in product(TIE_VALUES, repeat=n):
-            assert_pick_matches_subset_search(make_profile(MarketConfig(n, m), values))
+            assert_pick_matches_subset_search(Profile(MarketConfig(n, m), values))
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(1, 5), st.lists(st.sampled_from(TIE_VALUES), min_size=6, max_size=6))
 def test_winner_sets_match_subset_search_six_agents(m, values):
-    assert_pick_matches_subset_search(make_profile(MarketConfig(6, m), values))
+    assert_pick_matches_subset_search(Profile(MarketConfig(6, m), values))
 
 
 # winner rules
@@ -458,9 +459,9 @@ def test_selective_empty_rule_equals_free_no_trade():
 def test_selective_strict_rule_examples():
     """(3,2,2): agent 0 beats the uniform tail and pays 2; (3,2,1): no trade."""
     mech = selective_vickrey_mechanism(WinnerRule.strict())
-    won = mech.evaluate(make_profile(CFG1, (3, 2, 2)))
+    won = mech.evaluate(Profile(CFG1, (3, 2, 2)))
     assert won.bundles == (Bundle(1, 2), ZERO_BUNDLE, ZERO_BUNDLE)
-    off_tail = mech.evaluate(make_profile(CFG1, (3, 2, 1)))
+    off_tail = mech.evaluate(Profile(CFG1, (3, 2, 1)))
     assert off_tail.winners == ()
     assert off_tail.transfers == (0, 0, 0)
 
@@ -469,9 +470,9 @@ def test_selective_dictatorial_rule_examples():
     """Agent 0 wins iff it clears the threshold 2 and everyone else sits at 2."""
     rule = WinnerRule.dictatorial_threshold(0, 2)
     mech = selective_vickrey_mechanism(rule)
-    won = mech.evaluate(make_profile(CFG1, (3, 2, 2)))
+    won = mech.evaluate(Profile(CFG1, (3, 2, 2)))
     assert won.bundles[0] == Bundle(1, 2)
-    lost = mech.evaluate(make_profile(CFG1, (2, 3, 2)))
+    lost = mech.evaluate(Profile(CFG1, (2, 3, 2)))
     assert lost.winners == ()
 
 
@@ -645,6 +646,7 @@ def test_axiom_checks_refuse_a_table_mechanism_for_another_market():
     nom = {"agent": 0, "true_value": 2, "misreport": 1, "direction": "SUP", "scope": "grid"}
     calls = [
         *(lambda m, check=check: check(m, grid) for check in CHECKERS.values()),
+        lambda m: scan(m, grid, list(POINTWISE.values())),
         lambda m: refresh_witness(m, "EE", {"profile": (0, 0, 0)}, grid),
         lambda m: refresh_witness(m, "NOM", nom, grid),
         lambda m: welfare_compare(vickrey_mechanism(), m, grid),
@@ -668,28 +670,28 @@ def test_selective_mechanism_rejects_invalid_table():
 def test_ev_pab_always_ev_examples():
     """On-tail profiles price at rank m+1; (3,2,1) falls back to pay-as-bid."""
     mech = ev_pab_mechanism(PricingRule.always_ev())
-    tail = mech.evaluate(make_profile(CFG1, (3, 2, 2)))
+    tail = mech.evaluate(Profile(CFG1, (3, 2, 2)))
     assert tail.bundles == (Bundle(1, 2), ZERO_BUNDLE, ZERO_BUNDLE)
-    off = mech.evaluate(make_profile(CFG1, (3, 2, 1)))
+    off = mech.evaluate(Profile(CFG1, (3, 2, 1)))
     assert off.bundles == (Bundle(1, 3), ZERO_BUNDLE, ZERO_BUNDLE)
-    free = mech.evaluate(make_profile(CFG1, (3, 0, 0)))
+    free = mech.evaluate(Profile(CFG1, (3, 0, 0)))
     assert free.bundles == (Bundle(1, 0), ZERO_BUNDLE, ZERO_BUNDLE)
-    assert utilities(free, make_profile(CFG1, (3, 0, 0)))[0] == 3
+    assert utilities(free, Profile(CFG1, (3, 0, 0)))[0] == 3
 
 
 def test_ev_pab_iff_zero_prices_ev_only_for_free():
     mech = ev_pab_mechanism(PricingRule.ev_iff_price_zero())
-    free = mech.evaluate(make_profile(CFG1, (3, 0, 0)))
+    free = mech.evaluate(Profile(CFG1, (3, 0, 0)))
     assert free.bundles[0] == Bundle(1, 0)
-    paid = mech.evaluate(make_profile(CFG1, (3, 2, 2)))
+    paid = mech.evaluate(Profile(CFG1, (3, 2, 2)))
     assert paid.bundles[0] == Bundle(1, 3), "positive price reverts to own bid"
 
 
 def test_ev_pab_threshold_cutoff():
     mech = ev_pab_mechanism(PricingRule.threshold(1))
-    low = mech.evaluate(make_profile(CFG1, (3, 1, 1)))
+    low = mech.evaluate(Profile(CFG1, (3, 1, 1)))
     assert low.bundles[0] == Bundle(1, 1)
-    high = mech.evaluate(make_profile(CFG1, (3, 2, 2)))
+    high = mech.evaluate(Profile(CFG1, (3, 2, 2)))
     assert high.bundles[0] == Bundle(1, 3)
 
 

@@ -17,6 +17,7 @@ from mechlab import (
     no_trade_mechanism,
     pay_as_bid_mechanism,
     PricingRule,
+    Profile,
     random_uncompromising_rules,
     random_winner_rule_table,
     refresh_witness,
@@ -97,9 +98,7 @@ def test_uniform_tail_is_a_filter():
 
 
 def has_uniform_tail_values(values):
-    from mechlab import make_profile
-
-    return has_uniform_tail(make_profile(CFG1, values))
+    return has_uniform_tail(Profile(CFG1, values))
 
 
 def test_uniform_tail_everything_when_one_loser():
@@ -115,12 +114,12 @@ def test_enumeration_budget_guard():
 def test_range_over_budget_is_refused_before_building_values(monkeypatch):
     """A 2001-value range on 3 agents is 8e9 profiles: refused with the
     message `profiles()` gives, before a single range value is built."""
-    import mechlab.axioms
+    import mechlab.grid
 
     def no_values(*args):
         raise AssertionError("a range value was built")
 
-    monkeypatch.setattr(mechlab.axioms, "Fraction", no_values)
+    monkeypatch.setattr(mechlab.grid, "Fraction", no_values)
     with pytest.raises(ValueError, match="8012006001 profiles exceed the enumeration budget"):
         GridConfig(3, 1, max_value=2000).space()
     monkeypatch.undo()
@@ -226,10 +225,8 @@ def test_random_winner_rule_table_entries_sit_on_the_tail():
     grid = GridConfig(3, 1, values=(0, 1, 2, 3)).space()
     table = random_winner_rule_table(grid, random.Random(7))
     assert table, "seeded tables are not empty"
-    from mechlab import make_profile
-
     for key in table:
-        assert has_uniform_tail(make_profile(CFG1, key))
+        assert has_uniform_tail(Profile(CFG1, key))
 
 
 def test_random_rules_are_valid_and_uncompromising():

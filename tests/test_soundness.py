@@ -20,11 +20,11 @@ from mechlab import (
     GridSpace,
     MarketConfig,
     PricingRule,
+    Profile,
     WinnerRule,
     builtin_mechanisms,
     efficient_vickrey_mechanism,
     ev_pab_mechanism,
-    make_profile,
     no_trade_mechanism,
     pay_as_bid_mechanism,
     random_winner_rule_table,
@@ -95,7 +95,7 @@ def zero_report_realizer(market):
 def utility_at(mechanism, market, agent, report, opponents, true_value):
     values = list(opponents)
     values.insert(agent, report)
-    allocation = mechanism.evaluate(make_profile(market, values))
+    allocation = mechanism.evaluate(Profile(market, values))
     return utility(allocation.bundles[agent], true_value)
 
 
@@ -201,7 +201,7 @@ def brute_violations(axiom, mechanism, grid):
     market = grid.config
     agents = range(market.n)
     for combo in sorted({profile.values for profile in grid.profiles()}):
-        profile = make_profile(market, combo)
+        profile = Profile(market, combo)
         bundles = mechanism.evaluate(profile).bundles
         us = tuple(utility(b, v) for b, v in zip(bundles, combo))
         base = {"profile": combo}
@@ -219,7 +219,7 @@ def brute_violations(axiom, mechanism, grid):
                     lied = list(combo)
                     lied[i] = report
                     gained = utility(
-                        mechanism.evaluate(make_profile(market, lied)).bundles[i],
+                        mechanism.evaluate(Profile(market, lied)).bundles[i],
                         combo[i],
                     )
                     if gained > us[i]:
@@ -258,7 +258,7 @@ def brute_violations(axiom, mechanism, grid):
                 swapped = list(combo)
                 swapped[i], swapped[j] = swapped[j], swapped[i]
                 theirs = utility(
-                    mechanism.evaluate(make_profile(market, swapped)).bundles[j],
+                    mechanism.evaluate(Profile(market, swapped)).bundles[j],
                     combo[i],
                 )
                 if theirs != us[i]:
