@@ -92,8 +92,26 @@ def test_utility_linear_in_transfer(x, t, d, v):
     assert utility(Bundle(x, t + d), v) == utility(Bundle(x, t), v) - d
 
 
+def test_kth_highest_examples():
+    """vickrey_price is the k-th highest value for k = m+1: (5,3,3,1) gives
+    3, 3, 1 at k = 2, 3, 4; (2,2,2) gives 2 at k = 3; (0,4,1) gives 1 at k = 2."""
+    p = (5, 3, 3, 1)
+    assert [vickrey_price(Profile(MarketConfig(4, m), p)) for m in (1, 2, 3)] == [3, 3, 1]
+    assert vickrey_price(Profile(MarketConfig(3, 2), (2, 2, 2))) == 2
+    assert vickrey_price(Profile(MarketConfig(3, 1), (0, 4, 1))) == 1
+
+
+@given(st.lists(rationals, min_size=2, max_size=6))
+def test_kth_highest_weakly_decreasing(values):
+    # one more object moves the price down the ranking, never up
+    n = len(values)
+    ranked = [vickrey_price(Profile(MarketConfig(n, m), values)) for m in range(1, n)]
+    assert all(a >= b for a, b in zip(ranked, ranked[1:]))
+    assert ranked[-1] == min(values)
+
+
 @given(st.permutations(list(range(5))))
-def test_vickrey_price_permutation_invariant(perm):
+def test_kth_highest_permutation_invariant(perm):
     base = (5, 3, 3, 1, 0)
     shuffled = tuple(base[i] for i in perm)
     for m in range(1, 5):
@@ -151,7 +169,10 @@ def test_allocation_winners_and_transfers():
     assert alloc.transfers == (2, 0, 1)
 
 
-def test_utilities_of_an_allocation():
+def test_surplus_and_utilities():
     p = Profile(MarketConfig(3, 1), (3, 2, 1))
     alloc = Allocation((Bundle(1, 2), ZERO_BUNDLE, ZERO_BUNDLE))
     assert utilities(alloc, p) == (1, 0, 0)
+    # transfers cancel out of surplus: the utilities plus the payments
+    # collected sum to the winners' total value
+    assert sum(utilities(alloc, p)) + sum(alloc.transfers) == 3
