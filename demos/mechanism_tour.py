@@ -21,7 +21,7 @@ def show(mech, values, m=1):
     p = Profile(MarketConfig(len(values), m), values)
     alloc = mech.evaluate(p)
     print(f"  {mech.name:34s} {str(values):12s} -> winners={alloc.winners} "
-          f"transfers={tuple(str(t) for t in alloc.transfers)} "
+          f"transfers={tuple(str(t) for t in alloc.t)} "
           f"utilities={tuple(str(u) for u in utilities(alloc, p))}")
 
 

@@ -1,25 +1,21 @@
 """Exact-arithmetic audit lab for money-augmented allocation mechanisms.
 
 Agents with quasi-linear utilities compete for identical indivisible
-objects; mechanisms assign (object, transfer) bundles. Everything runs
-on `fractions.Fraction`, so every verdict, witness, and report is exact
-and replayable.
+objects; mechanisms assign an allocation (x, t) of object indicators and
+transfers. Everything runs on `fractions.Fraction`, so every verdict,
+witness, and report is exact and replayable.
 """
 
 __version__ = "0.1.0"
 
 from .model import (
     Allocation,
-    Bundle,
     MarketConfig,
     Profile,
-    ZERO_BUNDLE,
-    all_zero_allocation,
     has_uniform_tail,
     rat,
     rat_str,
     utilities,
-    utility,
     vickrey_price,
 )
 from .mechanisms import (

@@ -53,13 +53,11 @@ from .grid import (  # the grid names are part of the checkers' interface
 )
 from .mechanisms import EV, Hit, Mechanism, PricingRule, WinnerRule
 from .model import (
-    Bundle,
     Profile,
     has_uniform_tail,
     rat,
     rat_str,
     utilities,
-    utility,
     vickrey_price,
 )
 
@@ -244,8 +242,10 @@ def _reference_bundle(values: Sequence, us: Sequence) -> tuple | None:
     return None
 
 
-def find_reference_bundle(mechanism: Mechanism, profile: Profile) -> Bundle | None:
-    """A single bundle every agent is exactly indifferent to, if one exists.
+def find_reference_bundle(
+    mechanism: Mechanism, profile: Profile
+) -> tuple[int, Fraction] | None:
+    """The bundle (x, t) every agent is exactly indifferent to, if one exists.
 
     Only two shapes can work: (0, t0), which requires all utilities
     equal (returned first), and (1, p), which requires v_i - u_i to be
@@ -253,8 +253,7 @@ def find_reference_bundle(mechanism: Mechanism, profile: Profile) -> Bundle | No
     prefer or disprefer it.
     """
     us = utilities(mechanism.evaluate(profile), profile)
-    reference = _reference_bundle(profile.values, us)
-    return None if reference is None else Bundle(*reference)
+    return _reference_bundle(profile.values, us)
 
 
 def _ee_violations(table: OutcomeTable, at: GridPoint) -> Iterator[dict]:
@@ -387,8 +386,9 @@ check_anonymity_in_welfare = POINTWISE["AIW"].check
 def _grid_bundle_map(
     mechanism: Mechanism, grid: GridSpace
 ) -> tuple[dict, int]:
-    """For each (agent, report): every bundle seen on the grid, with the
-    lexicographically smallest opponent profile that produced it."""
+    """For each (agent, report): every exact bundle (x, t) the agent got on
+    the grid, with the lexicographically smallest opponent profile that
+    produced it."""
     table = OutcomeTable.of(mechanism, grid)
     # (agent, report) -> scaled (x, t) -> (rank, values) of the least profile;
     # rank order is profile order, and a sampled profile may repeat
@@ -404,7 +404,7 @@ def _grid_bundle_map(
                 slot[(x[i], t[i])] = (at.rank, at.values)
     bundles = {
         (i, value): {
-            Bundle(xi, table.exact(ti)): values[:i] + values[i + 1 :]
+            (xi, table.exact(ti)): values[:i] + values[i + 1 :]
             for (xi, ti), (_, values) in slot.items()
         }
         for (i, value), slot in seen.items()
@@ -413,13 +413,13 @@ def _grid_bundle_map(
 
 
 def _grid_report_bounds(
-    slot: dict[Bundle, tuple[Fraction, ...]], true_value: Fraction
+    slot: dict[tuple[int, Fraction], tuple[Fraction, ...]], true_value: Fraction
 ) -> tuple[Fraction, Fraction, tuple[Fraction, ...], tuple[Fraction, ...]]:
     """(sup, inf, sup realizer, inf realizer) over the grid's observed bundles."""
     best = worst = None
     best_opp = worst_opp = None
-    for bundle, opponents in slot.items():
-        u = utility(bundle, true_value)
+    for (x, t), opponents in slot.items():
+        u = true_value * x - t
         if best is None or u > best or (u == best and opponents < best_opp):
             best, best_opp = u, opponents
         if worst is None or u < worst or (u == worst and opponents < worst_opp):

@@ -266,7 +266,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     us = utilities(allocation, profile)
     reference = find_reference_bundle(mechanism, profile)
     bundles = ", ".join(
-        f"({b.x}, {rat_str(b.t)})" for b in allocation.bundles
+        f"({xi}, {rat_str(ti)})" for xi, ti in zip(allocation.x, allocation.t)
     )
     print(f"mechanism: {mechanism.name}")
     print(f"market: n={market.n}, m={market.m}")
@@ -277,7 +277,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if reference is None:
         print("reference bundle: none")
     else:
-        print(f"reference bundle: ({reference.x}, {rat_str(reference.t)})")
+        print(f"reference bundle: ({reference[0]}, {rat_str(reference[1])})")
     return 0
 
 

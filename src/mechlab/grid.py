@@ -36,7 +36,9 @@ class GridSpace:
     agents once), and `from_range` builds a range. More than
     `ENUMERATION_BUDGET` agents in a shared grid, values in a range,
     profiles in an exhaustive grid or draws in a sample are refused,
-    counted from the declared lengths before the grid is built.
+    counted from the declared lengths before the grid is built. So is a
+    grid whose outcome-table rank strides would take more bits than the
+    budget, as they grow quadratically with the number of agents.
     In exhaustive mode `profiles()` yields the full cartesian product in
     lexicographic order. In sampled mode it yields `samples` profiles
     drawn uniformly; each draw is keyed by `(seed, index)`, so the stream
@@ -73,6 +75,10 @@ class GridSpace:
             _refuse_over_budget(self.samples, "samples", "draw fewer samples")
         if self.mode == MODE_EXHAUSTIVE:
             _refuse_profiles_over_budget(map(len, self.values))
+        # An outcome table's rank stride for agent i is the product of the
+        # set lengths after i, so agent i's length is a factor of i strides.
+        bits = sum(i * (len(vs) - 1).bit_length() for i, vs in enumerate(self.values))
+        _refuse_over_budget(bits, "rank stride bits", "declare fewer agents")
 
     @classmethod
     def shared(
@@ -202,8 +208,10 @@ class OutcomeTable(dict):
     A profile whose agent i reports the k_i-th value of their set has the
     mixed-radix rank sum(k_i * stride[i]), so a single-agent misreport is
     one addition and a swap two. The value sets are sorted, so ranks order
-    profiles as their values do. Each rank maps to (object indicators,
-    transfers). Values and transfers are scaled by `scale`, the common
+    profiles as their values do. Each rank maps to the pair (x, t) of the
+    `Allocation` that `Mechanism.evaluate` returns there, as a plain tuple
+    (a tuple subclass unpacks slower on every read), with the transfers
+    scaled. Values and transfers are scaled by `scale`, the common
     denominator of the value sets: a transfer that is a multiple of
     1/scale is stored as an int, any other as the exact `Fraction`, and a
     positive scale preserves every comparison. `exact` turns a scaled
@@ -268,11 +276,8 @@ class OutcomeTable(dict):
             k, rest = divmod(rest, step)
             values.append(vals[k])
         profile = Profile.trusted(self.config, tuple(values))
-        bundles = self.mechanism().evaluate(profile).bundles
-        outcome = (
-            tuple(b.x for b in bundles),
-            tuple(self._scale_transfer(b.t) for b in bundles),
-        )
+        x, t = self.mechanism().evaluate(profile)
+        outcome = (x, tuple(map(self._scale_transfer, t)))
         outcome = self._interned.setdefault(outcome, outcome)
         self[rank] = outcome
         return outcome

@@ -36,16 +36,12 @@ from typing import Any, Callable, Iterable, Mapping
 
 from .model import (
     Allocation,
-    Bundle,
     MarketConfig,
     Profile,
     RationalLike,
-    ZERO_BUNDLE,
-    all_zero_allocation,
     has_uniform_tail,
     integer,
     json_list,
-    rat,
     rat_str,
     rational,
     vickrey_price,
@@ -73,14 +69,12 @@ def _winners_allocation(
     profile: Profile, winners: Iterable[int], price: Fraction | None = None
 ) -> Allocation:
     """Winners hold an object and pay `price`, or their own report when
-    `price` is None; everyone else keeps the zero bundle."""
-    chosen = set(winners)
-    return Allocation(
-        tuple(
-            Bundle(1, v if price is None else price) if i in chosen else ZERO_BUNDLE
-            for i, v in enumerate(profile.values)
-        )
-    )
+    `price` is None; everyone else keeps the zero bundle (0, 0)."""
+    n, values = profile.config.n, profile.values
+    x, t = [0] * n, [Fraction(0)] * n
+    for i in winners:
+        x[i], t[i] = 1, values[i] if price is None else price
+    return Allocation(tuple(x), tuple(t))
 
 
 def strict_winners(profile: Profile) -> frozenset[int]:
@@ -121,10 +115,11 @@ def _vickrey_allocation(profile: Profile, efficient: bool) -> Allocation:
     return _winners_allocation(profile, winners, price)
 
 
-def no_trade_allocation(profile: Profile, fee: RationalLike = 0) -> Allocation:
-    """Nobody gets an object and everyone pays `fee` (receives it if negative)."""
-    f = rat(fee)
-    return Allocation(tuple(Bundle(0, f) for _ in range(profile.config.n)))
+def no_trade_allocation(profile: Profile, fee: Fraction = Fraction(0)) -> Allocation:
+    """Nobody gets an object and everyone pays the exact `fee` (receives it
+    if negative)."""
+    n = profile.config.n
+    return Allocation((0,) * n, (fee,) * n)
 
 
 # bounds(agent, m, report, true_value): the (sup, inf) of the agent's
@@ -145,9 +140,11 @@ class Mechanism:
     checkers skip the grid. `market` is the market a rule table was
     written for (None when the mechanism has no table), so a checker can
     refuse a grid of another market. `evaluate` runs the mechanism every
-    time it is called; the axiom checkers evaluate each grid profile once
-    into an outcome table (`grid.OutcomeTable`). Rules are read-only
-    after construction.
+    time it is called and is the one place an outcome is checked: `fn`
+    must return an `Allocation` of n indicators, each 0 or 1, and n exact
+    rational transfers (int or `Fraction`). The axiom checkers evaluate
+    each grid profile once into an outcome table (`grid.OutcomeTable`).
+    Rules are read-only after construction.
     """
 
     def __init__(
@@ -176,7 +173,17 @@ class Mechanism:
         return spec
 
     def evaluate(self, profile: Profile) -> Allocation:
-        return self._fn(profile)
+        """The allocation at `profile`; a malformed one is refused."""
+        allocation = x, t = self._fn(profile)
+        n = profile.config.n
+        if len(x) != n or len(t) != n:
+            raise ValueError(f"{self.name} gave {len(x)} indicators and {len(t)} "
+                             f"transfers for {n} agents")
+        for xi, ti in zip(x, t):
+            if type(xi) is not int or not 0 <= xi <= 1 or type(ti) not in (int, Fraction):
+                raise ValueError(f"{self.name} gave the bundle ({xi!r}, {ti!r}); an "
+                                 "indicator must be 0 or 1, a transfer an exact rational")
+        return allocation
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Mechanism({self.name!r})"
@@ -544,7 +551,7 @@ def selective_vickrey_mechanism(rule: WinnerRule) -> Mechanism:
     def fn(profile: Profile) -> Allocation:
         selected = rule.select(profile)
         if not selected:
-            return all_zero_allocation(profile.config)
+            return no_trade_allocation(profile)
         return _winners_allocation(profile, selected, vickrey_price(profile))
 
     return Mechanism(

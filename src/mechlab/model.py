@@ -1,10 +1,11 @@
 """Exact domain model for allocating identical indivisible objects with money.
 
 A market has n agents and m < n identical objects; each agent consumes at
-most one object. A bundle is a pair (x, t) of an object indicator and a
-money transfer, and utility is quasi-linear: v * x - t. Every quantity is
-an exact rational; floats are rejected at the boundary so no rounding can
-creep into a verdict.
+most one object. An `Allocation` is a pair of tuples (x, t): agent i holds
+x[i] objects (0 or 1) and pays the transfer t[i], so agent i's bundle is
+(x[i], t[i]) and their utility is quasi-linear: v_i * x[i] - t[i]. Every
+quantity is an exact rational; floats are rejected at the boundary so no
+rounding can creep into a verdict.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Union
+from typing import Any, NamedTuple, Union
 
 RationalLike = Union[int, str, Fraction]
 
@@ -93,30 +94,6 @@ class MarketConfig:
 
 
 @dataclass(frozen=True)
-class Bundle:
-    """An object indicator x in {0, 1} and a money transfer t paid by the agent.
-
-    Negative t is money received (a subsidy).
-    """
-
-    x: int
-    t: Fraction = Fraction(0)
-
-    def __post_init__(self) -> None:
-        if self.x not in (0, 1):
-            raise ValueError("object indicator must be 0 or 1")
-        object.__setattr__(self, "t", rat(self.t))
-
-
-ZERO_BUNDLE = Bundle(0, Fraction(0))
-
-
-def utility(bundle: Bundle, value: RationalLike) -> Fraction:
-    """Quasi-linear utility of holding `bundle` when the object is worth `value`."""
-    return rat(value) * bundle.x - bundle.t
-
-
-@dataclass(frozen=True)
 class Profile:
     """A valuation profile: one non-negative rational per agent."""
 
@@ -172,27 +149,23 @@ def has_uniform_tail(profile: Profile) -> bool:
     return min(profile.values) == vickrey_price(profile)
 
 
-@dataclass(frozen=True)
-class Allocation:
-    """One bundle per agent."""
+class Allocation(NamedTuple):
+    """Object indicators `x` and transfers `t`, one of each per agent.
 
-    bundles: tuple[Bundle, ...]
+    Agent i holds x[i] objects (0 or 1) and pays t[i], an exact rational;
+    a negative transfer is money received (a subsidy). It unpacks as
+    `x, t`. `Mechanism.evaluate` refuses any other shape.
+    """
+
+    x: tuple[int, ...]
+    t: tuple[Fraction, ...]
 
     @property
     def winners(self) -> tuple[int, ...]:
-        return tuple(i for i, b in enumerate(self.bundles) if b.x == 1)
-
-    @property
-    def transfers(self) -> tuple[Fraction, ...]:
-        return tuple(b.t for b in self.bundles)
-
-
-def all_zero_allocation(config: MarketConfig) -> Allocation:
-    return Allocation((ZERO_BUNDLE,) * config.n)
+        return tuple(i for i, xi in enumerate(self.x) if xi == 1)
 
 
 def utilities(allocation: Allocation, profile: Profile) -> tuple[Fraction, ...]:
-    """Per-agent utilities of an allocation under a profile."""
-    return tuple(
-        utility(b, v) for b, v in zip(allocation.bundles, profile.values)
-    )
+    """Per-agent quasi-linear utilities v_i * x[i] - t[i] of an allocation."""
+    x, t = allocation
+    return tuple(v * xi - ti for v, xi, ti in zip(profile.values, x, t))

@@ -10,7 +10,6 @@ import time
 from fractions import Fraction
 
 from mechlab import (
-    Bundle,
     MarketConfig,
     PricingRule,
     Profile,
@@ -31,7 +30,6 @@ from mechlab import (
     refresh_witness,
     selective_vickrey_mechanism,
     utilities,
-    utility,
     vickrey_mechanism,
     welfare_compare,
     random_uncompromising_rules,
@@ -244,20 +242,20 @@ def test_criterion_09_reference_bundle_matches_brute_force():
         cfg = MarketConfig(3, rng.choice((1, 2)))
         p = Profile(cfg, tuple(rng.choice(values) for _ in range(3)))
         outcome = utilities(mech.evaluate(p), p)
-        candidates = set()
+        candidates = set()  # bundles (x, t)
         for v, u in zip(p.values, outcome):
-            candidates.add(Bundle(1, v - u))
-            candidates.add(Bundle(0, -u))
+            candidates.add((1, v - u))
+            candidates.add((0, -u))
         brute = next(
-            (z for z in sorted(candidates, key=lambda b: (b.x, b.t))
-             if all(utility(z, v) == u for v, u in zip(p.values, outcome))),
+            (z for z in sorted(candidates)
+             if all(v * z[0] - z[1] == u for v, u in zip(p.values, outcome))),
             None,
         )
         found = find_reference_bundle(mech, p)
         if (found is None) != (brute is None):
             disagreements += 1
         elif found is not None and not all(
-            utility(found, v) == u for v, u in zip(p.values, outcome)
+            v * found[0] - found[1] == u for v, u in zip(p.values, outcome)
         ):
             disagreements += 1
         pairs += 1

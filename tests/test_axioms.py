@@ -1,18 +1,18 @@
 """Axiom checkers: verdicts, lexicographic witnesses, analytic bounds, replay."""
 
+import time
 from fractions import Fraction
 
 import pytest
 
 from mechlab import (
-    Bundle,
+    Allocation,
     GridSpace,
     MarketConfig,
     Mechanism,
     PricingRule,
     Profile,
     WinnerRule,
-    ZERO_BUNDLE,
     builtin_mechanisms,
     check_anonymity_in_welfare,
     check_best_case_utility,
@@ -45,7 +45,6 @@ from mechlab.axioms import (
     _nom_bounds,
     scan,
 )
-from mechlab.model import Allocation
 from mechlab.search import GridConfig, shrink_witness
 
 CFG1 = MarketConfig(3, 1)
@@ -58,9 +57,8 @@ def grant_first_mechanism():
     """Hands agent 0 the object for free regardless of reports."""
 
     def fn(profile):
-        bundles = [ZERO_BUNDLE] * profile.config.n
-        bundles[0] = Bundle(1, 0)
-        return Allocation(tuple(bundles))
+        n = profile.config.n
+        return Allocation((1,) + (0,) * (n - 1), (Fraction(0),) * n)
 
     return Mechanism("grant_first", "CUSTOM", fn)
 
@@ -109,6 +107,39 @@ def test_grid_space_refuses_samples_over_budget():
         )
     at_cap = GridSpace.shared(CFG1, (0, 1), mode=MODE_SAMPLED, samples=ENUMERATION_BUDGET)
     assert at_cap.samples == ENUMERATION_BUDGET
+
+
+def test_grid_space_refuses_rank_strides_over_budget():
+    """An outcome table keeps one rank stride per agent, the product of the
+    value-set lengths after it, so over n agents of two values the strides
+    take n(n-1)/2 bits. Such a grid is refused when it is declared, fast
+    and in a short line, before any table is built."""
+    for n in (10**5, 10**6):
+        started = time.perf_counter()
+        with pytest.raises(ValueError, match="rank stride bits exceed") as refused:
+            GridSpace.shared(MarketConfig(n, 1), (0, 1), mode=MODE_SAMPLED, seed=1, samples=1)
+        assert time.perf_counter() - started < 1
+        assert len(str(refused.value)) < 200
+    # 1,000 agents take 499,500 bits, within the budget
+    grid = GridSpace.shared(MarketConfig(1000, 1), (0, 1), mode=MODE_SAMPLED, seed=1, samples=1)
+    assert check_ir(vickrey_mechanism(), grid).verdict == "PASS_SAMPLED"
+
+
+@pytest.mark.parametrize(
+    "x, t",
+    [((2, 0, 0), (0, 0, 0)), ((1, 0, 0), (0.5, 0, 0)), ((1, 0), (0, 0))],
+    ids=["indicator-2", "float-transfer", "n-1-entries"],
+)
+def test_a_malformed_outcome_is_refused_wherever_it_is_read(x, t):
+    """`Mechanism.evaluate` is the one place an outcome is checked, so the
+    table fill behind every checker and every replay refuses it too."""
+    bad = Mechanism("bad", "CUSTOM", lambda profile: Allocation(x, t))
+    with pytest.raises(ValueError, match="bad gave"):
+        bad.evaluate(Profile(CFG1, (1, 0, 0)))
+    with pytest.raises(ValueError, match="bad gave"):
+        check_ir(bad, GRID)
+    with pytest.raises(ValueError, match="bad gave"):
+        refresh_witness(bad, "IR", {"profile": (1, 0, 0), "agent": 0}, GRID)
 
 
 def test_shared_value_set_is_normalised_once():
@@ -245,9 +276,9 @@ def test_sp_fails_for_always_ev_pricing():
 
 def test_find_reference_bundle_examples():
     aev = ev_pab_mechanism(PricingRule.always_ev())
-    assert find_reference_bundle(aev, Profile(CFG1, (3, 2, 2))) == Bundle(1, 2)
+    assert find_reference_bundle(aev, Profile(CFG1, (3, 2, 2))) == (1, 2)
     assert find_reference_bundle(vickrey_mechanism(), Profile(CFG1, (3, 2, 1))) is None
-    assert find_reference_bundle(no_trade_mechanism(0), Profile(CFG1, (3, 2, 1))) == Bundle(0, 0)
+    assert find_reference_bundle(no_trade_mechanism(0), Profile(CFG1, (3, 2, 1))) == (0, 0)
 
 
 def test_ee_vickrey_fails():
@@ -275,7 +306,7 @@ def test_selective_reference_bundle_is_zero_or_priced_object():
         mech = selective_vickrey_mechanism(rule)
         for p in GRID.profiles():
             ref = find_reference_bundle(mech, p)
-            assert ref in (Bundle(0, 0), Bundle(1, vickrey_price(p)))
+            assert ref in ((0, 0), (1, vickrey_price(p)))
 
 
 # efficiency
@@ -559,8 +590,8 @@ def test_welfare_always_ev_dominates_iff_zero():
     p = Profile(CFG1, (3, 1, 1))
     u_first = first.evaluate(p)
     u_second = second.evaluate(p)
-    assert u_first.bundles[0] == Bundle(1, 1)
-    assert u_second.bundles[0] == Bundle(1, 3)
+    assert (u_first.x[0], u_first.t[0]) == (1, 1)
+    assert (u_second.x[0], u_second.t[0]) == (1, 3)
 
 
 def test_welfare_vickrey_dominates_no_trade():

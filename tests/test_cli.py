@@ -550,6 +550,12 @@ def winner_table(entries):
          "error: bad grid: 2000001 range values exceed the enumeration budget"),
         ({"grid": {"values": ["0", "1e10000000"]}},
          "error: bad grid: exponent notation is not accepted: '1e10000000'"),
+        ({"market": {"agents": 10**5, "objects": 1}, "grid": {"values": ["0", "1"]},
+          "mode": {"kind": "sampled", "seed": 1, "samples": 1}},
+         "error: bad grid: 4999950000 rank stride bits exceed the enumeration budget"),
+        ({"market": {"agents": 10**6, "objects": 1}, "grid": {"values": ["0", "1"]},
+          "mode": {"kind": "sampled", "seed": 1, "samples": 1}},
+         "error: bad grid: 499999500000 rank stride bits exceed the enumeration budget"),
     ],
     ids=[
         "mode-not-object", "output-not-object", "float-agents", "bool-objects",
@@ -561,6 +567,7 @@ def winner_table(entries):
         "winner-profile-length", "winner-profile-negative", "pricing-profile-length",
         "pricing-profile-negative", "many-agents-values", "many-agents-range",
         "agents-over-budget", "sampled-range-over-budget", "exponent-grid-value",
+        "sampled-strides-1e5-agents", "sampled-strides-1e6-agents",
     ],
 )
 def test_config_boundary_errors_exit_two(tmp_path, capsys, overrides, message):

@@ -13,16 +13,14 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import is_feasible
 from mechlab import (
     Allocation,
-    Bundle,
     MarketConfig,
     Mechanism,
     PricingRule,
     Profile,
     WinnerRule,
-    ZERO_BUNDLE,
-    all_zero_allocation,
     builtin_mechanisms,
     efficient_vickrey_mechanism,
     ev_pab_mechanism,
@@ -55,20 +53,13 @@ CFG2 = MarketConfig(3, 2)
 def shape(allocations):
     """Hashable view of an allocation set: sorted winners plus transfers."""
     return {
-        (tuple(sorted(a.winners)), a.transfers) for a in allocations
+        (tuple(sorted(a.winners)), a.t) for a in allocations
     }
 
 
 def grid_profiles(cfg, values=(0, 1, 2, 3)):
     for combo in product(values, repeat=cfg.n):
         yield Profile(cfg, combo)
-
-
-def is_feasible(allocation, config):
-    """One bundle per agent and at most m objects handed out."""
-    if len(allocation.bundles) != config.n:
-        return False
-    return sum(b.x for b in allocation.bundles) <= config.m
 
 
 # the set-valued oracle
@@ -108,12 +99,24 @@ def sorted_tail_is_uniform(profile):
 
 
 def priced(profile, sets, pay):
+    agents = profile.config.agents
     return {
-        Allocation(tuple(
-            Bundle(1, pay(i)) if i in s else ZERO_BUNDLE for i in range(profile.config.n)
-        ))
+        Allocation(
+            tuple(int(i in s) for i in agents),
+            tuple(pay(i) if i in s else Fraction(0) for i in agents),
+        )
         for s in sets
     }
+
+
+def bundles(*pairs):
+    """An allocation from its (x, t) bundles, one per agent."""
+    x, t = zip(*pairs)
+    return Allocation(x, tuple(map(Fraction, t)))
+
+
+def no_trade(config):
+    return bundles(*[(0, 0)] * config.n)
 
 
 def vickrey_set(profile):
@@ -135,7 +138,7 @@ def pay_as_bid_set(profile):
 
 def select_canonical(allocations):
     """The least allocation by winner tuple, then by bundle contents."""
-    return min(allocations, key=lambda a: (a.winners, tuple((b.x, b.t) for b in a.bundles)))
+    return min(allocations, key=lambda a: (a.winners, tuple(zip(a.x, a.t))))
 
 
 def ev_pab_oracle(pricing):
@@ -149,7 +152,7 @@ def ev_pab_oracle(pricing):
 
 def selective_efficient_oracle(profile):
     if not sorted_tail_is_uniform(profile):
-        return all_zero_allocation(profile.config)
+        return no_trade(profile.config)
     return select_canonical(efficient_vickrey_set(profile))
 
 
@@ -180,7 +183,7 @@ def test_vickrey_set_all_zero_has_every_subset():
     # all ties at price 0: every winner set within capacity, all paying 0
     allocs = vickrey_set(Profile(CFG2, (0, 0, 0)))
     assert len(allocs) == 7
-    assert all(all(t == 0 for t in a.transfers) for a in allocs)
+    assert all(all(t == 0 for t in a.t) for a in allocs)
 
 
 def test_efficient_vickrey_set_examples():
@@ -209,9 +212,7 @@ def test_pay_as_bid_set_examples():
         ((1,), (0, 3, 0)),
     }
     mech = pay_as_bid_mechanism()
-    assert mech.evaluate(Profile(CFG1, (3, 3, 2))).bundles == (
-        Bundle(1, 3), ZERO_BUNDLE, ZERO_BUNDLE
-    )
+    assert mech.evaluate(Profile(CFG1, (3, 3, 2))) == bundles((1, 3), (0, 0), (0, 0))
 
 
 def test_pay_as_bid_utility_nullity():
@@ -234,14 +235,14 @@ def test_select_canonical_prefers_lowest_winner():
     """Tied maximizers (3,3,2): the canonical efficient-Vickrey pick is agent 0."""
     alloc = efficient_vickrey_mechanism().evaluate(Profile(CFG1, (3, 3, 2)))
     assert alloc.winners == (0,)
-    assert alloc.transfers == (3, 0, 0)
+    assert alloc.t == (3, 0, 0)
 
 
 def test_select_canonical_prefers_no_trade():
     # with nobody above the price, Vickrey leaves every object unsold
     alloc = vickrey_mechanism().evaluate(Profile(CFG1, (3, 3, 2)))
     assert alloc.winners == ()
-    assert alloc == all_zero_allocation(CFG1)
+    assert alloc == no_trade(CFG1)
 
 
 @pytest.mark.parametrize(
@@ -382,7 +383,7 @@ def test_vickrey_canonical_allocates_only_strict_winners():
 def test_efficient_vickrey_achieves_optimum():
     mech = efficient_vickrey_mechanism()
     for p in grid_profiles(CFG2):
-        achieved = sum(v for v, b in zip(p.values, mech.evaluate(p).bundles) if b.x)
+        achieved = sum(v * xi for v, xi in zip(p.values, mech.evaluate(p).x))
         assert achieved == sum(sorted(p.values, reverse=True)[: CFG2.m])
 
 
@@ -460,10 +461,10 @@ def test_selective_strict_rule_examples():
     """(3,2,2): agent 0 beats the uniform tail and pays 2; (3,2,1): no trade."""
     mech = selective_vickrey_mechanism(WinnerRule.strict())
     won = mech.evaluate(Profile(CFG1, (3, 2, 2)))
-    assert won.bundles == (Bundle(1, 2), ZERO_BUNDLE, ZERO_BUNDLE)
+    assert won == bundles((1, 2), (0, 0), (0, 0))
     off_tail = mech.evaluate(Profile(CFG1, (3, 2, 1)))
     assert off_tail.winners == ()
-    assert off_tail.transfers == (0, 0, 0)
+    assert off_tail.t == (0, 0, 0)
 
 
 def test_selective_dictatorial_rule_examples():
@@ -471,7 +472,7 @@ def test_selective_dictatorial_rule_examples():
     rule = WinnerRule.dictatorial_threshold(0, 2)
     mech = selective_vickrey_mechanism(rule)
     won = mech.evaluate(Profile(CFG1, (3, 2, 2)))
-    assert won.bundles[0] == Bundle(1, 2)
+    assert (won.x[0], won.t[0]) == (1, 2)
     lost = mech.evaluate(Profile(CFG1, (2, 3, 2)))
     assert lost.winners == ()
 
@@ -487,12 +488,12 @@ def test_selective_winners_pay_price_and_losers_pay_nothing():
         for p in grid_profiles(CFG1):
             alloc = mech.evaluate(p)
             price = vickrey_price(p)
-            for i, b in enumerate(alloc.bundles):
-                if b.x:
-                    assert b.t == price
+            for i, (xi, ti) in enumerate(zip(*alloc)):
+                if xi:
+                    assert ti == price
                     assert p.values[i] >= price
                 else:
-                    assert b == ZERO_BUNDLE
+                    assert (xi, ti) == (0, 0)
 
 
 def test_validate_winner_rule_builtins_analytic():
@@ -671,28 +672,28 @@ def test_ev_pab_always_ev_examples():
     """On-tail profiles price at rank m+1; (3,2,1) falls back to pay-as-bid."""
     mech = ev_pab_mechanism(PricingRule.always_ev())
     tail = mech.evaluate(Profile(CFG1, (3, 2, 2)))
-    assert tail.bundles == (Bundle(1, 2), ZERO_BUNDLE, ZERO_BUNDLE)
+    assert tail == bundles((1, 2), (0, 0), (0, 0))
     off = mech.evaluate(Profile(CFG1, (3, 2, 1)))
-    assert off.bundles == (Bundle(1, 3), ZERO_BUNDLE, ZERO_BUNDLE)
+    assert off == bundles((1, 3), (0, 0), (0, 0))
     free = mech.evaluate(Profile(CFG1, (3, 0, 0)))
-    assert free.bundles == (Bundle(1, 0), ZERO_BUNDLE, ZERO_BUNDLE)
+    assert free == bundles((1, 0), (0, 0), (0, 0))
     assert utilities(free, Profile(CFG1, (3, 0, 0)))[0] == 3
 
 
 def test_ev_pab_iff_zero_prices_ev_only_for_free():
     mech = ev_pab_mechanism(PricingRule.ev_iff_price_zero())
     free = mech.evaluate(Profile(CFG1, (3, 0, 0)))
-    assert free.bundles[0] == Bundle(1, 0)
+    assert (free.x[0], free.t[0]) == (1, 0)
     paid = mech.evaluate(Profile(CFG1, (3, 2, 2)))
-    assert paid.bundles[0] == Bundle(1, 3), "positive price reverts to own bid"
+    assert (paid.x[0], paid.t[0]) == (1, 3), "positive price reverts to own bid"
 
 
 def test_ev_pab_threshold_cutoff():
     mech = ev_pab_mechanism(PricingRule.threshold(1))
     low = mech.evaluate(Profile(CFG1, (3, 1, 1)))
-    assert low.bundles[0] == Bundle(1, 1)
+    assert (low.x[0], low.t[0]) == (1, 1)
     high = mech.evaluate(Profile(CFG1, (3, 2, 2)))
-    assert high.bundles[0] == Bundle(1, 3)
+    assert (high.x[0], high.t[0]) == (1, 3)
 
 
 def test_check_ev_support_analytic_families():

@@ -1,22 +1,20 @@
-"""Exact-arithmetic market model: rationals, profiles, bundles, utilities."""
+"""Exact-arithmetic market model: rationals, profiles, allocations, utilities."""
 
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import is_feasible
 from mechlab import (
     Allocation,
-    Bundle,
     MarketConfig,
+    Mechanism,
     Profile,
-    ZERO_BUNDLE,
-    all_zero_allocation,
     has_uniform_tail,
     rat,
     rat_str,
     utilities,
-    utility,
     vickrey_price,
 )
 
@@ -74,22 +72,29 @@ def test_profile_with_value_and_swapped():
     assert p.values == (3, 2, 1), "originals are immutable"
 
 
+def bundle_utility(x, t, v):
+    """Utility of the one-agent bundle (x, t) at value v."""
+    return utilities(Allocation((x,), (rat(t),)), Profile(MarketConfig(2, 1), (v, 0)))[0]
+
+
 def test_utility_object_and_transfer():
     """Bundle (1,3) at v=5 gives 2; (0,0) at v=7 gives 0; (1,5) at v=5 gives 0."""
-    assert utility(Bundle(1, 3), 5) == 2
-    assert utility(Bundle(0, 0), 7) == 0
-    assert utility(Bundle(1, 5), 5) == 0
+    assert bundle_utility(1, 3, 5) == 2
+    assert bundle_utility(0, 0, 7) == 0
+    assert bundle_utility(1, 5, 5) == 0
 
 
 def test_bundle_indicator_validation():
+    """An indicator other than 0 or 1 is refused where every outcome passes."""
+    market = MarketConfig(3, 1)
+    two = Mechanism("two", "CUSTOM", lambda p: Allocation((2, 0, 0), (rat(0),) * 3))
     with pytest.raises(ValueError, match="0 or 1"):
-        Bundle(2, 0)
-    assert ZERO_BUNDLE == Bundle(0, 0)
+        two.evaluate(Profile(market, (1, 0, 0)))
 
 
 @given(x=st.integers(0, 1), t=rationals, d=rationals, v=rationals)
 def test_utility_linear_in_transfer(x, t, d, v):
-    assert utility(Bundle(x, t + d), v) == utility(Bundle(x, t), v) - d
+    assert bundle_utility(x, t + d, v) == bundle_utility(x, t, v) - d
 
 
 def test_kth_highest_examples():
@@ -146,33 +151,28 @@ def test_uniform_tail_permutation_invariant(perm):
     )
 
 
-def is_feasible(allocation, config):
-    """One bundle per agent and at most m objects handed out."""
-    if len(allocation.bundles) != config.n:
-        return False
-    return sum(b.x for b in allocation.bundles) <= config.m
-
-
 def test_is_feasible_capacity():
     """m=1 admits one winner; two winners overflow; the zero allocation is fine."""
-    cfg = MarketConfig(3, 1)
-    one = Allocation((Bundle(1, 0), ZERO_BUNDLE, ZERO_BUNDLE))
+    cfg, zero = MarketConfig(3, 1), rat(0)
+    one = Allocation((1, 0, 0), (zero,) * 3)
     assert is_feasible(one, cfg)
-    two = Allocation((Bundle(1, 0), Bundle(1, 0), ZERO_BUNDLE))
+    two = Allocation((1, 1, 0), (zero,) * 3)
     assert not is_feasible(two, cfg)
-    assert is_feasible(all_zero_allocation(MarketConfig(3, 2)), MarketConfig(3, 2))
+    assert is_feasible(Allocation((0,) * 3, (zero,) * 3), MarketConfig(3, 2))
 
 
 def test_allocation_winners_and_transfers():
-    alloc = Allocation((Bundle(1, 2), ZERO_BUNDLE, Bundle(0, 1)))
+    alloc = Allocation((1, 0, 0), (rat(2), rat(0), rat(1)))
     assert alloc.winners == (0,)
-    assert alloc.transfers == (2, 0, 1)
+    assert alloc.t == (2, 0, 1)
+    x, t = alloc
+    assert (x, t) == ((1, 0, 0), (2, 0, 1))
 
 
 def test_surplus_and_utilities():
     p = Profile(MarketConfig(3, 1), (3, 2, 1))
-    alloc = Allocation((Bundle(1, 2), ZERO_BUNDLE, ZERO_BUNDLE))
+    alloc = Allocation((1, 0, 0), (rat(2), rat(0), rat(0)))
     assert utilities(alloc, p) == (1, 0, 0)
     # transfers cancel out of surplus: the utilities plus the payments
     # collected sum to the winners' total value
-    assert sum(utilities(alloc, p)) + sum(alloc.transfers) == 3
+    assert sum(utilities(alloc, p)) + sum(alloc.t) == 3

@@ -14,9 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import is_feasible
 from mechlab import (
     CHECKERS,
-    Bundle,
     GridSpace,
     MarketConfig,
     PricingRule,
@@ -32,7 +32,7 @@ from mechlab import (
     replay_witness,
     selective_vickrey_mechanism,
     shrink_witness,
-    utility,
+    utilities,
     vickrey_mechanism,
     witness_to_json,
 )
@@ -95,8 +95,8 @@ def zero_report_realizer(market):
 def utility_at(mechanism, market, agent, report, opponents, true_value):
     values = list(opponents)
     values.insert(agent, report)
-    allocation = mechanism.evaluate(Profile(market, values))
-    return utility(allocation.bundles[agent], true_value)
+    x, t = mechanism.evaluate(Profile(market, values))
+    return true_value * x[agent] - t[agent]
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
@@ -111,13 +111,13 @@ def test_analytic_nom_bounds_are_sound_and_attained(family, market, values):
     grid = GridSpace.shared(market, sorted(values))
     values = grid.shared_values
     for profile in grid.profiles():
-        allocation = mechanism.evaluate(profile)
+        x, t = mechanism.evaluate(profile)
         for agent in range(market.n):
             for true_value in values:
                 sup, inf = mechanism.bounds(
                     agent, market.m, profile.values[agent], true_value
                 )
-                assert inf <= utility(allocation.bundles[agent], true_value) <= sup
+                assert inf <= true_value * x[agent] - t[agent] <= sup
     for witness in iter_nom_violations(mechanism, grid):
         if witness["direction"] != "SUP":
             continue
@@ -202,8 +202,8 @@ def brute_violations(axiom, mechanism, grid):
     agents = range(market.n)
     for combo in sorted({profile.values for profile in grid.profiles()}):
         profile = Profile(market, combo)
-        bundles = mechanism.evaluate(profile).bundles
-        us = tuple(utility(b, v) for b, v in zip(bundles, combo))
+        x, t = allocation = mechanism.evaluate(profile)
+        us = utilities(allocation, profile)
         base = {"profile": combo}
         if axiom == "IR":
             for i in agents:
@@ -211,17 +211,15 @@ def brute_violations(axiom, mechanism, grid):
                     yield {**base, "agent": i, "utility": us[i]}
         elif axiom == "NS":
             for i in agents:
-                if bundles[i].t < 0:
-                    yield {**base, "agent": i, "transfer": bundles[i].t}
+                if t[i] < 0:
+                    yield {**base, "agent": i, "transfer": t[i]}
         elif axiom == "SP":
             for i in agents:
                 for report in grid.values[i]:
                     lied = list(combo)
                     lied[i] = report
-                    gained = utility(
-                        mechanism.evaluate(Profile(market, lied)).bundles[i],
-                        combo[i],
-                    )
+                    lied_x, lied_t = mechanism.evaluate(Profile(market, lied))
+                    gained = combo[i] * lied_x[i] - lied_t[i]
                     if gained > us[i]:
                         yield {
                             **base,
@@ -232,19 +230,19 @@ def brute_violations(axiom, mechanism, grid):
                         }
         elif axiom == "EE":
             indifferent = any(
-                all(utility(ref, v) == u for v, u in zip(combo, us))
-                for ref in (Bundle(0, -us[0]), Bundle(1, combo[0] - us[0]))
+                all(v * ref_x - ref_t == u for v, u in zip(combo, us))
+                for ref_x, ref_t in ((0, -us[0]), (1, combo[0] - us[0]))
             )
             if not indifferent:
                 yield {**base, "utilities": us}
         elif axiom == "EFF":
-            achieved = sum((v for b, v in zip(bundles, combo) if b.x == 1), Fraction(0))
+            achieved = sum((v for xi, v in zip(x, combo) if xi == 1), Fraction(0))
             optimum = sum(sorted(combo, reverse=True)[: market.m], Fraction(0))
             if achieved != optimum:
                 yield {**base, "achieved": achieved, "optimum": optimum}
         elif axiom == "EF":
             for i, j in itertools.permutations(agents, 2):
-                envied = utility(bundles[j], combo[i])
+                envied = combo[i] * x[j] - t[j]
                 if envied > us[i]:
                     yield {
                         **base,
@@ -257,10 +255,8 @@ def brute_violations(axiom, mechanism, grid):
             for i, j in itertools.permutations(agents, 2):
                 swapped = list(combo)
                 swapped[i], swapped[j] = swapped[j], swapped[i]
-                theirs = utility(
-                    mechanism.evaluate(Profile(market, swapped)).bundles[j],
-                    combo[i],
-                )
+                swapped_x, swapped_t = mechanism.evaluate(Profile(market, swapped))
+                theirs = combo[i] * swapped_x[j] - swapped_t[j]
                 if theirs != us[i]:
                     yield {
                         **base,
@@ -299,6 +295,17 @@ def test_scan_and_replay_agree_with_brute_force(axiom):
             shrunk = shrink_witness(mechanism, axiom, first, grid)
             assert replay_witness(mechanism, axiom, shrunk, grid), mechanism.name
     assert failures, f"no mechanism violates {axiom}; the oracle is vacuous"
+
+
+def test_every_outcome_on_the_swept_grids_is_feasible():
+    """One indicator and one transfer per agent, at most m objects handed
+    out, by every mechanism the oracle sweeps: the six built-in families
+    among them."""
+    for grid in GRIDS:
+        for mechanism in oracle_mechanisms(grid):
+            for profile in grid.profiles():
+                allocation = mechanism.evaluate(profile)
+                assert is_feasible(allocation, grid.config), (mechanism.name, profile)
 
 
 def test_sp_witness_with_an_off_grid_misreport_replays():
