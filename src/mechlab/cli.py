@@ -37,6 +37,7 @@ from .model import (
     json_list,
     rat,
     rat_str,
+    required,
     utilities,
 )
 from .search import SUITES, format_rows
@@ -135,10 +136,11 @@ def _parse_grid(doc: Any, market: MarketConfig, sweep: dict) -> GridSpace:
         if "range" in doc:
             rng = _section(doc, "range", {})
             denominator = _integer(rng.get("denominator", 1), "range denominator")
-            return GridSpace.from_range(market, rng["max"], denominator, **sweep)
+            top = required(rng, "max", "range")
+            return GridSpace.from_range(market, top, denominator, **sweep)
     except ConfigError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad grid: {exc}") from exc
     raise ConfigError("grid section needs values, per_agent, or range")
 
@@ -162,10 +164,10 @@ def load_config(path: str) -> AuditConfig:
         raise ConfigError("config needs a market section")
     try:
         market = MarketConfig(
-            _integer(market_doc["agents"], "agents"),
-            _integer(market_doc["objects"], "objects"),
+            _integer(required(market_doc, "agents", "market"), "agents"),
+            _integer(required(market_doc, "objects", "market"), "objects"),
         )
-    except (KeyError, ValueError, TypeError) as exc:
+    except (ValueError, TypeError) as exc:
         raise ConfigError(f"bad market section: {exc}") from exc
     mode = _section(doc, "mode", {})
     sweep = {

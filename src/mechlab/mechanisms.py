@@ -11,27 +11,28 @@ subsidy). Two composite families are built on top:
 * EV/PAB: a pricing rule classifies each uniform-tail profile as either
   efficient-Vickrey or pay-as-bid, and off-tail profiles are pay-as-bid.
 
-Each family is defined once, here: its constructor also sets the
-closed-form utility bounds the NOM and BEST_CASE checkers use
-(`Mechanism.bounds`), and its JSON spec is parsed by `mechanism_from_spec`
-(with `WinnerRule.from_spec` and `PricingRule.from_spec`) and echoed by
-`Mechanism.spec`. Winner and pricing rules are records built the same
-way: each rule constructor sets the rule's label, its `select` or
-`classify` function, its bounds and its spec echo, and only the three
-`from_spec` parsers read a family name. Rule tables take and record the
-market. `WinnerRule.scan_entries` is the one walk over a winner table's
-entries, and the rule checks in `axioms` (`validate_winner_rule`,
-`check_uncompromising`) report from it. A table's selection conditions
-are scanned once per rule (`WinnerRule.conditions`): the mechanism's
-construction and `validate_winner_rule` read the same result.
+Each family is defined once, here: its constructor builds a frozen
+`Mechanism` record that sets the closed-form bounds the NOM and BEST_CASE
+checkers use (`Mechanism.bounds`) and the echo of its JSON spec
+(`Mechanism.spec`), which `mechanism_from_spec` parses back. Winner and
+pricing rules are records built the same way: each rule constructor sets
+the label, the `select` or `classify` function, the bounds and the spec
+echo, and only the three `from_spec` parsers read a family name.
+`Mechanism.evaluate` checks each outcome's shape and capacity. Rule
+tables record their market and are read-only, so the outcome tables
+shared per mechanism and the once-per-rule scan of a table's selection
+conditions (`WinnerRule.conditions`, read by the mechanism's construction
+and by `validate_winner_rule`) stay true to the rule. One walk over a
+winner table's entries (`WinnerRule.scan_entries`) serves the rule
+checks in `axioms`.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
+from types import MappingProxyType
 from typing import Any, Callable, Iterable, Mapping
 
 from .model import (
@@ -44,6 +45,7 @@ from .model import (
     json_list,
     rat_str,
     rational,
+    required,
     vickrey_price,
 )
 
@@ -131,50 +133,39 @@ Select = Callable[[Profile], frozenset[int]]
 Hit = tuple[str, dict]
 
 
+@dataclass(frozen=True, eq=False)
 class Mechanism:
     """A named, deterministic map from profiles to feasible allocations.
 
-    `family` and `params` describe how the mechanism was built, and
-    `spec` is the JSON spec that rebuilds it. `bounds`, set by the
-    families that have a closed form, lets the NOM and BEST_CASE
-    checkers skip the grid. `market` is the market a rule table was
+    A frozen record, built by its family's constructor the way rules are:
+    `family` names the family, `fn` computes the outcome, `bounds` (set by
+    the families that have a closed form) lets the NOM and BEST_CASE
+    checkers skip the grid, `market` is the market a rule table was
     written for (None when the mechanism has no table), so a checker can
-    refuse a grid of another market. `evaluate` runs the mechanism every
-    time it is called and is the one place an outcome is checked: `fn`
-    must return an `Allocation` of n indicators, each 0 or 1, and n exact
-    rational transfers (int or `Fraction`). The axiom checkers evaluate
-    each grid profile once into an outcome table (`grid.OutcomeTable`).
-    Rules are read-only after construction.
+    refuse a grid of another market, and `echo` renders the JSON spec
+    (`spec` is `{"family": family}` without one). `evaluate` runs the
+    mechanism every time it is called and is the one place an outcome is
+    checked: `fn` must return an `Allocation` of n indicators, each 0 or
+    1, at most m of them 1, and n exact rational transfers (int or
+    `Fraction`). The axiom checkers evaluate each grid profile once into
+    an outcome table (`grid.OutcomeTable`).
     """
 
-    def __init__(
-        self,
-        name: str,
-        family: str,
-        fn: Callable[[Profile], Allocation],
-        params: Mapping[str, Any] | None = None,
-        bounds: Bounds | None = None,
-        market: MarketConfig | None = None,
-    ) -> None:
-        self.name = name
-        self.family = family
-        self.params: dict[str, Any] = dict(params or {})
-        self.bounds = bounds
-        self.market = market
-        self._fn = fn
+    name: str
+    family: str
+    fn: Callable[[Profile], Allocation]
+    bounds: Bounds | None = None
+    market: MarketConfig | None = None
+    echo: Callable[[], dict] | None = None
 
     @property
     def spec(self) -> dict:
         """The JSON spec `mechanism_from_spec` rebuilds this mechanism from."""
-        spec: dict[str, Any] = {"family": self.family}
-        for key, value in self.params.items():
-            nested = isinstance(value, (WinnerRule, PricingRule))
-            spec[key] = value.spec if nested else rat_str(value)
-        return spec
+        return self.echo() if self.echo else {"family": self.family}
 
     def evaluate(self, profile: Profile) -> Allocation:
         """The allocation at `profile`; a malformed one is refused."""
-        allocation = x, t = self._fn(profile)
+        allocation = x, t = self.fn(profile)
         n = profile.config.n
         if len(x) != n or len(t) != n:
             raise ValueError(f"{self.name} gave {len(x)} indicators and {len(t)} "
@@ -183,10 +174,10 @@ class Mechanism:
             if type(xi) is not int or not 0 <= xi <= 1 or type(ti) not in (int, Fraction):
                 raise ValueError(f"{self.name} gave the bundle ({xi!r}, {ti!r}); an "
                                  "indicator must be 0 or 1, a transfer an exact rational")
+        if sum(x) > profile.config.m:
+            raise ValueError(f"{self.name} gave {sum(x)} objects; the market has "
+                             f"{profile.config.m}")
         return allocation
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Mechanism({self.name!r})"
 
 
 def _second_price_bounds(
@@ -261,8 +252,8 @@ def no_trade_mechanism(fee: RationalLike = 0) -> Mechanism:
         name,
         FAMILY_NO_TRADE,
         lambda p: no_trade_allocation(p, f),
-        params={"fee": f},
         bounds=partial(_flat_bounds, f),
+        echo=lambda: {"family": FAMILY_NO_TRADE, "fee": rat_str(f)},
     )
 
 
@@ -301,23 +292,14 @@ def _table_spec(table: Mapping, outcome_key: str, render: Callable) -> dict:
     return {"family": RULE_TABLE, "entries": entries}
 
 
-def _required(spec: Any, key: str, what: str) -> Any:
-    """`spec[key]`; refused, naming `what`, unless `spec` is an object with `key`."""
-    if not isinstance(spec, dict):
-        raise ValueError(f"{what} must be a JSON object, got {json.dumps(spec)}")
-    if key not in spec:
-        raise ValueError(f"{what} is missing its {key}")
-    return spec[key]
-
-
 def _spec_entries(spec: dict, outcome_key: str, parse: Callable) -> list[tuple]:
     """The (profile, outcome) pairs of a rule table's JSON spec: `entries` is
     a JSON list of objects, each with a JSON-list profile and the outcome
     under `outcome_key`, which `parse` reads."""
     what = "rule table entry"
     return [
-        (json_list(_required(entry, "profile", what), "rule table profile"),
-         parse(_required(entry, outcome_key, what)))
+        (json_list(required(entry, "profile", what), "rule table profile"),
+         parse(required(entry, outcome_key, what)))
         for entry in json_list(spec.get("entries", []), "rule table entries")
     ]
 
@@ -461,7 +443,7 @@ class WinnerRule:
             None,
             partial(_table_spec, table, "winners", sorted),
             market=market,
-            table=table,
+            table=MappingProxyType(table),
         )
 
     @classmethod
@@ -470,10 +452,10 @@ class WinnerRule:
         spec, family = _family_spec(spec, "winner rule")
         if family == RULE_DICTATORIAL_THRESHOLD:
             what = "DICTATORIAL_THRESHOLD winner rule"
-            agent = integer(_required(spec, "agent", what), "dictator agent")
+            agent = integer(required(spec, "agent", what), "dictator agent")
             if not 0 <= agent < market.n:
                 raise ValueError(f"dictator index out of range: {agent}")
-            return cls.dictatorial_threshold(agent, _required(spec, "threshold", what))
+            return cls.dictatorial_threshold(agent, required(spec, "threshold", what))
         if family == RULE_TABLE:
             return cls._of_table(market, _spec_entries(spec, "winners", lambda w: [
                 integer(i, "rule table winner") for i in json_list(w, "rule table winners")
@@ -558,9 +540,9 @@ def selective_vickrey_mechanism(rule: WinnerRule) -> Mechanism:
         f"selective_vickrey({rule.label})",
         FAMILY_SELECTIVE_VICKREY,
         fn,
-        params={"rule": rule},
         bounds=rule.bounds,
         market=rule.market,
+        echo=lambda: {"family": FAMILY_SELECTIVE_VICKREY, "rule": rule.spec},
     )
 
 
@@ -656,7 +638,7 @@ class PricingRule:
             None,
             partial(_table_spec, table, "mode", str),
             market=market,
-            table=table,
+            table=MappingProxyType(table),
         )
 
     @classmethod
@@ -664,7 +646,7 @@ class PricingRule:
         """A rule from its JSON spec (the inverse of `spec`) or bare family name."""
         spec, family = _family_spec(spec, "pricing rule")
         if family == PRICING_THRESHOLD:
-            return cls.threshold(_required(spec, "cutoff", "THRESHOLD pricing rule"))
+            return cls.threshold(required(spec, "cutoff", "THRESHOLD pricing rule"))
         if family == RULE_TABLE:
             return cls._of_table(market, _spec_entries(spec, "mode", str))
         plain = {PRICING_ALWAYS_EV: cls.always_ev,
@@ -679,7 +661,7 @@ def ev_pab_mechanism(pricing: PricingRule) -> Mechanism:
 
     def fn(profile: Profile) -> Allocation:
         price, winners = _vickrey_winners(profile, efficient=True)
-        if has_uniform_tail(profile) and pricing.classify(profile) == EV:
+        if min(profile.values) == price and pricing.classify(profile) == EV:
             return _winners_allocation(profile, winners, price)
         return _winners_allocation(profile, winners)
 
@@ -687,9 +669,9 @@ def ev_pab_mechanism(pricing: PricingRule) -> Mechanism:
         f"ev_pab({pricing.label})",
         FAMILY_EV_PAB,
         fn,
-        params={"pricing": pricing},
         bounds=pricing.bounds,
         market=pricing.market,
+        echo=lambda: {"family": FAMILY_EV_PAB, "pricing": pricing.spec},
     )
 
 

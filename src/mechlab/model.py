@@ -68,6 +68,15 @@ def json_list(value: Any, what: str) -> list:
     return value
 
 
+def required(spec: Any, key: str, what: str) -> Any:
+    """`spec[key]`; refused, naming `what`, unless `spec` is an object with `key`."""
+    if not isinstance(spec, dict):
+        raise ValueError(f"{what} must be a JSON object, got {json.dumps(spec)}")
+    if key not in spec:
+        raise ValueError(f"{what} is missing its {key}")
+    return spec[key]
+
+
 def rat_str(value: RationalLike) -> str:
     """Canonical "p/q" form (the "/q" is omitted when q is 1)."""
     return str(rat(value))

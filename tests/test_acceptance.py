@@ -9,6 +9,7 @@ import random
 import time
 from fractions import Fraction
 
+from conftest import random_pricing_table
 from mechlab import (
     MarketConfig,
     PricingRule,
@@ -288,11 +289,6 @@ def test_criterion_10_audit_reports_are_deterministic(tmp_path, capsys):
 
     ok = run() == run()
     report(10, ok, "repeat audits byte-identical once timing is stripped")
-
-
-def random_pricing_table(grid, rng):
-    """Each grid profile listed with probability 1/2, priced EV or PAB at random."""
-    return {p.values: rng.choice(("EV", "PAB")) for p in grid.profiles() if rng.random() < 0.5}
 
 
 MID_CAPACITY_GRIDS = [

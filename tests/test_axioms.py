@@ -127,12 +127,19 @@ def test_grid_space_refuses_rank_strides_over_budget():
 
 @pytest.mark.parametrize(
     "x, t",
-    [((2, 0, 0), (0, 0, 0)), ((1, 0, 0), (0.5, 0, 0)), ((1, 0), (0, 0))],
-    ids=["indicator-2", "float-transfer", "n-1-entries"],
+    [
+        ((2, 0, 0), (0, 0, 0)),
+        ((1, 0, 0), (0.5, 0, 0)),
+        ((1, 0), (0, 0)),
+        ((1, 1, 1), (0, 0, 0)),
+    ],
+    ids=["indicator-2", "float-transfer", "n-1-entries", "over-capacity"],
 )
 def test_a_malformed_outcome_is_refused_wherever_it_is_read(x, t):
     """`Mechanism.evaluate` is the one place an outcome is checked, so the
-    table fill behind every checker and every replay refuses it too."""
+    table fill behind every checker and every replay refuses it too: an
+    outcome of the wrong shape, or one handing out more objects than the
+    market has."""
     bad = Mechanism("bad", "CUSTOM", lambda profile: Allocation(x, t))
     with pytest.raises(ValueError, match="bad gave"):
         bad.evaluate(Profile(CFG1, (1, 0, 0)))

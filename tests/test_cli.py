@@ -556,6 +556,9 @@ def winner_table(entries):
         ({"market": {"agents": 10**6, "objects": 1}, "grid": {"values": ["0", "1"]},
           "mode": {"kind": "sampled", "seed": 1, "samples": 1}},
          "error: bad grid: 499999500000 rank stride bits exceed the enumeration budget"),
+        ({"market": {"objects": 1}}, "error: bad market section: market is missing its agents"),
+        ({"market": {"agents": 3}}, "error: bad market section: market is missing its objects"),
+        ({"grid": {"range": {"denominator": 2}}}, "error: bad grid: range is missing its max"),
     ],
     ids=[
         "mode-not-object", "output-not-object", "float-agents", "bool-objects",
@@ -567,7 +570,8 @@ def winner_table(entries):
         "winner-profile-length", "winner-profile-negative", "pricing-profile-length",
         "pricing-profile-negative", "many-agents-values", "many-agents-range",
         "agents-over-budget", "sampled-range-over-budget", "exponent-grid-value",
-        "sampled-strides-1e5-agents", "sampled-strides-1e6-agents",
+        "sampled-strides-1e5-agents", "sampled-strides-1e6-agents", "market-without-agents",
+        "market-without-objects", "range-without-max",
     ],
 )
 def test_config_boundary_errors_exit_two(tmp_path, capsys, overrides, message):

@@ -5,6 +5,7 @@ allocation a Vickrey-price family admits, and `select_canonical` takes
 the least by (winner tuple, bundles).
 """
 
+import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -13,9 +14,10 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import is_feasible
+from conftest import is_feasible, random_pricing_table
 from mechlab import (
     Allocation,
+    GridSpace,
     MarketConfig,
     Mechanism,
     PricingRule,
@@ -25,6 +27,7 @@ from mechlab import (
     efficient_vickrey_mechanism,
     ev_pab_mechanism,
     has_uniform_tail,
+    mechanism_from_spec,
     no_trade_mechanism,
     pay_as_bid_mechanism,
     selective_vickrey_mechanism,
@@ -304,11 +307,6 @@ def oracle_threshold(cut):
     return lambda values, m: EV if oracle_price(values, m) <= cut else PAB
 
 
-def random_pricing_table(grid, rng):
-    """Each grid profile listed with probability 1/2, priced EV or PAB at random."""
-    return {p.values: rng.choice((EV, PAB)) for p in grid.profiles() if rng.random() < 0.5}
-
-
 def rules_with_oracles(grid):
     """Every built-in winner and pricing rule plus three seeded random tables
     of each kind, each paired with its oracle."""
@@ -371,6 +369,44 @@ def test_rule_tables_refuse_a_profile_listed_twice():
         WinnerRule.rule_table(CFG1, {(2, 1, 1): (0,), ("4/2", "1", 1): ()})
     with pytest.raises(ValueError, match=r"rule table lists profile \(1, 1, 1\) twice"):
         PricingRule.rule_table(CFG1, {(1, 1, 1): EV, ("1", "2/2", 1): "PAB"})
+
+
+def test_mechanisms_are_frozen_records_whose_specs_round_trip():
+    """Every family builds a frozen record: no field can be reassigned, and
+    `mechanism_from_spec` of its JSON spec rebuilds the same name, spec and
+    outcomes."""
+    grid = GridSpace.shared(CFG1, range(4))
+    family = {WinnerRule: selective_vickrey_mechanism, PricingRule: ev_pab_mechanism}
+    mechanisms = [
+        vickrey_mechanism(), efficient_vickrey_mechanism(), pay_as_bid_mechanism(),
+        *(no_trade_mechanism(fee) for fee in (0, Fraction(1, 3), -1)),
+        *(family[kind](rule) for kind, rule, _, _ in rules_with_oracles(grid)),
+    ]
+    for mech in mechanisms:
+        for field in dataclasses.fields(mech):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(mech, field.name, getattr(mech, field.name))
+        again = mechanism_from_spec(json.loads(json.dumps(mech.spec)), grid.config)
+        assert (again.name, again.family, again.spec) == (mech.name, mech.family, mech.spec)
+        for profile in grid.profiles():
+            assert again.evaluate(profile) == mech.evaluate(profile), (mech.name, profile)
+
+
+def test_rule_tables_are_read_only():
+    """A validated table cannot be written into after construction, so a
+    mechanism built on it keeps handing out at most m objects."""
+    winners = WinnerRule.rule_table(CFG1, {(2, 1, 1): (0,)})
+    pricing = PricingRule.rule_table(CFG1, {(2, 1, 1): EV})
+    selective = selective_vickrey_mechanism(winners)
+    for rule, entry in ((winners, frozenset({0, 1, 2})), (pricing, EV)):
+        before = dict(rule.table)
+        with pytest.raises(TypeError):
+            rule.table[(1, 1, 1)] = entry
+        with pytest.raises(TypeError):
+            del rule.table[(2, 1, 1)]
+        assert rule.table == before
+    assert selective.evaluate(Profile(CFG1, (1, 1, 1))).winners == ()
+    assert validate_winner_rule(winners, GridSpace.shared(CFG1, range(3))).passed
 
 
 def test_vickrey_canonical_allocates_only_strict_winners():

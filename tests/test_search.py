@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from mechlab import (
+    GridSpace,
     MarketConfig,
     WinnerRule,
     check_nom,
@@ -23,7 +24,9 @@ from mechlab import (
     refresh_witness,
     selective_vickrey_mechanism,
     shrink_witness,
+    strict_winners,
     vickrey_mechanism,
+    vickrey_price,
 )
 from mechlab.axioms import check_uncompromising, validate_winner_rule
 from mechlab.search import (
@@ -238,6 +241,46 @@ def test_random_rules_are_valid_and_uncompromising():
         assert check_uncompromising(rule, grid).passed, rule.label
         mech = selective_vickrey_mechanism(rule)
         assert check_sp(mech, grid).verdict == "PASS_EXHAUSTIVE", rule.label
+
+
+def seeded_winner_table(grid, rng):
+    """`random_winner_rule_table`'s seeding step without its closure: at a
+    random half of the uniform-tail profiles, the strict winners plus a
+    random batch of price-tied agents up to capacity. Nothing keeps a
+    raised winner selected, so most of these tables are compromising."""
+    entries = {}
+    for profile in grid.profiles():
+        if not has_uniform_tail(profile) or rng.random() < 0.5:
+            continue
+        price, required = vickrey_price(profile), strict_winners(profile)
+        tied = sorted(i for i, v in enumerate(profile.values) if v >= price and i not in required)
+        rng.shuffle(tied)
+        take = rng.randint(0, min(grid.config.m - len(required), len(tied)))
+        if required or take:
+            entries[profile.values] = required | frozenset(tied[:take])
+    return entries
+
+
+def test_an_uncompromising_witness_is_an_sp_violation():
+    """SP fails exactly when UNCOMPROMISING does, and each UNCOMPROMISING
+    witness maps onto an SP violation that replays: at the raised profile,
+    the dropped agent misreports their original value and wins."""
+    grid = GridSpace.shared(CFG1, range(3))
+    compromising = 0
+    for seed in range(100):
+        rule = WinnerRule.rule_table(CFG1, seeded_winner_table(grid, random.Random(seed)))
+        mech = selective_vickrey_mechanism(rule)
+        uncompromising = check_uncompromising(rule, grid)
+        assert check_sp(mech, grid).passed == uncompromising.passed, seed
+        if uncompromising.passed:
+            continue
+        compromising += 1
+        witness = uncompromising.witness
+        agent, values = witness["agent"], witness["profile"]
+        raised = values[:agent] + (witness["raised_value"],) + values[agent + 1:]
+        sp = {"profile": raised, "agent": agent, "misreport": values[agent]}
+        assert refresh_witness(mech, "SP", sp, grid) is not None, seed
+    assert compromising > 50
 
 
 def test_random_rules_deterministic_in_seed():
