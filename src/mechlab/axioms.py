@@ -40,6 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .grid import (  # the grid names are part of the checkers' interface
@@ -51,7 +52,15 @@ from .grid import (  # the grid names are part of the checkers' interface
     OutcomeTable,
     _refuse_other_market,
 )
-from .mechanisms import EV, Hit, Mechanism, PricingRule, WinnerRule
+from .mechanisms import (
+    EV,
+    Hit,
+    Mechanism,
+    PricingRule,
+    WinnerRule,
+    first_violation,
+    rule_condition_violation,
+)
 from .model import (
     Profile,
     has_uniform_tail,
@@ -650,17 +659,33 @@ def _scan_report(
     return AxiomReport(axiom, "FAIL", witness, checked, details)
 
 
+def _grid_selections(rule: WinnerRule, grid: GridSpace) -> Iterator[tuple]:
+    """(profile, selected) at each profile the grid sweeps, in grid order."""
+    for profile in grid.profiles():
+        yield profile.values, rule.select(profile)
+
+
 def validate_winner_rule(rule: WinnerRule, grid: GridSpace) -> AxiomReport:
     """VALID: selection conditions (i)-(iv).
 
-    The built-in families satisfy them by construction, so the verdict is
-    analytic. A rule table is checked entry by entry; profiles off the
-    table select nobody and satisfy every condition vacuously, so the
-    entry scan is complete as well.
+    A rule whose constructor set closed-form bounds (the built-in
+    families) satisfies them by construction, so the verdict is analytic.
+    A rule table is checked entry by entry; profiles off the table select
+    nobody and satisfy every condition vacuously, so the entry scan is
+    complete as well. Any other rule is checked at every profile the grid
+    sweeps, a verdict at grid scope.
     """
-    if rule.table is None:
+    if rule.bounds is not None:
         details = {"method": "family satisfies the conditions by construction"}
         return AxiomReport("VALID", "PASS_ANALYTIC", details=details)
+    if rule.table is None:
+        violation = partial(rule_condition_violation, grid.config)
+        return _scan_report(
+            "VALID",
+            first_violation(_grid_selections(rule, grid), violation),
+            grid.pass_verdict,
+            {"scope": "grid"},
+        )
     _refuse_other_market(rule.market, grid.config)
     return _scan_report(
         "VALID",
@@ -674,14 +699,16 @@ def check_uncompromising(rule: WinnerRule, grid: GridSpace) -> AxiomReport:
     """UNCOMPROMISING: a selected agent stays selected after raising their report.
 
     Required: if agent i is selected at v and v'_i exceeds the Vickrey
-    price of v, then i is still selected at (v'_i, v_-i). The built-in
-    families satisfy this for every real-valued raise (analytic verdict).
-    A rule table is checked over the grid's value sets, the scope the
-    strategy checkers use: each table entry on those sets is raised to
-    every grid value above its price. Off-table profiles select nobody,
-    so this covers every profile of the grid, sampled or not.
+    price of v, then i is still selected at (v'_i, v_-i). A rule whose
+    constructor set closed-form bounds (the built-in families) satisfies
+    this for every real-valued raise (analytic verdict). A rule table is
+    checked over the grid's value sets, the scope the strategy checkers
+    use: each table entry on those sets is raised to every grid value
+    above its price. Off-table profiles select nobody, so this covers
+    every profile of the grid, sampled or not. Any other rule is raised
+    the same way at every profile the grid sweeps.
     """
-    if rule.table is None:
+    if rule.bounds is not None:
         details = {"method": "raising a selected report keeps the rule's trigger"}
         return AxiomReport("UNCOMPROMISING", "PASS_ANALYTIC", details=details)
     _refuse_other_market(rule.market, grid.config)
@@ -696,6 +723,9 @@ def check_uncompromising(rule: WinnerRule, grid: GridSpace) -> AxiomReport:
                     return "selected agent dropped after raising their report", witness
         return None
 
+    if rule.table is None:
+        entries = first_violation(_grid_selections(rule, grid), dropped)
+        return _scan_report("UNCOMPROMISING", entries, grid.pass_verdict, {"scope": "grid"})
     return _scan_report(
         "UNCOMPROMISING",
         rule.scan_entries(dropped, grid.values),

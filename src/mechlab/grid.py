@@ -208,23 +208,24 @@ class OutcomeTable(dict):
     A profile whose agent i reports the k_i-th value of their set has the
     mixed-radix rank sum(k_i * stride[i]), so a single-agent misreport is
     one addition and a swap two. The value sets are sorted, so ranks order
-    profiles as their values do. Each rank maps to the pair (x, t) of the
-    `Allocation` that `Mechanism.evaluate` returns there, as a plain tuple
-    (a tuple subclass unpacks slower on every read), with the transfers
-    scaled. Values and transfers are scaled by `scale`, the common
-    denominator of the value sets: a transfer that is a multiple of
-    1/scale is stored as an int, any other as the exact `Fraction`, and a
-    positive scale preserves every comparison. `exact` turns a scaled
-    quantity back into a `Fraction` when a witness is built.
+    profiles as their values do. Values and transfers are scaled by
+    `scale`, the common denominator of the value sets, and a positive
+    scale preserves every comparison. A rank is filled on its first read:
+    it is decoded straight into the scaled values, the mechanism's
+    `outcome` is called on them at `scale` (see `mechanisms.Outcome`),
+    `Mechanism.checked` refuses a malformed result, and the pair (x, t)
+    of indicators and scaled transfers is kept as a plain tuple (a tuple
+    subclass unpacks slower on every read). A transfer that is a multiple
+    of 1/scale is an int, any other the exact `Fraction`. `exact` turns a
+    scaled quantity back into a `Fraction` when a witness is built.
 
-    A rank is evaluated on its first read and kept. `of` gives the
-    mechanism's one table per (market, value sets), shared by every
-    checker; replay builds a throwaway one narrowed to the witness. The
-    table reaches its mechanism through a weak reference, so the two form
-    no cycle. Construction refuses a mechanism built on another market's
-    rule table (`Mechanism.market`), so no checker repeats that check, and
-    `shared` records whether every agent holds one value set, as a swap of
-    two agents' values needs.
+    `of` gives the mechanism's one table per (market, value sets), shared
+    by every checker; replay builds a throwaway one narrowed to the
+    witness. The table reaches its mechanism through a weak reference, so
+    the two form no cycle. Construction refuses a mechanism built on
+    another market's rule table (`Mechanism.market`), so no checker
+    repeats that check, and `shared` records whether every agent holds one
+    value set, as a swap of two agents' values needs.
     """
 
     def __init__(
@@ -255,6 +256,8 @@ class OutcomeTable(dict):
         for vals in reversed(values[1:]):
             strides.append(strides[-1] * len(vals))
         self.stride = tuple(reversed(strides))
+        # agent i's scaled value at rank r is scaled[i][r // stride[i] % len]
+        self._digits = tuple(zip(self.scaled, self.stride, map(len, self.scaled)))
         self._interned: dict[tuple, tuple] = {}
 
     @classmethod
@@ -271,22 +274,12 @@ class OutcomeTable(dict):
         return table
 
     def __missing__(self, rank: int) -> tuple:
-        rest, values = rank, []
-        for vals, step in zip(self.values, self.stride):
-            k, rest = divmod(rest, step)
-            values.append(vals[k])
-        profile = Profile.trusted(self.config, tuple(values))
-        x, t = self.mechanism().evaluate(profile)
-        outcome = (x, tuple(map(self._scale_transfer, t)))
+        values = tuple([scaled[rank // step % size] for scaled, step, size in self._digits])
+        mechanism, config = self.mechanism(), self.config
+        outcome = mechanism.checked(mechanism.outcome(values, config, self.scale), config)
         outcome = self._interned.setdefault(outcome, outcome)
         self[rank] = outcome
         return outcome
-
-    def _scale_transfer(self, t: Fraction) -> int | Fraction:
-        num = t.numerator * self.scale
-        if num % t.denominator:
-            return Fraction(num, t.denominator)
-        return num // t.denominator
 
     def exact(self, quantity: int | Fraction) -> Fraction:
         """A scaled quantity as the exact rational it stands for."""

@@ -11,27 +11,38 @@ subsidy). Two composite families are built on top:
 * EV/PAB: a pricing rule classifies each uniform-tail profile as either
   efficient-Vickrey or pay-as-bid, and off-tail profiles are pay-as-bid.
 
-Each family is defined once, here: its constructor builds a frozen
-`Mechanism` record that sets the closed-form bounds the NOM and BEST_CASE
+Each family is defined once, here, at the value level: its constructor
+builds a frozen `Mechanism` record whose `outcome(values, market, scale)`
+reads the ordered values and returns the object indicators and the
+transfers. The values, and every constant of the family (the NO_TRADE
+fee, the dictator threshold, the THRESHOLD cutoff, a rule table's keys),
+are multiplied by `scale`; a constant is scaled once per scale, not once
+per call. `grid.OutcomeTable` calls `outcome` on a grid's values scaled
+to ints, so a built-in family fills its table without a `Profile`, an
+`Allocation` or a `Fraction` sort; `Mechanism.evaluate` is the same call
+at scale 1 on a profile's exact values. A mechanism built from a bare
+function of a `Profile` gets one adapter, so the table has one code path.
+`Mechanism.checked` is the one check of an outcome's shape and capacity.
+The record also sets the closed-form bounds the NOM and BEST_CASE
 checkers use (`Mechanism.bounds`) and the echo of its JSON spec
 (`Mechanism.spec`), which `mechanism_from_spec` parses back. Winner and
 pricing rules are records built the same way: each rule constructor sets
-the label, the `select` or `classify` function, the bounds and the spec
-echo, and only the three `from_spec` parsers read a family name.
-`Mechanism.evaluate` checks each outcome's shape and capacity. Rule
-tables record their market and are read-only, so the outcome tables
-shared per mechanism and the once-per-rule scan of a table's selection
-conditions (`WinnerRule.conditions`, read by the mechanism's construction
-and by `validate_winner_rule`) stay true to the rule. One walk over a
-winner table's entries (`WinnerRule.scan_entries`) serves the rule
-checks in `axioms`.
+the label, the value-level `pick` or `branch` (read at scale 1 by
+`select` and `classify`), the bounds and the spec echo, and only the
+three `from_spec` parsers read a family name. Rule tables record their
+market and are read-only, so the outcome tables shared per mechanism and
+the once-per-rule scan of a table's selection conditions
+(`WinnerRule.conditions`, read by the mechanism's construction and by
+`validate_winner_rule`) stay true to the rule. One walk
+(`first_violation`) serves the rule checks in `axioms`, over a winner
+table's entries (`WinnerRule.scan_entries`) or over a grid's profiles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from types import MappingProxyType
 from typing import Any, Callable, Iterable, Mapping
 
@@ -67,16 +78,88 @@ PRICING_EV_IFF_PRICE_ZERO = "EV_IFF_PRICE_ZERO"
 PRICING_THRESHOLD = "THRESHOLD"
 
 
-def _winners_allocation(
-    profile: Profile, winners: Iterable[int], price: Fraction | None = None
-) -> Allocation:
-    """Winners hold an object and pay `price`, or their own report when
-    `price` is None; everyone else keeps the zero bundle (0, 0)."""
-    n, values = profile.config.n, profile.values
-    x, t = [0] * n, [Fraction(0)] * n
+# outcome(values, market, scale): the object indicators and transfers at
+# the ordered `values`; the values, like every constant of the family, are
+# multiplied by `scale`, and so are the transfers returned.
+Outcome = Callable[[tuple, MarketConfig, int], tuple[tuple[int, ...], tuple]]
+# pick(values, market, scale): the agents a winner rule lets trade.
+Pick = Callable[[tuple, MarketConfig, int], Iterable[int]]
+# branch(values, market, scale): EV or PAB, as a pricing rule classifies.
+Branch = Callable[[tuple, MarketConfig, int], str]
+# bounds(agent, m, report, true_value): the (sup, inf) of the agent's
+# utility over every non-negative opponent profile, in closed form.
+Bounds = Callable[[int, int, Fraction, Fraction], tuple[Fraction, Fraction]]
+# A violated rule condition and its witness.
+Hit = tuple[str, dict]
+
+
+def _scaled(q: Any, scale: int) -> Any:
+    """`q * scale` for an exact rational `q`: an int when it is one, the exact
+    `Fraction` otherwise. Anything else is returned as it is, for the
+    outcome check to refuse."""
+    if type(q) is int:
+        return q * scale
+    if type(q) is not Fraction:
+        return q
+    num, den = q.numerator * scale, q.denominator
+    return Fraction(num, den) if num % den else num // den
+
+
+def _scaled_keys(table: Mapping[tuple[Fraction, ...], Any]) -> Callable[[int], dict]:
+    """A rule table keyed by its profiles multiplied by a scale, built once
+    per scale. A key value off the scale's grid stays a `Fraction`, which
+    no scaled grid value equals."""
+    return cache(lambda scale: {
+        tuple(_scaled(v, scale) for v in key): out for key, out in table.items()
+    })
+
+
+def _price(values: tuple, m: int) -> Any:
+    """The (m+1)-th highest value: the Vickrey price."""
+    return sorted(values)[-1 - m]
+
+
+def _vickrey_pick(values: tuple, m: int, efficient: bool) -> tuple[Any, list[int]]:
+    """The Vickrey price and the one winner set a Vickrey-price family picks.
+
+    Agents above the price always win and agents below it never do; agents
+    exactly at the price take the spare objects, lowest index first. An
+    efficient family at a positive price hands out every object. Otherwise
+    (Vickrey, or a price of zero, where a winner at the price adds nothing
+    to the surplus) only tied agents indexed below the highest strict
+    winner take one, so nobody trades when nobody is above the price.
+    Among every winner set the family admits, this is the least as a
+    sorted tuple: () precedes (0,), but (0, 2) precedes (2,). The tied
+    choices give every agent the same utility, so the pick is
+    axiom-neutral.
+    """
+    price = _price(values, m)
+    strict = [i for i, v in enumerate(values) if v > price]
+    if efficient and price > 0:
+        reach = len(values)
+    else:
+        reach = strict[-1] if strict else 0
+    tied = [i for i in range(reach) if values[i] == price]
+    return price, strict + tied[: m - len(strict)]
+
+
+def _trade(values: tuple, winners: Iterable[int], price: Any) -> tuple[tuple, tuple]:
+    """Winners hold an object and pay `price`, or their own value when
+    `price` is None; everyone else holds nothing and pays 0."""
+    n = len(values)
+    x, t = [0] * n, [0] * n
     for i in winners:
         x[i], t[i] = 1, values[i] if price is None else price
-    return Allocation(tuple(x), tuple(t))
+    return tuple(x), tuple(t)
+
+
+def _vickrey_outcome(efficient: bool, values: tuple, market: MarketConfig, scale: int):
+    price, winners = _vickrey_pick(values, market.m, efficient)
+    return _trade(values, winners, price)
+
+
+def _pay_as_bid_outcome(values: tuple, market: MarketConfig, scale: int):
+    return _trade(values, _vickrey_pick(values, market.m, True)[1], None)
 
 
 def strict_winners(profile: Profile) -> frozenset[int]:
@@ -85,52 +168,12 @@ def strict_winners(profile: Profile) -> frozenset[int]:
     return frozenset(i for i, v in enumerate(profile.values) if v > price)
 
 
-def _vickrey_winners(
-    profile: Profile, efficient: bool = False
-) -> tuple[Fraction, tuple[int, ...]]:
-    """The Vickrey price and the one winner tuple a Vickrey-price family picks.
-
-    Agents above the price always win and agents below it never do; agents
-    exactly at the price take the spare objects, lowest index first. An
-    efficient family at a positive price hands out every object. Otherwise
-    (Vickrey, or a price of zero, where a winner at the price adds nothing
-    to the surplus) only tied agents indexed below the highest strict
-    winner take one, so nobody trades when nobody is above the price.
-    Among every winner set the family admits, this is the least sorted
-    tuple: () precedes (0,), but (0, 2) precedes (2,). The tied choices
-    give every agent the same utility, so the pick is axiom-neutral.
-    """
-    values = profile.values
-    price = vickrey_price(profile)
-    strict = [i for i, v in enumerate(values) if v > price]
-    if efficient and price > 0:
-        reach = len(values)
-    else:
-        reach = strict[-1] if strict else 0
-    tied = [i for i in range(reach) if values[i] == price]
-    room = profile.config.m - len(strict)
-    return price, tuple(sorted(strict + tied[:room]))
-
-
-def _vickrey_allocation(profile: Profile, efficient: bool) -> Allocation:
-    price, winners = _vickrey_winners(profile, efficient)
-    return _winners_allocation(profile, winners, price)
-
-
-def no_trade_allocation(profile: Profile, fee: Fraction = Fraction(0)) -> Allocation:
-    """Nobody gets an object and everyone pays the exact `fee` (receives it
-    if negative)."""
-    n = profile.config.n
-    return Allocation((0,) * n, (fee,) * n)
-
-
-# bounds(agent, m, report, true_value): the (sup, inf) of the agent's
-# utility over every non-negative opponent profile, in closed form.
-Bounds = Callable[[int, int, Fraction, Fraction], tuple[Fraction, Fraction]]
-# select(profile): the agents a winner rule lets trade.
-Select = Callable[[Profile], frozenset[int]]
-# A violated rule condition and its witness.
-Hit = tuple[str, dict]
+def _profile_outcome(fn: Callable[[Profile], Allocation], values: tuple,
+                     market: MarketConfig, scale: int):
+    """A mechanism given as a function of `Profile`s, as an outcome: `fn` at
+    the profile of the exact values, with its transfers scaled."""
+    x, t = fn(Profile.trusted(market, tuple(Fraction(v, scale) for v in values)))
+    return x, tuple(_scaled(ti, scale) for ti in t)
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,35 +181,47 @@ class Mechanism:
     """A named, deterministic map from profiles to feasible allocations.
 
     A frozen record, built by its family's constructor the way rules are:
-    `family` names the family, `fn` computes the outcome, `bounds` (set by
-    the families that have a closed form) lets the NOM and BEST_CASE
-    checkers skip the grid, `market` is the market a rule table was
-    written for (None when the mechanism has no table), so a checker can
-    refuse a grid of another market, and `echo` renders the JSON spec
-    (`spec` is `{"family": family}` without one). `evaluate` runs the
-    mechanism every time it is called and is the one place an outcome is
-    checked: `fn` must return an `Allocation` of n indicators, each 0 or
-    1, at most m of them 1, and n exact rational transfers (int or
-    `Fraction`). The axiom checkers evaluate each grid profile once into
-    an outcome table (`grid.OutcomeTable`).
+    `family` names the family, `outcome` is its one value-level definition
+    (see `Outcome`), `bounds` (set by the families that have a closed form)
+    lets the NOM and BEST_CASE checkers skip the grid, `market` is the
+    market a rule table was written for (None when the mechanism has no
+    table), so a checker can refuse a grid of another market, and `echo`
+    renders the JSON spec (`spec` is `{"family": family}` without one). A
+    mechanism given instead as a function `fn` of a `Profile` returning an
+    `Allocation` (`Mechanism(name, "CUSTOM", fn)`) gets the outcome that
+    calls `fn` at the exact profile and scales its transfers.
+
+    The axiom checkers fill an outcome table (`grid.OutcomeTable`) by
+    calling `outcome` once per grid profile on values scaled to ints;
+    `evaluate` is the same call at scale 1 on a profile's exact values,
+    wrapped as an `Allocation`. Both run `checked` on what `outcome`
+    returns: n indicators, each 0 or 1, at most m of them 1, and n exact
+    rational transfers (int or `Fraction`).
     """
 
     name: str
     family: str
-    fn: Callable[[Profile], Allocation]
+    fn: Callable[[Profile], Allocation] | None = None
     bounds: Bounds | None = None
     market: MarketConfig | None = None
     echo: Callable[[], dict] | None = None
+    outcome: Outcome | None = None
+
+    def __post_init__(self) -> None:
+        if (self.fn is None) == (self.outcome is None):
+            raise ValueError(f"{self.name} needs exactly one of fn and outcome")
+        if self.outcome is None:
+            object.__setattr__(self, "outcome", partial(_profile_outcome, self.fn))
 
     @property
     def spec(self) -> dict:
         """The JSON spec `mechanism_from_spec` rebuilds this mechanism from."""
         return self.echo() if self.echo else {"family": self.family}
 
-    def evaluate(self, profile: Profile) -> Allocation:
-        """The allocation at `profile`; a malformed one is refused."""
-        allocation = x, t = self.fn(profile)
-        n = profile.config.n
+    def checked(self, outcome: tuple, market: MarketConfig) -> tuple:
+        """`outcome`, refused unless it is a well-formed (x, t) for `market`."""
+        x, t = outcome
+        n = market.n
         if len(x) != n or len(t) != n:
             raise ValueError(f"{self.name} gave {len(x)} indicators and {len(t)} "
                              f"transfers for {n} agents")
@@ -174,10 +229,17 @@ class Mechanism:
             if type(xi) is not int or not 0 <= xi <= 1 or type(ti) not in (int, Fraction):
                 raise ValueError(f"{self.name} gave the bundle ({xi!r}, {ti!r}); an "
                                  "indicator must be 0 or 1, a transfer an exact rational")
-        if sum(x) > profile.config.m:
+        if sum(x) > market.m:
             raise ValueError(f"{self.name} gave {sum(x)} objects; the market has "
-                             f"{profile.config.m}")
-        return allocation
+                             f"{market.m}")
+        return outcome
+
+    def evaluate(self, profile: Profile) -> Allocation:
+        """The allocation at `profile`: the outcome at scale 1, checked, with
+        every transfer a `Fraction`."""
+        market = profile.config
+        x, t = self.checked(self.outcome(profile.values, market, 1), market)
+        return Allocation(x, tuple(map(Fraction, t)))
 
 
 def _second_price_bounds(
@@ -222,7 +284,7 @@ def vickrey_mechanism() -> Mechanism:
     return Mechanism(
         "vickrey",
         FAMILY_VICKREY,
-        partial(_vickrey_allocation, efficient=False),
+        outcome=partial(_vickrey_outcome, False),
         bounds=_second_price_bounds,
     )
 
@@ -231,7 +293,7 @@ def efficient_vickrey_mechanism() -> Mechanism:
     return Mechanism(
         "efficient_vickrey",
         FAMILY_EFFICIENT_VICKREY,
-        partial(_vickrey_allocation, efficient=True),
+        outcome=partial(_vickrey_outcome, True),
         bounds=_second_price_bounds,
     )
 
@@ -240,18 +302,24 @@ def pay_as_bid_mechanism() -> Mechanism:
     return Mechanism(
         "pay_as_bid",
         FAMILY_PAY_AS_BID,
-        lambda p: _winners_allocation(p, _vickrey_winners(p, efficient=True)[1]),
+        outcome=_pay_as_bid_outcome,
         bounds=_own_bid_bounds,
     )
 
 
 def no_trade_mechanism(fee: RationalLike = 0) -> Mechanism:
+    """Nobody gets an object and everyone pays the exact `fee` (receives it
+    if negative)."""
     f = rational(fee, "NO_TRADE fee")
-    name = "no_trade" if f == 0 else f"no_trade(fee={rat_str(f)})"
+    fee_at = cache(partial(_scaled, f))  # the fee at a scale, once per scale
+
+    def outcome(values: tuple, market: MarketConfig, scale: int):
+        return (0,) * market.n, (fee_at(scale),) * market.n
+
     return Mechanism(
-        name,
+        "no_trade" if f == 0 else f"no_trade(fee={rat_str(f)})",
         FAMILY_NO_TRADE,
-        lambda p: no_trade_allocation(p, f),
+        outcome=outcome,
         bounds=partial(_flat_bounds, f),
         echo=lambda: {"family": FAMILY_NO_TRADE, "fee": rat_str(f)},
     )
@@ -264,11 +332,12 @@ def _profile_text(values: Iterable[Fraction]) -> str:
 def _table(
     market: MarketConfig,
     pairs: Iterable[tuple[Iterable[RationalLike], Any]],
-    outcome: Callable[[Any], Any],
+    outcome: Callable[[tuple[Fraction, ...], Any], Any],
 ) -> dict[tuple[Fraction, ...], Any]:
     """A rule table keyed by normalised profile from (profile, outcome) pairs;
     each profile must list one non-negative value per agent of `market`, and
-    two profiles that normalise alike are refused."""
+    two profiles that normalise alike are refused. `outcome(profile, value)`
+    reads an entry's outcome."""
     table: dict[tuple[Fraction, ...], Any] = {}
     for key, value in pairs:
         values = tuple(rational(v, "rule table profile value") for v in key)
@@ -279,7 +348,7 @@ def _table(
             )
         if values in table:
             raise ValueError(f"rule table lists profile {_profile_text(values)} twice")
-        table[values] = outcome(value)
+        table[values] = outcome(values, value)
     return table
 
 
@@ -318,9 +387,44 @@ def _family_spec(spec: Any, what: str) -> tuple[dict, str]:
 # ---------------------------------------------------------------------------
 
 
-def _on_tail(pick: Select) -> Select:
-    """`pick` on uniform-tail profiles; nobody on any other profile."""
-    return lambda profile: pick(profile) if has_uniform_tail(profile) else frozenset()
+def first_violation(
+    entries: Iterable[tuple[tuple[Fraction, ...], frozenset[int]]],
+    violation: Callable[[tuple[Fraction, ...], frozenset[int]], Hit | None],
+) -> tuple[int, Hit | None]:
+    """Walk (profile, selected) entries in order up to the first violation:
+    how many were checked and the first hit, or None when every entry holds."""
+    checked = 0
+    for values, selected in entries:
+        checked += 1
+        hit = violation(values, selected)
+        if hit is not None:
+            return checked, hit
+    return checked, None
+
+
+def _winner_set(values: tuple[Fraction, ...], winners: Iterable[int]) -> frozenset[int]:
+    """A winner table entry's winners; an agent listed twice is refused."""
+    listed = list(winners)
+    for k, i in enumerate(listed):
+        if i in listed[:k]:
+            raise ValueError(
+                f"rule table lists winner {i} twice at profile {_profile_text(values)}"
+            )
+    return frozenset(listed)
+
+
+def _strict_pick(values: tuple, market: MarketConfig, scale: int) -> list[int]:
+    """On uniform-tail values, everyone strictly above the Vickrey price."""
+    price = _price(values, market.m)
+    if min(values) != price:
+        return []
+    return [i for i, v in enumerate(values) if v > price]
+
+
+def _efficient_pick(values: tuple, market: MarketConfig, scale: int) -> list[int]:
+    """On uniform-tail values, the efficient families' winners."""
+    price, winners = _vickrey_pick(values, market.m, True)
+    return winners if min(values) == price else []
 
 
 @dataclass(frozen=True, eq=False)
@@ -333,9 +437,11 @@ class WinnerRule:
       (iii) if anybody is selected, everyone strictly above the price is;
       (iv)  at most m agents are selected.
 
-    Each constructor builds one record: the rule's `label`, its `select`
-    function, selective Vickrey's closed-form `bounds` under it (None for
-    a table) and the `echo` that renders its JSON spec.
+    Each constructor builds one record: the rule's `label`, its one
+    value-level definition `pick` (see `Pick`), selective Vickrey's
+    closed-form `bounds` under it (None for a table) and the `echo` that
+    renders its JSON spec. The rule checks in `axioms` trust conditions
+    (i)-(iv) without a look only for a rule with closed-form bounds.
       empty: nobody trades.
       strict: on a uniform-tail profile, everyone strictly above the price.
       efficient: on a uniform-tail profile, the efficient families' winners.
@@ -346,7 +452,7 @@ class WinnerRule:
     """
 
     label: str
-    select: Select
+    pick: Pick
     bounds: Bounds | None
     echo: Callable[[], dict]
     market: MarketConfig | None = None
@@ -356,6 +462,10 @@ class WinnerRule:
     def spec(self) -> dict:
         """The canonical JSON spec; table entries sorted by profile."""
         return self.echo()
+
+    def select(self, profile: Profile) -> frozenset[int]:
+        """The agents the rule lets trade at `profile`: `pick` at scale 1."""
+        return frozenset(self.pick(profile.values, profile.config, 1))
 
     def scan_entries(
         self,
@@ -369,35 +479,33 @@ class WinnerRule:
         None when every entry holds.
         """
         value_sets = None if on is None else [frozenset(vals) for vals in on]
-        checked = 0
-        for values in sorted(self.table):
-            if value_sets is not None and any(
-                v not in vals for v, vals in zip(values, value_sets)
-            ):
-                continue
-            checked += 1
-            hit = violation(values, self.table[values])
-            if hit is not None:
-                return checked, hit
-        return checked, None
+        return first_violation(
+            (
+                (values, self.table[values])
+                for values in sorted(self.table)
+                if value_sets is None
+                or all(v in vals for v, vals in zip(values, value_sets))
+            ),
+            violation,
+        )
 
     @cached_property
     def conditions(self) -> tuple[int, Hit | None]:
         """The table's selection conditions (i)-(iv), checked entry by entry
         once per rule: the entries checked and the first violation."""
-        return self.scan_entries(partial(_rule_condition_violation, self.market))
+        return self.scan_entries(partial(rule_condition_violation, self.market))
 
     @classmethod
     def empty(cls) -> "WinnerRule":
         return cls(
-            "empty", lambda profile: frozenset(), partial(_flat_bounds, Fraction(0)),
+            "empty", lambda values, market, scale: (), partial(_flat_bounds, Fraction(0)),
             lambda: {"family": RULE_EMPTY},
         )
 
     @classmethod
     def strict(cls) -> "WinnerRule":
         return cls(
-            "strict_winners", _on_tail(strict_winners), _strict_winner_bounds,
+            "strict_winners", _strict_pick, _strict_winner_bounds,
             lambda: {"family": RULE_STRICT_WINNERS},
         )
 
@@ -405,7 +513,7 @@ class WinnerRule:
     def efficient(cls) -> "WinnerRule":
         return cls(
             "efficient_winners",
-            _on_tail(lambda p: frozenset(_vickrey_winners(p, efficient=True)[1])),
+            _efficient_pick,
             _second_price_bounds,
             lambda: {"family": RULE_EFFICIENT_WINNERS},
         )
@@ -413,16 +521,18 @@ class WinnerRule:
     @classmethod
     def dictatorial_threshold(cls, agent: int, threshold: RationalLike) -> "WinnerRule":
         cut = rational(threshold, "DICTATORIAL_THRESHOLD winner rule threshold")
+        cut_at = cache(partial(_scaled, cut))
 
-        def select(profile: Profile) -> frozenset[int]:
-            others = (v for i, v in enumerate(profile.values) if i != agent)
-            if profile.values[agent] > cut and all(v == cut for v in others):
-                return frozenset({agent})
-            return frozenset()
+        def pick(values: tuple, market: MarketConfig, scale: int) -> tuple[int, ...]:
+            at = cut_at(scale)
+            others = (v for i, v in enumerate(values) if i != agent)
+            if values[agent] > at and all(v == at for v in others):
+                return (agent,)
+            return ()
 
         return cls(
             f"dictatorial_threshold({agent},{rat_str(cut)})",
-            select,
+            pick,
             partial(_dictator_bounds, agent, cut),
             lambda: {"family": RULE_DICTATORIAL_THRESHOLD, "agent": agent,
                      "threshold": rat_str(cut)},
@@ -436,10 +546,11 @@ class WinnerRule:
 
     @classmethod
     def _of_table(cls, market: MarketConfig, pairs: Iterable[tuple]) -> "WinnerRule":
-        table = _table(market, pairs, frozenset)
+        table = _table(market, pairs, _winner_set)
+        keyed = _scaled_keys(table)
         return cls(
             f"rule_table[{len(table)}]",
-            lambda profile: table.get(profile.values, frozenset()),
+            lambda values, market, scale: keyed(scale).get(values, ()),
             None,
             partial(_table_spec, table, "winners", sorted),
             market=market,
@@ -495,7 +606,7 @@ def _dictator_bounds(
     return (max(gain, zero), min(gain, zero))
 
 
-def _rule_condition_violation(
+def rule_condition_violation(
     market: MarketConfig, values: tuple[Fraction, ...], selected: frozenset[int]
 ) -> Hit | None:
     """First violated selection condition at one profile, or None."""
@@ -529,17 +640,16 @@ def selective_vickrey_mechanism(rule: WinnerRule) -> Mechanism:
                 f"invalid winner rule, condition {condition} at profile "
                 f"{_profile_text(witness['profile'])}"
             )
+    pick = rule.pick
 
-    def fn(profile: Profile) -> Allocation:
-        selected = rule.select(profile)
-        if not selected:
-            return no_trade_allocation(profile)
-        return _winners_allocation(profile, selected, vickrey_price(profile))
+    def outcome(values: tuple, market: MarketConfig, scale: int):
+        winners = pick(values, market, scale)
+        return _trade(values, winners, _price(values, market.m) if winners else None)
 
     return Mechanism(
         f"selective_vickrey({rule.label})",
         FAMILY_SELECTIVE_VICKREY,
-        fn,
+        outcome=outcome,
         bounds=rule.bounds,
         market=rule.market,
         echo=lambda: {"family": FAMILY_SELECTIVE_VICKREY, "rule": rule.spec},
@@ -564,10 +674,11 @@ def _pricing_mode(mode: str) -> str:
 class PricingRule:
     """Classifies each uniform-tail profile as efficient-Vickrey or pay-as-bid.
 
-    Each constructor builds one record: the rule's `label`, its `classify`
-    function, whether every valuation can reach the EV branch
-    (`reaches_ev`; None for a table, which can only be judged on a grid)
-    and the `echo` that renders its JSON spec.
+    Each constructor builds one record: the rule's `label`, its one
+    value-level definition `branch` (see `Branch`), whether every
+    valuation can reach the EV branch (`reaches_ev`; None for a table,
+    which can only be judged on a grid) and the `echo` that renders its
+    JSON spec.
       always_ev: EV everywhere.
       ev_iff_price_zero: EV exactly when the Vickrey price is zero.
       threshold(c): EV when the Vickrey price is at most c. The price is
@@ -578,7 +689,7 @@ class PricingRule:
     """
 
     label: str
-    classify: Callable[[Profile], str]
+    branch: Branch
     reaches_ev: bool | None
     echo: Callable[[], dict]
     market: MarketConfig | None = None
@@ -588,6 +699,10 @@ class PricingRule:
     def spec(self) -> dict:
         """The canonical JSON spec; table entries sorted by profile."""
         return self.echo()
+
+    def classify(self, profile: Profile) -> str:
+        """EV or PAB at `profile`: `branch` at scale 1."""
+        return self.branch(profile.values, profile.config, 1)
 
     @property
     def bounds(self) -> Bounds | None:
@@ -601,14 +716,17 @@ class PricingRule:
     @classmethod
     def always_ev(cls) -> "PricingRule":
         return cls(
-            "always_ev", lambda profile: EV, True, lambda: {"family": PRICING_ALWAYS_EV}
+            "always_ev",
+            lambda values, market, scale: EV,
+            True,
+            lambda: {"family": PRICING_ALWAYS_EV},
         )
 
     @classmethod
     def ev_iff_price_zero(cls) -> "PricingRule":
         return cls(
             "ev_iff_price_zero",
-            lambda profile: EV if vickrey_price(profile) == 0 else PAB,
+            lambda values, market, scale: EV if _price(values, market.m) == 0 else PAB,
             True,
             lambda: {"family": PRICING_EV_IFF_PRICE_ZERO},
         )
@@ -616,9 +734,12 @@ class PricingRule:
     @classmethod
     def threshold(cls, cutoff: RationalLike) -> "PricingRule":
         cut = rational(cutoff, "THRESHOLD pricing rule cutoff")
+        cut_at = cache(partial(_scaled, cut))
         return cls(
             f"threshold({rat_str(cut)})",
-            lambda profile: EV if vickrey_price(profile) <= cut else PAB,
+            lambda values, market, scale: (
+                EV if _price(values, market.m) <= cut_at(scale) else PAB
+            ),
             cut >= 0,
             lambda: {"family": PRICING_THRESHOLD, "cutoff": rat_str(cut)},
         )
@@ -631,10 +752,11 @@ class PricingRule:
 
     @classmethod
     def _of_table(cls, market: MarketConfig, pairs: Iterable[tuple]) -> "PricingRule":
-        table = _table(market, pairs, _pricing_mode)
+        table = _table(market, pairs, lambda values, mode: _pricing_mode(mode))
+        keyed = _scaled_keys(table)
         return cls(
             f"rule_table[{len(table)}]",
-            lambda profile: table.get(profile.values, PAB),
+            lambda values, market, scale: keyed(scale).get(values, PAB),
             None,
             partial(_table_spec, table, "mode", str),
             market=market,
@@ -659,16 +781,17 @@ class PricingRule:
 def ev_pab_mechanism(pricing: PricingRule) -> Mechanism:
     """Efficient-Vickrey or pay-as-bid on uniform-tail profiles, pay-as-bid off them."""
 
-    def fn(profile: Profile) -> Allocation:
-        price, winners = _vickrey_winners(profile, efficient=True)
-        if min(profile.values) == price and pricing.classify(profile) == EV:
-            return _winners_allocation(profile, winners, price)
-        return _winners_allocation(profile, winners)
+    branch = pricing.branch
+
+    def outcome(values: tuple, market: MarketConfig, scale: int):
+        price, winners = _vickrey_pick(values, market.m, True)
+        on_ev = min(values) == price and branch(values, market, scale) == EV
+        return _trade(values, winners, price if on_ev else None)
 
     return Mechanism(
         f"ev_pab({pricing.label})",
         FAMILY_EV_PAB,
-        fn,
+        outcome=outcome,
         bounds=pricing.bounds,
         market=pricing.market,
         echo=lambda: {"family": FAMILY_EV_PAB, "pricing": pricing.spec},

@@ -163,7 +163,7 @@ class Allocation(NamedTuple):
 
     Agent i holds x[i] objects (0 or 1) and pays t[i], an exact rational;
     a negative transfer is money received (a subsidy). It unpacks as
-    `x, t`. `Mechanism.evaluate` refuses any other shape.
+    `x, t`. `Mechanism.checked` refuses any other shape.
     """
 
     x: tuple[int, ...]

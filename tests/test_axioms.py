@@ -136,10 +136,10 @@ def test_grid_space_refuses_rank_strides_over_budget():
     ids=["indicator-2", "float-transfer", "n-1-entries", "over-capacity"],
 )
 def test_a_malformed_outcome_is_refused_wherever_it_is_read(x, t):
-    """`Mechanism.evaluate` is the one place an outcome is checked, so the
-    table fill behind every checker and every replay refuses it too: an
-    outcome of the wrong shape, or one handing out more objects than the
-    market has."""
+    """`Mechanism.checked` is the one outcome check, run by `evaluate` and
+    by the table fill behind every checker and every replay, so each of
+    them refuses an outcome of the wrong shape, or one handing out more
+    objects than the market has."""
     bad = Mechanism("bad", "CUSTOM", lambda profile: Allocation(x, t))
     with pytest.raises(ValueError, match="bad gave"):
         bad.evaluate(Profile(CFG1, (1, 0, 0)))
@@ -147,6 +147,31 @@ def test_a_malformed_outcome_is_refused_wherever_it_is_read(x, t):
         check_ir(bad, GRID)
     with pytest.raises(ValueError, match="bad gave"):
         refresh_witness(bad, "IR", {"profile": (1, 0, 0), "agent": 0}, GRID)
+
+
+def test_a_built_in_family_fills_its_table_without_a_profile(monkeypatch):
+    """The six built-in families fill an outcome table from their
+    value-level outcome alone: with `Profile.trusted` and `evaluate`
+    refusing to run, SP on a sampled (5,2) half-step grid gives the same
+    reports as before. A CUSTOM mechanism fills through the one adapter,
+    which builds the profile its function reads, so it runs into the
+    refusal. The sweep's own profiles are drawn before the patch."""
+    grid = GridSpace.from_range(MarketConfig(5, 2), 10, 2, mode=MODE_SAMPLED, seed=5, samples=30)
+    expected = [check_sp(mechanism, grid) for mechanism in builtin_mechanisms()]
+    drawn = list(grid.profiles())
+
+    def refuse(what):
+        def refused(*args):
+            raise RuntimeError(f"the fill called {what}")
+        return refused
+
+    monkeypatch.setattr(GridSpace, "profiles", lambda self: iter(drawn))
+    monkeypatch.setattr(Profile, "trusted", refuse("Profile.trusted"))
+    monkeypatch.setattr(Mechanism, "evaluate", refuse("Mechanism.evaluate"))
+    assert [check_sp(mechanism, grid) for mechanism in builtin_mechanisms()] == expected
+    custom = Mechanism("custom", "CUSTOM", lambda profile: Allocation((0,) * 5, (0,) * 5))
+    with pytest.raises(RuntimeError, match="the fill called Profile.trusted"):
+        check_sp(custom, grid)
 
 
 def test_shared_value_set_is_normalised_once():

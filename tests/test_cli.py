@@ -525,6 +525,10 @@ def winner_table(entries):
             "non-negative values",
         ),
         (
+            {"mechanisms": [winner_table([{"profile": ["1", "1", "1"], "winners": [0, 0]}])]},
+            "error: bad mechanism spec: rule table lists winner 0 twice at profile (1, 1, 1)",
+        ),
+        (
             {"mechanisms": [{"family": "EV_PAB", "pricing": {"family": "RULE_TABLE", "entries": [
                 {"profile": ["1", "0", "0", "0"], "mode": "EV"},
                 {"profile": ["2", "0", "0", "0"], "mode": "EV"},
@@ -567,7 +571,8 @@ def winner_table(entries):
         "float-dictator", "float-winner", "values-string", "per-agent-strings",
         "aiw-unshared-grid", "axioms-string", "mechanisms-string", "mechanisms-object",
         "entries-object", "profile-string", "winners-string", "pricing-profile-string",
-        "winner-profile-length", "winner-profile-negative", "pricing-profile-length",
+        "winner-profile-length", "winner-profile-negative", "winner-listed-twice",
+        "pricing-profile-length",
         "pricing-profile-negative", "many-agents-values", "many-agents-range",
         "agents-over-budget", "sampled-range-over-budget", "exponent-grid-value",
         "sampled-strides-1e5-agents", "sampled-strides-1e6-agents", "market-without-agents",

@@ -369,6 +369,8 @@ def test_rule_tables_refuse_a_profile_listed_twice():
         WinnerRule.rule_table(CFG1, {(2, 1, 1): (0,), ("4/2", "1", 1): ()})
     with pytest.raises(ValueError, match=r"rule table lists profile \(1, 1, 1\) twice"):
         PricingRule.rule_table(CFG1, {(1, 1, 1): EV, ("1", "2/2", 1): "PAB"})
+    with pytest.raises(ValueError, match=r"lists winner 0 twice at profile \(1, 1, 1\)"):
+        WinnerRule.rule_table(CFG1, {(1, 1, 1): (0, 0)})
 
 
 def test_mechanisms_are_frozen_records_whose_specs_round_trip():
@@ -558,6 +560,31 @@ def test_validate_winner_rule_condition_details():
     assert validate_winner_rule(skips_strict, grid).details["condition"].startswith("(iii)")
     over_capacity = WinnerRule.rule_table(CFG1, {(2, 2, 2): (0, 1)})
     assert validate_winner_rule(over_capacity, grid).details["condition"].startswith("(iv)")
+
+
+def test_rule_checks_sweep_a_rule_without_closed_form_bounds():
+    """Only a rule whose constructor set closed-form bounds gets the
+    analytic verdict. A rule built directly is checked at every grid
+    profile, at grid scope: one selecting every agent breaks (iv) first at
+    (0, 0, 0), and one selecting agent 0 only at (1, 0, 0) drops them
+    after a raise."""
+    grid = GridSpace.shared(CFG1, range(3))
+    everyone = WinnerRule("everyone", lambda values, market, scale: (0, 1, 2), None, dict)
+    valid = validate_winner_rule(everyone, grid)
+    assert (valid.verdict, valid.profiles_checked) == ("FAIL", 1)
+    assert valid.details == {"scope": "grid", "condition": "(iv) more winners than objects"}
+    assert valid.witness == {"profile": (0, 0, 0), "winners": [0, 1, 2]}
+    kept = check_uncompromising(everyone, grid)
+    assert (kept.verdict, kept.profiles_checked, kept.details) == (
+        "PASS_EXHAUSTIVE", 27, {"scope": "grid"}
+    )
+    fickle = WinnerRule(
+        "fickle", lambda values, market, scale: (0,) if values == (scale, 0, 0) else (), None, dict
+    )
+    assert validate_winner_rule(fickle, grid).verdict == "PASS_EXHAUSTIVE"
+    dropped = check_uncompromising(fickle, grid)
+    assert dropped.verdict == "FAIL"
+    assert dropped.witness == {"profile": (1, 0, 0), "agent": 0, "raised_value": 2}
 
 
 def test_check_uncompromising_builtin_rules():

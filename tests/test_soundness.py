@@ -1,9 +1,12 @@
-"""Brute-force oracles for the analytic NOM bounds and for the pointwise scans.
+"""Brute-force oracles for the analytic NOM bounds, the pointwise scans and
+the outcome tables.
 
 Nothing here goes through the checkers' per-profile definitions: the
 oracles enumerate every identity with their own loops, so a scan, a
 replay or a bound that drifts from the plain definition of its axiom
-shows up as a disagreement.
+shows up as a disagreement. The outcome tables, filled from each
+family's value-level outcome on scaled ints, are compared rank by rank
+with `Mechanism.evaluate` on exact profiles.
 """
 
 import itertools
@@ -14,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import is_feasible
+from conftest import is_feasible, random_pricing_table
 from mechlab import (
     CHECKERS,
     GridSpace,
@@ -36,7 +39,7 @@ from mechlab import (
     vickrey_mechanism,
     witness_to_json,
 )
-from mechlab.axioms import BY_BOUNDS, MODE_SAMPLED, _nom_bounds
+from mechlab.axioms import BY_BOUNDS, MODE_SAMPLED, OutcomeTable, _nom_bounds
 from mechlab.search import GridConfig
 
 # analytic NOM bounds
@@ -323,3 +326,51 @@ def test_sp_witness_with_an_off_grid_misreport_replays():
     )
     assert witness_to_json(fresh) == witness_to_json(expected)
     assert witness_to_json(fresh)["misreport_utility"] == "8/3"
+
+
+# outcome tables against evaluate
+
+
+def half_step(values):
+    """Each value set with the midpoint of every two neighbouring values added."""
+    return tuple(
+        tuple(sorted({*vals, *((a + b) / 2 for a, b in zip(vals, vals[1:]))}))
+        for vals in values
+    )
+
+
+def differential_mechanisms(grid):
+    """Every built-in family, and each family constant and rule table in a
+    form whose scaled value can fall off the grid's denominator."""
+    rng = random.Random(f"differential:{grid.config}")
+    winners = random_winner_rule_table(grid, rng)
+    modes = random_pricing_table(grid, rng)
+    return [
+        *builtin_mechanisms(),
+        no_trade_mechanism("1/3"),
+        selective_vickrey_mechanism(WinnerRule.dictatorial_threshold(0, "1/2")),
+        selective_vickrey_mechanism(WinnerRule.rule_table(grid.config, winners)),
+        ev_pab_mechanism(PricingRule.ev_iff_price_zero()),
+        ev_pab_mechanism(PricingRule.threshold("1/2")),
+        ev_pab_mechanism(PricingRule.rule_table(grid.config, modes)),
+    ]
+
+
+@pytest.mark.parametrize("grid", GRIDS, ids=range(len(GRIDS)))
+def test_every_table_rank_equals_evaluate_with_its_transfers_scaled(grid):
+    """At every rank of a table on the grid's value sets and on their
+    half-step refinement, the entry is `evaluate` at that profile with each
+    transfer multiplied by the table's scale: an int when that is whole,
+    the exact `Fraction` otherwise. `exact` maps each transfer back."""
+    market = grid.config
+    for values in (grid.values, half_step(grid.values)):
+        for mechanism in differential_mechanisms(grid):
+            table = OutcomeTable(mechanism, market, values)
+            for rank, combo in enumerate(itertools.product(*values)):
+                x, t = mechanism.evaluate(Profile(market, combo))
+                scaled = tuple(ti * table.scale for ti in t)
+                want = tuple(s.numerator if s.denominator == 1 else s for s in scaled)
+                got_x, got_t = table[rank]
+                assert (got_x, got_t) == (x, want), (mechanism.name, combo)
+                assert list(map(type, got_t)) == list(map(type, want)), (mechanism.name, combo)
+                assert tuple(map(table.exact, got_t)) == t, (mechanism.name, combo)
