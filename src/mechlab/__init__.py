@@ -29,7 +29,6 @@ from .mechanisms import (
     no_trade_mechanism,
     pay_as_bid_mechanism,
     selective_vickrey_mechanism,
-    strict_winners,
     vickrey_mechanism,
 )
 from .axioms import (

@@ -54,21 +54,16 @@ from .grid import (  # the grid names are part of the checkers' interface
 )
 from .mechanisms import (
     EV,
+    Entry,
     Hit,
     Mechanism,
     PricingRule,
     WinnerRule,
+    _price,
     first_violation,
     rule_condition_violation,
 )
-from .model import (
-    Profile,
-    has_uniform_tail,
-    rat,
-    rat_str,
-    utilities,
-    vickrey_price,
-)
+from .model import Profile, rat, rat_str, utilities
 
 
 @dataclass(frozen=True)
@@ -659,10 +654,19 @@ def _scan_report(
     return AxiomReport(axiom, "FAIL", witness, checked, details)
 
 
-def _grid_selections(rule: WinnerRule, grid: GridSpace) -> Iterator[tuple]:
-    """(profile, selected) at each profile the grid sweeps, in grid order."""
-    for profile in grid.profiles():
-        yield profile.values, rule.select(profile)
+def _rule_entries(rule: WinnerRule, grid: GridSpace) -> Iterator[Entry]:
+    """The entries a rule check walks, at the grid's scale: a table's
+    entries on the grid's value sets in sorted order, or, for a rule
+    without a table, the rule's pick at each profile the grid sweeps, in
+    grid order."""
+    market, (scale, scaled) = grid.config, grid.scaling
+    if rule.table is not None:
+        return rule.entries(scale, [frozenset(vals) for vals in scaled])
+    pick = rule.pick
+    return (
+        (values, at, frozenset(pick(at, market, scale)))
+        for values, at in grid.scaled_profiles()
+    )
 
 
 def validate_winner_rule(rule: WinnerRule, grid: GridSpace) -> AxiomReport:
@@ -682,7 +686,7 @@ def validate_winner_rule(rule: WinnerRule, grid: GridSpace) -> AxiomReport:
         violation = partial(rule_condition_violation, grid.config)
         return _scan_report(
             "VALID",
-            first_violation(_grid_selections(rule, grid), violation),
+            first_violation(_rule_entries(rule, grid), violation),
             grid.pass_verdict,
             {"scope": "grid"},
         )
@@ -706,32 +710,31 @@ def check_uncompromising(rule: WinnerRule, grid: GridSpace) -> AxiomReport:
     use: each table entry on those sets is raised to every grid value
     above its price. Off-table profiles select nobody, so this covers
     every profile of the grid, sampled or not. Any other rule is raised
-    the same way at every profile the grid sweeps.
+    the same way at every profile the grid sweeps. Either walk reads the
+    profiles, their prices and the raises on the grid's values scaled to
+    ints, and the rule's `pick` at that scale; witnesses hold exact values.
     """
     if rule.bounds is not None:
         details = {"method": "raising a selected report keeps the rule's trigger"}
         return AxiomReport("UNCOMPROMISING", "PASS_ANALYTIC", details=details)
     _refuse_other_market(rule.market, grid.config)
+    market, (scale, scaled) = grid.config, grid.scaling
+    pick = rule.pick
+    # each agent's raises: (scaled, exact) for every value of their set
+    raises = [tuple(zip(ups, exact)) for ups, exact in zip(scaled, grid.values)]
 
-    def dropped(values: tuple[Fraction, ...], selected: frozenset[int]) -> Hit | None:
-        profile = Profile(grid.config, values)
-        price = vickrey_price(profile)
+    def dropped(values: tuple[Fraction, ...], at: tuple, selected: frozenset[int]) -> Hit | None:
+        price = _price(at, market.m)
         for i in sorted(selected):
-            for raised in grid.values[i]:
-                if raised > price and i not in rule.select(profile.with_value(i, raised)):
+            for up, raised in raises[i]:
+                if up > price and i not in pick(at[:i] + (up,) + at[i + 1 :], market, scale):
                     witness = {"profile": values, "agent": i, "raised_value": raised}
                     return "selected agent dropped after raising their report", witness
         return None
 
-    if rule.table is None:
-        entries = first_violation(_grid_selections(rule, grid), dropped)
-        return _scan_report("UNCOMPROMISING", entries, grid.pass_verdict, {"scope": "grid"})
-    return _scan_report(
-        "UNCOMPROMISING",
-        rule.scan_entries(dropped, grid.values),
-        "PASS_EXHAUSTIVE",
-        {"scope": "grid"},
-    )
+    entries = first_violation(_rule_entries(rule, grid), dropped)
+    verdict = grid.pass_verdict if rule.table is None else "PASS_EXHAUSTIVE"
+    return _scan_report("UNCOMPROMISING", entries, verdict, {"scope": "grid"})
 
 
 def check_ev_support(pricing: PricingRule, grid: GridSpace) -> AxiomReport:
@@ -756,7 +759,7 @@ def check_ev_support(pricing: PricingRule, grid: GridSpace) -> AxiomReport:
     market = grid.config
     supported = set()  # (agent, value) pairs an EV-priced entry reaches
     for key, mode in pricing.table.items():
-        if mode == EV and has_uniform_tail(Profile(market, key)):
+        if mode == EV and min(key) == _price(key, market.m):
             zeros = key.count(0)  # an agent is reached if some opponent reports 0
             supported.update((i, v) for i, v in enumerate(key) if zeros > (v == 0))
     wanted = [(i, v) for i in market.agents for v in grid.values[i] if v > 0]

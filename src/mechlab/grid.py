@@ -17,6 +17,7 @@ import random
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Any, Iterable, Iterator, NamedTuple
 
 from .mechanisms import Mechanism
@@ -42,7 +43,8 @@ class GridSpace:
     In exhaustive mode `profiles()` yields the full cartesian product in
     lexicographic order. In sampled mode it yields `samples` profiles
     drawn uniformly; each draw is keyed by `(seed, index)`, so the stream
-    depends on nothing else.
+    depends on nothing else. The rule walks read the same profiles scaled
+    to ints (`scaled_profiles`, by the common denominator in `scaling`).
     """
 
     config: MarketConfig
@@ -139,6 +141,12 @@ class GridSpace:
     def pass_verdict(self) -> str:
         return "PASS_EXHAUSTIVE" if self.mode == MODE_EXHAUSTIVE else "PASS_SAMPLED"
 
+    @cached_property
+    def scaling(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """(scale, scaled): the values' common denominator, and each agent's
+        value set multiplied by it, in the same order."""
+        return _scaled_sets(self.values)
+
     def profiles(self) -> Iterator[Profile]:
         if self.mode == MODE_EXHAUSTIVE:
             for combo in itertools.product(*self.values):
@@ -148,6 +156,28 @@ class GridSpace:
                 rng = random.Random(f"{self.seed}:{index}")
                 combo = tuple(rng.choice(vals) for vals in self.values)
                 yield Profile.trusted(self.config, combo)
+
+    def scaled_profiles(self) -> Iterator[tuple[tuple[Fraction, ...], tuple[int, ...]]]:
+        """Each profile `profiles()` yields, as its exact values and those
+        values multiplied by the grid's scale."""
+        scale = self.scaling[0]
+        for profile in self.profiles():
+            values = profile.values
+            yield values, tuple([v.numerator * scale // v.denominator for v in values])
+
+
+def _scaled_sets(
+    values: tuple[tuple[Fraction, ...], ...]
+) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """The value sets' common denominator, and each set multiplied by it (a
+    set shared by several agents is scaled once)."""
+    distinct = {id(vals): vals for vals in values}
+    scale = math.lcm(*(v.denominator for vals in distinct.values() for v in vals))
+    scaled = {
+        key: tuple(v.numerator * (scale // v.denominator) for v in vals)
+        for key, vals in distinct.items()
+    }
+    return scale, tuple(scaled[id(vals)] for vals in values)
 
 
 # A count over the budget is printed exactly up to this; a profile count
@@ -240,16 +270,11 @@ class OutcomeTable(dict):
         self.config = config
         self.values = values
         self.shared = values.count(values[0]) == len(values)
+        self.scale, self.scaled = _scaled_sets(values)
         distinct = {id(vals): vals for vals in values}  # a shared set once
-        self.scale = math.lcm(*(v.denominator for vals in distinct.values() for v in vals))
-        scaled = {
-            key: tuple(v.numerator * (self.scale // v.denominator) for v in vals)
-            for key, vals in distinct.items()
-        }
         position = {
             key: {v: k for k, v in enumerate(vals)} for key, vals in distinct.items()
         }
-        self.scaled = tuple(scaled[id(vals)] for vals in values)
         self.position = tuple(position[id(vals)] for vals in values)
         self.indices = tuple(range(len(vals)) for vals in values)
         strides = [1]

@@ -33,31 +33,38 @@ three `from_spec` parsers read a family name. Rule tables record their
 market and are read-only, so the outcome tables shared per mechanism and
 the once-per-rule scan of a table's selection conditions
 (`WinnerRule.conditions`, read by the mechanism's construction and by
-`validate_winner_rule`) stay true to the rule. One walk
-(`first_violation`) serves the rule checks in `axioms`, over a winner
-table's entries (`WinnerRule.scan_entries`) or over a grid's profiles.
+`validate_winner_rule`) stay true to the rule.
+
+The rule walks run on scaled ints too. One walk (`first_violation`)
+serves every rule check in `axioms`, over `Entry`s: a profile's exact
+values, the same values multiplied by a scale, and the agents the rule
+selects there. A winner table's entries (`WinnerRule.entries`) read the
+key dict its `pick` reads at that scale (`WinnerRule.keyed`, built once
+per scale), and a rule without a table is read through `pick` at each
+profile a grid sweeps. The price, the uniform tail and every condition
+are read on the scaled values (`_price`, `rule_condition_violation`);
+witnesses keep the exact values.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property, partial
 from types import MappingProxyType
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 from .model import (
     Allocation,
     MarketConfig,
     Profile,
     RationalLike,
-    has_uniform_tail,
     integer,
     json_list,
     rat_str,
     rational,
     required,
-    vickrey_price,
 )
 
 FAMILY_VICKREY = "VICKREY"
@@ -91,6 +98,9 @@ Branch = Callable[[tuple, MarketConfig, int], str]
 Bounds = Callable[[int, int, Fraction, Fraction], tuple[Fraction, Fraction]]
 # A violated rule condition and its witness.
 Hit = tuple[str, dict]
+# One entry of a rule walk: a profile's exact values, the same values
+# multiplied by the walk's scale, and the agents the rule selects there.
+Entry = tuple[tuple[Fraction, ...], tuple, frozenset[int]]
 
 
 def _scaled(q: Any, scale: int) -> Any:
@@ -160,12 +170,6 @@ def _vickrey_outcome(efficient: bool, values: tuple, market: MarketConfig, scale
 
 def _pay_as_bid_outcome(values: tuple, market: MarketConfig, scale: int):
     return _trade(values, _vickrey_pick(values, market.m, True)[1], None)
-
-
-def strict_winners(profile: Profile) -> frozenset[int]:
-    """Agents whose valuation strictly exceeds the Vickrey price."""
-    price = vickrey_price(profile)
-    return frozenset(i for i, v in enumerate(profile.values) if v > price)
 
 
 def _profile_outcome(fn: Callable[[Profile], Allocation], values: tuple,
@@ -388,15 +392,17 @@ def _family_spec(spec: Any, what: str) -> tuple[dict, str]:
 
 
 def first_violation(
-    entries: Iterable[tuple[tuple[Fraction, ...], frozenset[int]]],
-    violation: Callable[[tuple[Fraction, ...], frozenset[int]], Hit | None],
+    entries: Iterable[Entry],
+    violation: Callable[[tuple[Fraction, ...], tuple, frozenset[int]], Hit | None],
 ) -> tuple[int, Hit | None]:
-    """Walk (profile, selected) entries in order up to the first violation:
-    how many were checked and the first hit, or None when every entry holds."""
+    """Walk rule entries (see `Entry`) in order up to the first violation:
+    how many were checked and the first hit, or None when every entry holds.
+    `violation(values, scaled, selected)` reads the scaled values and puts
+    the exact ones in its witness."""
     checked = 0
-    for values, selected in entries:
+    for values, scaled, selected in entries:
         checked += 1
-        hit = violation(values, selected)
+        hit = violation(values, scaled, selected)
         if hit is not None:
             return checked, hit
     return checked, None
@@ -457,6 +463,9 @@ class WinnerRule:
     echo: Callable[[], dict]
     market: MarketConfig | None = None
     table: Mapping[tuple[Fraction, ...], frozenset[int]] | None = None
+    # The table keyed by its profiles multiplied by a scale, once per scale:
+    # the dict `pick` reads.
+    keyed: Callable[[int], Mapping[tuple, frozenset[int]]] | None = None
 
     @property
     def spec(self) -> dict:
@@ -467,33 +476,25 @@ class WinnerRule:
         """The agents the rule lets trade at `profile`: `pick` at scale 1."""
         return frozenset(self.pick(profile.values, profile.config, 1))
 
-    def scan_entries(
-        self,
-        violation: Callable[[tuple[Fraction, ...], frozenset[int]], Hit | None],
-        on: Iterable[Iterable[Fraction]] | None = None,
-    ) -> tuple[int, Hit | None]:
-        """Walk the table's entries in sorted order up to the first violation.
-
-        With `on` (one value set per agent), entries off those sets are
-        skipped. Returns how many entries were checked and the first hit, or
-        None when every entry holds.
-        """
-        value_sets = None if on is None else [frozenset(vals) for vals in on]
-        return first_violation(
-            (
-                (values, self.table[values])
-                for values in sorted(self.table)
-                if value_sets is None
-                or all(v in vals for v, vals in zip(values, value_sets))
-            ),
-            violation,
-        )
+    def entries(self, scale: int, on: Sequence[Collection] | None = None) -> Iterator[Entry]:
+        """The table's entries in sorted order, each key with its values
+        multiplied by `scale` as `pick` reads it. A positive scale keeps the
+        order of the keys. With `on` (each agent's value set multiplied by
+        `scale`), entries off those sets are skipped."""
+        keyed = self.keyed(scale)
+        for scaled, values, selected in sorted(zip(keyed, self.table, keyed.values())):
+            if on is None or all(v in vals for v, vals in zip(scaled, on)):
+                yield values, scaled, selected
 
     @cached_property
     def conditions(self) -> tuple[int, Hit | None]:
         """The table's selection conditions (i)-(iv), checked entry by entry
-        once per rule: the entries checked and the first violation."""
-        return self.scan_entries(partial(rule_condition_violation, self.market))
+        once per rule on its keys scaled to ints by their common
+        denominator: the entries checked and the first violation."""
+        scale = math.lcm(*(v.denominator for key in self.table for v in key))
+        return first_violation(
+            self.entries(scale), partial(rule_condition_violation, self.market)
+        )
 
     @classmethod
     def empty(cls) -> "WinnerRule":
@@ -555,6 +556,7 @@ class WinnerRule:
             partial(_table_spec, table, "winners", sorted),
             market=market,
             table=MappingProxyType(table),
+            keyed=keyed,
         )
 
     @classmethod
@@ -607,23 +609,28 @@ def _dictator_bounds(
 
 
 def rule_condition_violation(
-    market: MarketConfig, values: tuple[Fraction, ...], selected: frozenset[int]
+    market: MarketConfig,
+    values: tuple[Fraction, ...],
+    scaled: tuple,
+    selected: frozenset[int],
 ) -> Hit | None:
-    """First violated selection condition at one profile, or None."""
-    profile = Profile(market, values)
-    witness = {"profile": values, "winners": sorted(selected)}
-    if selected and not has_uniform_tail(profile):
-        return "(i) selection off a uniform-tail profile", witness
-    if any(i < 0 or i >= market.n for i in selected):
-        return "(ii) selected agent index out of range", witness
-    price = vickrey_price(profile)
-    if any(profile.values[i] < price for i in selected):
-        return "(ii) selected agent valued below the price", witness
-    if selected and not strict_winners(profile) <= selected:
-        return "(iii) agent above the price left unselected", witness
-    if len(selected) > market.m:
-        return "(iv) more winners than objects", witness
-    return None
+    """First violated selection condition at one profile, read on its
+    values at any scale (`scaled`), or None; the witness holds the exact
+    `values`. A selection that passes (i) sits on a uniform tail, where
+    nobody values the object below the price, so (ii) only needs its
+    agents in range."""
+    price = _price(scaled, market.m)
+    if selected and min(scaled) != price:
+        condition = "(i) selection off a uniform-tail profile"
+    elif any(i < 0 or i >= market.n for i in selected):
+        condition = "(ii) selected agent index out of range"
+    elif selected and any(v > price and i not in selected for i, v in enumerate(scaled)):
+        condition = "(iii) agent above the price left unselected"
+    elif len(selected) > market.m:
+        condition = "(iv) more winners than objects"
+    else:
+        return None
+    return condition, {"profile": values, "winners": sorted(selected)}
 
 
 def selective_vickrey_mechanism(rule: WinnerRule) -> Mechanism:

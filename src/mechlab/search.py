@@ -34,20 +34,14 @@ from .mechanisms import (
     Mechanism,
     PricingRule,
     WinnerRule,
+    _price,
     ev_pab_mechanism,
     no_trade_mechanism,
     pay_as_bid_mechanism,
     selective_vickrey_mechanism,
-    strict_winners,
     vickrey_mechanism,
 )
-from .model import (
-    MarketConfig,
-    Profile,
-    RationalLike,
-    has_uniform_tail,
-    vickrey_price,
-)
+from .model import MarketConfig, RationalLike
 
 
 @dataclass(frozen=True)
@@ -142,44 +136,47 @@ def random_winner_rule_table(
     every grid report above the price, the entry that keeps that agent
     selected; such an agent is a strict winner there, so the additions
     never breach capacity or the selection conditions.
+
+    The walk reads the grid's profiles scaled to ints (`scaled_profiles`)
+    and keys the table by them; the table returned is keyed by the grid's
+    exact values, in the same insertion order.
     """
-    market = grid.config
-    entries: dict[tuple[Fraction, ...], frozenset[int]] = {}
-    for profile in grid.profiles():
-        if not has_uniform_tail(profile):
+    m = grid.config.m
+    _, scaled = grid.scaling
+    entries: dict[tuple[int, ...], frozenset[int]] = {}
+    for _, at in grid.scaled_profiles():
+        price = _price(at, m)
+        if min(at) != price or rng.random() < 0.5:
             continue
-        if rng.random() < 0.5:
-            continue
-        price = vickrey_price(profile)
-        required = strict_winners(profile)
-        tied = sorted(
-            i
-            for i, v in enumerate(profile.values)
-            if v >= price and i not in required
-        )
+        required = [i for i, v in enumerate(at) if v > price]
+        tied = [i for i, v in enumerate(at) if v == price]
         rng.shuffle(tied)
-        take = rng.randint(0, min(market.m - len(required), len(tied)))
-        chosen = frozenset(required | set(tied[:take]))
+        take = rng.randint(0, min(m - len(required), len(tied)))
+        chosen = frozenset(required + tied[:take])
         if chosen:
-            entries[profile.values] = chosen
+            entries[at] = chosen
     closed = True
     while closed:
         closed = False
-        for values in sorted(entries):
-            selected = entries[values]
-            profile = Profile(market, values)
-            price = vickrey_price(profile)
+        for at in sorted(entries):
+            selected = entries[at]
+            price = _price(at, m)
             for i in sorted(selected):
-                for alt in grid.values[i]:
-                    if alt <= price or alt == values[i]:
+                for up in scaled[i]:
+                    if up <= price or up == at[i]:
                         continue
-                    raised = profile.with_value(i, alt)
-                    need = frozenset({i}) | strict_winners(raised)
-                    have = entries.get(raised.values, frozenset())
+                    raised = at[:i] + (up,) + at[i + 1 :]
+                    top = _price(raised, m)
+                    need = frozenset([i, *(j for j, v in enumerate(raised) if v > top)])
+                    have = entries.get(raised, frozenset())
                     if not need <= have:
-                        entries[raised.values] = have | need
+                        entries[raised] = have | need
                         closed = True
-    return entries
+    exact = [dict(zip(ups, vals)) for ups, vals in zip(scaled, grid.values)]
+    return {
+        tuple([ex[v] for ex, v in zip(exact, at)]): selected
+        for at, selected in entries.items()
+    }
 
 
 def random_uncompromising_rules(

@@ -141,3 +141,20 @@ def test_audit_workloads_match_the_bench_reference(bench, tmp_path, capsys, name
     output = {"report": capsys.readouterr().out}
     reference = bench.gate.load_reference(name)
     assert bench.gate.cell_digests(name, output) == reference["cells"]
+
+
+# SHA-256 of the generated `audit-exhaustive` config at seeds 0, 1 and 2: its
+# rule table is `random_winner_rule_table`'s draw, so these pin that stream.
+EXHAUSTIVE_INPUTS = {
+    0: "7530b5799f3d967d753c0e4dcd216b914d970217e59f9c611bd7c78b0ec64520",
+    1: "6ebd994d6be250ddb055135fa56377cb590405b633152cfa4bc4fbed7d3d0442",
+    2: "6c5d54acb62b4396bbd728ca45a69c2a817ad1ae944857549029c9a02c4bb048",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(EXHAUSTIVE_INPUTS))
+def test_generated_exhaustive_inputs_are_pinned(bench, seed):
+    """A changed rule-table stream shows here, not only as a refused
+    benchmark run."""
+    inputs = bench.workloads.generate(bench.workloads.AUDIT_EXHAUSTIVE, seed)
+    assert bench.workloads.digest(inputs) == EXHAUSTIVE_INPUTS[seed]

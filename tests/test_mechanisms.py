@@ -31,7 +31,6 @@ from mechlab import (
     no_trade_mechanism,
     pay_as_bid_mechanism,
     selective_vickrey_mechanism,
-    strict_winners,
     utilities,
     vickrey_mechanism,
     vickrey_price,
@@ -160,9 +159,14 @@ def selective_efficient_oracle(profile):
 
 
 def test_strict_winners_examples():
-    assert strict_winners(Profile(CFG1, (5, 3, 2))) == frozenset({0})
-    assert strict_winners(Profile(CFG1, (3, 3, 2))) == frozenset()
-    assert strict_winners(Profile(CFG2, (3, 2, 2))) == frozenset({0})
+    """The strict winners are the agents valued strictly above the Vickrey price."""
+    for market, values, strict in (
+        (CFG1, (5, 3, 2), {0}),
+        (CFG1, (3, 3, 2), set()),
+        (CFG2, (3, 2, 2), {0}),
+    ):
+        price = vickrey_price(Profile(market, values))
+        assert {i for i, v in enumerate(values) if v > price} == strict
 
 
 def test_vickrey_set_unique_winner():
@@ -631,19 +635,31 @@ def grid_sweep_uncompromising(rule, grid):
 
 def uncompromising_cases():
     """Seeded random tables and copies with entries removed, on grids
-    narrower, equal to and wider than the one each table was drawn on."""
+    narrower, equal to and wider than the one each table was drawn on: in
+    whole steps, in half steps (so the walk runs at scale 2), and with a
+    value set per agent (scale 6)."""
     from mechlab import random_winner_rule_table
 
-    for market, values in ((CFG1, range(4)), (MarketConfig(4, 2), range(3))):
-        drawn_on = GridConfig(market.n, market.m, values=values).space()
+    half = Fraction(1, 2)
+    heterogeneous = ((0, half, 2), (0, Fraction(1, 3), 1, 2), (0, 1, 2, 3))
+    cases = [
+        (CFG1, [GridSpace.shared(CFG1, range(top + 1)) for top in (2, 3, 4)]),
+        (MarketConfig(4, 2), [GridSpace.shared(MarketConfig(4, 2), range(top + 1))
+                              for top in (1, 2, 3)]),
+        (CFG1, [GridSpace.from_range(CFG1, top, 2) for top in (1, half * 3, 2)]),
+        (CFG1, [GridSpace(CFG1, heterogeneous),
+                GridSpace(CFG1, tuple(vals[:-1] for vals in heterogeneous)),
+                GridSpace(CFG1, tuple((*vals, 4) for vals in heterogeneous))]),
+    ]
+    for market, (narrower, drawn_on, wider) in cases:
         for seed in range(6):
             rng = random.Random(f"uncompromising:{seed}")
             table = random_winner_rule_table(drawn_on, rng)
             kept = [key for key in sorted(table) if rng.random() < 0.8]
             for entries in (table, {key: table[key] for key in kept}):
                 rule = WinnerRule.rule_table(market, entries)
-                for top in (len(values) - 2, len(values) - 1, len(values)):
-                    yield rule, GridConfig(market.n, market.m, values=range(top + 1)).space()
+                for grid in (narrower, drawn_on, wider):
+                    yield rule, grid
 
 
 def test_check_uncompromising_entry_walk_matches_grid_sweep():

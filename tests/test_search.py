@@ -24,7 +24,6 @@ from mechlab import (
     refresh_witness,
     selective_vickrey_mechanism,
     shrink_witness,
-    strict_winners,
     vickrey_mechanism,
     vickrey_price,
 )
@@ -252,7 +251,8 @@ def seeded_winner_table(grid, rng):
     for profile in grid.profiles():
         if not has_uniform_tail(profile) or rng.random() < 0.5:
             continue
-        price, required = vickrey_price(profile), strict_winners(profile)
+        price = vickrey_price(profile)
+        required = frozenset(i for i, v in enumerate(profile.values) if v > price)
         tied = sorted(i for i, v in enumerate(profile.values) if v >= price and i not in required)
         rng.shuffle(tied)
         take = rng.randint(0, min(grid.config.m - len(required), len(tied)))

@@ -6,12 +6,16 @@ oracles enumerate every identity with their own loops, so a scan, a
 replay or a bound that drifts from the plain definition of its axiom
 shows up as a disagreement. The outcome tables, filled from each
 family's value-level outcome on scaled ints, are compared rank by rank
-with `Mechanism.evaluate` on exact profiles.
+with `Mechanism.evaluate` on exact profiles. The rule walks on scaled
+ints (the winner-table generator, the condition scan and the VALID and
+UNCOMPROMISING walks) are compared with their definitions on exact
+profiles.
 """
 
 import itertools
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -26,8 +30,10 @@ from mechlab import (
     Profile,
     WinnerRule,
     builtin_mechanisms,
+    check_uncompromising,
     efficient_vickrey_mechanism,
     ev_pab_mechanism,
+    has_uniform_tail,
     no_trade_mechanism,
     pay_as_bid_mechanism,
     random_winner_rule_table,
@@ -36,7 +42,9 @@ from mechlab import (
     selective_vickrey_mechanism,
     shrink_witness,
     utilities,
+    validate_winner_rule,
     vickrey_mechanism,
+    vickrey_price,
     witness_to_json,
 )
 from mechlab.axioms import BY_BOUNDS, MODE_SAMPLED, OutcomeTable, _nom_bounds
@@ -374,3 +382,198 @@ def test_every_table_rank_equals_evaluate_with_its_transfers_scaled(grid):
                 assert (got_x, got_t) == (x, want), (mechanism.name, combo)
                 assert list(map(type, got_t)) == list(map(type, want)), (mechanism.name, combo)
                 assert tuple(map(table.exact, got_t)) == t, (mechanism.name, combo)
+
+
+# rule-table walks against their definitions on exact profiles
+
+
+def fraction_strict_winners(profile):
+    price = vickrey_price(profile)
+    return frozenset(i for i, v in enumerate(profile.values) if v > price)
+
+
+def fraction_winner_rule_table(grid, rng):
+    """`random_winner_rule_table` as written on `Profile`s and `Fraction`
+    sorts: the oracle for the walk on scaled ints."""
+    market = grid.config
+    entries = {}
+    for profile in grid.profiles():
+        if not has_uniform_tail(profile):
+            continue
+        if rng.random() < 0.5:
+            continue
+        price = vickrey_price(profile)
+        required = fraction_strict_winners(profile)
+        tied = sorted(
+            i for i, v in enumerate(profile.values) if v >= price and i not in required
+        )
+        rng.shuffle(tied)
+        take = rng.randint(0, min(market.m - len(required), len(tied)))
+        chosen = frozenset(required | set(tied[:take]))
+        if chosen:
+            entries[profile.values] = chosen
+    closed = True
+    while closed:
+        closed = False
+        for values in sorted(entries):
+            selected = entries[values]
+            profile = Profile(market, values)
+            price = vickrey_price(profile)
+            for i in sorted(selected):
+                for alt in grid.values[i]:
+                    if alt <= price or alt == values[i]:
+                        continue
+                    raised = profile.with_value(i, alt)
+                    need = frozenset({i}) | fraction_strict_winners(raised)
+                    have = entries.get(raised.values, frozenset())
+                    if not need <= have:
+                        entries[raised.values] = have | need
+                        closed = True
+    return entries
+
+
+def fraction_condition_violation(market, values, selected):
+    """The first violated selection condition (i)-(iv) on an exact profile."""
+    profile = Profile(market, values)
+    witness = {"profile": values, "winners": sorted(selected)}
+    if selected and not has_uniform_tail(profile):
+        return "(i) selection off a uniform-tail profile", witness
+    if any(i < 0 or i >= market.n for i in selected):
+        return "(ii) selected agent index out of range", witness
+    price = vickrey_price(profile)
+    if any(profile.values[i] < price for i in selected):
+        return "(ii) selected agent valued below the price", witness
+    if selected and not fraction_strict_winners(profile) <= selected:
+        return "(iii) agent above the price left unselected", witness
+    if len(selected) > market.m:
+        return "(iv) more winners than objects", witness
+    return None
+
+
+def fraction_dropped(rule, grid):
+    """UNCOMPROMISING's raise at one exact profile: the first selected agent
+    a raise to a grid value above the price drops, as a hit."""
+
+    def dropped(values, selected):
+        profile = Profile(grid.config, values)
+        price = vickrey_price(profile)
+        for i in sorted(selected):
+            for raised in grid.values[i]:
+                if raised > price and i not in rule.select(profile.with_value(i, raised)):
+                    witness = {"profile": values, "agent": i, "raised_value": raised}
+                    return "selected agent dropped after raising their report", witness
+        return None
+
+    return dropped
+
+
+def fraction_walk(entries, violation):
+    """(entries checked, first hit) over exact (values, selected) entries."""
+    checked = 0
+    for values, selected in entries:
+        checked += 1
+        hit = violation(values, selected)
+        if hit is not None:
+            return checked, hit
+    return checked, None
+
+
+def fraction_entries(rule, grid=None):
+    """A table's entries in sorted order, those on the grid's value sets
+    when a grid is given; for a rule without a table, its selection at each
+    profile the grid sweeps."""
+    if rule.table is None:
+        return ((p.values, rule.select(p)) for p in grid.profiles())
+    keys = sorted(rule.table)
+    if grid is not None:
+        keys = [k for k in keys if all(v in vals for v, vals in zip(k, grid.values))]
+    return ((key, rule.table[key]) for key in keys)
+
+
+def arbitrary_winner_table(grid, rng):
+    """Random winner lists at a random third of the grid's profiles, an
+    index one past the last agent among the candidates: most break some
+    condition."""
+    n, m = grid.config.n, grid.config.m
+    return {
+        p.values: rng.sample(range(n + 1), rng.randint(0, m + 1))
+        for p in grid.profiles()
+        if rng.random() < 1 / 3
+    }
+
+
+# Keys in thirds, and in halves and thirds at once, for the condition scan.
+THIRDS = (
+    GridSpace.from_range(MarketConfig(3, 1), 1, 3),
+    GridSpace(MarketConfig(3, 1), ((0, Fraction(1, 3), 1), (0, Fraction(1, 2)), (0, Fraction(2, 3)))),
+)
+
+
+@pytest.mark.parametrize("grid", GRIDS, ids=range(len(GRIDS)))
+def test_generated_winner_tables_match_the_fraction_generator(grid):
+    """Same entries, in the same insertion order, keyed by the grid's exact
+    values, and the same rng calls: the streams agree after the walk."""
+    for seed in range(8):
+        got_rng, want_rng = random.Random(seed), random.Random(seed)
+        got = random_winner_rule_table(grid, got_rng)
+        want = fraction_winner_rule_table(grid, want_rng)
+        assert list(got.items()) == list(want.items()), seed
+        assert {type(v) for key in got for v in key} <= {Fraction}
+        assert got_rng.random() == want_rng.random(), seed
+
+
+def test_condition_scan_matches_the_fraction_conditions():
+    """`WinnerRule.conditions` on scaled keys gives the entries checked and
+    the first hit the exact check gives, on every swept grid and on tables
+    keyed in thirds. Every condition the exact check can report occurs, and
+    so does a pass; a selection below the price is never reported as such,
+    since (i) refuses it first."""
+    seen = set()
+    for grid in (*GRIDS, *THIRDS):
+        market = grid.config
+        rng = random.Random(f"conditions:{grid.values}")
+        tables = [random_winner_rule_table(grid, rng) for _ in range(3)]
+        tables += [arbitrary_winner_table(grid, rng) for _ in range(30)]
+        for table in tables:
+            rule = WinnerRule.rule_table(market, table)
+            want = fraction_walk(
+                fraction_entries(rule), partial(fraction_condition_violation, market)
+            )
+            assert rule.conditions == want, table
+            seen.add(None if want[1] is None else want[1][0])
+    assert "(ii) selected agent valued below the price" not in seen
+    assert len(seen) == 5, seen
+
+
+def as_walk(report):
+    """A rule check's report as a walk's (entries checked, first hit)."""
+    if report.witness is None:
+        return report.profiles_checked, None
+    return report.profiles_checked, (report.details["condition"], report.witness)
+
+
+@pytest.mark.parametrize("grid", GRIDS, ids=range(len(GRIDS)))
+def test_rule_checks_match_the_fraction_walks(grid):
+    """UNCOMPROMISING on tables (seeded and with entries dropped), and VALID
+    and UNCOMPROMISING on the same tables walked without a table or bounds,
+    give the verdicts, counts and witnesses of the walks on exact profiles."""
+    market = grid.config
+    rng = random.Random(f"walks:{grid.values}")
+    verdicts = set()
+    for _ in range(4):
+        table = random_winner_rule_table(grid, rng)
+        kept = {key: table[key] for key in sorted(table) if rng.random() < 0.7}
+        for entries in (table, kept, arbitrary_winner_table(grid, rng)):
+            tabled = WinnerRule.rule_table(market, entries)
+            walked = WinnerRule("walked", tabled.pick, None, dict)
+            for rule in (tabled, walked):
+                report = check_uncompromising(rule, grid)
+                want = fraction_walk(fraction_entries(rule, grid), fraction_dropped(rule, grid))
+                assert as_walk(report) == want, entries
+                verdicts.add(report.verdict)
+            report = validate_winner_rule(walked, grid)
+            want = fraction_walk(
+                fraction_entries(walked, grid), partial(fraction_condition_violation, market)
+            )
+            assert as_walk(report) == want, entries
+    assert "FAIL" in verdicts and len(verdicts) > 1, verdicts
