@@ -1,0 +1,8 @@
+"""`python -m mechlab`: the same command line as the `mechlab` script."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -16,19 +16,19 @@ reproduces the violating inequality exactly. Each axiom is defined once,
 as a generator of its violations, and the check, witness replay
 (`refresh_witness`) and shrinking all run that one definition. A
 pointwise axiom's generator reads only (table, point): one profile's
-outcomes and values as scaled ints off the mechanism's one `OutcomeTable`
-for the grid (see `grid`), with SP misreports and AIW swaps ranging over
-the table's value sets. So every grid profile is evaluated once per
-mechanism, however many checkers read it, and a replay narrows the value
-sets of a throwaway table to the witness; witness fields are exact
-`Fraction`s. `scan` sweeps the grid once for any number of them, never
-early-exits (`profiles_checked` counts every profile) and reports each
-axiom's lexicographically first violation. `welfare_compare` and the
-grid-scope NOM bounds read the same tables, which refuse a mechanism
-built on another market's rule table. NOM's and BEST_CASE's generators
-judge an agent's values against utility bounds over all opponents:
-analytic when the mechanism has closed-form bounds, grid-relative
-otherwise.
+outcomes off the mechanism's one `OutcomeTable` for the grid, and the
+profile's `GridPoint` from the grid's one sweep (see `grid`), with SP
+misreports and AIW swaps ranging over the grid's value sets. So every
+grid profile is evaluated once per mechanism, however many checkers read
+it, and a replay narrows the grid of a throwaway table to the witness;
+witness fields are exact `Fraction`s. `scan` sweeps the grid once for any
+number of them, never early-exits (`profiles_checked` counts every
+profile) and reports each axiom's lexicographically first violation.
+`welfare_compare` and the grid-scope NOM bounds read the same tables,
+which refuse a mechanism built on another market's rule table. NOM's and
+BEST_CASE's generators judge an agent's values against utility bounds
+over all opponents: analytic when the mechanism has closed-form bounds,
+grid-relative otherwise.
 
 The structural checks on winner and pricing rules (`validate_winner_rule`,
 `check_uncompromising`, `check_ev_support`) return the same report, with
@@ -153,12 +153,12 @@ class PointwiseAxiom:
 
     `violations(table, point)` yields every violation at one profile, in
     witness-key order, reading the mechanism's outcomes off its
-    `OutcomeTable`; a deviation ranges over the table's value sets. A
-    witness is identified by its profile plus the `identity` fields; its
-    sort key is that tuple, and the scan reports the smallest key found.
-    Replay runs the same generator on a throwaway table whose value sets
-    are narrowed to the witness and keeps the violation whose identity
-    matches, so the scan and the replay cannot drift apart.
+    `OutcomeTable`; a deviation ranges over the value sets of the table's
+    grid. A witness is identified by its profile plus the `identity`
+    fields; its sort key is that tuple, and the scan reports the smallest
+    key found. Replay runs the same generator on a throwaway table whose
+    grid is narrowed to the witness and keeps the violation whose
+    identity matches, so the scan and the replay cannot drift apart.
     """
 
     name: str
@@ -177,20 +177,21 @@ class PointwiseAxiom:
         For SP each agent holds only their own value, and the deviating
         agent also the misreport (as given, even off the grid): two
         profiles. Every other axiom reads the profile's values as one set
-        all agents share, which AIW's swaps need.
+        all agents share, which AIW's swaps need. The narrowed `GridSpace`
+        refuses a negative or missing value. It is never swept, so it is
+        declared as a one-draw sample: the exhaustive profile budget, which
+        n agents over k distinct values would meet at k**n, does not apply.
         """
         market = grid.config
-        values = Profile(market, witness["profile"]).values
+        values = tuple(map(rat, witness["profile"]))
         if "misreport" in self.identity:
-            agent, misreport = witness["agent"], rat(witness["misreport"])
-            if misreport < 0:
-                raise ValueError("valuations must be non-negative")
             sets = [(v,) for v in values]
-            sets[agent] = tuple(sorted({values[agent], misreport}))
+            sets[witness["agent"]] += (witness["misreport"],)
         else:
-            sets = [tuple(sorted(set(values)))] * market.n
-        table = OutcomeTable(mechanism, market, tuple(sets))
-        return _matching(self.violations(table, table.point(values)), witness, self.identity)
+            sets = [values] * market.n
+        narrowed = GridSpace(market, tuple(sets), mode=MODE_SAMPLED, samples=1)
+        table = OutcomeTable(mechanism, narrowed)
+        return _matching(self.violations(table, narrowed.point(values)), witness, self.identity)
 
 
 def _ir_violations(table: OutcomeTable, at: GridPoint) -> Iterator[dict]:
@@ -216,12 +217,13 @@ def _sp_violations(table: OutcomeTable, at: GridPoint) -> Iterator[dict]:
     Each agent misreports every other value of their set, so on an
     exhaustive sweep the verdict is exhaustive at grid scope.
     """
+    grid = table.grid
     x, t = table[at.rank]
     for i, v in enumerate(at.scaled):
         honest = v * x[i] - t[i]
-        own, step = at.index[i], table.stride[i]
+        own, step = at.index[i], grid.stride[i]
         base = at.rank - own * step
-        for k in table.indices[i]:
+        for k, report in enumerate(grid.values[i]):
             if k == own:
                 continue
             dx, dt = table[base + k * step]
@@ -230,7 +232,7 @@ def _sp_violations(table: OutcomeTable, at: GridPoint) -> Iterator[dict]:
                 yield {
                     "profile": at.values,
                     "agent": i,
-                    "misreport": table.values[i][k],
+                    "misreport": report,
                     "truthful_utility": table.exact(honest),
                     "misreport_utility": table.exact(gained),
                 }
@@ -272,7 +274,7 @@ def _eff_violations(table: OutcomeTable, at: GridPoint) -> Iterator[dict]:
     """Decision efficiency: the objects always go to a surplus-maximizing set."""
     x, _ = table[at.rank]
     achieved = sum(v for v, xi in zip(at.scaled, x) if xi)
-    optimum = sum(sorted(at.scaled, reverse=True)[: table.config.m])
+    optimum = sum(sorted(at.scaled, reverse=True)[: table.grid.config.m])
     if achieved != optimum:
         yield {
             "profile": at.values,
@@ -303,14 +305,14 @@ def _ef_violations(table: OutcomeTable, at: GridPoint) -> Iterator[dict]:
 def _aiw_violations(table: OutcomeTable, at: GridPoint) -> Iterator[dict]:
     """Anonymity in welfare: swapping two agents' valuations swaps their utilities.
 
-    A table whose agents hold different value sets is refused, since a
+    A grid whose agents hold different value sets is refused, since a
     swap could leave it. With one shared set the swap moves agent i's
     index to j and back: one rank step per agent.
     """
-    if not table.shared:
+    if not table.grid.is_shared:
         raise ValueError("anonymity in welfare needs a shared value set across agents")
     x, t = table[at.rank]
-    index, stride = at.index, table.stride
+    index, stride = at.index, table.grid.stride
     for i, v in enumerate(at.scaled):
         mine = v * x[i] - t[i]
         for j in range(len(x)):
@@ -357,7 +359,7 @@ def scan(
     table = OutcomeTable.of(mechanism, grid)
     best: list[tuple | None] = [None] * len(axioms)  # (key, witness) per axiom
     count = 0
-    for at in table.points(grid):
+    for at in grid.profiles():
         count += 1
         for k, axiom in enumerate(axioms):
             hit = next(axiom.violations(table, at), None)
@@ -398,7 +400,7 @@ def _grid_bundle_map(
     # rank order is profile order, and a sampled profile may repeat
     seen: dict[tuple[int, Fraction], dict[tuple, tuple]] = {}
     count = 0
-    for at in table.points(grid):
+    for at in grid.profiles():
         count += 1
         x, t = table[at.rank]
         for i, value in enumerate(at.values):
@@ -659,13 +661,13 @@ def _rule_entries(rule: WinnerRule, grid: GridSpace) -> Iterator[Entry]:
     entries on the grid's value sets in sorted order, or, for a rule
     without a table, the rule's pick at each profile the grid sweeps, in
     grid order."""
-    market, (scale, scaled) = grid.config, grid.scaling
+    market, scale = grid.config, grid.scale
     if rule.table is not None:
-        return rule.entries(scale, [frozenset(vals) for vals in scaled])
+        return rule.entries(scale, [frozenset(vals) for vals in grid.scaled])
     pick = rule.pick
     return (
-        (values, at, frozenset(pick(at, market, scale)))
-        for values, at in grid.scaled_profiles()
+        (at.values, at.scaled, frozenset(pick(at.scaled, market, scale)))
+        for at in grid.profiles()
     )
 
 
@@ -718,10 +720,10 @@ def check_uncompromising(rule: WinnerRule, grid: GridSpace) -> AxiomReport:
         details = {"method": "raising a selected report keeps the rule's trigger"}
         return AxiomReport("UNCOMPROMISING", "PASS_ANALYTIC", details=details)
     _refuse_other_market(rule.market, grid.config)
-    market, (scale, scaled) = grid.config, grid.scaling
+    market, scale = grid.config, grid.scale
     pick = rule.pick
     # each agent's raises: (scaled, exact) for every value of their set
-    raises = [tuple(zip(ups, exact)) for ups, exact in zip(scaled, grid.values)]
+    raises = [tuple(zip(ups, exact)) for ups, exact in zip(grid.scaled, grid.values)]
 
     def dropped(values: tuple[Fraction, ...], at: tuple, selected: frozenset[int]) -> Hit | None:
         price = _price(at, market.m)
@@ -820,7 +822,7 @@ def welfare_compare(
     one, two = OutcomeTable.of(first, grid), OutcomeTable.of(second, grid)
     above: dict[bool, dict] = {}  # first strict witness, by whether `first` is above
     count = 0
-    for at in one.points(grid):
+    for at in grid.profiles():
         count += 1
         (xa, ta), (xb, tb) = one[at.rank], two[at.rank]
         for i, v in enumerate(at.scaled):

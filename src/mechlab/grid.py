@@ -1,12 +1,15 @@
 """Value grids, and a mechanism's outcomes over one.
 
-`GridSpace` is the one place a grid declaration becomes values. An
-`OutcomeTable` holds a mechanism's outcome at each profile of a grid's
-value sets, indexed by mixed-radix rank and scaled to integers, so the
-axiom checkers in `axioms` evaluate each profile once and compare ints.
-The table also holds what a checker must know of the mechanism on the
-grid: whether its rule table fits the market, and whether the value sets
-are shared.
+`GridSpace` is the one place a grid declaration becomes values, and the
+one place its geometry is computed: the value sets scaled to integers by
+their common denominator, each agent's mixed-radix rank stride, and
+whether the agents share one value set. Its one sweep, `profiles()`,
+yields a `GridPoint` per profile (rank, value indices, exact values and
+scaled values), and `point` finds the same record for given values. An
+`OutcomeTable` memoises a mechanism's checked outcome at each rank of a
+grid, so the axiom checkers in `axioms` evaluate each profile once and
+compare ints; it refuses a mechanism whose rule table was written for
+another market.
 """
 
 from __future__ import annotations
@@ -15,17 +18,27 @@ import itertools
 import math
 import random
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
-from typing import Any, Iterable, Iterator, NamedTuple
+from typing import Any, Iterable, Iterator, NamedTuple, Sequence
 
 from .mechanisms import Mechanism
-from .model import MarketConfig, Profile, RationalLike, rat
+from .model import MarketConfig, RationalLike, rat
 
 MODE_EXHAUSTIVE = "exhaustive"
 MODE_SAMPLED = "sampled"
 ENUMERATION_BUDGET = 1_000_000
+
+
+class GridPoint(NamedTuple):
+    """One profile of a grid's sweep: its `rank`, the `index` of each
+    agent's value in their value set, the exact `values`, and those values
+    `scaled` by the grid's common denominator."""
+
+    rank: int
+    index: tuple[int, ...]
+    values: tuple[Fraction, ...]
+    scaled: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -38,13 +51,22 @@ class GridSpace:
     `ENUMERATION_BUDGET` agents in a shared grid, values in a range,
     profiles in an exhaustive grid or draws in a sample are refused,
     counted from the declared lengths before the grid is built. So is a
-    grid whose outcome-table rank strides would take more bits than the
-    budget, as they grow quadratically with the number of agents.
-    In exhaustive mode `profiles()` yields the full cartesian product in
-    lexicographic order. In sampled mode it yields `samples` profiles
-    drawn uniformly; each draw is keyed by `(seed, index)`, so the stream
-    depends on nothing else. The rule walks read the same profiles scaled
-    to ints (`scaled_profiles`, by the common denominator in `scaling`).
+    grid whose rank strides would take more bits than the budget, as they
+    grow quadratically with the number of agents.
+
+    The geometry is computed once, at construction: `scale` is the value
+    sets' common denominator and `scaled` each set multiplied by it, in
+    the same order (a set shared by several agents is scaled once); the
+    profile whose agent i holds the k_i-th value of their set has the
+    mixed-radix rank sum(k_i * stride[i]), so the sorted sets make ranks
+    order profiles as their values do; `is_shared` says whether every
+    agent holds one value set.
+
+    `profiles()` is the one sweep. In exhaustive mode it yields the full
+    cartesian product in lexicographic order, its ranks and indices
+    counted. In sampled mode it yields `samples` profiles drawn uniformly;
+    each draw is keyed by `(seed, index)`, so the stream depends on
+    nothing else, and keeps the value indices it drew.
     """
 
     config: MarketConfig
@@ -52,6 +74,10 @@ class GridSpace:
     mode: str = MODE_EXHAUSTIVE
     seed: int = 0
     samples: int = 0
+    scale: int = field(init=False, repr=False, compare=False)
+    scaled: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    stride: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    is_shared: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.values) != self.config.n:
@@ -66,9 +92,8 @@ class GridSpace:
             if vs[0] < 0:
                 raise ValueError("grid valuations must be non-negative")
             normalized[id(vals)] = tuple(vs)
-        object.__setattr__(
-            self, "values", tuple(normalized[id(vals)] for vals in self.values)
-        )
+        values = tuple(normalized[id(vals)] for vals in self.values)
+        object.__setattr__(self, "values", values)
         if self.mode not in (MODE_EXHAUSTIVE, MODE_SAMPLED):
             raise ValueError(f"unknown mode: {self.mode}")
         if self.mode == MODE_SAMPLED and self.samples < 1:
@@ -76,11 +101,24 @@ class GridSpace:
         if self.mode == MODE_SAMPLED:
             _refuse_over_budget(self.samples, "samples", "draw fewer samples")
         if self.mode == MODE_EXHAUSTIVE:
-            _refuse_profiles_over_budget(map(len, self.values))
-        # An outcome table's rank stride for agent i is the product of the
-        # set lengths after i, so agent i's length is a factor of i strides.
-        bits = sum(i * (len(vs) - 1).bit_length() for i, vs in enumerate(self.values))
+            _refuse_profiles_over_budget(map(len, values))
+        # Agent i's rank stride is the product of the set lengths after i,
+        # so agent i's length is a factor of i strides.
+        bits = sum(i * (len(vs) - 1).bit_length() for i, vs in enumerate(values))
         _refuse_over_budget(bits, "rank stride bits", "declare fewer agents")
+        scale = math.lcm(*(v.denominator for vs in normalized.values() for v in vs))
+        scaled = {  # by id of the normalized set
+            id(vs): tuple([v.numerator * (scale // v.denominator) for v in vs])
+            for vs in normalized.values()
+        }
+        strides = [1]
+        for vs in reversed(values[1:]):
+            strides.append(strides[-1] * len(vs))
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "scaled", tuple(scaled[id(vs)] for vs in values))
+        object.__setattr__(self, "stride", tuple(reversed(strides)))
+        shared = all(vs == values[0] for vs in normalized.values())
+        object.__setattr__(self, "is_shared", shared)
 
     @classmethod
     def shared(
@@ -124,10 +162,6 @@ class GridSpace:
         )
 
     @property
-    def is_shared(self) -> bool:
-        return all(vals == self.values[0] for vals in self.values)
-
-    @property
     def shared_values(self) -> tuple[Fraction, ...]:
         if not self.is_shared:
             raise ValueError("agents do not share a common value set")
@@ -141,43 +175,41 @@ class GridSpace:
     def pass_verdict(self) -> str:
         return "PASS_EXHAUSTIVE" if self.mode == MODE_EXHAUSTIVE else "PASS_SAMPLED"
 
-    @cached_property
-    def scaling(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
-        """(scale, scaled): the values' common denominator, and each agent's
-        value set multiplied by it, in the same order."""
-        return _scaled_sets(self.values)
-
-    def profiles(self) -> Iterator[Profile]:
+    def profiles(self) -> Iterator[GridPoint]:
+        """A point for each profile of the sweep, in sweep order."""
         if self.mode == MODE_EXHAUSTIVE:
-            for combo in itertools.product(*self.values):
-                yield Profile.trusted(self.config, combo)
-        else:
-            for index in range(self.samples):
-                rng = random.Random(f"{self.seed}:{index}")
-                combo = tuple(rng.choice(vals) for vals in self.values)
-                yield Profile.trusted(self.config, combo)
+            return map(
+                GridPoint,
+                itertools.count(),
+                itertools.product(*[range(len(vals)) for vals in self.values]),
+                itertools.product(*self.values),
+                itertools.product(*self.scaled),
+            )
+        lengths = [len(vals) for vals in self.values]
 
-    def scaled_profiles(self) -> Iterator[tuple[tuple[Fraction, ...], tuple[int, ...]]]:
-        """Each profile `profiles()` yields, as its exact values and those
-        values multiplied by the grid's scale."""
-        scale = self.scaling[0]
-        for profile in self.profiles():
-            values = profile.values
-            yield values, tuple([v.numerator * scale // v.denominator for v in values])
+        def draw(sample: int) -> GridPoint:
+            # `randrange(n)` makes the draw `choice` of an n-tuple makes.
+            below = random.Random(f"{self.seed}:{sample}").randrange
+            return self._at(tuple([below(n) for n in lengths]))
 
+        return map(draw, range(self.samples))
 
-def _scaled_sets(
-    values: tuple[tuple[Fraction, ...], ...]
-) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """The value sets' common denominator, and each set multiplied by it (a
-    set shared by several agents is scaled once)."""
-    distinct = {id(vals): vals for vals in values}
-    scale = math.lcm(*(v.denominator for vals in distinct.values() for v in vals))
-    scaled = {
-        key: tuple(v.numerator * (scale // v.denominator) for v in vals)
-        for key, vals in distinct.items()
-    }
-    return scale, tuple(scaled[id(vals)] for vals in values)
+    def point(self, values: Sequence[Fraction]) -> GridPoint:
+        """The point of a profile whose values lie in the value sets."""
+        try:
+            index = tuple([vals.index(v) for vals, v in zip(self.values, values, strict=True)])
+        except ValueError:
+            raise ValueError("profile values are off the grid's value sets") from None
+        return self._at(index)
+
+    def _at(self, index: tuple[int, ...]) -> GridPoint:
+        """The point whose agent i holds the index[i]-th value of their set."""
+        return GridPoint(
+            sum([k * step for k, step in zip(index, self.stride)]),
+            index,
+            tuple([vals[k] for vals, k in zip(self.values, index)]),
+            tuple([scaled[k] for scaled, k in zip(self.scaled, index)]),
+        )
 
 
 # A count over the budget is printed exactly up to this; a profile count
@@ -221,28 +253,15 @@ def _refuse_other_market(market: MarketConfig | None, config: MarketConfig) -> N
         )
 
 
-class GridPoint(NamedTuple):
-    """One profile as the pointwise generators read it: its table `rank`,
-    the `index` of each agent's value in their value set, the exact
-    `values`, and those values `scaled` by the table's common denominator."""
-
-    rank: int
-    index: tuple[int, ...]
-    values: tuple[Fraction, ...]
-    scaled: tuple[int, ...]
-
-
 class OutcomeTable(dict):
-    """A mechanism's outcomes on one market's value sets, keyed by rank.
+    """A mechanism's checked outcomes on one grid's value sets, keyed by rank.
 
-    A profile whose agent i reports the k_i-th value of their set has the
-    mixed-radix rank sum(k_i * stride[i]), so a single-agent misreport is
-    one addition and a swap two. The value sets are sorted, so ranks order
-    profiles as their values do. Values and transfers are scaled by
-    `scale`, the common denominator of the value sets, and a positive
+    The grid holds the geometry (`GridSpace.scale`, `scaled`, `stride`),
+    so a single-agent misreport is one rank addition and a swap two.
+    Values and transfers are scaled by the grid's `scale`, and a positive
     scale preserves every comparison. A rank is filled on its first read:
     it is decoded straight into the scaled values, the mechanism's
-    `outcome` is called on them at `scale` (see `mechanisms.Outcome`),
+    `outcome` is called on them at that scale (see `mechanisms.Outcome`),
     `Mechanism.checked` refuses a malformed result, and the pair (x, t)
     of indicators and scaled transfers is kept as a plain tuple (a tuple
     subclass unpacks slower on every read). A transfer that is a multiple
@@ -250,39 +269,20 @@ class OutcomeTable(dict):
     scaled quantity back into a `Fraction` when a witness is built.
 
     `of` gives the mechanism's one table per (market, value sets), shared
-    by every checker; replay builds a throwaway one narrowed to the
-    witness. The table reaches its mechanism through a weak reference, so
-    the two form no cycle. Construction refuses a mechanism built on
+    by every checker; replay builds a throwaway one on a grid narrowed to
+    the witness. The table reaches its mechanism through a weak reference,
+    so the two form no cycle. Construction refuses a mechanism built on
     another market's rule table (`Mechanism.market`), so no checker
-    repeats that check, and `shared` records whether every agent holds one
-    value set, as a swap of two agents' values needs.
+    repeats that check.
     """
 
-    def __init__(
-        self,
-        mechanism: Mechanism,
-        config: MarketConfig,
-        values: tuple[tuple[Fraction, ...], ...],
-    ) -> None:
-        _refuse_other_market(mechanism.market, config)
+    def __init__(self, mechanism: Mechanism, grid: GridSpace) -> None:
+        _refuse_other_market(mechanism.market, grid.config)
         super().__init__()
         self.mechanism = weakref.ref(mechanism)
-        self.config = config
-        self.values = values
-        self.shared = values.count(values[0]) == len(values)
-        self.scale, self.scaled = _scaled_sets(values)
-        distinct = {id(vals): vals for vals in values}  # a shared set once
-        position = {
-            key: {v: k for k, v in enumerate(vals)} for key, vals in distinct.items()
-        }
-        self.position = tuple(position[id(vals)] for vals in values)
-        self.indices = tuple(range(len(vals)) for vals in values)
-        strides = [1]
-        for vals in reversed(values[1:]):
-            strides.append(strides[-1] * len(vals))
-        self.stride = tuple(reversed(strides))
+        self.grid = grid
         # agent i's scaled value at rank r is scaled[i][r // stride[i] % len]
-        self._digits = tuple(zip(self.scaled, self.stride, map(len, self.scaled)))
+        self._digits = tuple(zip(grid.scaled, grid.stride, map(len, grid.scaled)))
         self._interned: dict[tuple, tuple] = {}
 
     @classmethod
@@ -292,45 +292,23 @@ class OutcomeTable(dict):
         # Compared, not hashed: a large value set is costly to hash, and a
         # checker usually passes the very tuples the table holds.
         for table in tables:
-            if table.config == grid.config and table.values == grid.values:
+            if table.grid.config == grid.config and table.grid.values == grid.values:
                 return table
-        table = cls(mechanism, grid.config, grid.values)
+        table = cls(mechanism, grid)
         tables.append(table)
         return table
 
     def __missing__(self, rank: int) -> tuple:
         values = tuple([scaled[rank // step % size] for scaled, step, size in self._digits])
-        mechanism, config = self.mechanism(), self.config
-        outcome = mechanism.checked(mechanism.outcome(values, config, self.scale), config)
+        mechanism, grid = self.mechanism(), self.grid
+        outcome = mechanism.checked(mechanism.outcome(values, grid.config, grid.scale), grid.config)
         outcome = self._interned.setdefault(outcome, outcome)
         self[rank] = outcome
         return outcome
 
     def exact(self, quantity: int | Fraction) -> Fraction:
         """A scaled quantity as the exact rational it stands for."""
-        return Fraction(quantity, self.scale)
-
-    def point(self, values: tuple[Fraction, ...]) -> GridPoint:
-        """The point of a profile whose values lie in the value sets."""
-        index = tuple(pos[v] for pos, v in zip(self.position, values))
-        rank = sum(k * step for k, step in zip(index, self.stride))
-        scaled = tuple(sc[k] for sc, k in zip(self.scaled, index))
-        return GridPoint(rank, index, values, scaled)
-
-    def points(self, grid: GridSpace) -> Iterator[GridPoint]:
-        """A point for each profile `grid.profiles()` yields. An exhaustive
-        grid yields the product of its value sets in order, so its ranks
-        and indices are counted, not looked up."""
-        profiles = (profile.values for profile in grid.profiles())
-        if grid.mode != MODE_EXHAUSTIVE:
-            return map(self.point, profiles)
-        return map(
-            GridPoint,
-            itertools.count(),
-            itertools.product(*self.indices),
-            profiles,
-            itertools.product(*self.scaled),
-        )
+        return Fraction(quantity, self.grid.scale)
 
 
 # Each mechanism's tables, one per (market, value sets). An entry dies with its

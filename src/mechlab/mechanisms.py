@@ -27,8 +27,8 @@ The record also sets the closed-form bounds the NOM and BEST_CASE
 checkers use (`Mechanism.bounds`) and the echo of its JSON spec
 (`Mechanism.spec`), which `mechanism_from_spec` parses back. Winner and
 pricing rules are records built the same way: each rule constructor sets
-the label, the value-level `pick` or `branch` (read at scale 1 by
-`select` and `classify`), the bounds and the spec echo, and only the
+the label, the value-level `pick` or `branch` (a scale-1 call reads them
+at a profile's exact values), the bounds and the spec echo, and only the
 three `from_spec` parsers read a family name. Rule tables record their
 market and are read-only, so the outcome tables shared per mechanism and
 the once-per-rule scan of a table's selection conditions
@@ -472,10 +472,6 @@ class WinnerRule:
         """The canonical JSON spec; table entries sorted by profile."""
         return self.echo()
 
-    def select(self, profile: Profile) -> frozenset[int]:
-        """The agents the rule lets trade at `profile`: `pick` at scale 1."""
-        return frozenset(self.pick(profile.values, profile.config, 1))
-
     def entries(self, scale: int, on: Sequence[Collection] | None = None) -> Iterator[Entry]:
         """The table's entries in sorted order, each key with its values
         multiplied by `scale` as `pick` reads it. A positive scale keeps the
@@ -706,10 +702,6 @@ class PricingRule:
     def spec(self) -> dict:
         """The canonical JSON spec; table entries sorted by profile."""
         return self.echo()
-
-    def classify(self, profile: Profile) -> str:
-        """EV or PAB at `profile`: `branch` at scale 1."""
-        return self.branch(profile.values, profile.config, 1)
 
     @property
     def bounds(self) -> Bounds | None:

@@ -137,14 +137,14 @@ def random_winner_rule_table(
     selected; such an agent is a strict winner there, so the additions
     never breach capacity or the selection conditions.
 
-    The walk reads the grid's profiles scaled to ints (`scaled_profiles`)
+    The walk reads the grid's profiles scaled to ints (`GridPoint.scaled`)
     and keys the table by them; the table returned is keyed by the grid's
     exact values, in the same insertion order.
     """
-    m = grid.config.m
-    _, scaled = grid.scaling
+    m, scaled = grid.config.m, grid.scaled
     entries: dict[tuple[int, ...], frozenset[int]] = {}
-    for _, at in grid.scaled_profiles():
+    for point in grid.profiles():
+        at = point.scaled
         price = _price(at, m)
         if min(at) != price or rng.random() < 0.5:
             continue

@@ -161,7 +161,8 @@ def test_criterion_05_full_capacity_recovers_efficiency():
     for check in (check_ee, check_sp, check_ir, check_no_subsidy, check_efficiency):
         ok &= check(ev, GRID_M2).verdict == "PASS_EXHAUSTIVE"
     strict = selective_vickrey_mechanism(WinnerRule.strict())
-    for p in GRID_M2.profiles():
+    for point in GRID_M2.profiles():
+        p = Profile(GRID_M2.config, point.values)
         ok &= utilities(ev.evaluate(p), p) == utilities(strict.evaluate(p), p)
     report(5, ok, "m=n-1: efficient Vickrey passes EE/SP/IR/NS/EFF, matches strict rule")
 

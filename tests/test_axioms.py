@@ -1,5 +1,7 @@
 """Axiom checkers: verdicts, lexicographic witnesses, analytic bounds, replay."""
 
+import itertools
+import random
 import time
 from fractions import Fraction
 
@@ -186,6 +188,48 @@ def test_shared_value_set_is_normalised_once():
         assert grid.values[0] is grid.values[-1]
 
 
+SWEEP_GRIDS = {
+    "exhaustive": GRID,
+    "sampled-seed-0": GridSpace.from_range(MarketConfig(4, 2), 5, mode=MODE_SAMPLED, seed=0, samples=60),
+    "sampled-seed-5": GridSpace.from_range(
+        MarketConfig(5, 2), 10, 2, mode=MODE_SAMPLED, seed=5, samples=60
+    ),
+    "per-agent": GridSpace(
+        CFG1, ((0, Fraction(1, 2), 2), (0, Fraction(1, 3), 1, 2), (1, 3))
+    ),
+    "half-step": GridSpace.from_range(MarketConfig(3, 2), 2, 2),
+}
+
+
+@pytest.mark.parametrize("grid", SWEEP_GRIDS.values(), ids=SWEEP_GRIDS)
+def test_every_swept_point_agrees_with_the_grid_geometry(grid):
+    """Each point `profiles()` yields is ranked by the grid's strides, holds
+    the values its indices name, scaled by the grid's scale, and is the
+    point `point` finds for its values. An exhaustive sweep is the product
+    of the value sets in order; a sampled one draws the values the old
+    `choice` stream drew, one rng per sample keyed by (seed, index)."""
+    points = list(grid.profiles())
+    for at in points:
+        assert at.rank == sum(k * step for k, step in zip(at.index, grid.stride))
+        assert at.values == tuple(vals[k] for vals, k in zip(grid.values, at.index))
+        assert at.scaled == tuple(v * grid.scale for v in at.values)
+        assert all(type(v) is int for v in at.scaled)
+        assert grid.point(at.values) == at
+    if grid.mode == MODE_SAMPLED:
+        drawn = [
+            tuple(rng.choice(vals) for vals in grid.values)
+            for rng in (random.Random(f"{grid.seed}:{i}") for i in range(grid.samples))
+        ]
+        assert [at.values for at in points] == drawn
+    else:
+        assert [at.values for at in points] == list(itertools.product(*grid.values))
+        assert [at.rank for at in points] == list(range(grid.size))
+    head, last = points[0].values[:-1], points[0].values[-1]
+    for off_grid in (grid.values[-1][-1] + 1, last + Fraction(1, 7 * grid.scale)):
+        with pytest.raises(ValueError, match="off the grid"):
+            grid.point((*head, off_grid))
+
+
 def test_grid_space_sampling_is_seed_deterministic():
     samp = GridSpace.shared(CFG1, (0, 1, 2, 3), mode=MODE_SAMPLED, seed=5, samples=50)
     first = [p.values for p in samp.profiles()]
@@ -251,6 +295,18 @@ def test_sp_witness_replays_at_other_profiles():
     assert fresh is not None
     assert fresh["truthful_utility"] == 0
     assert fresh["misreport_utility"] == 2
+
+
+def test_replay_refuses_a_negative_value():
+    """The narrowed grid a replay builds refuses a negative misreport and a
+    witness profile holding a negative value."""
+    for axiom, witness in (
+        ("SP", {"profile": (4, 1, 0), "agent": 0, "misreport": -1}),
+        ("SP", {"profile": (4, -1, 0), "agent": 0, "misreport": 2}),
+        ("EE", {"profile": (4, -1, 0)}),
+    ):
+        with pytest.raises(ValueError, match="non-negative"):
+            refresh_witness(pay_as_bid_mechanism(), axiom, witness, GRID5)
 
 
 def test_an_sp_replay_evaluates_two_profiles(monkeypatch):
@@ -336,7 +392,8 @@ def test_selective_reference_bundle_is_zero_or_priced_object():
     for rule in (WinnerRule.strict(), WinnerRule.efficient(),
                  WinnerRule.dictatorial_threshold(0, 2)):
         mech = selective_vickrey_mechanism(rule)
-        for p in GRID.profiles():
+        for point in GRID.profiles():
+            p = Profile(GRID.config, point.values)
             ref = find_reference_bundle(mech, p)
             assert ref in ((0, 0), (1, vickrey_price(p)))
 

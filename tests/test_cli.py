@@ -1,11 +1,15 @@
 """Command line surface: eval, audit, suite, compare, config validation, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from mechlab import GridSpace, MarketConfig, refresh_witness, witness_from_json
+from mechlab import GridSpace, MarketConfig, __version__, refresh_witness, witness_from_json
 from mechlab.cli import ConfigError, load_config, main, parse_mechanism
 
 
@@ -634,3 +638,24 @@ def test_eval_refuses_exponent_notation_fast(capsys):
     assert main(["eval", "--mech", "vickrey", "--profile", "1e10000000,0,0"]) == 2
     assert time.perf_counter() - started < 1
     assert capsys.readouterr().err == "error: exponent notation is not accepted: '1e10000000'\n"
+
+
+def test_python_dash_m_runs_the_command_line(tmp_path):
+    """`python -m mechlab` is the `mechlab` command: --version exits 0, and
+    a missing config is a user error, exit 2 with one line."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = [str(src), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+
+    def run(*args):
+        return subprocess.run(
+            [sys.executable, "-m", "mechlab", *args],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+        )
+
+    version = run("--version")
+    assert (version.returncode, version.stdout.strip()) == (0, f"mechlab {__version__}")
+    missing = run("audit", "--config", "missing.json")
+    assert missing.returncode == 2
+    assert missing.stderr.startswith("error: cannot read config")
+    assert len(missing.stderr.splitlines()) == 1

@@ -145,7 +145,7 @@ def select_canonical(allocations):
 
 def ev_pab_oracle(pricing):
     def pick(profile):
-        if sorted_tail_is_uniform(profile) and pricing.classify(profile) == EV:
+        if sorted_tail_is_uniform(profile) and pricing.branch(profile.values, profile.config, 1) == EV:
             return select_canonical(efficient_vickrey_set(profile))
         return select_canonical(pay_as_bid_set(profile))
 
@@ -339,8 +339,15 @@ def rules_with_oracles(grid):
             PricingRule.rule_table(grid.config, modes),
             lambda values, m, modes=modes: modes.get(values, PAB),
         ))
-    return [(WinnerRule, rule, "select", oracle) for rule, oracle in winners] + [
-        (PricingRule, rule, "classify", oracle) for rule, oracle in pricings
+
+    def select(rule, p):
+        return frozenset(rule.pick(p.values, p.config, 1))
+
+    def classify(pricing, p):
+        return pricing.branch(p.values, p.config, 1)
+
+    return [(WinnerRule, rule, select, oracle) for rule, oracle in winners] + [
+        (PricingRule, rule, classify, oracle) for rule, oracle in pricings
     ]
 
 
@@ -357,10 +364,11 @@ def test_rule_records_match_their_definitions_and_round_trip(grid):
     for kind, rule, outcome, oracle in rules_with_oracles(grid):
         again = kind.from_spec(json.loads(json.dumps(rule.spec)), market)
         assert (again.label, again.spec) == (rule.label, rule.spec)
-        for profile in grid.profiles():
+        for point in grid.profiles():
+            profile = Profile(market, point.values)
             want = oracle(profile.values, market.m)
-            assert getattr(rule, outcome)(profile) == want, (rule.label, profile.values)
-            assert getattr(again, outcome)(profile) == want, (rule.label, profile.values)
+            assert outcome(rule, profile) == want, (rule.label, profile.values)
+            assert outcome(again, profile) == want, (rule.label, profile.values)
         assert (rule.bounds is None) == (again.bounds is None), rule.label
         if rule.bounds is not None:
             for agent, report, value in product(market.agents, values, values):
@@ -394,7 +402,8 @@ def test_mechanisms_are_frozen_records_whose_specs_round_trip():
                 setattr(mech, field.name, getattr(mech, field.name))
         again = mechanism_from_spec(json.loads(json.dumps(mech.spec)), grid.config)
         assert (again.name, again.family, again.spec) == (mech.name, mech.family, mech.spec)
-        for profile in grid.profiles():
+        for point in grid.profiles():
+            profile = Profile(grid.config, point.values)
             assert again.evaluate(profile) == mech.evaluate(profile), (mech.name, profile)
 
 
@@ -623,12 +632,15 @@ def grid_sweep_uncompromising(rule, grid):
     This is how the check ran before it walked table entries; it returns
     the verdict and the first witness in grid order.
     """
-    for profile in grid.profiles():
-        selected = rule.select(profile)
+    for point in grid.profiles():
+        profile = Profile(grid.config, point.values)
+        selected = frozenset(rule.pick(profile.values, profile.config, 1))
         price = vickrey_price(profile)
         for i in sorted(selected):
             for raised in grid.values[i]:
-                if raised > price and i not in rule.select(profile.with_value(i, raised)):
+                if raised > price and i not in frozenset(
+                    rule.pick(profile.with_value(i, raised).values, profile.config, 1)
+                ):
                     return "FAIL", {"profile": profile.values, "agent": i, "raised_value": raised}
     return "PASS_EXHAUSTIVE", None
 

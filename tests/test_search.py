@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from mechlab import (
+    CHECKERS,
     GridSpace,
     MarketConfig,
     WinnerRule,
@@ -28,6 +29,7 @@ from mechlab import (
     vickrey_price,
 )
 from mechlab.axioms import check_uncompromising, validate_winner_rule
+from mechlab.grid import ENUMERATION_BUDGET
 from mechlab.search import (
     GridConfig,
     SUITES,
@@ -87,7 +89,8 @@ def test_grid_profiles_counts_and_order():
 
 
 def uniform_tail_profiles(grid):
-    return [p for p in grid.profiles() if has_uniform_tail(p)]
+    profiles = (Profile(grid.config, p.values) for p in grid.profiles())
+    return [p for p in profiles if has_uniform_tail(p)]
 
 
 def test_uniform_tail_is_a_filter():
@@ -149,6 +152,25 @@ def test_shrink_sp_witness():
     assert small["misreport"] == 1
     # the shrunken witness still replays
     assert refresh_witness(pay_as_bid_mechanism(), "SP", small, grid) is not None
+
+
+@pytest.mark.parametrize(
+    "axiom, mechanism", [("EE", vickrey_mechanism()), ("IR", no_trade_mechanism(1))]
+)
+def test_a_sampled_witness_over_many_values_replays_and_shrinks(axiom, mechanism):
+    """A witness drawn from a sampled grid of 8 agents replays and shrinks,
+    although its distinct values, shared by every agent, would make an
+    exhaustive grid over the enumeration budget."""
+    market = MarketConfig(8, 2)
+    grid = GridSpace.from_range(market, 20, mode="sampled", seed=0, samples=20)
+    witness = CHECKERS[axiom](mechanism, grid).witness
+    distinct = len(set(witness["profile"]))
+    assert distinct >= 6 and distinct**market.n > ENUMERATION_BUDGET
+    assert refresh_witness(mechanism, axiom, witness, grid) == witness
+    small = shrink_witness(mechanism, axiom, witness, grid)
+    assert all(s <= w for s, w in zip(small["profile"], witness["profile"]))
+    assert small["profile"] != witness["profile"]
+    assert refresh_witness(mechanism, axiom, small, grid) == small
 
 
 @pytest.mark.parametrize(
@@ -248,7 +270,8 @@ def seeded_winner_table(grid, rng):
     random batch of price-tied agents up to capacity. Nothing keeps a
     raised winner selected, so most of these tables are compromising."""
     entries = {}
-    for profile in grid.profiles():
+    for point in grid.profiles():
+        profile = Profile(grid.config, point.values)
         if not has_uniform_tail(profile) or rng.random() < 0.5:
             continue
         price = vickrey_price(profile)

@@ -121,7 +121,8 @@ def test_analytic_nom_bounds_are_sound_and_attained(family, market, values):
     mechanism = FAMILIES[family](market)
     grid = GridSpace.shared(market, sorted(values))
     values = grid.shared_values
-    for profile in grid.profiles():
+    for point in grid.profiles():
+        profile = Profile(market, point.values)
         x, t = mechanism.evaluate(profile)
         for agent in range(market.n):
             for true_value in values:
@@ -314,7 +315,8 @@ def test_every_outcome_on_the_swept_grids_is_feasible():
     among them."""
     for grid in GRIDS:
         for mechanism in oracle_mechanisms(grid):
-            for profile in grid.profiles():
+            for point in grid.profiles():
+                profile = Profile(grid.config, point.values)
                 allocation = mechanism.evaluate(profile)
                 assert is_feasible(allocation, grid.config), (mechanism.name, profile)
 
@@ -373,10 +375,11 @@ def test_every_table_rank_equals_evaluate_with_its_transfers_scaled(grid):
     market = grid.config
     for values in (grid.values, half_step(grid.values)):
         for mechanism in differential_mechanisms(grid):
-            table = OutcomeTable(mechanism, market, values)
+            space = GridSpace(market, values)
+            table = OutcomeTable(mechanism, space)
             for rank, combo in enumerate(itertools.product(*values)):
                 x, t = mechanism.evaluate(Profile(market, combo))
-                scaled = tuple(ti * table.scale for ti in t)
+                scaled = tuple(ti * space.scale for ti in t)
                 want = tuple(s.numerator if s.denominator == 1 else s for s in scaled)
                 got_x, got_t = table[rank]
                 assert (got_x, got_t) == (x, want), (mechanism.name, combo)
@@ -397,7 +400,8 @@ def fraction_winner_rule_table(grid, rng):
     sorts: the oracle for the walk on scaled ints."""
     market = grid.config
     entries = {}
-    for profile in grid.profiles():
+    for point in grid.profiles():
+        profile = Profile(market, point.values)
         if not has_uniform_tail(profile):
             continue
         if rng.random() < 0.5:
@@ -459,7 +463,9 @@ def fraction_dropped(rule, grid):
         price = vickrey_price(profile)
         for i in sorted(selected):
             for raised in grid.values[i]:
-                if raised > price and i not in rule.select(profile.with_value(i, raised)):
+                if raised > price and i not in frozenset(
+                    rule.pick(profile.with_value(i, raised).values, grid.config, 1)
+                ):
                     witness = {"profile": values, "agent": i, "raised_value": raised}
                     return "selected agent dropped after raising their report", witness
         return None
@@ -483,7 +489,7 @@ def fraction_entries(rule, grid=None):
     when a grid is given; for a rule without a table, its selection at each
     profile the grid sweeps."""
     if rule.table is None:
-        return ((p.values, rule.select(p)) for p in grid.profiles())
+        return ((p.values, frozenset(rule.pick(p.values, grid.config, 1))) for p in grid.profiles())
     keys = sorted(rule.table)
     if grid is not None:
         keys = [k for k in keys if all(v in vals for v, vals in zip(k, grid.values))]
