@@ -5,15 +5,16 @@ Run: python3 demos/axiom_audit.py
 
 from mechlab import (
     CHECKERS,
+    GridSpace,
+    MarketConfig,
     no_trade_mechanism,
     pay_as_bid_mechanism,
     replay_witness,
     shrink_witness,
     vickrey_mechanism,
 )
-from mechlab.search import GridConfig
 
-grid = GridConfig(3, 1, values=(0, 1, 2, 3)).space()
+grid = GridSpace.shared(MarketConfig(3, 1), (0, 1, 2, 3))
 mechanisms = [
     vickrey_mechanism(),
     pay_as_bid_mechanism(),
@@ -31,7 +32,7 @@ for mech in mechanisms:
 
 print()
 print("Witness shrinking: walk a strategyproofness violation to the grid floor")
-wide = GridConfig(3, 1, values=(0, 1, 2, 3, 4)).space()
+wide = GridSpace.shared(MarketConfig(3, 1), (0, 1, 2, 3, 4))
 witness = {"profile": (4, 1, 0), "agent": 0, "misreport": 2}
 print(f"  start:  {witness}")
 small = shrink_witness(pay_as_bid_mechanism(), "SP", witness, wide)

@@ -4,6 +4,8 @@ Run: python3 demos/welfare_hunt.py
 """
 
 from mechlab import (
+    GridSpace,
+    MarketConfig,
     PricingRule,
     check_nom,
     check_sp,
@@ -14,9 +16,8 @@ from mechlab import (
     welfare_compare,
 )
 from mechlab.axioms import check_uncompromising, validate_winner_rule
-from mechlab.search import GridConfig
 
-grid = GridConfig(3, 1, values=(0, 1, 2, 3)).space()
+grid = GridSpace.shared(MarketConfig(3, 1), (0, 1, 2, 3))
 always = ev_pab_mechanism(PricingRule.always_ev())
 
 print("Welfare order within the EV/own-bid pricing family")

@@ -56,7 +56,6 @@ from .axioms import (
     witness_to_json,
 )
 from .search import (
-    GridConfig,
     SUITES,
     SuiteResult,
     random_uncompromising_rules,

@@ -59,11 +59,10 @@ from .mechanisms import (
     Mechanism,
     PricingRule,
     WinnerRule,
-    _price,
     first_violation,
     rule_condition_violation,
 )
-from .model import Profile, rat, rat_str, utilities
+from .model import Profile, has_uniform_tail, rat, rat_str, utilities, vickrey_price
 
 
 @dataclass(frozen=True)
@@ -216,6 +215,11 @@ def _sp_violations(table: OutcomeTable, at: GridPoint) -> Iterator[dict]:
 
     Each agent misreports every other value of their set, so on an
     exhaustive sweep the verdict is exhaustive at grid scope.
+
+    At the grid's top value no higher report exists, so a winner there may
+    pay their own value: of the 675 EE+IR+NS+SP mechanisms of (2,1) on
+    0..2, 483 lie outside the selective Vickrey class. Below the top the
+    "only if" holds (`tests/test_soundness.py`).
     """
     grid = table.grid
     x, t = table[at.rank]
@@ -575,15 +579,19 @@ def check_nom(mechanism: Mechanism, grid: GridSpace) -> AxiomReport:
     a pass is PASS_ANALYTIC and a FAIL is a proof. Without them (rule
     tables, custom mechanisms) both sides are grid-relative: a pass is
     only PASS_SAMPLED, and a FAIL is evidence at grid scope, not a proof
-    over the reals (flagged in the witness and details).
+    over the reals (flagged in the witness and details). On a shared grid
+    with analytic bounds, `details["truthful_bounds"]` maps each value to
+    the truthful (sup, inf), given only when every agent's bounds agree.
     """
     bounds, scope, count = _nom_bounds(mechanism, grid)
     details: dict[str, Any] = {"scope": scope}
     if scope == "analytic" and grid.is_shared:
-        details["truthful_bounds"] = {
-            rat_str(v): [rat_str(b) for b in bounds(0, v, v)[:2]]
-            for v in grid.shared_values
-        }
+        agents, values = grid.config.agents, grid.shared_values
+        truthful = [{bounds(i, v, v)[:2] for i in agents} for v in values]
+        if all(len(same) == 1 for same in truthful):
+            details["truthful_bounds"] = {
+                rat_str(v): [rat_str(b) for b in same.pop()] for v, same in zip(values, truthful)
+            }
     witness = next(BY_BOUNDS["NOM"].violations(grid.values, bounds, scope), None)
     if witness is not None:
         return AxiomReport("NOM", "FAIL", witness, count, details)
@@ -726,7 +734,7 @@ def check_uncompromising(rule: WinnerRule, grid: GridSpace) -> AxiomReport:
     raises = [tuple(zip(ups, exact)) for ups, exact in zip(grid.scaled, grid.values)]
 
     def dropped(values: tuple[Fraction, ...], at: tuple, selected: frozenset[int]) -> Hit | None:
-        price = _price(at, market.m)
+        price = vickrey_price(at, market.m)
         for i in sorted(selected):
             for up, raised in raises[i]:
                 if up > price and i not in pick(at[:i] + (up,) + at[i + 1 :], market, scale):
@@ -761,7 +769,7 @@ def check_ev_support(pricing: PricingRule, grid: GridSpace) -> AxiomReport:
     market = grid.config
     supported = set()  # (agent, value) pairs an EV-priced entry reaches
     for key, mode in pricing.table.items():
-        if mode == EV and min(key) == _price(key, market.m):
+        if mode == EV and has_uniform_tail(key, market.m):
             zeros = key.count(0)  # an agent is reached if some opponent reports 0
             supported.update((i, v) for i, v in enumerate(key) if zeros > (v == 0))
     wanted = [(i, v) for i in market.agents for v in grid.values[i] if v > 0]

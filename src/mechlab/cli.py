@@ -95,6 +95,7 @@ class AuditConfig:
     text_path: str | None
 
     def grid(self) -> GridSpace:
+        """`space` under the name `bench/` still calls (ROADMAP items 2 and 6)."""
         return self.space
 
     def echo(self) -> dict:
@@ -119,30 +120,31 @@ class AuditConfig:
 
 
 def _parse_grid(doc: Any, market: MarketConfig, sweep: dict) -> GridSpace:
-    """Hand the grid section to `GridSpace`, which checks values and budget."""
+    """Hand the grid section's one source to `GridSpace`, which checks values and budget."""
     if not isinstance(doc, dict):
         raise ConfigError("grid section must be an object")
+    sources = [key for key in ("values", "per_agent", "range") if key in doc]
+    if len(sources) != 1:
+        raise ConfigError("grid section needs exactly one of values, per_agent and range")
     try:
-        if "values" in doc:
+        if sources == ["values"]:
             values = _json_list(doc["values"], "grid values")
             return GridSpace.shared(market, values, **sweep)
-        if "per_agent" in doc:
+        if sources == ["per_agent"]:
             rows = _json_list(doc["per_agent"], "per_agent grid")
             return GridSpace(
                 market,
                 tuple(_json_list(row, "per_agent row") for row in rows),
                 **sweep,
             )
-        if "range" in doc:
-            rng = _section(doc, "range", {})
-            denominator = _integer(rng.get("denominator", 1), "range denominator")
-            top = required(rng, "max", "range")
-            return GridSpace.from_range(market, top, denominator, **sweep)
+        rng = _section(doc, "range", {})
+        denominator = _integer(rng.get("denominator", 1), "range denominator")
+        top = required(rng, "max", "range")
+        return GridSpace.from_range(market, top, denominator, **sweep)
     except ConfigError:
         raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad grid: {exc}") from exc
-    raise ConfigError("grid section needs values, per_agent, or range")
 
 
 def load_config(path: str) -> AuditConfig:
@@ -275,7 +277,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     print(f"profile: ({', '.join(rat_str(v) for v in values)})")
     print(f"allocation: [{bundles}]")
     print(f"utilities: ({', '.join(rat_str(u) for u in us)})")
-    print(f"uniform tail: {'yes' if has_uniform_tail(profile) else 'no'}")
+    print(f"uniform tail: {'yes' if has_uniform_tail(profile.values, market.m) else 'no'}")
     if reference is None:
         print("reference bundle: none")
     else:
@@ -285,7 +287,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_audit(args: argparse.Namespace) -> int:
     config = load_config(args.config)
-    grid = config.grid()
+    grid = config.space
     started = time.monotonic()
     verdicts: list[str] = []
     results = []
@@ -364,7 +366,7 @@ def cmd_suite(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     config = load_config(args.config)
-    grid = config.grid()
+    grid = config.space
     first = parse_mechanism(args.a, grid.config)
     second = parse_mechanism(args.b, grid.config)
     outcome = welfare_compare(first, second, grid)

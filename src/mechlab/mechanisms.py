@@ -42,8 +42,8 @@ selects there. A winner table's entries (`WinnerRule.entries`) read the
 key dict its `pick` reads at that scale (`WinnerRule.keyed`, built once
 per scale), and a rule without a table is read through `pick` at each
 profile a grid sweeps. The price, the uniform tail and every condition
-are read on the scaled values (`_price`, `rule_condition_violation`);
-witnesses keep the exact values.
+are read on the scaled values (`model.vickrey_price`,
+`rule_condition_violation`); witnesses keep the exact values.
 """
 
 from __future__ import annotations
@@ -65,6 +65,7 @@ from .model import (
     rat_str,
     rational,
     required,
+    vickrey_price,
 )
 
 FAMILY_VICKREY = "VICKREY"
@@ -124,11 +125,6 @@ def _scaled_keys(table: Mapping[tuple[Fraction, ...], Any]) -> Callable[[int], d
     })
 
 
-def _price(values: tuple, m: int) -> Any:
-    """The (m+1)-th highest value: the Vickrey price."""
-    return sorted(values)[-1 - m]
-
-
 def _vickrey_pick(values: tuple, m: int, efficient: bool) -> tuple[Any, list[int]]:
     """The Vickrey price and the one winner set a Vickrey-price family picks.
 
@@ -143,7 +139,7 @@ def _vickrey_pick(values: tuple, m: int, efficient: bool) -> tuple[Any, list[int
     choices give every agent the same utility, so the pick is
     axiom-neutral.
     """
-    price = _price(values, m)
+    price = vickrey_price(values, m)
     strict = [i for i, v in enumerate(values) if v > price]
     if efficient and price > 0:
         reach = len(values)
@@ -421,7 +417,7 @@ def _winner_set(values: tuple[Fraction, ...], winners: Iterable[int]) -> frozens
 
 def _strict_pick(values: tuple, market: MarketConfig, scale: int) -> list[int]:
     """On uniform-tail values, everyone strictly above the Vickrey price."""
-    price = _price(values, market.m)
+    price = vickrey_price(values, market.m)
     if min(values) != price:
         return []
     return [i for i, v in enumerate(values) if v > price]
@@ -615,7 +611,7 @@ def rule_condition_violation(
     `values`. A selection that passes (i) sits on a uniform tail, where
     nobody values the object below the price, so (ii) only needs its
     agents in range."""
-    price = _price(scaled, market.m)
+    price = vickrey_price(scaled, market.m)
     if selected and min(scaled) != price:
         condition = "(i) selection off a uniform-tail profile"
     elif any(i < 0 or i >= market.n for i in selected):
@@ -647,7 +643,7 @@ def selective_vickrey_mechanism(rule: WinnerRule) -> Mechanism:
 
     def outcome(values: tuple, market: MarketConfig, scale: int):
         winners = pick(values, market, scale)
-        return _trade(values, winners, _price(values, market.m) if winners else None)
+        return _trade(values, winners, vickrey_price(values, market.m) if winners else None)
 
     return Mechanism(
         f"selective_vickrey({rule.label})",
@@ -725,7 +721,7 @@ class PricingRule:
     def ev_iff_price_zero(cls) -> "PricingRule":
         return cls(
             "ev_iff_price_zero",
-            lambda values, market, scale: EV if _price(values, market.m) == 0 else PAB,
+            lambda values, market, scale: EV if vickrey_price(values, market.m) == 0 else PAB,
             True,
             lambda: {"family": PRICING_EV_IFF_PRICE_ZERO},
         )
@@ -737,7 +733,7 @@ class PricingRule:
         return cls(
             f"threshold({rat_str(cut)})",
             lambda values, market, scale: (
-                EV if _price(values, market.m) <= cut_at(scale) else PAB
+                EV if vickrey_price(values, market.m) <= cut_at(scale) else PAB
             ),
             cut >= 0,
             lambda: {"family": PRICING_THRESHOLD, "cutoff": rat_str(cut)},

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, NamedTuple, Union
+from typing import Any, NamedTuple, Sequence, Union
 
 RationalLike = Union[int, str, Fraction]
 
@@ -142,20 +142,21 @@ class Profile:
         return Profile.trusted(self.config, tuple(vals))
 
 
-def vickrey_price(profile: Profile) -> Fraction:
-    """The (m+1)-th highest valuation: the price a winner pays under Vickrey rules."""
-    return sorted(profile.values, reverse=True)[profile.config.m]
+def vickrey_price(values: Sequence, m: int) -> Any:
+    """The (m+1)-th highest of `values`: the price a winner pays under Vickrey
+    rules. Exact values give a `Fraction`, values scaled to ints an int."""
+    return sorted(values)[-1 - m]
 
 
-def has_uniform_tail(profile: Profile) -> bool:
-    """Whether all valuations ranked (m+1)-th or lower are equal.
+def has_uniform_tail(values: Sequence, m: int) -> bool:
+    """Whether all values ranked (m+1)-th or lower are equal.
 
     On these profiles every losing agent values the object identically,
     so a single Vickrey price clears the market. Trivially true when
     m = n - 1 (only one rank is in the tail). Equivalently, no agent values
     the object below the Vickrey price.
     """
-    return min(profile.values) == vickrey_price(profile)
+    return min(values) == vickrey_price(values, m)
 
 
 class Allocation(NamedTuple):

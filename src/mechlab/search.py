@@ -1,4 +1,4 @@
-"""Grid declarations, witness shrinking, and mechanism comparison suites.
+"""Witness shrinking, random rule tables, and mechanism comparison suites.
 
 The suites pin down the behavioral fingerprints of the built-in
 mechanism families on small shared grids: which axiom each mechanism
@@ -9,6 +9,10 @@ Each suite carries its own expected pattern so a caller can ask whether
 reality still matches it. Every suite sweeps `SUITE_GRID` and is a list
 of rows (label, report per column, the columns expected to read other
 than PASS) that `SuiteResult.from_rows` turns into the matrix.
+
+Grids are declared with `axioms.GridSpace` (`GridSpace.shared`,
+`GridSpace.from_range`). `GridConfig` is only the values-only form the
+benchmark harness still calls.
 """
 
 from __future__ import annotations
@@ -34,41 +38,27 @@ from .mechanisms import (
     Mechanism,
     PricingRule,
     WinnerRule,
-    _price,
     ev_pab_mechanism,
     no_trade_mechanism,
     pay_as_bid_mechanism,
     selective_vickrey_mechanism,
     vickrey_mechanism,
 )
-from .model import MarketConfig, RationalLike
+from .model import MarketConfig, RationalLike, vickrey_price
 
 
 @dataclass(frozen=True)
 class GridConfig:
-    """A declarative grid: explicit values, or the range 0..max in 1/q steps.
-
-    `space()` hands the declaration to `GridSpace`, which normalises and
-    checks the values and applies the enumeration budget.
-    """
+    """n agents and m objects sharing `values`: `GridSpace.shared` in the
+    form `bench/` still calls. It goes once the bench builds its grid with
+    `GridSpace.shared` (ROADMAP items 2 and 6)."""
 
     n: int
     m: int
-    values: Iterable[RationalLike] | None = None
-    max_value: RationalLike | None = None
-    denominator: int = 1
+    values: Iterable[RationalLike]
 
-    def __post_init__(self) -> None:
-        if (self.values is None) == (self.max_value is None):
-            raise ValueError("give either explicit values or a range, not both")
-
-    def space(self, **kwargs: Any) -> GridSpace:
-        market = MarketConfig(self.n, self.m)
-        if self.values is None:
-            return GridSpace.from_range(
-                market, self.max_value, self.denominator, **kwargs
-            )
-        return GridSpace.shared(market, self.values, **kwargs)
+    def space(self) -> GridSpace:
+        return GridSpace.shared(MarketConfig(self.n, self.m), self.values)
 
 
 def shrink_witness(
@@ -145,7 +135,7 @@ def random_winner_rule_table(
     entries: dict[tuple[int, ...], frozenset[int]] = {}
     for point in grid.profiles():
         at = point.scaled
-        price = _price(at, m)
+        price = vickrey_price(at, m)
         if min(at) != price or rng.random() < 0.5:
             continue
         required = [i for i, v in enumerate(at) if v > price]
@@ -160,13 +150,13 @@ def random_winner_rule_table(
         closed = False
         for at in sorted(entries):
             selected = entries[at]
-            price = _price(at, m)
+            price = vickrey_price(at, m)
             for i in sorted(selected):
                 for up in scaled[i]:
                     if up <= price or up == at[i]:
                         continue
                     raised = at[:i] + (up,) + at[i + 1 :]
-                    top = _price(raised, m)
+                    top = vickrey_price(raised, m)
                     need = frozenset([i, *(j for j, v in enumerate(raised) if v > top)])
                     have = entries.get(raised, frozenset())
                     if not need <= have:
@@ -302,19 +292,16 @@ class SuiteResult:
 
 
 # The grid every suite sweeps.
-SUITE_GRID = GridConfig(3, 1, values=(0, 1, 2, 3))
+SUITE_GRID = GridSpace.shared(MarketConfig(3, 1), (0, 1, 2, 3))
 
 
-def _checked(
-    mechanism: Mechanism, grid: GridSpace, axioms: Iterable[str]
-) -> dict[str, AxiomReport]:
-    """Each named axiom's report on `mechanism`, keyed by the axiom."""
-    return {axiom: CHECKERS[axiom](mechanism, grid) for axiom in axioms}
+def _checked(mechanism: Mechanism, axioms: Iterable[str]) -> dict[str, AxiomReport]:
+    """Each named axiom's report on `mechanism` over `SUITE_GRID`, keyed by the axiom."""
+    return {axiom: CHECKERS[axiom](mechanism, SUITE_GRID) for axiom in axioms}
 
 
 def suite_independence() -> SuiteResult:
     """Four mechanisms, four axioms: each fails exactly the axiom it drops."""
-    grid = SUITE_GRID.space()
     columns = ("EE", "SP", "IR", "NS")
     dropped = [
         (vickrey_mechanism(), "EE"),
@@ -327,7 +314,7 @@ def suite_independence() -> SuiteResult:
         "each mechanism fails exactly the axiom it drops",
         columns,
         [
-            (mech.name, _checked(mech, grid, columns), {axiom: "FAIL"})
+            (mech.name, _checked(mech, columns), {axiom: "FAIL"})
             for mech, axiom in dropped
         ],
     )
@@ -347,23 +334,22 @@ def suite_sp_class(
     the structural checks and the four axioms; the expected pattern is
     all-pass across the board.
     """
-    grid = SUITE_GRID.space()
     rules: list[tuple[str, WinnerRule]] = [
         ("empty", WinnerRule.empty()),
         ("strict_winners", WinnerRule.strict()),
         ("dictatorial_threshold(0,2)", WinnerRule.dictatorial_threshold(0, 2)),
         ("efficient_winners", WinnerRule.efficient()),
     ]
-    for index, rule in enumerate(random_uncompromising_rules(grid, count, seed)):
+    for index, rule in enumerate(random_uncompromising_rules(SUITE_GRID, count, seed)):
         rules.append((f"random[{index}] {rule.label}", rule))
     rows = []
     for label, rule in rules:
         reports = {
-            "VALID": validate_winner_rule(rule, grid),
-            "UNCOMPROMISING": check_uncompromising(rule, grid),
+            "VALID": validate_winner_rule(rule, SUITE_GRID),
+            "UNCOMPROMISING": check_uncompromising(rule, SUITE_GRID),
         }
         mech = selective_vickrey_mechanism(rule)
-        reports.update(_checked(mech, grid, ("EE", "SP", "IR", "NS")))
+        reports.update(_checked(mech, ("EE", "SP", "IR", "NS")))
         rows.append((label, reports, {}))
     return SuiteResult.from_rows(
         "sp-class",
@@ -381,7 +367,6 @@ def suite_nom_class() -> SuiteResult:
     always-PAB variant (negative threshold) loses both properties while
     keeping EE, IR and NS.
     """
-    grid = SUITE_GRID.space()
     variants = [
         (PricingRule.always_ev(), {}),
         (PricingRule.ev_iff_price_zero(), {}),
@@ -391,8 +376,8 @@ def suite_nom_class() -> SuiteResult:
     rows = []
     for pricing, unusual in variants:
         mech = ev_pab_mechanism(pricing)
-        reports = {"EV_SUPPORT": check_ev_support(pricing, grid)}
-        reports.update(_checked(mech, grid, ("EE", "IR", "NS", "NOM")))
+        reports = {"EV_SUPPORT": check_ev_support(pricing, SUITE_GRID)}
+        reports.update(_checked(mech, ("EE", "IR", "NS", "NOM")))
         rows.append((mech.name, reports, unusual))
     return SuiteResult.from_rows(
         "nom-class",
@@ -404,7 +389,6 @@ def suite_nom_class() -> SuiteResult:
 
 def suite_welfare() -> SuiteResult:
     """The always-EV pricing weakly dominates every other pricing variant."""
-    grid = SUITE_GRID.space()
     best = ev_pab_mechanism(PricingRule.always_ev())
     rivals = [
         (ev_pab_mechanism(PricingRule.ev_iff_price_zero()), "DOMINATES"),
@@ -414,7 +398,7 @@ def suite_welfare() -> SuiteResult:
     ]
     rows = []
     for rival, relation in rivals:
-        outcome = welfare_compare(best, rival, grid)
+        outcome = welfare_compare(best, rival, SUITE_GRID)
         beaten = "PASS" if outcome.never_beaten else "FAIL"
         reports = {
             "RELATION": AxiomReport("RELATION", outcome.relation, outcome.strict_first),
@@ -431,7 +415,6 @@ def suite_welfare() -> SuiteResult:
 
 def suite_anonymity() -> SuiteResult:
     """Name-sensitive winner rules break anonymity in welfare; efficient ones keep it."""
-    grid = SUITE_GRID.space()
     columns = ("AIW", "EE", "SP", "IR", "NS")
     dictator = selective_vickrey_mechanism(WinnerRule.dictatorial_threshold(0, 2))
     efficient = selective_vickrey_mechanism(WinnerRule.efficient())
@@ -440,8 +423,8 @@ def suite_anonymity() -> SuiteResult:
         "welfare anonymity separates dictatorial from efficient selection",
         columns,
         [
-            (dictator.name, _checked(dictator, grid, columns), {"AIW": "FAIL"}),
-            (efficient.name, _checked(efficient, grid, columns), {}),
+            (dictator.name, _checked(dictator, columns), {"AIW": "FAIL"}),
+            (efficient.name, _checked(efficient, columns), {}),
         ],
     )
 

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 from conftest import random_pricing_table
 from mechlab import (
+    GridSpace,
     MarketConfig,
     PricingRule,
     Profile,
@@ -38,11 +39,10 @@ from mechlab import (
 )
 from mechlab.axioms import check_ev_support, check_uncompromising, validate_winner_rule
 from mechlab.cli import load_config, main
-from mechlab.search import GridConfig
 
-GRID = GridConfig(3, 1, values=(0, 1, 2, 3)).space()
-GRID5 = GridConfig(3, 1, values=(0, 1, 2, 3, 4)).space()
-GRID_M2 = GridConfig(3, 2, values=(0, 1, 2, 3)).space()
+GRID = GridSpace.shared(MarketConfig(3, 1), (0, 1, 2, 3))
+GRID5 = GridSpace.shared(MarketConfig(3, 1), (0, 1, 2, 3, 4))
+GRID_M2 = GridSpace.shared(MarketConfig(3, 2), (0, 1, 2, 3))
 CORE_AXIOMS = (check_ee, check_sp, check_ir, check_no_subsidy)
 
 
@@ -293,8 +293,8 @@ def test_criterion_10_audit_reports_are_deterministic(tmp_path, capsys):
 
 
 MID_CAPACITY_GRIDS = [
-    GridConfig(4, 2, values=(0, 1, 2)).space(),
-    GridConfig(5, 2, values=(0, 1, 2)).space(),
+    GridSpace.shared(MarketConfig(4, 2), (0, 1, 2)),
+    GridSpace.shared(MarketConfig(5, 2), (0, 1, 2)),
 ]
 
 

@@ -47,12 +47,12 @@ from mechlab.axioms import (
     _nom_bounds,
     scan,
 )
-from mechlab.search import GridConfig, shrink_witness
+from mechlab.search import shrink_witness
 
 CFG1 = MarketConfig(3, 1)
-GRID = GridConfig(3, 1, values=(0, 1, 2, 3)).space()
-GRID5 = GridConfig(3, 1, values=(0, 1, 2, 3, 4)).space()
-GRID_M2 = GridConfig(3, 2, values=(0, 1, 2, 3)).space()
+GRID = GridSpace.shared(CFG1, (0, 1, 2, 3))
+GRID5 = GridSpace.shared(CFG1, (0, 1, 2, 3, 4))
+GRID_M2 = GridSpace.shared(MarketConfig(3, 2), (0, 1, 2, 3))
 
 
 def grant_first_mechanism():
@@ -395,7 +395,7 @@ def test_selective_reference_bundle_is_zero_or_priced_object():
         for point in GRID.profiles():
             p = Profile(GRID.config, point.values)
             ref = find_reference_bundle(mech, p)
-            assert ref in ((0, 0), (1, vickrey_price(p)))
+            assert ref in ((0, 0), (1, vickrey_price(p.values, p.config.m)))
 
 
 # efficiency
@@ -471,6 +471,18 @@ def test_nom_always_ev_passes_with_bounds_table():
         "2": ["2", "0"],
         "3": ["3", "0"],
     }
+
+
+def test_nom_truthful_bounds_are_given_only_when_every_agent_shares_them():
+    """Agent 1 dictates at threshold 0: at value 2 their truthful best case
+    is 2 while agent 0's is 0, so no one map states both. Bounds every
+    agent shares keep their map (always-EV, in the test above)."""
+    dictator = selective_vickrey_mechanism(WinnerRule.dictatorial_threshold(1, 0))
+    assert dictator.bounds(0, CFG1.m, 2, 2) == (0, 0)
+    assert dictator.bounds(1, CFG1.m, 2, 2) == (2, 0)
+    report = check_nom(dictator, GRID)
+    assert report.verdict == "PASS_ANALYTIC"
+    assert "truthful_bounds" not in report.details
 
 
 def test_nom_grid_route_matches_analytic_identity():

@@ -59,11 +59,12 @@ def test_tracer_installs_and_uninstalls_on_the_current_names(monkeypatch):
 def bench(monkeypatch):
     """The benchmark's modules, imported from `bench/`."""
     monkeypatch.syspath_prepend(str(BENCH))
+    import child
     import gate
     import layers
     import workloads
 
-    return SimpleNamespace(gate=gate, layers=layers, workloads=workloads)
+    return SimpleNamespace(child=child, gate=gate, layers=layers, workloads=workloads)
 
 
 # SHA-256 of the audit's `results` plus `comparisons`, as the gate digests them.
@@ -139,6 +140,23 @@ def test_audit_workloads_match_the_bench_reference(bench, tmp_path, capsys, name
     path.write_text(json.dumps(bench.workloads.generate(name, bench.workloads.DEFAULT_SEED)))
     assert cli.main(["audit", "--config", str(path)]) == 1
     output = {"report": capsys.readouterr().out}
+    reference = bench.gate.load_reference(name)
+    assert bench.gate.cell_digests(name, output) == reference["cells"]
+
+
+def test_suites_workload_passes_the_bench_gate(bench, tmp_path):
+    """The suites workload at the default seed, run as the bench child runs
+    it: the gate replays, shrinks and re-derives its witnesses through the
+    suites' grid and finds nothing wrong, and every call's digest is the one
+    stored in `bench/reference.json`."""
+    name = bench.workloads.SUITES
+    path = tmp_path / "inputs.json"
+    path.write_text(json.dumps(bench.workloads.generate(name, bench.workloads.DEFAULT_SEED)))
+    output = bench.child.run_suites(str(path), {}, setup_only=False)
+    assert len(output["calls"]) == 50
+    problems, stats = bench.gate.check(name, str(path), output)
+    assert problems == {}
+    assert stats["replayed"] and stats["shrunk"] and stats["welfare"]
     reference = bench.gate.load_reference(name)
     assert bench.gate.cell_digests(name, output) == reference["cells"]
 

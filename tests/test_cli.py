@@ -95,7 +95,7 @@ def test_audit_fail_witnesses_replay(tmp_path, capsys):
     assert main(["audit", "--config", str(path)]) == 1
     report = json.loads(capsys.readouterr().out)
     config = load_config(str(path))
-    grid = config.grid()
+    grid = config.space
     replayed = 0
     for entry in report["results"]:
         mech = parse_mechanism(json.dumps({"family": entry["family"]}), grid.config)
@@ -322,7 +322,7 @@ def test_version_flag(capsys):
 def test_load_config_grid_round_trip(tmp_path):
     path = write_config(tmp_path)
     config = load_config(str(path))
-    grid = config.grid()
+    grid = config.space
     assert isinstance(grid, GridSpace)
     assert grid.config == MarketConfig(3, 1)
     assert grid.shared_values == (0, 1, 2, 3)
@@ -567,6 +567,8 @@ def winner_table(entries):
         ({"market": {"objects": 1}}, "error: bad market section: market is missing its agents"),
         ({"market": {"agents": 3}}, "error: bad market section: market is missing its objects"),
         ({"grid": {"range": {"denominator": 2}}}, "error: bad grid: range is missing its max"),
+        ({"grid": {"values": ["0", "1"], "range": {"max": "3"}}},
+         "error: grid section needs exactly one of values, per_agent and range"),
     ],
     ids=[
         "mode-not-object", "output-not-object", "float-agents", "bool-objects",
@@ -580,7 +582,7 @@ def winner_table(entries):
         "pricing-profile-negative", "many-agents-values", "many-agents-range",
         "agents-over-budget", "sampled-range-over-budget", "exponent-grid-value",
         "sampled-strides-1e5-agents", "sampled-strides-1e6-agents", "market-without-agents",
-        "market-without-objects", "range-without-max",
+        "market-without-objects", "range-without-max", "grid-values-and-range",
     ],
 )
 def test_config_boundary_errors_exit_two(tmp_path, capsys, overrides, message):

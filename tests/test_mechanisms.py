@@ -46,7 +46,7 @@ from mechlab.axioms import (
     welfare_compare,
 )
 from mechlab.mechanisms import EV, PAB
-from mechlab.search import GridConfig, random_winner_rule_table
+from mechlab.search import random_winner_rule_table
 
 CFG1 = MarketConfig(3, 1)
 CFG2 = MarketConfig(3, 2)
@@ -84,7 +84,7 @@ def subset_search_winner_sets(profile):
 def subset_search_vickrey_sets(profile):
     """Every set of at most m agents that holds everyone above the
     Vickrey price and nobody below it."""
-    price = vickrey_price(profile)
+    price = vickrey_price(profile.values, profile.config.m)
     return [
         frozenset(combo)
         for size in range(profile.config.m + 1)
@@ -123,13 +123,13 @@ def no_trade(config):
 
 def vickrey_set(profile):
     """Every Vickrey allocation: winners pay the Vickrey price."""
-    price = vickrey_price(profile)
+    price = vickrey_price(profile.values, profile.config.m)
     return priced(profile, subset_search_vickrey_sets(profile), lambda i: price)
 
 
 def efficient_vickrey_set(profile):
     """Every surplus-maximizing assignment, winners paying the Vickrey price."""
-    price = vickrey_price(profile)
+    price = vickrey_price(profile.values, profile.config.m)
     return priced(profile, subset_search_winner_sets(profile), lambda i: price)
 
 
@@ -165,7 +165,7 @@ def test_strict_winners_examples():
         (CFG1, (3, 3, 2), set()),
         (CFG2, (3, 2, 2), {0}),
     ):
-        price = vickrey_price(Profile(market, values))
+        price = vickrey_price(values, market.m)
         assert {i for i, v in enumerate(values) if v > price} == strict
 
 
@@ -353,7 +353,7 @@ def rules_with_oracles(grid):
 
 @pytest.mark.parametrize(
     "grid",
-    [GridConfig(3, 1, values=range(4)).space(), GridConfig(4, 2, values=range(3)).space()],
+    [GridSpace.shared(MarketConfig(3, 1), range(4)), GridSpace.shared(MarketConfig(4, 2), range(3))],
     ids=["3x1-0..3", "4x2-0..2"],
 )
 def test_rule_records_match_their_definitions_and_round_trip(grid):
@@ -477,7 +477,7 @@ def pick_cases():
 def assert_pick_matches_subset_search(profile):
     for mechanism, oracle in pick_cases():
         assert mechanism.evaluate(profile) == oracle(profile), (mechanism.name, profile.values)
-    assert has_uniform_tail(profile) == sorted_tail_is_uniform(profile)
+    assert has_uniform_tail(profile.values, profile.config.m) == sorted_tail_is_uniform(profile)
 
 
 TIE_VALUES = (0, Fraction(1, 2), 1, 2)
@@ -538,7 +538,7 @@ def test_selective_winners_pay_price_and_losers_pay_nothing():
         mech = selective_vickrey_mechanism(rule)
         for p in grid_profiles(CFG1):
             alloc = mech.evaluate(p)
-            price = vickrey_price(p)
+            price = vickrey_price(p.values, p.config.m)
             for i, (xi, ti) in enumerate(zip(*alloc)):
                 if xi:
                     assert ti == price
@@ -548,7 +548,7 @@ def test_selective_winners_pay_price_and_losers_pay_nothing():
 
 
 def test_validate_winner_rule_builtins_analytic():
-    grid = GridConfig(3, 1, values=(0, 1, 2, 3)).space()
+    grid = GridSpace.shared(CFG1, (0, 1, 2, 3))
     for rule in (WinnerRule.empty(), WinnerRule.strict(), WinnerRule.efficient(),
                  WinnerRule.dictatorial_threshold(1, 1)):
         report = validate_winner_rule(rule, grid)
@@ -557,7 +557,7 @@ def test_validate_winner_rule_builtins_analytic():
 
 def test_validate_winner_rule_rejects_off_tail_entry():
     """(3,2,1) has no uniform tail, so a table selecting there is invalid."""
-    grid = GridConfig(3, 1, values=(0, 1, 2, 3)).space()
+    grid = GridSpace.shared(CFG1, (0, 1, 2, 3))
     rule = WinnerRule.rule_table(CFG1, {(3, 2, 1): (0,)})
     report = validate_winner_rule(rule, grid)
     assert report.verdict == "FAIL"
@@ -566,7 +566,7 @@ def test_validate_winner_rule_rejects_off_tail_entry():
 
 
 def test_validate_winner_rule_condition_details():
-    grid = GridConfig(3, 1, values=(0, 1, 2, 3)).space()
+    grid = GridSpace.shared(CFG1, (0, 1, 2, 3))
     out_of_range = WinnerRule.rule_table(CFG1, {(2, 2, 2): (5,)})
     assert validate_winner_rule(out_of_range, grid).details["condition"].startswith("(ii)")
     skips_strict = WinnerRule.rule_table(CFG1, {(3, 2, 2): (1,)})
@@ -601,14 +601,14 @@ def test_rule_checks_sweep_a_rule_without_closed_form_bounds():
 
 
 def test_check_uncompromising_builtin_rules():
-    grid = GridConfig(3, 1, values=(0, 1, 2, 3)).space()
+    grid = GridSpace.shared(CFG1, (0, 1, 2, 3))
     for rule in (WinnerRule.empty(), WinnerRule.strict(), WinnerRule.efficient()):
         assert check_uncompromising(rule, grid).verdict == "PASS_ANALYTIC"
 
 
 def test_check_uncompromising_catches_dropped_winner():
     """Selecting at (3,2,2) but not at (4,2,2) punishes a raised report."""
-    grid = GridConfig(3, 1, values=(0, 1, 2, 3, 4)).space()
+    grid = GridSpace.shared(CFG1, (0, 1, 2, 3, 4))
     rule = WinnerRule.rule_table(CFG1, {(3, 2, 2): (0,)})
     assert validate_winner_rule(rule, grid).passed
     report = check_uncompromising(rule, grid)
@@ -619,7 +619,7 @@ def test_check_uncompromising_catches_dropped_winner():
 
 
 def test_check_uncompromising_complete_table_passes():
-    grid = GridConfig(3, 1, values=(0, 1, 2, 3, 4)).space()
+    grid = GridSpace.shared(CFG1, (0, 1, 2, 3, 4))
     rule = WinnerRule.rule_table(CFG1, {(3, 2, 2): (0,), (4, 2, 2): (0,)})
     report = check_uncompromising(rule, grid)
     assert report.verdict == "PASS_EXHAUSTIVE"
@@ -635,7 +635,7 @@ def grid_sweep_uncompromising(rule, grid):
     for point in grid.profiles():
         profile = Profile(grid.config, point.values)
         selected = frozenset(rule.pick(profile.values, profile.config, 1))
-        price = vickrey_price(profile)
+        price = vickrey_price(profile.values, profile.config.m)
         for i in sorted(selected):
             for raised in grid.values[i]:
                 if raised > price and i not in frozenset(
@@ -685,7 +685,7 @@ def test_check_uncompromising_entry_walk_matches_grid_sweep():
 
 
 def test_failed_rule_check_json_carries_its_condition():
-    grid = GridConfig(3, 1, values=(0, 1, 2, 3)).space()
+    grid = GridSpace.shared(CFG1, (0, 1, 2, 3))
     failed = [
         validate_winner_rule(WinnerRule.rule_table(CFG1, {(3, 2, 1): (0,)}), grid),
         check_uncompromising(WinnerRule.rule_table(CFG1, {(2, 1, 1): (0,)}), grid),
@@ -707,7 +707,7 @@ def test_failed_rule_check_json_carries_its_condition():
 def test_rule_checks_refuse_a_table_for_another_market(table_market):
     """A table written for another market than the grid's is refused, naming
     both markets, instead of passing or failing on entries that never match."""
-    grid = GridConfig(3, 1, values=(0, 1, 2, 3)).space()
+    grid = GridSpace.shared(CFG1, (0, 1, 2, 3))
     profile = (2,) * table_market.n
     winners = WinnerRule.rule_table(table_market, {profile: ()})
     pricing = PricingRule.rule_table(table_market, {profile: EV})
@@ -729,7 +729,7 @@ def test_axiom_checks_refuse_a_table_mechanism_for_another_market():
     witness replay and welfare comparison refuses a grid of another
     market. Without this, SP and EE passed the 4-agent winner table on a
     3-agent grid and NOM failed the pricing table, as no entry matches."""
-    grid = GridConfig(3, 1, values=(0, 1, 2, 3)).space()
+    grid = GridSpace.shared(CFG1, (0, 1, 2, 3))
     four = MarketConfig(4, 1)
     winners = selective_vickrey_mechanism(WinnerRule.rule_table(four, {(3, 2, 2, 2): (0,)}))
     pricing = ev_pab_mechanism(PricingRule.rule_table(four, {(1, 0, 0, 0): EV}))
@@ -788,7 +788,7 @@ def test_ev_pab_threshold_cutoff():
 
 
 def test_check_ev_support_analytic_families():
-    grid = GridConfig(3, 1, values=(0, 1, 2, 3)).space()
+    grid = GridSpace.shared(CFG1, (0, 1, 2, 3))
     for pricing in (PricingRule.always_ev(), PricingRule.ev_iff_price_zero(),
                     PricingRule.threshold(1), PricingRule.threshold(0)):
         assert check_ev_support(pricing, grid).verdict == "PASS_ANALYTIC"
@@ -796,14 +796,14 @@ def test_check_ev_support_analytic_families():
 
 def test_check_ev_support_negative_threshold_fails():
     # price is never negative, so a negative cutoff never classifies EV
-    grid = GridConfig(3, 1, values=(0, 1, 2, 3)).space()
+    grid = GridSpace.shared(CFG1, (0, 1, 2, 3))
     report = check_ev_support(PricingRule.threshold(-1), grid)
     assert report.verdict == "FAIL"
     assert report.witness == {"agent": 0, "value": 1}
 
 
 def test_check_ev_support_table_verdicts():
-    grid = GridConfig(3, 1, values=(0, 1, 2, 3)).space()
+    grid = GridSpace.shared(CFG1, (0, 1, 2, 3))
     sparse = PricingRule.rule_table(grid.config, {(0, 0, 0): EV})
     gap = check_ev_support(sparse, grid)
     assert gap.verdict == "FAIL"
@@ -854,7 +854,7 @@ def test_an_audit_evaluates_each_grid_profile_once():
         return vickrey_mechanism().evaluate(profile)
 
     mech = Mechanism("probe", "CUSTOM", fn)
-    grid = GridConfig(3, 1, values=(0, 1, 2, 3)).space()
+    grid = GridSpace.shared(CFG1, (0, 1, 2, 3))
     for check in CHECKERS.values():
         check(mech, grid)
     welfare_compare(mech, pay_as_bid_mechanism(), grid)

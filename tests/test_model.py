@@ -101,16 +101,16 @@ def test_kth_highest_examples():
     """vickrey_price is the k-th highest value for k = m+1: (5,3,3,1) gives
     3, 3, 1 at k = 2, 3, 4; (2,2,2) gives 2 at k = 3; (0,4,1) gives 1 at k = 2."""
     p = (5, 3, 3, 1)
-    assert [vickrey_price(Profile(MarketConfig(4, m), p)) for m in (1, 2, 3)] == [3, 3, 1]
-    assert vickrey_price(Profile(MarketConfig(3, 2), (2, 2, 2))) == 2
-    assert vickrey_price(Profile(MarketConfig(3, 1), (0, 4, 1))) == 1
+    assert [vickrey_price(p, m) for m in (1, 2, 3)] == [3, 3, 1]
+    assert vickrey_price((2, 2, 2), 2) == 2
+    assert vickrey_price((0, 4, 1), 1) == 1
 
 
 @given(st.lists(rationals, min_size=2, max_size=6))
 def test_kth_highest_weakly_decreasing(values):
     # one more object moves the price down the ranking, never up
     n = len(values)
-    ranked = [vickrey_price(Profile(MarketConfig(n, m), values)) for m in range(1, n)]
+    ranked = [vickrey_price(values, m) for m in range(1, n)]
     assert all(a >= b for a, b in zip(ranked, ranked[1:]))
     assert ranked[-1] == min(values)
 
@@ -120,35 +120,31 @@ def test_kth_highest_permutation_invariant(perm):
     base = (5, 3, 3, 1, 0)
     shuffled = tuple(base[i] for i in perm)
     for m in range(1, 5):
-        cfg = MarketConfig(5, m)
-        assert vickrey_price(Profile(cfg, shuffled)) == vickrey_price(Profile(cfg, base))
+        assert vickrey_price(shuffled, m) == vickrey_price(base, m)
 
 
 def test_vickrey_price_is_rank_m_plus_one():
-    assert vickrey_price(Profile(MarketConfig(3, 1), (3, 2, 2))) == 2
-    assert vickrey_price(Profile(MarketConfig(3, 2), (3, 2, 1))) == 1
+    assert vickrey_price((3, 2, 2), 1) == 2
+    assert vickrey_price((3, 2, 1), 2) == 1
 
 
 def test_uniform_tail_examples():
     """(3,2,2) with m=1 has a uniform tail, (3,2,1) does not; m=2 always does."""
-    assert has_uniform_tail(Profile(MarketConfig(3, 1), (3, 2, 2)))
-    assert not has_uniform_tail(Profile(MarketConfig(3, 1), (3, 2, 1)))
-    assert has_uniform_tail(Profile(MarketConfig(3, 2), (3, 2, 1)))
+    assert has_uniform_tail((3, 2, 2), 1)
+    assert not has_uniform_tail((3, 2, 1), 1)
+    assert has_uniform_tail((3, 2, 1), 2)
 
 
 @given(st.lists(rationals, min_size=2, max_size=5))
 def test_uniform_tail_always_holds_when_one_agent_trails(values):
     # with m = n-1 the tail is the single lowest value, trivially uniform
     n = len(values)
-    assert has_uniform_tail(Profile(MarketConfig(n, n - 1), values))
+    assert has_uniform_tail(values, n - 1)
 
 
 @given(st.permutations([3, 2, 2, 0]))
 def test_uniform_tail_permutation_invariant(perm):
-    cfg = MarketConfig(4, 2)
-    assert has_uniform_tail(Profile(cfg, perm)) == has_uniform_tail(
-        Profile(cfg, (3, 2, 2, 0))
-    )
+    assert has_uniform_tail(perm, 2) == has_uniform_tail((3, 2, 2, 0), 2)
 
 
 def test_is_feasible_capacity():

@@ -31,7 +31,6 @@ from mechlab import (
 from mechlab.axioms import check_uncompromising, validate_winner_rule
 from mechlab.grid import ENUMERATION_BUDGET
 from mechlab.search import (
-    GridConfig,
     SUITES,
     suite_anonymity,
     suite_independence,
@@ -45,23 +44,16 @@ CFG1 = MarketConfig(3, 1)
 
 
 def test_grid_config_explicit_values():
-    gc = GridConfig(3, 1, values=(3, 0, 1, 2, 1))
-    assert gc.space().shared_values == (0, 1, 2, 3)
-    assert gc.space().size == 64
+    grid = GridSpace.shared(CFG1, (3, 0, 1, 2, 1))
+    assert grid.shared_values == (0, 1, 2, 3)
+    assert grid.size == 64
 
 
 def test_grid_config_range_values():
-    gc = GridConfig(3, 1, max_value=3, denominator=2)
-    assert gc.space().shared_values == (
+    grid = GridSpace.from_range(CFG1, 3, 2)
+    assert grid.shared_values == (
         0, Fraction(1, 2), 1, Fraction(3, 2), 2, Fraction(5, 2), 3,
     )
-
-
-def test_grid_config_requires_exactly_one_source():
-    with pytest.raises(ValueError):
-        GridConfig(3, 1)
-    with pytest.raises(ValueError):
-        GridConfig(3, 1, values=(0, 1), max_value=2)
 
 
 @pytest.mark.parametrize(
@@ -74,27 +66,28 @@ def test_grid_config_requires_exactly_one_source():
     ],
 )
 def test_grid_config_checks_come_from_grid_space(kwargs, message):
+    declare = GridSpace.shared if "values" in kwargs else GridSpace.from_range
     with pytest.raises(ValueError, match=message):
-        GridConfig(3, 1, **kwargs).space()
+        declare(CFG1, **kwargs)
 
 
 def test_grid_profiles_counts_and_order():
     """3 agents over {0,1} gives 8 profiles in lexicographic order."""
-    small = [p.values for p in GridConfig(3, 1, values=(0, 1)).space().profiles()]
+    small = [p.values for p in GridSpace.shared(CFG1, (0, 1)).profiles()]
     assert len(small) == 8
     assert small[0] == (0, 0, 0)
     assert small == sorted(small)
-    assert len(list(GridConfig(3, 1, values=(0, 1, 2, 3)).space().profiles())) == 64
-    assert len(list(GridConfig(2, 1, values=(0,)).space().profiles())) == 1
+    assert len(list(GridSpace.shared(CFG1, (0, 1, 2, 3)).profiles())) == 64
+    assert len(list(GridSpace.shared(MarketConfig(2, 1), (0,)).profiles())) == 1
 
 
 def uniform_tail_profiles(grid):
     profiles = (Profile(grid.config, p.values) for p in grid.profiles())
-    return [p for p in profiles if has_uniform_tail(p)]
+    return [p for p in profiles if has_uniform_tail(p.values, p.config.m)]
 
 
 def test_uniform_tail_is_a_filter():
-    grid = GridConfig(3, 1, values=(0, 1, 2)).space()
+    grid = GridSpace.shared(CFG1, (0, 1, 2))
     tail = {p.values for p in uniform_tail_profiles(grid)}
     assert (2, 1, 1) in tail
     assert (2, 1, 0) not in tail
@@ -103,17 +96,17 @@ def test_uniform_tail_is_a_filter():
 
 
 def has_uniform_tail_values(values):
-    return has_uniform_tail(Profile(CFG1, values))
+    return has_uniform_tail(values, CFG1.m)
 
 
 def test_uniform_tail_everything_when_one_loser():
-    grid = GridConfig(3, 2, values=(0, 1, 2)).space()
+    grid = GridSpace.shared(MarketConfig(3, 2), (0, 1, 2))
     assert len(uniform_tail_profiles(grid)) == 27
 
 
 def test_enumeration_budget_guard():
     with pytest.raises(ValueError, match="budget"):
-        GridConfig(3, 1, values=tuple(range(101))).space()
+        GridSpace.shared(CFG1, tuple(range(101)))
 
 
 def test_range_over_budget_is_refused_before_building_values(monkeypatch):
@@ -126,9 +119,9 @@ def test_range_over_budget_is_refused_before_building_values(monkeypatch):
 
     monkeypatch.setattr(mechlab.grid, "Fraction", no_values)
     with pytest.raises(ValueError, match="8012006001 profiles exceed the enumeration budget"):
-        GridConfig(3, 1, max_value=2000).space()
+        GridSpace.from_range(CFG1, 2000)
     monkeypatch.undo()
-    sampled = GridConfig(3, 1, max_value=20).space(mode="sampled", seed=1, samples=3)
+    sampled = GridSpace.from_range(CFG1, 20, mode="sampled", seed=1, samples=3)
     assert len(sampled.shared_values) == 21
 
 
@@ -137,7 +130,7 @@ def test_range_over_budget_is_refused_before_building_values(monkeypatch):
 
 def test_shrink_ee_witness_to_grid_floor():
     """(3,2,1) walks down coordinate by coordinate to (2,1,0)."""
-    grid = GridConfig(3, 1, values=(0, 1, 2, 3)).space()
+    grid = GridSpace.shared(CFG1, (0, 1, 2, 3))
     small = shrink_witness(vickrey_mechanism(), "EE", {"profile": (3, 2, 1)}, grid)
     assert small["profile"] == (2, 1, 0)
     again = shrink_witness(vickrey_mechanism(), "EE", small, grid)
@@ -145,7 +138,7 @@ def test_shrink_ee_witness_to_grid_floor():
 
 
 def test_shrink_sp_witness():
-    grid = GridConfig(3, 1, values=(0, 1, 2, 3, 4)).space()
+    grid = GridSpace.shared(CFG1, (0, 1, 2, 3, 4))
     witness = {"profile": (4, 1, 0), "agent": 0, "misreport": 2}
     small = shrink_witness(pay_as_bid_mechanism(), "SP", witness, grid)
     assert small["profile"] == (2, 0, 0)
@@ -194,18 +187,18 @@ def test_a_sampled_witness_over_many_values_replays_and_shrinks(axiom, mechanism
 )
 def test_shrink_pins_each_pointwise_witness(axiom, mechanism, witness, grid, shrunk):
     """The exact local minimum of every pointwise axiom without a pin above."""
-    grid = GridConfig(*grid, values=(0, 1, 2, 3)).space()
+    grid = GridSpace.shared(MarketConfig(*grid), (0, 1, 2, 3))
     assert shrink_witness(mechanism, axiom, witness, grid) == shrunk
 
 
 def test_shrink_rejects_non_violations():
-    grid = GridConfig(3, 1, values=(0, 1, 2, 3)).space()
+    grid = GridSpace.shared(CFG1, (0, 1, 2, 3))
     with pytest.raises(ValueError, match="does not replay"):
         shrink_witness(vickrey_mechanism(), "EE", {"profile": (0, 0, 0)}, grid)
 
 
 def test_shrink_rejects_bound_witnesses():
-    grid = GridConfig(3, 1, values=(0, 1, 2, 3)).space()
+    grid = GridSpace.shared(CFG1, (0, 1, 2, 3))
     witness = {"agent": 0, "true_value": 2, "misreport": 1}
     with pytest.raises(ValueError, match="not defined"):
         shrink_witness(pay_as_bid_mechanism(), "NOM", witness, grid)
@@ -216,7 +209,7 @@ def test_shrink_rejects_bound_witnesses():
 
 def test_find_obvious_manipulation_pay_as_bid():
     """Shading 2 to 1 raises the best case from 0 to 1 against zero bidders."""
-    grid = GridConfig(3, 1, values=(0, 1, 2, 3, 4)).space()
+    grid = GridSpace.shared(CFG1, (0, 1, 2, 3, 4))
     w = check_nom(pay_as_bid_mechanism(), grid).witness
     assert w is not None
     assert (w["agent"], w["true_value"], w["misreport"]) == (0, 2, 1)
@@ -225,7 +218,7 @@ def test_find_obvious_manipulation_pay_as_bid():
 
 
 def test_find_obvious_manipulation_none_for_clean_mechanisms():
-    grid = GridConfig(3, 1, values=(0, 1, 2, 3)).space()
+    grid = GridSpace.shared(CFG1, (0, 1, 2, 3))
     for mech in (
         vickrey_mechanism(),
         no_trade_mechanism(0),
@@ -236,7 +229,7 @@ def test_find_obvious_manipulation_none_for_clean_mechanisms():
 
 
 def test_find_obvious_manipulation_grid_route_agrees():
-    grid = GridConfig(3, 1, values=(0, 1, 2, 3, 4)).space()
+    grid = GridSpace.shared(CFG1, (0, 1, 2, 3, 4))
     w = check_nom(opaque(pay_as_bid_mechanism()), grid).witness
     assert (w["agent"], w["true_value"], w["misreport"]) == (0, 2, 1)
     assert w["scope"] == "grid"
@@ -246,15 +239,15 @@ def test_find_obvious_manipulation_grid_route_agrees():
 
 
 def test_random_winner_rule_table_entries_sit_on_the_tail():
-    grid = GridConfig(3, 1, values=(0, 1, 2, 3)).space()
+    grid = GridSpace.shared(CFG1, (0, 1, 2, 3))
     table = random_winner_rule_table(grid, random.Random(7))
     assert table, "seeded tables are not empty"
     for key in table:
-        assert has_uniform_tail(Profile(CFG1, key))
+        assert has_uniform_tail(key, CFG1.m)
 
 
 def test_random_rules_are_valid_and_uncompromising():
-    grid = GridConfig(3, 1, values=(0, 1, 2, 3)).space()
+    grid = GridSpace.shared(CFG1, (0, 1, 2, 3))
     rules = random_uncompromising_rules(grid, count=6, seed=11)
     assert len(rules) == 6
     for rule in rules:
@@ -272,9 +265,9 @@ def seeded_winner_table(grid, rng):
     entries = {}
     for point in grid.profiles():
         profile = Profile(grid.config, point.values)
-        if not has_uniform_tail(profile) or rng.random() < 0.5:
+        if not has_uniform_tail(profile.values, profile.config.m) or rng.random() < 0.5:
             continue
-        price = vickrey_price(profile)
+        price = vickrey_price(profile.values, profile.config.m)
         required = frozenset(i for i, v in enumerate(profile.values) if v > price)
         tied = sorted(i for i, v in enumerate(profile.values) if v >= price and i not in required)
         rng.shuffle(tied)
@@ -307,7 +300,7 @@ def test_an_uncompromising_witness_is_an_sp_violation():
 
 
 def test_random_rules_deterministic_in_seed():
-    grid = GridConfig(3, 1, values=(0, 1, 2, 3)).space()
+    grid = GridSpace.shared(CFG1, (0, 1, 2, 3))
     a = random_uncompromising_rules(grid, count=3, seed=5)
     b = random_uncompromising_rules(grid, count=3, seed=5)
     assert [r.label for r in a] == [r.label for r in b]

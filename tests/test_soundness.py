@@ -9,7 +9,8 @@ family's value-level outcome on scaled ints, are compared rank by rank
 with `Mechanism.evaluate` on exact profiles. The rule walks on scaled
 ints (the winner-table generator, the condition scan and the VALID and
 UNCOMPROMISING walks) are compared with their definitions on exact
-profiles.
+profiles. The characterization's "only if" is checked against every
+EE+IR+NS+SP mechanism of a small market, enumerated outcome by outcome.
 """
 
 import itertools
@@ -48,7 +49,6 @@ from mechlab import (
     witness_to_json,
 )
 from mechlab.axioms import BY_BOUNDS, MODE_SAMPLED, OutcomeTable, _nom_bounds
-from mechlab.search import GridConfig
 
 # analytic NOM bounds
 
@@ -179,11 +179,11 @@ IDENTITY = {
 }
 
 GRIDS = (
-    GridConfig(3, 1, values=(0, 1, 2, 3)).space(),
-    GridConfig(4, 2, values=(0, 1, 2)).space(),
+    GridSpace.shared(MarketConfig(3, 1), (0, 1, 2, 3)),
+    GridSpace.shared(MarketConfig(4, 2), (0, 1, 2)),
     # A sample arrives out of order, and its smallest violating profile
     # can hold several violations, so the within-profile order shows.
-    GridConfig(3, 1, values=range(6)).space(mode=MODE_SAMPLED, seed=2, samples=30),
+    GridSpace.shared(MarketConfig(3, 1), range(6), mode=MODE_SAMPLED, seed=2, samples=30),
     # Values in steps of 1/2, so outcomes are scaled by a denominator of 2.
     GridSpace.from_range(MarketConfig(3, 1), 2, 2),
     # Value sets of different sizes, so each agent's rank stride differs.
@@ -324,7 +324,7 @@ def test_every_outcome_on_the_swept_grids_is_feasible():
 def test_sp_witness_with_an_off_grid_misreport_replays():
     """A misreport the grid never holds is replayed as recorded: at
     (0, 0, 3) pay-as-bid charges agent 2 its report, so 1/3 beats truth."""
-    grid = GridConfig(3, 1, values=(0, 1, 2, 3)).space()
+    grid = GridSpace.shared(MarketConfig(3, 1), (0, 1, 2, 3))
     mechanism = pay_as_bid_mechanism()
     witness = {"profile": (0, 0, 3), "agent": 2, "misreport": Fraction(1, 3)}
     fresh = refresh_witness(mechanism, "SP", witness, grid)
@@ -391,7 +391,7 @@ def test_every_table_rank_equals_evaluate_with_its_transfers_scaled(grid):
 
 
 def fraction_strict_winners(profile):
-    price = vickrey_price(profile)
+    price = vickrey_price(profile.values, profile.config.m)
     return frozenset(i for i, v in enumerate(profile.values) if v > price)
 
 
@@ -402,11 +402,11 @@ def fraction_winner_rule_table(grid, rng):
     entries = {}
     for point in grid.profiles():
         profile = Profile(market, point.values)
-        if not has_uniform_tail(profile):
+        if not has_uniform_tail(profile.values, profile.config.m):
             continue
         if rng.random() < 0.5:
             continue
-        price = vickrey_price(profile)
+        price = vickrey_price(profile.values, profile.config.m)
         required = fraction_strict_winners(profile)
         tied = sorted(
             i for i, v in enumerate(profile.values) if v >= price and i not in required
@@ -422,7 +422,7 @@ def fraction_winner_rule_table(grid, rng):
         for values in sorted(entries):
             selected = entries[values]
             profile = Profile(market, values)
-            price = vickrey_price(profile)
+            price = vickrey_price(profile.values, profile.config.m)
             for i in sorted(selected):
                 for alt in grid.values[i]:
                     if alt <= price or alt == values[i]:
@@ -440,11 +440,11 @@ def fraction_condition_violation(market, values, selected):
     """The first violated selection condition (i)-(iv) on an exact profile."""
     profile = Profile(market, values)
     witness = {"profile": values, "winners": sorted(selected)}
-    if selected and not has_uniform_tail(profile):
+    if selected and not has_uniform_tail(profile.values, profile.config.m):
         return "(i) selection off a uniform-tail profile", witness
     if any(i < 0 or i >= market.n for i in selected):
         return "(ii) selected agent index out of range", witness
-    price = vickrey_price(profile)
+    price = vickrey_price(profile.values, profile.config.m)
     if any(profile.values[i] < price for i in selected):
         return "(ii) selected agent valued below the price", witness
     if selected and not fraction_strict_winners(profile) <= selected:
@@ -460,7 +460,7 @@ def fraction_dropped(rule, grid):
 
     def dropped(values, selected):
         profile = Profile(grid.config, values)
-        price = vickrey_price(profile)
+        price = vickrey_price(profile.values, profile.config.m)
         for i in sorted(selected):
             for raised in grid.values[i]:
                 if raised > price and i not in frozenset(
@@ -583,3 +583,101 @@ def test_rule_checks_match_the_fraction_walks(grid):
             )
             assert as_walk(report) == want, entries
     assert "FAIL" in verdicts and len(verdicts) > 1, verdicts
+
+
+# the characterization's "only if"
+
+
+def ee_ir_ns_outcomes(values):
+    """Every (x, t) with one object that is EE, IR and NS at `values`.
+
+    IR and NS leave a loser paying 0, so EE's reference bundle is either
+    (0, 0), where the winner pays their own value, or (1, p), where every
+    loser values the object at p and the winner pays p <= their value.
+    """
+    n = len(values)
+    outcomes = {((0,) * n, (0,) * n)}
+    for i, v in enumerate(values):
+        x = tuple(int(j == i) for j in range(n))
+        losers = {w for j, w in enumerate(values) if j != i}
+        prices = {v} | {p for p in losers if len(losers) == 1 and p <= v}
+        outcomes.update((x, tuple(p if j == i else 0 for j in range(n))) for p in prices)
+    return sorted(outcomes)
+
+
+def sp_mechanisms(n, values):
+    """Every EE+IR+NS+SP mechanism on `values`, one object: each is the
+    tuple of its outcomes over the profiles in lexicographic order. A
+    profile's outcome is checked for SP against the profiles already
+    assigned that differ from it in one agent's value."""
+    profiles = list(itertools.product(values, repeat=n))
+    neighbours = [
+        [(j, i) for j, q in enumerate(profiles[:k]) for i in range(n)
+         if p[:i] + p[i + 1:] == q[:i] + q[i + 1:]]
+        for k, p in enumerate(profiles)
+    ]
+    chosen = [None] * len(profiles)
+
+    def gains(true, honest, lie, i):
+        (x, t), (dx, dt) = honest, lie
+        return true[i] * dx[i] - dt[i] > true[i] * x[i] - t[i]
+
+    def extend(k):
+        if k == len(profiles):
+            yield tuple(chosen)
+            return
+        for outcome in ee_ir_ns_outcomes(profiles[k]):
+            if not any(
+                gains(profiles[k], outcome, chosen[j], i)
+                or gains(profiles[j], chosen[j], outcome, i)
+                for j, i in neighbours[k]
+            ):
+                chosen[k] = outcome
+                yield from extend(k + 1)
+
+    return extend(0)
+
+
+def test_only_if_holds_below_the_grid_top():
+    """Every EE+IR+NS+SP mechanism of (2,1) on 0..3, restricted to 0..2, is a
+    selective Vickrey mechanism whose rule table VALID and UNCOMPROMISING
+    pass, and every such mechanism arises. On 0..2 alone 483 of the 675
+    mechanisms lie outside the class: a winner at the grid's top may pay
+    their own value, as no higher report exists to deviate to."""
+    market = MarketConfig(2, 1)
+    inner = list(itertools.product(range(3), repeat=2))
+    outer = list(itertools.product(range(4), repeat=2))
+    at_inner = [outer.index(p) for p in inner]
+    restrictions = set()
+    count = 0
+    for mechanism in sp_mechanisms(2, range(4)):
+        count += 1
+        restrictions.add(tuple(mechanism[k] for k in at_inner))
+    assert (count, len(restrictions)) == (10125, 192)
+
+    grid = GridSpace.shared(market, range(3))
+
+    def selections(values):
+        """Nobody, or one agent holding every value above the price."""
+        price = vickrey_price(values, market.m)
+        above = [i for i, v in enumerate(values) if v > price]
+        tied = [i for i, v in enumerate(values) if v == price]
+        return [(), *([tuple(above)] if above else [(i,) for i in tied])]
+
+    candidates = list(itertools.product(*map(selections, inner)))
+    members = set()
+    for picks in candidates:
+        rule = WinnerRule.rule_table(market, {p: w for p, w in zip(inner, picks) if w})
+        if all(
+            check(rule, grid).verdict.startswith("PASS")
+            for check in (validate_winner_rule, check_uncompromising)
+        ):
+            mechanism = selective_vickrey_mechanism(rule)
+            members.add(tuple(
+                tuple(map(tuple, mechanism.evaluate(Profile(market, p)))) for p in inner
+            ))
+    assert (len(candidates), len(members)) == (1728, 192)
+    assert restrictions == members
+    on_inner = list(sp_mechanisms(2, range(3)))
+    assert len(on_inner) == 675
+    assert sum(mechanism not in members for mechanism in on_inner) == 483
