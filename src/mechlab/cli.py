@@ -32,12 +32,13 @@ from .mechanisms import Mechanism, mechanism_from_spec
 from .model import (
     MarketConfig,
     Profile,
+    fields,
     has_uniform_tail,
     integer,
     json_list,
     rat,
     rat_str,
-    required,
+    unique_keys,
     utilities,
 )
 from .search import SUITES, format_rows
@@ -49,24 +50,18 @@ class ConfigError(ValueError):
     """Anything wrong with inputs that the user must fix."""
 
 
-def _field(parse: Callable[[Any, str], Any], value: Any, what: str) -> Any:
-    """A config field checked by `parse` (`model.integer` or `model.json_list`),
-    refused as a `ConfigError`."""
+def _field(parse: Callable[..., Any], value: Any, what: str, *args: Any) -> Any:
+    """A config field checked by `parse` (`model.integer`, `model.json_list`
+    or `model.fields`), refused as a `ConfigError`."""
     try:
-        return parse(value, what)
+        return parse(value, what, *args)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
 _integer = partial(_field, integer)
 _json_list = partial(_field, json_list)
-
-
-def _section(doc: dict, key: str, default: dict) -> dict:
-    section = doc.get(key, default)
-    if not isinstance(section, dict):
-        raise ConfigError(f"{key} section must be an object")
-    return section
+_fields = partial(_field, fields)
 
 
 def parse_mechanism(spec: Any, market: MarketConfig) -> Mechanism:
@@ -75,7 +70,7 @@ def parse_mechanism(spec: Any, market: MarketConfig) -> Mechanism:
         spec = spec.strip()
         if spec.startswith("{"):
             try:
-                spec = json.loads(spec)
+                spec = json.loads(spec, object_pairs_hook=unique_keys)
             except RecursionError:
                 raise ValueError("mechanism spec is nested too deeply") from None
     return mechanism_from_spec(spec, market)
@@ -121,25 +116,23 @@ class AuditConfig:
 
 def _parse_grid(doc: Any, market: MarketConfig, sweep: dict) -> GridSpace:
     """Hand the grid section's one source to `GridSpace`, which checks values and budget."""
-    if not isinstance(doc, dict):
-        raise ConfigError("grid section must be an object")
-    sources = [key for key in ("values", "per_agent", "range") if key in doc]
-    if len(sources) != 1:
+    absent = object()  # not None: a source given as null is refused, not skipped
+    sources = dict.fromkeys(("values", "per_agent", "range"), absent)
+    values, per_agent, rng = _fields(doc, "grid", (), sources)
+    if [values, per_agent, rng].count(absent) != 2:
         raise ConfigError("grid section needs exactly one of values, per_agent and range")
     try:
-        if sources == ["values"]:
-            values = _json_list(doc["values"], "grid values")
-            return GridSpace.shared(market, values, **sweep)
-        if sources == ["per_agent"]:
-            rows = _json_list(doc["per_agent"], "per_agent grid")
+        if values is not absent:
+            return GridSpace.shared(market, _json_list(values, "grid values"), **sweep)
+        if per_agent is not absent:
+            rows = _json_list(per_agent, "per_agent grid")
             return GridSpace(
                 market,
                 tuple(_json_list(row, "per_agent row") for row in rows),
                 **sweep,
             )
-        rng = _section(doc, "range", {})
-        denominator = _integer(rng.get("denominator", 1), "range denominator")
-        top = required(rng, "max", "range")
+        top, denominator = fields(rng, "range", ("max",), {"denominator": 1})
+        denominator = _integer(denominator, "range denominator")
         return GridSpace.from_range(market, top, denominator, **sweep)
     except ConfigError:
         raise
@@ -150,42 +143,46 @@ def _parse_grid(doc: Any, market: MarketConfig, sweep: dict) -> GridSpace:
 def load_config(path: str) -> AuditConfig:
     try:
         with open(path, encoding="utf-8") as handle:
-            doc = json.load(handle)
+            doc = json.load(handle, object_pairs_hook=unique_keys)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     except RecursionError:
         raise ConfigError("config is nested too deeply") from None
-    if not isinstance(doc, dict):
-        raise ConfigError("config must be a JSON object")
-    if doc.get("schema", 1) != 1:
-        raise ConfigError(f"unsupported config schema: {doc.get('schema')!r}")
-    market_doc = doc.get("market")
-    if not isinstance(market_doc, dict):
-        raise ConfigError("config needs a market section")
+    market_doc, grid_doc, mech_docs, axioms, schema, mode, output = _fields(
+        doc, "config", ("market", "grid", "mechanisms", "axioms"),
+        {"schema": 1, "mode": {}, "output": {}},
+    )
+    if schema != 1:
+        raise ConfigError(f"unsupported config schema: {schema!r}")
     try:
-        market = MarketConfig(
-            _integer(required(market_doc, "agents", "market"), "agents"),
-            _integer(required(market_doc, "objects", "market"), "objects"),
-        )
+        agents, objects = fields(market_doc, "market", ("agents", "objects"))
+        market = MarketConfig(_integer(agents, "agents"), _integer(objects, "objects"))
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"bad market section: {exc}") from exc
-    mode = _section(doc, "mode", {})
+    # A sampled mode reads all three keys; an exhaustive one only its kind.
+    kind, seed, samples = _fields(
+        mode, "mode", (), {"kind": MODE_EXHAUSTIVE, "seed": 0, "samples": 0}
+    )
+    if kind == MODE_EXHAUSTIVE:
+        _fields(mode, "exhaustive mode", (), {"kind": kind})
     sweep = {
-        "mode": mode.get("kind", MODE_EXHAUSTIVE),
-        "seed": _integer(mode.get("seed", 0), "seed"),
-        "samples": _integer(mode.get("samples", 0), "samples"),
+        "mode": kind,
+        "seed": _integer(seed, "seed"),
+        "samples": _integer(samples, "samples"),
     }
-    grid = _parse_grid(doc.get("grid"), market, sweep)
-    mech_docs = _json_list(doc.get("mechanisms", []), "mechanisms")
+    grid = _parse_grid(grid_doc, market, sweep)
+    mech_docs = _json_list(mech_docs, "mechanisms")
     if not mech_docs:
         raise ConfigError("config needs at least one mechanism")
     try:
         mechanisms = tuple(parse_mechanism(m, market) for m in mech_docs)
     except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"bad mechanism spec: {exc}") from exc
-    axioms = tuple(_json_list(doc.get("axioms", []), "axioms"))
+    axioms = tuple(_json_list(axioms, "axioms"))
     if not axioms:
         raise ConfigError("config needs at least one axiom")
     for axiom in axioms:
@@ -197,16 +194,16 @@ def load_config(path: str) -> AuditConfig:
         raise ConfigError("WELFARE_COMPARE needs at least two mechanisms")
     if "AIW" in axioms and not grid.is_shared:
         raise ConfigError("AIW needs a shared value set across agents")
-    output = _section(doc, "output", {})
-    for key in ("json", "text"):
-        if output.get(key) is not None and not isinstance(output[key], str):
+    json_path, text_path = _fields(output, "output", (), {"json": None, "text": None})
+    for key, value in (("json", json_path), ("text", text_path)):
+        if value is not None and not isinstance(value, str):
             raise ConfigError(f"output {key} must be a path string")
     return AuditConfig(
         space=grid,
         mechanisms=mechanisms,
         axioms=axioms,
-        json_path=output.get("json"),
-        text_path=output.get("text"),
+        json_path=json_path,
+        text_path=text_path,
     )
 
 

@@ -52,7 +52,8 @@ class GridSpace:
     profiles in an exhaustive grid or draws in a sample are refused,
     counted from the declared lengths before the grid is built. So is a
     grid whose rank strides would take more bits than the budget, as they
-    grow quadratically with the number of agents.
+    grow quadratically with the number of agents, and a sample whose
+    outcome table could hold more entries than the budget.
 
     The geometry is computed once, at construction: `scale` is the value
     sets' common denominator and `scaled` each set multiplied by it, in
@@ -106,6 +107,13 @@ class GridSpace:
         # so agent i's length is a factor of i strides.
         bits = sum(i * (len(vs) - 1).bit_length() for i, vs in enumerate(values))
         _refuse_over_budget(bits, "rank stride bits", "declare fewer agents")
+        if self.mode == MODE_SAMPLED:
+            # SP moves each agent of each draw to each of their values, so a
+            # sample's outcome table holds up to samples * sum|V_i| profiles,
+            # and never more than the grid has.
+            lengths = [len(vs) for vs in values]
+            entries = min(math.prod(lengths), self.samples * sum(lengths))
+            _refuse_over_budget(entries, "outcome-table entries", "draw fewer samples")
         scale = math.lcm(*(v.denominator for vs in normalized.values() for v in vs))
         scaled = {  # by id of the normalized set
             id(vs): tuple([v.numerator * (scale // v.denominator) for v in vs])

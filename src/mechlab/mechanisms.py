@@ -29,7 +29,8 @@ checkers use (`Mechanism.bounds`) and the echo of its JSON spec
 pricing rules are records built the same way: each rule constructor sets
 the label, the value-level `pick` or `branch` (a scale-1 call reads them
 at a profile's exact values), the bounds and the spec echo, and only the
-three `from_spec` parsers read a family name. Rule tables record their
+three `from_spec` parsers read a family name: each hands `_from_spec` its
+families' keys, which `model.fields` reads. Rule tables record their
 market and are read-only, so the outcome tables shared per mechanism and
 the once-per-rule scan of a table's selection conditions
 (`WinnerRule.conditions`, read by the mechanism's construction and by
@@ -60,11 +61,11 @@ from .model import (
     MarketConfig,
     Profile,
     RationalLike,
+    fields,
     integer,
     json_list,
     rat_str,
     rational,
-    required,
     vickrey_price,
 )
 
@@ -361,25 +362,29 @@ def _table_spec(table: Mapping, outcome_key: str, render: Callable) -> dict:
     return {"family": RULE_TABLE, "entries": entries}
 
 
-def _spec_entries(spec: dict, outcome_key: str, parse: Callable) -> list[tuple]:
-    """The (profile, outcome) pairs of a rule table's JSON spec: `entries` is
-    a JSON list of objects, each with a JSON-list profile and the outcome
-    under `outcome_key`, which `parse` reads."""
-    what = "rule table entry"
-    return [
-        (json_list(required(entry, "profile", what), "rule table profile"),
-         parse(required(entry, outcome_key, what)))
-        for entry in json_list(spec.get("entries", []), "rule table entries")
-    ]
+def _spec_entries(entries: Any, outcome_key: str, parse: Callable) -> list[tuple]:
+    """The (profile, outcome) pairs of a rule table's JSON `entries`: a JSON
+    list of objects, each with a JSON-list profile and the outcome under
+    `outcome_key`, which `parse` reads."""
+    rows = (fields(entry, "rule table entry", ("profile", outcome_key))
+            for entry in json_list(entries, "rule table entries"))
+    return [(json_list(profile, "rule table profile"), parse(outcome)) for profile, outcome in rows]
 
 
-def _family_spec(spec: Any, what: str) -> tuple[dict, str]:
-    """A spec as a dict plus its upper-cased family; a string names the family."""
+def _from_spec(spec: Any, what: str, readers: Mapping[str, tuple]) -> Any:
+    """Build a `what` from its JSON spec, or from a string naming its family.
+    The upper-cased family picks its reader: the spec's keys besides `family`
+    (required, then optional with defaults) and the constructor called with
+    their values."""
     if isinstance(spec, str):
         spec = {"family": spec}
-    if not isinstance(spec, dict) or "family" not in spec:
-        raise ValueError(f"{what} spec needs a family: {spec!r}")
-    return spec, str(spec["family"]).upper()
+    family, *_ = fields(spec, f"{what} spec", ("family",), spec)
+    family = str(family).upper()
+    if family not in readers:
+        raise ValueError(f"unknown {what} family: {family}")
+    required, optional, build = readers[family]
+    _, *values = fields(spec, f"{family} {what}", ("family", *required), optional)
+    return build(*values)
 
 
 # ---------------------------------------------------------------------------
@@ -554,22 +559,24 @@ class WinnerRule:
     @classmethod
     def from_spec(cls, spec: Any, market: MarketConfig) -> "WinnerRule":
         """A rule from its JSON spec (the inverse of `spec`) or bare family name."""
-        spec, family = _family_spec(spec, "winner rule")
-        if family == RULE_DICTATORIAL_THRESHOLD:
-            what = "DICTATORIAL_THRESHOLD winner rule"
-            agent = integer(required(spec, "agent", what), "dictator agent")
+        def dictator(agent: Any, threshold: Any) -> "WinnerRule":
+            agent = integer(agent, "dictator agent")
             if not 0 <= agent < market.n:
                 raise ValueError(f"dictator index out of range: {agent}")
-            return cls.dictatorial_threshold(agent, required(spec, "threshold", what))
-        if family == RULE_TABLE:
-            return cls._of_table(market, _spec_entries(spec, "winners", lambda w: [
+            return cls.dictatorial_threshold(agent, threshold)
+
+        def table(entries: Any) -> "WinnerRule":
+            return cls._of_table(market, _spec_entries(entries, "winners", lambda w: [
                 integer(i, "rule table winner") for i in json_list(w, "rule table winners")
             ]))
-        plain = {RULE_EMPTY: cls.empty, RULE_STRICT_WINNERS: cls.strict,
-                 RULE_EFFICIENT_WINNERS: cls.efficient}
-        if family not in plain:
-            raise ValueError(f"unknown winner rule family: {family}")
-        return plain[family]()
+
+        return _from_spec(spec, "winner rule", {
+            RULE_EMPTY: ((), {}, cls.empty),
+            RULE_STRICT_WINNERS: ((), {}, cls.strict),
+            RULE_EFFICIENT_WINNERS: ((), {}, cls.efficient),
+            RULE_DICTATORIAL_THRESHOLD: (("agent", "threshold"), {}, dictator),
+            RULE_TABLE: ((), {"entries": []}, table),
+        })
 
 
 def _strict_winner_bounds(
@@ -761,16 +768,13 @@ class PricingRule:
     @classmethod
     def from_spec(cls, spec: Any, market: MarketConfig) -> "PricingRule":
         """A rule from its JSON spec (the inverse of `spec`) or bare family name."""
-        spec, family = _family_spec(spec, "pricing rule")
-        if family == PRICING_THRESHOLD:
-            return cls.threshold(required(spec, "cutoff", "THRESHOLD pricing rule"))
-        if family == RULE_TABLE:
-            return cls._of_table(market, _spec_entries(spec, "mode", str))
-        plain = {PRICING_ALWAYS_EV: cls.always_ev,
-                 PRICING_EV_IFF_PRICE_ZERO: cls.ev_iff_price_zero}
-        if family not in plain:
-            raise ValueError(f"unknown pricing rule family: {family}")
-        return plain[family]()
+        return _from_spec(spec, "pricing rule", {
+            PRICING_ALWAYS_EV: ((), {}, cls.always_ev),
+            PRICING_EV_IFF_PRICE_ZERO: ((), {}, cls.ev_iff_price_zero),
+            PRICING_THRESHOLD: (("cutoff",), {}, cls.threshold),
+            RULE_TABLE: ((), {"entries": []}, lambda entries: cls._of_table(
+                market, _spec_entries(entries, "mode", str))),
+        })
 
 
 def ev_pab_mechanism(pricing: PricingRule) -> Mechanism:
@@ -808,22 +812,13 @@ def builtin_mechanisms() -> list[Mechanism]:
 def mechanism_from_spec(spec: Any, market: MarketConfig) -> Mechanism:
     """A mechanism from its JSON spec (the inverse of `Mechanism.spec`) or
     bare family name."""
-    spec, family = _family_spec(spec, "mechanism")
-    if family == FAMILY_NO_TRADE:
-        return no_trade_mechanism(spec.get("fee", 0))
-    if family == FAMILY_SELECTIVE_VICKREY:
-        if "rule" not in spec:
-            raise ValueError("SELECTIVE_VICKREY needs a winner rule")
-        return selective_vickrey_mechanism(WinnerRule.from_spec(spec["rule"], market))
-    if family == FAMILY_EV_PAB:
-        if "pricing" not in spec:
-            raise ValueError("EV_PAB needs a pricing rule")
-        return ev_pab_mechanism(PricingRule.from_spec(spec["pricing"], market))
-    plain = {
-        FAMILY_VICKREY: vickrey_mechanism,
-        FAMILY_EFFICIENT_VICKREY: efficient_vickrey_mechanism,
-        FAMILY_PAY_AS_BID: pay_as_bid_mechanism,
-    }
-    if family not in plain:
-        raise ValueError(f"unknown mechanism family: {family}")
-    return plain[family]()
+    return _from_spec(spec, "mechanism", {
+        FAMILY_VICKREY: ((), {}, vickrey_mechanism),
+        FAMILY_EFFICIENT_VICKREY: ((), {}, efficient_vickrey_mechanism),
+        FAMILY_PAY_AS_BID: ((), {}, pay_as_bid_mechanism),
+        FAMILY_NO_TRADE: ((), {"fee": 0}, no_trade_mechanism),
+        FAMILY_SELECTIVE_VICKREY: (("rule",), {}, lambda rule: selective_vickrey_mechanism(
+            WinnerRule.from_spec(rule, market))),
+        FAMILY_EV_PAB: (("pricing",), {}, lambda pricing: ev_pab_mechanism(
+            PricingRule.from_spec(pricing, market))),
+    })

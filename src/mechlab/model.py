@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, NamedTuple, Sequence, Union
+from typing import Any, Mapping, NamedTuple, Sequence, Union
 
 RationalLike = Union[int, str, Fraction]
 
@@ -41,14 +41,18 @@ def rat(value: RationalLike) -> Fraction:
     raise TypeError(f"expected int, str or Fraction, got {type(value).__name__}")
 
 
+def _shown(value: Any) -> str:
+    """A refused value as JSON, cut short so the error stays one short line."""
+    text = json.dumps(value, default=repr)
+    return text if len(text) <= 60 else f"{text[:60]}..."
+
+
 def rational(value: Any, what: str) -> Fraction:
     """An exact rational field; anything `rat` refuses is refused naming `what`."""
     try:
         return rat(value)
     except (TypeError, ValueError):
-        raise ValueError(
-            f"{what} must be an exact rational, got {json.dumps(value, default=repr)}"
-        ) from None
+        raise ValueError(f"{what} must be an exact rational, got {_shown(value)}") from None
 
 
 def integer(value: Any, what: str) -> int:
@@ -58,23 +62,42 @@ def integer(value: Any, what: str) -> int:
     try:
         return int(value)
     except (TypeError, ValueError) as exc:
-        raise ValueError(f"{what} must be an integer, got {value!r}") from exc
+        raise ValueError(f"{what} must be an integer, got {_shown(value)}") from exc
 
 
 def json_list(value: Any, what: str) -> list:
     """A field that must be a JSON list; a string or object is refused, not iterated."""
     if not isinstance(value, list):
-        raise ValueError(f"{what} must be a JSON list, got {json.dumps(value)}")
+        raise ValueError(f"{what} must be a JSON list, got {_shown(value)}")
     return value
 
 
-def required(spec: Any, key: str, what: str) -> Any:
-    """`spec[key]`; refused, naming `what`, unless `spec` is an object with `key`."""
-    if not isinstance(spec, dict):
-        raise ValueError(f"{what} must be a JSON object, got {json.dumps(spec)}")
-    if key not in spec:
-        raise ValueError(f"{what} is missing its {key}")
-    return spec[key]
+def fields(doc: Any, what: str, required: Sequence = (), optional: Mapping = {}) -> tuple:
+    """The one reader of a config or spec object: the values of its `required`
+    keys, then of its `optional` keys, an absent one read as its default. A
+    value that is not an object, a key in neither, and a missing required key
+    are refused, naming `what`. `optional=doc` lets every key through, to
+    read a family that picks the object's other keys."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be a JSON object, got {_shown(doc)}")
+    for key in doc:
+        if key not in required and key not in optional:
+            raise ValueError(f"{what} has an unknown field {key!r}")
+    for key in required:
+        if key not in doc:
+            raise ValueError(f"{what} is missing its {key}")
+    return (*[doc[key] for key in required], *[doc.get(k, d) for k, d in optional.items()])
+
+
+def unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+    """`json.load`'s `object_pairs_hook`: an object that lists a key twice is
+    refused, where the plain parser would keep the last value silently."""
+    doc: dict = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError(f"a JSON object lists the key {key!r} twice")
+        doc[key] = value
+    return doc
 
 
 def rat_str(value: RationalLike) -> str:

@@ -111,6 +111,25 @@ def test_grid_space_refuses_samples_over_budget():
     assert at_cap.samples == ENUMERATION_BUDGET
 
 
+def test_grid_space_refuses_a_sampled_outcome_table_over_budget():
+    """SP moves every agent of every draw to each of their values, so a
+    sample's outcome table can hold min(prod |V_i|, samples * sum |V_i|)
+    entries; more than the budget is refused when the grid is declared.
+    On the 21^5 grid below, each draw reaches 105 entries."""
+    market = MarketConfig(5, 2)
+    started = time.perf_counter()
+    with pytest.raises(ValueError) as refused:
+        GridSpace.from_range(market, 10, 2, mode=MODE_SAMPLED, samples=10**6)
+    assert time.perf_counter() - started < 1
+    assert str(refused.value) == (
+        "4084101 outcome-table entries exceed the enumeration budget (1000000); "
+        "draw fewer samples"
+    )
+    assert GridSpace.from_range(market, 10, 2, mode=MODE_SAMPLED, samples=9523).samples == 9523
+    with pytest.raises(ValueError, match="^1000020 outcome-table entries exceed"):
+        GridSpace.from_range(market, 10, 2, mode=MODE_SAMPLED, samples=9524)
+
+
 def test_grid_space_refuses_rank_strides_over_budget():
     """An outcome table keeps one rank stride per agent, the product of the
     value-set lengths after it, so over n agents of two values the strides

@@ -224,11 +224,14 @@ def test_welfare_compare_needs_two_mechanisms(tmp_path, capsys):
          '"entries":[[["1","0","0"],"EV"]]}}',
          'rule table entry must be a JSON object, got [["1", "0", "0"], "EV"]'),
         ('{"a":' * 5000 + "1" + "}" * 5000, "mechanism spec is nested too deeply"),
+        ('{"family": "NO_TRADE", "fe": "1"}', "NO_TRADE mechanism has an unknown field 'fe'"),
+        ('{"family": "NO_TRADE", "fee": "1", "fee": "0"}',
+         "a JSON object lists the key 'fee' twice"),
     ],
     ids=[
         "family", "winner-rule", "pricing-rule", "dictator-range", "dictator-agent",
         "dictator-threshold", "threshold-cutoff", "entry-profile", "entry-winners",
-        "entry-mode", "entry-list", "nested-too-deep",
+        "entry-mode", "entry-list", "nested-too-deep", "unknown-field", "repeated-key",
     ],
 )
 def test_eval_bad_spec_exits_two_with_one_line(capsys, spec, message):
@@ -569,6 +572,13 @@ def winner_table(entries):
         ({"grid": {"range": {"denominator": 2}}}, "error: bad grid: range is missing its max"),
         ({"grid": {"values": ["0", "1"], "range": {"max": "3"}}},
          "error: grid section needs exactly one of values, per_agent and range"),
+        ({"mode": {"kind": "exhaustive", "samples": 500}},
+         "error: exhaustive mode has an unknown field 'samples'"),
+        ({"output": list(range(20000))}, "error: output must be a JSON object, got [0, 1, 2,"),
+        ({"mechanisms": {f"k{i}": i for i in range(20000)}},
+         'error: mechanisms must be a JSON list, got {"k0": 0, "k1": 1,'),
+        ({"market": {"agents": "x" * 100000, "objects": 1}},
+         'error: bad market section: agents must be an integer, got "xxx'),
     ],
     ids=[
         "mode-not-object", "output-not-object", "float-agents", "bool-objects",
@@ -583,6 +593,8 @@ def winner_table(entries):
         "agents-over-budget", "sampled-range-over-budget", "exponent-grid-value",
         "sampled-strides-1e5-agents", "sampled-strides-1e6-agents", "market-without-agents",
         "market-without-objects", "range-without-max", "grid-values-and-range",
+        "exhaustive-mode-samples", "long-output-list", "long-mechanisms-object",
+        "long-agents-string",
     ],
 )
 def test_config_boundary_errors_exit_two(tmp_path, capsys, overrides, message):
@@ -624,6 +636,104 @@ def test_rule_table_profile_listed_twice_exits_two(tmp_path, capsys, mechanism):
     assert captured.err == (
         "error: bad mechanism spec: rule table lists profile (2, 1, 1) twice\n"
     )
+
+
+def only(mechanism):
+    """A config override: audit this one mechanism."""
+    return {"mechanisms": [mechanism]}
+
+
+def selective(rule):
+    return {"family": "SELECTIVE_VICKREY", "rule": rule}
+
+
+def ev_pab(pricing):
+    return {"family": "EV_PAB", "pricing": pricing}
+
+
+@pytest.mark.parametrize(
+    "overrides, what, key",
+    [
+        ({"axiom": ["SP"]}, "config", "axiom"),
+        ({"market": {"agents": 3, "objects": 1, "object": 2}}, "market", "object"),
+        ({"grid": {"values": ["0", "1", "2", "3"], "value": ["0"]}}, "grid", "value"),
+        ({"grid": {"range": {"max": "3", "denominatr": 2}}}, "range", "denominatr"),
+        ({"mode": {"kind": "sampled", "seed": 1, "samples": 5, "sample": 9}}, "mode", "sample"),
+        ({"output": {"jsonn": "report.json"}}, "output", "jsonn"),
+        (only({"family": "VICKREY", "fee": "1"}), "VICKREY mechanism", "fee"),
+        (only({"family": "EFFICIENT_VICKREY", "rule": "STRICT_WINNERS"}),
+         "EFFICIENT_VICKREY mechanism", "rule"),
+        (only({"family": "PAY_AS_BID", "pricing": "ALWAYS_EV"}),
+         "PAY_AS_BID mechanism", "pricing"),
+        (only({"family": "NO_TRADE", "fe": "1"}), "NO_TRADE mechanism", "fe"),
+        (only(dict(selective("STRICT_WINNERS"), pricing="ALWAYS_EV")),
+         "SELECTIVE_VICKREY mechanism", "pricing"),
+        (only(dict(ev_pab("ALWAYS_EV"), rule="STRICT_WINNERS")), "EV_PAB mechanism", "rule"),
+        (only(selective({"family": "EMPTY", "agent": 0})), "EMPTY winner rule", "agent"),
+        (only(selective({"family": "STRICT_WINNERS", "threshold": "1"})),
+         "STRICT_WINNERS winner rule", "threshold"),
+        (only(selective({"family": "EFFICIENT_WINNERS", "entries": []})),
+         "EFFICIENT_WINNERS winner rule", "entries"),
+        (only(selective(dict(DICTATOR, agent=0, cutoff="1"))),
+         "DICTATORIAL_THRESHOLD winner rule", "cutoff"),
+        (only(selective({"family": "RULE_TABLE", "entries": [], "entry": []})),
+         "RULE_TABLE winner rule", "entry"),
+        (only(ev_pab({"family": "ALWAYS_EV", "cutoff": "1"})),
+         "ALWAYS_EV pricing rule", "cutoff"),
+        (only(ev_pab({"family": "EV_IFF_PRICE_ZERO", "cutoff": "0"})),
+         "EV_IFF_PRICE_ZERO pricing rule", "cutoff"),
+        (only(ev_pab({"family": "THRESHOLD", "cutoff": "1", "threshold": "2"})),
+         "THRESHOLD pricing rule", "threshold"),
+        (only(ev_pab({"family": "RULE_TABLE", "entries": [], "mode": "EV"})),
+         "RULE_TABLE pricing rule", "mode"),
+        (only(winner_table([{"profile": ["3", "2", "2"], "winners": [0], "mode": "EV"}])),
+         "rule table entry", "mode"),
+        (only(ev_pab({"family": "RULE_TABLE", "entries": [
+            {"profile": ["1", "0", "0"], "mode": "EV", "winners": [0]}]})),
+         "rule table entry", "winners"),
+    ],
+    ids=[
+        "config", "market", "grid", "range", "mode", "output",
+        "vickrey", "efficient-vickrey", "pay-as-bid", "no-trade", "selective-vickrey",
+        "ev-pab", "empty", "strict-winners", "efficient-winners", "dictatorial-threshold",
+        "winner-table", "always-ev", "ev-iff-price-zero", "threshold", "pricing-table",
+        "winner-table-entry", "pricing-table-entry",
+    ],
+)
+def test_unknown_config_field_exits_two(tmp_path, capsys, overrides, what, key):
+    """A key mechlab does not read is refused, naming the object and the key,
+    instead of being audited as if it were absent (a `NO_TRADE` spec with a
+    misspelt `fee` audited fee 0)."""
+    path = write_config(tmp_path, **overrides)
+    assert main(["audit", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+    assert lines[0].endswith(f"{what} has an unknown field '{key}'"), captured.err
+
+
+def test_repeated_config_key_exits_two(tmp_path, capsys):
+    """A key listed twice in one object is refused, not read as its last value."""
+    path = write_config(tmp_path, mechanisms=[{"family": "NO_TRADE", "fee": "1"}])
+    path.write_text(path.read_text().replace('"fee": "1"', '"fee": "1", "fee": "0"'))
+    assert main(["audit", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: a JSON object lists the key 'fee' twice\n"
+
+
+def test_readme_config_loads_and_its_echo_loads_back(tmp_path):
+    """The documented config format is the one `load_config` reads."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Config format", 1)[1]
+    block = section.split("```json\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "readme.json"
+    path.write_text(block)
+    echo = load_config(str(path)).echo()
+    again = tmp_path / "echo.json"
+    again.write_text(json.dumps(echo))
+    assert load_config(str(again)).echo() == echo
 
 
 def test_deeply_nested_config_exits_two(tmp_path, capsys):
