@@ -36,6 +36,7 @@ from .axioms import (
     CHECKERS,
     GridSpace,
     WelfareComparison,
+    audit,
     check_anonymity_in_welfare,
     check_best_case_utility,
     check_ee,

@@ -22,10 +22,12 @@ misreports and AIW swaps ranging over the grid's value sets. So every
 grid profile is evaluated once per mechanism, however many checkers read
 it, and a replay narrows the grid of a throwaway table to the witness;
 witness fields are exact `Fraction`s. `scan` sweeps the grid once for any
-number of them, never early-exits (`profiles_checked` counts every
-profile) and reports each axiom's lexicographically first violation.
-`welfare_compare` and the grid-scope NOM bounds read the same tables,
-which refuse a mechanism built on another market's rule table. NOM's and
+number of them, reads the outcome at every profile (`profiles_checked`
+counts every profile) and reports each axiom's lexicographically first
+violation; an exhaustive scan stops running an axiom once it has that
+witness. `audit` gives every named axiom's report from one sweep per
+mechanism. `welfare_compare` and the grid-scope NOM bounds read the same
+tables, which refuse a mechanism built on another market's rule table. NOM's and
 BEST_CASE's generators judge an agent's values against utility bounds
 over all opponents: analytic when the mechanism has closed-form bounds,
 grid-relative otherwise.
@@ -40,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .grid import (  # the grid names are part of the checkers' interface
@@ -356,21 +358,33 @@ def scan(
 ) -> dict[str, AxiomReport]:
     """Sweep the grid once for several pointwise axioms; reports by name.
 
-    Each axiom runs its own generator on every profile and keeps its own
-    smallest-key violation, so its report is the one it would get alone.
-    Ranks order profiles as their values do, so a key compares the rank.
+    Each axiom keeps its own smallest-key violation, so its report is the
+    one it would get alone. Ranks order profiles as their values do, so a
+    key compares the rank. An exhaustive sweep visits ranks in increasing
+    order, so an axiom's first violation is its smallest and its
+    generator is not run again; a sample may repeat or reorder profiles,
+    so every axiom runs at every draw. Either way the outcome at every
+    swept profile is read (and so checked) and `profiles_checked` counts
+    every profile.
     """
     table = OutcomeTable.of(mechanism, grid)
     best: list[tuple | None] = [None] * len(axioms)  # (key, witness) per axiom
+    running = list(enumerate(axioms))
+    stops = grid.mode == MODE_EXHAUSTIVE
     count = 0
     for at in grid.profiles():
         count += 1
-        for k, axiom in enumerate(axioms):
+        table[at.rank]  # every profile's outcome is checked, whichever axioms still run
+        witnessed = False
+        for k, axiom in running:
             hit = next(axiom.violations(table, at), None)
             if hit is not None:
                 key = (at.rank, *(hit[f] for f in axiom.identity))
                 if best[k] is None or key < best[k][0]:
                     best[k] = (key, hit)
+                    witnessed = True
+        if witnessed and stops:
+            running = [(k, axiom) for k, axiom in running if best[k] is None]
     return {
         axiom.name: AxiomReport(axiom.name, grid.pass_verdict, None, count)
         if found is None
@@ -583,7 +597,11 @@ def check_nom(mechanism: Mechanism, grid: GridSpace) -> AxiomReport:
     with analytic bounds, `details["truthful_bounds"]` maps each value to
     the truthful (sup, inf), given only when every agent's bounds agree.
     """
-    bounds, scope, count = _nom_bounds(mechanism, grid)
+    return audit(mechanism, grid, ("NOM",))["NOM"]
+
+
+def _nom_report(grid: GridSpace, bounds: NomBounds, scope: str, count: int) -> AxiomReport:
+    """NOM's report under the bounds `_nom_bounds` gave (see `check_nom`)."""
     details: dict[str, Any] = {"scope": scope}
     if scope == "analytic" and grid.is_shared:
         agents, values = grid.config.agents, grid.shared_values
@@ -605,15 +623,28 @@ def check_best_case_utility(
     """Best-case truthful utility equals the full valuation (a free object).
 
     Meaningful only for mechanisms that are decision-efficient, individually
-    rational and subsidy-free on the grid; one sweep checks those first,
-    and a failure makes this NOT_APPLICABLE. Transfers being non-negative
-    caps utility at v_i, so the question is whether some opponent profile
-    attains the cap. For the built-in families the all-zero opponents do,
+    rational and subsidy-free on the grid; those are read off the
+    mechanism's one sweep (`audit`), and a failure makes this
+    NOT_APPLICABLE. Transfers being non-negative caps utility at v_i, so
+    the question is whether some opponent profile attains the cap. For the built-in families the all-zero opponents do,
     analytically; for black-box mechanisms only grid evidence is reported,
     over the values the grid (or its sample) actually produced.
     """
-    pre = scan(mechanism, grid, [POINTWISE[k] for k in ("EFF", "IR", "NS")])
-    failing = sorted(k for k, r in pre.items() if r.verdict == "FAIL")
+    return audit(mechanism, grid, ("BEST_CASE",))["BEST_CASE"]
+
+
+_BEST_CASE_PRECONDITION = ("EFF", "IR", "NS")
+
+
+def _best_case_report(
+    swept: dict[str, AxiomReport],
+    grid: GridSpace,
+    nom_bounds: Callable[[], tuple[NomBounds, str, int]],
+) -> AxiomReport:
+    """BEST_CASE's report (see `check_best_case_utility`): its precondition
+    read off the EFF, IR and NS reports of the mechanism's sweep, its
+    bounds from `nom_bounds()` when the precondition holds."""
+    failing = sorted(k for k in _BEST_CASE_PRECONDITION if swept[k].verdict == "FAIL")
     if failing:
         return AxiomReport(
             "BEST_CASE",
@@ -622,7 +653,7 @@ def check_best_case_utility(
             0,
             {"reason": "precondition failed: " + ", ".join(failing)},
         )
-    bounds, scope, count = _nom_bounds(mechanism, grid)
+    bounds, scope, count = nom_bounds()
     gap = next(BY_BOUNDS["BEST_CASE"].violations(grid.values, bounds, scope), None)
     if scope == "analytic":
         if gap is not None:
@@ -644,6 +675,30 @@ def check_best_case_utility(
     if gap is not None:
         details["first_unattained"] = gap
     return AxiomReport("BEST_CASE", "NOT_CERTIFIED", None, count, details)
+
+
+def audit(
+    mechanism: Mechanism, grid: GridSpace, names: Sequence[str]
+) -> dict[str, AxiomReport]:
+    """Each named axiom's report on the mechanism over the grid, by name.
+
+    One `scan` sweeps every named pointwise axiom, plus EFF, IR and NS
+    when BEST_CASE is named, whose precondition reads them off that scan.
+    NOM and BEST_CASE share one `_nom_bounds` call, made only if one of
+    them needs it. Each report is the one the axiom's `CHECKERS` entry
+    gives alone; a name given twice is audited once.
+    """
+    swept = set(names)
+    if "BEST_CASE" in swept:
+        swept.update(_BEST_CASE_PRECONDITION)
+    pointwise = [axiom for name, axiom in POINTWISE.items() if name in swept]
+    reports = scan(mechanism, grid, pointwise) if pointwise else {}
+    nom_bounds = cache(partial(_nom_bounds, mechanism, grid))
+    if "NOM" in swept:
+        reports["NOM"] = _nom_report(grid, *nom_bounds())
+    if "BEST_CASE" in swept:
+        reports["BEST_CASE"] = _best_case_report(reports, grid, nom_bounds)
+    return {name: reports[name] for name in names}
 
 
 # ---------------------------------------------------------------------------

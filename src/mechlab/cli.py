@@ -24,6 +24,7 @@ from .axioms import (
     MODE_EXHAUSTIVE,
     MODE_SAMPLED,
     GridSpace,
+    audit,
     find_reference_bundle,
     welfare_compare,
     witness_to_json,
@@ -32,6 +33,7 @@ from .mechanisms import Mechanism, mechanism_from_spec
 from .model import (
     MarketConfig,
     Profile,
+    clipped,
     fields,
     has_uniform_tail,
     integer,
@@ -157,7 +159,7 @@ def load_config(path: str) -> AuditConfig:
         {"schema": 1, "mode": {}, "output": {}},
     )
     if schema != 1:
-        raise ConfigError(f"unsupported config schema: {schema!r}")
+        raise ConfigError(f"unsupported config schema: {clipped(repr(schema))}")
     try:
         agents, objects = fields(market_doc, "market", ("agents", "objects"))
         market = MarketConfig(_integer(agents, "agents"), _integer(objects, "objects"))
@@ -188,7 +190,7 @@ def load_config(path: str) -> AuditConfig:
     for axiom in axioms:
         if axiom not in AXIOM_CATALOG:
             raise ConfigError(
-                f"unknown axiom {axiom!r}; known: {', '.join(AXIOM_CATALOG)}"
+                f"unknown axiom {clipped(repr(axiom))}; known: {', '.join(AXIOM_CATALOG)}"
             )
     if "WELFARE_COMPARE" in axioms and len(mechanisms) < 2:
         raise ConfigError("WELFARE_COMPARE needs at least two mechanisms")
@@ -286,21 +288,17 @@ def cmd_audit(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     grid = config.space
     started = time.monotonic()
+    checks = [axiom for axiom in config.axioms if axiom != "WELFARE_COMPARE"]
     verdicts: list[str] = []
     results = []
     for mechanism in config.mechanisms:
-        reports = []
-        for axiom in config.axioms:
-            if axiom == "WELFARE_COMPARE":
-                continue
-            report = CHECKERS[axiom](mechanism, grid)
-            reports.append(report.to_json())
-            verdicts.append(report.verdict)
+        audited = audit(mechanism, grid, checks)
+        verdicts.extend(audited[axiom].verdict for axiom in checks)
         results.append(
             {
                 "mechanism": mechanism.name,
                 "family": mechanism.family,
-                "reports": reports,
+                "reports": [audited[axiom].to_json() for axiom in checks],
             }
         )
     comparisons = []

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Any, Iterable, Iterator, NamedTuple, Sequence
 
 from .mechanisms import Mechanism
-from .model import MarketConfig, RationalLike, rat
+from .model import MarketConfig, RationalLike, clipped, rat
 
 MODE_EXHAUSTIVE = "exhaustive"
 MODE_SAMPLED = "sampled"
@@ -96,7 +96,7 @@ class GridSpace:
         values = tuple(normalized[id(vals)] for vals in self.values)
         object.__setattr__(self, "values", values)
         if self.mode not in (MODE_EXHAUSTIVE, MODE_SAMPLED):
-            raise ValueError(f"unknown mode: {self.mode}")
+            raise ValueError(f"unknown mode: {clipped(str(self.mode))}")
         if self.mode == MODE_SAMPLED and self.samples < 1:
             raise ValueError("sampled mode needs samples >= 1")
         if self.mode == MODE_SAMPLED:

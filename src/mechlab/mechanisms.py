@@ -61,6 +61,7 @@ from .model import (
     MarketConfig,
     Profile,
     RationalLike,
+    clipped,
     fields,
     integer,
     json_list,
@@ -381,7 +382,7 @@ def _from_spec(spec: Any, what: str, readers: Mapping[str, tuple]) -> Any:
     family, *_ = fields(spec, f"{what} spec", ("family",), spec)
     family = str(family).upper()
     if family not in readers:
-        raise ValueError(f"unknown {what} family: {family}")
+        raise ValueError(f"unknown {what} family: {clipped(family)}")
     required, optional, build = readers[family]
     _, *values = fields(spec, f"{family} {what}", ("family", *required), optional)
     return build(*values)

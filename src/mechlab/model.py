@@ -41,10 +41,14 @@ def rat(value: RationalLike) -> Fraction:
     raise TypeError(f"expected int, str or Fraction, got {type(value).__name__}")
 
 
+def clipped(text: str) -> str:
+    """`text` cut after 60 characters, so an error naming it stays one short line."""
+    return text if len(text) <= 60 else f"{text[:60]}..."
+
+
 def _shown(value: Any) -> str:
     """A refused value as JSON, cut short so the error stays one short line."""
-    text = json.dumps(value, default=repr)
-    return text if len(text) <= 60 else f"{text[:60]}..."
+    return clipped(json.dumps(value, default=repr))
 
 
 def rational(value: Any, what: str) -> Fraction:
@@ -82,7 +86,7 @@ def fields(doc: Any, what: str, required: Sequence = (), optional: Mapping = {})
         raise ValueError(f"{what} must be a JSON object, got {_shown(doc)}")
     for key in doc:
         if key not in required and key not in optional:
-            raise ValueError(f"{what} has an unknown field {key!r}")
+            raise ValueError(f"{what} has an unknown field {clipped(repr(key))}")
     for key in required:
         if key not in doc:
             raise ValueError(f"{what} is missing its {key}")

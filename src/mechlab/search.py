@@ -6,9 +6,10 @@ drops, that every valid uncompromising winner rule yields a clean
 strategy-proof mechanism, that the EV/PAB family trades efficiency
 against manipulability, and how the pricing variants rank in welfare.
 Each suite carries its own expected pattern so a caller can ask whether
-reality still matches it. Every suite sweeps `SUITE_GRID` and is a list
-of rows (label, report per column, the columns expected to read other
-than PASS) that `SuiteResult.from_rows` turns into the matrix.
+reality still matches it. Every suite sweeps `SUITE_GRID`, each mechanism
+once (`axioms.audit`), and is a list of rows (label, report per column,
+the columns expected to read other than PASS) that `SuiteResult.from_rows`
+turns into the matrix.
 
 Grids are declared with `axioms.GridSpace` (`GridSpace.shared`,
 `GridSpace.from_range`). `GridConfig` is only the values-only form the
@@ -23,10 +24,10 @@ from fractions import Fraction
 from typing import Any, Iterable, Mapping, Sequence
 
 from .axioms import (
-    CHECKERS,
     POINTWISE,
     AxiomReport,
     GridSpace,
+    audit,
     check_ev_support,
     check_uncompromising,
     refresh_witness,
@@ -295,11 +296,6 @@ class SuiteResult:
 SUITE_GRID = GridSpace.shared(MarketConfig(3, 1), (0, 1, 2, 3))
 
 
-def _checked(mechanism: Mechanism, axioms: Iterable[str]) -> dict[str, AxiomReport]:
-    """Each named axiom's report on `mechanism` over `SUITE_GRID`, keyed by the axiom."""
-    return {axiom: CHECKERS[axiom](mechanism, SUITE_GRID) for axiom in axioms}
-
-
 def suite_independence() -> SuiteResult:
     """Four mechanisms, four axioms: each fails exactly the axiom it drops."""
     columns = ("EE", "SP", "IR", "NS")
@@ -314,7 +310,7 @@ def suite_independence() -> SuiteResult:
         "each mechanism fails exactly the axiom it drops",
         columns,
         [
-            (mech.name, _checked(mech, columns), {axiom: "FAIL"})
+            (mech.name, audit(mech, SUITE_GRID, columns), {axiom: "FAIL"})
             for mech, axiom in dropped
         ],
     )
@@ -349,7 +345,7 @@ def suite_sp_class(
             "UNCOMPROMISING": check_uncompromising(rule, SUITE_GRID),
         }
         mech = selective_vickrey_mechanism(rule)
-        reports.update(_checked(mech, ("EE", "SP", "IR", "NS")))
+        reports.update(audit(mech, SUITE_GRID, ("EE", "SP", "IR", "NS")))
         rows.append((label, reports, {}))
     return SuiteResult.from_rows(
         "sp-class",
@@ -377,7 +373,7 @@ def suite_nom_class() -> SuiteResult:
     for pricing, unusual in variants:
         mech = ev_pab_mechanism(pricing)
         reports = {"EV_SUPPORT": check_ev_support(pricing, SUITE_GRID)}
-        reports.update(_checked(mech, ("EE", "IR", "NS", "NOM")))
+        reports.update(audit(mech, SUITE_GRID, ("EE", "IR", "NS", "NOM")))
         rows.append((mech.name, reports, unusual))
     return SuiteResult.from_rows(
         "nom-class",
@@ -423,8 +419,8 @@ def suite_anonymity() -> SuiteResult:
         "welfare anonymity separates dictatorial from efficient selection",
         columns,
         [
-            (dictator.name, _checked(dictator, columns), {"AIW": "FAIL"}),
-            (efficient.name, _checked(efficient, columns), {}),
+            (dictator.name, audit(dictator, SUITE_GRID, columns), {"AIW": "FAIL"}),
+            (efficient.name, audit(efficient, SUITE_GRID, columns), {}),
         ],
     )
 

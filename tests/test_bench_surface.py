@@ -41,6 +41,7 @@ def test_tracer_installs_and_uninstalls_on_the_current_names(monkeypatch):
     tracer.install()
     try:
         assert all(getattr(search, name) is not before[name] for name in patched)
+        assert all(axioms.CHECKERS[tag] is not checkers[tag] for tag in checkers)
         # The suites reach the rule checks, the rule generator and the
         # constructors through `search`'s globals, so the wrappers see them.
         search.SUITES["sp-class"](count=1)
@@ -52,7 +53,10 @@ def test_tracer_installs_and_uninstalls_on_the_current_names(monkeypatch):
     assert axioms.CHECKERS == checkers
     spans = {span[0] for span in tracer.spans}
     assert set(layers.SEARCH_SPANS.values()) <= spans
-    assert {"mechanisms.construct", "axioms.WELFARE_COMPARE", "axioms.NOM"} <= spans
+    assert {"mechanisms.construct", "axioms.WELFARE_COMPARE"} <= spans
+    # The suites audit through `axioms.audit`, not `CHECKERS`; the sweep
+    # hook on `GridSpace.profiles` still sees each mechanism's one scan.
+    assert "axioms.sweep" in {name for _, name in tracer.hot}
 
 
 @pytest.fixture

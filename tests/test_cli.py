@@ -2,14 +2,30 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 import pytest
 
-from mechlab import GridSpace, MarketConfig, __version__, refresh_witness, witness_from_json
+from mechlab import (
+    CHECKERS,
+    Allocation,
+    GridSpace,
+    MarketConfig,
+    Mechanism,
+    __version__,
+    audit,
+    cli,
+    random_winner_rule_table,
+    rat_str,
+    refresh_witness,
+    witness_from_json,
+)
+from mechlab.axioms import POINTWISE, scan
 from mechlab.cli import ConfigError, load_config, main, parse_mechanism
 
 
@@ -771,3 +787,127 @@ def test_python_dash_m_runs_the_command_line(tmp_path):
     assert missing.returncode == 2
     assert missing.stderr.startswith("error: cannot read config")
     assert len(missing.stderr.splitlines()) == 1
+
+
+LONG = 100_000
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"mechanisms": ["A" * LONG]},
+         "error: bad mechanism spec: unknown mechanism family: " + "A" * 60 + "..."),
+        ({"mechanisms": [{"family": "EV_PAB", "pricing": "P" * LONG}]},
+         "error: bad mechanism spec: unknown pricing rule family: " + "P" * 60 + "..."),
+        ({"axioms": ["S" * LONG]}, "error: unknown axiom '" + "S" * 59 + "...; known: EE, SP"),
+        ({"k" * LONG: 1}, "error: config has an unknown field '" + "k" * 59 + "..."),
+        ({"schema": "s" * LONG}, "error: unsupported config schema: '" + "s" * 59 + "..."),
+        ({"mode": {"kind": "x" * LONG}}, "error: bad grid: unknown mode: " + "x" * 60 + "..."),
+    ],
+    ids=["family", "pricing-family", "axiom", "field", "schema", "mode"],
+)
+def test_a_long_unknown_name_is_cut_in_its_message(tmp_path, capsys, overrides, message):
+    """A name mechlab does not know is shown cut after 60 characters, so a
+    100,000-character one is refused fast in one short line; short names
+    print whole (`unknown mechanism family: BOGUS`)."""
+    path = write_config(tmp_path, **overrides)
+    started = time.perf_counter()
+    assert main(["audit", "--config", str(path)]) == 2
+    assert time.perf_counter() - started < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and len(lines[0]) < 200, captured.err[:300]
+    assert lines[0].startswith(message), lines[0]
+
+
+def test_an_axiom_listed_twice_is_reported_twice(tmp_path, capsys):
+    path = write_config(tmp_path, mechanisms=["PAY_AS_BID"], axioms=["SP", "IR", "SP"])
+    assert main(["audit", "--config", str(path)]) == 1
+    (result,) = json.loads(capsys.readouterr().out)["results"]
+    reports = result["reports"]
+    assert [r["axiom"] for r in reports] == ["SP", "IR", "SP"]
+    assert reports[0] == reports[2] and reports[0]["verdict"] == "FAIL"
+
+
+def test_a_malformed_outcome_after_every_witness_is_still_refused(tmp_path, capsys, monkeypatch):
+    """A mechanism that fails every pointwise axiom at the grid's first
+    profile has all its witnesses there, so an exhaustive scan runs no
+    generator after it; its malformed outcome at the last profile is still
+    read and refused by `scan`, by `audit` and by `mechlab audit`."""
+    grid = GridSpace.shared(MarketConfig(3, 1), (1, 2, 3))
+    first, last = (1, 1, 1), (3, 3, 3)
+
+    def fn(profile, last=last):
+        if profile.values == first:  # agent 0 pays for nothing, agent 1 is paid
+            return Allocation((0, 0, 0), (1, -1, 0))
+        if profile.values == last:
+            return Allocation((1, 1, 0), (0, 0, 0))
+        return Allocation((0, 0, 0), (0, 0, 0))
+
+    wellformed = Mechanism("wellformed", "CUSTOM", partial(fn, last=None))
+    reports = scan(wellformed, grid, list(POINTWISE.values()))
+    assert all(r.verdict == "FAIL" and r.witness["profile"] == first for r in reports.values())
+    assert {r.profiles_checked for r in reports.values()} == {grid.size}
+
+    bad = Mechanism("bad", "CUSTOM", fn)
+    message = "bad gave 2 objects; the market has 1"
+    with pytest.raises(ValueError, match=message):
+        scan(bad, grid, list(POINTWISE.values()))
+    with pytest.raises(ValueError, match=message):
+        audit(bad, grid, list(CHECKERS))
+    monkeypatch.setattr(cli, "parse_mechanism", lambda spec, market: bad)
+    path = write_config(
+        tmp_path, mechanisms=["VICKREY"], grid={"values": ["1", "2", "3"]}, axioms=list(POINTWISE)
+    )
+    assert main(["audit", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_an_audit_sweeps_the_grid_once_per_mechanism(tmp_path, capsys, monkeypatch):
+    """One in-process audit of every axiom and WELFARE_COMPARE sweeps the
+    grid once per mechanism, once more per mechanism with grid-scope NOM
+    bounds (which BEST_CASE shares), and once per welfare comparison."""
+    market = MarketConfig(3, 1)
+    values = ["0", "1", "2", "3"]
+    table = random_winner_rule_table(GridSpace.shared(market, values), random.Random("sweeps"))
+    winner_entries = [
+        {"profile": [rat_str(v) for v in key], "winners": sorted(winners)}
+        for key, winners in sorted(table.items())
+    ]
+    pricing_entries = [{"profile": ["1", "0", "0"], "mode": "EV"}]
+    mechanisms = [
+        "VICKREY",
+        "PAY_AS_BID",
+        {"family": "NO_TRADE", "fee": "1"},
+        {"family": "EV_PAB", "pricing": "ALWAYS_EV"},
+        {"family": "SELECTIVE_VICKREY",
+         "rule": {"family": "RULE_TABLE", "entries": winner_entries}},
+        {"family": "EV_PAB", "pricing": {"family": "RULE_TABLE", "entries": pricing_entries}},
+    ]
+    path = write_config(
+        tmp_path, mechanisms=mechanisms, grid={"values": values},
+        axioms=[*CHECKERS, "WELFARE_COMPARE"],
+    )
+    config = load_config(str(path))
+    grid_scope = sum(m.bounds is None for m in config.mechanisms)
+    sweeps = []
+    profiles = GridSpace.profiles
+
+    def counted(self):
+        sweeps.append(self)
+        return profiles(self)
+
+    monkeypatch.setattr(GridSpace, "profiles", counted)
+    assert main(["audit", "--config", str(path)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    best_case = [
+        next(r for r in result["reports"] if r["axiom"] == "BEST_CASE")
+        for result in report["results"]
+    ]
+    assert best_case[-1]["verdict"] == "NOT_CERTIFIED"  # grid bounds, shared with NOM
+    assert grid_scope == 2
+    mechanism_count = len(mechanisms)
+    assert len(sweeps) == mechanism_count + grid_scope + (mechanism_count - 1)

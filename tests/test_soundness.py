@@ -30,6 +30,7 @@ from mechlab import (
     PricingRule,
     Profile,
     WinnerRule,
+    audit,
     builtin_mechanisms,
     check_uncompromising,
     efficient_vickrey_mechanism,
@@ -307,6 +308,38 @@ def test_scan_and_replay_agree_with_brute_force(axiom):
             shrunk = shrink_witness(mechanism, axiom, first, grid)
             assert replay_witness(mechanism, axiom, shrunk, grid), mechanism.name
     assert failures, f"no mechanism violates {axiom}; the oracle is vacuous"
+
+
+AUDITED_NAMES = (
+    tuple(CHECKERS),
+    ("BEST_CASE",),
+    ("SP", "BEST_CASE", "EE"),
+    ("NOM",),
+    ("SP", "NOM", "SP", "BEST_CASE", "IR", "BEST_CASE"),
+)
+
+
+@pytest.mark.parametrize("grid", [GRIDS[0], GRIDS[2]], ids=["exhaustive", "sampled"])
+@pytest.mark.parametrize("names", AUDITED_NAMES, ids=["all", "best-case", "sp-best-case-ee",
+                                                       "nom", "repeated"])
+def test_audit_equals_the_one_axiom_checkers(grid, names):
+    """One sweep per mechanism gives each axiom the report its checker gives
+    alone, for the oracle mechanisms and a grid-scope EV_PAB pricing table,
+    whose BEST_CASE precondition holds, so it reads the bounds NOM reads.
+    BEST_CASE is NOT_APPLICABLE exactly when EFF, IR or NS fails alone."""
+    modes = random_pricing_table(grid, random.Random(f"audit:{grid.config}"))
+    for mechanism in [
+        *oracle_mechanisms(grid),
+        ev_pab_mechanism(PricingRule.rule_table(grid.config, modes)),
+    ]:
+        audited = audit(mechanism, grid, names)
+        assert list(audited) == list(dict.fromkeys(names))
+        assert audited == {name: CHECKERS[name](mechanism, grid) for name in names}
+        if "BEST_CASE" in audited:
+            failing = any(
+                CHECKERS[k](mechanism, grid).verdict == "FAIL" for k in ("EFF", "IR", "NS")
+            )
+            assert (audited["BEST_CASE"].verdict == "NOT_APPLICABLE") == failing
 
 
 def test_every_outcome_on_the_swept_grids_is_feasible():
@@ -638,24 +671,22 @@ def sp_mechanisms(n, values):
     return extend(0)
 
 
-def test_only_if_holds_below_the_grid_top():
-    """Every EE+IR+NS+SP mechanism of (2,1) on 0..3, restricted to 0..2, is a
-    selective Vickrey mechanism whose rule table VALID and UNCOMPROMISING
-    pass, and every such mechanism arises. On 0..2 alone 483 of the 675
-    mechanisms lie outside the class: a winner at the grid's top may pay
-    their own value, as no higher report exists to deviate to."""
+def only_if_sets(top):
+    """For (2,1) with V = 0..top-1: the number of EE+IR+NS+SP mechanisms on
+    0..top, their restrictions to V, the number of candidate rule tables on
+    V, and the selective Vickrey mechanisms of those tables that VALID and
+    UNCOMPROMISING pass, each a tuple of outcomes over V."""
     market = MarketConfig(2, 1)
-    inner = list(itertools.product(range(3), repeat=2))
-    outer = list(itertools.product(range(4), repeat=2))
+    inner = list(itertools.product(range(top), repeat=2))
+    outer = list(itertools.product(range(top + 1), repeat=2))
     at_inner = [outer.index(p) for p in inner]
     restrictions = set()
     count = 0
-    for mechanism in sp_mechanisms(2, range(4)):
+    for mechanism in sp_mechanisms(2, range(top + 1)):
         count += 1
         restrictions.add(tuple(mechanism[k] for k in at_inner))
-    assert (count, len(restrictions)) == (10125, 192)
 
-    grid = GridSpace.shared(market, range(3))
+    grid = GridSpace.shared(market, range(top))
 
     def selections(values):
         """Nobody, or one agent holding every value above the price."""
@@ -664,9 +695,10 @@ def test_only_if_holds_below_the_grid_top():
         tied = [i for i, v in enumerate(values) if v == price]
         return [(), *([tuple(above)] if above else [(i,) for i in tied])]
 
-    candidates = list(itertools.product(*map(selections, inner)))
+    candidates = 0
     members = set()
-    for picks in candidates:
+    for picks in itertools.product(*map(selections, inner)):
+        candidates += 1
         rule = WinnerRule.rule_table(market, {p: w for p, w in zip(inner, picks) if w})
         if all(
             check(rule, grid).verdict.startswith("PASS")
@@ -676,8 +708,29 @@ def test_only_if_holds_below_the_grid_top():
             members.add(tuple(
                 tuple(map(tuple, mechanism.evaluate(Profile(market, p)))) for p in inner
             ))
-    assert (len(candidates), len(members)) == (1728, 192)
+    return count, restrictions, candidates, members
+
+
+def test_only_if_holds_below_the_grid_top():
+    """Every EE+IR+NS+SP mechanism of (2,1) on 0..3, restricted to 0..2, is a
+    selective Vickrey mechanism whose rule table VALID and UNCOMPROMISING
+    pass, and every such mechanism arises. On 0..2 alone 483 of the 675
+    mechanisms lie outside the class: a winner at the grid's top may pay
+    their own value, as no higher report exists to deviate to."""
+    count, restrictions, candidates, members = only_if_sets(3)
+    assert (count, len(restrictions)) == (10125, 192)
+    assert (candidates, len(members)) == (1728, 192)
     assert restrictions == members
     on_inner = list(sp_mechanisms(2, range(3)))
     assert len(on_inner) == 675
     assert sum(mechanism not in members for mechanism in on_inner) == 483
+
+
+@pytest.mark.slow
+def test_only_if_holds_below_the_grid_top_of_0_to_4():
+    """The same oracle one value up: the 151,875 EE+IR+NS+SP mechanisms of
+    (2,1) on 0..4 restrict to exactly the 1,536 class members on 0..3."""
+    count, restrictions, candidates, members = only_if_sets(4)
+    assert (count, len(restrictions)) == (151875, 1536)
+    assert (candidates, len(members)) == (331776, 1536)
+    assert restrictions == members
