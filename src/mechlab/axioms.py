@@ -223,22 +223,25 @@ def _sp_violations(table: OutcomeTable, at: GridPoint) -> Iterator[dict]:
     0..2, 483 lie outside the selective Vickrey class. Below the top the
     "only if" holds (`tests/test_soundness.py`).
     """
-    grid = table.grid
+    grid, get, fill = table.grid, table.get, table.fill
     x, t = table[at.rank]
-    for i, v in enumerate(at.scaled):
+    scaled = at.scaled
+    for i, v in enumerate(scaled):
         honest = v * x[i] - t[i]
         own, step = at.index[i], grid.stride[i]
         base = at.rank - own * step
-        for k, report in enumerate(grid.values[i]):
+        for k, report in enumerate(grid.scaled[i]):
             if k == own:
                 continue
-            dx, dt = table[base + k * step]
+            rank = base + k * step
+            # A misreport off the sweep is filled from the point's own values.
+            dx, dt = get(rank) or fill(rank, scaled[:i] + (report,) + scaled[i + 1:])
             gained = v * dx[i] - dt[i]
             if gained > honest:
                 yield {
                     "profile": at.values,
                     "agent": i,
-                    "misreport": report,
+                    "misreport": grid.values[i][k],
                     "truthful_utility": table.exact(honest),
                     "misreport_utility": table.exact(gained),
                 }

@@ -5,11 +5,13 @@ one place its geometry is computed: the value sets scaled to integers by
 their common denominator, each agent's mixed-radix rank stride, and
 whether the agents share one value set. Its one sweep, `profiles()`,
 yields a `GridPoint` per profile (rank, value indices, exact values and
-scaled values), and `point` finds the same record for given values. An
+scaled values), and `point` finds the same record for given values; a
+sampled grid draws its points on its first sweep and keeps them. An
 `OutcomeTable` memoises a mechanism's checked outcome at each rank of a
 grid, so the axiom checkers in `axioms` evaluate each profile once and
-compare ints; it refuses a mechanism whose rule table was written for
-another market.
+compare ints. `OutcomeTable.fill` is its one fill, fed the scaled values
+by the caller (an SP misreport) or by decoding the rank (any other read);
+it refuses a mechanism whose rule table was written for another market.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import random
 import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Any, Iterable, Iterator, NamedTuple, Sequence
 
 from .mechanisms import Mechanism
@@ -67,7 +70,8 @@ class GridSpace:
     cartesian product in lexicographic order, its ranks and indices
     counted. In sampled mode it yields `samples` profiles drawn uniformly;
     each draw is keyed by `(seed, index)`, so the stream depends on
-    nothing else, and keeps the value indices it drew.
+    nothing else, and keeps the value indices it drew. The draws are made
+    on the first sweep and kept, so later sweeps seed no generator.
     """
 
     config: MarketConfig
@@ -193,6 +197,15 @@ class GridSpace:
                 itertools.product(*self.values),
                 itertools.product(*self.scaled),
             )
+
+        def drawn() -> Iterator[GridPoint]:
+            yield from self._sample  # drawn on the first sweep's first step
+
+        return drawn()
+
+    @cached_property
+    def _sample(self) -> tuple[GridPoint, ...]:
+        """A sampled grid's points, drawn once and kept for every sweep."""
         lengths = [len(vals) for vals in self.values]
 
         def draw(sample: int) -> GridPoint:
@@ -200,7 +213,7 @@ class GridSpace:
             below = random.Random(f"{self.seed}:{sample}").randrange
             return self._at(tuple([below(n) for n in lengths]))
 
-        return map(draw, range(self.samples))
+        return tuple(map(draw, range(self.samples)))
 
     def point(self, values: Sequence[Fraction]) -> GridPoint:
         """The point of a profile whose values lie in the value sets."""
@@ -267,12 +280,14 @@ class OutcomeTable(dict):
     The grid holds the geometry (`GridSpace.scale`, `scaled`, `stride`),
     so a single-agent misreport is one rank addition and a swap two.
     Values and transfers are scaled by the grid's `scale`, and a positive
-    scale preserves every comparison. A rank is filled on its first read:
-    it is decoded straight into the scaled values, the mechanism's
-    `outcome` is called on them at that scale (see `mechanisms.Outcome`),
-    `Mechanism.checked` refuses a malformed result, and the pair (x, t)
-    of indicators and scaled transfers is kept as a plain tuple (a tuple
-    subclass unpacks slower on every read). A transfer that is a multiple
+    scale preserves every comparison. `fill(rank, scaled)` is the one
+    fill: the mechanism's `outcome` is called on the scaled values at the
+    table's scale (see `mechanisms.Outcome`), `Mechanism.checked` refuses
+    a malformed result, and the pair (x, t) of indicators and scaled
+    transfers is kept as a plain tuple (a tuple subclass unpacks slower
+    on every read). A read of a missing rank decodes it into the scaled
+    values and fills; an SP misreport already holds its values, so it
+    calls `fill` itself and no rank is decoded. A transfer that is a multiple
     of 1/scale is an int, any other the exact `Fraction`. `exact` turns a
     scaled quantity back into a `Fraction` when a witness is built.
 
@@ -289,6 +304,7 @@ class OutcomeTable(dict):
         super().__init__()
         self.mechanism = weakref.ref(mechanism)
         self.grid = grid
+        self._market, self._scale = grid.config, grid.scale
         # agent i's scaled value at rank r is scaled[i][r // stride[i] % len]
         self._digits = tuple(zip(grid.scaled, grid.stride, map(len, grid.scaled)))
         self._interned: dict[tuple, tuple] = {}
@@ -307,9 +323,14 @@ class OutcomeTable(dict):
         return table
 
     def __missing__(self, rank: int) -> tuple:
-        values = tuple([scaled[rank // step % size] for scaled, step, size in self._digits])
-        mechanism, grid = self.mechanism(), self.grid
-        outcome = mechanism.checked(mechanism.outcome(values, grid.config, grid.scale), grid.config)
+        return self.fill(rank, tuple([scaled[rank // step % size]
+                                      for scaled, step, size in self._digits]))
+
+    def fill(self, rank: int, scaled: tuple[int, ...]) -> tuple:
+        """Store and return the checked outcome at `rank`, whose scaled
+        values the caller passes as `scaled`."""
+        mechanism, market = self.mechanism(), self._market
+        outcome = mechanism.checked(mechanism.outcome(scaled, market, self._scale), market)
         outcome = self._interned.setdefault(outcome, outcome)
         self[rank] = outcome
         return outcome

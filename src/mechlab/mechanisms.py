@@ -106,6 +106,12 @@ Hit = tuple[str, dict]
 Entry = tuple[tuple[Fraction, ...], tuple, frozenset[int]]
 
 
+# The types an outcome's transfers may take, and the one zero the
+# closed-form bounds share.
+_EXACT = (int, Fraction)
+_ZERO = Fraction(0)
+
+
 def _scaled(q: Any, scale: int) -> Any:
     """`q * scale` for an exact rational `q`: an int when it is one, the exact
     `Fraction` otherwise. Anything else is returned as it is, for the
@@ -141,14 +147,21 @@ def _vickrey_pick(values: tuple, m: int, efficient: bool) -> tuple[Any, list[int
     choices give every agent the same utility, so the pick is
     axiom-neutral.
     """
-    price = vickrey_price(values, m)
-    strict = [i for i, v in enumerate(values) if v > price]
-    if efficient and price > 0:
-        reach = len(values)
-    else:
-        reach = strict[-1] if strict else 0
-    tied = [i for i in range(reach) if values[i] == price]
-    return price, strict + tied[: m - len(strict)]
+    price = sorted(values)[-1 - m]
+    winners = [i for i, v in enumerate(values) if v > price]
+    spare = m - len(winners)
+    if spare:
+        if efficient and price > 0:
+            reach = len(values)
+        else:
+            reach = winners[-1] if winners else 0
+        for i in range(reach):
+            if values[i] == price:
+                winners.append(i)
+                spare -= 1
+                if not spare:
+                    break
+    return price, winners
 
 
 def _trade(values: tuple, winners: Iterable[int], price: Any) -> tuple[tuple, tuple]:
@@ -228,7 +241,7 @@ class Mechanism:
             raise ValueError(f"{self.name} gave {len(x)} indicators and {len(t)} "
                              f"transfers for {n} agents")
         for xi, ti in zip(x, t):
-            if type(xi) is not int or not 0 <= xi <= 1 or type(ti) not in (int, Fraction):
+            if type(xi) is not int or not 0 <= xi <= 1 or type(ti) not in _EXACT:
                 raise ValueError(f"{self.name} gave the bundle ({xi!r}, {ti!r}); an "
                                  "indicator must be 0 or 1, a transfer an exact rational")
         if sum(x) > market.m:
@@ -257,9 +270,8 @@ def _second_price_bounds(
     else the zero report never trades. Worst case: overbidding can win at
     any price up to the report, so the infimum is min(0, v - r).
     """
-    zero = Fraction(0)
-    sup = true_value if (report > 0 or agent < m - 1) else zero
-    inf = min(zero, true_value - report)
+    sup = true_value if (report > 0 or agent < m - 1) else _ZERO
+    inf = min(_ZERO, true_value - report)
     return (sup, inf)
 
 
@@ -267,12 +279,11 @@ def _own_bid_bounds(
     agent: int, m: int, report: Fraction, true_value: Fraction
 ) -> tuple[Fraction, Fraction]:
     """Bounds when winners pay their own report: utility is v - r or 0."""
-    zero = Fraction(0)
     winnable = report > 0 or agent < m - 1
     if not winnable:
-        return (zero, zero)
+        return (_ZERO, _ZERO)
     gain = true_value - report
-    return (max(gain, zero), min(gain, zero))
+    return (max(gain, _ZERO), min(gain, _ZERO))
 
 
 def _flat_bounds(
@@ -328,7 +339,8 @@ def no_trade_mechanism(fee: RationalLike = 0) -> Mechanism:
 
 
 def _profile_text(values: Iterable[Fraction]) -> str:
-    return f"({', '.join(rat_str(v) for v in values)})"
+    """A profile as an error names it, cut short so the line stays short."""
+    return clipped(f"({', '.join(rat_str(v) for v in values)})")
 
 
 def _table(
@@ -497,7 +509,7 @@ class WinnerRule:
     @classmethod
     def empty(cls) -> "WinnerRule":
         return cls(
-            "empty", lambda values, market, scale: (), partial(_flat_bounds, Fraction(0)),
+            "empty", lambda values, market, scale: (), partial(_flat_bounds, _ZERO),
             lambda: {"family": RULE_EMPTY},
         )
 
@@ -585,10 +597,9 @@ def _strict_winner_bounds(
 ) -> tuple[Fraction, Fraction]:
     """Strict winners trade at the price: a positive report can win for free
     against all-zero opponents, or at any price below the report."""
-    zero = Fraction(0)
     if report > 0:
-        return (true_value, min(zero, true_value - report))
-    return (zero, zero)
+        return (true_value, min(_ZERO, true_value - report))
+    return (_ZERO, _ZERO)
 
 
 def _dictator_bounds(
@@ -601,11 +612,10 @@ def _dictator_bounds(
 ) -> tuple[Fraction, Fraction]:
     """Only the dictator trades, at the threshold, when reporting above it
     while every opponent reports the threshold: never if it is negative."""
-    zero = Fraction(0)
     if agent != chosen or report <= threshold or threshold < 0:
-        return (zero, zero)
+        return (_ZERO, _ZERO)
     gain = true_value - threshold
-    return (max(gain, zero), min(gain, zero))
+    return (max(gain, _ZERO), min(gain, _ZERO))
 
 
 def rule_condition_violation(

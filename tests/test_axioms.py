@@ -44,7 +44,9 @@ from mechlab.axioms import (
     ENUMERATION_BUDGET,
     MODE_SAMPLED,
     POINTWISE,
+    OutcomeTable,
     _nom_bounds,
+    audit,
     scan,
 )
 from mechlab.search import shrink_witness
@@ -257,6 +259,57 @@ def test_grid_space_sampling_is_seed_deterministic():
     assert len(first) == 50
     other = GridSpace.shared(CFG1, (0, 1, 2, 3), mode=MODE_SAMPLED, seed=6, samples=50)
     assert first != [p.values for p in other.profiles()]
+
+
+def test_a_sample_is_drawn_once(monkeypatch):
+    """The first sweep of a sampled grid seeds one generator per draw; a
+    second sweep seeds none and yields the same points."""
+    seeded = []
+
+    class Counted(random.Random):
+        def __init__(self, *args):
+            seeded.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr("mechlab.grid.random.Random", Counted)
+    grid = GridSpace.shared(CFG1, (0, 1, 2, 3), mode=MODE_SAMPLED, seed=5, samples=20)
+    first = list(grid.profiles())
+    assert len(seeded) == 20
+    assert list(grid.profiles()) == first
+    assert len(seeded) == 20
+
+
+# Entries a sampled SP audit fills on `SAMPLED_SP_GRID`: the drawn points
+# and every single-agent misreport at them, up to the first witness.
+SAMPLED_SP_GRID = GridSpace.shared(CFG1, range(6), mode=MODE_SAMPLED, seed=2, samples=30)
+SAMPLED_SP_FILLS = {
+    "vickrey": 186,
+    "efficient_vickrey": 186,
+    "pay_as_bid": 171,
+    "no_trade": 186,
+    "selective_vickrey(strict_winners)": 186,
+    "ev_pab(always_ev)": 178,
+}
+
+
+def test_a_sampled_sp_audit_decodes_only_the_drawn_ranks(monkeypatch):
+    """SP misreports are filled from the drawn point's own values, so only
+    a drawn rank is decoded; the entries filled are the same as ever."""
+    decoded = []
+    missing = OutcomeTable.__missing__
+
+    def counted(table, rank):
+        decoded.append(rank)
+        return missing(table, rank)
+
+    monkeypatch.setattr(OutcomeTable, "__missing__", counted)
+    drawn = {at.rank for at in SAMPLED_SP_GRID.profiles()}
+    for mechanism in builtin_mechanisms():
+        decoded.clear()
+        audit(mechanism, SAMPLED_SP_GRID, ("SP",))
+        assert len(decoded) <= SAMPLED_SP_GRID.samples and set(decoded) <= drawn
+        filled = len(OutcomeTable.of(mechanism, SAMPLED_SP_GRID))
+        assert filled == SAMPLED_SP_FILLS[mechanism.name], mechanism.name
 
 
 def test_sampled_mode_reports_pass_sampled():

@@ -595,6 +595,8 @@ def winner_table(entries):
          'error: mechanisms must be a JSON list, got {"k0": 0, "k1": 1,'),
         ({"market": {"agents": "x" * 100000, "objects": 1}},
          'error: bad market section: agents must be an integer, got "xxx'),
+        ({"mechanisms": [winner_table([{"profile": ["1"] * 100000, "winners": []}])]},
+         "error: bad mechanism spec: rule table profile (1, 1, 1,"),
     ],
     ids=[
         "mode-not-object", "output-not-object", "float-agents", "bool-objects",
@@ -610,7 +612,7 @@ def winner_table(entries):
         "sampled-strides-1e5-agents", "sampled-strides-1e6-agents", "market-without-agents",
         "market-without-objects", "range-without-max", "grid-values-and-range",
         "exhaustive-mode-samples", "long-output-list", "long-mechanisms-object",
-        "long-agents-string",
+        "long-agents-string", "long-table-profile",
     ],
 )
 def test_config_boundary_errors_exit_two(tmp_path, capsys, overrides, message):

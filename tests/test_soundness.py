@@ -420,6 +420,31 @@ def test_every_table_rank_equals_evaluate_with_its_transfers_scaled(grid):
                 assert tuple(map(table.exact, got_t)) == t, (mechanism.name, combo)
 
 
+@pytest.mark.parametrize("grid", [GRIDS[2], GRIDS[5]], ids=["whole", "halves"])
+def test_value_fed_fills_equal_decoded_fills(grid):
+    """SP misreports are filled from the drawn point's values, not decoded
+    from their rank. After a sampled SP and AIW audit on the grid and on
+    its half-step refinement, every entry of the shared table is what a
+    fresh table decodes at that rank, and `evaluate` at its profile with
+    each transfer scaled, of the same types."""
+    market = grid.config
+    for values in (grid.values, half_step(grid.values)):
+        space = GridSpace(market, values, mode=MODE_SAMPLED, seed=grid.seed, samples=grid.samples)
+        for mechanism in differential_mechanisms(grid):
+            audit(mechanism, space, ("SP", "AIW"))
+            table, fresh = OutcomeTable.of(mechanism, space), OutcomeTable(mechanism, space)
+            assert len(table) > space.samples, mechanism.name
+            for rank, (got_x, got_t) in table.items():
+                combo = tuple(vals[rank // step % len(vals)]
+                              for vals, step in zip(space.values, space.stride))
+                x, t = mechanism.evaluate(Profile(market, combo))
+                scaled = tuple(ti * space.scale for ti in t)
+                want = tuple(s.numerator if s.denominator == 1 else s for s in scaled)
+                assert (got_x, got_t) == fresh[rank] == (x, want), (mechanism.name, combo)
+                assert list(map(type, got_t)) == list(map(type, want)), (mechanism.name, combo)
+                assert list(map(type, fresh[rank][1])) == list(map(type, want))
+
+
 # rule-table walks against their definitions on exact profiles
 
 
