@@ -1,12 +1,13 @@
-"""Audit a few mechanisms against the axiom checkers and shrink a witness.
+"""Audit a few mechanisms, each on one outcome table, and shrink a witness.
 
 Run: python3 demos/axiom_audit.py
 """
 
 from mechlab import (
-    CHECKERS,
     GridSpace,
     MarketConfig,
+    OutcomeTable,
+    audit,
     no_trade_mechanism,
     pay_as_bid_mechanism,
     replay_witness,
@@ -23,8 +24,9 @@ mechanisms = [
 
 print("Verdicts over the shared grid {0,1,2,3}, three agents, one object")
 for mech in mechanisms:
-    for axiom in ("EE", "SP", "IR", "NS", "EFF", "NOM"):
-        rep = CHECKERS[axiom](mech, grid)
+    # one table per mechanism: every axiom reads the outcomes one sweep filled
+    reports = audit(OutcomeTable(mech, grid), ("EE", "SP", "IR", "NS", "EFF", "NOM"))
+    for axiom, rep in reports.items():
         line = f"  {mech.name:16s} {axiom:4s} {rep.verdict:16s}"
         if rep.witness:
             line += f" witness={rep.witness}"

@@ -6,6 +6,7 @@ Run: python3 demos/welfare_hunt.py
 from mechlab import (
     GridSpace,
     MarketConfig,
+    OutcomeTable,
     PricingRule,
     check_nom,
     check_sp,
@@ -19,6 +20,7 @@ from mechlab.axioms import check_uncompromising, validate_winner_rule
 
 grid = GridSpace.shared(MarketConfig(3, 1), (0, 1, 2, 3))
 always = ev_pab_mechanism(PricingRule.always_ev())
+always_table = OutcomeTable(always, grid)  # filled by the first comparison, read by every later one
 
 print("Welfare order within the EV/own-bid pricing family")
 for pricing in (
@@ -29,7 +31,7 @@ for pricing in (
     PricingRule.threshold(-1),
 ):
     rival = ev_pab_mechanism(pricing)
-    cmp = welfare_compare(always, rival, grid)
+    cmp = welfare_compare(always_table, OutcomeTable(rival, grid))
     line = f"  {always.name} vs {rival.name:28s} -> {cmp.relation}"
     if cmp.strict_first:
         w = cmp.strict_first

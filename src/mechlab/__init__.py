@@ -35,6 +35,7 @@ from .axioms import (
     AxiomReport,
     CHECKERS,
     GridSpace,
+    OutcomeTable,
     WelfareComparison,
     audit,
     check_anonymity_in_welfare,

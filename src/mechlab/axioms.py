@@ -16,21 +16,25 @@ reproduces the violating inequality exactly. Each axiom is defined once,
 as a generator of its violations, and the check, witness replay
 (`refresh_witness`) and shrinking all run that one definition. A
 pointwise axiom's generator reads only (table, point): one profile's
-outcomes off the mechanism's one `OutcomeTable` for the grid, and the
-profile's `GridPoint` from the grid's one sweep (see `grid`), with SP
-misreports and AIW swaps ranging over the grid's value sets. So every
-grid profile is evaluated once per mechanism, however many checkers read
-it, and a replay narrows the grid of a throwaway table to the witness;
-witness fields are exact `Fraction`s. `scan` sweeps the grid once for any
-number of them, reads the outcome at every profile (`profiles_checked`
-counts every profile) and reports each axiom's lexicographically first
-violation; an exhaustive scan stops running an axiom once it has that
-witness. `audit` gives every named axiom's report from one sweep per
-mechanism. `welfare_compare` and the grid-scope NOM bounds read the same
-tables, which refuse a mechanism built on another market's rule table. NOM's and
-BEST_CASE's generators judge an agent's values against utility bounds
-over all opponents: analytic when the mechanism has closed-form bounds,
-grid-relative otherwise.
+outcomes off an `OutcomeTable`, and the profile's `GridPoint` from the
+table's grid's one sweep (see `grid`), with SP misreports and AIW swaps
+ranging over the grid's value sets; a replay narrows the grid of a
+throwaway table to the witness, and witness fields are exact `Fraction`s.
+
+The sweeps take the table their caller built: `scan(table, axioms)`
+sweeps its grid once for any number of pointwise axioms, reads the
+outcome at every profile (`profiles_checked` counts every profile) and
+reports each axiom's lexicographically first violation, and an
+exhaustive scan stops running an axiom once it has that witness.
+`audit(table, names)` gives every named axiom's report from that one
+sweep, with the grid-scope NOM bounds read off the same table, and
+`welfare_compare(one, two)` reads two tables on one grid. So a caller
+that hands one table to all of them evaluates each profile once, and
+the table goes when the caller drops it. Each `CHECKERS` entry is the
+one-axiom `audit` on a fresh table. NOM's and BEST_CASE's generators
+judge an agent's values against utility bounds over all opponents:
+analytic when the mechanism has closed-form bounds, grid-relative
+otherwise.
 
 The structural checks on winner and pricing rules (`validate_winner_rule`,
 `check_uncompromising`, `check_ev_support`) return the same report, with
@@ -165,10 +169,6 @@ class PointwiseAxiom:
     name: str
     identity: tuple[str, ...]
     violations: Callable[[OutcomeTable, GridPoint], Iterator[dict]]
-
-    def check(self, mechanism: Mechanism, grid: GridSpace) -> AxiomReport:
-        """Sweep the grid; FAIL with the smallest-key violation, else pass."""
-        return scan(mechanism, grid, (self,))[self.name]
 
     def refresh(
         self, mechanism: Mechanism, witness: dict, grid: GridSpace
@@ -356,10 +356,8 @@ POINTWISE: dict[str, PointwiseAxiom] = {
 }
 
 
-def scan(
-    mechanism: Mechanism, grid: GridSpace, axioms: Sequence[PointwiseAxiom]
-) -> dict[str, AxiomReport]:
-    """Sweep the grid once for several pointwise axioms; reports by name.
+def scan(table: OutcomeTable, axioms: Sequence[PointwiseAxiom]) -> dict[str, AxiomReport]:
+    """Sweep the table's grid once for several pointwise axioms; reports by name.
 
     Each axiom keeps its own smallest-key violation, so its report is the
     one it would get alone. Ranks order profiles as their values do, so a
@@ -370,7 +368,7 @@ def scan(
     swept profile is read (and so checked) and `profiles_checked` counts
     every profile.
     """
-    table = OutcomeTable.of(mechanism, grid)
+    grid = table.grid
     best: list[tuple | None] = [None] * len(axioms)  # (key, witness) per axiom
     running = list(enumerate(axioms))
     stops = grid.mode == MODE_EXHAUSTIVE
@@ -396,32 +394,20 @@ def scan(
     }
 
 
-check_ir = POINTWISE["IR"].check
-check_no_subsidy = POINTWISE["NS"].check
-check_sp = POINTWISE["SP"].check
-check_ee = POINTWISE["EE"].check
-check_efficiency = POINTWISE["EFF"].check
-check_envy_freeness = POINTWISE["EF"].check
-check_anonymity_in_welfare = POINTWISE["AIW"].check
-
-
 # ---------------------------------------------------------------------------
 # Manipulation bounds (best/worst case over all real opponents)
 # ---------------------------------------------------------------------------
 
 
-def _grid_bundle_map(
-    mechanism: Mechanism, grid: GridSpace
-) -> tuple[dict, int]:
+def _grid_bundle_map(table: OutcomeTable) -> tuple[dict, int]:
     """For each (agent, report): every exact bundle (x, t) the agent got on
-    the grid, with the lexicographically smallest opponent profile that
-    produced it."""
-    table = OutcomeTable.of(mechanism, grid)
+    the table's grid, with the lexicographically smallest opponent profile
+    that produced it."""
     # (agent, report) -> scaled (x, t) -> (rank, values) of the least profile;
     # rank order is profile order, and a sampled profile may repeat
     seen: dict[tuple[int, Fraction], dict[tuple, tuple]] = {}
     count = 0
-    for at in grid.profiles():
+    for at in table.grid.profiles():
         count += 1
         x, t = table[at.rank]
         for i, value in enumerate(at.values):
@@ -461,19 +447,17 @@ NomBounds = Callable[[int, Fraction, Fraction], "tuple | None"]
 ValueSets = tuple[tuple[Fraction, ...], ...]
 
 
-def _nom_bounds(
-    mechanism: Mechanism, grid: GridSpace
-) -> tuple[NomBounds, str, int]:
-    """The utility bounds NOM and BEST_CASE compare, their scope, and the
-    number of profiles swept to get them.
+def _nom_bounds(table: OutcomeTable) -> tuple[NomBounds, str, int]:
+    """The utility bounds NOM and BEST_CASE compare for the table's
+    mechanism, their scope, and the number of profiles swept to get them.
 
     With the mechanism's closed-form bounds (the built-in families) they
     range over every real opponent profile, and all-zero opponents are
     recorded as the best-case realizer. Otherwise they range over the
-    bundles the grid produced, with the smallest opponent profile
+    bundles the table's grid produced, with the smallest opponent profile
     producing each bound.
     """
-    market = grid.config
+    mechanism, market = table.mechanism, table.grid.config
     if mechanism.bounds is not None:
         zeros = (Fraction(0),) * (market.n - 1)
 
@@ -482,7 +466,7 @@ def _nom_bounds(
             return sup, inf, zeros, None
 
         return analytic_bounds, "analytic", 0
-    seen, count = _grid_bundle_map(mechanism, grid)
+    seen, count = _grid_bundle_map(table)
 
     def grid_bounds(agent, report, true_value):
         slot = seen.get((agent, report))
@@ -515,8 +499,9 @@ class BoundAxiom:
     def refresh(
         self, mechanism: Mechanism, witness: dict, grid: GridSpace
     ) -> dict | None:
-        """The violation with the witness's identity, recomputed, or None."""
-        bounds, scope, _ = _nom_bounds(mechanism, grid)
+        """The violation with the witness's identity, recomputed, or None.
+        Grid-scope bounds are swept again, on a table of the replay's own."""
+        bounds, scope, _ = _nom_bounds(OutcomeTable(mechanism, grid))
         recorded = witness.get("scope", "analytic")
         if recorded != scope:
             raise ValueError(
@@ -600,7 +585,7 @@ def check_nom(mechanism: Mechanism, grid: GridSpace) -> AxiomReport:
     with analytic bounds, `details["truthful_bounds"]` maps each value to
     the truthful (sup, inf), given only when every agent's bounds agree.
     """
-    return audit(mechanism, grid, ("NOM",))["NOM"]
+    return _audit_one("NOM", mechanism, grid)
 
 
 def _nom_report(grid: GridSpace, bounds: NomBounds, scope: str, count: int) -> AxiomReport:
@@ -633,7 +618,7 @@ def check_best_case_utility(
     analytically; for black-box mechanisms only grid evidence is reported,
     over the values the grid (or its sample) actually produced.
     """
-    return audit(mechanism, grid, ("BEST_CASE",))["BEST_CASE"]
+    return _audit_one("BEST_CASE", mechanism, grid)
 
 
 _BEST_CASE_PRECONDITION = ("EFF", "IR", "NS")
@@ -680,28 +665,43 @@ def _best_case_report(
     return AxiomReport("BEST_CASE", "NOT_CERTIFIED", None, count, details)
 
 
-def audit(
-    mechanism: Mechanism, grid: GridSpace, names: Sequence[str]
-) -> dict[str, AxiomReport]:
-    """Each named axiom's report on the mechanism over the grid, by name.
+def audit(table: OutcomeTable, names: Sequence[str]) -> dict[str, AxiomReport]:
+    """Each named axiom's report on the table's mechanism over its grid, by name.
 
-    One `scan` sweeps every named pointwise axiom, plus EFF, IR and NS
-    when BEST_CASE is named, whose precondition reads them off that scan.
-    NOM and BEST_CASE share one `_nom_bounds` call, made only if one of
-    them needs it. Each report is the one the axiom's `CHECKERS` entry
-    gives alone; a name given twice is audited once.
+    One `scan` of the table sweeps every named pointwise axiom, plus EFF,
+    IR and NS when BEST_CASE is named, whose precondition reads them off
+    that scan. NOM and BEST_CASE share one `_nom_bounds` call on the same
+    table, made only if one of them needs it. Each report is the one the
+    axiom's `CHECKERS` entry gives alone; a name given twice is audited
+    once.
     """
+    grid = table.grid
     swept = set(names)
     if "BEST_CASE" in swept:
         swept.update(_BEST_CASE_PRECONDITION)
     pointwise = [axiom for name, axiom in POINTWISE.items() if name in swept]
-    reports = scan(mechanism, grid, pointwise) if pointwise else {}
-    nom_bounds = cache(partial(_nom_bounds, mechanism, grid))
+    reports = scan(table, pointwise) if pointwise else {}
+    nom_bounds = cache(partial(_nom_bounds, table))
     if "NOM" in swept:
         reports["NOM"] = _nom_report(grid, *nom_bounds())
     if "BEST_CASE" in swept:
         reports["BEST_CASE"] = _best_case_report(reports, grid, nom_bounds)
     return {name: reports[name] for name in names}
+
+
+def _audit_one(name: str, mechanism: Mechanism, grid: GridSpace) -> AxiomReport:
+    """The named axiom's report on the mechanism over the grid: the
+    one-axiom `audit` on a fresh table. Every `CHECKERS` entry is this."""
+    return audit(OutcomeTable(mechanism, grid), (name,))[name]
+
+
+check_ir = partial(_audit_one, "IR")
+check_no_subsidy = partial(_audit_one, "NS")
+check_sp = partial(_audit_one, "SP")
+check_ee = partial(_audit_one, "EE")
+check_efficiency = partial(_audit_one, "EFF")
+check_envy_freeness = partial(_audit_one, "EF")
+check_anonymity_in_welfare = partial(_audit_one, "AIW")
 
 
 # ---------------------------------------------------------------------------
@@ -881,11 +881,12 @@ class WelfareComparison:
         return out
 
 
-def welfare_compare(
-    first: Mechanism, second: Mechanism, grid: GridSpace
-) -> WelfareComparison:
-    """Compare two mechanisms agent by agent on every grid profile."""
-    one, two = OutcomeTable.of(first, grid), OutcomeTable.of(second, grid)
+def welfare_compare(one: OutcomeTable, two: OutcomeTable) -> WelfareComparison:
+    """Compare two tables' mechanisms agent by agent on every profile of
+    their one grid; tables on different grids are refused."""
+    grid = one.grid
+    if two.grid != grid:
+        raise ValueError("welfare_compare needs two tables on one grid")
     above: dict[bool, dict] = {}  # first strict witness, by whether `first` is above
     count = 0
     for at in grid.profiles():

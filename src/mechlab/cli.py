@@ -24,6 +24,7 @@ from .axioms import (
     MODE_EXHAUSTIVE,
     MODE_SAMPLED,
     GridSpace,
+    OutcomeTable,
     audit,
     find_reference_bundle,
     welfare_compare,
@@ -291,8 +292,11 @@ def cmd_audit(args: argparse.Namespace) -> int:
     checks = [axiom for axiom in config.axioms if axiom != "WELFARE_COMPARE"]
     verdicts: list[str] = []
     results = []
+    comparisons = []
+    base = None  # the first mechanism's table, the only one kept across mechanisms
     for mechanism in config.mechanisms:
-        audited = audit(mechanism, grid, checks)
+        table = OutcomeTable(mechanism, grid)
+        audited = audit(table, checks)
         verdicts.extend(audited[axiom].verdict for axiom in checks)
         results.append(
             {
@@ -301,21 +305,22 @@ def cmd_audit(args: argparse.Namespace) -> int:
                 "reports": [audited[axiom].to_json() for axiom in checks],
             }
         )
-    comparisons = []
-    if "WELFARE_COMPARE" in config.axioms:
-        base = config.mechanisms[0]
-        for other in config.mechanisms[1:]:
-            outcome = welfare_compare(base, other, grid)
-            verdict = grid.pass_verdict if outcome.never_beaten else "FAIL"
-            verdicts.append(verdict)
-            comparisons.append(
-                {
-                    "first": base.name,
-                    "second": other.name,
-                    "verdict": verdict,
-                    **outcome.to_json(),
-                }
-            )
+        if "WELFARE_COMPARE" not in config.axioms:
+            continue
+        if base is None:
+            base = table
+            continue
+        outcome = welfare_compare(base, table)
+        verdict = grid.pass_verdict if outcome.never_beaten else "FAIL"
+        verdicts.append(verdict)
+        comparisons.append(
+            {
+                "first": base.mechanism.name,
+                "second": mechanism.name,
+                "verdict": verdict,
+                **outcome.to_json(),
+            }
+        )
     elapsed = time.monotonic() - started
     all_pass = all(v.startswith("PASS") for v in verdicts)
     tally: dict[str, int] = {}
@@ -364,7 +369,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     grid = config.space
     first = parse_mechanism(args.a, grid.config)
     second = parse_mechanism(args.b, grid.config)
-    outcome = welfare_compare(first, second, grid)
+    outcome = welfare_compare(OutcomeTable(first, grid), OutcomeTable(second, grid))
     print(f"first:  {first.name}")
     print(f"second: {second.name}")
     print(f"relation: {outcome.relation}")

@@ -8,10 +8,12 @@ yields a `GridPoint` per profile (rank, value indices, exact values and
 scaled values), and `point` finds the same record for given values; a
 sampled grid draws its points on its first sweep and keeps them. An
 `OutcomeTable` memoises a mechanism's checked outcome at each rank of a
-grid, so the axiom checkers in `axioms` evaluate each profile once and
-compare ints. `OutcomeTable.fill` is its one fill, fed the scaled values
-by the caller (an SP misreport) or by decoding the rank (any other read);
-it refuses a mechanism whose rule table was written for another market.
+grid, so the sweeps in `axioms` evaluate each profile once and compare
+ints. Whoever sweeps builds the table and hands it to every sweep that
+should share it; nothing keeps a table for later. `OutcomeTable.fill` is
+its one fill, fed the scaled values by the caller (an SP misreport) or by
+decoding the rank (any other read); it refuses a mechanism whose rule
+table was written for another market.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -56,7 +57,9 @@ class GridSpace:
     counted from the declared lengths before the grid is built. So is a
     grid whose rank strides would take more bits than the budget, as they
     grow quadratically with the number of agents, and a sample whose
-    outcome table could hold more entries than the budget.
+    outcome table could hold more entries than the budget: per draw, the
+    draw and each agent's other values (SP), and on a shared grid each
+    pair of agents swapped (AIW).
 
     The geometry is computed once, at construction: `scale` is the value
     sets' common denominator and `scaled` each set multiplied by it, in
@@ -111,12 +114,14 @@ class GridSpace:
         # so agent i's length is a factor of i strides.
         bits = sum(i * (len(vs) - 1).bit_length() for i, vs in enumerate(values))
         _refuse_over_budget(bits, "rank stride bits", "declare fewer agents")
+        shared = all(vs == values[0] for vs in normalized.values())
         if self.mode == MODE_SAMPLED:
-            # SP moves each agent of each draw to each of their values, so a
-            # sample's outcome table holds up to samples * sum|V_i| profiles,
-            # and never more than the grid has.
-            lengths = [len(vs) for vs in values]
-            entries = min(math.prod(lengths), self.samples * sum(lengths))
+            # Each draw fills its own profile, SP each other value of each
+            # agent, and AIW on a shared grid each pair of agents swapped;
+            # never more than the grid has.
+            n, lengths = len(values), [len(vs) for vs in values]
+            per_draw = 1 + sum(lengths) - n + (n * (n - 1) // 2 if shared else 0)
+            entries = min(math.prod(lengths), self.samples * per_draw)
             _refuse_over_budget(entries, "outcome-table entries", "draw fewer samples")
         scale = math.lcm(*(v.denominator for vs in normalized.values() for v in vs))
         scaled = {  # by id of the normalized set
@@ -129,7 +134,6 @@ class GridSpace:
         object.__setattr__(self, "scale", scale)
         object.__setattr__(self, "scaled", tuple(scaled[id(vs)] for vs in values))
         object.__setattr__(self, "stride", tuple(reversed(strides)))
-        shared = all(vs == values[0] for vs in normalized.values())
         object.__setattr__(self, "is_shared", shared)
 
     @classmethod
@@ -291,36 +295,23 @@ class OutcomeTable(dict):
     of 1/scale is an int, any other the exact `Fraction`. `exact` turns a
     scaled quantity back into a `Fraction` when a witness is built.
 
-    `of` gives the mechanism's one table per (market, value sets), shared
-    by every checker; replay builds a throwaway one on a grid narrowed to
-    the witness. The table reaches its mechanism through a weak reference,
-    so the two form no cycle. Construction refuses a mechanism built on
-    another market's rule table (`Mechanism.market`), so no checker
-    repeats that check.
+    The table belongs to whoever builds it: every sweep that should share
+    its outcomes is handed the same table, and it holds its mechanism as a
+    plain attribute, so it lives exactly as long as its caller keeps it.
+    A replay builds a throwaway one on a grid narrowed to the witness.
+    Construction refuses a mechanism built on another market's rule table
+    (`Mechanism.market`), so no sweep repeats that check.
     """
 
     def __init__(self, mechanism: Mechanism, grid: GridSpace) -> None:
         _refuse_other_market(mechanism.market, grid.config)
         super().__init__()
-        self.mechanism = weakref.ref(mechanism)
+        self.mechanism = mechanism
         self.grid = grid
         self._market, self._scale = grid.config, grid.scale
         # agent i's scaled value at rank r is scaled[i][r // stride[i] % len]
         self._digits = tuple(zip(grid.scaled, grid.stride, map(len, grid.scaled)))
         self._interned: dict[tuple, tuple] = {}
-
-    @classmethod
-    def of(cls, mechanism: Mechanism, grid: GridSpace) -> "OutcomeTable":
-        """The mechanism's table for the grid's market and value sets."""
-        tables = _TABLES.setdefault(mechanism, [])
-        # Compared, not hashed: a large value set is costly to hash, and a
-        # checker usually passes the very tuples the table holds.
-        for table in tables:
-            if table.grid.config == grid.config and table.grid.values == grid.values:
-                return table
-        table = cls(mechanism, grid)
-        tables.append(table)
-        return table
 
     def __missing__(self, rank: int) -> tuple:
         return self.fill(rank, tuple([scaled[rank // step % size]
@@ -329,7 +320,7 @@ class OutcomeTable(dict):
     def fill(self, rank: int, scaled: tuple[int, ...]) -> tuple:
         """Store and return the checked outcome at `rank`, whose scaled
         values the caller passes as `scaled`."""
-        mechanism, market = self.mechanism(), self._market
+        mechanism, market = self.mechanism, self._market
         outcome = mechanism.checked(mechanism.outcome(scaled, market, self._scale), market)
         outcome = self._interned.setdefault(outcome, outcome)
         self[rank] = outcome
@@ -339,8 +330,3 @@ class OutcomeTable(dict):
         """A scaled quantity as the exact rational it stands for."""
         return Fraction(quantity, self.grid.scale)
 
-
-# Each mechanism's tables, one per (market, value sets). An entry dies with its
-# mechanism, and a deterministic mechanism fills its table the same way for
-# every caller, so sharing it changes no result.
-_TABLES: "weakref.WeakKeyDictionary[Mechanism, list]" = weakref.WeakKeyDictionary()

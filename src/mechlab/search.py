@@ -7,7 +7,9 @@ strategy-proof mechanism, that the EV/PAB family trades efficiency
 against manipulability, and how the pricing variants rank in welfare.
 Each suite carries its own expected pattern so a caller can ask whether
 reality still matches it. Every suite sweeps `SUITE_GRID`, each mechanism
-once (`axioms.audit`), and is a list of rows (label, report per column,
+once, on an `OutcomeTable` the suite builds and hands to `axioms.audit`
+or `axioms.welfare_compare` (the welfare suite builds its base table once
+for all its rivals). A suite is a list of rows (label, report per column,
 the columns expected to read other than PASS) that `SuiteResult.from_rows`
 turns into the matrix.
 
@@ -27,6 +29,7 @@ from .axioms import (
     POINTWISE,
     AxiomReport,
     GridSpace,
+    OutcomeTable,
     audit,
     check_ev_support,
     check_uncompromising,
@@ -310,7 +313,7 @@ def suite_independence() -> SuiteResult:
         "each mechanism fails exactly the axiom it drops",
         columns,
         [
-            (mech.name, audit(mech, SUITE_GRID, columns), {axiom: "FAIL"})
+            (mech.name, audit(OutcomeTable(mech, SUITE_GRID), columns), {axiom: "FAIL"})
             for mech, axiom in dropped
         ],
     )
@@ -345,7 +348,7 @@ def suite_sp_class(
             "UNCOMPROMISING": check_uncompromising(rule, SUITE_GRID),
         }
         mech = selective_vickrey_mechanism(rule)
-        reports.update(audit(mech, SUITE_GRID, ("EE", "SP", "IR", "NS")))
+        reports.update(audit(OutcomeTable(mech, SUITE_GRID), ("EE", "SP", "IR", "NS")))
         rows.append((label, reports, {}))
     return SuiteResult.from_rows(
         "sp-class",
@@ -373,7 +376,7 @@ def suite_nom_class() -> SuiteResult:
     for pricing, unusual in variants:
         mech = ev_pab_mechanism(pricing)
         reports = {"EV_SUPPORT": check_ev_support(pricing, SUITE_GRID)}
-        reports.update(audit(mech, SUITE_GRID, ("EE", "IR", "NS", "NOM")))
+        reports.update(audit(OutcomeTable(mech, SUITE_GRID), ("EE", "IR", "NS", "NOM")))
         rows.append((mech.name, reports, unusual))
     return SuiteResult.from_rows(
         "nom-class",
@@ -386,6 +389,7 @@ def suite_nom_class() -> SuiteResult:
 def suite_welfare() -> SuiteResult:
     """The always-EV pricing weakly dominates every other pricing variant."""
     best = ev_pab_mechanism(PricingRule.always_ev())
+    base = OutcomeTable(best, SUITE_GRID)  # filled once, read by every rival
     rivals = [
         (ev_pab_mechanism(PricingRule.ev_iff_price_zero()), "DOMINATES"),
         (ev_pab_mechanism(PricingRule.threshold(0)), "DOMINATES"),
@@ -394,7 +398,7 @@ def suite_welfare() -> SuiteResult:
     ]
     rows = []
     for rival, relation in rivals:
-        outcome = welfare_compare(best, rival, SUITE_GRID)
+        outcome = welfare_compare(base, OutcomeTable(rival, SUITE_GRID))
         beaten = "PASS" if outcome.never_beaten else "FAIL"
         reports = {
             "RELATION": AxiomReport("RELATION", outcome.relation, outcome.strict_first),
@@ -419,8 +423,8 @@ def suite_anonymity() -> SuiteResult:
         "welfare anonymity separates dictatorial from efficient selection",
         columns,
         [
-            (dictator.name, audit(dictator, SUITE_GRID, columns), {"AIW": "FAIL"}),
-            (efficient.name, audit(efficient, SUITE_GRID, columns), {}),
+            (dictator.name, audit(OutcomeTable(dictator, SUITE_GRID), columns), {"AIW": "FAIL"}),
+            (efficient.name, audit(OutcomeTable(efficient, SUITE_GRID), columns), {}),
         ],
     )
 

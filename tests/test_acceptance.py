@@ -13,6 +13,7 @@ from conftest import random_pricing_table
 from mechlab import (
     GridSpace,
     MarketConfig,
+    OutcomeTable,
     PricingRule,
     Profile,
     WinnerRule,
@@ -191,7 +192,8 @@ def test_criterion_07_always_ev_maximizes_welfare_in_class():
     strictly beaten by any built-in pricing variant."""
     first = ev_pab_mechanism(PricingRule.always_ev())
     second = ev_pab_mechanism(PricingRule.ev_iff_price_zero())
-    cmp = welfare_compare(first, second, GRID)
+    best = OutcomeTable(first, GRID)
+    cmp = welfare_compare(best, OutcomeTable(second, GRID))
     ok = cmp.relation == "DOMINATES"
     p = Profile(MarketConfig(3, 1), (3, 1, 1))
     ok &= utilities(first.evaluate(p), p)[0] == 2
@@ -205,7 +207,7 @@ def test_criterion_07_always_ev_maximizes_welfare_in_class():
         PricingRule.threshold(2),
     ]
     for pricing in rivals:
-        against = welfare_compare(first, ev_pab_mechanism(pricing), GRID)
+        against = welfare_compare(best, OutcomeTable(ev_pab_mechanism(pricing), GRID))
         ok &= against.strict_second is None
     report(7, ok, "always-EV dominates price-zero variant; no rival is ever strictly above")
 
@@ -305,7 +307,7 @@ def test_criterion_11_paper_results_hold_between_one_and_n_minus_one_objects():
     ok, nom_fails = True, 0
     for grid in MID_CAPACITY_GRIDS:
         market = grid.config
-        always_ev = ev_pab_mechanism(PricingRule.always_ev())
+        always_ev = OutcomeTable(ev_pab_mechanism(PricingRule.always_ev()), grid)
         for seed in range(5):
             table = random_winner_rule_table(grid, random.Random(f"winners:{market}:{seed}"))
             rule = WinnerRule.rule_table(market, table)
@@ -319,7 +321,7 @@ def test_criterion_11_paper_results_hold_between_one_and_n_minus_one_objects():
             mech = ev_pab_mechanism(pricing)
             for check in (check_ee, check_efficiency, check_ir, check_no_subsidy):
                 ok &= check(mech, grid).verdict == "PASS_EXHAUSTIVE"
-            ok &= welfare_compare(always_ev, mech, grid).strict_second is None
+            ok &= welfare_compare(always_ev, OutcomeTable(mech, grid)).strict_second is None
             nom_failed = check_nom(mech, grid).verdict == "FAIL"
             ok &= nom_failed == (check_ev_support(pricing, grid).verdict == "FAIL")
             nom_fails += nom_failed

@@ -1,11 +1,14 @@
 """Axiom checkers: verdicts, lexicographic witnesses, analytic bounds, replay."""
 
+import gc
 import itertools
 import random
 import time
+import weakref
 from fractions import Fraction
 
 import pytest
+from conftest import random_pricing_table
 
 from mechlab import (
     Allocation,
@@ -41,6 +44,7 @@ from mechlab import (
 )
 from mechlab.axioms import (
     BY_BOUNDS,
+    CHECKERS,
     ENUMERATION_BUDGET,
     MODE_SAMPLED,
     POINTWISE,
@@ -114,10 +118,12 @@ def test_grid_space_refuses_samples_over_budget():
 
 
 def test_grid_space_refuses_a_sampled_outcome_table_over_budget():
-    """SP moves every agent of every draw to each of their values, so a
-    sample's outcome table can hold min(prod |V_i|, samples * sum |V_i|)
-    entries; more than the budget is refused when the grid is declared.
-    On the 21^5 grid below, each draw reaches 105 entries."""
+    """Each draw fills its own profile, SP each other value of each agent
+    and, on a shared grid, AIW each pair of agents swapped, so a sample's
+    outcome table can hold min(prod |V_i|, samples * (1 + sum (|V_i| - 1)
+    + n(n-1)/2)) entries; more than the budget is refused when the grid is
+    declared. On the shared 21^5 grid below, each draw reaches 1 + 100 + 10
+    = 111 entries."""
     market = MarketConfig(5, 2)
     started = time.perf_counter()
     with pytest.raises(ValueError) as refused:
@@ -127,9 +133,27 @@ def test_grid_space_refuses_a_sampled_outcome_table_over_budget():
         "4084101 outcome-table entries exceed the enumeration budget (1000000); "
         "draw fewer samples"
     )
-    assert GridSpace.from_range(market, 10, 2, mode=MODE_SAMPLED, samples=9523).samples == 9523
-    with pytest.raises(ValueError, match="^1000020 outcome-table entries exceed"):
-        GridSpace.from_range(market, 10, 2, mode=MODE_SAMPLED, samples=9524)
+    assert GridSpace.from_range(market, 10, 2, mode=MODE_SAMPLED, samples=9009).samples == 9009
+    with pytest.raises(ValueError, match="^1000110 outcome-table entries exceed"):
+        GridSpace.from_range(market, 10, 2, mode=MODE_SAMPLED, samples=9010)
+    # agents on their own value sets swap nothing: 1 + 5 * 20 per draw
+    own = tuple(tuple(Fraction(k, 2) + i for k in range(21)) for i in range(5))
+    assert GridSpace(market, own, mode=MODE_SAMPLED, samples=9900).samples == 9900
+    with pytest.raises(ValueError, match="^1000001 outcome-table entries exceed"):
+        GridSpace(market, own, mode=MODE_SAMPLED, samples=9901)
+
+
+@pytest.mark.parametrize("n", [12, 30])
+def test_a_sampled_sp_and_aiw_table_stays_within_its_bound(n):
+    """The bound the grid declares for a sample's outcome table holds after
+    sampled SP and AIW audits, which fill the draws, their misreports and
+    their swaps. The swaps take each table past samples * sum |V_i|, a
+    bound that counts SP alone."""
+    market, samples = MarketConfig(n, 1), 100
+    grid = GridSpace.shared(market, (0, 1), mode=MODE_SAMPLED, seed=0, samples=samples)
+    table = OutcomeTable(vickrey_mechanism(), grid)
+    audit(table, ("SP", "AIW"))
+    assert samples * 2 * n < len(table) <= samples * (1 + n + n * (n - 1) // 2)
 
 
 def test_grid_space_refuses_rank_strides_over_budget():
@@ -306,10 +330,65 @@ def test_a_sampled_sp_audit_decodes_only_the_drawn_ranks(monkeypatch):
     drawn = {at.rank for at in SAMPLED_SP_GRID.profiles()}
     for mechanism in builtin_mechanisms():
         decoded.clear()
-        audit(mechanism, SAMPLED_SP_GRID, ("SP",))
+        table = OutcomeTable(mechanism, SAMPLED_SP_GRID)
+        audit(table, ("SP",))
         assert len(decoded) <= SAMPLED_SP_GRID.samples and set(decoded) <= drawn
-        filled = len(OutcomeTable.of(mechanism, SAMPLED_SP_GRID))
-        assert filled == SAMPLED_SP_FILLS[mechanism.name], mechanism.name
+        assert len(table) == SAMPLED_SP_FILLS[mechanism.name], mechanism.name
+
+
+# the caller owns the outcome table
+
+
+def test_a_dropped_table_is_not_kept():
+    """Nothing keeps a table its caller dropped: one mechanism audited on
+    eight grids, through `check_sp` and through tables of the caller's
+    own, leaves no table on those grids reachable."""
+    mechanism = vickrey_mechanism()
+    grids = [GridSpace.from_range(MarketConfig(4, 2), top) for top in range(1, 9)]
+    kept = []
+    for grid in grids:
+        assert check_sp(mechanism, grid).verdict == "PASS_EXHAUSTIVE"
+        table = OutcomeTable(mechanism, grid)
+        audit(table, ("SP",))
+        assert len(table) == grid.size
+        kept.append(weakref.ref(table))
+    del table
+    gc.collect()
+    assert [ref() for ref in kept] == [None] * len(grids)
+    alive = [o for o in gc.get_objects() if isinstance(o, OutcomeTable)]
+    assert not [o for o in alive if any(o.grid is grid for grid in grids)]
+
+
+def test_a_grid_scope_nom_witness_replays_from_its_own_table():
+    """A grid-scope NOM replay sweeps the mechanism again on a table of its
+    own: overwriting every entry of the audit's table with a no-trade
+    outcome, under which nothing is manipulable, changes neither the
+    refreshed witness nor the replay."""
+    modes = random_pricing_table(GRID, random.Random(0))
+    mechanism = ev_pab_mechanism(PricingRule.rule_table(CFG1, modes))
+    table = OutcomeTable(mechanism, GRID)
+    report = audit(table, ("NOM",))["NOM"]
+    assert report.verdict == "FAIL" and report.witness["scope"] == "grid"
+    assert refresh_witness(mechanism, "NOM", report.witness, GRID) == report.witness
+    nobody = ((0,) * CFG1.n, (0,) * CFG1.n)
+    for rank in table:
+        table[rank] = nobody
+    bounds, scope, _ = _nom_bounds(table)  # read off the overwritten table: no witness
+    assert next(BY_BOUNDS["NOM"].violations(GRID.values, bounds, scope), None) is None
+    assert refresh_witness(mechanism, "NOM", report.witness, GRID) == report.witness
+    assert replay_witness(mechanism, "NOM", report.witness, GRID)
+
+
+def test_welfare_compare_refuses_tables_on_different_grids():
+    """Two tables are compared only on one grid: an equal grid declared
+    again is one, and another value set, market or sweep is refused."""
+    one = OutcomeTable(vickrey_mechanism(), GRID)
+    same = OutcomeTable(vickrey_mechanism(), GridSpace.shared(CFG1, range(4)))
+    assert welfare_compare(one, same).relation == "EQUAL"
+    sampled = GridSpace.shared(CFG1, (0, 1, 2, 3), mode=MODE_SAMPLED, samples=5)
+    for other in (GRID5, GRID_M2, sampled):
+        with pytest.raises(ValueError, match="^welfare_compare needs two tables on one grid$"):
+            welfare_compare(one, OutcomeTable(pay_as_bid_mechanism(), other))
 
 
 def test_sampled_mode_reports_pass_sampled():
@@ -572,7 +651,7 @@ def test_bound_witnesses_replay_exactly_through_their_generator():
              ev_pab_mechanism(PricingRule.threshold(1))]
     replayed = set()
     for mech in [*mechs, *map(opaque, mechs)]:
-        bounds, scope, _ = _nom_bounds(mech, GRID)
+        bounds, scope, _ = _nom_bounds(OutcomeTable(mech, GRID))
         for name, axiom in BY_BOUNDS.items():
             if name == "BEST_CASE" and scope == "grid":
                 continue  # grid evidence is NOT_CERTIFIED, never a witness
@@ -700,7 +779,7 @@ def test_anonymity_symmetric_rules_pass():
 
 def test_anonymity_needs_shared_grid():
     """A swap can leave such a grid, so the AIW generator itself refuses the
-    table, and the public scan and record check refuse it like the alias.
+    table, and the public scan and audit refuse it like the checker.
     Read as if shared, the second grid gives vickrey a FAIL at (0, 0, 5)
     whose witness does not replay, and the third indexes past a value set."""
     grids = [
@@ -710,8 +789,8 @@ def test_anonymity_needs_shared_grid():
     ]
     calls = [
         check_anonymity_in_welfare,
-        POINTWISE["AIW"].check,
-        lambda mech, grid: scan(mech, grid, list(POINTWISE.values())),
+        lambda mech, grid: audit(OutcomeTable(mech, grid), ("AIW",)),
+        lambda mech, grid: scan(OutcomeTable(mech, grid), list(POINTWISE.values())),
     ]
     message = "^anonymity in welfare needs a shared value set across agents$"
     for values in grids:
@@ -735,8 +814,8 @@ def test_one_scan_reports_what_each_axiom_reports_alone(grid):
              selective_vickrey_mechanism(WinnerRule.dictatorial_threshold(0, 2))]
     failed = set()
     for mech in mechs:
-        reports = scan(mech, grid, every)
-        assert reports == {axiom.name: axiom.check(mech, grid) for axiom in every}
+        reports = scan(OutcomeTable(mech, grid), every)
+        assert reports == {axiom.name: CHECKERS[axiom.name](mech, grid) for axiom in every}
         failed |= {name for name, report in reports.items() if report.verdict == "FAIL"}
     assert failed == set(POINTWISE)
 
@@ -745,8 +824,8 @@ def test_one_scan_reports_what_each_axiom_reports_alone(grid):
 
 
 def test_welfare_compare_self_is_equal():
-    aev = ev_pab_mechanism(PricingRule.always_ev())
-    cmp = welfare_compare(aev, aev, GRID)
+    table = OutcomeTable(ev_pab_mechanism(PricingRule.always_ev()), GRID)
+    cmp = welfare_compare(table, table)
     assert cmp.relation == "EQUAL"
     assert cmp.strict_first is None and cmp.strict_second is None
 
@@ -756,7 +835,7 @@ def test_welfare_always_ev_dominates_iff_zero():
     free case can only lower someone's utility."""
     first = ev_pab_mechanism(PricingRule.always_ev())
     second = ev_pab_mechanism(PricingRule.ev_iff_price_zero())
-    cmp = welfare_compare(first, second, GRID)
+    cmp = welfare_compare(OutcomeTable(first, GRID), OutcomeTable(second, GRID))
     assert cmp.relation == "DOMINATES"
     assert cmp.strict_second is None
     assert cmp.profiles_checked == 64
@@ -768,14 +847,16 @@ def test_welfare_always_ev_dominates_iff_zero():
 
 
 def test_welfare_vickrey_dominates_no_trade():
-    cmp = welfare_compare(vickrey_mechanism(), no_trade_mechanism(0), GRID)
+    cmp = welfare_compare(
+        OutcomeTable(vickrey_mechanism(), GRID), OutcomeTable(no_trade_mechanism(0), GRID)
+    )
     assert cmp.relation == "DOMINATES"
 
 
 def test_welfare_incomparable_dictators():
     first = selective_vickrey_mechanism(WinnerRule.dictatorial_threshold(0, 2))
     second = selective_vickrey_mechanism(WinnerRule.dictatorial_threshold(1, 2))
-    cmp = welfare_compare(first, second, GRID)
+    cmp = welfare_compare(OutcomeTable(first, GRID), OutcomeTable(second, GRID))
     assert cmp.relation == "INCOMPARABLE"
     assert cmp.strict_first["profile"] == (3, 2, 2)
     assert cmp.strict_second["profile"] == (2, 3, 2)
@@ -788,7 +869,10 @@ def test_never_beaten_is_dominates_or_equal():
         selective_vickrey_mechanism(WinnerRule.dictatorial_threshold(i, 2)) for i in (0, 1)
     ]
     pairs = [(aev, aev), (aev, iff_zero), (iff_zero, aev), tuple(dictators)]
-    outcomes = [welfare_compare(first, second, GRID) for first, second in pairs]
+    outcomes = [
+        welfare_compare(OutcomeTable(first, GRID), OutcomeTable(second, GRID))
+        for first, second in pairs
+    ]
     assert [cmp.relation for cmp in outcomes] == [
         "EQUAL", "DOMINATES", "DOMINATED", "INCOMPARABLE"
     ]

@@ -25,7 +25,7 @@ from mechlab import (
     refresh_witness,
     witness_from_json,
 )
-from mechlab.axioms import POINTWISE, scan
+from mechlab.axioms import POINTWISE, OutcomeTable, scan
 from mechlab.cli import ConfigError, load_config, main, parse_mechanism
 
 
@@ -848,16 +848,16 @@ def test_a_malformed_outcome_after_every_witness_is_still_refused(tmp_path, caps
         return Allocation((0, 0, 0), (0, 0, 0))
 
     wellformed = Mechanism("wellformed", "CUSTOM", partial(fn, last=None))
-    reports = scan(wellformed, grid, list(POINTWISE.values()))
+    reports = scan(OutcomeTable(wellformed, grid), list(POINTWISE.values()))
     assert all(r.verdict == "FAIL" and r.witness["profile"] == first for r in reports.values())
     assert {r.profiles_checked for r in reports.values()} == {grid.size}
 
     bad = Mechanism("bad", "CUSTOM", fn)
     message = "bad gave 2 objects; the market has 1"
     with pytest.raises(ValueError, match=message):
-        scan(bad, grid, list(POINTWISE.values()))
+        scan(OutcomeTable(bad, grid), list(POINTWISE.values()))
     with pytest.raises(ValueError, match=message):
-        audit(bad, grid, list(CHECKERS))
+        audit(OutcomeTable(bad, grid), list(CHECKERS))
     monkeypatch.setattr(cli, "parse_mechanism", lambda spec, market: bad)
     path = write_config(
         tmp_path, mechanisms=["VICKREY"], grid={"values": ["1", "2", "3"]}, axioms=list(POINTWISE)

@@ -1,5 +1,6 @@
-"""Every demo script runs to completion against the current API and prints
-the same bytes every run.
+"""Every demo script, and README's library quick start, runs to
+completion against the current API; each demo prints the same bytes every
+run.
 
 Each demo's stdout is pinned by its SHA-256. A change that moves a digest
 changes what a demo prints: check the new output by hand, then update the
@@ -8,6 +9,7 @@ digest here and say why in the change log.
 
 import hashlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -23,16 +25,32 @@ STDOUT_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=[demo.name for demo in DEMOS])
-def test_demo_exits_zero(demo):
+def run_python(*args):
+    """Run the interpreter on `args` from the repo root, with `src` importable."""
     path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
-    result = subprocess.run(
-        [sys.executable, str(demo)],
-        cwd=ROOT,
-        env=env,
-        capture_output=True,
-        timeout=120,
+    return subprocess.run(
+        [sys.executable, *args], cwd=ROOT, env=env, capture_output=True, timeout=120
     )
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[demo.name for demo in DEMOS])
+def test_demo_exits_zero(demo):
+    result = run_python(str(demo))
     assert result.returncode == 0, result.stderr.decode()
     assert hashlib.sha256(result.stdout).hexdigest() == STDOUT_SHA256[demo.name]
+
+
+def test_readme_quick_start_runs():
+    """README's "Library quick start" block runs as written, so it cannot go
+    stale when a signature changes."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library quick start\n", 1)[1].split("\n## ", 1)[0]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    result = run_python("-c", code)
+    assert result.returncode == 0, result.stderr.decode()
+    assert result.stdout.decode().splitlines()[1:] == [
+        "PASS_ANALYTIC",
+        "{'SP': 'FAIL', 'EE': 'PASS_EXHAUSTIVE', 'NOM': 'FAIL'}",
+        "DOMINATES",
+    ]

@@ -37,11 +37,11 @@ from mechlab import (
 )
 from mechlab.axioms import (
     CHECKERS,
-    POINTWISE,
+    OutcomeTable,
+    audit,
     check_ev_support,
     check_uncompromising,
     refresh_witness,
-    scan,
     validate_winner_rule,
     welfare_compare,
 )
@@ -725,10 +725,11 @@ def test_rule_checks_refuse_a_table_for_another_market(table_market):
 
 
 def test_axiom_checks_refuse_a_table_mechanism_for_another_market():
-    """A mechanism keeps its rule table's market, and every axiom check,
-    witness replay and welfare comparison refuses a grid of another
-    market. Without this, SP and EE passed the 4-agent winner table on a
-    3-agent grid and NOM failed the pricing table, as no entry matches."""
+    """A mechanism keeps its rule table's market, and every axiom check and
+    witness replay refuses a grid of another market, as does the outcome
+    table that `scan`, `audit` and `welfare_compare` are handed. Without
+    this, SP and EE passed the 4-agent winner table on a 3-agent grid and
+    NOM failed the pricing table, as no entry matches."""
     grid = GridSpace.shared(CFG1, (0, 1, 2, 3))
     four = MarketConfig(4, 1)
     winners = selective_vickrey_mechanism(WinnerRule.rule_table(four, {(3, 2, 2, 2): (0,)}))
@@ -738,11 +739,9 @@ def test_axiom_checks_refuse_a_table_mechanism_for_another_market():
     nom = {"agent": 0, "true_value": 2, "misreport": 1, "direction": "SUP", "scope": "grid"}
     calls = [
         *(lambda m, check=check: check(m, grid) for check in CHECKERS.values()),
-        lambda m: scan(m, grid, list(POINTWISE.values())),
+        lambda m: OutcomeTable(m, grid),
         lambda m: refresh_witness(m, "EE", {"profile": (0, 0, 0)}, grid),
         lambda m: refresh_witness(m, "NOM", nom, grid),
-        lambda m: welfare_compare(vickrey_mechanism(), m, grid),
-        lambda m: welfare_compare(m, vickrey_mechanism(), grid),
     ]
     message = r"rule table market \(n=4, m=1\) differs from the grid market \(n=3, m=1\)"
     for mechanism in (winners, pricing):
@@ -844,8 +843,8 @@ def test_builtin_catalog_names():
 
 
 def test_an_audit_evaluates_each_grid_profile_once():
-    """Every axiom checker and the welfare comparison read one outcome
-    table per mechanism and grid: across a full audit on an exhaustive
+    """Every axiom of an audit and the welfare comparison read the one
+    outcome table they are handed: across a full audit on an exhaustive
     grid, the mechanism runs exactly once at each grid profile."""
     calls = []
 
@@ -855,7 +854,7 @@ def test_an_audit_evaluates_each_grid_profile_once():
 
     mech = Mechanism("probe", "CUSTOM", fn)
     grid = GridSpace.shared(CFG1, (0, 1, 2, 3))
-    for check in CHECKERS.values():
-        check(mech, grid)
-    welfare_compare(mech, pay_as_bid_mechanism(), grid)
+    table = OutcomeTable(mech, grid)
+    audit(table, list(CHECKERS))
+    welfare_compare(table, OutcomeTable(pay_as_bid_mechanism(), grid))
     assert sorted(calls) == sorted(p.values for p in grid.profiles())

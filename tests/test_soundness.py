@@ -94,7 +94,7 @@ FAMILIES = {
 
 def iter_nom_violations(mechanism, grid):
     """Obvious manipulations in (agent, true value, misreport) order."""
-    bounds, scope, _ = _nom_bounds(mechanism, grid)
+    bounds, scope, _ = _nom_bounds(OutcomeTable(mechanism, grid))
     return BY_BOUNDS["NOM"].violations(grid.values, bounds, scope)
 
 
@@ -332,7 +332,7 @@ def test_audit_equals_the_one_axiom_checkers(grid, names):
         *oracle_mechanisms(grid),
         ev_pab_mechanism(PricingRule.rule_table(grid.config, modes)),
     ]:
-        audited = audit(mechanism, grid, names)
+        audited = audit(OutcomeTable(mechanism, grid), names)
         assert list(audited) == list(dict.fromkeys(names))
         assert audited == {name: CHECKERS[name](mechanism, grid) for name in names}
         if "BEST_CASE" in audited:
@@ -431,8 +431,8 @@ def test_value_fed_fills_equal_decoded_fills(grid):
     for values in (grid.values, half_step(grid.values)):
         space = GridSpace(market, values, mode=MODE_SAMPLED, seed=grid.seed, samples=grid.samples)
         for mechanism in differential_mechanisms(grid):
-            audit(mechanism, space, ("SP", "AIW"))
-            table, fresh = OutcomeTable.of(mechanism, space), OutcomeTable(mechanism, space)
+            table, fresh = OutcomeTable(mechanism, space), OutcomeTable(mechanism, space)
+            audit(table, ("SP", "AIW"))
             assert len(table) > space.samples, mechanism.name
             for rank, (got_x, got_t) in table.items():
                 combo = tuple(vals[rank // step % len(vals)]
