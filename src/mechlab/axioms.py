@@ -24,8 +24,9 @@ throwaway table to the witness, and witness fields are exact `Fraction`s.
 The sweeps take the table their caller built: `scan(table, axioms)`
 sweeps its grid once for any number of pointwise axioms, reads the
 outcome at every profile (`profiles_checked` counts every profile) and
-reports each axiom's lexicographically first violation, and an
-exhaustive scan stops running an axiom once it has that witness.
+reports each axiom's lexicographically first violation; an axiom runs
+only at profiles ranked below its witness's, so an exhaustive scan stops
+running it at that witness.
 `audit(table, names)` gives every named axiom's report from that one
 sweep, with the grid-scope NOM bounds read off the same table, and
 `welfare_compare(one, two)` reads two tables on one grid. So a caller
@@ -34,7 +35,7 @@ the table goes when the caller drops it. Each `CHECKERS` entry is the
 one-axiom `audit` on a fresh table. NOM's and BEST_CASE's generators
 judge an agent's values against utility bounds over all opponents:
 analytic when the mechanism has closed-form bounds, grid-relative
-otherwise.
+otherwise, compared at the grid's scale like every other sweep.
 
 The structural checks on winner and pricing rules (`validate_winner_rule`,
 `check_uncompromising`, `check_ev_support`) return the same report, with
@@ -360,37 +361,36 @@ def scan(table: OutcomeTable, axioms: Sequence[PointwiseAxiom]) -> dict[str, Axi
     """Sweep the table's grid once for several pointwise axioms; reports by name.
 
     Each axiom keeps its own smallest-key violation, so its report is the
-    one it would get alone. Ranks order profiles as their values do, so a
-    key compares the rank. An exhaustive sweep visits ranks in increasing
-    order, so an axiom's first violation is its smallest and its
-    generator is not run again; a sample may repeat or reorder profiles,
-    so every axiom runs at every draw. Either way the outcome at every
-    swept profile is read (and so checked) and `profiles_checked` counts
-    every profile.
+    one it would get alone. Ranks order profiles as their values do, and
+    a key starts with the rank, so one rule decides where an axiom runs:
+    only at a profile ranked below its witness's. There its first
+    violation has a smaller key than the witness, and anywhere else none
+    does. An exhaustive sweep visits ranks in increasing order, so an
+    axiom stops at its first witness; in a sample, which may repeat or
+    reorder profiles, a failed axiom runs only at the draws that can
+    still lower its key. Either way the outcome at every swept profile is
+    read (and so checked) and `profiles_checked` counts every profile;
+    deviation outcomes are read only where an axiom runs.
     """
     grid = table.grid
-    best: list[tuple | None] = [None] * len(axioms)  # (key, witness) per axiom
-    running = list(enumerate(axioms))
-    stops = grid.mode == MODE_EXHAUSTIVE
+    found: list[dict | None] = [None] * len(axioms)  # the witness per axiom
+    below = [grid.size] * len(axioms)  # the rank of that witness; every rank is below size
+    axes = list(enumerate(axioms))
     count = 0
     for at in grid.profiles():
         count += 1
-        table[at.rank]  # every profile's outcome is checked, whichever axioms still run
-        witnessed = False
-        for k, axiom in running:
-            hit = next(axiom.violations(table, at), None)
-            if hit is not None:
-                key = (at.rank, *(hit[f] for f in axiom.identity))
-                if best[k] is None or key < best[k][0]:
-                    best[k] = (key, hit)
-                    witnessed = True
-        if witnessed and stops:
-            running = [(k, axiom) for k, axiom in running if best[k] is None]
+        rank = at.rank
+        table[rank]  # every profile's outcome is checked, whichever axioms run
+        for k, axiom in axes:
+            if rank < below[k]:
+                hit = next(axiom.violations(table, at), None)
+                if hit is not None:
+                    found[k], below[k] = hit, rank
     return {
         axiom.name: AxiomReport(axiom.name, grid.pass_verdict, None, count)
-        if found is None
-        else AxiomReport(axiom.name, "FAIL", found[1], count)
-        for axiom, found in zip(axioms, best)
+        if witness is None
+        else AxiomReport(axiom.name, "FAIL", witness, count)
+        for axiom, witness in zip(axioms, found)
     }
 
 
@@ -400,137 +400,165 @@ def scan(table: OutcomeTable, axioms: Sequence[PointwiseAxiom]) -> dict[str, Axi
 
 
 def _grid_bundle_map(table: OutcomeTable) -> tuple[dict, int]:
-    """For each (agent, report): every exact bundle (x, t) the agent got on
-    the table's grid, with the lexicographically smallest opponent profile
-    that produced it."""
-    # (agent, report) -> scaled (x, t) -> (rank, values) of the least profile;
+    """For each (agent, scaled report): every bundle (x, scaled t) the agent
+    got on the table's grid, with the (rank, values) of the least profile
+    that produced it, and the number of profiles swept."""
     # rank order is profile order, and a sampled profile may repeat
-    seen: dict[tuple[int, Fraction], dict[tuple, tuple]] = {}
+    seen: dict[tuple[int, Any], dict[tuple, tuple]] = {}
     count = 0
     for at in table.grid.profiles():
         count += 1
         x, t = table[at.rank]
-        for i, value in enumerate(at.values):
+        for i, value in enumerate(at.scaled):
             slot = seen.setdefault((i, value), {})
-            held = slot.get((x[i], t[i]))
+            bundle = (x[i], t[i])
+            held = slot.get(bundle)
             if held is None or at.rank < held[0]:
-                slot[(x[i], t[i])] = (at.rank, at.values)
-    bundles = {
-        (i, value): {
-            (xi, table.exact(ti)): values[:i] + values[i + 1 :]
-            for (xi, ti), (_, values) in slot.items()
-        }
-        for (i, value), slot in seen.items()
-    }
-    return bundles, count
+                slot[bundle] = (at.rank, at.values)
+    return seen, count
 
 
-def _grid_report_bounds(
-    slot: dict[tuple[int, Fraction], tuple[Fraction, ...]], true_value: Fraction
-) -> tuple[Fraction, Fraction, tuple[Fraction, ...], tuple[Fraction, ...]]:
-    """(sup, inf, sup realizer, inf realizer) over the grid's observed bundles."""
-    best = worst = None
-    best_opp = worst_opp = None
-    for (x, t), opponents in slot.items():
+def _grid_report_bounds(agent: int, slot: dict[tuple, tuple], true_value: Any) -> tuple:
+    """(sup, inf, sup realizer, inf realizer) over the grid's observed
+    bundles, at the grid's scale; a realizer is the opponents of the least
+    profile attaining the bound. With the agent's report fixed, rank order
+    is the opponents' order."""
+    best = worst = None  # (utility, rank, values)
+    for (x, t), (rank, values) in slot.items():
         u = true_value * x - t
-        if best is None or u > best or (u == best and opponents < best_opp):
-            best, best_opp = u, opponents
-        if worst is None or u < worst or (u == worst and opponents < worst_opp):
-            worst, worst_opp = u, opponents
-    return best, worst, best_opp, worst_opp
+        if best is None or u > best[0] or (u == best[0] and rank < best[1]):
+            best = (u, rank, values)
+        if worst is None or u < worst[0] or (u == worst[0] and rank < worst[1]):
+            worst = (u, rank, values)
+    return (
+        best[0],
+        worst[0],
+        best[2][:agent] + best[2][agent + 1 :],
+        worst[2][:agent] + worst[2][agent + 1 :],
+    )
 
 
-# bounds(agent, report, true_value): (sup, inf, sup realizer, inf realizer)
-# of the agent's utility, or None when the scope saw nothing of that report.
-NomBounds = Callable[[int, Fraction, Fraction], "tuple | None"]
-# `values[i]` lists the values agent i may hold, as truth and as a report.
-ValueSets = tuple[tuple[Fraction, ...], ...]
+@dataclass(frozen=True)
+class NomBounds:
+    """The utility bounds NOM and BEST_CASE compare, at a grid's scale.
+
+    `at(agent, report, true_value)`, with the report and the true value
+    multiplied by `scale`, is the (sup, inf, sup realizer, inf realizer)
+    of the agent's utility, the bounds multiplied by `scale` too, or None
+    when the scope saw nothing of that report. `scope` is "analytic" or
+    "grid", and `swept` counts the profiles swept to get them. A bound is
+    made an exact `Fraction` (`exact`) only when a witness or detail is
+    written.
+    """
+
+    at: Callable[[int, Any, Any], "tuple | None"]
+    scope: str
+    scale: int
+    swept: int
+
+    def exact(self, bound: Any) -> Fraction:
+        return Fraction(bound, self.scale)
 
 
-def _nom_bounds(table: OutcomeTable) -> tuple[NomBounds, str, int]:
+# `values[i]` lists the values agent i may hold, as truth and as a report:
+# each exact and at the bounds' scale.
+ValueSets = tuple[tuple[tuple[Fraction, Any], ...], ...]
+
+
+def _value_sets(grid: GridSpace) -> ValueSets:
+    """Each agent's grid values, each exact and at the grid's scale."""
+    return tuple(tuple(zip(vals, ups)) for vals, ups in zip(grid.values, grid.scaled))
+
+
+def _nom_bounds(table: OutcomeTable) -> NomBounds:
     """The utility bounds NOM and BEST_CASE compare for the table's
-    mechanism, their scope, and the number of profiles swept to get them.
+    mechanism, at its grid's scale.
 
     With the mechanism's closed-form bounds (the built-in families) they
-    range over every real opponent profile, and all-zero opponents are
-    recorded as the best-case realizer. Otherwise they range over the
-    bundles the table's grid produced, with the smallest opponent profile
-    producing each bound.
+    range over every real opponent profile, read at the grid's scale, and
+    all-zero opponents are recorded as the best-case realizer. Otherwise
+    they range over the bundles the table's grid produced, with the
+    smallest opponent profile producing each bound.
     """
-    mechanism, market = table.mechanism, table.grid.config
+    mechanism, grid = table.mechanism, table.grid
+    market, scale = grid.config, grid.scale
     if mechanism.bounds is not None:
+        closed, m = mechanism.bounds, market.m
         zeros = (Fraction(0),) * (market.n - 1)
 
         def analytic_bounds(agent, report, true_value):
-            sup, inf = mechanism.bounds(agent, market.m, report, true_value)
+            sup, inf = closed(agent, m, report, true_value, scale)
             return sup, inf, zeros, None
 
-        return analytic_bounds, "analytic", 0
+        return NomBounds(analytic_bounds, "analytic", scale, 0)
     seen, count = _grid_bundle_map(table)
 
     def grid_bounds(agent, report, true_value):
         slot = seen.get((agent, report))
         if slot is None:
             return None  # value never sampled, nothing to compare against
-        return _grid_report_bounds(slot, true_value)
+        return _grid_report_bounds(agent, slot, true_value)
 
-    return grid_bounds, "grid", count
+    return NomBounds(grid_bounds, "grid", scale, count)
 
 
 @dataclass(frozen=True)
 class BoundAxiom:
     """An axiom judged on one agent's utility bounds, value by value.
 
-    `violations(values, bounds, scope)` yields every violation over the
-    agents' value sets, in grid order, under the bounds `_nom_bounds`
-    gives. A witness is identified by its `identity` fields; `values`
-    names those that hold the agent's own values. The check reports the
-    first violation. Replay runs the same generator with the witness's
-    agent narrowed to those values (and every other agent to none) and
-    keeps the violation whose identity matches. A witness replays only at
-    the scope of the mechanism's bounds; one without `scope` is analytic.
+    `violations(values, bounds)` yields every violation over the agents'
+    value sets, in grid order, under the bounds `_nom_bounds` gives. It
+    compares the values and bounds at the grid's scale and makes exact
+    `Fraction`s only for the witness it yields. A witness is identified
+    by its `identity` fields; `values` names those that hold the agent's
+    own values. The check reports the first violation. Replay runs the
+    same generator with the witness's agent narrowed to those values (and
+    every other agent to none) and keeps the violation whose identity
+    matches. A witness replays only at the scope of the mechanism's
+    bounds; one without `scope` is analytic.
     """
 
     name: str
     identity: tuple[str, ...]
     values: tuple[str, ...]
-    violations: Callable[[ValueSets, NomBounds, str], Iterator[dict]]
+    violations: Callable[[ValueSets, NomBounds], Iterator[dict]]
 
     def refresh(
         self, mechanism: Mechanism, witness: dict, grid: GridSpace
     ) -> dict | None:
         """The violation with the witness's identity, recomputed, or None.
         Grid-scope bounds are swept again, on a table of the replay's own."""
-        bounds, scope, _ = _nom_bounds(OutcomeTable(mechanism, grid))
+        bounds = _nom_bounds(OutcomeTable(mechanism, grid))
         recorded = witness.get("scope", "analytic")
-        if recorded != scope:
+        if recorded != bounds.scope:
             raise ValueError(
                 f"{self.name} witness at {recorded} scope cannot replay "
-                f"on a mechanism with {scope} bounds"
+                f"on a mechanism with {bounds.scope} bounds"
             )
-        own = tuple(witness[k] for k in self.values)
+        own = tuple((witness[k], witness[k] * bounds.scale) for k in self.values)
         narrowed = tuple(
             own if k == witness["agent"] else () for k in range(grid.config.n)
         )
-        return _matching(self.violations(narrowed, bounds, scope), witness, self.identity)
+        return _matching(self.violations(narrowed, bounds), witness, self.identity)
 
 
-def _nom_violations(values: ValueSets, bounds: NomBounds, scope: str) -> Iterator[dict]:
+def _nom_violations(values: ValueSets, bounds: NomBounds) -> Iterator[dict]:
     """Every obvious manipulation, by agent, true value and misreport; SUP
     before INF.
 
     A misreport is an obvious manipulation when it beats truth-telling in
     the best case (SUP) or the worst case (INF) over opponents.
     """
+    at, exact = bounds.at, bounds.exact
     for i, vals in enumerate(values):
-        for true_value in vals:
-            truthful = bounds(i, true_value, true_value)
+        for true_value, v in vals:
+            truthful = at(i, v, v)
             if truthful is None:
                 continue
-            for report in vals:
-                if report == true_value:
+            for report, r in vals:
+                if r == v:
                     continue
-                misreported = bounds(i, report, true_value)
+                misreported = at(i, r, v)
                 if misreported is None:
                     continue
                 for pick, direction in enumerate(("SUP", "INF")):
@@ -541,22 +569,22 @@ def _nom_violations(values: ValueSets, bounds: NomBounds, scope: str) -> Iterato
                         "true_value": true_value,
                         "misreport": report,
                         "direction": direction,
-                        "truthful_bound": truthful[pick],
-                        "misreport_bound": misreported[pick],
+                        "truthful_bound": exact(truthful[pick]),
+                        "misreport_bound": exact(misreported[pick]),
                     }
                     if misreported[2 + pick] is not None:
                         witness["realizing_opponents"] = misreported[2 + pick]
-                    witness["scope"] = scope
+                    witness["scope"] = bounds.scope
                     yield witness
 
 
-def _best_case_gaps(values: ValueSets, bounds: NomBounds, scope: str) -> Iterator[dict]:
+def _best_case_gaps(values: ValueSets, bounds: NomBounds) -> Iterator[dict]:
     """(agent, value) pairs whose best-case truthful utility is not the value."""
     for i, vals in enumerate(values):
-        for value in vals:
-            truthful = bounds(i, value, value)
-            if truthful is not None and truthful[0] != value:
-                yield {"agent": i, "value": value, "best_case": truthful[0]}
+        for value, v in vals:
+            truthful = bounds.at(i, v, v)
+            if truthful is not None and truthful[0] != v:
+                yield {"agent": i, "value": value, "best_case": bounds.exact(truthful[0])}
 
 
 BY_BOUNDS: dict[str, BoundAxiom] = {
@@ -588,17 +616,19 @@ def check_nom(mechanism: Mechanism, grid: GridSpace) -> AxiomReport:
     return _audit_one("NOM", mechanism, grid)
 
 
-def _nom_report(grid: GridSpace, bounds: NomBounds, scope: str, count: int) -> AxiomReport:
+def _nom_report(grid: GridSpace, bounds: NomBounds) -> AxiomReport:
     """NOM's report under the bounds `_nom_bounds` gave (see `check_nom`)."""
+    scope, count = bounds.scope, bounds.swept
     details: dict[str, Any] = {"scope": scope}
     if scope == "analytic" and grid.is_shared:
-        agents, values = grid.config.agents, grid.shared_values
-        truthful = [{bounds(i, v, v)[:2] for i in agents} for v in values]
+        agents, at = grid.config.agents, bounds.at
+        truthful = [{at(i, v, v)[:2] for i in agents} for v in grid.scaled[0]]
         if all(len(same) == 1 for same in truthful):
             details["truthful_bounds"] = {
-                rat_str(v): [rat_str(b) for b in same.pop()] for v, same in zip(values, truthful)
+                rat_str(v): [rat_str(bounds.exact(b)) for b in same.pop()]
+                for v, same in zip(grid.shared_values, truthful)
             }
-    witness = next(BY_BOUNDS["NOM"].violations(grid.values, bounds, scope), None)
+    witness = next(BY_BOUNDS["NOM"].violations(_value_sets(grid), bounds), None)
     if witness is not None:
         return AxiomReport("NOM", "FAIL", witness, count, details)
     verdict = "PASS_ANALYTIC" if scope == "analytic" else "PASS_SAMPLED"
@@ -627,7 +657,7 @@ _BEST_CASE_PRECONDITION = ("EFF", "IR", "NS")
 def _best_case_report(
     swept: dict[str, AxiomReport],
     grid: GridSpace,
-    nom_bounds: Callable[[], tuple[NomBounds, str, int]],
+    nom_bounds: Callable[[], NomBounds],
 ) -> AxiomReport:
     """BEST_CASE's report (see `check_best_case_utility`): its precondition
     read off the EFF, IR and NS reports of the mechanism's sweep, its
@@ -641,9 +671,9 @@ def _best_case_report(
             0,
             {"reason": "precondition failed: " + ", ".join(failing)},
         )
-    bounds, scope, count = nom_bounds()
-    gap = next(BY_BOUNDS["BEST_CASE"].violations(grid.values, bounds, scope), None)
-    if scope == "analytic":
+    bounds = nom_bounds()
+    gap = next(BY_BOUNDS["BEST_CASE"].violations(_value_sets(grid), bounds), None)
+    if bounds.scope == "analytic":
         if gap is not None:
             return AxiomReport("BEST_CASE", "FAIL", gap, 0, {"scope": "analytic"})
         return AxiomReport(
@@ -662,7 +692,7 @@ def _best_case_report(
     }
     if gap is not None:
         details["first_unattained"] = gap
-    return AxiomReport("BEST_CASE", "NOT_CERTIFIED", None, count, details)
+    return AxiomReport("BEST_CASE", "NOT_CERTIFIED", None, bounds.swept, details)
 
 
 def audit(table: OutcomeTable, names: Sequence[str]) -> dict[str, AxiomReport]:
@@ -683,7 +713,7 @@ def audit(table: OutcomeTable, names: Sequence[str]) -> dict[str, AxiomReport]:
     reports = scan(table, pointwise) if pointwise else {}
     nom_bounds = cache(partial(_nom_bounds, table))
     if "NOM" in swept:
-        reports["NOM"] = _nom_report(grid, *nom_bounds())
+        reports["NOM"] = _nom_report(grid, nom_bounds())
     if "BEST_CASE" in swept:
         reports["BEST_CASE"] = _best_case_report(reports, grid, nom_bounds)
     return {name: reports[name] for name in names}

@@ -5,7 +5,10 @@ written to a file): schema-versioned, exact rationals as strings, stable
 key order, and witnesses that replay. The aligned text table is
 advisory and goes to stderr or a file. Exit codes: 0 when every verdict
 is a PASS_*, 1 when any check fails or stays uncertified, 2 for config
-or usage errors.
+or usage errors, and 3 when mechlab itself fails: any other `Exception`
+is reported as one `internal error: <Type>: <message>` line on stderr,
+so a crash never reads as a verdict. A `BaseException` that is not an
+`Exception` (`KeyboardInterrupt`, `SystemExit`) still propagates.
 """
 
 from __future__ import annotations
@@ -440,6 +443,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ValueError, TypeError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        message = " ".join(str(exc).split())  # one line, whatever the message holds
+        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

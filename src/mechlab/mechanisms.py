@@ -24,17 +24,18 @@ at scale 1 on a profile's exact values. A mechanism built from a bare
 function of a `Profile` gets one adapter, so the table has one code path.
 `Mechanism.checked` is the one check of an outcome's shape and capacity.
 The record also sets the closed-form bounds the NOM and BEST_CASE
-checkers use (`Mechanism.bounds`) and the echo of its JSON spec
-(`Mechanism.spec`), which `mechanism_from_spec` parses back. Winner and
-pricing rules are records built the same way: each rule constructor sets
-the label, the value-level `pick` or `branch` (a scale-1 call reads them
-at a profile's exact values), the bounds and the spec echo, and only the
-three `from_spec` parsers read a family name: each hands `_from_spec` its
-families' keys, which `model.fields` reads. Rule tables record their
-market and are read-only, so the outcome tables shared per mechanism and
-the once-per-rule scan of a table's selection conditions
-(`WinnerRule.conditions`, read by the mechanism's construction and by
-`validate_winner_rule`) stay true to the rule.
+checkers use (`Mechanism.bounds`, which take the scale `outcome` takes,
+so the checkers compare them with the grid's scaled ints) and the echo
+of its JSON spec (`Mechanism.spec`), which `mechanism_from_spec` parses
+back. Winner and pricing rules are records built the same way: each rule
+constructor sets the label, the value-level `pick` or `branch` (a
+scale-1 call reads them at a profile's exact values), the bounds and the
+spec echo, and only the three `from_spec` parsers read a family name:
+each hands `_from_spec` its families' keys, which `model.fields` reads.
+Rule tables record their market and are read-only, so the outcome tables
+shared per mechanism and the once-per-rule scan of a table's selection
+conditions (`WinnerRule.conditions`, read by the mechanism's
+construction and by `validate_winner_rule`) stay true to the rule.
 
 The rule walks run on scaled ints too. One walk (`first_violation`)
 serves every rule check in `axioms`, over `Entry`s: a profile's exact
@@ -96,9 +97,11 @@ Outcome = Callable[[tuple, MarketConfig, int], tuple[tuple[int, ...], tuple]]
 Pick = Callable[[tuple, MarketConfig, int], Iterable[int]]
 # branch(values, market, scale): EV or PAB, as a pricing rule classifies.
 Branch = Callable[[tuple, MarketConfig, int], str]
-# bounds(agent, m, report, true_value): the (sup, inf) of the agent's
-# utility over every non-negative opponent profile, in closed form.
-Bounds = Callable[[int, int, Fraction, Fraction], tuple[Fraction, Fraction]]
+# bounds(agent, m, report, true_value, scale): the (sup, inf) of the agent's
+# utility over every non-negative opponent profile, in closed form; the
+# report and the true value, like every constant of the family, are
+# multiplied by `scale`, and so are the bounds returned.
+Bounds = Callable[[int, int, Any, Any, int], tuple]
 # A violated rule condition and its witness.
 Hit = tuple[str, dict]
 # One entry of a rule walk: a profile's exact values, the same values
@@ -106,10 +109,8 @@ Hit = tuple[str, dict]
 Entry = tuple[tuple[Fraction, ...], tuple, frozenset[int]]
 
 
-# The types an outcome's transfers may take, and the one zero the
-# closed-form bounds share.
+# The types an outcome's transfers may take.
 _EXACT = (int, Fraction)
-_ZERO = Fraction(0)
 
 
 def _scaled(q: Any, scale: int) -> Any:
@@ -197,14 +198,15 @@ class Mechanism:
 
     A frozen record, built by its family's constructor the way rules are:
     `family` names the family, `outcome` is its one value-level definition
-    (see `Outcome`), `bounds` (set by the families that have a closed form)
-    lets the NOM and BEST_CASE checkers skip the grid, `market` is the
-    market a rule table was written for (None when the mechanism has no
-    table), so a checker can refuse a grid of another market, and `echo`
-    renders the JSON spec (`spec` is `{"family": family}` without one). A
-    mechanism given instead as a function `fn` of a `Profile` returning an
-    `Allocation` (`Mechanism(name, "CUSTOM", fn)`) gets the outcome that
-    calls `fn` at the exact profile and scales its transfers.
+    (see `Outcome`), `bounds` (set by the families that have a closed
+    form; see `Bounds`, scaled as `outcome` is) lets the NOM and BEST_CASE
+    checkers skip the grid, `market` is the market a rule table was
+    written for (None when the mechanism has no table), so a checker can
+    refuse a grid of another market, and `echo` renders the JSON spec
+    (`spec` is `{"family": family}` without one). A mechanism given
+    instead as a function `fn` of a `Profile` returning an `Allocation`
+    (`Mechanism(name, "CUSTOM", fn)`) gets the outcome that calls `fn` at
+    the exact profile and scales its transfers.
 
     The axiom checkers fill an outcome table (`grid.OutcomeTable`) by
     calling `outcome` once per grid profile on values scaled to ints;
@@ -257,9 +259,7 @@ class Mechanism:
         return Allocation(x, tuple(map(Fraction, t)))
 
 
-def _second_price_bounds(
-    agent: int, m: int, report: Fraction, true_value: Fraction
-) -> tuple[Fraction, Fraction]:
+def _second_price_bounds(agent: int, m: int, report: Any, true_value: Any, scale: int) -> tuple:
     """Bounds for families whose winners pay the Vickrey price.
 
     Best case: opponents all at zero let a positive report win for free,
@@ -270,26 +270,25 @@ def _second_price_bounds(
     else the zero report never trades. Worst case: overbidding can win at
     any price up to the report, so the infimum is min(0, v - r).
     """
-    sup = true_value if (report > 0 or agent < m - 1) else _ZERO
-    inf = min(_ZERO, true_value - report)
-    return (sup, inf)
+    sup = true_value if (report > 0 or agent < m - 1) else 0
+    return (sup, min(0, true_value - report))
 
 
-def _own_bid_bounds(
-    agent: int, m: int, report: Fraction, true_value: Fraction
-) -> tuple[Fraction, Fraction]:
+def _own_bid_bounds(agent: int, m: int, report: Any, true_value: Any, scale: int) -> tuple:
     """Bounds when winners pay their own report: utility is v - r or 0."""
     winnable = report > 0 or agent < m - 1
     if not winnable:
-        return (_ZERO, _ZERO)
+        return (0, 0)
     gain = true_value - report
-    return (max(gain, _ZERO), min(gain, _ZERO))
+    return (max(gain, 0), min(gain, 0))
 
 
 def _flat_bounds(
-    fee: Fraction, agent: int, m: int, report: Fraction, true_value: Fraction
-) -> tuple[Fraction, Fraction]:
-    """Bounds when nobody ever trades and everyone pays `fee`."""
+    fee_at: Callable[[int], Any], agent: int, m: int, report: Any, true_value: Any, scale: int
+) -> tuple:
+    """Bounds when nobody ever trades and everyone pays the fee, which
+    `fee_at(scale)` gives at the scale."""
+    fee = fee_at(scale)
     return (-fee, -fee)
 
 
@@ -333,7 +332,7 @@ def no_trade_mechanism(fee: RationalLike = 0) -> Mechanism:
         "no_trade" if f == 0 else f"no_trade(fee={rat_str(f)})",
         FAMILY_NO_TRADE,
         outcome=outcome,
-        bounds=partial(_flat_bounds, f),
+        bounds=partial(_flat_bounds, fee_at),
         echo=lambda: {"family": FAMILY_NO_TRADE, "fee": rat_str(f)},
     )
 
@@ -509,7 +508,7 @@ class WinnerRule:
     @classmethod
     def empty(cls) -> "WinnerRule":
         return cls(
-            "empty", lambda values, market, scale: (), partial(_flat_bounds, _ZERO),
+            "empty", lambda values, market, scale: (), partial(_flat_bounds, lambda scale: 0),
             lambda: {"family": RULE_EMPTY},
         )
 
@@ -544,7 +543,7 @@ class WinnerRule:
         return cls(
             f"dictatorial_threshold({agent},{rat_str(cut)})",
             pick,
-            partial(_dictator_bounds, agent, cut),
+            partial(_dictator_bounds, agent, cut_at),
             lambda: {"family": RULE_DICTATORIAL_THRESHOLD, "agent": agent,
                      "threshold": rat_str(cut)},
         )
@@ -592,30 +591,31 @@ class WinnerRule:
         })
 
 
-def _strict_winner_bounds(
-    agent: int, m: int, report: Fraction, true_value: Fraction
-) -> tuple[Fraction, Fraction]:
+def _strict_winner_bounds(agent: int, m: int, report: Any, true_value: Any, scale: int) -> tuple:
     """Strict winners trade at the price: a positive report can win for free
     against all-zero opponents, or at any price below the report."""
     if report > 0:
-        return (true_value, min(_ZERO, true_value - report))
-    return (_ZERO, _ZERO)
+        return (true_value, min(0, true_value - report))
+    return (0, 0)
 
 
 def _dictator_bounds(
     chosen: int,
-    threshold: Fraction,
+    cut_at: Callable[[int], Any],
     agent: int,
     m: int,
-    report: Fraction,
-    true_value: Fraction,
-) -> tuple[Fraction, Fraction]:
-    """Only the dictator trades, at the threshold, when reporting above it
-    while every opponent reports the threshold: never if it is negative."""
+    report: Any,
+    true_value: Any,
+    scale: int,
+) -> tuple:
+    """Only the dictator trades, at the threshold (`cut_at(scale)` at the
+    scale), when reporting above it while every opponent reports the
+    threshold: never if it is negative."""
+    threshold = cut_at(scale)
     if agent != chosen or report <= threshold or threshold < 0:
-        return (_ZERO, _ZERO)
+        return (0, 0)
     gain = true_value - threshold
-    return (max(gain, _ZERO), min(gain, _ZERO))
+    return (max(gain, 0), min(gain, 0))
 
 
 def rule_condition_violation(

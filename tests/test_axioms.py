@@ -50,6 +50,7 @@ from mechlab.axioms import (
     POINTWISE,
     OutcomeTable,
     _nom_bounds,
+    _value_sets,
     audit,
     scan,
 )
@@ -303,22 +304,24 @@ def test_a_sample_is_drawn_once(monkeypatch):
     assert len(seeded) == 20
 
 
-# Entries a sampled SP audit fills on `SAMPLED_SP_GRID`: the drawn points
-# and every single-agent misreport at them, up to the first witness.
+# Entries a sampled SP audit fills on `SAMPLED_SP_GRID`: the drawn points,
+# and every single-agent misreport at the draws ranked below the witness.
 SAMPLED_SP_GRID = GridSpace.shared(CFG1, range(6), mode=MODE_SAMPLED, seed=2, samples=30)
 SAMPLED_SP_FILLS = {
     "vickrey": 186,
     "efficient_vickrey": 186,
-    "pay_as_bid": 171,
+    "pay_as_bid": 97,
     "no_trade": 186,
     "selective_vickrey(strict_winners)": 186,
-    "ev_pab(always_ev)": 178,
+    "ev_pab(always_ev)": 107,
 }
 
 
 def test_a_sampled_sp_audit_decodes_only_the_drawn_ranks(monkeypatch):
     """SP misreports are filled from the drawn point's own values, so only
-    a drawn rank is decoded; the entries filled are the same as ever."""
+    a drawn rank is decoded. A mechanism that passes SP fills every drawn
+    profile and each of its misreports; one that fails fills the
+    misreports only at draws ranked below its witness."""
     decoded = []
     missing = OutcomeTable.__missing__
 
@@ -373,8 +376,8 @@ def test_a_grid_scope_nom_witness_replays_from_its_own_table():
     nobody = ((0,) * CFG1.n, (0,) * CFG1.n)
     for rank in table:
         table[rank] = nobody
-    bounds, scope, _ = _nom_bounds(table)  # read off the overwritten table: no witness
-    assert next(BY_BOUNDS["NOM"].violations(GRID.values, bounds, scope), None) is None
+    bounds = _nom_bounds(table)  # read off the overwritten table: no witness
+    assert next(BY_BOUNDS["NOM"].violations(_value_sets(GRID), bounds), None) is None
     assert refresh_witness(mechanism, "NOM", report.witness, GRID) == report.witness
     assert replay_witness(mechanism, "NOM", report.witness, GRID)
 
@@ -576,17 +579,17 @@ def test_efficiency_passes_for_surplus_maximizers():
 def test_nom_truthful_bounds_examples():
     """Best case equals the valuation under EV pricing, zero under own-bid."""
     aev = ev_pab_mechanism(PricingRule.always_ev())
-    assert aev.bounds(0, CFG1.m, 3, 3) == (3, 0)
-    assert pay_as_bid_mechanism().bounds(0, CFG1.m, 4, 4) == (0, 0)
-    assert no_trade_mechanism(0).bounds(0, CFG1.m, 2, 2) == (0, 0)
-    assert vickrey_mechanism().bounds(0, CFG1.m, 2, 2) == (2, 0)
+    assert aev.bounds(0, CFG1.m, 3, 3, 1) == (3, 0)
+    assert pay_as_bid_mechanism().bounds(0, CFG1.m, 4, 4, 1) == (0, 0)
+    assert no_trade_mechanism(0).bounds(0, CFG1.m, 2, 2, 1) == (0, 0)
+    assert vickrey_mechanism().bounds(0, CFG1.m, 2, 2, 1) == (2, 0)
 
 
 def test_nom_report_bounds_own_bid_shading():
     # reporting 2 with value 4 can win at price 2, never lose money
-    assert pay_as_bid_mechanism().bounds(0, CFG1.m, 2, 4) == (2, 0)
+    assert pay_as_bid_mechanism().bounds(0, CFG1.m, 2, 4, 1) == (2, 0)
     # overbidding with value 0 risks paying the bid
-    assert pay_as_bid_mechanism().bounds(0, CFG1.m, 2, 0) == (0, -2)
+    assert pay_as_bid_mechanism().bounds(0, CFG1.m, 2, 0, 1) == (0, -2)
 
 
 def below_zero_dictator():
@@ -595,7 +598,7 @@ def below_zero_dictator():
 
 
 def test_nom_bounds_of_a_dictator_below_zero_are_zero():
-    assert below_zero_dictator().bounds(0, CFG1.m, 2, 2) == (0, 0)
+    assert below_zero_dictator().bounds(0, CFG1.m, 2, 2, 1) == (0, 0)
     report = check_nom(below_zero_dictator(), GridSpace.shared(CFG1, [0]))
     assert report.details["truthful_bounds"] == {"0": ["0", "0"]}
 
@@ -629,8 +632,8 @@ def test_nom_truthful_bounds_are_given_only_when_every_agent_shares_them():
     is 2 while agent 0's is 0, so no one map states both. Bounds every
     agent shares keep their map (always-EV, in the test above)."""
     dictator = selective_vickrey_mechanism(WinnerRule.dictatorial_threshold(1, 0))
-    assert dictator.bounds(0, CFG1.m, 2, 2) == (0, 0)
-    assert dictator.bounds(1, CFG1.m, 2, 2) == (2, 0)
+    assert dictator.bounds(0, CFG1.m, 2, 2, 1) == (0, 0)
+    assert dictator.bounds(1, CFG1.m, 2, 2, 1) == (2, 0)
     report = check_nom(dictator, GRID)
     assert report.verdict == "PASS_ANALYTIC"
     assert "truthful_bounds" not in report.details
@@ -651,13 +654,13 @@ def test_bound_witnesses_replay_exactly_through_their_generator():
              ev_pab_mechanism(PricingRule.threshold(1))]
     replayed = set()
     for mech in [*mechs, *map(opaque, mechs)]:
-        bounds, scope, _ = _nom_bounds(OutcomeTable(mech, GRID))
+        bounds = _nom_bounds(OutcomeTable(mech, GRID))
         for name, axiom in BY_BOUNDS.items():
-            if name == "BEST_CASE" and scope == "grid":
+            if name == "BEST_CASE" and bounds.scope == "grid":
                 continue  # grid evidence is NOT_CERTIFIED, never a witness
-            for witness in axiom.violations(GRID.values, bounds, scope):
+            for witness in axiom.violations(_value_sets(GRID), bounds):
                 assert refresh_witness(mech, name, witness, GRID) == witness
-                replayed.add((name, scope))
+                replayed.add((name, bounds.scope))
     assert replayed == {("NOM", "analytic"), ("NOM", "grid"), ("BEST_CASE", "analytic")}
 
 

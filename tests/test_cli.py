@@ -298,6 +298,29 @@ def test_zero_denominator_exits_two(tmp_path, capsys):
     assert capsys.readouterr().err == "error: bad grid: zero denominator in '1/0'\n"
 
 
+def test_a_crash_exits_three_with_one_line(tmp_path, capsys, monkeypatch):
+    """A fault in mechlab itself is neither a verdict (exit 1) nor a user
+    error (exit 2): it exits 3 with one line naming the exception. A
+    `BaseException` that is not an `Exception` still propagates."""
+
+    def crash(table, names):
+        raise RuntimeError("the table\nwent missing")
+
+    monkeypatch.setattr(cli, "audit", crash)
+    path = write_config(tmp_path)
+    assert main(["audit", "--config", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: RuntimeError: the table went missing\n"
+
+    def interrupt(table, names):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "audit", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        main(["audit", "--config", str(path)])
+
+
 def test_suite_subcommand(capsys):
     assert main(["suite", "independence"]) == 0
     out = capsys.readouterr().out

@@ -372,7 +372,7 @@ def test_rule_records_match_their_definitions_and_round_trip(grid):
         assert (rule.bounds is None) == (again.bounds is None), rule.label
         if rule.bounds is not None:
             for agent, report, value in product(market.agents, values, values):
-                args = (agent, market.m, report, value)
+                args = (agent, market.m, report, value, 1)
                 assert rule.bounds(*args) == again.bounds(*args), (rule.label, args)
 
 

@@ -13,7 +13,9 @@ profiles. The characterization's "only if" is checked against every
 EE+IR+NS+SP mechanism of a small market, enumerated outcome by outcome.
 """
 
+import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction
 from functools import partial
@@ -49,7 +51,16 @@ from mechlab import (
     vickrey_price,
     witness_to_json,
 )
-from mechlab.axioms import BY_BOUNDS, MODE_SAMPLED, OutcomeTable, _nom_bounds
+from mechlab.axioms import (
+    BY_BOUNDS,
+    MODE_SAMPLED,
+    POINTWISE,
+    AxiomReport,
+    OutcomeTable,
+    _nom_bounds,
+    _value_sets,
+    scan,
+)
 
 # analytic NOM bounds
 
@@ -94,8 +105,8 @@ FAMILIES = {
 
 def iter_nom_violations(mechanism, grid):
     """Obvious manipulations in (agent, true value, misreport) order."""
-    bounds, scope, _ = _nom_bounds(OutcomeTable(mechanism, grid))
-    return BY_BOUNDS["NOM"].violations(grid.values, bounds, scope)
+    bounds = _nom_bounds(OutcomeTable(mechanism, grid))
+    return BY_BOUNDS["NOM"].violations(_value_sets(grid), bounds)
 
 
 def zero_report_realizer(market):
@@ -128,7 +139,7 @@ def test_analytic_nom_bounds_are_sound_and_attained(family, market, values):
         for agent in range(market.n):
             for true_value in values:
                 sup, inf = mechanism.bounds(
-                    agent, market.m, profile.values[agent], true_value
+                    agent, market.m, profile.values[agent], true_value, 1
                 )
                 assert inf <= true_value * x[agent] - t[agent] <= sup
     for witness in iter_nom_violations(mechanism, grid):
@@ -165,6 +176,91 @@ def test_zero_report_sup_witness_replays_at_its_realizer():
         witness["true_value"],
     )
     assert got == witness["misreport_bound"]
+
+
+# closed-form bounds at a grid's scale
+
+
+HALF_STEPS = tuple(Fraction(k, 2) for k in range(7))  # 0, 1/2, ..., 3
+
+
+def closed_form_mechanisms():
+    """Every family with closed-form bounds, with constants off the grid's
+    denominator and below zero."""
+    return [
+        *builtin_mechanisms(),
+        no_trade_mechanism(Fraction(1, 3)),
+        no_trade_mechanism(-1),
+        *(
+            selective_vickrey_mechanism(rule)
+            for rule in (
+                WinnerRule.dictatorial_threshold(0, Fraction(2, 3)),
+                WinnerRule.dictatorial_threshold(0, -1),
+                WinnerRule.empty(),
+                WinnerRule.strict(),
+                WinnerRule.efficient(),
+            )
+        ),
+        ev_pab_mechanism(PricingRule.threshold(Fraction(1, 3))),
+        ev_pab_mechanism(PricingRule.threshold(-1)),
+    ]
+
+
+@pytest.mark.parametrize("market", MARKETS, ids=map(str, MARKETS))
+def test_closed_form_bounds_scale_with_their_arguments(market):
+    """bounds(a, m, s*r, s*v, s) == s * bounds(a, m, r, v, 1): the integer
+    sweep compares the bounds at the grid's scale, so this identity is
+    what keeps its verdicts those of the exact values."""
+    market = MarketConfig(*market)
+    for mechanism in closed_form_mechanisms():
+        bounds = mechanism.bounds
+        for agent, report, value in itertools.product(market.agents, HALF_STEPS, HALF_STEPS):
+            exact = bounds(agent, market.m, report, value, 1)
+            for scale in (1, 2, 6):
+                got = bounds(agent, market.m, scale * report, scale * value, scale)
+                assert got == tuple(scale * b for b in exact), (mechanism.name, agent, scale)
+
+
+def test_analytic_bounds_on_a_half_step_grid_are_ints():
+    """Each analytic bound NOM and BEST_CASE compare for a built-in family
+    on a half-step grid is an int: no `Fraction` is built until a witness
+    or a detail is written."""
+    grid = GridSpace.from_range(MarketConfig(4, 2), 3, 2)
+    for mechanism in builtin_mechanisms():
+        bounds = _nom_bounds(OutcomeTable(mechanism, grid))
+        assert (bounds.scope, bounds.scale) == ("analytic", 2)
+        for agent, ups in enumerate(grid.scaled):
+            for report, value in itertools.product(ups, ups):
+                sup, inf, *_ = bounds.at(agent, report, value)
+                assert (type(sup), type(inf)) == (int, int), (mechanism.name, agent)
+
+
+# NOM, BEST_CASE, EFF, IR and NS on a half-step grid, for constants that stay
+# a `Fraction` at the grid's scale and a grid-scope pricing table: the
+# digest of the reports as the exact-value bound sweep printed them.
+OFF_SCALE_DIGEST = "4485711a5e46300dca70ea3afdf9b221bbcc40926a9bd8a6d7ab3f447b676012"
+
+
+def test_off_scale_bound_reports_keep_their_bytes():
+    market = MarketConfig(3, 1)
+    half = GridSpace.from_range(market, 3, 2)
+    grids = (half, GridSpace.from_range(market, 3, 2, mode=MODE_SAMPLED, seed=0, samples=40))
+    modes = random_pricing_table(half, random.Random(0))
+    names = ("NOM", "BEST_CASE", "EFF", "IR", "NS")
+    doc = [
+        [grid.mode, mechanism.name,
+         {k: r.to_json() for k, r in audit(OutcomeTable(mechanism, grid), names).items()}]
+        for grid in grids
+        for mechanism in (
+            no_trade_mechanism(Fraction(1, 3)),
+            selective_vickrey_mechanism(WinnerRule.dictatorial_threshold(0, Fraction(2, 3))),
+            ev_pab_mechanism(PricingRule.threshold(Fraction(1, 3))),
+            ev_pab_mechanism(PricingRule.threshold(-1)),
+            ev_pab_mechanism(PricingRule.rule_table(market, modes)),
+        )
+    ]
+    text = json.dumps(doc, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == OFF_SCALE_DIGEST
 
 
 # pointwise scans against brute force
@@ -340,6 +436,59 @@ def test_audit_equals_the_one_axiom_checkers(grid, names):
                 CHECKERS[k](mechanism, grid).verdict == "FAIL" for k in ("EFF", "IR", "NS")
             )
             assert (audited["BEST_CASE"].verdict == "NOT_APPLICABLE") == failing
+
+
+# the scan's skip rule against a scan that runs every axiom at every draw
+
+
+SKIP_GRIDS = (
+    GRIDS[2],
+    GRIDS[5],
+    # Two values and many draws: each profile is drawn again and again.
+    GridSpace.shared(MarketConfig(3, 1), (0, 1), mode=MODE_SAMPLED, seed=1, samples=60),
+)
+
+
+def reference_scan(table, axioms):
+    """Each axiom's report from its generator run at every draw, keeping
+    the least key, and whether some later draw lowered the first key."""
+    grid = table.grid
+    best, lowered, count = {}, False, 0
+    for at in grid.profiles():
+        count += 1
+        for axiom in axioms:
+            hit = next(axiom.violations(table, at), None)
+            if hit is not None:
+                key = (at.rank, *(hit[f] for f in axiom.identity))
+                if axiom.name not in best or key < best[axiom.name][0]:
+                    lowered |= axiom.name in best
+                    best[axiom.name] = (key, hit)
+    reports = {
+        axiom.name: AxiomReport(axiom.name, "FAIL", best[axiom.name][1], count)
+        if axiom.name in best
+        else AxiomReport(axiom.name, grid.pass_verdict, None, count)
+        for axiom in axioms
+    }
+    return reports, lowered
+
+
+@pytest.mark.parametrize("grid", SKIP_GRIDS, ids=["0..5", "halves", "two-values"])
+def test_scan_skips_only_draws_that_cannot_lower_a_key(grid):
+    """An axiom runs only at draws ranked below its witness; on samples
+    that repeat and reorder profiles, every report equals the one a scan
+    running every axiom at every draw gives."""
+    ranks = [at.rank for at in grid.profiles()]
+    assert ranks != sorted(ranks)  # drawn out of rank order
+    assert (len(set(ranks)) < len(ranks)) == (grid is not GRIDS[5])  # the others repeat draws
+    every = list(POINTWISE.values())
+    failed = lowered = 0
+    for mechanism in oracle_mechanisms(grid):
+        reports = scan(OutcomeTable(mechanism, grid), every)
+        want, later = reference_scan(OutcomeTable(mechanism, grid), every)
+        assert reports == want, mechanism.name
+        failed += sum(report.verdict == "FAIL" for report in reports.values())
+        lowered += later
+    assert failed and lowered, "no draw after a first witness lowered a key"
 
 
 def test_every_outcome_on_the_swept_grids_is_feasible():
