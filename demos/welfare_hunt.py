@@ -4,12 +4,11 @@ Run: python3 demos/welfare_hunt.py
 """
 
 from mechlab import (
+    CHECKERS,
     GridSpace,
     MarketConfig,
     OutcomeTable,
     PricingRule,
-    check_nom,
-    check_sp,
     ev_pab_mechanism,
     pay_as_bid_mechanism,
     random_uncompromising_rules,
@@ -42,7 +41,7 @@ for pricing in (
 print()
 print("Hunting obvious manipulations (best/worst case over all opponents)")
 for mech in (always, pay_as_bid_mechanism()):
-    w = check_nom(mech, grid).witness
+    w = CHECKERS["NOM"](mech, grid).witness
     if w is None:
         print(f"  {mech.name}: none")
     else:
@@ -56,4 +55,4 @@ for rule in random_uncompromising_rules(grid, count=3, seed=99):
     mech = selective_vickrey_mechanism(rule)
     print(f"  {rule.label:22s} valid={validate_winner_rule(rule, grid).passed} "
           f"uncompromising={check_uncompromising(rule, grid).passed} "
-          f"SP={check_sp(mech, grid).verdict}")
+          f"SP={CHECKERS['SP'](mech, grid).verdict}")

@@ -601,8 +601,9 @@ BY_BOUNDS: dict[str, BoundAxiom] = {
 }
 
 
-def check_nom(mechanism: Mechanism, grid: GridSpace) -> AxiomReport:
-    """Non-obvious manipulability: no misreport beats truth in best or worst case.
+def _nom_report(grid: GridSpace, bounds: NomBounds) -> AxiomReport:
+    """Non-obvious manipulability, under the bounds `_nom_bounds` gave: no
+    misreport beats truth in the best or the worst case.
 
     With analytic bounds (the built-in families) the verdict covers every
     real opponent profile and only the misreport ranges over the grid, so
@@ -613,11 +614,6 @@ def check_nom(mechanism: Mechanism, grid: GridSpace) -> AxiomReport:
     with analytic bounds, `details["truthful_bounds"]` maps each value to
     the truthful (sup, inf), given only when every agent's bounds agree.
     """
-    return _audit_one("NOM", mechanism, grid)
-
-
-def _nom_report(grid: GridSpace, bounds: NomBounds) -> AxiomReport:
-    """NOM's report under the bounds `_nom_bounds` gave (see `check_nom`)."""
     scope, count = bounds.scope, bounds.swept
     details: dict[str, Any] = {"scope": scope}
     if scope == "analytic" and grid.is_shared:
@@ -635,22 +631,6 @@ def _nom_report(grid: GridSpace, bounds: NomBounds) -> AxiomReport:
     return AxiomReport("NOM", verdict, None, count, details)
 
 
-def check_best_case_utility(
-    mechanism: Mechanism, grid: GridSpace
-) -> AxiomReport:
-    """Best-case truthful utility equals the full valuation (a free object).
-
-    Meaningful only for mechanisms that are decision-efficient, individually
-    rational and subsidy-free on the grid; those are read off the
-    mechanism's one sweep (`audit`), and a failure makes this
-    NOT_APPLICABLE. Transfers being non-negative caps utility at v_i, so
-    the question is whether some opponent profile attains the cap. For the built-in families the all-zero opponents do,
-    analytically; for black-box mechanisms only grid evidence is reported,
-    over the values the grid (or its sample) actually produced.
-    """
-    return _audit_one("BEST_CASE", mechanism, grid)
-
-
 _BEST_CASE_PRECONDITION = ("EFF", "IR", "NS")
 
 
@@ -659,9 +639,18 @@ def _best_case_report(
     grid: GridSpace,
     nom_bounds: Callable[[], NomBounds],
 ) -> AxiomReport:
-    """BEST_CASE's report (see `check_best_case_utility`): its precondition
-    read off the EFF, IR and NS reports of the mechanism's sweep, its
-    bounds from `nom_bounds()` when the precondition holds."""
+    """Best-case truthful utility equals the full valuation (a free object).
+
+    Meaningful only for mechanisms that are decision-efficient, individually
+    rational and subsidy-free on the grid; those are read off the EFF, IR
+    and NS reports of the mechanism's one sweep (`swept`), and a failure
+    makes this NOT_APPLICABLE. Transfers being non-negative caps utility
+    at v_i, so the question is whether some opponent profile attains the
+    cap. For the built-in families the all-zero opponents do, analytically;
+    for black-box mechanisms only grid evidence is reported, over the
+    values the grid (or its sample) actually produced. The bounds come
+    from `nom_bounds()`, called only when the precondition holds.
+    """
     failing = sorted(k for k in _BEST_CASE_PRECONDITION if swept[k].verdict == "FAIL")
     if failing:
         return AxiomReport(
@@ -725,13 +714,10 @@ def _audit_one(name: str, mechanism: Mechanism, grid: GridSpace) -> AxiomReport:
     return audit(OutcomeTable(mechanism, grid), (name,))[name]
 
 
-check_ir = partial(_audit_one, "IR")
-check_no_subsidy = partial(_audit_one, "NS")
-check_sp = partial(_audit_one, "SP")
-check_ee = partial(_audit_one, "EE")
-check_efficiency = partial(_audit_one, "EFF")
-check_envy_freeness = partial(_audit_one, "EF")
-check_anonymity_in_welfare = partial(_audit_one, "AIW")
+CHECKERS: dict[str, Callable[[Mechanism, GridSpace], AxiomReport]] = {
+    name: partial(_audit_one, name)
+    for name in ("EE", "SP", "NOM", "EFF", "IR", "NS", "EF", "AIW", "BEST_CASE")
+}
 
 
 # ---------------------------------------------------------------------------
@@ -967,16 +953,3 @@ def replay_witness(
 ) -> bool:
     """True when the witness still reproduces its violation exactly."""
     return refresh_witness(mechanism, axiom, witness, grid) is not None
-
-
-CHECKERS: dict[str, Callable[[Mechanism, GridSpace], AxiomReport]] = {
-    "EE": check_ee,
-    "SP": check_sp,
-    "NOM": check_nom,
-    "EFF": check_efficiency,
-    "IR": check_ir,
-    "NS": check_no_subsidy,
-    "EF": check_envy_freeness,
-    "AIW": check_anonymity_in_welfare,
-    "BEST_CASE": check_best_case_utility,
-}

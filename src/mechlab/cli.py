@@ -5,10 +5,13 @@ written to a file): schema-versioned, exact rationals as strings, stable
 key order, and witnesses that replay. The aligned text table is
 advisory and goes to stderr or a file. Exit codes: 0 when every verdict
 is a PASS_*, 1 when any check fails or stays uncertified, 2 for config
-or usage errors, and 3 when mechlab itself fails: any other `Exception`
-is reported as one `internal error: <Type>: <message>` line on stderr,
-so a crash never reads as a verdict. A `BaseException` that is not an
-`Exception` (`KeyboardInterrupt`, `SystemExit`) still propagates.
+or usage errors (a `ConfigError`: a bad config, spec or profile, or a
+user's file that cannot be read or written), and 3 when mechlab itself
+fails: any other `Exception`, a `ValueError` or `KeyError` included, is
+reported as one `internal error: <Type>: <message>` line on stderr, so a
+crash never reads as a verdict or as the user's mistake. A
+`BaseException` that is not an `Exception` (`KeyboardInterrupt`,
+`SystemExit`) still propagates.
 """
 
 from __future__ import annotations
@@ -71,15 +74,19 @@ _fields = partial(_field, fields)
 
 
 def parse_mechanism(spec: Any, market: MarketConfig) -> Mechanism:
-    """Build a mechanism from a JSON spec, JSON text, or a bare family name."""
-    if isinstance(spec, str):
-        spec = spec.strip()
-        if spec.startswith("{"):
-            try:
-                spec = json.loads(spec, object_pairs_hook=unique_keys)
-            except RecursionError:
-                raise ValueError("mechanism spec is nested too deeply") from None
-    return mechanism_from_spec(spec, market)
+    """Build a mechanism from a JSON spec, JSON text, or a bare family name;
+    a spec that builds none is refused as a `ConfigError`."""
+    try:
+        if isinstance(spec, str):
+            spec = spec.strip()
+            if spec.startswith("{"):
+                try:
+                    spec = json.loads(spec, object_pairs_hook=unique_keys)
+                except RecursionError:
+                    raise ValueError("mechanism spec is nested too deeply") from None
+        return mechanism_from_spec(spec, market)
+    except (ValueError, TypeError, KeyError) as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +103,7 @@ class AuditConfig:
     text_path: str | None
 
     def grid(self) -> GridSpace:
-        """`space` under the name `bench/` still calls (ROADMAP items 2 and 6)."""
+        """`space` under the name `bench/` still calls (ROADMAP item 1)."""
         return self.space
 
     def echo(self) -> dict:
@@ -186,7 +193,7 @@ def load_config(path: str) -> AuditConfig:
         raise ConfigError("config needs at least one mechanism")
     try:
         mechanisms = tuple(parse_mechanism(m, market) for m in mech_docs)
-    except (ValueError, KeyError, TypeError) as exc:
+    except ConfigError as exc:
         raise ConfigError(f"bad mechanism spec: {exc}") from exc
     axioms = tuple(_json_list(axioms, "axioms"))
     if not axioms:
@@ -264,10 +271,23 @@ def _audit_table(report_doc: dict) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _write(path: str, text: str) -> None:
+    """Write one of the user's output files, refusing a path that cannot be
+    written as a `ConfigError`."""
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text + "\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write output: {exc}") from exc
+
+
 def cmd_eval(args: argparse.Namespace) -> int:
-    values = tuple(rat(v.strip()) for v in args.profile.split(","))
-    market = MarketConfig(len(values), args.m)
-    profile = Profile(market, values)
+    try:
+        values = tuple(rat(v.strip()) for v in args.profile.split(","))
+        market = MarketConfig(len(values), args.m)
+        profile = Profile(market, values)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     mechanism = parse_mechanism(args.mech, market)
     allocation = mechanism.evaluate(profile)
     us = utilities(allocation, profile)
@@ -343,14 +363,12 @@ def cmd_audit(args: argparse.Namespace) -> int:
     print(json_text)
     json_path = args.json or config.json_path
     if json_path:
-        with open(json_path, "w", encoding="utf-8") as handle:
-            handle.write(json_text + "\n")
+        _write(json_path, json_text)
     table = _audit_table(report_doc)
     print(table, file=sys.stderr)
     text_path = args.text or config.text_path
     if text_path:
-        with open(text_path, "w", encoding="utf-8") as handle:
-            handle.write(table + "\n")
+        _write(text_path, table)
     return 0 if all_pass else 1
 
 
@@ -440,7 +458,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (ValueError, TypeError, KeyError, OSError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

@@ -71,7 +71,9 @@ class GridSpace:
 
     `profiles()` is the one sweep. In exhaustive mode it yields the full
     cartesian product in lexicographic order, its ranks and indices
-    counted. In sampled mode it yields `samples` profiles drawn uniformly;
+    counted, and it refuses a nonzero `seed` or `samples`: it would never
+    read them, and they would make two equal grids compare unequal. In
+    sampled mode it yields `samples` profiles drawn uniformly;
     each draw is keyed by `(seed, index)`, so the stream depends on
     nothing else, and keeps the value indices it drew. The draws are made
     on the first sweep and kept, so later sweeps seed no generator.
@@ -104,11 +106,13 @@ class GridSpace:
         object.__setattr__(self, "values", values)
         if self.mode not in (MODE_EXHAUSTIVE, MODE_SAMPLED):
             raise ValueError(f"unknown mode: {clipped(str(self.mode))}")
-        if self.mode == MODE_SAMPLED and self.samples < 1:
-            raise ValueError("sampled mode needs samples >= 1")
         if self.mode == MODE_SAMPLED:
+            if self.samples < 1:
+                raise ValueError("sampled mode needs samples >= 1")
             _refuse_over_budget(self.samples, "samples", "draw fewer samples")
-        if self.mode == MODE_EXHAUSTIVE:
+        else:
+            if self.seed or self.samples:
+                raise ValueError("an exhaustive grid reads no seed or samples")
             _refuse_profiles_over_budget(map(len, values))
         # Agent i's rank stride is the product of the set lengths after i,
         # so agent i's length is a factor of i strides.

@@ -55,7 +55,7 @@ from .model import MarketConfig, RationalLike, vickrey_price
 class GridConfig:
     """n agents and m objects sharing `values`: `GridSpace.shared` in the
     form `bench/` still calls. It goes once the bench builds its grid with
-    `GridSpace.shared` (ROADMAP items 2 and 6)."""
+    `GridSpace.shared` (ROADMAP item 1)."""
 
     n: int
     m: int

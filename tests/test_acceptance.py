@@ -11,6 +11,7 @@ from fractions import Fraction
 
 from conftest import random_pricing_table
 from mechlab import (
+    CHECKERS,
     GridSpace,
     MarketConfig,
     OutcomeTable,
@@ -18,13 +19,6 @@ from mechlab import (
     Profile,
     WinnerRule,
     builtin_mechanisms,
-    check_anonymity_in_welfare,
-    check_ee,
-    check_efficiency,
-    check_ir,
-    check_no_subsidy,
-    check_nom,
-    check_sp,
     efficient_vickrey_mechanism,
     ev_pab_mechanism,
     find_reference_bundle,
@@ -44,7 +38,7 @@ from mechlab.cli import load_config, main
 GRID = GridSpace.shared(MarketConfig(3, 1), (0, 1, 2, 3))
 GRID5 = GridSpace.shared(MarketConfig(3, 1), (0, 1, 2, 3, 4))
 GRID_M2 = GridSpace.shared(MarketConfig(3, 2), (0, 1, 2, 3))
-CORE_AXIOMS = (check_ee, check_sp, check_ir, check_no_subsidy)
+CORE_AXIOMS = ("EE", "SP", "IR", "NS")
 
 
 def report(num, ok, text):
@@ -69,13 +63,13 @@ def test_criterion_01_independence_matrix():
     }
     matrix_ok = True
     for mech in mechanisms:
-        for check in CORE_AXIOMS:
-            verdict = check(mech, GRID).verdict
-            axiom = check(mech, GRID).axiom
-            if axiom == expected_fail[mech.name]:
-                matrix_ok &= verdict == "FAIL"
+        for name in CORE_AXIOMS:
+            checked = CHECKERS[name](mech, GRID)
+            matrix_ok &= checked.axiom == name
+            if name == expected_fail[mech.name]:
+                matrix_ok &= checked.verdict == "FAIL"
             else:
-                matrix_ok &= verdict == "PASS_EXHAUSTIVE"
+                matrix_ok &= checked.verdict == "PASS_EXHAUSTIVE"
     elapsed = time.perf_counter() - started
     report(
         1,
@@ -98,8 +92,8 @@ def test_criterion_02_uncompromising_rules_satisfy_core_axioms():
         ok &= validate_winner_rule(rule, GRID).passed
         ok &= check_uncompromising(rule, GRID).passed
         mech = selective_vickrey_mechanism(rule)
-        for check in CORE_AXIOMS:
-            ok &= check(mech, GRID).verdict == "PASS_EXHAUSTIVE"
+        for name in CORE_AXIOMS:
+            ok &= CHECKERS[name](mech, GRID).verdict == "PASS_EXHAUSTIVE"
     elapsed = time.perf_counter() - started
     report(
         2,
@@ -113,7 +107,7 @@ def test_criterion_03_uncompromising_equivalence_at_grid_scope():
     uncompromisingness violation into the strategyproofness witness."""
     ok = True
     for rule in random_uncompromising_rules(GRID, count=10, seed=42):
-        ok &= check_sp(selective_vickrey_mechanism(rule), GRID).verdict == "PASS_EXHAUSTIVE"
+        ok &= CHECKERS["SP"](selective_vickrey_mechanism(rule), GRID).verdict == "PASS_EXHAUSTIVE"
 
     cfg = MarketConfig(3, 1)
     compromising = WinnerRule.rule_table(cfg, {(3, 2, 2): (0,)})
@@ -124,7 +118,7 @@ def test_criterion_03_uncompromising_equivalence_at_grid_scope():
     ok &= drop.witness["agent"] == 0
     ok &= drop.witness["raised_value"] == 4
 
-    sp = check_sp(selective_vickrey_mechanism(compromising), GRID5)
+    sp = CHECKERS["SP"](selective_vickrey_mechanism(compromising), GRID5)
     ok &= sp.verdict == "FAIL"
     # the SP witness is the dropped-winner replay: truth at the raised value,
     # misreport back to the selected entry
@@ -147,7 +141,7 @@ def test_criterion_04_selective_mechanisms_are_inefficient_below_capacity():
     ok = True
     for rule in rules:
         mech = selective_vickrey_mechanism(rule)
-        ok &= check_efficiency(mech, GRID).verdict == "FAIL"
+        ok &= CHECKERS["EFF"](mech, GRID).verdict == "FAIL"
         replay = refresh_witness(mech, "EFF", {"profile": (3, 2, 1)}, GRID)
         ok &= replay is not None
         ok &= replay["achieved"] == 0 and replay["optimum"] == 3
@@ -159,8 +153,8 @@ def test_criterion_05_full_capacity_recovers_efficiency():
     and coincides in utilities with the strict-winners selective mechanism."""
     ev = efficient_vickrey_mechanism()
     ok = True
-    for check in (check_ee, check_sp, check_ir, check_no_subsidy, check_efficiency):
-        ok &= check(ev, GRID_M2).verdict == "PASS_EXHAUSTIVE"
+    for name in ("EE", "SP", "IR", "NS", "EFF"):
+        ok &= CHECKERS[name](ev, GRID_M2).verdict == "PASS_EXHAUSTIVE"
     strict = selective_vickrey_mechanism(WinnerRule.strict())
     for point in GRID_M2.profiles():
         p = Profile(GRID_M2.config, point.values)
@@ -173,14 +167,14 @@ def test_criterion_06_ev_pricing_is_not_obviously_manipulable():
     own-bid pricing admits an obvious manipulation."""
     aev = ev_pab_mechanism(PricingRule.always_ev())
     ok = True
-    for check in (check_ee, check_efficiency, check_ir, check_no_subsidy):
-        ok &= check(aev, GRID).verdict == "PASS_EXHAUSTIVE"
-    nom = check_nom(aev, GRID)
+    for name in ("EE", "EFF", "IR", "NS"):
+        ok &= CHECKERS[name](aev, GRID).verdict == "PASS_EXHAUSTIVE"
+    nom = CHECKERS["NOM"](aev, GRID)
     ok &= nom.verdict == "PASS_ANALYTIC"
     ok &= nom.details["truthful_bounds"] == {
         "0": ["0", "0"], "1": ["1", "0"], "2": ["2", "0"], "3": ["3", "0"],
     }
-    manipulation = check_nom(pay_as_bid_mechanism(), GRID).witness
+    manipulation = CHECKERS["NOM"](pay_as_bid_mechanism(), GRID).witness
     ok &= manipulation is not None
     ok &= manipulation["direction"] == "SUP"
     ok &= manipulation["truthful_bound"] == 0
@@ -216,14 +210,14 @@ def test_criterion_08_anonymity_in_welfare_split():
     """The dictatorial threshold rule treats swapped agents differently;
     the efficient-winners rule does not."""
     dct = selective_vickrey_mechanism(WinnerRule.dictatorial_threshold(0, 2))
-    ok = check_anonymity_in_welfare(dct, GRID).verdict == "FAIL"
+    ok = CHECKERS["AIW"](dct, GRID).verdict == "FAIL"
     replay = refresh_witness(dct, "AIW", {"profile": (3, 2, 2), "agent": 0, "other": 1}, GRID)
     ok &= replay is not None
     ok &= replay["swapped_profile"] == (2, 3, 2)
     ok &= replay["utility"] == 1 and replay["swapped_utility"] == 0
     fair = selective_vickrey_mechanism(WinnerRule.efficient())
-    for check in (check_anonymity_in_welfare, check_ee, check_sp, check_ir, check_no_subsidy):
-        ok &= check(fair, GRID).verdict == "PASS_EXHAUSTIVE"
+    for name in ("AIW", "EE", "SP", "IR", "NS"):
+        ok &= CHECKERS[name](fair, GRID).verdict == "PASS_EXHAUSTIVE"
     report(8, ok, "dictatorial rule fails anonymity at (3,2,2)~(2,3,2); efficient rule passes all")
 
 
@@ -313,16 +307,16 @@ def test_criterion_11_paper_results_hold_between_one_and_n_minus_one_objects():
             rule = WinnerRule.rule_table(market, table)
             ok &= validate_winner_rule(rule, grid).passed and check_uncompromising(rule, grid).passed
             selective = selective_vickrey_mechanism(rule)
-            for check in CORE_AXIOMS:
-                ok &= check(selective, grid).verdict == "PASS_EXHAUSTIVE"
+            for name in CORE_AXIOMS:
+                ok &= CHECKERS[name](selective, grid).verdict == "PASS_EXHAUSTIVE"
 
             modes = random_pricing_table(grid, random.Random(f"pricing:{market}:{seed}"))
             pricing = PricingRule.rule_table(market, modes)
             mech = ev_pab_mechanism(pricing)
-            for check in (check_ee, check_efficiency, check_ir, check_no_subsidy):
-                ok &= check(mech, grid).verdict == "PASS_EXHAUSTIVE"
+            for name in ("EE", "EFF", "IR", "NS"):
+                ok &= CHECKERS[name](mech, grid).verdict == "PASS_EXHAUSTIVE"
             ok &= welfare_compare(always_ev, OutcomeTable(mech, grid)).strict_second is None
-            nom_failed = check_nom(mech, grid).verdict == "FAIL"
+            nom_failed = CHECKERS["NOM"](mech, grid).verdict == "FAIL"
             ok &= nom_failed == (check_ev_support(pricing, grid).verdict == "FAIL")
             nom_fails += nom_failed
     report(11, ok, f"(4,2) and (5,2): 10 winner and 10 pricing tables, NOM fails {nom_fails}")

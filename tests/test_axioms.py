@@ -19,15 +19,6 @@ from mechlab import (
     Profile,
     WinnerRule,
     builtin_mechanisms,
-    check_anonymity_in_welfare,
-    check_best_case_utility,
-    check_ee,
-    check_efficiency,
-    check_envy_freeness,
-    check_ir,
-    check_no_subsidy,
-    check_nom,
-    check_sp,
     efficient_vickrey_mechanism,
     ev_pab_mechanism,
     find_reference_bundle,
@@ -170,7 +161,7 @@ def test_grid_space_refuses_rank_strides_over_budget():
         assert len(str(refused.value)) < 200
     # 1,000 agents take 499,500 bits, within the budget
     grid = GridSpace.shared(MarketConfig(1000, 1), (0, 1), mode=MODE_SAMPLED, seed=1, samples=1)
-    assert check_ir(vickrey_mechanism(), grid).verdict == "PASS_SAMPLED"
+    assert CHECKERS["IR"](vickrey_mechanism(), grid).verdict == "PASS_SAMPLED"
 
 
 @pytest.mark.parametrize(
@@ -192,7 +183,7 @@ def test_a_malformed_outcome_is_refused_wherever_it_is_read(x, t):
     with pytest.raises(ValueError, match="bad gave"):
         bad.evaluate(Profile(CFG1, (1, 0, 0)))
     with pytest.raises(ValueError, match="bad gave"):
-        check_ir(bad, GRID)
+        CHECKERS["IR"](bad, GRID)
     with pytest.raises(ValueError, match="bad gave"):
         refresh_witness(bad, "IR", {"profile": (1, 0, 0), "agent": 0}, GRID)
 
@@ -205,7 +196,7 @@ def test_a_built_in_family_fills_its_table_without_a_profile(monkeypatch):
     which builds the profile its function reads, so it runs into the
     refusal. The sweep's own profiles are drawn before the patch."""
     grid = GridSpace.from_range(MarketConfig(5, 2), 10, 2, mode=MODE_SAMPLED, seed=5, samples=30)
-    expected = [check_sp(mechanism, grid) for mechanism in builtin_mechanisms()]
+    expected = [CHECKERS["SP"](mechanism, grid) for mechanism in builtin_mechanisms()]
     drawn = list(grid.profiles())
 
     def refuse(what):
@@ -216,10 +207,10 @@ def test_a_built_in_family_fills_its_table_without_a_profile(monkeypatch):
     monkeypatch.setattr(GridSpace, "profiles", lambda self: iter(drawn))
     monkeypatch.setattr(Profile, "trusted", refuse("Profile.trusted"))
     monkeypatch.setattr(Mechanism, "evaluate", refuse("Mechanism.evaluate"))
-    assert [check_sp(mechanism, grid) for mechanism in builtin_mechanisms()] == expected
+    assert [CHECKERS["SP"](mechanism, grid) for mechanism in builtin_mechanisms()] == expected
     custom = Mechanism("custom", "CUSTOM", lambda profile: Allocation((0,) * 5, (0,) * 5))
     with pytest.raises(RuntimeError, match="the fill called Profile.trusted"):
-        check_sp(custom, grid)
+        CHECKERS["SP"](custom, grid)
 
 
 def test_shared_value_set_is_normalised_once():
@@ -286,6 +277,22 @@ def test_grid_space_sampling_is_seed_deterministic():
     assert first != [p.values for p in other.profiles()]
 
 
+def test_an_exhaustive_grid_refuses_a_seed_or_samples():
+    """An exhaustive grid reads neither; kept, they would make equal grids
+    compare unequal, so `welfare_compare` would refuse two tables on one
+    grid. Zero, the default, is accepted, and so equal grids stay equal."""
+    for sweep in ({"seed": 5}, {"samples": 3}, {"seed": -1, "samples": 2}):
+        with pytest.raises(ValueError, match="^an exhaustive grid reads no seed or samples$"):
+            GridSpace.shared(CFG1, range(3), **sweep)
+        with pytest.raises(ValueError, match="^an exhaustive grid reads no seed or samples$"):
+            GridSpace.from_range(CFG1, 2, mode="exhaustive", **sweep)
+    plain = GridSpace.shared(CFG1, range(3))
+    zeros = GridSpace.shared(CFG1, range(3), seed=0, samples=0)
+    assert plain == zeros
+    one, two = (OutcomeTable(vickrey_mechanism(), grid) for grid in (plain, zeros))
+    assert welfare_compare(one, two).relation == "EQUAL"
+
+
 def test_a_sample_is_drawn_once(monkeypatch):
     """The first sweep of a sampled grid seeds one generator per draw; a
     second sweep seeds none and yields the same points."""
@@ -344,13 +351,13 @@ def test_a_sampled_sp_audit_decodes_only_the_drawn_ranks(monkeypatch):
 
 def test_a_dropped_table_is_not_kept():
     """Nothing keeps a table its caller dropped: one mechanism audited on
-    eight grids, through `check_sp` and through tables of the caller's
+    eight grids, through `CHECKERS["SP"]` and through tables of the caller's
     own, leaves no table on those grids reachable."""
     mechanism = vickrey_mechanism()
     grids = [GridSpace.from_range(MarketConfig(4, 2), top) for top in range(1, 9)]
     kept = []
     for grid in grids:
-        assert check_sp(mechanism, grid).verdict == "PASS_EXHAUSTIVE"
+        assert CHECKERS["SP"](mechanism, grid).verdict == "PASS_EXHAUSTIVE"
         table = OutcomeTable(mechanism, grid)
         audit(table, ("SP",))
         assert len(table) == grid.size
@@ -396,7 +403,7 @@ def test_welfare_compare_refuses_tables_on_different_grids():
 
 def test_sampled_mode_reports_pass_sampled():
     samp = GridSpace.shared(CFG1, (0, 1, 2, 3), mode=MODE_SAMPLED, seed=5, samples=50)
-    assert check_ir(vickrey_mechanism(), samp).verdict == "PASS_SAMPLED"
+    assert CHECKERS["IR"](vickrey_mechanism(), samp).verdict == "PASS_SAMPLED"
 
 
 # individual rationality and no subsidy
@@ -404,7 +411,7 @@ def test_sampled_mode_reports_pass_sampled():
 
 def test_ir_fee_violates():
     """A positive participation fee drags truthful utility below zero."""
-    report = check_ir(no_trade_mechanism(1), GRID)
+    report = CHECKERS["IR"](no_trade_mechanism(1), GRID)
     assert report.verdict == "FAIL"
     assert report.witness["profile"] == (0, 0, 0)
     assert report.witness["agent"] == 0
@@ -414,14 +421,14 @@ def test_ir_fee_violates():
 
 def test_ir_passes_for_price_takers():
     for mech in (vickrey_mechanism(), pay_as_bid_mechanism(), no_trade_mechanism(0)):
-        assert check_ir(mech, GRID).verdict == "PASS_EXHAUSTIVE"
+        assert CHECKERS["IR"](mech, GRID).verdict == "PASS_EXHAUSTIVE"
 
 
 def test_no_subsidy_flags_negative_transfer():
-    report = check_no_subsidy(no_trade_mechanism(-1), GRID)
+    report = CHECKERS["NS"](no_trade_mechanism(-1), GRID)
     assert report.verdict == "FAIL"
     assert report.witness["transfer"] == -1
-    assert check_no_subsidy(vickrey_mechanism(), GRID).verdict == "PASS_EXHAUSTIVE"
+    assert CHECKERS["NS"](vickrey_mechanism(), GRID).verdict == "PASS_EXHAUSTIVE"
 
 
 # strategyproofness
@@ -429,7 +436,7 @@ def test_no_subsidy_flags_negative_transfer():
 
 def test_sp_pay_as_bid_fails_with_lex_first_witness():
     """First violation in scan order: true (0,0,2), agent 2 shades to 1."""
-    report = check_sp(pay_as_bid_mechanism(), GRID5)
+    report = CHECKERS["SP"](pay_as_bid_mechanism(), GRID5)
     assert report.verdict == "FAIL"
     assert report.witness == {
         "profile": (0, 0, 2),
@@ -500,12 +507,12 @@ def test_sp_passes_for_price_based_mechanisms():
         selective_vickrey_mechanism(WinnerRule.strict()),
         no_trade_mechanism(0),
     ):
-        assert check_sp(mech, GRID).verdict == "PASS_EXHAUSTIVE", mech.name
+        assert CHECKERS["SP"](mech, GRID).verdict == "PASS_EXHAUSTIVE", mech.name
 
 
 def test_sp_fails_for_always_ev_pricing():
     # efficient and not obviously manipulable, yet a loser can turn winner
-    report = check_sp(ev_pab_mechanism(PricingRule.always_ev()), GRID)
+    report = CHECKERS["SP"](ev_pab_mechanism(PricingRule.always_ev()), GRID)
     assert report.verdict == "FAIL"
     assert report.witness["profile"] == (0, 1, 3)
     assert report.witness["agent"] == 2
@@ -526,7 +533,7 @@ def test_find_reference_bundle_examples():
 def test_ee_vickrey_fails():
     """Canonical Vickrey breaks indifference: at (3,2,1) no single bundle
     leaves the winner and both losers equally well off."""
-    report = check_ee(vickrey_mechanism(), GRID)
+    report = CHECKERS["EE"](vickrey_mechanism(), GRID)
     assert report.verdict == "FAIL"
     assert report.witness["profile"] == (0, 1, 2)
     fresh = refresh_witness(vickrey_mechanism(), "EE", {"profile": (3, 2, 1)}, GRID)
@@ -535,10 +542,10 @@ def test_ee_vickrey_fails():
 
 
 def test_ee_passes_for_uniform_outcomes():
-    assert check_ee(pay_as_bid_mechanism(), GRID).verdict == "PASS_EXHAUSTIVE"
+    assert CHECKERS["EE"](pay_as_bid_mechanism(), GRID).verdict == "PASS_EXHAUSTIVE"
     strict = selective_vickrey_mechanism(WinnerRule.strict())
-    assert check_ee(strict, GRID).verdict == "PASS_EXHAUSTIVE"
-    assert check_ee(no_trade_mechanism(1), GRID).verdict == "PASS_EXHAUSTIVE"
+    assert CHECKERS["EE"](strict, GRID).verdict == "PASS_EXHAUSTIVE"
+    assert CHECKERS["EE"](no_trade_mechanism(1), GRID).verdict == "PASS_EXHAUSTIVE"
 
 
 def test_selective_reference_bundle_is_zero_or_priced_object():
@@ -556,7 +563,7 @@ def test_selective_reference_bundle_is_zero_or_priced_object():
 
 
 def test_efficiency_selective_fails_off_tail():
-    report = check_efficiency(selective_vickrey_mechanism(WinnerRule.strict()), GRID)
+    report = CHECKERS["EFF"](selective_vickrey_mechanism(WinnerRule.strict()), GRID)
     assert report.verdict == "FAIL"
     assert report.witness["profile"] == (0, 1, 1)
     fresh = refresh_witness(
@@ -568,9 +575,9 @@ def test_efficiency_selective_fails_off_tail():
 
 
 def test_efficiency_passes_for_surplus_maximizers():
-    assert check_efficiency(efficient_vickrey_mechanism(), GRID).verdict == "PASS_EXHAUSTIVE"
-    assert check_efficiency(pay_as_bid_mechanism(), GRID).verdict == "PASS_EXHAUSTIVE"
-    assert check_efficiency(ev_pab_mechanism(PricingRule.always_ev()), GRID).verdict == "PASS_EXHAUSTIVE"
+    assert CHECKERS["EFF"](efficient_vickrey_mechanism(), GRID).verdict == "PASS_EXHAUSTIVE"
+    assert CHECKERS["EFF"](pay_as_bid_mechanism(), GRID).verdict == "PASS_EXHAUSTIVE"
+    assert CHECKERS["EFF"](ev_pab_mechanism(PricingRule.always_ev()), GRID).verdict == "PASS_EXHAUSTIVE"
 
 
 # obvious manipulability
@@ -599,12 +606,12 @@ def below_zero_dictator():
 
 def test_nom_bounds_of_a_dictator_below_zero_are_zero():
     assert below_zero_dictator().bounds(0, CFG1.m, 2, 2, 1) == (0, 0)
-    report = check_nom(below_zero_dictator(), GridSpace.shared(CFG1, [0]))
+    report = CHECKERS["NOM"](below_zero_dictator(), GridSpace.shared(CFG1, [0]))
     assert report.details["truthful_bounds"] == {"0": ["0", "0"]}
 
 
 def test_nom_pay_as_bid_obviously_manipulable():
-    report = check_nom(pay_as_bid_mechanism(), GRID)
+    report = CHECKERS["NOM"](pay_as_bid_mechanism(), GRID)
     assert report.verdict == "FAIL"
     assert report.details["scope"] == "analytic"
     assert report.profiles_checked == 0
@@ -617,7 +624,7 @@ def test_nom_pay_as_bid_obviously_manipulable():
 
 
 def test_nom_always_ev_passes_with_bounds_table():
-    report = check_nom(ev_pab_mechanism(PricingRule.always_ev()), GRID)
+    report = CHECKERS["NOM"](ev_pab_mechanism(PricingRule.always_ev()), GRID)
     assert report.verdict == "PASS_ANALYTIC"
     assert report.details["truthful_bounds"] == {
         "0": ["0", "0"],
@@ -634,13 +641,13 @@ def test_nom_truthful_bounds_are_given_only_when_every_agent_shares_them():
     dictator = selective_vickrey_mechanism(WinnerRule.dictatorial_threshold(1, 0))
     assert dictator.bounds(0, CFG1.m, 2, 2, 1) == (0, 0)
     assert dictator.bounds(1, CFG1.m, 2, 2, 1) == (2, 0)
-    report = check_nom(dictator, GRID)
+    report = CHECKERS["NOM"](dictator, GRID)
     assert report.verdict == "PASS_ANALYTIC"
     assert "truthful_bounds" not in report.details
 
 
 def test_nom_grid_route_matches_analytic_identity():
-    report = check_nom(opaque(pay_as_bid_mechanism()), GRID)
+    report = CHECKERS["NOM"](opaque(pay_as_bid_mechanism()), GRID)
     assert report.verdict == "FAIL"
     assert report.details["scope"] == "grid"
     w = report.witness
@@ -666,12 +673,12 @@ def test_bound_witnesses_replay_exactly_through_their_generator():
 
 def test_bound_witness_replays_only_at_the_mechanism_scope():
     pab = pay_as_bid_mechanism()
-    grid_witness = check_nom(opaque(pab), GRID).witness
+    grid_witness = CHECKERS["NOM"](opaque(pab), GRID).witness
     assert replay_witness(opaque(pab), "NOM", grid_witness, GRID)
     with pytest.raises(ValueError, match="NOM witness at grid scope cannot replay "
                        "on a mechanism with analytic bounds"):
         refresh_witness(pab, "NOM", grid_witness, GRID)
-    gap = check_best_case_utility(pab, GRID).witness
+    gap = CHECKERS["BEST_CASE"](pab, GRID).witness
     assert "scope" not in gap and replay_witness(pab, "BEST_CASE", gap, GRID)
     with pytest.raises(ValueError, match="BEST_CASE witness at analytic scope"):
         refresh_witness(opaque(pab), "BEST_CASE", gap, GRID)
@@ -684,11 +691,11 @@ def test_sp_implies_nom_at_grid_scope():
         selective_vickrey_mechanism(WinnerRule.strict()),
         no_trade_mechanism(0),
     ):
-        assert check_nom(opaque(mech), GRID).verdict == "PASS_SAMPLED", mech.name
+        assert CHECKERS["NOM"](opaque(mech), GRID).verdict == "PASS_SAMPLED", mech.name
 
 
 def test_nom_custom_mechanism_takes_grid_route():
-    report = check_nom(grant_first_mechanism(), GRID)
+    report = CHECKERS["NOM"](grant_first_mechanism(), GRID)
     assert report.details["scope"] == "grid"
 
 
@@ -696,32 +703,32 @@ def test_nom_custom_mechanism_takes_grid_route():
 
 
 def test_best_case_always_ev_attains_valuation():
-    report = check_best_case_utility(ev_pab_mechanism(PricingRule.always_ev()), GRID)
+    report = CHECKERS["BEST_CASE"](ev_pab_mechanism(PricingRule.always_ev()), GRID)
     assert report.verdict == "PASS_ANALYTIC"
     assert report.details["realizer"] == "all-zero opponents attain the bound"
 
 
 def test_best_case_pay_as_bid_fails():
     """Own-bid pricing caps the truthful best case at zero, not the valuation."""
-    report = check_best_case_utility(pay_as_bid_mechanism(), GRID)
+    report = CHECKERS["BEST_CASE"](pay_as_bid_mechanism(), GRID)
     assert report.verdict == "FAIL"
     assert report.witness == {"agent": 0, "value": 1, "best_case": 0}
 
 
 def test_best_case_dictator_below_zero_passes_on_zero_grid():
-    report = check_best_case_utility(below_zero_dictator(), GridSpace.shared(CFG1, [0]))
+    report = CHECKERS["BEST_CASE"](below_zero_dictator(), GridSpace.shared(CFG1, [0]))
     assert report.verdict == "PASS_ANALYTIC"
 
 
 def test_best_case_requires_preconditions():
-    report = check_best_case_utility(grant_first_mechanism(), GRID)
+    report = CHECKERS["BEST_CASE"](grant_first_mechanism(), GRID)
     assert report.verdict == "NOT_APPLICABLE"
     assert "EFF" in report.details["reason"]
 
 
 def test_best_case_black_box_not_certified():
     # grid evidence alone cannot bound utilities over all real opponents
-    report = check_best_case_utility(opaque(efficient_vickrey_mechanism()), GRID)
+    report = CHECKERS["BEST_CASE"](opaque(efficient_vickrey_mechanism()), GRID)
     assert report.verdict == "NOT_CERTIFIED"
     assert "reason" in report.details
 
@@ -730,16 +737,16 @@ def test_best_case_black_box_not_certified():
 
 
 def test_envy_freeness_passes_for_uniform_price():
-    assert check_envy_freeness(
+    assert CHECKERS["EF"](
         selective_vickrey_mechanism(WinnerRule.strict()), GRID
     ).verdict == "PASS_EXHAUSTIVE"
-    assert check_envy_freeness(
+    assert CHECKERS["EF"](
         ev_pab_mechanism(PricingRule.always_ev()), GRID
     ).verdict == "PASS_EXHAUSTIVE"
 
 
 def test_envy_freeness_flags_free_grant():
-    report = check_envy_freeness(grant_first_mechanism(), GRID)
+    report = CHECKERS["EF"](grant_first_mechanism(), GRID)
     assert report.verdict == "FAIL"
     assert report.witness["profile"] == (0, 0, 1)
     assert report.witness["agent"] == 2
@@ -750,7 +757,7 @@ def test_envy_freeness_flags_free_grant():
 def test_envy_freeness_own_bid_two_objects():
     """With two objects at own-bid prices the high bidder envies the low one."""
     neg = ev_pab_mechanism(PricingRule.threshold(-1))
-    report = check_envy_freeness(neg, GRID_M2)
+    report = CHECKERS["EF"](neg, GRID_M2)
     assert report.verdict == "FAIL"
     fresh = refresh_witness(neg, "EF", {"profile": (3, 2, 0), "agent": 0, "other": 1}, GRID_M2)
     assert fresh["own_utility"] == 0
@@ -762,7 +769,7 @@ def test_envy_freeness_own_bid_two_objects():
 
 def test_anonymity_dictatorial_rule_fails():
     dct = selective_vickrey_mechanism(WinnerRule.dictatorial_threshold(0, 2))
-    report = check_anonymity_in_welfare(dct, GRID)
+    report = CHECKERS["AIW"](dct, GRID)
     assert report.verdict == "FAIL"
     assert report.witness["profile"] == (2, 2, 3)
     fresh = refresh_witness(dct, "AIW", {"profile": (3, 2, 2), "agent": 0, "other": 1}, GRID)
@@ -777,7 +784,7 @@ def test_anonymity_symmetric_rules_pass():
         selective_vickrey_mechanism(WinnerRule.strict()),
         no_trade_mechanism(1),
     ):
-        assert check_anonymity_in_welfare(mech, GRID).verdict == "PASS_EXHAUSTIVE"
+        assert CHECKERS["AIW"](mech, GRID).verdict == "PASS_EXHAUSTIVE"
 
 
 def test_anonymity_needs_shared_grid():
@@ -791,7 +798,7 @@ def test_anonymity_needs_shared_grid():
         ((0, 1), (0, 1, 2), (0, 1, 2, 3)),
     ]
     calls = [
-        check_anonymity_in_welfare,
+        CHECKERS["AIW"],
         lambda mech, grid: audit(OutcomeTable(mech, grid), ("AIW",)),
         lambda mech, grid: scan(OutcomeTable(mech, grid), list(POINTWISE.values())),
     ]
@@ -805,6 +812,7 @@ def test_anonymity_needs_shared_grid():
 
 
 # one sweep for several axioms
+
 
 
 @pytest.mark.parametrize(
@@ -887,10 +895,10 @@ def test_never_beaten_is_dominates_or_equal():
 
 def test_witness_json_round_trip():
     cases = [
-        ("SP", check_sp(pay_as_bid_mechanism(), GRID5).witness),
-        ("EE", check_ee(vickrey_mechanism(), GRID).witness),
-        ("NOM", check_nom(pay_as_bid_mechanism(), GRID).witness),
-        ("AIW", check_anonymity_in_welfare(
+        ("SP", CHECKERS["SP"](pay_as_bid_mechanism(), GRID5).witness),
+        ("EE", CHECKERS["EE"](vickrey_mechanism(), GRID).witness),
+        ("NOM", CHECKERS["NOM"](pay_as_bid_mechanism(), GRID).witness),
+        ("AIW", CHECKERS["AIW"](
             selective_vickrey_mechanism(WinnerRule.dictatorial_threshold(0, 2)), GRID
         ).witness),
     ]
@@ -900,7 +908,7 @@ def test_witness_json_round_trip():
 
 
 def test_report_to_json_shape():
-    report = check_ir(no_trade_mechanism(1), GRID)
+    report = CHECKERS["IR"](no_trade_mechanism(1), GRID)
     data = report.to_json()
     assert data["axiom"] == "IR"
     assert data["verdict"] == "FAIL"
@@ -909,7 +917,7 @@ def test_report_to_json_shape():
 
 
 def test_replay_witness_accepts_real_and_rejects_doctored():
-    witness = check_sp(pay_as_bid_mechanism(), GRID5).witness
+    witness = CHECKERS["SP"](pay_as_bid_mechanism(), GRID5).witness
     assert replay_witness(pay_as_bid_mechanism(), "SP", witness, GRID5)
     fake = dict(witness, misreport=Fraction(4))
     assert not replay_witness(pay_as_bid_mechanism(), "SP", fake, GRID5)

@@ -128,7 +128,7 @@ def test_best_case_sweeps_the_grid_once(bench):
     tracer = bench.layers.Tracer()
     tracer.install()
     try:
-        report = axioms.check_best_case_utility(efficient_vickrey_mechanism(), grid)
+        report = axioms.CHECKERS["BEST_CASE"](efficient_vickrey_mechanism(), grid)
     finally:
         tracer.uninstall()
     assert report.verdict == "PASS_ANALYTIC"

@@ -26,7 +26,7 @@ from mechlab import (
     witness_from_json,
 )
 from mechlab.axioms import POINTWISE, OutcomeTable, scan
-from mechlab.cli import ConfigError, load_config, main, parse_mechanism
+from mechlab.cli import AXIOM_CATALOG, ConfigError, load_config, main, parse_mechanism
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -319,6 +319,39 @@ def test_a_crash_exits_three_with_one_line(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "audit", interrupt)
     with pytest.raises(KeyboardInterrupt):
         main(["audit", "--config", str(path)])
+
+
+@pytest.mark.parametrize(
+    "fault, line",
+    [
+        (KeyError("rank 7"), "internal error: KeyError: 'rank 7'"),
+        (ValueError("bad\ngrid"), "internal error: ValueError: bad grid"),
+        (TypeError("no int"), "internal error: TypeError: no int"),
+        (OSError("disk gone"), "internal error: OSError: disk gone"),
+    ],
+    ids=["key", "value", "type", "os"],
+)
+def test_a_fault_after_the_config_loads_exits_three(tmp_path, capsys, monkeypatch, fault, line):
+    """Only a `ConfigError` is the user's: an exception of a type that user
+    errors also raise, thrown by mechlab after the config loaded, is still
+    a fault, exit 3 with one line."""
+
+    def crash(table, names):
+        raise fault
+
+    monkeypatch.setattr(cli, "audit", crash)
+    assert main(["audit", "--config", str(write_config(tmp_path))]) == 3
+    assert capsys.readouterr() == ("", line + "\n")
+
+
+def test_an_unwritable_output_path_exits_two(tmp_path, capsys):
+    """An output file the user named but that cannot be written is the
+    user's to fix: exit 2 with one line."""
+    path = write_config(tmp_path)
+    missing = tmp_path / "no-such-dir" / "report.json"
+    assert main(["audit", "--config", str(path), "--json", str(missing)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: cannot write output: ")
 
 
 def test_suite_subcommand(capsys):
@@ -846,6 +879,19 @@ def test_a_long_unknown_name_is_cut_in_its_message(tmp_path, capsys, overrides, 
     assert lines[0].startswith(message), lines[0]
 
 
+def test_checkers_and_the_audit_catalogue_keep_the_catalogue_order(tmp_path, capsys):
+    """`CHECKERS` holds the nine axioms in the catalogue's order; the audit
+    catalogue is `CHECKERS` then WELFARE_COMPARE, and an unknown axiom's
+    message lists it so."""
+    assert list(CHECKERS) == ["EE", "SP", "NOM", "EFF", "IR", "NS", "EF", "AIW", "BEST_CASE"]
+    assert AXIOM_CATALOG == (*CHECKERS, "WELFARE_COMPARE")
+    assert main(["audit", "--config", str(write_config(tmp_path, axioms=["XX"]))]) == 2
+    assert capsys.readouterr().err == (
+        "error: unknown axiom 'XX'; known: "
+        "EE, SP, NOM, EFF, IR, NS, EF, AIW, BEST_CASE, WELFARE_COMPARE\n"
+    )
+
+
 def test_an_axiom_listed_twice_is_reported_twice(tmp_path, capsys):
     path = write_config(tmp_path, mechanisms=["PAY_AS_BID"], axioms=["SP", "IR", "SP"])
     assert main(["audit", "--config", str(path)]) == 1
@@ -859,7 +905,9 @@ def test_a_malformed_outcome_after_every_witness_is_still_refused(tmp_path, caps
     """A mechanism that fails every pointwise axiom at the grid's first
     profile has all its witnesses there, so an exhaustive scan runs no
     generator after it; its malformed outcome at the last profile is still
-    read and refused by `scan`, by `audit` and by `mechlab audit`."""
+    read and refused by `scan`, by `audit` and by `mechlab audit`. The
+    mechanism stands in for one `mechlab audit` built itself, so its
+    refusal is a mechlab fault: exit 3, not a user error."""
     grid = GridSpace.shared(MarketConfig(3, 1), (1, 2, 3))
     first, last = (1, 1, 1), (3, 3, 3)
 
@@ -885,10 +933,10 @@ def test_a_malformed_outcome_after_every_witness_is_still_refused(tmp_path, caps
     path = write_config(
         tmp_path, mechanisms=["VICKREY"], grid={"values": ["1", "2", "3"]}, axioms=list(POINTWISE)
     )
-    assert main(["audit", "--config", str(path)]) == 2
+    assert main(["audit", "--config", str(path)]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: {message}\n"
+    assert captured.err == f"internal error: ValueError: {message}\n"
 
 
 def test_an_audit_sweeps_the_grid_once_per_mechanism(tmp_path, capsys, monkeypatch):

@@ -54,3 +54,26 @@ def test_readme_quick_start_runs():
         "{'SP': 'FAIL', 'EE': 'PASS_EXHAUSTIVE', 'NOM': 'FAIL'}",
         "DOMINATES",
     ]
+
+
+def test_the_public_surface_is_pinned():
+    """`mechlab.__all__` is the names the package imports, sorted, and none
+    of its submodules; a name added or dropped is a change to this list."""
+    import mechlab
+
+    assert mechlab.__all__ == [
+        "Allocation", "AxiomReport", "CHECKERS", "GridSpace", "MarketConfig",
+        "Mechanism", "OutcomeTable", "PricingRule", "Profile", "SUITES",
+        "SuiteResult", "WelfareComparison", "WinnerRule", "audit",
+        "builtin_mechanisms", "check_ev_support", "check_uncompromising",
+        "efficient_vickrey_mechanism", "ev_pab_mechanism", "find_reference_bundle",
+        "has_uniform_tail", "mechanism_from_spec", "no_trade_mechanism",
+        "pay_as_bid_mechanism", "random_uncompromising_rules",
+        "random_winner_rule_table", "rat", "rat_str", "refresh_witness",
+        "replay_witness", "selective_vickrey_mechanism", "shrink_witness",
+        "suite_anonymity", "suite_independence", "suite_nom_class",
+        "suite_sp_class", "suite_welfare", "utilities", "validate_winner_rule",
+        "vickrey_mechanism", "vickrey_price", "welfare_compare",
+        "witness_from_json", "witness_to_json",
+    ]
+    assert all(hasattr(mechlab, name) for name in mechlab.__all__)

@@ -12,8 +12,6 @@ from mechlab import (
     GridSpace,
     MarketConfig,
     WinnerRule,
-    check_nom,
-    check_sp,
     ev_pab_mechanism,
     has_uniform_tail,
     no_trade_mechanism,
@@ -210,7 +208,7 @@ def test_shrink_rejects_bound_witnesses():
 def test_find_obvious_manipulation_pay_as_bid():
     """Shading 2 to 1 raises the best case from 0 to 1 against zero bidders."""
     grid = GridSpace.shared(CFG1, (0, 1, 2, 3, 4))
-    w = check_nom(pay_as_bid_mechanism(), grid).witness
+    w = CHECKERS["NOM"](pay_as_bid_mechanism(), grid).witness
     assert w is not None
     assert (w["agent"], w["true_value"], w["misreport"]) == (0, 2, 1)
     assert w["direction"] == "SUP"
@@ -225,12 +223,12 @@ def test_find_obvious_manipulation_none_for_clean_mechanisms():
         selective_vickrey_mechanism(WinnerRule.strict()),
         ev_pab_mechanism(PricingRule.always_ev()),
     ):
-        assert check_nom(mech, grid).witness is None, mech.name
+        assert CHECKERS["NOM"](mech, grid).witness is None, mech.name
 
 
 def test_find_obvious_manipulation_grid_route_agrees():
     grid = GridSpace.shared(CFG1, (0, 1, 2, 3, 4))
-    w = check_nom(opaque(pay_as_bid_mechanism()), grid).witness
+    w = CHECKERS["NOM"](opaque(pay_as_bid_mechanism()), grid).witness
     assert (w["agent"], w["true_value"], w["misreport"]) == (0, 2, 1)
     assert w["scope"] == "grid"
 
@@ -254,7 +252,7 @@ def test_random_rules_are_valid_and_uncompromising():
         assert validate_winner_rule(rule, grid).passed, rule.label
         assert check_uncompromising(rule, grid).passed, rule.label
         mech = selective_vickrey_mechanism(rule)
-        assert check_sp(mech, grid).verdict == "PASS_EXHAUSTIVE", rule.label
+        assert CHECKERS["SP"](mech, grid).verdict == "PASS_EXHAUSTIVE", rule.label
 
 
 def seeded_winner_table(grid, rng):
@@ -287,7 +285,7 @@ def test_an_uncompromising_witness_is_an_sp_violation():
         rule = WinnerRule.rule_table(CFG1, seeded_winner_table(grid, random.Random(seed)))
         mech = selective_vickrey_mechanism(rule)
         uncompromising = check_uncompromising(rule, grid)
-        assert check_sp(mech, grid).passed == uncompromising.passed, seed
+        assert CHECKERS["SP"](mech, grid).passed == uncompromising.passed, seed
         if uncompromising.passed:
             continue
         compromising += 1

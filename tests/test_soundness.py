@@ -27,8 +27,10 @@ from hypothesis import strategies as st
 from conftest import is_feasible, random_pricing_table
 from mechlab import (
     CHECKERS,
+    Allocation,
     GridSpace,
     MarketConfig,
+    Mechanism,
     PricingRule,
     Profile,
     WinnerRule,
@@ -489,6 +491,80 @@ def test_scan_skips_only_draws_that_cannot_lower_a_key(grid):
         failed += sum(report.verdict == "FAIL" for report in reports.values())
         lowered += later
     assert failed and lowered, "no draw after a first witness lowered a key"
+
+
+# grid-scope NOM bounds against the drawn profiles
+
+
+def tied_mechanism(seed):
+    """A CUSTOM mechanism whose outcome at each profile is drawn from the
+    bundles (0, 0), (0, 1), (1, 0) and (1, 1), so at a true value of 0 or 1
+    two bundles often tie on an agent's utility."""
+
+    def fn(profile):
+        rng = random.Random(f"{seed}:{profile.values}")
+        n, m = profile.config.n, profile.config.m
+        winners = set(rng.sample(range(n), rng.randint(0, m)))
+        x = tuple(int(i in winners) for i in range(n))
+        return Allocation(x, tuple(rng.choice((0, 1)) for _ in range(n)))
+
+    return Mechanism(f"tied({seed})", "CUSTOM", fn)
+
+
+def drawn_bounds(mechanism, grid, agent, report, true_value):
+    """The agent's (sup, inf, sup realizer, inf realizer) at `true_value`
+    over the drawn profiles where they report `report`, by brute force: a
+    realizer is the opponents of the least-ranked profile attaining the
+    bound. Also whether a draw ranked below the first one attaining a bound
+    attains it later, where only the tie-break names the realizer."""
+    drawn = []  # (utility, rank, opponents) in draw order
+    for at in grid.profiles():
+        if at.values[agent] == report:
+            x, t = mechanism.evaluate(Profile(grid.config, at.values))
+            opponents = at.values[:agent] + at.values[agent + 1:]
+            drawn.append((true_value * x[agent] - t[agent], at.rank, opponents))
+    if not drawn:
+        return None, False
+    bounds, reordered = [], False
+    for bound in (max, min):
+        u = bound(d[0] for d in drawn)
+        attaining = [d for d in drawn if d[0] == u]
+        least = min(attaining, key=lambda d: d[1])
+        reordered |= least[1] < attaining[0][1]
+        bounds.append((u, least[2]))
+    (sup, sup_at), (inf, inf_at) = bounds
+    return (sup, inf, sup_at, inf_at), reordered
+
+
+@pytest.mark.parametrize("grid", SKIP_GRIDS, ids=["0..5", "halves", "two-values"])
+def test_grid_scope_bounds_name_the_least_ranked_realizer(grid):
+    """`_nom_bounds` on a mechanism without closed-form bounds gives, for
+    every agent, report and true value, the sup and inf of the utility over
+    the drawn profiles and the least-ranked profile attaining each, however
+    the sample orders its draws; a report never drawn gives None."""
+    mechanisms = [
+        *(tied_mechanism(seed) for seed in range(4)),
+        *(Mechanism(f"opaque({m.name})", "CUSTOM", m.evaluate)
+          for m in oracle_mechanisms(grid)),
+    ]
+    reordered = 0
+    for mechanism in mechanisms:
+        bounds = _nom_bounds(OutcomeTable(mechanism, grid))
+        assert bounds.scope == "grid"
+        for agent, values in enumerate(grid.values):
+            for report, r in zip(values, grid.scaled[agent]):
+                for true_value, v in zip(values, grid.scaled[agent]):
+                    want, later = drawn_bounds(mechanism, grid, agent, report, true_value)
+                    got = bounds.at(agent, r, v)
+                    if want is None:
+                        assert got is None
+                        continue
+                    sup, inf, sup_at, inf_at = got
+                    assert (bounds.exact(sup), bounds.exact(inf), sup_at, inf_at) == want, (
+                        mechanism.name, agent, report, true_value
+                    )
+                    reordered += later
+    assert reordered, "no bound was attained first at a draw ranked above a later one"
 
 
 def test_every_outcome_on_the_swept_grids_is_feasible():
