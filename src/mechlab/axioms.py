@@ -18,8 +18,9 @@ as a generator of its violations, and the check, witness replay
 pointwise axiom's generator reads only (table, point): one profile's
 outcomes off an `OutcomeTable`, and the profile's `GridPoint` from the
 table's grid's one sweep (see `grid`), with SP misreports and AIW swaps
-ranging over the grid's value sets; a replay narrows the grid of a
-throwaway table to the witness, and witness fields are exact `Fraction`s.
+ranging over the grid's value sets. A witness replays on a table of the
+grid it was found on, which holds its values, and witness fields are
+exact `Fraction`s.
 
 The sweeps take the table their caller built: `scan(table, axioms)`
 sweeps its grid once for any number of pointwise axioms, reads the
@@ -162,38 +163,21 @@ class PointwiseAxiom:
     `OutcomeTable`; a deviation ranges over the value sets of the table's
     grid. A witness is identified by its profile plus the `identity`
     fields; its sort key is that tuple, and the scan reports the smallest
-    key found. Replay runs the same generator on a throwaway table whose
-    grid is narrowed to the witness and keeps the violation whose
-    identity matches, so the scan and the replay cannot drift apart.
+    key found. Replay runs the same generator on a table of the grid the
+    witness was found on and keeps the violation whose identity matches,
+    so the scan and the replay cannot drift apart.
     """
 
     name: str
     identity: tuple[str, ...]
     violations: Callable[[OutcomeTable, GridPoint], Iterator[dict]]
 
-    def refresh(
-        self, mechanism: Mechanism, witness: dict, grid: GridSpace
-    ) -> dict | None:
-        """The violation with the witness's identity, recomputed, or None.
-
-        For SP each agent holds only their own value, and the deviating
-        agent also the misreport (as given, even off the grid): two
-        profiles. Every other axiom reads the profile's values as one set
-        all agents share, which AIW's swaps need. The narrowed `GridSpace`
-        refuses a negative or missing value. It is never swept, so it is
-        declared as a one-draw sample: the exhaustive profile budget, which
-        n agents over k distinct values would meet at k**n, does not apply.
-        """
-        market = grid.config
-        values = tuple(map(rat, witness["profile"]))
-        if "misreport" in self.identity:
-            sets = [(v,) for v in values]
-            sets[witness["agent"]] += (witness["misreport"],)
-        else:
-            sets = [values] * market.n
-        narrowed = GridSpace(market, tuple(sets), mode=MODE_SAMPLED, samples=1)
-        table = OutcomeTable(mechanism, narrowed)
-        return _matching(self.violations(table, narrowed.point(values)), witness, self.identity)
+    def refresh(self, table: OutcomeTable, witness: dict) -> dict | None:
+        """The violation with the witness's identity, recomputed at its
+        profile on the table's grid, or None. A profile off the grid's value
+        sets is refused; a deviation off them never matches."""
+        at = table.grid.point(witness["profile"])
+        return _matching(self.violations(table, at), witness, self.identity)
 
 
 def _ir_violations(table: OutcomeTable, at: GridPoint) -> Iterator[dict]:
@@ -510,36 +494,29 @@ class BoundAxiom:
     value sets, in grid order, under the bounds `_nom_bounds` gives. It
     compares the values and bounds at the grid's scale and makes exact
     `Fraction`s only for the witness it yields. A witness is identified
-    by its `identity` fields; `values` names those that hold the agent's
-    own values. The check reports the first violation. Replay runs the
-    same generator with the witness's agent narrowed to those values (and
-    every other agent to none) and keeps the violation whose identity
-    matches. A witness replays only at the scope of the mechanism's
-    bounds; one without `scope` is analytic.
+    by its `identity` fields. The check reports the first violation;
+    replay runs the same generator over the value sets of the table's grid
+    and keeps the violation whose identity matches. A witness replays only
+    at the scope of the mechanism's bounds; one without `scope` is
+    analytic.
     """
 
     name: str
     identity: tuple[str, ...]
-    values: tuple[str, ...]
     violations: Callable[[ValueSets, NomBounds], Iterator[dict]]
 
-    def refresh(
-        self, mechanism: Mechanism, witness: dict, grid: GridSpace
-    ) -> dict | None:
+    def refresh(self, table: OutcomeTable, witness: dict) -> dict | None:
         """The violation with the witness's identity, recomputed, or None.
-        Grid-scope bounds are swept again, on a table of the replay's own."""
-        bounds = _nom_bounds(OutcomeTable(mechanism, grid))
+        Grid-scope bounds are swept again, on the table handed in."""
+        bounds = _nom_bounds(table)
         recorded = witness.get("scope", "analytic")
         if recorded != bounds.scope:
             raise ValueError(
                 f"{self.name} witness at {recorded} scope cannot replay "
                 f"on a mechanism with {bounds.scope} bounds"
             )
-        own = tuple((witness[k], witness[k] * bounds.scale) for k in self.values)
-        narrowed = tuple(
-            own if k == witness["agent"] else () for k in range(grid.config.n)
-        )
-        return _matching(self.violations(narrowed, bounds), witness, self.identity)
+        found = self.violations(_value_sets(table.grid), bounds)
+        return _matching(found, witness, self.identity)
 
 
 def _nom_violations(values: ValueSets, bounds: NomBounds) -> Iterator[dict]:
@@ -590,13 +567,8 @@ def _best_case_gaps(values: ValueSets, bounds: NomBounds) -> Iterator[dict]:
 BY_BOUNDS: dict[str, BoundAxiom] = {
     axiom.name: axiom
     for axiom in (
-        BoundAxiom(
-            "NOM",
-            ("agent", "true_value", "misreport", "direction"),
-            ("true_value", "misreport"),
-            _nom_violations,
-        ),
-        BoundAxiom("BEST_CASE", ("agent", "value"), ("value",), _best_case_gaps),
+        BoundAxiom("NOM", ("agent", "true_value", "misreport", "direction"), _nom_violations),
+        BoundAxiom("BEST_CASE", ("agent", "value"), _best_case_gaps),
     )
 }
 
@@ -622,7 +594,7 @@ def _nom_report(grid: GridSpace, bounds: NomBounds) -> AxiomReport:
         if all(len(same) == 1 for same in truthful):
             details["truthful_bounds"] = {
                 rat_str(v): [rat_str(bounds.exact(b)) for b in same.pop()]
-                for v, same in zip(grid.shared_values, truthful)
+                for v, same in zip(grid.values[0], truthful)
             }
     witness = next(BY_BOUNDS["NOM"].violations(_value_sets(grid), bounds), None)
     if witness is not None:
@@ -940,12 +912,13 @@ def refresh_witness(
     Returns the refreshed witness if it still demonstrates a violation,
     or None if it no longer does. Only the identifying fields (profile,
     agent, misreport, ...) are trusted; recorded utilities and bounds are
-    recomputed by the same definition the scan uses.
+    recomputed by the same definition the scan uses, on a fresh table of
+    the grid, which must hold the witness's values.
     """
     definition = POINTWISE.get(axiom) or BY_BOUNDS.get(axiom)
     if definition is None:
         raise ValueError(f"unknown axiom: {axiom}")
-    return definition.refresh(mechanism, witness, grid)
+    return definition.refresh(OutcomeTable(mechanism, grid), witness)
 
 
 def replay_witness(

@@ -182,11 +182,15 @@ def load_config(path: str) -> AuditConfig:
     )
     if kind == MODE_EXHAUSTIVE:
         _fields(mode, "exhaustive mode", (), {"kind": kind})
+    elif kind != MODE_SAMPLED:
+        raise ConfigError(f"bad mode: unknown kind: {clipped(str(kind))}")
     sweep = {
         "mode": kind,
         "seed": _integer(seed, "seed"),
         "samples": _integer(samples, "samples"),
     }
+    if kind == MODE_SAMPLED and sweep["samples"] < 1:
+        raise ConfigError("bad mode: sampled mode needs samples >= 1")
     grid = _parse_grid(grid_doc, market, sweep)
     mech_docs = _json_list(mech_docs, "mechanisms")
     if not mech_docs:

@@ -182,12 +182,6 @@ class GridSpace:
         )
 
     @property
-    def shared_values(self) -> tuple[Fraction, ...]:
-        if not self.is_shared:
-            raise ValueError("agents do not share a common value set")
-        return self.values[0]
-
-    @property
     def size(self) -> int:
         return math.prod(map(len, self.values))
 
@@ -302,7 +296,7 @@ class OutcomeTable(dict):
     The table belongs to whoever builds it: every sweep that should share
     its outcomes is handed the same table, and it holds its mechanism as a
     plain attribute, so it lives exactly as long as its caller keeps it.
-    A replay builds a throwaway one on a grid narrowed to the witness.
+    A replay builds a fresh one on the grid it is handed.
     Construction refuses a mechanism built on another market's rule table
     (`Mechanism.market`), so no sweep repeats that check.
     """

@@ -33,7 +33,6 @@ from .axioms import (
     audit,
     check_ev_support,
     check_uncompromising,
-    refresh_witness,
     validate_winner_rule,
     welfare_compare,
     witness_to_json,
@@ -77,15 +76,17 @@ def shrink_witness(
     misreport if the witness has one. Each is walked down one grid value
     at a time; a step is kept only when the refreshed witness still
     violates. Passes repeat until nothing moves, so the result is a
-    deterministic local minimum (not a global one).
+    deterministic local minimum (not a global one). Every step replays on
+    one table of the grid, so no profile is evaluated twice.
     """
     if axiom not in POINTWISE:
         raise ValueError(f"shrinking is not defined for {axiom} witnesses")
-    current = refresh_witness(mechanism, axiom, witness, grid)
+    definition, table = POINTWISE[axiom], OutcomeTable(mechanism, grid)
+    current = definition.refresh(table, witness)
     if current is None:
         raise ValueError("witness does not replay to a violation")
 
-    identity = POINTWISE[axiom].identity
+    identity = definition.identity
     n = grid.config.n
     # Coordinate k < n is profile slot k; coordinate n, when the witness has
     # a misreport, walks down the deviating agent's values.
@@ -106,7 +107,7 @@ def shrink_witness(
                 candidate["profile"] = tuple(point[:n])
                 if k == n:
                     candidate["misreport"] = point[n]
-                refreshed = refresh_witness(mechanism, axiom, candidate, grid)
+                refreshed = definition.refresh(table, candidate)
                 if refreshed is None:
                     break
                 current = refreshed

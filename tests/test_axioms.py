@@ -74,7 +74,7 @@ def opaque(mechanism):
 def test_grid_space_shared_basics():
     assert GRID.size == 64
     assert GRID.is_shared
-    assert GRID.shared_values == (0, 1, 2, 3)
+    assert GRID.values[0] == (0, 1, 2, 3)
     profiles = [p.values for p in GRID.profiles()]
     assert profiles[0] == (0, 0, 0)
     assert profiles[1] == (0, 0, 1)
@@ -459,23 +459,23 @@ def test_sp_witness_replays_at_other_profiles():
 
 
 def test_replay_refuses_a_negative_value():
-    """The narrowed grid a replay builds refuses a negative misreport and a
-    witness profile holding a negative value."""
+    """A replay runs on the grid it is handed: a witness profile holding a
+    negative value is refused as off the grid's value sets, and a negative
+    misreport, which no grid holds, does not replay."""
     for axiom, witness in (
-        ("SP", {"profile": (4, 1, 0), "agent": 0, "misreport": -1}),
         ("SP", {"profile": (4, -1, 0), "agent": 0, "misreport": 2}),
         ("EE", {"profile": (4, -1, 0)}),
     ):
-        with pytest.raises(ValueError, match="non-negative"):
+        with pytest.raises(ValueError, match="off the grid's value sets"):
             refresh_witness(pay_as_bid_mechanism(), axiom, witness, GRID5)
+    witness = {"profile": (4, 1, 0), "agent": 0, "misreport": -1}
+    assert refresh_witness(pay_as_bid_mechanism(), "SP", witness, GRID5) is None
 
 
-def test_an_sp_replay_evaluates_two_profiles(monkeypatch):
-    """A replay narrows its table to the witness: every agent holds their own
-    value and the deviating agent also the misreport. So an SP replay, alone
-    or inside shrinking, evaluates the truthful and the misreported profile."""
-    import mechlab.search
-
+def test_a_shrink_evaluates_no_profile_twice():
+    """`shrink_witness` replays every step on one table of the grid, so a
+    counted CUSTOM mechanism sees each profile at most once, though the
+    walk lowers every coordinate of the SP witness."""
     calls = []
 
     def fn(profile):
@@ -484,20 +484,8 @@ def test_an_sp_replay_evaluates_two_profiles(monkeypatch):
 
     mech = Mechanism("counted", "CUSTOM", fn)
     witness = {"profile": (4, 1, 0), "agent": 0, "misreport": 2}
-    assert refresh_witness(mech, "SP", witness, GRID5) is not None
-    assert sorted(calls) == [(2, 1, 0), (4, 1, 0)]
-    replays = []
-    replay = mechlab.search.refresh_witness
-
-    def counted(*args):
-        before = len(calls)
-        found = replay(*args)
-        replays.append(len(calls) - before)
-        return found
-
-    monkeypatch.setattr(mechlab.search, "refresh_witness", counted)
     assert shrink_witness(mech, "SP", witness, GRID5)["profile"] == (2, 0, 0)
-    assert len(replays) > 5 and max(replays) <= 2
+    assert len(calls) > 5 and len(set(calls)) == len(calls)
 
 
 def test_sp_passes_for_price_based_mechanisms():

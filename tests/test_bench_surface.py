@@ -165,6 +165,20 @@ def test_suites_workload_passes_the_bench_gate(bench, tmp_path):
     assert bench.gate.cell_digests(name, output) == reference["cells"]
 
 
+def test_the_suites_gate_refuses_a_grid_without_the_top_value(bench, tmp_path, monkeypatch):
+    """The gate replays the suites' witnesses on the grid it builds from
+    `search.GridConfig`, so a grid that drops the suites' top value 3 cannot
+    replay a witness holding it, and the gate raises rather than pass."""
+    name = bench.workloads.SUITES
+    path = tmp_path / "inputs.json"
+    path.write_text(json.dumps(bench.workloads.generate(name, bench.workloads.DEFAULT_SEED)))
+    output = bench.child.run_suites(str(path), {}, setup_only=False)
+    narrow = GridSpace.shared(MarketConfig(3, 1), (0, 1, 2))
+    monkeypatch.setattr(search.GridConfig, "space", lambda self: narrow)
+    with pytest.raises(ValueError, match="off the grid's value sets"):
+        bench.gate.check(name, str(path), output)
+
+
 # SHA-256 of the generated `audit-exhaustive` config at seeds 0, 1 and 2: its
 # rule table is `random_winner_rule_table`'s draw, so these pin that stream.
 EXHAUSTIVE_INPUTS = {

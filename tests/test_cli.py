@@ -400,7 +400,7 @@ def test_load_config_grid_round_trip(tmp_path):
     grid = config.space
     assert isinstance(grid, GridSpace)
     assert grid.config == MarketConfig(3, 1)
-    assert grid.shared_values == (0, 1, 2, 3)
+    assert grid.is_shared and grid.values[0] == (0, 1, 2, 3)
     echo = config.echo()
     assert echo["schema"] == 1
     assert echo["grid"]["per_agent"] == [["0", "1", "2", "3"]] * 3
@@ -646,6 +646,9 @@ def winner_table(entries):
          "error: grid section needs exactly one of values, per_agent and range"),
         ({"mode": {"kind": "exhaustive", "samples": 500}},
          "error: exhaustive mode has an unknown field 'samples'"),
+        ({"mode": {"kind": "sampled", "seed": 1, "samples": 0}},
+         "error: bad mode: sampled mode needs samples >= 1"),
+        ({"mode": {"kind": "fuzzy"}}, "error: bad mode: unknown kind: fuzzy"),
         ({"output": list(range(20000))}, "error: output must be a JSON object, got [0, 1, 2,"),
         ({"mechanisms": {f"k{i}": i for i in range(20000)}},
          'error: mechanisms must be a JSON list, got {"k0": 0, "k1": 1,'),
@@ -667,7 +670,8 @@ def winner_table(entries):
         "agents-over-budget", "sampled-range-over-budget", "exponent-grid-value",
         "sampled-strides-1e5-agents", "sampled-strides-1e6-agents", "market-without-agents",
         "market-without-objects", "range-without-max", "grid-values-and-range",
-        "exhaustive-mode-samples", "long-output-list", "long-mechanisms-object",
+        "exhaustive-mode-samples", "sampled-mode-zero-samples", "unknown-mode-kind",
+        "long-output-list", "long-mechanisms-object",
         "long-agents-string", "long-table-profile",
     ],
 )
@@ -860,7 +864,7 @@ LONG = 100_000
         ({"axioms": ["S" * LONG]}, "error: unknown axiom '" + "S" * 59 + "...; known: EE, SP"),
         ({"k" * LONG: 1}, "error: config has an unknown field '" + "k" * 59 + "..."),
         ({"schema": "s" * LONG}, "error: unsupported config schema: '" + "s" * 59 + "..."),
-        ({"mode": {"kind": "x" * LONG}}, "error: bad grid: unknown mode: " + "x" * 60 + "..."),
+        ({"mode": {"kind": "x" * LONG}}, "error: bad mode: unknown kind: " + "x" * 60 + "..."),
     ],
     ids=["family", "pricing-family", "axiom", "field", "schema", "mode"],
 )

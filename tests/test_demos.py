@@ -1,6 +1,6 @@
-"""Every demo script, and README's library quick start, runs to
-completion against the current API; each demo prints the same bytes every
-run.
+"""Every demo script, README's library quick start and README's
+command-line block run to completion against the current API; each demo
+prints the same bytes every run.
 
 Each demo's stdout is pinned by its SHA-256. A change that moves a digest
 changes what a demo prints: check the new output by hand, then update the
@@ -10,6 +10,7 @@ digest here and say why in the change log.
 import hashlib
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -54,6 +55,22 @@ def test_readme_quick_start_runs():
         "{'SP': 'FAIL', 'EE': 'PASS_EXHAUSTIVE', 'NOM': 'FAIL'}",
         "DOMINATES",
     ]
+
+
+def test_readme_command_line_block_runs():
+    """Each `mechlab ...` line of README's "Command line" block runs through
+    `python -m mechlab` and exits as README's exit-code paragraph says: the
+    demo config holds failing combinations, so only `audit` exits 1."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Command line\n", 1)[1].split("\n## ", 1)[0]
+    block = re.search(r"```bash\n(.*?)```", section, re.S).group(1)
+    lines = [shlex.split(line) for line in block.splitlines()]
+    assert [line[:2] for line in lines] == [
+        ["mechlab", "eval"], ["mechlab", "audit"], ["mechlab", "suite"], ["mechlab", "compare"],
+    ]
+    for line, code in zip(lines, (0, 1, 0, 0)):
+        result = run_python("-m", "mechlab", *line[1:])
+        assert result.returncode == code, (line, result.stderr.decode())
 
 
 def test_the_public_surface_is_pinned():

@@ -360,7 +360,7 @@ def test_rule_records_match_their_definitions_and_round_trip(grid):
     """Each rule record selects or classifies as its definition says, and
     `from_spec` of its JSON spec rebuilds the same label, spec, outcomes
     and closed-form bounds."""
-    market, values = grid.config, grid.shared_values
+    market, values = grid.config, grid.values[0]
     for kind, rule, outcome, oracle in rules_with_oracles(grid):
         again = kind.from_spec(json.loads(json.dumps(rule.spec)), market)
         assert (again.label, again.spec) == (rule.label, rule.spec)

@@ -43,13 +43,13 @@ CFG1 = MarketConfig(3, 1)
 
 def test_grid_config_explicit_values():
     grid = GridSpace.shared(CFG1, (3, 0, 1, 2, 1))
-    assert grid.shared_values == (0, 1, 2, 3)
+    assert grid.is_shared and grid.values[0] == (0, 1, 2, 3)
     assert grid.size == 64
 
 
 def test_grid_config_range_values():
     grid = GridSpace.from_range(CFG1, 3, 2)
-    assert grid.shared_values == (
+    assert grid.is_shared and grid.values[0] == (
         0, Fraction(1, 2), 1, Fraction(3, 2), 2, Fraction(5, 2), 3,
     )
 
@@ -120,7 +120,7 @@ def test_range_over_budget_is_refused_before_building_values(monkeypatch):
         GridSpace.from_range(CFG1, 2000)
     monkeypatch.undo()
     sampled = GridSpace.from_range(CFG1, 20, mode="sampled", seed=1, samples=3)
-    assert len(sampled.shared_values) == 21
+    assert sampled.is_shared and len(sampled.values[0]) == 21
 
 
 # shrinking

@@ -134,7 +134,7 @@ def test_analytic_nom_bounds_are_sound_and_attained(family, market, values):
     market = MarketConfig(*market)
     mechanism = FAMILIES[family](market)
     grid = GridSpace.shared(market, sorted(values))
-    values = grid.shared_values
+    values = grid.values[0]
     for point in grid.profiles():
         profile = Profile(market, point.values)
         x, t = mechanism.evaluate(profile)
@@ -579,14 +579,17 @@ def test_every_outcome_on_the_swept_grids_is_feasible():
                 assert is_feasible(allocation, grid.config), (mechanism.name, profile)
 
 
-def test_sp_witness_with_an_off_grid_misreport_replays():
-    """A misreport the grid never holds is replayed as recorded: at
-    (0, 0, 3) pay-as-bid charges agent 2 its report, so 1/3 beats truth."""
+def test_sp_witness_replays_only_on_a_grid_holding_its_misreport():
+    """A replay runs on the grid it is handed: at (0, 0, 3) pay-as-bid
+    charges agent 2 its report, so 1/3 beats truth on a grid holding 1/3,
+    and the witness does not replay on 0..3, whose SP sweep never reports
+    1/3."""
     grid = GridSpace.shared(MarketConfig(3, 1), (0, 1, 2, 3))
     mechanism = pay_as_bid_mechanism()
     witness = {"profile": (0, 0, 3), "agent": 2, "misreport": Fraction(1, 3)}
-    fresh = refresh_witness(mechanism, "SP", witness, grid)
+    assert refresh_witness(mechanism, "SP", witness, grid) is None
     with_misreport = GridSpace.shared(grid.config, (0, Fraction(1, 3), 3))
+    fresh = refresh_witness(mechanism, "SP", witness, with_misreport)
     (expected,) = (
         w
         for w in brute_violations("SP", mechanism, with_misreport)
@@ -668,6 +671,83 @@ def test_value_fed_fills_equal_decoded_fills(grid):
                 assert (got_x, got_t) == fresh[rank] == (x, want), (mechanism.name, combo)
                 assert list(map(type, got_t)) == list(map(type, want)), (mechanism.name, combo)
                 assert list(map(type, fresh[rank][1])) == list(map(type, want))
+
+
+# metamorphic relations between grids: a witness replays on every grid
+# holding its values. NOM and BEST_CASE are left out, since their
+# grid-scope bounds move with the grid.
+
+
+@st.composite
+def value_sets(draw):
+    """A small market and its value sets: one shared set, or one per agent."""
+    market = MarketConfig(*draw(st.sampled_from(((3, 1), (3, 2), (4, 2)))))
+    one_set = st.lists(st.sampled_from((0, 1, 2, 3)), min_size=1, max_size=3, unique=True)
+    if draw(st.booleans()):
+        return market, (tuple(draw(one_set)),) * market.n
+    return market, tuple(tuple(draw(one_set)) for _ in range(market.n))
+
+
+def seeded_mechanisms(grid, seed):
+    """The six built-ins, two fees that break IR and NS, and a winner and
+    a pricing rule table drawn from `seed`."""
+    rng = random.Random(f"metamorphic:{seed}")
+    winners = random_winner_rule_table(grid, rng)
+    modes = random_pricing_table(grid, rng)
+    return [
+        *builtin_mechanisms(),
+        no_trade_mechanism(1),
+        no_trade_mechanism(-1),
+        selective_vickrey_mechanism(WinnerRule.rule_table(grid.config, winners)),
+        ev_pab_mechanism(PricingRule.rule_table(grid.config, modes)),
+    ]
+
+
+def pointwise_names(grid):
+    """The pointwise axioms a grid can audit: AIW only on a shared one."""
+    return [name for name in POINTWISE if name != "AIW" or grid.is_shared]
+
+
+@settings(max_examples=30, deadline=None)
+@given(value_sets(), st.integers(0, 2**16))
+def test_a_fail_on_a_grid_is_a_fail_on_its_refinement(drawn, seed):
+    """Every pointwise FAIL on a grid G is a FAIL on its half-step
+    refinement G' (which holds G), and G's witness replays on G' to the
+    same bytes."""
+    market, values = drawn
+    grid = GridSpace(market, values)
+    finer = GridSpace(market, half_step(grid.values))
+    names = pointwise_names(grid)
+    for mechanism in seeded_mechanisms(grid, seed):
+        coarse = audit(OutcomeTable(mechanism, grid), names)
+        fine = audit(OutcomeTable(mechanism, finer), names)
+        for name, report in coarse.items():
+            if report.verdict != "FAIL":
+                continue
+            assert fine[name].verdict == "FAIL", (mechanism.name, name)
+            fresh = refresh_witness(mechanism, name, report.witness, finer)
+            assert witness_to_json(fresh) == witness_to_json(report.witness), mechanism.name
+
+
+@settings(max_examples=30, deadline=None)
+@given(value_sets(), st.integers(0, 2**16), st.integers(1, 12))
+def test_a_sampled_fail_replays_on_the_exhaustive_grid(drawn, seed, samples):
+    """On a grid within budget, every sampled pointwise FAIL witness replays
+    on the exhaustive grid of the same value sets, to the same bytes, and
+    an exhaustive PASS is a sampled PASS."""
+    market, values = drawn
+    whole = GridSpace(market, values)
+    sample = GridSpace(market, values, mode=MODE_SAMPLED, seed=seed, samples=samples)
+    names = pointwise_names(whole)
+    for mechanism in seeded_mechanisms(whole, seed):
+        exhaustive = audit(OutcomeTable(mechanism, whole), names)
+        sampled = audit(OutcomeTable(mechanism, sample), names)
+        for name, report in sampled.items():
+            if exhaustive[name].passed:
+                assert report.passed, (mechanism.name, name)
+            if report.verdict == "FAIL":
+                fresh = refresh_witness(mechanism, name, report.witness, whole)
+                assert witness_to_json(fresh) == witness_to_json(report.witness), mechanism.name
 
 
 # rule-table walks against their definitions on exact profiles
