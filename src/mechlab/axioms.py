@@ -31,8 +31,8 @@ running it at that witness.
 `audit(table, names)` gives every named axiom's report from that one
 sweep, with the grid-scope NOM bounds read off the same table, and
 `welfare_compare(one, two)` reads two tables on one grid. So a caller
-that hands one table to all of them evaluates each profile once, and
-the table goes when the caller drops it. Each `CHECKERS` entry is the
+that hands one table to all of them evaluates each swept profile once,
+and the table goes when the caller drops it. Each `CHECKERS` entry is the
 one-axiom `audit` on a fresh table. NOM's and BEST_CASE's generators
 judge an agent's values against utility bounds over all opponents:
 analytic when the mechanism has closed-form bounds, grid-relative
@@ -302,6 +302,8 @@ def _aiw_violations(table: OutcomeTable, at: GridPoint) -> Iterator[dict]:
     A grid whose agents hold different value sets is refused, since a
     swap could leave it. With one shared set the swap moves agent i's
     index to j and back: one rank step per agent.
+    Off a sample's draws a swap is not kept, so each ordered pair
+    evaluates it: at most 1 + n(n-1) evaluations per draw.
     """
     if not table.grid.is_shared:
         raise ValueError("anonymity in welfare needs a shared value set across agents")

@@ -7,13 +7,13 @@ whether the agents share one value set. Its one sweep, `profiles()`,
 yields a `GridPoint` per profile (rank, value indices, exact values and
 scaled values), and `point` finds the same record for given values; a
 sampled grid draws its points on its first sweep and keeps them. An
-`OutcomeTable` memoises a mechanism's checked outcome at each rank of a
-grid, so the sweeps in `axioms` evaluate each profile once and compare
-ints. Whoever sweeps builds the table and hands it to every sweep that
-should share it; nothing keeps a table for later. `OutcomeTable.fill` is
-its one fill, fed the scaled values by the caller (an SP misreport) or by
-decoding the rank (any other read); it refuses a mechanism whose rule
-table was written for another market.
+`OutcomeTable` memoises a mechanism's checked outcome at each rank of its
+grid's sweep (`GridSpace.ranks`), so the sweeps in `axioms` evaluate each
+swept profile once and compare ints. Whoever sweeps builds the table and
+hands it to every sweep that should share it; nothing keeps a table for
+later. `OutcomeTable.fill` is its one fill, fed the scaled values by the
+caller (an SP misreport) or by decoding the rank (any other read); it
+refuses a mechanism whose rule table was written for another market.
 """
 
 from __future__ import annotations
@@ -56,10 +56,9 @@ class GridSpace:
     profiles in an exhaustive grid or draws in a sample are refused,
     counted from the declared lengths before the grid is built. So is a
     grid whose rank strides would take more bits than the budget, as they
-    grow quadratically with the number of agents, and a sample whose
-    outcome table could hold more entries than the budget: per draw, the
-    draw and each agent's other values (SP), and on a shared grid each
-    pair of agents swapped (AIW).
+    grow quadratically with the number of agents. An outcome table keeps
+    only the ranks of the sweep (`ranks`), so the `samples` budget bounds
+    a sampled grid's table too.
 
     The geometry is computed once, at construction: `scale` is the value
     sets' common denominator and `scaled` each set multiplied by it, in
@@ -76,7 +75,8 @@ class GridSpace:
     sampled mode it yields `samples` profiles drawn uniformly;
     each draw is keyed by `(seed, index)`, so the stream depends on
     nothing else, and keeps the value indices it drew. The draws are made
-    on the first sweep and kept, so later sweeps seed no generator.
+    on the first sweep and kept, with their ranks in `ranks`, so later
+    sweeps seed no generator.
     """
 
     config: MarketConfig
@@ -119,14 +119,6 @@ class GridSpace:
         bits = sum(i * (len(vs) - 1).bit_length() for i, vs in enumerate(values))
         _refuse_over_budget(bits, "rank stride bits", "declare fewer agents")
         shared = all(vs == values[0] for vs in normalized.values())
-        if self.mode == MODE_SAMPLED:
-            # Each draw fills its own profile, SP each other value of each
-            # agent, and AIW on a shared grid each pair of agents swapped;
-            # never more than the grid has.
-            n, lengths = len(values), [len(vs) for vs in values]
-            per_draw = 1 + sum(lengths) - n + (n * (n - 1) // 2 if shared else 0)
-            entries = min(math.prod(lengths), self.samples * per_draw)
-            _refuse_over_budget(entries, "outcome-table entries", "draw fewer samples")
         scale = math.lcm(*(v.denominator for vs in normalized.values() for v in vs))
         scaled = {  # by id of the normalized set
             id(vs): tuple([v.numerator * (scale // v.denominator) for v in vs])
@@ -215,7 +207,16 @@ class GridSpace:
             below = random.Random(f"{self.seed}:{sample}").randrange
             return self._at(tuple([below(n) for n in lengths]))
 
-        return tuple(map(draw, range(self.samples)))
+        points = tuple(map(draw, range(self.samples)))
+        self.ranks.update([at.rank for at in points])
+        return points
+
+    @cached_property
+    def ranks(self) -> range | set[int]:
+        """The ranks a table keeps outcomes at: every rank of an exhaustive
+        grid, or the distinct ranks a sample drew (empty until its first
+        sweep draws them, so reading them draws nothing)."""
+        return range(self.size) if self.mode == MODE_EXHAUSTIVE else set()
 
     def point(self, values: Sequence[Fraction]) -> GridPoint:
         """The point of a profile whose values lie in the value sets."""
@@ -277,7 +278,7 @@ def _refuse_other_market(market: MarketConfig | None, config: MarketConfig) -> N
 
 
 class OutcomeTable(dict):
-    """A mechanism's checked outcomes on one grid's value sets, keyed by rank.
+    """A mechanism's checked outcomes at its grid's swept ranks, keyed by rank.
 
     The grid holds the geometry (`GridSpace.scale`, `scaled`, `stride`),
     so a single-agent misreport is one rank addition and a swap two.
@@ -292,6 +293,11 @@ class OutcomeTable(dict):
     calls `fill` itself and no rank is decoded. A transfer that is a multiple
     of 1/scale is an int, any other the exact `Fraction`. `exact` turns a
     scaled quantity back into a `Fraction` when a witness is built.
+
+    Only an outcome at a rank of the grid's sweep (`GridSpace.ranks`) is
+    kept, so a sampled table holds at most `samples` entries; any other
+    (an off-sample SP misreport or AIW swap, a shrink candidate) is
+    computed and checked at every read.
 
     The table belongs to whoever builds it: every sweep that should share
     its outcomes is handed the same table, and it holds its mechanism as a
@@ -309,6 +315,7 @@ class OutcomeTable(dict):
         self._market, self._scale = grid.config, grid.scale
         # agent i's scaled value at rank r is scaled[i][r // stride[i] % len]
         self._digits = tuple(zip(grid.scaled, grid.stride, map(len, grid.scaled)))
+        self._kept = grid.ranks
         self._interned: dict[tuple, tuple] = {}
 
     def __missing__(self, rank: int) -> tuple:
@@ -316,12 +323,12 @@ class OutcomeTable(dict):
                                       for scaled, step, size in self._digits]))
 
     def fill(self, rank: int, scaled: tuple[int, ...]) -> tuple:
-        """Store and return the checked outcome at `rank`, whose scaled
-        values the caller passes as `scaled`."""
+        """The checked outcome at `rank`, whose scaled values the caller
+        passes as `scaled`; stored only at a rank of the grid's sweep."""
         mechanism, market = self.mechanism, self._market
         outcome = mechanism.checked(mechanism.outcome(scaled, market, self._scale), market)
-        outcome = self._interned.setdefault(outcome, outcome)
-        self[rank] = outcome
+        if rank in self._kept:
+            outcome = self[rank] = self._interned.setdefault(outcome, outcome)
         return outcome
 
     def exact(self, quantity: int | Fraction) -> Fraction:

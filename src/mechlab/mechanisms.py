@@ -349,19 +349,39 @@ def _table(
 ) -> dict[tuple[Fraction, ...], Any]:
     """A rule table keyed by normalised profile from (profile, outcome) pairs;
     each profile must list one non-negative value per agent of `market`, and
-    two profiles that normalise alike are refused. `outcome(profile, value)`
-    reads an entry's outcome."""
+    two profiles that normalise alike are refused, before their outcome is.
+    `outcome(profile, value)` reads an entry's outcome. Each distinct key
+    value is parsed once, keyed by its type too, so `1`, `True` and `"1"`
+    never share a parse, and each key is hashed once."""
+    parsed: dict[tuple[type, Any], Fraction] = {}
+
+    def parse(v: Any) -> Fraction:
+        if type(v) is Fraction:
+            return v
+        try:
+            known = parsed.get((type(v), v))
+        except TypeError:  # unhashable, so `rational` refuses it below
+            known = None
+        if known is None:
+            known = parsed[type(v), v] = rational(v, "rule table profile value")
+        return known
+
     table: dict[tuple[Fraction, ...], Any] = {}
     for key, value in pairs:
-        values = tuple(rational(v, "rule table profile value") for v in key)
+        values = tuple([parse(v) for v in key])
         if len(values) != market.n or min(values) < 0:
             raise ValueError(
                 f"rule table profile {_profile_text(values)} must list "
                 f"{market.n} non-negative values"
             )
-        if values in table:
+        size = len(table)
+        try:
+            table.setdefault(values, outcome(values, value))
+        except (TypeError, ValueError):  # a repeated profile is refused first
+            if values not in table:
+                raise
+        if len(table) == size:
             raise ValueError(f"rule table lists profile {_profile_text(values)} twice")
-        table[values] = outcome(values, value)
     return table
 
 

@@ -77,7 +77,10 @@ def shrink_witness(
     at a time; a step is kept only when the refreshed witness still
     violates. Passes repeat until nothing moves, so the result is a
     deterministic local minimum (not a global one). Every step replays on
-    one table of the grid, so no profile is evaluated twice.
+    one table of the grid. On an exhaustive grid the table keeps every
+    outcome, so no profile is evaluated twice; on a sampled one it keeps
+    only the drawn profiles, so a candidate off the draws, and each of its
+    misreports, is evaluated again at every step that reads it.
     """
     if axiom not in POINTWISE:
         raise ValueError(f"shrinking is not defined for {axiom} witnesses")

@@ -109,43 +109,44 @@ def test_grid_space_refuses_samples_over_budget():
     assert at_cap.samples == ENUMERATION_BUDGET
 
 
-def test_grid_space_refuses_a_sampled_outcome_table_over_budget():
-    """Each draw fills its own profile, SP each other value of each agent
-    and, on a shared grid, AIW each pair of agents swapped, so a sample's
-    outcome table can hold min(prod |V_i|, samples * (1 + sum (|V_i| - 1)
-    + n(n-1)/2)) entries; more than the budget is refused when the grid is
-    declared. On the shared 21^5 grid below, each draw reaches 1 + 100 + 10
-    = 111 entries."""
+def test_a_sampled_grid_is_bounded_by_its_samples_alone():
+    """An outcome table keeps only a sample's drawn ranks, so no budget on
+    off-sample entries remains: the shared 21^5 range takes any sample
+    within the `samples` budget when it is declared, fast, and refuses one
+    more with the `samples` message."""
     market = MarketConfig(5, 2)
+    for samples in (9010, ENUMERATION_BUDGET):
+        started = time.perf_counter()
+        grid = GridSpace.from_range(market, 10, 2, mode=MODE_SAMPLED, samples=samples)
+        assert time.perf_counter() - started < 1
+        assert grid.samples == samples
     started = time.perf_counter()
     with pytest.raises(ValueError) as refused:
-        GridSpace.from_range(market, 10, 2, mode=MODE_SAMPLED, samples=10**6)
+        GridSpace.from_range(market, 10, 2, mode=MODE_SAMPLED, samples=ENUMERATION_BUDGET + 1)
     assert time.perf_counter() - started < 1
     assert str(refused.value) == (
-        "4084101 outcome-table entries exceed the enumeration budget (1000000); "
-        "draw fewer samples"
+        "1000001 samples exceed the enumeration budget (1000000); draw fewer samples"
     )
-    assert GridSpace.from_range(market, 10, 2, mode=MODE_SAMPLED, samples=9009).samples == 9009
-    with pytest.raises(ValueError, match="^1000110 outcome-table entries exceed"):
-        GridSpace.from_range(market, 10, 2, mode=MODE_SAMPLED, samples=9010)
-    # agents on their own value sets swap nothing: 1 + 5 * 20 per draw
+    # agents on their own value sets, past the old per-draw cap of 9,900
     own = tuple(tuple(Fraction(k, 2) + i for k in range(21)) for i in range(5))
-    assert GridSpace(market, own, mode=MODE_SAMPLED, samples=9900).samples == 9900
-    with pytest.raises(ValueError, match="^1000001 outcome-table entries exceed"):
-        GridSpace(market, own, mode=MODE_SAMPLED, samples=9901)
+    assert GridSpace(market, own, mode=MODE_SAMPLED, samples=9901).samples == 9901
 
 
 @pytest.mark.parametrize("n", [12, 30])
 def test_a_sampled_sp_and_aiw_table_stays_within_its_bound(n):
-    """The bound the grid declares for a sample's outcome table holds after
-    sampled SP and AIW audits, which fill the draws, their misreports and
-    their swaps. The swaps take each table past samples * sum |V_i|, a
-    bound that counts SP alone."""
+    """A sampled SP and AIW audit fills each draw, its misreports and its
+    swaps, more than samples * sum |V_i| outcomes, but the table keeps
+    only the draws: its keys are exactly the distinct drawn ranks."""
     market, samples = MarketConfig(n, 1), 100
     grid = GridSpace.shared(market, (0, 1), mode=MODE_SAMPLED, seed=0, samples=samples)
     table = OutcomeTable(vickrey_mechanism(), grid)
+    filled = []
+    table.fill = lambda rank, scaled, fill=table.fill: filled.append(rank) or fill(rank, scaled)
     audit(table, ("SP", "AIW"))
-    assert samples * 2 * n < len(table) <= samples * (1 + n + n * (n - 1) // 2)
+    drawn = {at.rank for at in grid.profiles()}
+    assert len(filled) > samples * 2 * n
+    assert set(table) == drawn == grid.ranks
+    assert len(table) <= samples
 
 
 def test_grid_space_refuses_rank_strides_over_budget():
@@ -309,10 +310,34 @@ def test_a_sample_is_drawn_once(monkeypatch):
     assert len(seeded) == 20
     assert list(grid.profiles()) == first
     assert len(seeded) == 20
+    assert grid.ranks == {at.rank for at in first}
 
 
-# Entries a sampled SP audit fills on `SAMPLED_SP_GRID`: the drawn points,
-# and every single-agent misreport at the draws ranked below the witness.
+def test_a_replay_on_an_unswept_sample_draws_nothing(monkeypatch):
+    """A replay on a sampled grid that was never swept seeds no generator,
+    and its table keeps nothing; the table of a later sweep on that grid
+    keeps exactly the draws."""
+    seeded = []
+
+    class Counted(random.Random):
+        def __init__(self, *args):
+            seeded.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr("mechlab.grid.random.Random", Counted)
+    grid = GridSpace.shared(CFG1, (0, 1, 2, 3), mode=MODE_SAMPLED, seed=5, samples=20)
+    witness = {"profile": (Fraction(3), Fraction(2), Fraction(0)), "agent": 0,
+               "misreport": Fraction(2)}
+    table = OutcomeTable(pay_as_bid_mechanism(), grid)
+    assert POINTWISE["SP"].refresh(table, witness) is not None
+    assert seeded == [] and grid.ranks == set() and len(table) == 0
+    audit(table, ("SP",))
+    assert len(seeded) == 20 and set(table) == grid.ranks
+
+
+# Distinct ranks a sampled SP audit fills on `SAMPLED_SP_GRID`: the drawn
+# points, and every single-agent misreport at the draws ranked below the
+# witness. Only the drawn points are kept.
 SAMPLED_SP_GRID = GridSpace.shared(CFG1, range(6), mode=MODE_SAMPLED, seed=2, samples=30)
 SAMPLED_SP_FILLS = {
     "vickrey": 186,
@@ -328,22 +353,30 @@ def test_a_sampled_sp_audit_decodes_only_the_drawn_ranks(monkeypatch):
     """SP misreports are filled from the drawn point's own values, so only
     a drawn rank is decoded. A mechanism that passes SP fills every drawn
     profile and each of its misreports; one that fails fills the
-    misreports only at draws ranked below its witness."""
-    decoded = []
-    missing = OutcomeTable.__missing__
+    misreports only at draws ranked below its witness. The table keeps
+    exactly the drawn ranks."""
+    decoded, filled = [], []
+    missing, fill = OutcomeTable.__missing__, OutcomeTable.fill
 
     def counted(table, rank):
         decoded.append(rank)
         return missing(table, rank)
 
+    def recorded(table, rank, scaled):
+        filled.append(rank)
+        return fill(table, rank, scaled)
+
     monkeypatch.setattr(OutcomeTable, "__missing__", counted)
+    monkeypatch.setattr(OutcomeTable, "fill", recorded)
     drawn = {at.rank for at in SAMPLED_SP_GRID.profiles()}
     for mechanism in builtin_mechanisms():
         decoded.clear()
+        filled.clear()
         table = OutcomeTable(mechanism, SAMPLED_SP_GRID)
         audit(table, ("SP",))
         assert len(decoded) <= SAMPLED_SP_GRID.samples and set(decoded) <= drawn
-        assert len(table) == SAMPLED_SP_FILLS[mechanism.name], mechanism.name
+        assert len(set(filled)) == SAMPLED_SP_FILLS[mechanism.name], mechanism.name
+        assert set(table) == drawn, mechanism.name
 
 
 # the caller owns the outcome table

@@ -8,6 +8,7 @@ the least by (winner tuple, bundles).
 import dataclasses
 import json
 import random
+import re
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -45,7 +46,9 @@ from mechlab.axioms import (
     validate_winner_rule,
     welfare_compare,
 )
+from mechlab import mechanisms
 from mechlab.mechanisms import EV, PAB
+from mechlab.model import rat_str
 from mechlab.search import random_winner_rule_table
 
 CFG1 = MarketConfig(3, 1)
@@ -383,6 +386,63 @@ def test_rule_tables_refuse_a_profile_listed_twice():
         PricingRule.rule_table(CFG1, {(1, 1, 1): EV, ("1", "2/2", 1): "PAB"})
     with pytest.raises(ValueError, match=r"lists winner 0 twice at profile \(1, 1, 1\)"):
         WinnerRule.rule_table(CFG1, {(1, 1, 1): (0, 0)})
+
+
+def test_a_rule_table_parses_each_value_and_hashes_each_key_once(monkeypatch):
+    """The seed-0 winner table of the exhaustive benchmark config (4 agents,
+    2 objects, values 0..5) lists 385 profiles, 1,540 values in a handful
+    of distinct strings: building it parses each distinct string once and
+    hashes each profile once. The refusals keep their messages, the
+    duplicate one ahead of a bad outcome, and a memoised `1` lets neither
+    `True` nor `1.0` through."""
+    market = MarketConfig(4, 2)
+    grid = GridSpace.shared(market, range(6))
+    table = random_winner_rule_table(grid, random.Random("audit-exhaustive:0"))
+    entries = [
+        {"profile": [rat_str(v) for v in key], "winners": sorted(winners)}
+        for key, winners in sorted(table.items())
+    ]
+    assert len(entries) == 385
+    parsed, hashed = [], []
+    rational, fraction_hash = mechanisms.rational, Fraction.__hash__
+
+    def counted_rational(value, what):
+        parsed.append(value)
+        return rational(value, what)
+
+    def counted_hash(self):
+        hashed.append(self)
+        return fraction_hash(self)
+
+    monkeypatch.setattr(mechanisms, "rational", counted_rational)
+    monkeypatch.setattr(Fraction, "__hash__", counted_hash)
+    rule = WinnerRule.from_spec({"family": "RULE_TABLE", "entries": entries}, market)
+    monkeypatch.undo()
+    assert sorted(parsed) == sorted({v for entry in entries for v in entry["profile"]})
+    assert len(hashed) == 4 * len(entries)
+    assert dict(rule.table) == table
+
+    refusals = [
+        ({(2, 1, 1): (0,), ("4/2", "1", 1): ()}, "rule table lists profile (2, 1, 1) twice"),
+        ({(1, 1, 1): (0,), ("1", 1, "1"): (0, 0)}, "rule table lists profile (1, 1, 1) twice"),
+        ({(1, 1, 1): (0, 0)}, "rule table lists winner 0 twice at profile (1, 1, 1)"),
+        ({("1", "-1", "1"): ()}, "rule table profile (1, -1, 1) must list 3 non-negative values"),
+        ({(1, 0, 0): (0,), (0, 1.0, 0): ()},
+         "rule table profile value must be an exact rational, got 1.0"),
+        ({(1, 0, 0): (0,), (0, True, 0): ()},
+         "rule table profile value must be an exact rational, got true"),
+    ]
+    for entries, message in refusals:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            WinnerRule.rule_table(CFG1, entries)
+    unhashable = {"family": "RULE_TABLE", "entries": [{"profile": [[1], 0, 0], "winners": []}]}
+    message = "rule table profile value must be an exact rational, got [1]"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        WinnerRule.from_spec(unhashable, CFG1)
+    with pytest.raises(ValueError, match=r"^rule table lists profile \(1, 1, 1\) twice$"):
+        PricingRule.rule_table(CFG1, {(1, 1, 1): EV, ("1", "2/2", 1): "BAD"})
+    with pytest.raises(ValueError, match="^pricing mode must be EV or PAB, got 'BAD'$"):
+        PricingRule.rule_table(CFG1, {(1, 1, 1): EV, (1, 1, 0): "BAD"})
 
 
 def test_mechanisms_are_frozen_records_whose_specs_round_trip():

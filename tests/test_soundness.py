@@ -51,6 +51,7 @@ from mechlab import (
     validate_winner_rule,
     vickrey_mechanism,
     vickrey_price,
+    welfare_compare,
     witness_to_json,
 )
 from mechlab.axioms import (
@@ -651,20 +652,30 @@ def test_every_table_rank_equals_evaluate_with_its_transfers_scaled(grid):
 @pytest.mark.parametrize("grid", [GRIDS[2], GRIDS[5]], ids=["whole", "halves"])
 def test_value_fed_fills_equal_decoded_fills(grid):
     """SP misreports are filled from the drawn point's values, not decoded
-    from their rank. After a sampled SP and AIW audit on the grid and on
-    its half-step refinement, every entry of the shared table is what a
-    fresh table decodes at that rank, and `evaluate` at its profile with
-    each transfer scaled, of the same types."""
+    from their rank, and an off-sample outcome is not kept. During a
+    sampled SP and AIW audit on the grid and on its half-step refinement,
+    every outcome `fill` returns was handed the values of its rank, and is
+    what a fresh table decodes at that rank and `evaluate` at its profile
+    with each transfer scaled, of the same types."""
     market = grid.config
     for values in (grid.values, half_step(grid.values)):
         space = GridSpace(market, values, mode=MODE_SAMPLED, seed=grid.seed, samples=grid.samples)
         for mechanism in differential_mechanisms(grid):
             table, fresh = OutcomeTable(mechanism, space), OutcomeTable(mechanism, space)
+            captured = []
+
+            def capture(rank, scaled, fill=table.fill):
+                outcome = fill(rank, scaled)
+                captured.append((rank, scaled, outcome))
+                return outcome
+
+            table.fill = capture
             audit(table, ("SP", "AIW"))
-            assert len(table) > space.samples, mechanism.name
-            for rank, (got_x, got_t) in table.items():
-                combo = tuple(vals[rank // step % len(vals)]
-                              for vals, step in zip(space.values, space.stride))
+            assert len(captured) > space.samples, mechanism.name
+            for rank, scaled_values, (got_x, got_t) in captured:
+                index = [rank // step % len(vals) for vals, step in zip(space.values, space.stride)]
+                combo = tuple(vals[k] for vals, k in zip(space.values, index))
+                assert scaled_values == tuple(ups[k] for ups, k in zip(space.scaled, index))
                 x, t = mechanism.evaluate(Profile(market, combo))
                 scaled = tuple(ti * space.scale for ti in t)
                 want = tuple(s.numerator if s.denominator == 1 else s for s in scaled)
@@ -748,6 +759,83 @@ def test_a_sampled_fail_replays_on_the_exhaustive_grid(drawn, seed, samples):
             if report.verdict == "FAIL":
                 fresh = refresh_witness(mechanism, name, report.witness, whole)
                 assert witness_to_json(fresh) == witness_to_json(report.witness), mechanism.name
+
+
+class KeepEverything(OutcomeTable):
+    """An outcome table that keeps every outcome it fills, on the sweep or
+    off it: the memo before a table kept only its grid's sweep."""
+
+    def fill(self, rank, scaled):
+        mechanism, market = self.mechanism, self.grid.config
+        outcome = mechanism.checked(mechanism.outcome(scaled, market, self.grid.scale), market)
+        self[rank] = outcome
+        return outcome
+
+
+@settings(max_examples=30, deadline=None)
+@given(value_sets(), st.integers(0, 2**16), st.integers(1, 12))
+def test_keeping_only_the_draws_changes_no_report(drawn, seed, samples):
+    """On sampled shared and per-agent grids, a table that keeps only its
+    draws gives every axiom's report, and every welfare comparison, that a
+    table keeping every outcome gives."""
+    market, values = drawn
+    grid = GridSpace(market, values, mode=MODE_SAMPLED, seed=seed, samples=samples)
+    names = [name for name in CHECKERS if name != "AIW" or grid.is_shared]
+    mechanisms = seeded_mechanisms(grid, seed)
+    kept = [OutcomeTable(mechanism, grid) for mechanism in mechanisms]
+    every = [KeepEverything(mechanism, grid) for mechanism in mechanisms]
+    for mechanism, table, memo in zip(mechanisms, kept, every):
+        got, want = audit(table, names), audit(memo, names)
+        assert [r.to_json() for r in got.values()] == [r.to_json() for r in want.values()], (
+            mechanism.name
+        )
+        assert set(table) == grid.ranks <= set(memo), mechanism.name
+        compared = welfare_compare(kept[0], table)
+        assert compared == welfare_compare(every[0], memo), mechanism.name
+
+
+def test_an_outcome_that_is_not_kept_is_still_checked():
+    """A CUSTOM mechanism whose only malformed outcome is a float transfer
+    at one off-sample SP misreport is still refused by the sampled audit,
+    on every read of that outcome, though the table never keeps it."""
+    grid = GRIDS[2]
+    drawn = {at.rank for at in grid.profiles()}
+    at = next(at for at in grid.profiles() if at.rank + grid.stride[0] not in drawn
+              and at.index[0] + 1 < len(grid.values[0]))
+    bad = (grid.values[0][at.index[0] + 1], *at.values[1:])
+    assert grid.point(bad).rank not in drawn
+    vickrey = vickrey_mechanism()
+
+    def fn(profile):
+        x, t = vickrey.evaluate(profile)
+        return (x, (0.5, *t[1:])) if profile.values == bad else (x, t)
+
+    mechanism = Mechanism("float_off_sample", "CUSTOM", fn)
+    table = OutcomeTable(mechanism, grid)
+    with pytest.raises(ValueError, match=r"^float_off_sample gave the bundle \(\d, 0\.5\)"):
+        audit(table, ("SP",))
+    assert set(table) <= drawn
+    with pytest.raises(ValueError, match="float_off_sample gave the bundle"):
+        table.fill(grid.point(bad).rank, grid.point(bad).scaled)
+
+
+def test_a_sampled_aiw_audit_evaluates_each_swap_once_per_ordered_pair():
+    """A swap off a sampled grid's draws is not kept, so each ordered pair
+    evaluates its swapped profile: an AIW-only sampled audit makes at most
+    `samples * (1 + n(n-1))` evaluations, and more than one per draw."""
+    for grid in (GRIDS[2], GRIDS[5]):
+        n, calls = grid.config.n, []
+        vickrey = vickrey_mechanism()
+
+        def fn(profile):
+            calls.append(profile.values)
+            return vickrey.evaluate(profile)
+
+        table = OutcomeTable(Mechanism("counted", "CUSTOM", fn), grid)
+        assert audit(table, ("AIW",))["AIW"].passed
+        assert grid.samples < len(calls) <= grid.samples * (1 + n * (n - 1))
+        swaps = [values for values in calls if grid.point(values).rank not in grid.ranks]
+        assert swaps and all(swaps.count(values) % 2 == 0 for values in set(swaps))
 
 
 # rule-table walks against their definitions on exact profiles
