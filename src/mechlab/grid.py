@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Any, Iterable, Iterator, NamedTuple, Sequence
 
-from .mechanisms import Mechanism
+from .mechanisms import Mechanism, _scaled
 from .model import MarketConfig, RationalLike, clipped, rat
 
 MODE_EXHAUSTIVE = "exhaustive"
@@ -297,14 +297,16 @@ class OutcomeTable(dict):
     Only an outcome at a rank of the grid's sweep (`GridSpace.ranks`) is
     kept, so a sampled table holds at most `samples` entries; any other
     (an off-sample SP misreport or AIW swap, a shrink candidate) is
-    computed and checked at every read.
+    computed and checked at every read that needs it.
 
     The table belongs to whoever builds it: every sweep that should share
     its outcomes is handed the same table, and it holds its mechanism as a
     plain attribute, so it lives exactly as long as its caller keeps it.
     A replay builds a fresh one on the grid it is handed.
     Construction refuses a mechanism built on another market's rule table
-    (`Mechanism.market`), so no sweep repeats that check.
+    (`Mechanism.market`), so no sweep repeats that check, and scales the
+    mechanism's `breakpoints` once (None when it declares none), for the
+    SP sweep to find a report's order cell on the scaled values.
     """
 
     def __init__(self, mechanism: Mechanism, grid: GridSpace) -> None:
@@ -316,6 +318,8 @@ class OutcomeTable(dict):
         # agent i's scaled value at rank r is scaled[i][r // stride[i] % len]
         self._digits = tuple(zip(grid.scaled, grid.stride, map(len, grid.scaled)))
         self._kept = grid.ranks
+        cuts = mechanism.breakpoints
+        self.breakpoints = None if cuts is None else tuple([_scaled(c, grid.scale) for c in cuts])
         self._interned: dict[tuple, tuple] = {}
 
     def __missing__(self, rank: int) -> tuple:

@@ -25,12 +25,14 @@ function of a `Profile` gets one adapter, so the table has one code path.
 `Mechanism.checked` is the one check of an outcome's shape and capacity.
 The record also sets the closed-form bounds the NOM and BEST_CASE
 checkers use (`Mechanism.bounds`, which take the scale `outcome` takes,
-so the checkers compare them with the grid's scaled ints) and the echo
-of its JSON spec (`Mechanism.spec`), which `mechanism_from_spec` parses
-back. Winner and pricing rules are records built the same way: each rule
-constructor sets the label, the value-level `pick` or `branch` (a
-scale-1 call reads them at a profile's exact values), the bounds and the
-spec echo, and only the three `from_spec` parsers read a family name:
+so the checkers compare them with the grid's scaled ints), the constants
+a report is compared with (`Mechanism.breakpoints`, which let the SP
+sweep skip misreports that cannot pay) and the echo of its JSON spec
+(`Mechanism.spec`), which `mechanism_from_spec` parses back. Winner and
+pricing rules are records built the same way: each rule constructor sets
+the label, the value-level `pick` or `branch` (a scale-1 call reads them
+at a profile's exact values), the bounds, the breakpoints and the spec
+echo, and only the three `from_spec` parsers read a family name:
 each hands `_from_spec` its families' keys, which `model.fields` reads.
 Rule tables record their market and are read-only, so the outcome tables
 shared per mechanism and the once-per-rule scan of a table's selection
@@ -111,6 +113,9 @@ Entry = tuple[tuple[Fraction, ...], tuple, frozenset[int]]
 
 # The types an outcome's transfers may take.
 _EXACT = (int, Fraction)
+# The breakpoints of a family that compares a report only with the other
+# reports and with 0 (see `Mechanism`).
+_ZERO = (Fraction(0),)
 
 
 def _scaled(q: Any, scale: int) -> Any:
@@ -208,6 +213,16 @@ class Mechanism:
     (`Mechanism(name, "CUSTOM", fn)`) gets the outcome that calls `fn` at
     the exact profile and scales its transfers.
 
+    `breakpoints`, set only by the family constructors (like `bounds`),
+    are the constants the family compares a report with (0 always; a
+    dictator threshold or a THRESHOLD cutoff too). A family that sets them
+    reads the values only through comparisons with each other and with
+    them, so with the other agents' values fixed, an agent's bundle is
+    the same at every report of one order cell (between, or at, two
+    consecutive of those values), with a transfer that is constant or the
+    report itself: the agent's utility can only fall as the report rises
+    within a cell. None (rule tables, CUSTOM) promises nothing.
+
     The axiom checkers fill an outcome table (`grid.OutcomeTable`) by
     calling `outcome` once per grid profile on values scaled to ints;
     `evaluate` is the same call at scale 1 on a profile's exact values,
@@ -223,6 +238,7 @@ class Mechanism:
     market: MarketConfig | None = None
     echo: Callable[[], dict] | None = None
     outcome: Outcome | None = None
+    breakpoints: tuple[Fraction, ...] | None = None
 
     def __post_init__(self) -> None:
         if (self.fn is None) == (self.outcome is None):
@@ -298,6 +314,7 @@ def vickrey_mechanism() -> Mechanism:
         FAMILY_VICKREY,
         outcome=partial(_vickrey_outcome, False),
         bounds=_second_price_bounds,
+        breakpoints=_ZERO,
     )
 
 
@@ -307,6 +324,7 @@ def efficient_vickrey_mechanism() -> Mechanism:
         FAMILY_EFFICIENT_VICKREY,
         outcome=partial(_vickrey_outcome, True),
         bounds=_second_price_bounds,
+        breakpoints=_ZERO,
     )
 
 
@@ -316,6 +334,7 @@ def pay_as_bid_mechanism() -> Mechanism:
         FAMILY_PAY_AS_BID,
         outcome=_pay_as_bid_outcome,
         bounds=_own_bid_bounds,
+        breakpoints=_ZERO,
     )
 
 
@@ -333,6 +352,7 @@ def no_trade_mechanism(fee: RationalLike = 0) -> Mechanism:
         FAMILY_NO_TRADE,
         outcome=outcome,
         bounds=partial(_flat_bounds, fee_at),
+        breakpoints=_ZERO,
         echo=lambda: {"family": FAMILY_NO_TRADE, "fee": rat_str(f)},
     )
 
@@ -478,9 +498,11 @@ class WinnerRule:
 
     Each constructor builds one record: the rule's `label`, its one
     value-level definition `pick` (see `Pick`), selective Vickrey's
-    closed-form `bounds` under it (None for a table) and the `echo` that
-    renders its JSON spec. The rule checks in `axioms` trust conditions
-    (i)-(iv) without a look only for a rule with closed-form bounds.
+    closed-form `bounds` under it (None for a table), the `echo` that
+    renders its JSON spec and the `breakpoints` selective Vickrey takes
+    under it (see `Mechanism`; None for a table). The rule checks in
+    `axioms` trust conditions (i)-(iv) without a look only for a rule with
+    closed-form bounds.
       empty: nobody trades.
       strict: on a uniform-tail profile, everyone strictly above the price.
       efficient: on a uniform-tail profile, the efficient families' winners.
@@ -499,6 +521,7 @@ class WinnerRule:
     # The table keyed by its profiles multiplied by a scale, once per scale:
     # the dict `pick` reads.
     keyed: Callable[[int], Mapping[tuple, frozenset[int]]] | None = None
+    breakpoints: tuple[Fraction, ...] | None = None
 
     @property
     def spec(self) -> dict:
@@ -529,14 +552,14 @@ class WinnerRule:
     def empty(cls) -> "WinnerRule":
         return cls(
             "empty", lambda values, market, scale: (), partial(_flat_bounds, lambda scale: 0),
-            lambda: {"family": RULE_EMPTY},
+            lambda: {"family": RULE_EMPTY}, breakpoints=_ZERO,
         )
 
     @classmethod
     def strict(cls) -> "WinnerRule":
         return cls(
             "strict_winners", _strict_pick, _strict_winner_bounds,
-            lambda: {"family": RULE_STRICT_WINNERS},
+            lambda: {"family": RULE_STRICT_WINNERS}, breakpoints=_ZERO,
         )
 
     @classmethod
@@ -546,6 +569,7 @@ class WinnerRule:
             _efficient_pick,
             _second_price_bounds,
             lambda: {"family": RULE_EFFICIENT_WINNERS},
+            breakpoints=_ZERO,
         )
 
     @classmethod
@@ -566,6 +590,7 @@ class WinnerRule:
             partial(_dictator_bounds, agent, cut_at),
             lambda: {"family": RULE_DICTATORIAL_THRESHOLD, "agent": agent,
                      "threshold": rat_str(cut)},
+            breakpoints=(Fraction(0), cut),
         )
 
     @classmethod
@@ -688,6 +713,7 @@ def selective_vickrey_mechanism(rule: WinnerRule) -> Mechanism:
         FAMILY_SELECTIVE_VICKREY,
         outcome=outcome,
         bounds=rule.bounds,
+        breakpoints=rule.breakpoints,
         market=rule.market,
         echo=lambda: {"family": FAMILY_SELECTIVE_VICKREY, "rule": rule.spec},
     )
@@ -714,8 +740,9 @@ class PricingRule:
     Each constructor builds one record: the rule's `label`, its one
     value-level definition `branch` (see `Branch`), whether every
     valuation can reach the EV branch (`reaches_ev`; None for a table,
-    which can only be judged on a grid) and the `echo` that renders its
-    JSON spec.
+    which can only be judged on a grid), the `echo` that renders its
+    JSON spec and the `breakpoints` EV/PAB takes under it (see
+    `Mechanism`; None for a table).
       always_ev: EV everywhere.
       ev_iff_price_zero: EV exactly when the Vickrey price is zero.
       threshold(c): EV when the Vickrey price is at most c. The price is
@@ -731,6 +758,7 @@ class PricingRule:
     echo: Callable[[], dict]
     market: MarketConfig | None = None
     table: Mapping[tuple[Fraction, ...], str] | None = None
+    breakpoints: tuple[Fraction, ...] | None = None
 
     @property
     def spec(self) -> dict:
@@ -753,6 +781,7 @@ class PricingRule:
             lambda values, market, scale: EV,
             True,
             lambda: {"family": PRICING_ALWAYS_EV},
+            breakpoints=_ZERO,
         )
 
     @classmethod
@@ -762,6 +791,7 @@ class PricingRule:
             lambda values, market, scale: EV if vickrey_price(values, market.m) == 0 else PAB,
             True,
             lambda: {"family": PRICING_EV_IFF_PRICE_ZERO},
+            breakpoints=_ZERO,
         )
 
     @classmethod
@@ -775,6 +805,7 @@ class PricingRule:
             ),
             cut >= 0,
             lambda: {"family": PRICING_THRESHOLD, "cutoff": rat_str(cut)},
+            breakpoints=(Fraction(0), cut),
         )
 
     @classmethod
@@ -823,6 +854,7 @@ def ev_pab_mechanism(pricing: PricingRule) -> Mechanism:
         FAMILY_EV_PAB,
         outcome=outcome,
         bounds=pricing.bounds,
+        breakpoints=pricing.breakpoints,
         market=pricing.market,
         echo=lambda: {"family": FAMILY_EV_PAB, "pricing": pricing.spec},
     )

@@ -80,7 +80,8 @@ def shrink_witness(
     one table of the grid. On an exhaustive grid the table keeps every
     outcome, so no profile is evaluated twice; on a sampled one it keeps
     only the drawn profiles, so a candidate off the draws, and each of its
-    misreports, is evaluated again at every step that reads it.
+    misreports that can still pay, is evaluated again at every step that
+    reads it.
     """
     if axiom not in POINTWISE:
         raise ValueError(f"shrinking is not defined for {axiom} witnesses")

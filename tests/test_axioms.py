@@ -336,25 +336,30 @@ def test_a_replay_on_an_unswept_sample_draws_nothing(monkeypatch):
 
 
 # Distinct ranks a sampled SP audit fills on `SAMPLED_SP_GRID`: the drawn
-# points, and every single-agent misreport at the draws ranked below the
-# witness. Only the drawn points are kept.
+# points, and the single-agent misreports at the draws ranked below the
+# witness that can pay. A built-in family declares its breakpoints, so a
+# misreport off the draws is skipped when a lower report of its order cell
+# (or the truthful one) did not pay; a CUSTOM mechanism declares none and
+# fills every misreport, as a built-in did before the skip (186 for each
+# Vickrey-priced family). Only the drawn points are kept.
 SAMPLED_SP_GRID = GridSpace.shared(CFG1, range(6), mode=MODE_SAMPLED, seed=2, samples=30)
 SAMPLED_SP_FILLS = {
-    "vickrey": 186,
-    "efficient_vickrey": 186,
-    "pay_as_bid": 97,
-    "no_trade": 186,
-    "selective_vickrey(strict_winners)": 186,
-    "ev_pab(always_ev)": 107,
+    "vickrey": 176,
+    "efficient_vickrey": 176,
+    "pay_as_bid": 82,
+    "no_trade": 176,
+    "selective_vickrey(strict_winners)": 176,
+    "ev_pab(always_ev)": 90,
+    "custom_vickrey": 186,
 }
 
 
 def test_a_sampled_sp_audit_decodes_only_the_drawn_ranks(monkeypatch):
     """SP misreports are filled from the drawn point's own values, so only
     a drawn rank is decoded. A mechanism that passes SP fills every drawn
-    profile and each of its misreports; one that fails fills the
-    misreports only at draws ranked below its witness. The table keeps
-    exactly the drawn ranks."""
+    profile and each of its misreports that can pay; one that fails fills
+    them only at draws ranked below its witness. The table keeps exactly
+    the drawn ranks."""
     decoded, filled = [], []
     missing, fill = OutcomeTable.__missing__, OutcomeTable.fill
 
@@ -369,7 +374,8 @@ def test_a_sampled_sp_audit_decodes_only_the_drawn_ranks(monkeypatch):
     monkeypatch.setattr(OutcomeTable, "__missing__", counted)
     monkeypatch.setattr(OutcomeTable, "fill", recorded)
     drawn = {at.rank for at in SAMPLED_SP_GRID.profiles()}
-    for mechanism in builtin_mechanisms():
+    custom = Mechanism("custom_vickrey", "CUSTOM", vickrey_mechanism().evaluate)
+    for mechanism in [*builtin_mechanisms(), custom]:
         decoded.clear()
         filled.clear()
         table = OutcomeTable(mechanism, SAMPLED_SP_GRID)
@@ -377,6 +383,33 @@ def test_a_sampled_sp_audit_decodes_only_the_drawn_ranks(monkeypatch):
         assert len(decoded) <= SAMPLED_SP_GRID.samples and set(decoded) <= drawn
         assert len(set(filled)) == SAMPLED_SP_FILLS[mechanism.name], mechanism.name
         assert set(table) == drawn, mechanism.name
+
+
+def test_a_mechanism_without_breakpoints_fills_every_misreport():
+    """A CUSTOM mechanism declares no breakpoints, so no misreport is
+    skipped. Here the Vickrey winner pays 5 minus their report, so a
+    winner's transfer falls as their report rises inside one order cell:
+    at (1, 3, 1) on `SAMPLED_SP_GRID`, agent 0 reporting 4 wins and gains
+    nothing, but reporting 5, above 3 like 4, gains 1. A skip that read
+    no breakpoints as none to compare with would drop that witness."""
+    vickrey = vickrey_mechanism()
+
+    def fn(profile):
+        x, t = vickrey.evaluate(profile)
+        return x, tuple(5 - v if xi else ti for v, xi, ti in zip(profile.values, x, t))
+
+    mechanism = Mechanism("falling_transfer", "CUSTOM", fn)
+    table = OutcomeTable(mechanism, SAMPLED_SP_GRID)
+    assert table.breakpoints is None
+    report = audit(table, ("SP",))["SP"]
+    assert report.to_json() == {
+        "axiom": "SP", "verdict": "FAIL", "profiles_checked": 30,
+        "witness": {"profile": ["1", "3", "1"], "agent": 0, "misreport": "5",
+                    "truthful_utility": "0", "misreport_utility": "1"},
+    }
+    lower = table.fill(SAMPLED_SP_GRID.point((4, 3, 1)).rank, (4, 3, 1))
+    assert lower == ((1, 0, 0), (1, 0, 0))  # the lower report of the cell gains 0
+    assert replay_witness(mechanism, "SP", report.witness, SAMPLED_SP_GRID)
 
 
 # the caller owns the outcome table

@@ -918,3 +918,33 @@ def test_an_audit_evaluates_each_grid_profile_once():
     audit(table, list(CHECKERS))
     welfare_compare(table, OutcomeTable(pay_as_bid_mechanism(), grid))
     assert sorted(calls) == sorted(p.values for p in grid.profiles())
+
+
+def test_breakpoints_are_declared_by_constructors_only():
+    """Each comparison-based family declares 0 plus the constants it compares
+    a report with; a rule table and a CUSTOM mechanism declare none, and a
+    spec cannot set them."""
+    zero = (Fraction(0),)
+    declared = {
+        vickrey_mechanism(): zero,
+        efficient_vickrey_mechanism(): zero,
+        pay_as_bid_mechanism(): zero,
+        no_trade_mechanism(Fraction(7, 2)): zero,
+        selective_vickrey_mechanism(WinnerRule.empty()): zero,
+        selective_vickrey_mechanism(WinnerRule.strict()): zero,
+        selective_vickrey_mechanism(WinnerRule.efficient()): zero,
+        selective_vickrey_mechanism(WinnerRule.dictatorial_threshold(1, "-1/2")):
+            (0, Fraction(-1, 2)),
+        ev_pab_mechanism(PricingRule.always_ev()): zero,
+        ev_pab_mechanism(PricingRule.ev_iff_price_zero()): zero,
+        ev_pab_mechanism(PricingRule.threshold("3/2")): (0, Fraction(3, 2)),
+        selective_vickrey_mechanism(WinnerRule.rule_table(CFG1, {(1, 0, 0): [0]})): None,
+        ev_pab_mechanism(PricingRule.rule_table(CFG1, {(0, 0, 0): EV})): None,
+        Mechanism("custom", "CUSTOM", vickrey_mechanism().evaluate): None,
+    }
+    for mechanism, breakpoints in declared.items():
+        assert mechanism.breakpoints == breakpoints, mechanism.name
+        if mechanism.family != "CUSTOM":
+            assert mechanism_from_spec(mechanism.spec, CFG1).breakpoints == breakpoints
+    with pytest.raises(ValueError, match="^VICKREY mechanism has an unknown field 'breakpoints'$"):
+        mechanism_from_spec({"family": "VICKREY", "breakpoints": ["1"]}, CFG1)

@@ -11,8 +11,11 @@ ints (the winner-table generator, the condition scan and the VALID and
 UNCOMPROMISING walks) are compared with their definitions on exact
 profiles. The characterization's "only if" is checked against every
 EE+IR+NS+SP mechanism of a small market, enumerated outcome by outcome.
+The SP sweep's skip of misreports that cannot pay is compared with the
+same mechanism stripped of its breakpoints, which fills every misreport.
 """
 
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -1152,3 +1155,86 @@ def test_only_if_holds_below_the_grid_top_of_0_to_4():
     assert (count, len(restrictions)) == (151875, 1536)
     assert (candidates, len(members)) == (331776, 1536)
     assert restrictions == members
+
+
+# skipping SP misreports that cannot pay: a mechanism with its breakpoints
+# dropped fills every misreport, so it is the brute force the skip must
+# agree with
+
+
+CONSTANTS = st.builds(Fraction, st.integers(-4, 12), st.sampled_from((1, 2, 3)))
+
+
+@st.composite
+def declared_mechanisms(draw, market):
+    """Every family that declares breakpoints, with drawn constants: NO_TRADE
+    fees, dictator agents and thresholds, and THRESHOLD cutoffs (negative
+    and fractional ones too)."""
+    dictator = WinnerRule.dictatorial_threshold(
+        draw(st.integers(0, market.n - 1)), draw(CONSTANTS))
+    rules = (WinnerRule.empty(), WinnerRule.strict(), WinnerRule.efficient(), dictator)
+    pricings = (PricingRule.always_ev(), PricingRule.ev_iff_price_zero(),
+                PricingRule.threshold(draw(CONSTANTS)))
+    return [
+        vickrey_mechanism(),
+        efficient_vickrey_mechanism(),
+        pay_as_bid_mechanism(),
+        no_trade_mechanism(draw(CONSTANTS)),
+        *map(selective_vickrey_mechanism, rules),
+        *map(ev_pab_mechanism, pricings),
+    ]
+
+
+@st.composite
+def sampled_grids(draw):
+    """A sampled grid of n <= 5 agents and m < n objects, on one shared set
+    or one set per agent, of values in halves and thirds."""
+    n = draw(st.integers(2, 5))
+    market = MarketConfig(n, draw(st.integers(1, n - 1)))
+    one_set = st.lists(st.builds(Fraction, st.integers(0, 12), st.sampled_from((1, 2, 3))),
+                       min_size=1, max_size=9, unique=True)
+    if draw(st.booleans()):
+        values = (tuple(draw(one_set)),) * n
+    else:
+        values = tuple(tuple(draw(one_set)) for _ in range(n))
+    seed, samples = draw(st.integers(0, 2**16)), draw(st.integers(1, 12))
+    return GridSpace(market, values, mode=MODE_SAMPLED, seed=seed, samples=samples)
+
+
+@settings(max_examples=110, deadline=None)
+@given(st.data())
+def test_skipped_sp_misreports_never_pay(data):
+    """At every draw of sampled shared and per-agent grids, the SP generator
+    yields, in order, the violations it yields for the same mechanism with
+    no breakpoints, which fills every misreport."""
+    grid = data.draw(sampled_grids())
+    sp = POINTWISE["SP"].violations
+    for mechanism in data.draw(declared_mechanisms(grid.config)):
+        assert mechanism.breakpoints is not None, mechanism.name
+        every = dataclasses.replace(mechanism, breakpoints=None)
+        skipping, filling = OutcomeTable(mechanism, grid), OutcomeTable(every, grid)
+        for at in grid.profiles():
+            assert list(sp(skipping, at)) == list(sp(filling, at)), (mechanism.name, at)
+
+
+@pytest.mark.slow
+def test_skipping_changes_no_report_at_bench_scale():
+    """On the 21^5 range of halves, with 2,000 draws, the six built-ins and
+    THRESHOLD and dictator variants get, with their misreports skipped, the
+    reports they get with every misreport filled."""
+    grid = GridSpace.from_range(MarketConfig(5, 2), 10, 2, mode=MODE_SAMPLED,
+                                seed=7, samples=2000)
+    variants = [
+        selective_vickrey_mechanism(WinnerRule.dictatorial_threshold(0, Fraction(5, 2))),
+        selective_vickrey_mechanism(WinnerRule.dictatorial_threshold(4, Fraction(-1, 2))),
+        ev_pab_mechanism(PricingRule.threshold(Fraction(7, 2))),
+        ev_pab_mechanism(PricingRule.threshold(-1)),
+    ]
+    names = [name for name in CHECKERS if name != "AIW"]
+    for mechanism in [*builtin_mechanisms(), *variants]:
+        every = dataclasses.replace(mechanism, breakpoints=None)
+        got = audit(OutcomeTable(mechanism, grid), names)
+        want = audit(OutcomeTable(every, grid), names)
+        assert [r.to_json() for r in got.values()] == [r.to_json() for r in want.values()], (
+            mechanism.name
+        )
