@@ -187,7 +187,7 @@ def _ir_violations(table: OutcomeTable, at: GridPoint) -> Iterator[dict]:
     for i, v in enumerate(at.scaled):
         u = v * x[i] - t[i]
         if u < 0:
-            yield {"profile": at.values, "agent": i, "utility": table.exact(u)}
+            yield {"profile": at.values, "agent": i, "utility": table.grid.exact(u)}
 
 
 def _ns_violations(table: OutcomeTable, at: GridPoint) -> Iterator[dict]:
@@ -195,7 +195,7 @@ def _ns_violations(table: OutcomeTable, at: GridPoint) -> Iterator[dict]:
     _, t = table[at.rank]
     for i, paid in enumerate(t):
         if paid < 0:
-            yield {"profile": at.values, "agent": i, "transfer": table.exact(paid)}
+            yield {"profile": at.values, "agent": i, "transfer": table.grid.exact(paid)}
 
 
 def _sp_violations(table: OutcomeTable, at: GridPoint) -> Iterator[dict]:
@@ -261,8 +261,8 @@ def _sp_violations(table: OutcomeTable, at: GridPoint) -> Iterator[dict]:
                     "profile": at.values,
                     "agent": i,
                     "misreport": grid.values[i][k],
-                    "truthful_utility": table.exact(honest),
-                    "misreport_utility": table.exact(gained),
+                    "truthful_utility": grid.exact(honest),
+                    "misreport_utility": grid.exact(gained),
                 }
 
 
@@ -295,7 +295,7 @@ def _ee_violations(table: OutcomeTable, at: GridPoint) -> Iterator[dict]:
     x, t = table[at.rank]
     us = [v * xi - ti for v, xi, ti in zip(at.scaled, x, t)]
     if _reference_bundle(at.scaled, us) is None:
-        yield {"profile": at.values, "utilities": tuple(map(table.exact, us))}
+        yield {"profile": at.values, "utilities": tuple(map(table.grid.exact, us))}
 
 
 def _eff_violations(table: OutcomeTable, at: GridPoint) -> Iterator[dict]:
@@ -306,8 +306,8 @@ def _eff_violations(table: OutcomeTable, at: GridPoint) -> Iterator[dict]:
     if achieved != optimum:
         yield {
             "profile": at.values,
-            "achieved": table.exact(achieved),
-            "optimum": table.exact(optimum),
+            "achieved": table.grid.exact(achieved),
+            "optimum": table.grid.exact(optimum),
         }
 
 
@@ -325,8 +325,8 @@ def _ef_violations(table: OutcomeTable, at: GridPoint) -> Iterator[dict]:
                     "profile": at.values,
                     "agent": i,
                     "other": j,
-                    "own_utility": table.exact(own),
-                    "other_bundle_utility": table.exact(envied),
+                    "own_utility": table.grid.exact(own),
+                    "other_bundle_utility": table.grid.exact(envied),
                 }
 
 
@@ -358,8 +358,8 @@ def _aiw_violations(table: OutcomeTable, at: GridPoint) -> Iterator[dict]:
                     "agent": i,
                     "other": j,
                     "swapped_profile": tuple(swapped),
-                    "utility": table.exact(mine),
-                    "swapped_utility": table.exact(theirs),
+                    "utility": table.grid.exact(mine),
+                    "swapped_utility": table.grid.exact(theirs),
                 }
 
 
@@ -463,31 +463,19 @@ class NomBounds:
     """The utility bounds NOM and BEST_CASE compare, at a grid's scale.
 
     `at(agent, report, true_value)`, with the report and the true value
-    multiplied by `scale`, is the (sup, inf, sup realizer, inf realizer)
-    of the agent's utility, the bounds multiplied by `scale` too, or None
-    when the scope saw nothing of that report. `scope` is "analytic" or
-    "grid", and `swept` counts the profiles swept to get them. A bound is
-    made an exact `Fraction` (`exact`) only when a witness or detail is
-    written.
+    multiplied by the `grid`'s scale, is the (sup, inf, sup realizer, inf
+    realizer) of the agent's utility, the bounds multiplied by that scale
+    too, or None when the scope saw nothing of that report. `scope` is
+    "analytic" or "grid", and `swept` counts the profiles swept to get
+    them. The generators read each agent's values, exact and scaled, off
+    the grid, and make a bound an exact `Fraction` (`GridSpace.exact`) only
+    when a witness or detail is written.
     """
 
     at: Callable[[int, Any, Any], "tuple | None"]
     scope: str
-    scale: int
+    grid: GridSpace
     swept: int
-
-    def exact(self, bound: Any) -> Fraction:
-        return Fraction(bound, self.scale)
-
-
-# `values[i]` lists the values agent i may hold, as truth and as a report:
-# each exact and at the bounds' scale.
-ValueSets = tuple[tuple[tuple[Fraction, Any], ...], ...]
-
-
-def _value_sets(grid: GridSpace) -> ValueSets:
-    """Each agent's grid values, each exact and at the grid's scale."""
-    return tuple(tuple(zip(vals, ups)) for vals, ups in zip(grid.values, grid.scaled))
 
 
 def _nom_bounds(table: OutcomeTable) -> NomBounds:
@@ -501,16 +489,16 @@ def _nom_bounds(table: OutcomeTable) -> NomBounds:
     smallest opponent profile producing each bound.
     """
     mechanism, grid = table.mechanism, table.grid
-    market, scale = grid.config, grid.scale
+    market = grid.config
     if mechanism.bounds is not None:
         closed, m = mechanism.bounds, market.m
         zeros = (Fraction(0),) * (market.n - 1)
 
         def analytic_bounds(agent, report, true_value):
-            sup, inf = closed(agent, m, report, true_value, scale)
+            sup, inf = closed(agent, m, report, true_value, grid.scale)
             return sup, inf, zeros, None
 
-        return NomBounds(analytic_bounds, "analytic", scale, 0)
+        return NomBounds(analytic_bounds, "analytic", grid, 0)
     seen, count = _grid_bundle_map(table)
 
     def grid_bounds(agent, report, true_value):
@@ -519,27 +507,27 @@ def _nom_bounds(table: OutcomeTable) -> NomBounds:
             return None  # value never sampled, nothing to compare against
         return _grid_report_bounds(agent, slot, true_value)
 
-    return NomBounds(grid_bounds, "grid", scale, count)
+    return NomBounds(grid_bounds, "grid", grid, count)
 
 
 @dataclass(frozen=True)
 class BoundAxiom:
     """An axiom judged on one agent's utility bounds, value by value.
 
-    `violations(values, bounds)` yields every violation over the agents'
-    value sets, in grid order, under the bounds `_nom_bounds` gives. It
-    compares the values and bounds at the grid's scale and makes exact
-    `Fraction`s only for the witness it yields. A witness is identified
-    by its `identity` fields. The check reports the first violation;
-    replay runs the same generator over the value sets of the table's grid
-    and keeps the violation whose identity matches. A witness replays only
-    at the scope of the mechanism's bounds; one without `scope` is
-    analytic.
+    `violations(bounds)` yields every violation over the value sets of
+    the bounds' grid, in grid order, under the bounds `_nom_bounds` gives.
+    It compares the values and bounds at the grid's scale and makes exact
+    `Fraction`s (`GridSpace.exact`) only for the witness it yields. A
+    witness is identified by its `identity` fields. The check reports the
+    first violation; replay runs the same generator on the bounds of the
+    table it is handed and keeps the violation whose identity matches. A
+    witness replays only at the scope of the mechanism's bounds; one
+    without `scope` is analytic.
     """
 
     name: str
     identity: tuple[str, ...]
-    violations: Callable[[ValueSets, NomBounds], Iterator[dict]]
+    violations: Callable[[NomBounds], Iterator[dict]]
 
     def refresh(self, table: OutcomeTable, witness: dict) -> dict | None:
         """The violation with the witness's identity, recomputed, or None.
@@ -551,24 +539,23 @@ class BoundAxiom:
                 f"{self.name} witness at {recorded} scope cannot replay "
                 f"on a mechanism with {bounds.scope} bounds"
             )
-        found = self.violations(_value_sets(table.grid), bounds)
-        return _matching(found, witness, self.identity)
+        return _matching(self.violations(bounds), witness, self.identity)
 
 
-def _nom_violations(values: ValueSets, bounds: NomBounds) -> Iterator[dict]:
+def _nom_violations(bounds: NomBounds) -> Iterator[dict]:
     """Every obvious manipulation, by agent, true value and misreport; SUP
     before INF.
 
     A misreport is an obvious manipulation when it beats truth-telling in
     the best case (SUP) or the worst case (INF) over opponents.
     """
-    at, exact = bounds.at, bounds.exact
-    for i, vals in enumerate(values):
-        for true_value, v in vals:
+    at, grid = bounds.at, bounds.grid
+    for i, (values, scaled) in enumerate(zip(grid.values, grid.scaled)):
+        for true_value, v in zip(values, scaled):
             truthful = at(i, v, v)
             if truthful is None:
                 continue
-            for report, r in vals:
+            for report, r in zip(values, scaled):
                 if r == v:
                     continue
                 misreported = at(i, r, v)
@@ -582,8 +569,8 @@ def _nom_violations(values: ValueSets, bounds: NomBounds) -> Iterator[dict]:
                         "true_value": true_value,
                         "misreport": report,
                         "direction": direction,
-                        "truthful_bound": exact(truthful[pick]),
-                        "misreport_bound": exact(misreported[pick]),
+                        "truthful_bound": grid.exact(truthful[pick]),
+                        "misreport_bound": grid.exact(misreported[pick]),
                     }
                     if misreported[2 + pick] is not None:
                         witness["realizing_opponents"] = misreported[2 + pick]
@@ -591,13 +578,14 @@ def _nom_violations(values: ValueSets, bounds: NomBounds) -> Iterator[dict]:
                     yield witness
 
 
-def _best_case_gaps(values: ValueSets, bounds: NomBounds) -> Iterator[dict]:
+def _best_case_gaps(bounds: NomBounds) -> Iterator[dict]:
     """(agent, value) pairs whose best-case truthful utility is not the value."""
-    for i, vals in enumerate(values):
-        for value, v in vals:
+    grid = bounds.grid
+    for i, (values, scaled) in enumerate(zip(grid.values, grid.scaled)):
+        for value, v in zip(values, scaled):
             truthful = bounds.at(i, v, v)
             if truthful is not None and truthful[0] != v:
-                yield {"agent": i, "value": value, "best_case": bounds.exact(truthful[0])}
+                yield {"agent": i, "value": value, "best_case": grid.exact(truthful[0])}
 
 
 BY_BOUNDS: dict[str, BoundAxiom] = {
@@ -609,7 +597,7 @@ BY_BOUNDS: dict[str, BoundAxiom] = {
 }
 
 
-def _nom_report(grid: GridSpace, bounds: NomBounds) -> AxiomReport:
+def _nom_report(bounds: NomBounds) -> AxiomReport:
     """Non-obvious manipulability, under the bounds `_nom_bounds` gave: no
     misreport beats truth in the best or the worst case.
 
@@ -622,17 +610,17 @@ def _nom_report(grid: GridSpace, bounds: NomBounds) -> AxiomReport:
     with analytic bounds, `details["truthful_bounds"]` maps each value to
     the truthful (sup, inf), given only when every agent's bounds agree.
     """
-    scope, count = bounds.scope, bounds.swept
+    scope, count, grid = bounds.scope, bounds.swept, bounds.grid
     details: dict[str, Any] = {"scope": scope}
     if scope == "analytic" and grid.is_shared:
         agents, at = grid.config.agents, bounds.at
         truthful = [{at(i, v, v)[:2] for i in agents} for v in grid.scaled[0]]
         if all(len(same) == 1 for same in truthful):
             details["truthful_bounds"] = {
-                rat_str(v): [rat_str(bounds.exact(b)) for b in same.pop()]
+                rat_str(v): [rat_str(grid.exact(b)) for b in same.pop()]
                 for v, same in zip(grid.values[0], truthful)
             }
-    witness = next(BY_BOUNDS["NOM"].violations(_value_sets(grid), bounds), None)
+    witness = next(BY_BOUNDS["NOM"].violations(bounds), None)
     if witness is not None:
         return AxiomReport("NOM", "FAIL", witness, count, details)
     verdict = "PASS_ANALYTIC" if scope == "analytic" else "PASS_SAMPLED"
@@ -643,9 +631,7 @@ _BEST_CASE_PRECONDITION = ("EFF", "IR", "NS")
 
 
 def _best_case_report(
-    swept: dict[str, AxiomReport],
-    grid: GridSpace,
-    nom_bounds: Callable[[], NomBounds],
+    swept: dict[str, AxiomReport], nom_bounds: Callable[[], NomBounds]
 ) -> AxiomReport:
     """Best-case truthful utility equals the full valuation (a free object).
 
@@ -669,7 +655,7 @@ def _best_case_report(
             {"reason": "precondition failed: " + ", ".join(failing)},
         )
     bounds = nom_bounds()
-    gap = next(BY_BOUNDS["BEST_CASE"].violations(_value_sets(grid), bounds), None)
+    gap = next(BY_BOUNDS["BEST_CASE"].violations(bounds), None)
     if bounds.scope == "analytic":
         if gap is not None:
             return AxiomReport("BEST_CASE", "FAIL", gap, 0, {"scope": "analytic"})
@@ -702,7 +688,6 @@ def audit(table: OutcomeTable, names: Sequence[str]) -> dict[str, AxiomReport]:
     axiom's `CHECKERS` entry gives alone; a name given twice is audited
     once.
     """
-    grid = table.grid
     swept = set(names)
     if "BEST_CASE" in swept:
         swept.update(_BEST_CASE_PRECONDITION)
@@ -710,9 +695,9 @@ def audit(table: OutcomeTable, names: Sequence[str]) -> dict[str, AxiomReport]:
     reports = scan(table, pointwise) if pointwise else {}
     nom_bounds = cache(partial(_nom_bounds, table))
     if "NOM" in swept:
-        reports["NOM"] = _nom_report(grid, nom_bounds())
+        reports["NOM"] = _nom_report(nom_bounds())
     if "BEST_CASE" in swept:
-        reports["BEST_CASE"] = _best_case_report(reports, grid, nom_bounds)
+        reports["BEST_CASE"] = _best_case_report(reports, nom_bounds)
     return {name: reports[name] for name in names}
 
 
@@ -922,8 +907,8 @@ def welfare_compare(one: OutcomeTable, two: OutcomeTable) -> WelfareComparison:
                 above[ua > ub] = {
                     "profile": at.values,
                     "agent": i,
-                    "first_utility": one.exact(ua),
-                    "second_utility": one.exact(ub),
+                    "first_utility": grid.exact(ua),
+                    "second_utility": grid.exact(ub),
                 }
     first_above, second_above = above.get(True), above.get(False)
     relation = {

@@ -62,7 +62,8 @@ class GridSpace:
 
     The geometry is computed once, at construction: `scale` is the value
     sets' common denominator and `scaled` each set multiplied by it, in
-    the same order (a set shared by several agents is scaled once); the
+    the same order (a set shared by several agents is scaled once), and
+    `exact` divides a scaled quantity by it again; the
     profile whose agent i holds the k_i-th value of their set has the
     mixed-radix rank sum(k_i * stride[i]), so the sorted sets make ranks
     order profiles as their values do; `is_shared` says whether every
@@ -218,6 +219,10 @@ class GridSpace:
         sweep draws them, so reading them draws nothing)."""
         return range(self.size) if self.mode == MODE_EXHAUSTIVE else set()
 
+    def exact(self, quantity: int | Fraction) -> Fraction:
+        """A quantity scaled by `scale` as the exact rational it stands for."""
+        return Fraction(quantity, self.scale)
+
     def point(self, values: Sequence[Fraction]) -> GridPoint:
         """The point of a profile whose values lie in the value sets."""
         try:
@@ -291,8 +296,8 @@ class OutcomeTable(dict):
     on every read). A read of a missing rank decodes it into the scaled
     values and fills; an SP misreport already holds its values, so it
     calls `fill` itself and no rank is decoded. A transfer that is a multiple
-    of 1/scale is an int, any other the exact `Fraction`. `exact` turns a
-    scaled quantity back into a `Fraction` when a witness is built.
+    of 1/scale is an int, any other the exact `Fraction`; the grid's
+    `exact` turns it back into the `Fraction` a witness holds.
 
     Only an outcome at a rank of the grid's sweep (`GridSpace.ranks`) is
     kept, so a sampled table holds at most `samples` entries; any other
@@ -334,8 +339,4 @@ class OutcomeTable(dict):
         if rank in self._kept:
             outcome = self[rank] = self._interned.setdefault(outcome, outcome)
         return outcome
-
-    def exact(self, quantity: int | Fraction) -> Fraction:
-        """A scaled quantity as the exact rational it stands for."""
-        return Fraction(quantity, self.grid.scale)
 

@@ -41,7 +41,6 @@ from mechlab.axioms import (
     POINTWISE,
     OutcomeTable,
     _nom_bounds,
-    _value_sets,
     audit,
     scan,
 )
@@ -450,7 +449,7 @@ def test_a_grid_scope_nom_witness_replays_from_its_own_table():
     for rank in table:
         table[rank] = nobody
     bounds = _nom_bounds(table)  # read off the overwritten table: no witness
-    assert next(BY_BOUNDS["NOM"].violations(_value_sets(GRID), bounds), None) is None
+    assert next(BY_BOUNDS["NOM"].violations(bounds), None) is None
     assert refresh_witness(mechanism, "NOM", report.witness, GRID) == report.witness
     assert replay_witness(mechanism, "NOM", report.witness, GRID)
 
@@ -719,7 +718,7 @@ def test_bound_witnesses_replay_exactly_through_their_generator():
         for name, axiom in BY_BOUNDS.items():
             if name == "BEST_CASE" and bounds.scope == "grid":
                 continue  # grid evidence is NOT_CERTIFIED, never a witness
-            for witness in axiom.violations(_value_sets(GRID), bounds):
+            for witness in axiom.violations(bounds):
                 assert refresh_witness(mech, name, witness, GRID) == witness
                 replayed.add((name, bounds.scope))
     assert replayed == {("NOM", "analytic"), ("NOM", "grid"), ("BEST_CASE", "analytic")}

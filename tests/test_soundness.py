@@ -13,6 +13,11 @@ profiles. The characterization's "only if" is checked against every
 EE+IR+NS+SP mechanism of a small market, enumerated outcome by outcome.
 The SP sweep's skip of misreports that cannot pay is compared with the
 same mechanism stripped of its breakpoints, which fills every misreport.
+The analytic rule verdicts are compared with the same rules walked over
+the grid, and `reaches_ev` with a search for EV-priced profiles. Two
+metamorphic relations check whole audits with no second implementation:
+reversing the agents keeps every pointwise verdict, and multiplying the
+values and constants by c > 0 multiplies every witness amount by c.
 """
 
 import dataclasses
@@ -24,7 +29,7 @@ from fractions import Fraction
 from functools import partial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import is_feasible, random_pricing_table
@@ -64,9 +69,9 @@ from mechlab.axioms import (
     AxiomReport,
     OutcomeTable,
     _nom_bounds,
-    _value_sets,
     scan,
 )
+from mechlab.mechanisms import EV
 
 # analytic NOM bounds
 
@@ -112,7 +117,7 @@ FAMILIES = {
 def iter_nom_violations(mechanism, grid):
     """Obvious manipulations in (agent, true value, misreport) order."""
     bounds = _nom_bounds(OutcomeTable(mechanism, grid))
-    return BY_BOUNDS["NOM"].violations(_value_sets(grid), bounds)
+    return BY_BOUNDS["NOM"].violations(bounds)
 
 
 def zero_report_realizer(market):
@@ -234,7 +239,7 @@ def test_analytic_bounds_on_a_half_step_grid_are_ints():
     grid = GridSpace.from_range(MarketConfig(4, 2), 3, 2)
     for mechanism in builtin_mechanisms():
         bounds = _nom_bounds(OutcomeTable(mechanism, grid))
-        assert (bounds.scope, bounds.scale) == ("analytic", 2)
+        assert (bounds.scope, bounds.grid.scale) == ("analytic", 2)
         for agent, ups in enumerate(grid.scaled):
             for report, value in itertools.product(ups, ups):
                 sup, inf, *_ = bounds.at(agent, report, value)
@@ -564,7 +569,7 @@ def test_grid_scope_bounds_name_the_least_ranked_realizer(grid):
                         assert got is None
                         continue
                     sup, inf, sup_at, inf_at = got
-                    assert (bounds.exact(sup), bounds.exact(inf), sup_at, inf_at) == want, (
+                    assert (grid.exact(sup), grid.exact(inf), sup_at, inf_at) == want, (
                         mechanism.name, agent, report, true_value
                     )
                     reordered += later
@@ -636,7 +641,7 @@ def test_every_table_rank_equals_evaluate_with_its_transfers_scaled(grid):
     """At every rank of a table on the grid's value sets and on their
     half-step refinement, the entry is `evaluate` at that profile with each
     transfer multiplied by the table's scale: an int when that is whole,
-    the exact `Fraction` otherwise. `exact` maps each transfer back."""
+    the exact `Fraction` otherwise. The grid's `exact` maps each transfer back."""
     market = grid.config
     for values in (grid.values, half_step(grid.values)):
         for mechanism in differential_mechanisms(grid):
@@ -649,7 +654,7 @@ def test_every_table_rank_equals_evaluate_with_its_transfers_scaled(grid):
                 got_x, got_t = table[rank]
                 assert (got_x, got_t) == (x, want), (mechanism.name, combo)
                 assert list(map(type, got_t)) == list(map(type, want)), (mechanism.name, combo)
-                assert tuple(map(table.exact, got_t)) == t, (mechanism.name, combo)
+                assert tuple(map(space.exact, got_t)) == t, (mechanism.name, combo)
 
 
 @pytest.mark.parametrize("grid", [GRIDS[2], GRIDS[5]], ids=["whole", "halves"])
@@ -1238,3 +1243,181 @@ def test_skipping_changes_no_report_at_bench_scale():
         assert [r.to_json() for r in got.values()] == [r.to_json() for r in want.values()], (
             mechanism.name
         )
+
+
+# analytic rule verdicts against brute force: a rule whose constructor set
+# closed-form bounds reads PASS_ANALYTIC without a look, so the same rule
+# with its bounds dropped is walked over the grid, and a pricing rule's
+# `reaches_ev` is compared with a search of the grid for EV-priced profiles
+
+
+ON_0_TO_2 = (MarketConfig(3, 1), ((0, 1, 2),) * 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(value_sets(), st.integers(0, 3), CONSTANTS)
+@example(ON_0_TO_2, 0, Fraction(-1))
+@example(ON_0_TO_2, 2, Fraction(1, 2))
+def test_analytic_winner_rules_pass_their_grid_walks(drawn, agent, threshold):
+    """Every built-in winner rule (a dictator's threshold negative, off the
+    grid or on it) passes VALID and UNCOMPROMISING when walked at every
+    profile of shared and per-agent grids, as its analytic verdict claims."""
+    market, values = drawn
+    grid = GridSpace(market, values)
+    dictator = WinnerRule.dictatorial_threshold(agent % market.n, threshold)
+    for rule in (WinnerRule.empty(), WinnerRule.strict(), WinnerRule.efficient(), dictator):
+        walked = dataclasses.replace(rule, bounds=None)
+        for check in (validate_winner_rule, check_uncompromising):
+            assert check(rule, grid).verdict == "PASS_ANALYTIC", rule.label
+            report = check(walked, grid)
+            assert report.verdict == "PASS_EXHAUSTIVE", (rule.label, report.to_json())
+
+
+def reaches_ev_on(pricing, grid):
+    """Whether, for every agent and positive value of the grid, some
+    uniform-tail grid profile in which the agent holds that value and an
+    opponent holds 0 is priced EV by the rule's `branch`."""
+    market = grid.config
+    reached = set()
+    for at in grid.profiles():
+        values = at.values
+        if has_uniform_tail(values, market.m) and pricing.branch(values, market, 1) == EV:
+            reached.update((i, v) for i, v in enumerate(values)
+                           if v > 0 and 0 in values[:i] + values[i + 1:])
+    wanted = {(i, v) for i in market.agents for v in grid.values[i] if v > 0}
+    return wanted <= reached
+
+
+@settings(max_examples=40, deadline=None)
+@given(value_sets(), CONSTANTS)
+@example(ON_0_TO_2, Fraction(0))
+@example(ON_0_TO_2, Fraction(-1))
+def test_reaches_ev_matches_a_grid_search(drawn, cutoff):
+    """Each built-in pricing rule's `reaches_ev` (which decides its bounds
+    and its analytic EV_SUPPORT verdict) equals a search of the grid, with 0
+    and 1 added to every value set, for EV-priced profiles."""
+    market, values = drawn
+    grid = GridSpace(market, tuple((0, 1, *vals) for vals in values))
+    for pricing in (PricingRule.always_ev(), PricingRule.ev_iff_price_zero(),
+                    PricingRule.threshold(cutoff)):
+        assert pricing.reaches_ev == reaches_ev_on(pricing, grid), pricing.label
+
+
+# Relabel and Rescale: two metamorphic relations over whole audits
+
+
+@st.composite
+def shared_grids(draw):
+    """An exhaustive grid of a small market on one shared set of two to four
+    values in halves."""
+    market = MarketConfig(*draw(st.sampled_from(((2, 1), (3, 1), (3, 2), (4, 2)))))
+    values = draw(st.lists(st.sampled_from(HALF_STEPS[:6]), min_size=2, max_size=4,
+                           unique=True))
+    return GridSpace.shared(market, values)
+
+
+def mirror(mechanism):
+    """The CUSTOM mechanism that runs `mechanism` with the agents reversed."""
+
+    def fn(profile):
+        x, t = mechanism.evaluate(Profile(profile.config, profile.values[::-1]))
+        return Allocation(x[::-1], t[::-1])
+
+    return Mechanism(f"mirror({mechanism.name})", "CUSTOM", fn)
+
+
+@settings(max_examples=25, deadline=None)
+@given(shared_grids(), st.integers(0, 2**16))
+def test_mirrored_agents_get_the_same_verdicts(grid, seed):
+    """No pointwise axiom names an agent, so each built-in family, a
+    dictator, a THRESHOLD pricing and a seeded winner table get, on a
+    shared grid, the verdicts their agent-reversed mirrors get. Witnesses
+    may differ, since the tie-break favours low indices. NOM and BEST_CASE
+    are left out: a CUSTOM mirror has grid-scope bounds."""
+    table = random_winner_rule_table(grid, random.Random(f"relabel:{seed}"))
+    mechanisms = [
+        *builtin_mechanisms(),
+        selective_vickrey_mechanism(WinnerRule.dictatorial_threshold(0, 1)),
+        ev_pab_mechanism(PricingRule.threshold(1)),
+        selective_vickrey_mechanism(WinnerRule.rule_table(grid.config, table)),
+    ]
+    names = pointwise_names(grid)
+    for mechanism in mechanisms:
+        want = audit(OutcomeTable(mechanism, grid), names)
+        got = audit(OutcomeTable(mirror(mechanism), grid), names)
+        assert {k: r.verdict for k, r in got.items()} == {
+            k: r.verdict for k, r in want.items()}, mechanism.name
+
+
+# witness fields that name an agent or a kind, not an amount
+UNSCALED = {"agent", "other", "direction", "scope", "winners"}
+
+
+def rescaled(witness, c):
+    """The witness with every value, utility, transfer and bound times c."""
+    if witness is None:
+        return None
+    return {k: v if k in UNSCALED else tuple(c * x for x in v) if isinstance(v, tuple)
+            else c * v for k, v in witness.items()}
+
+
+def scalable_mechanisms(grid, seed, fee, threshold, cutoff):
+    """Builders of the built-in families, each a function of c giving the
+    mechanism with every constant multiplied by c: the NO_TRADE fees (the
+    drawn one, and the grid's least positive value, a utility just below
+    what IR allows), the dictator threshold, the THRESHOLD cutoff and the
+    keys of a seeded winner table and pricing table."""
+    rng = random.Random(f"rescale:{seed}")
+    market = grid.config
+    step = min(v for v in grid.values[0] if v > 0)
+    winners = random_winner_rule_table(grid, rng)
+    modes = random_pricing_table(grid, rng)
+
+    def keys(table, c):
+        return {tuple(c * v for v in key): out for key, out in table.items()}
+
+    return [
+        lambda c: vickrey_mechanism(),
+        lambda c: efficient_vickrey_mechanism(),
+        lambda c: pay_as_bid_mechanism(),
+        lambda c: no_trade_mechanism(c * fee),
+        lambda c: no_trade_mechanism(c * step),
+        *(lambda c, rule=rule: selective_vickrey_mechanism(rule)
+          for rule in (WinnerRule.empty(), WinnerRule.strict(), WinnerRule.efficient())),
+        lambda c: selective_vickrey_mechanism(WinnerRule.dictatorial_threshold(0, c * threshold)),
+        lambda c: ev_pab_mechanism(PricingRule.always_ev()),
+        lambda c: ev_pab_mechanism(PricingRule.ev_iff_price_zero()),
+        lambda c: ev_pab_mechanism(PricingRule.threshold(c * cutoff)),
+        lambda c: selective_vickrey_mechanism(WinnerRule.rule_table(market, keys(winners, c))),
+        lambda c: ev_pab_mechanism(PricingRule.rule_table(market, keys(modes, c))),
+    ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(shared_grids(), st.builds(Fraction, st.integers(1, 12), st.integers(1, 6)),
+       CONSTANTS, CONSTANTS, CONSTANTS, st.integers(0, 2**16))
+@example(GridSpace.shared(MarketConfig(3, 1), (0, 1, 2)), Fraction(3, 2), Fraction(1),
+         Fraction(1), Fraction(1), 0)
+def test_rescaling_values_and_constants_rescales_every_report(
+    grid, c, fee, threshold, cutoff, seed
+):
+    """Multiplying every grid value and every family constant by c > 0
+    keeps each axiom's verdict and `profiles_checked`, and multiplies each
+    witness field that holds a value, utility, transfer or bound by exactly
+    c; so do the welfare comparisons with Vickrey."""
+    scaled = GridSpace.shared(grid.config, [c * v for v in grid.values[0]])
+    names = list(CHECKERS)
+    base = [OutcomeTable(vickrey_mechanism(), space) for space in (grid, scaled)]
+    for build in scalable_mechanisms(grid, seed, fee, threshold, cutoff):
+        one, other = OutcomeTable(build(1), grid), OutcomeTable(build(c), scaled)
+        want, got = audit(one, names), audit(other, names)
+        for name, report in want.items():
+            found = got[name]
+            assert (found.verdict, found.profiles_checked, found.witness,
+                    found.details.get("first_unattained")) == (
+                report.verdict, report.profiles_checked, rescaled(report.witness, c),
+                rescaled(report.details.get("first_unattained"), c)), (one.mechanism.name, name)
+        want, got = welfare_compare(base[0], one), welfare_compare(base[1], other)
+        assert got.relation == want.relation, one.mechanism.name
+        assert got.strict_first == rescaled(want.strict_first, c), one.mechanism.name
+        assert got.strict_second == rescaled(want.strict_second, c), one.mechanism.name
