@@ -46,7 +46,6 @@ the failed condition in `details["condition"]`; they are not in
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, partial
@@ -212,27 +211,28 @@ def _sp_violations(table: OutcomeTable, at: GridPoint) -> Iterator[dict]:
     A misreport off the grid's sweep is not kept, so it is evaluated at
     every read; for a mechanism that declares its breakpoints, the fills
     that cannot pay are skipped. With the other agents' values fixed,
-    agent i's order cells are the points of the others' values and the
-    breakpoints and the open intervals between them, and within one cell
-    i's utility is constant or falls as the report rises (see
-    `Mechanism`). An agent's reports are read in ascending order, so once
-    a report of a cell does not beat the truthful utility (the truthful
-    report never does), no higher report of that cell can, and skipping
-    them leaves the violations yielded, and their order, as they were.
-    Cells are numbered by `bisect_left + bisect_right` on the sorted cut
-    points, which rises strictly from cell to cell. A read the table
+    agent i's order cells are "below theta", "at theta" and "above
+    theta", where theta is the m-th highest of the others' values: i's
+    critical value, the one price on i's menu. Within one cell i's
+    utility is constant or falls as the report rises (see `Mechanism`).
+    An agent's reports are read in ascending order, so once a report of a
+    cell does not beat the truthful utility (the truthful report never
+    does), no higher report of that cell can, and skipping them leaves
+    the violations yielded, and their order, as they were. A cell is
+    numbered `(report > theta) + (report >= theta)`. A read the table
     keeps is made as before, and CUSTOM and rule-table mechanisms
     (breakpoints None) fill every misreport.
     """
-    grid, get, fill, cuts = table.grid, table.get, table.fill, table.breakpoints
-    kept = grid.ranks
+    grid, get, fill = table.grid, table.get, table.fill
+    cells = table.mechanism.breakpoints is not None
+    kept, m = grid.ranks, grid.config.m
     x, t = table[at.rank]
     scaled = at.scaled
     for i, v in enumerate(scaled):
         honest = v * x[i] - t[i]
         own, step = at.index[i], grid.stride[i]
         base = at.rank - own * step
-        order = None  # the others' values and the breakpoints, sorted when first needed
+        theta = None  # the m-th highest of the others' values, found when first needed
         dead = -1  # the cell of the last skippable report that did not pay
         for k, report in enumerate(grid.scaled[i]):
             if k == own:
@@ -241,13 +241,13 @@ def _sp_violations(table: OutcomeTable, at: GridPoint) -> Iterator[dict]:
             # A misreport off the table is filled from the point's own values.
             out = get(rank)
             if out is None:
-                if cuts is None or rank in kept:
+                if not cells or rank in kept:
                     out = fill(rank, scaled[:i] + (report,) + scaled[i + 1:])
                 else:
-                    if order is None:
-                        order = sorted(scaled[:i] + scaled[i + 1:] + cuts)
-                        truth = bisect_left(order, v) + bisect_right(order, v)
-                    cell = bisect_left(order, report) + bisect_right(order, report)
+                    if theta is None:
+                        theta = sorted(scaled[:i] + scaled[i + 1:])[-m]
+                        truth = (v > theta) + (v >= theta)
+                    cell = (report > theta) + (report >= theta)
                     if cell == dead or (k > own and cell == truth):
                         continue
                     out = fill(rank, scaled[:i] + (report,) + scaled[i + 1:])

@@ -14,6 +14,9 @@ hands it to every sweep that should share it; nothing keeps a table for
 later. `OutcomeTable.fill` is its one fill, fed the scaled values by the
 caller (an SP misreport) or by decoding the rank (any other read); it
 refuses a mechanism whose rule table was written for another market.
+The table scales nothing but values: which off-sweep SP misreports are
+worth a fill the SP sweep decides from the mechanism itself (its
+`breakpoints` promise, read against the other agents' values).
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Any, Iterable, Iterator, NamedTuple, Sequence
 
-from .mechanisms import Mechanism, _scaled
+from .mechanisms import Mechanism
 from .model import MarketConfig, RationalLike, clipped, rat
 
 MODE_EXHAUSTIVE = "exhaustive"
@@ -309,9 +312,7 @@ class OutcomeTable(dict):
     plain attribute, so it lives exactly as long as its caller keeps it.
     A replay builds a fresh one on the grid it is handed.
     Construction refuses a mechanism built on another market's rule table
-    (`Mechanism.market`), so no sweep repeats that check, and scales the
-    mechanism's `breakpoints` once (None when it declares none), for the
-    SP sweep to find a report's order cell on the scaled values.
+    (`Mechanism.market`), so no sweep repeats that check.
     """
 
     def __init__(self, mechanism: Mechanism, grid: GridSpace) -> None:
@@ -323,8 +324,6 @@ class OutcomeTable(dict):
         # agent i's scaled value at rank r is scaled[i][r // stride[i] % len]
         self._digits = tuple(zip(grid.scaled, grid.stride, map(len, grid.scaled)))
         self._kept = grid.ranks
-        cuts = mechanism.breakpoints
-        self.breakpoints = None if cuts is None else tuple([_scaled(c, grid.scale) for c in cuts])
         self._interned: dict[tuple, tuple] = {}
 
     def __missing__(self, rank: int) -> tuple:

@@ -26,8 +26,9 @@ function of a `Profile` gets one adapter, so the table has one code path.
 The record also sets the closed-form bounds the NOM and BEST_CASE
 checkers use (`Mechanism.bounds`, which take the scale `outcome` takes,
 so the checkers compare them with the grid's scaled ints), the constants
-a report is compared with (`Mechanism.breakpoints`, which let the SP
-sweep skip misreports that cannot pay) and the echo of its JSON spec
+a report is compared with (`Mechanism.breakpoints`, which promise that
+an agent's bundle turns only at their critical value, so the SP sweep
+skips misreports that cannot pay) and the echo of its JSON spec
 (`Mechanism.spec`), which `mechanism_from_spec` parses back. Winner and
 pricing rules are records built the same way: each rule constructor sets
 the label, the value-level `pick` or `branch` (a scale-1 call reads them
@@ -214,14 +215,19 @@ class Mechanism:
     the exact profile and scales its transfers.
 
     `breakpoints`, set only by the family constructors (like `bounds`),
-    are the constants the family compares a report with (0 always; a
-    dictator threshold or a THRESHOLD cutoff too). A family that sets them
-    reads the values only through comparisons with each other and with
-    them, so with the other agents' values fixed, an agent's bundle is
-    the same at every report of one order cell (between, or at, two
-    consecutive of those values), with a transfer that is constant or the
-    report itself: the agent's utility can only fall as the report rises
-    within a cell. None (rule tables, CUSTOM) promises nothing.
+    are the constants the family compares values with (0 always; a
+    dictator threshold or a THRESHOLD cutoff too). Setting them promises
+    that agent i's own bundle turns only at i's critical value theta,
+    the m-th highest of the other agents' values. If i reports r > theta,
+    the price is theta and i is a strict winner; if r < theta, m others
+    are >= theta > r, so i loses and pays what a loser pays; a dictator
+    wins only when every other value equals its threshold t, and then
+    theta = t; the uniform-tail tests and pricing branches read the
+    price, which is theta whenever i wins. So below, at and above theta
+    i's bundle is fixed and the transfer constant or r: i's utility can
+    only fall as r rises within one of these cells. A family that cannot
+    keep this promise must not set `breakpoints`; None (rule tables,
+    CUSTOM) promises nothing.
 
     The axiom checkers fill an outcome table (`grid.OutcomeTable`) by
     calling `outcome` once per grid profile on values scaled to ints;
@@ -500,9 +506,9 @@ class WinnerRule:
     value-level definition `pick` (see `Pick`), selective Vickrey's
     closed-form `bounds` under it (None for a table), the `echo` that
     renders its JSON spec and the `breakpoints` selective Vickrey takes
-    under it (see `Mechanism`; None for a table). The rule checks in
-    `axioms` trust conditions (i)-(iv) without a look only for a rule with
-    closed-form bounds.
+    under it (see `Mechanism`, whose promise they keep; None for a
+    table). The rule checks in `axioms` trust conditions (i)-(iv)
+    without a look only for a rule with closed-form bounds.
       empty: nobody trades.
       strict: on a uniform-tail profile, everyone strictly above the price.
       efficient: on a uniform-tail profile, the efficient families' winners.
@@ -742,7 +748,7 @@ class PricingRule:
     valuation can reach the EV branch (`reaches_ev`; None for a table,
     which can only be judged on a grid), the `echo` that renders its
     JSON spec and the `breakpoints` EV/PAB takes under it (see
-    `Mechanism`; None for a table).
+    `Mechanism`, whose promise they keep; None for a table).
       always_ev: EV everywhere.
       ev_iff_price_zero: EV exactly when the Vickrey price is zero.
       threshold(c): EV when the Vickrey price is at most c. The price is

@@ -338,17 +338,18 @@ def test_a_replay_on_an_unswept_sample_draws_nothing(monkeypatch):
 # points, and the single-agent misreports at the draws ranked below the
 # witness that can pay. A built-in family declares its breakpoints, so a
 # misreport off the draws is skipped when a lower report of its order cell
-# (or the truthful one) did not pay; a CUSTOM mechanism declares none and
-# fills every misreport, as a built-in did before the skip (186 for each
-# Vickrey-priced family). Only the drawn points are kept.
+# (below, at or above the agent's critical value) or the truthful one did
+# not pay; a CUSTOM mechanism declares none and fills every misreport, as
+# a built-in did before the skip (186 for each Vickrey-priced family).
+# Only the drawn points are kept.
 SAMPLED_SP_GRID = GridSpace.shared(CFG1, range(6), mode=MODE_SAMPLED, seed=2, samples=30)
 SAMPLED_SP_FILLS = {
-    "vickrey": 176,
-    "efficient_vickrey": 176,
-    "pay_as_bid": 82,
-    "no_trade": 176,
-    "selective_vickrey(strict_winners)": 176,
-    "ev_pab(always_ev)": 90,
+    "vickrey": 136,
+    "efficient_vickrey": 136,
+    "pay_as_bid": 67,
+    "no_trade": 136,
+    "selective_vickrey(strict_winners)": 136,
+    "ev_pab(always_ev)": 75,
     "custom_vickrey": 186,
 }
 
@@ -384,6 +385,47 @@ def test_a_sampled_sp_audit_decodes_only_the_drawn_ranks(monkeypatch):
         assert set(table) == drawn, mechanism.name
 
 
+def test_a_passing_sampled_sp_sweep_fills_at_most_three_misreports_per_line(monkeypatch):
+    """Off the draws, a built-in's misreports are cut at the agent's
+    critical value (the m-th highest of the others' values) into three
+    order cells, and a mechanism that passes SP fills only the first
+    report it reaches in each: at most three fills per (draw, agent) line
+    of a sampled 5-agent grid, where the others' four values and 0 alone
+    would cut up to nine cells. Some line reaches three, so the bound is
+    met, not vacuous."""
+    grid = GridSpace.from_range(MarketConfig(5, 2), 10, 2, mode=MODE_SAMPLED,
+                                seed=0, samples=40)
+    filled = []
+    fill = OutcomeTable.fill
+
+    def recorded(table, rank, scaled):
+        filled.append(scaled)
+        return fill(table, rank, scaled)
+
+    monkeypatch.setattr(OutcomeTable, "fill", recorded)
+    sp = POINTWISE["SP"].violations
+    passing = [
+        *(mechanism for mechanism in builtin_mechanisms()
+          if mechanism.name not in ("pay_as_bid", "ev_pab(always_ev)")),
+        no_trade_mechanism(1),
+        selective_vickrey_mechanism(WinnerRule.efficient()),
+        selective_vickrey_mechanism(WinnerRule.dictatorial_threshold(0, Fraction(5, 2))),
+    ]
+    most = 0
+    for mechanism in passing:
+        table = OutcomeTable(mechanism, grid)
+        for at in grid.profiles():
+            table[at.rank]
+            filled.clear()
+            assert list(sp(table, at)) == [], mechanism.name
+            lines = [[i for i, (v, w) in enumerate(zip(at.scaled, scaled)) if v != w]
+                     for scaled in filled]
+            per_agent = [sum(line == [i] for line in lines) for i in range(5)]
+            assert len(lines) == sum(per_agent) and max(per_agent) <= 3, (mechanism.name, at)
+            most = max(most, *per_agent)
+    assert most == 3
+
+
 def test_a_mechanism_without_breakpoints_fills_every_misreport():
     """A CUSTOM mechanism declares no breakpoints, so no misreport is
     skipped. Here the Vickrey winner pays 5 minus their report, so a
@@ -399,7 +441,7 @@ def test_a_mechanism_without_breakpoints_fills_every_misreport():
 
     mechanism = Mechanism("falling_transfer", "CUSTOM", fn)
     table = OutcomeTable(mechanism, SAMPLED_SP_GRID)
-    assert table.breakpoints is None
+    assert mechanism.breakpoints is None
     report = audit(table, ("SP",))["SP"]
     assert report.to_json() == {
         "axiom": "SP", "verdict": "FAIL", "profiles_checked": 30,
