@@ -390,8 +390,7 @@ def test_a_passing_sampled_sp_sweep_fills_at_most_three_misreports_per_line(monk
     critical value (the m-th highest of the others' values) into three
     order cells, and a mechanism that passes SP fills only the first
     report it reaches in each: at most three fills per (draw, agent) line
-    of a sampled 5-agent grid, where the others' four values and 0 alone
-    would cut up to nine cells. Some line reaches three, so the bound is
+    of a sampled 5-agent grid. Some line reaches three, so the bound is
     met, not vacuous."""
     grid = GridSpace.from_range(MarketConfig(5, 2), 10, 2, mode=MODE_SAMPLED,
                                 seed=0, samples=40)
