@@ -14,9 +14,9 @@ hands it to every sweep that should share it; nothing keeps a table for
 later. `OutcomeTable.fill` is its one fill, fed the scaled values by the
 caller (an SP misreport) or by decoding the rank (any other read); it
 refuses a mechanism whose rule table was written for another market.
-The table scales nothing but values: which off-sweep SP misreports are
-worth a fill the SP sweep decides from the mechanism itself (its
-`breakpoints` promise, read against the other agents' values).
+It keeps no cut points: the SP sweep picks the off-sweep misreports
+worth a fill from the mechanism's `breakpoints` promise and the other
+agents' values.
 """
 
 from __future__ import annotations
