@@ -834,15 +834,18 @@ def check_ev_support(pricing: PricingRule, grid: GridSpace) -> AxiomReport:
         return AxiomReport("EV_SUPPORT", "FAIL", witness, details=details)
     _refuse_other_market(pricing.market, grid.config)
     market = grid.config
-    supported = set()  # (agent, value) pairs an EV-priced entry reaches
-    for key, mode in pricing.table.items():
+    # (agent, scaled value) pairs an EV-priced entry reaches. Every entry
+    # counts: an off-grid opponent can support an on-grid agent.
+    supported = set()
+    for key, mode in pricing.keyed(grid.scale).items():
         if mode == EV and has_uniform_tail(key, market.m):
             zeros = key.count(0)  # an agent is reached if some opponent reports 0
             supported.update((i, v) for i, v in enumerate(key) if zeros > (v == 0))
-    wanted = [(i, v) for i in market.agents for v in grid.values[i] if v > 0]
+    wanted = [(i, up, value) for i in market.agents
+              for up, value in zip(grid.scaled[i], grid.values[i]) if value > 0]
     details = {"scope": "grid"}
-    for checked, (i, value) in enumerate(wanted, 1):
-        if (i, value) not in supported:
+    for checked, (i, up, value) in enumerate(wanted, 1):
+        if (i, up) not in supported:
             details["condition"] = "no EV-classified profile supports this valuation"
             witness = {"agent": i, "value": value}
             return AxiomReport("EV_SUPPORT", "FAIL", witness, checked, details)

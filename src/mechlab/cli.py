@@ -207,6 +207,9 @@ def load_config(path: str) -> AuditConfig:
             raise ConfigError(
                 f"unknown axiom {clipped(repr(axiom))}; known: {', '.join(AXIOM_CATALOG)}"
             )
+    for k, axiom in enumerate(axioms):
+        if axiom in axioms[:k]:
+            raise ConfigError(f"axiom {axiom!r} is listed twice")
     if "WELFARE_COMPARE" in axioms and len(mechanisms) < 2:
         raise ConfigError("WELFARE_COMPARE needs at least two mechanisms")
     if "AIW" in axioms and not grid.is_shared:

@@ -35,20 +35,19 @@ the label, the value-level `pick` or `branch` (a scale-1 call reads them
 at a profile's exact values), the bounds, the breakpoints and the spec
 echo, and only the three `from_spec` parsers read a family name:
 each hands `_from_spec` its families' keys, which `model.fields` reads.
-Rule tables record their market and are read-only, so the outcome tables
-shared per mechanism and the once-per-rule scan of a table's selection
-conditions (`WinnerRule.conditions`, read by the mechanism's
-construction and by `validate_winner_rule`) stay true to the rule.
+One builder (`_rule_table`) makes every winner and pricing table: it
+records the market and keys the read-only table by its profiles
+multiplied by a scale, once per scale (`keyed`, which `pick` or `branch`
+reads). Being read-only keeps a table's selection conditions, scanned
+once per rule (`WinnerRule.conditions`), true to the rule.
 
-The rule walks run on scaled ints too. One walk (`first_violation`)
-serves every rule check in `axioms`, over `Entry`s: a profile's exact
-values, the same values multiplied by a scale, and the agents the rule
-selects there. A winner table's entries (`WinnerRule.entries`) read the
-key dict its `pick` reads at that scale (`WinnerRule.keyed`, built once
-per scale), and a rule without a table is read through `pick` at each
-profile a grid sweeps. The price, the uniform tail and every condition
-are read on the scaled values (`model.vickrey_price`,
-`rule_condition_violation`); witnesses keep the exact values.
+Every rule check in `axioms` reads scaled ints. VALID and UNCOMPROMISING
+go through one walk (`first_violation`) over `Entry`s, read off a table's
+`keyed` dict (`WinnerRule.entries`) or through `pick` at each profile a
+grid sweeps. EV_SUPPORT collects the (agent, scaled value) pairs that the
+EV-priced uniform-tail entries of a pricing table's `keyed` dict reach.
+Prices, tails and conditions are read on the scaled values; witnesses
+keep the exact values.
 """
 
 from __future__ import annotations
@@ -420,6 +419,25 @@ def _table_spec(table: Mapping, outcome_key: str, render: Callable) -> dict:
     return {"family": RULE_TABLE, "entries": entries}
 
 
+def _rule_table(cls: type, market: MarketConfig, pairs: Iterable[tuple], outcome: Callable,
+                miss: Any, key: str, render: Callable) -> Any:
+    """The winner or pricing rule `cls` of a table: the (profile, outcome)
+    `pairs` parsed by `_table` with `outcome`, read through the keys scaled
+    once per scale (`keyed`), `miss` off the table, and echoed with each
+    outcome rendered by `render` under `key`."""
+    table = _table(market, pairs, outcome)
+    keyed = _scaled_keys(table)
+    return cls(
+        f"rule_table[{len(table)}]",
+        lambda values, market, scale: keyed(scale).get(values, miss),
+        None,
+        partial(_table_spec, table, key, render),
+        market=market,
+        table=MappingProxyType(table),
+        keyed=keyed,
+    )
+
+
 def _spec_entries(entries: Any, outcome_key: str, parse: Callable) -> list[tuple]:
     """The (profile, outcome) pairs of a rule table's JSON `entries`: a JSON
     list of objects, each with a JSON-list profile and the outcome under
@@ -603,21 +621,7 @@ class WinnerRule:
     def rule_table(
         cls, market: MarketConfig, entries: Mapping[tuple[RationalLike, ...], Iterable[int]]
     ) -> "WinnerRule":
-        return cls._of_table(market, entries.items())
-
-    @classmethod
-    def _of_table(cls, market: MarketConfig, pairs: Iterable[tuple]) -> "WinnerRule":
-        table = _table(market, pairs, _winner_set)
-        keyed = _scaled_keys(table)
-        return cls(
-            f"rule_table[{len(table)}]",
-            lambda values, market, scale: keyed(scale).get(values, ()),
-            None,
-            partial(_table_spec, table, "winners", sorted),
-            market=market,
-            table=MappingProxyType(table),
-            keyed=keyed,
-        )
+        return _rule_table(cls, market, entries.items(), _winner_set, (), "winners", sorted)
 
     @classmethod
     def from_spec(cls, spec: Any, market: MarketConfig) -> "WinnerRule":
@@ -629,9 +633,10 @@ class WinnerRule:
             return cls.dictatorial_threshold(agent, threshold)
 
         def table(entries: Any) -> "WinnerRule":
-            return cls._of_table(market, _spec_entries(entries, "winners", lambda w: [
+            pairs = _spec_entries(entries, "winners", lambda w: [
                 integer(i, "rule table winner") for i in json_list(w, "rule table winners")
-            ]))
+            ])
+            return _rule_table(cls, market, pairs, _winner_set, (), "winners", sorted)
 
         return _from_spec(spec, "winner rule", {
             RULE_EMPTY: ((), {}, cls.empty),
@@ -733,7 +738,7 @@ EV = "EV"
 PAB = "PAB"
 
 
-def _pricing_mode(mode: str) -> str:
+def _pricing_mode(values: tuple[Fraction, ...], mode: str) -> str:
     if mode not in (EV, PAB):
         raise ValueError(f"pricing mode must be EV or PAB, got {mode!r}")
     return mode
@@ -755,7 +760,7 @@ class PricingRule:
         never negative, so a negative c never prices EV; every other rule
         prices all-zero opponents (price zero) EV.
       rule_table: the listed mode at each listed profile, PAB off the table;
-        `market` records the market the table was written for.
+        `market`, `table` and `keyed` are set by `_rule_table`, as on `WinnerRule`.
     """
 
     label: str
@@ -764,6 +769,8 @@ class PricingRule:
     echo: Callable[[], dict]
     market: MarketConfig | None = None
     table: Mapping[tuple[Fraction, ...], str] | None = None
+    # As on `WinnerRule`: the dict `branch` reads and EV_SUPPORT walks.
+    keyed: Callable[[int], Mapping[tuple, str]] | None = None
     breakpoints: tuple[Fraction, ...] | None = None
 
     @property
@@ -818,20 +825,7 @@ class PricingRule:
     def rule_table(
         cls, market: MarketConfig, entries: Mapping[tuple[RationalLike, ...], str]
     ) -> "PricingRule":
-        return cls._of_table(market, entries.items())
-
-    @classmethod
-    def _of_table(cls, market: MarketConfig, pairs: Iterable[tuple]) -> "PricingRule":
-        table = _table(market, pairs, lambda values, mode: _pricing_mode(mode))
-        keyed = _scaled_keys(table)
-        return cls(
-            f"rule_table[{len(table)}]",
-            lambda values, market, scale: keyed(scale).get(values, PAB),
-            None,
-            partial(_table_spec, table, "mode", str),
-            market=market,
-            table=MappingProxyType(table),
-        )
+        return _rule_table(cls, market, entries.items(), _pricing_mode, PAB, "mode", str)
 
     @classmethod
     def from_spec(cls, spec: Any, market: MarketConfig) -> "PricingRule":
@@ -840,8 +834,8 @@ class PricingRule:
             PRICING_ALWAYS_EV: ((), {}, cls.always_ev),
             PRICING_EV_IFF_PRICE_ZERO: ((), {}, cls.ev_iff_price_zero),
             PRICING_THRESHOLD: (("cutoff",), {}, cls.threshold),
-            RULE_TABLE: ((), {"entries": []}, lambda entries: cls._of_table(
-                market, _spec_entries(entries, "mode", str))),
+            RULE_TABLE: ((), {"entries": []}, lambda entries: _rule_table(
+                cls, market, _spec_entries(entries, "mode", str), _pricing_mode, PAB, "mode", str)),
         })
 
 

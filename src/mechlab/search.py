@@ -134,7 +134,9 @@ def random_winner_rule_table(
     to capacity. The closure then adds, for every selected agent and
     every grid report above the price, the entry that keeps that agent
     selected; such an agent is a strict winner there, so the additions
-    never breach capacity or the selection conditions.
+    never breach capacity or the selection conditions. Each round visits,
+    in sorted order, the entries seeded or last added or raised, the only
+    ones a whole-table pass could change anything for.
 
     The walk reads the grid's profiles scaled to ints (`GridPoint.scaled`)
     and keys the table by them; the table returned is keyed by the grid's
@@ -154,13 +156,12 @@ def random_winner_rule_table(
         chosen = frozenset(required + tied[:take])
         if chosen:
             entries[at] = chosen
-    closed = True
-    while closed:
-        closed = False
-        for at in sorted(entries):
-            selected = entries[at]
+    work = set(entries)  # the entries added or raised since their last visit
+    while work:
+        todo, work = sorted(work), set()
+        for at in todo:
             price = vickrey_price(at, m)
-            for i in sorted(selected):
+            for i in sorted(entries[at]):
                 for up in scaled[i]:
                     if up <= price or up == at[i]:
                         continue
@@ -170,7 +171,7 @@ def random_winner_rule_table(
                     have = entries.get(raised, frozenset())
                     if not need <= have:
                         entries[raised] = have | need
-                        closed = True
+                        work.add(raised)
     exact = [dict(zip(ups, vals)) for ups, vals in zip(scaled, grid.values)]
     return {
         tuple([ex[v] for ex, v in zip(exact, at)]): selected

@@ -7,9 +7,9 @@ replay or a bound that drifts from the plain definition of its axiom
 shows up as a disagreement. The outcome tables, filled from each
 family's value-level outcome on scaled ints, are compared rank by rank
 with `Mechanism.evaluate` on exact profiles. The rule walks on scaled
-ints (the winner-table generator, the condition scan and the VALID and
-UNCOMPROMISING walks) are compared with their definitions on exact
-profiles. The characterization's "only if" is checked against every
+ints (the winner-table generator, the condition scan and the VALID,
+UNCOMPROMISING and EV_SUPPORT walks) are compared with their definitions
+on exact profiles. The characterization's "only if" is checked against every
 EE+IR+NS+SP mechanism of a small market, enumerated outcome by outcome.
 The SP sweep's skip of misreports that cannot pay is compared with the
 same mechanism stripped of its breakpoints, which fills every misreport.
@@ -44,6 +44,7 @@ from mechlab import (
     WinnerRule,
     audit,
     builtin_mechanisms,
+    check_ev_support,
     check_uncompromising,
     efficient_vickrey_mechanism,
     ev_pab_mechanism,
@@ -71,7 +72,7 @@ from mechlab.axioms import (
     _nom_bounds,
     scan,
 )
-from mechlab.mechanisms import EV
+from mechlab.mechanisms import EV, PAB
 
 # analytic NOM bounds
 
@@ -1042,6 +1043,83 @@ def test_rule_checks_match_the_fraction_walks(grid):
             )
             assert as_walk(report) == want, entries
     assert "FAIL" in verdicts and len(verdicts) > 1, verdicts
+
+
+@settings(max_examples=40, deadline=None)
+@given(value_sets(), st.booleans(), st.integers(0, 2**16))
+def test_generated_winner_tables_match_the_naive_fixpoint(drawn, halves, seed):
+    """On drawn grids, shared or per agent and in half steps or not, the
+    closure's rounds over the entries last added or raised give the table
+    the whole-table passes of the naive fixpoint give, in the same
+    insertion order."""
+    market, values = drawn
+    grid = GridSpace(market, values)
+    if halves:
+        grid = GridSpace(market, half_step(grid.values))
+    got = random_winner_rule_table(grid, random.Random(seed))
+    assert list(got.items()) == list(fraction_winner_rule_table(grid, random.Random(seed)).items())
+
+
+def fraction_ev_support(pricing, grid):
+    """EV_SUPPORT on a pricing table as walked on its exact `Fraction` keys:
+    the oracle for the walk on the scaled keys."""
+    market = grid.config
+    supported = set()  # (agent, value) pairs an EV-priced entry reaches
+    for key, mode in pricing.table.items():
+        if mode == EV and has_uniform_tail(key, market.m):
+            zeros = key.count(0)  # an agent is reached if some opponent reports 0
+            supported.update((i, v) for i, v in enumerate(key) if zeros > (v == 0))
+    wanted = [(i, v) for i in market.agents for v in grid.values[i] if v > 0]
+    details = {"scope": "grid"}
+    for checked, (i, value) in enumerate(wanted, 1):
+        if (i, value) not in supported:
+            details["condition"] = "no EV-classified profile supports this valuation"
+            witness = {"agent": i, "value": value}
+            return AxiomReport("EV_SUPPORT", "FAIL", witness, checked, details)
+    details["reason"] = "a finite table cannot cover every positive valuation"
+    return AxiomReport("EV_SUPPORT", "NOT_CERTIFIED", None, len(wanted), details)
+
+
+# Values off every drawn grid (its values lie in 0..3): 7/2 and 4 on the
+# half-step scale, 1/3 off every drawn scale.
+OFF_GRID = (Fraction(1, 3), Fraction(7, 2), Fraction(4))
+
+
+@st.composite
+def pricing_tables(draw):
+    """A grid, shared or per agent and in half steps or not, and a pricing
+    table on its market. Its keys mix zeros, the grid's values and values
+    off the grid and off its scale; with `cover`, each positive grid value
+    of each agent is priced EV against all-zero opponents, unless a drawn
+    key overrides it, so a table can support the whole grid."""
+    market, values = draw(value_sets())
+    grid = GridSpace(market, values)
+    if draw(st.booleans()):
+        grid = GridSpace(market, half_step(grid.values))
+    pool = sorted({v for vals in grid.values for v in vals} | set(OFF_GRID))
+    value = st.one_of(st.just(Fraction(0)), st.sampled_from(pool))
+    table = {}
+    cover = draw(st.booleans())
+    if cover:
+        for i in market.agents:
+            for v in grid.values[i]:
+                table[tuple(v if j == i else Fraction(0) for j in market.agents)] = EV
+    modes = st.sampled_from((EV, PAB))
+    table.update(draw(st.dictionaries(st.tuples(*[value] * market.n), modes, max_size=12)))
+    return grid, table
+
+
+@settings(max_examples=80, deadline=None)
+@given(pricing_tables())
+def test_ev_support_matches_the_fraction_walk(drawn):
+    """EV_SUPPORT on a pricing table, walked on its keys scaled to the
+    grid's ints, gives the verdict, witness, count and details of the walk
+    on exact keys, with the witness value exact. Entries off the grid
+    count: an off-grid opponent can support an on-grid agent."""
+    grid, table = drawn
+    pricing = PricingRule.rule_table(grid.config, table)
+    report, want = check_ev_support(pricing, grid), fraction_ev_support(pricing, grid)
+    assert report == want and repr(report) == repr(want), table
 
 
 # the characterization's "only if"
