@@ -27,7 +27,11 @@ sweeps its grid once for any number of pointwise axioms, reads the
 outcome at every profile (`profiles_checked` counts every profile) and
 reports each axiom's lexicographically first violation; an axiom runs
 only at profiles ranked below its witness's, so an exhaustive scan stops
-running it at that witness.
+running it at that witness. On an exhaustive grid the scan first
+completes the table in rank order and drops every axiom whose whole-table
+pass test (`PointwiseAxiom.holds`: SP by agent-line menus, AIW by sorted
+representatives) says its generator would yield nothing; an axiom whose
+test fails runs its generator, the one source of witnesses.
 `audit(table, names)` gives every named axiom's report from that one
 sweep, with the grid-scope NOM bounds read off the same table, and
 `welfare_compare(one, two)` reads two tables on one grid. So a caller
@@ -46,6 +50,7 @@ the failed condition in `details["condition"]`; they are not in
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, partial
@@ -166,11 +171,17 @@ class PointwiseAxiom:
     key found. Replay runs the same generator on a table of the grid the
     witness was found on and keeps the violation whose identity matches,
     so the scan and the replay cannot drift apart.
+
+    `holds(table)`, where given, is a whole-table pass test on a completed
+    exhaustive table: True exactly when the generator yields nothing at
+    any profile, so a scan may skip the axiom; False says only that the
+    generator must run. It never makes a witness.
     """
 
     name: str
     identity: tuple[str, ...]
     violations: Callable[[OutcomeTable, GridPoint], Iterator[dict]]
+    holds: Callable[[OutcomeTable], bool] | None = None
 
     def refresh(self, table: OutcomeTable, witness: dict) -> dict | None:
         """The violation with the witness's identity, recomputed at its
@@ -266,12 +277,43 @@ def _sp_violations(table: OutcomeTable, at: GridPoint) -> Iterator[dict]:
                 }
 
 
+def _sp_holds(table: OutcomeTable) -> bool:
+    """Whether no misreport pays anywhere on a completed exhaustive table.
+
+    On an agent line (agent i, the others' values fixed) i's reports
+    offer a menu, and by the taxation principle its best option at true
+    value v is the larger of v - w and -l, where w and l are the least
+    transfers over the line's winning and losing reports. The truthful
+    report is on the line, so no misreport pays at v exactly when neither
+    beats the truthful utility. It reads only outcomes, so it is exact for
+    CUSTOM and rule-table mechanisms too.
+    """
+    grid = table.grid
+    outs = list(map(table.__getitem__, range(grid.size)))
+    for i, (values, step) in enumerate(zip(grid.scaled, grid.stride)):
+        span = step * len(values)
+        bundles = [(x[i], t[i]) for x, t in outs]
+        for top in range(0, grid.size, span):
+            for base in range(top, top + step):
+                line = bundles[base : base + span : step]
+                menu = set(line)
+                if len(menu) == 1:
+                    continue  # every report gets the truthful bundle
+                win = min((t for x, t in menu if x), default=None)
+                lose = min((t for x, t in menu if not x), default=None)
+                for v, (x, t) in zip(values, line):
+                    honest = v - t if x else -t
+                    if win is not None and v - win > honest or lose is not None and -lose > honest:
+                        return False
+    return True
+
+
 def _reference_bundle(values: Sequence, us: Sequence) -> tuple | None:
     """(x, t) of a bundle every agent is exactly indifferent to, or None."""
-    if all(u == us[0] for u in us):
+    if us.count(us[0]) == len(us):
         return (0, -us[0])
     diffs = [v - u for v, u in zip(values, us)]
-    if all(d == diffs[0] for d in diffs):
+    if diffs.count(diffs[0]) == len(diffs):
         return (1, diffs[0])
     return None
 
@@ -363,16 +405,43 @@ def _aiw_violations(table: OutcomeTable, at: GridPoint) -> Iterator[dict]:
                 }
 
 
+def _aiw_holds(table: OutcomeTable) -> bool:
+    """Whether every swap keeps utilities on a completed exhaustive table.
+
+    Each profile's utility for agent i must equal its sorted
+    representative's at the first place holding i's value
+    (`GridSpace.representatives`). Transpositions generate every
+    permutation (s_ki s_jk s_ij = s_jk), so this holds exactly when every
+    swap does: a swap keeps the representative and moves i's value to j.
+    A grid whose agents hold different value sets is left to the
+    generator, which refuses it.
+    """
+    grid = table.grid
+    if not grid.is_shared:
+        return False
+    outs = list(map(table.__getitem__, range(grid.size)))
+    reps, places = grid.representatives
+    for scaled, (x, t), rep, place in zip(itertools.product(*grid.scaled), outs, reps, places):
+        rx, rt = outs[rep]
+        for i, p in enumerate(place):
+            # an equal bundle needs no utilities
+            if x[i] != rx[p] or t[i] != rt[p]:
+                v = scaled[i]
+                if v * x[i] - t[i] != v * rx[p] - rt[p]:
+                    return False
+    return True
+
+
 POINTWISE: dict[str, PointwiseAxiom] = {
     axiom.name: axiom
     for axiom in (
         PointwiseAxiom("IR", ("agent",), _ir_violations),
         PointwiseAxiom("NS", ("agent",), _ns_violations),
-        PointwiseAxiom("SP", ("agent", "misreport"), _sp_violations),
+        PointwiseAxiom("SP", ("agent", "misreport"), _sp_violations, _sp_holds),
         PointwiseAxiom("EE", (), _ee_violations),
         PointwiseAxiom("EFF", (), _eff_violations),
         PointwiseAxiom("EF", ("agent", "other"), _ef_violations),
-        PointwiseAxiom("AIW", ("agent", "other"), _aiw_violations),
+        PointwiseAxiom("AIW", ("agent", "other"), _aiw_violations, _aiw_holds),
     )
 }
 
@@ -391,11 +460,20 @@ def scan(table: OutcomeTable, axioms: Sequence[PointwiseAxiom]) -> dict[str, Axi
     still lower its key. Either way the outcome at every swept profile is
     read (and so checked) and `profiles_checked` counts every profile;
     deviation outcomes are read only where an axiom runs.
+
+    On an exhaustive grid every SP and AIW deviation is a swept profile,
+    so the scan first completes the table (`OutcomeTable.complete`, the
+    same fills in rank order, refusing a malformed outcome as the sweep
+    would) and then skips each axiom whose pass test `holds`; it passes
+    with the report it would get from the sweep.
     """
     grid = table.grid
     found: list[dict | None] = [None] * len(axioms)  # the witness per axiom
     below = [grid.size] * len(axioms)  # the rank of that witness; every rank is below size
     axes = list(enumerate(axioms))
+    if grid.mode == MODE_EXHAUSTIVE:
+        table.complete()
+        axes = [(k, axiom) for k, axiom in axes if axiom.holds is None or not axiom.holds(table)]
     count = 0
     for at in grid.profiles():
         count += 1
@@ -822,6 +900,8 @@ def check_ev_support(pricing: PricingRule, grid: GridSpace) -> AxiomReport:
     EV. The built-in families settle this analytically (`reaches_ev`). A
     finite pricing table can only ever be certified relative to the
     grid's value sets: values it never mentions fall back to pay-as-bid.
+    Any other rule is walked: its branch is read at every uniform-tail
+    profile the grid sweeps, a verdict at grid scope.
     """
     reaches = pricing.reaches_ev
     if reaches:
@@ -833,14 +913,19 @@ def check_ev_support(pricing: PricingRule, grid: GridSpace) -> AxiomReport:
         details = {"condition": "no profile is ever classified EV"}
         return AxiomReport("EV_SUPPORT", "FAIL", witness, details=details)
     _refuse_other_market(pricing.market, grid.config)
-    market = grid.config
-    # (agent, scaled value) pairs an EV-priced entry reaches. Every entry
-    # counts: an off-grid opponent can support an on-grid agent.
-    supported = set()
-    for key, mode in pricing.keyed(grid.scale).items():
-        if mode == EV and has_uniform_tail(key, market.m):
-            zeros = key.count(0)  # an agent is reached if some opponent reports 0
-            supported.update((i, v) for i, v in enumerate(key) if zeros > (v == 0))
+    market, m, scale = grid.config, grid.config.m, grid.scale
+    if pricing.table is not None:
+        # Every entry counts: an off-grid opponent can support an on-grid agent.
+        priced = (key for key, mode in pricing.keyed(scale).items()
+                  if mode == EV and has_uniform_tail(key, m))
+    else:
+        branch = pricing.branch
+        priced = (at.scaled for at in grid.profiles()
+                  if has_uniform_tail(at.scaled, m) and branch(at.scaled, market, scale) == EV)
+    supported = set()  # (agent, scaled value) pairs an EV-priced profile reaches
+    for key in priced:
+        zeros = key.count(0)  # an agent is reached if some opponent reports 0
+        supported.update((i, v) for i, v in enumerate(key) if zeros > (v == 0))
     wanted = [(i, up, value) for i in market.agents
               for up, value in zip(grid.scaled[i], grid.values[i]) if value > 0]
     details = {"scope": "grid"}
@@ -849,6 +934,8 @@ def check_ev_support(pricing: PricingRule, grid: GridSpace) -> AxiomReport:
             details["condition"] = "no EV-classified profile supports this valuation"
             witness = {"agent": i, "value": value}
             return AxiomReport("EV_SUPPORT", "FAIL", witness, checked, details)
+    if pricing.table is None:
+        return AxiomReport("EV_SUPPORT", grid.pass_verdict, None, len(wanted), details)
     details["reason"] = "a finite table cannot cover every positive valuation"
     return AxiomReport("EV_SUPPORT", "NOT_CERTIFIED", None, len(wanted), details)
 

@@ -12,8 +12,12 @@ grid's sweep (`GridSpace.ranks`), so the sweeps in `axioms` evaluate each
 swept profile once and compare ints. Whoever sweeps builds the table and
 hands it to every sweep that should share it; nothing keeps a table for
 later. `OutcomeTable.fill` is its one fill, fed the scaled values by the
-caller (an SP misreport) or by decoding the rank (any other read); it
-refuses a mechanism whose rule table was written for another market.
+caller (an SP misreport, or `complete`, which fills an exhaustive grid
+in rank order from the product of its scaled sets) or by decoding the
+rank (any other read); it refuses a mechanism whose rule table was
+written for another market. A shared grid also keeps, per rank, its
+sorted representative and where each agent's value sits in it
+(`representatives`), which every AIW pass test on the grid reads.
 """
 
 from __future__ import annotations
@@ -219,6 +223,22 @@ class GridSpace:
         sweep draws them, so reading them draws nothing)."""
         return range(self.size) if self.mode == MODE_EXHAUSTIVE else set()
 
+    @cached_property
+    def representatives(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+        """Per rank of a shared grid, the rank of its sorted representative
+        (the same values in ascending order) and, per agent, the place of
+        the representative holding that agent's value first; the place
+        tuples are shared between ranks. Computed once per grid, for every
+        table on it."""
+        places: dict[tuple[int, ...], tuple[int, ...]] = {}
+        reps, where = [], []
+        for index in itertools.product(range(len(self.values[0])), repeat=self.config.n):
+            ordered = sorted(index)
+            reps.append(sum([k * step for k, step in zip(ordered, self.stride)]))
+            place = tuple([ordered.index(k) for k in index])
+            where.append(places.setdefault(place, place))
+        return tuple(reps), tuple(where)
+
     def exact(self, quantity: int | Fraction) -> Fraction:
         """A quantity scaled by `scale` as the exact rational it stands for."""
         return Fraction(quantity, self.scale)
@@ -302,7 +322,10 @@ class OutcomeTable(dict):
     Only an outcome at a rank of the grid's sweep (`GridSpace.ranks`) is
     kept, so a sampled table holds at most `samples` entries; any other
     (an off-sample SP misreport or AIW swap, a shrink candidate) is
-    computed and checked at every read that needs it.
+    computed and checked at every read that needs it. `complete` fills
+    every rank of an exhaustive grid in rank order, so that whole-table
+    pass tests can read a full table; an exhaustive sweep reads every
+    rank anyway, so completing it evaluates nothing more.
 
     The table belongs to whoever builds it: every sweep that should share
     its outcomes is handed the same table, and it holds its mechanism as a
@@ -326,6 +349,14 @@ class OutcomeTable(dict):
     def __missing__(self, rank: int) -> tuple:
         return self.fill(rank, tuple([scaled[rank // step % size]
                                       for scaled, step, size in self._digits]))
+
+    def complete(self) -> None:
+        """Fill every rank of an exhaustive grid not yet filled, in rank
+        order, from the grid's scaled value sets; no rank is decoded."""
+        fill = self.fill
+        for rank, scaled in enumerate(itertools.product(*self.grid.scaled)):
+            if rank not in self:
+                fill(rank, scaled)
 
     def fill(self, rank: int, scaled: tuple[int, ...]) -> tuple:
         """The checked outcome at `rank`, whose scaled values the caller

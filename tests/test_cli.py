@@ -23,6 +23,7 @@ from mechlab import (
     random_winner_rule_table,
     rat_str,
     refresh_witness,
+    vickrey_mechanism,
     witness_from_json,
 )
 from mechlab.axioms import POINTWISE, OutcomeTable, scan
@@ -935,6 +936,37 @@ def test_a_malformed_outcome_after_every_witness_is_still_refused(tmp_path, caps
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"internal error: ValueError: {message}\n"
+
+
+@pytest.mark.parametrize("axioms", [["SP"], ["AIW"], ["SP", "AIW", "EE"]], ids=["sp", "aiw", "three"])
+def test_a_malformed_outcome_at_the_last_rank_is_refused_before_any_pass_test(
+    tmp_path, capsys, monkeypatch, axioms
+):
+    """An exhaustive scan fills its table in rank order before it runs the
+    SP and AIW pass tests, so a mechanism that is Vickrey everywhere but
+    hands out two objects at the grid's last profile is refused by
+    `audit`, with `Mechanism.checked`'s message, and `mechlab audit` exits
+    3 with that one line. Without that profile both pass tests hold."""
+    grid = GridSpace.shared(MarketConfig(3, 1), (1, 2, 3))
+    vickrey = vickrey_mechanism()
+
+    def fn(profile, last=(3, 3, 3)):
+        if profile.values == last:
+            return Allocation((1, 1, 0), (0, 0, 0))
+        return vickrey.evaluate(profile)
+
+    wellformed = OutcomeTable(Mechanism("wellformed", "CUSTOM", partial(fn, last=None)), grid)
+    wellformed.complete()
+    assert all(POINTWISE[name].holds(wellformed) for name in ("SP", "AIW"))
+    bad = Mechanism("bad", "CUSTOM", fn)
+    message = "bad gave 2 objects; the market has 1"
+    with pytest.raises(ValueError, match=message):
+        audit(OutcomeTable(bad, grid), axioms)
+    monkeypatch.setattr(cli, "parse_mechanism", lambda spec, market: bad)
+    path = write_config(tmp_path, mechanisms=["VICKREY"], grid={"values": ["1", "2", "3"]},
+                        axioms=axioms)
+    assert main(["audit", "--config", str(path)]) == 3
+    assert capsys.readouterr() == ("", f"internal error: ValueError: {message}\n")
 
 
 def test_an_audit_sweeps_the_grid_once_per_mechanism(tmp_path, capsys, monkeypatch):

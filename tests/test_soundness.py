@@ -14,7 +14,12 @@ EE+IR+NS+SP mechanism of a small market, enumerated outcome by outcome.
 The SP sweep's skip of misreports that cannot pay is compared with the
 same mechanism stripped of its breakpoints, which fills every misreport.
 The analytic rule verdicts are compared with the same rules walked over
-the grid, and `reaches_ev` with a search for EV-priced profiles. Two
+the grid, and `reaches_ev` with a search for EV-priced profiles; a
+pricing rule without a table is walked like a table of its branches.
+The SP and AIW whole-table pass tests are compared with their own
+generators on drawn CUSTOM outcome tables: the one comparison here made
+with a checker's per-profile definition, which the scan oracle above
+compares with brute force. Two
 metamorphic relations check whole audits with no second implementation:
 reversing the agents keeps every pointwise verdict, and multiplying the
 values and constants by c > 0 multiplies every witness amount by c.
@@ -1122,6 +1127,53 @@ def test_ev_support_matches_the_fraction_walk(drawn):
     assert report == want and repr(report) == repr(want), table
 
 
+def test_ev_support_walks_a_rule_that_prices_every_profile_ev():
+    """A rule without a table that prices every profile EV supports every
+    positive grid value: a pass at grid scope, where reading its missing
+    table used to raise."""
+    always = PricingRule("walked", lambda values, market, scale: EV, None, dict)
+    report = check_ev_support(always, GridSpace.shared(MarketConfig(3, 1), (0, 1, 2)))
+    assert report == AxiomReport("EV_SUPPORT", "PASS_EXHAUSTIVE", None, 6, {"scope": "grid"})
+
+
+def walked_and_tabled(grid, modes):
+    """The pricing rule that reads `modes` at each exact profile, without a
+    table (so EV_SUPPORT walks its branch), and the table of those modes."""
+
+    def branch(values, market, scale):
+        return modes[tuple(Fraction(v, scale) for v in values)]
+
+    return PricingRule("walked", branch, None, dict), PricingRule.rule_table(grid.config, modes)
+
+
+@settings(max_examples=60, deadline=None)
+@given(value_sets(), st.booleans(), st.integers(0, 2**16), st.integers(0, 12))
+@example((MarketConfig(3, 1), ((0, 1, 2),) * 3), False, 0, 0)
+def test_ev_support_walks_a_rule_without_a_table(drawn, halves, seed, samples):
+    """EV_SUPPORT on a pricing rule without a table (`reaches_ev` None)
+    reads its branch at every profile the grid sweeps, and so finds the
+    witness, count and condition a table of the same branches at those
+    profiles finds; a pass is the grid's pass verdict, where the table is
+    NOT_CERTIFIED. Drawn grids are shared or per agent, in whole or half
+    steps, exhaustive or (with `samples`) sampled."""
+    market, values = drawn
+    if halves:
+        values = half_step(GridSpace(market, values).values)
+    mode = {"mode": MODE_SAMPLED, "seed": seed, "samples": samples} if samples else {}
+    grid = GridSpace(market, values, **mode)
+    rng = random.Random(f"walked:{seed}")
+    modes = {at.values: EV if rng.random() < 0.8 else PAB for at in grid.profiles()}
+    walked, tabled = walked_and_tabled(grid, modes)
+    got, want = check_ev_support(walked, grid), check_ev_support(tabled, grid)
+    assert (got.witness, got.profiles_checked, got.details.get("condition")) == (
+        want.witness, want.profiles_checked, want.details.get("condition"))
+    assert got.details["scope"] == "grid"
+    if want.verdict == "FAIL":
+        assert got.verdict == "FAIL"
+    else:
+        assert (want.verdict, got.verdict) == ("NOT_CERTIFIED", grid.pass_verdict)
+
+
 # the characterization's "only if"
 
 
@@ -1499,3 +1551,136 @@ def test_rescaling_values_and_constants_rescales_every_report(
         assert got.relation == want.relation, one.mechanism.name
         assert got.strict_first == rescaled(want.strict_first, c), one.mechanism.name
         assert got.strict_second == rescaled(want.strict_second, c), one.mechanism.name
+
+
+# the whole-table pass tests: SP by agent-line menus, AIW by sorted
+# representatives, each exact against its own generator
+
+
+MONEY = (*range(-2, 6), *(Fraction(k, 2) for k in range(-3, 11, 2)))  # ints and half-steps
+
+
+def drawn_bundles(rng, market):
+    """An (x, t) with at most m winners and transfers in ints and halves."""
+    winners = rng.sample(range(market.n), rng.randint(0, market.m))
+    return [int(i in winners) for i in market.agents], [rng.choice(MONEY) for _ in market.agents]
+
+
+def sorted_outcomes(grid, rng, ties_equal):
+    """Outcomes chosen per sorted profile and moved with the agents, so
+    every swap keeps utilities when `ties_equal` gives tied places one
+    utility; without it a profile with a tie may tell tied agents apart."""
+    chosen = {}
+    for combo in itertools.combinations_with_replacement(grid.values[0], grid.config.n):
+        x, t = drawn_bundles(rng, grid.config)
+        for p in range(1, len(combo)):
+            if ties_equal and combo[p] == combo[p - 1]:
+                # the earlier place's utility, kept by each place's indicator
+                t[p] = combo[p] * x[p] - (combo[p] * x[p - 1] - t[p - 1])
+        chosen[combo] = x, t
+    outcomes = {}
+    for at in grid.profiles():
+        order = sorted(grid.config.agents, key=lambda i: at.values[i])
+        x, t = chosen[tuple(sorted(at.values))]
+        place = {agent: p for p, agent in enumerate(order)}
+        outcomes[at.values] = ([x[place[i]] for i in grid.config.agents],
+                               [t[place[i]] for i in grid.config.agents])
+    return outcomes
+
+
+@st.composite
+def outcome_tables(draw):
+    """A grid of n = 2..4 agents and 2..4 values, shared or per agent and
+    in whole or half steps, and a CUSTOM mechanism given by a table of its
+    outcomes there. The base is a built-in family with a transfer added to
+    each agent that depends only on the others' values (which keeps SP,
+    and, read off their sorted values, AIW too), outcomes chosen per sorted
+    profile (AIW, with or without tied places held equal), or outcomes
+    drawn at random. Then up to two profiles get a drawn outcome or one
+    transfer moved by a half."""
+    n = draw(st.integers(2, 4))
+    market = MarketConfig(n, draw(st.integers(1, n - 1)))
+    pool = HALF_STEPS if draw(st.booleans()) else (0, 1, 2, 3)
+    one_set = st.lists(st.sampled_from(pool), min_size=2, max_size=4, unique=True)
+    shared = draw(st.booleans())
+    values = (tuple(draw(one_set)),) * n if shared else tuple(
+        tuple(draw(one_set)) for _ in range(n))
+    grid = GridSpace(market, values)
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    base = draw(st.sampled_from(("family", "symmetric", "sorted", "ties", "random")))
+    if base in ("sorted", "ties") and not shared:
+        base = "random"  # a per-agent grid has no sorted profiles to share outcomes
+    if base in ("family", "symmetric"):
+        family = rng.choice(builtin_mechanisms())
+        offsets = {}
+        outcomes = {}
+        for at in grid.profiles():
+            x, t = family.evaluate(Profile(market, at.values))
+            t = list(t)
+            for i in market.agents:
+                others = at.values[:i] + at.values[i + 1:]
+                key = tuple(sorted(others)) if base == "symmetric" else (i, others)
+                t[i] += offsets.setdefault(key, rng.choice(MONEY))
+            outcomes[at.values] = list(x), t
+    elif base in ("sorted", "ties"):
+        outcomes = sorted_outcomes(grid, rng, base == "sorted")
+    else:
+        outcomes = {at.values: drawn_bundles(rng, market) for at in grid.profiles()}
+    profiles = sorted(outcomes)
+    for _ in range(draw(st.integers(0, 2))):
+        x, t = outcomes[rng.choice(profiles)]
+        if rng.random() < 0.5:
+            x[:], t[:] = drawn_bundles(rng, market)
+        else:
+            t[rng.randrange(n)] += rng.choice((Fraction(-1, 2), Fraction(1, 2)))
+    frozen = {k: Allocation(tuple(x), tuple(map(Fraction, t))) for k, (x, t) in outcomes.items()}
+    return grid, Mechanism(f"drawn({base})", "CUSTOM", lambda profile: frozen[profile.values])
+
+
+def generator_settles(name, table):
+    """Whether the axiom's generator yields nothing at any profile."""
+    violations = POINTWISE[name].violations
+    return not any(next(violations(table, at), None) for at in table.grid.profiles())
+
+
+def check_pass_test(name, drawn):
+    """The axiom's `holds` on the completed table is True exactly when its
+    generator yields nothing; AIW on a per-agent grid is never settled by
+    its pass test, and its scan refuses the grid."""
+    grid, mechanism = drawn
+    table = OutcomeTable(mechanism, grid)
+    table.complete()
+    assert len(table) == grid.size
+    holds = POINTWISE[name].holds(table)
+    if name == "AIW" and not grid.is_shared:
+        assert holds is False
+        with pytest.raises(ValueError, match="shared value set"):
+            scan(table, [POINTWISE[name]])
+        return
+    assert holds == generator_settles(name, table), mechanism.name
+
+
+@settings(max_examples=150, deadline=None)
+@given(outcome_tables())
+def test_sp_line_menus_pass_exactly_when_no_misreport_pays(drawn):
+    check_pass_test("SP", drawn)
+
+
+@settings(max_examples=150, deadline=None)
+@given(outcome_tables())
+def test_aiw_representatives_pass_exactly_when_every_swap_does(drawn):
+    check_pass_test("AIW", drawn)
+
+
+@pytest.mark.slow
+@settings(max_examples=2000, deadline=None)
+@given(outcome_tables())
+def test_sp_line_menus_pass_exactly_at_a_larger_budget(drawn):
+    check_pass_test("SP", drawn)
+
+
+@pytest.mark.slow
+@settings(max_examples=2000, deadline=None)
+@given(outcome_tables())
+def test_aiw_representatives_pass_exactly_at_a_larger_budget(drawn):
+    check_pass_test("AIW", drawn)
