@@ -29,8 +29,8 @@ reports each axiom's lexicographically first violation; an axiom runs
 only at profiles ranked below its witness's, so an exhaustive scan stops
 running it at that witness. On an exhaustive grid the scan first
 completes the table in rank order and drops every axiom whose whole-table
-pass test (`PointwiseAxiom.holds`: SP by agent-line menus, AIW by sorted
-representatives) says its generator would yield nothing; an axiom whose
+pass test (`PointwiseAxiom.holds`: SP by agent-line menus, AIW by
+adjacent swaps) says its generator would yield nothing; an axiom whose
 test fails runs its generator, the one source of witnesses.
 `audit(table, names)` gives every named axiom's report from that one
 sweep, with the grid-scope NOM bounds read off the same table, and
@@ -219,9 +219,10 @@ def _sp_violations(table: OutcomeTable, at: GridPoint) -> Iterator[dict]:
     0..2, 483 lie outside the selective Vickrey class. Below the top the
     "only if" holds (`tests/test_soundness.py`).
 
-    A misreport off the grid's sweep is not kept, so it is evaluated at
-    every read; for a mechanism that declares its breakpoints, the fills
-    that cannot pay are skipped. With the other agents' values fixed,
+    A misreport missing from the table is filled (and kept only at a rank
+    of the grid's sweep, so off a sample's draws it is evaluated at every
+    read); for a mechanism that declares its breakpoints, the fills that
+    cannot pay are skipped. With the other agents' values fixed,
     agent i's order cells are "below theta", "at theta" and "above
     theta", where theta is the m-th highest of the others' values: i's
     critical value, the one price on i's menu. Within one cell i's
@@ -230,13 +231,15 @@ def _sp_violations(table: OutcomeTable, at: GridPoint) -> Iterator[dict]:
     cell does not beat the truthful utility (the truthful report never
     does), no higher report of that cell can, and skipping them leaves
     the violations yielded, and their order, as they were. A cell is
-    numbered `(report > theta) + (report >= theta)`. A read the table
-    keeps is made as before, and CUSTOM and rule-table mechanisms
-    (breakpoints None) fill every misreport.
+    numbered `(report > theta) + (report >= theta)`. The argument holds
+    in every cell whatever the report's rank, so the cut applies to every
+    missing misreport; one already in the table is read as it is, and
+    CUSTOM and rule-table mechanisms (breakpoints None) fill every
+    misreport.
     """
     grid, get, fill = table.grid, table.get, table.fill
     cells = table.mechanism.breakpoints is not None
-    kept, m = grid.ranks, grid.config.m
+    m = grid.config.m
     x, t = table[at.rank]
     scaled = at.scaled
     for i, v in enumerate(scaled):
@@ -252,19 +255,17 @@ def _sp_violations(table: OutcomeTable, at: GridPoint) -> Iterator[dict]:
             # A misreport off the table is filled from the point's own values.
             out = get(rank)
             if out is None:
-                if not cells or rank in kept:
-                    out = fill(rank, scaled[:i] + (report,) + scaled[i + 1:])
-                else:
+                if cells:
                     if theta is None:
                         theta = sorted(scaled[:i] + scaled[i + 1:])[-m]
                         truth = (v > theta) + (v >= theta)
                     cell = (report > theta) + (report >= theta)
                     if cell == dead or (k > own and cell == truth):
                         continue
-                    out = fill(rank, scaled[:i] + (report,) + scaled[i + 1:])
-                    if v * out[0][i] - out[1][i] <= honest:
-                        dead = cell
-                        continue
+                out = fill(rank, scaled[:i] + (report,) + scaled[i + 1:])
+                if cells and v * out[0][i] - out[1][i] <= honest:
+                    dead = cell
+                    continue
             dx, dt = out
             gained = v * dx[i] - dt[i]
             if gained > honest:
@@ -408,26 +409,40 @@ def _aiw_violations(table: OutcomeTable, at: GridPoint) -> Iterator[dict]:
 def _aiw_holds(table: OutcomeTable) -> bool:
     """Whether every swap keeps utilities on a completed exhaustive table.
 
-    Each profile's utility for agent i must equal its sorted
-    representative's at the first place holding i's value
-    (`GridSpace.representatives`). Transpositions generate every
-    permutation (s_ki s_jk s_ij = s_jk), so this holds exactly when every
-    swap does: a swap keeps the representative and moves i's value to j.
-    A grid whose agents hold different value sets is left to the
-    generator, which refuses it.
+    At every profile and for each k < n-1, agent k's utility must equal
+    agent k+1's at the profile with those two values swapped, and, for
+    k > 0, agent 0's utility must not move. Read at every profile, the
+    first moves an agent's value to any place with the other values in
+    their order; the second reorders the values other than agent 0's,
+    as adjacent swaps of agents 1..n-1 generate every order of them. So
+    each utility depends only on the agent's value and the profile's
+    values as a multiset, which holds exactly when every swap the
+    generator reads keeps utilities. The first alone would pass a
+    mechanism that pays an agent by the order of the others' values.
+    Agent 0's check is symmetric, so it is read once per pair, from the
+    profile whose agent k holds the lower value; an equal bundle needs no
+    utilities. A grid whose agents hold different value sets is left to
+    the generator, which refuses it.
     """
     grid = table.grid
     if not grid.is_shared:
         return False
+    n, stride = grid.config.n, grid.stride
     outs = list(map(table.__getitem__, range(grid.size)))
-    reps, places = grid.representatives
-    for scaled, (x, t), rep, place in zip(itertools.product(*grid.scaled), outs, reps, places):
-        rx, rt = outs[rep]
-        for i, p in enumerate(place):
-            # an equal bundle needs no utilities
-            if x[i] != rx[p] or t[i] != rt[p]:
-                v = scaled[i]
-                if v * x[i] - t[i] != v * rx[p] - rt[p]:
+    swaps = [(k, k + 1, stride[k] - stride[k + 1]) for k in range(n - 1)]
+    indices = itertools.product(range(len(grid.scaled[0])), repeat=n)
+    for rank, (index, scaled) in enumerate(zip(indices, itertools.product(*grid.scaled))):
+        x, t = outs[rank]
+        for k, j, step in swaps:
+            gap = index[j] - index[k]
+            sx, st = outs[rank + gap * step]
+            if x[k] != sx[j] or t[k] != st[j]:
+                v = scaled[k]
+                if v * x[k] - t[k] != v * sx[j] - st[j]:
+                    return False
+            if k and gap > 0 and (x[0] != sx[0] or t[0] != st[0]):
+                v = scaled[0]
+                if v * x[0] - t[0] != v * sx[0] - st[0]:
                     return False
     return True
 

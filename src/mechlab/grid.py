@@ -8,16 +8,15 @@ yields a `GridPoint` per profile (rank, value indices, exact values and
 scaled values), and `point` finds the same record for given values; a
 sampled grid draws its points on its first sweep and keeps them. An
 `OutcomeTable` memoises a mechanism's checked outcome at each rank of its
-grid's sweep (`GridSpace.ranks`), so the sweeps in `axioms` evaluate each
+grid's sweep (`GridSpace.ranks`, which nothing else reads, so the table
+alone decides what is kept), so the sweeps in `axioms` evaluate each
 swept profile once and compare ints. Whoever sweeps builds the table and
 hands it to every sweep that should share it; nothing keeps a table for
 later. `OutcomeTable.fill` is its one fill, fed the scaled values by the
 caller (an SP misreport, or `complete`, which fills an exhaustive grid
 in rank order from the product of its scaled sets) or by decoding the
 rank (any other read); it refuses a mechanism whose rule table was
-written for another market. A shared grid also keeps, per rank, its
-sorted representative and where each agent's value sits in it
-(`representatives`), which every AIW pass test on the grid reads.
+written for another market.
 """
 
 from __future__ import annotations
@@ -222,22 +221,6 @@ class GridSpace:
         grid, or the distinct ranks a sample drew (empty until its first
         sweep draws them, so reading them draws nothing)."""
         return range(self.size) if self.mode == MODE_EXHAUSTIVE else set()
-
-    @cached_property
-    def representatives(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-        """Per rank of a shared grid, the rank of its sorted representative
-        (the same values in ascending order) and, per agent, the place of
-        the representative holding that agent's value first; the place
-        tuples are shared between ranks. Computed once per grid, for every
-        table on it."""
-        places: dict[tuple[int, ...], tuple[int, ...]] = {}
-        reps, where = [], []
-        for index in itertools.product(range(len(self.values[0])), repeat=self.config.n):
-            ordered = sorted(index)
-            reps.append(sum([k * step for k, step in zip(ordered, self.stride)]))
-            place = tuple([ordered.index(k) for k in index])
-            where.append(places.setdefault(place, place))
-        return tuple(reps), tuple(where)
 
     def exact(self, quantity: int | Fraction) -> Fraction:
         """A quantity scaled by `scale` as the exact rational it stands for."""

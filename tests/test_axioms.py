@@ -337,19 +337,19 @@ def test_a_replay_on_an_unswept_sample_draws_nothing(monkeypatch):
 # Distinct ranks a sampled SP audit fills on `SAMPLED_SP_GRID`: the drawn
 # points, and the single-agent misreports at the draws ranked below the
 # witness that can pay. A built-in family declares its breakpoints, so a
-# misreport off the draws is skipped when a lower report of its order cell
-# (below, at or above the agent's critical value) or the truthful one did
-# not pay; a CUSTOM mechanism declares none and fills every misreport, as
-# a built-in did before the skip (186 for each Vickrey-priced family).
-# Only the drawn points are kept.
+# misreport not yet in the table, drawn or not, is skipped when a lower
+# report of its order cell (below, at or above the agent's critical value)
+# or the truthful one did not pay; a CUSTOM mechanism declares none and
+# fills every misreport, as a built-in did before the skip (186 for each
+# Vickrey-priced family). Only the drawn points are kept.
 SAMPLED_SP_GRID = GridSpace.shared(CFG1, range(6), mode=MODE_SAMPLED, seed=2, samples=30)
 SAMPLED_SP_FILLS = {
-    "vickrey": 136,
-    "efficient_vickrey": 136,
-    "pay_as_bid": 67,
-    "no_trade": 136,
-    "selective_vickrey(strict_winners)": 136,
-    "ev_pab(always_ev)": 75,
+    "vickrey": 135,
+    "efficient_vickrey": 135,
+    "pay_as_bid": 66,
+    "no_trade": 135,
+    "selective_vickrey(strict_winners)": 135,
+    "ev_pab(always_ev)": 73,
     "custom_vickrey": 186,
 }
 

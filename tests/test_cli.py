@@ -61,6 +61,22 @@ def test_eval_prints_allocation_and_reference(capsys):
     assert "reference bundle: none" in out
 
 
+def test_eval_evaluates_the_mechanism_once(monkeypatch, capsys):
+    """The reference bundle is read off the utilities already printed, so
+    `mechlab eval` evaluates the mechanism at its profile once."""
+    calls = []
+    evaluate = Mechanism.evaluate
+
+    def counted(mechanism, profile):
+        calls.append(profile.values)
+        return evaluate(mechanism, profile)
+
+    monkeypatch.setattr(Mechanism, "evaluate", counted)
+    assert main(["eval", "--mech", "PAY_AS_BID", "--profile", "3,1,0", "--m", "1"]) == 0
+    assert "reference bundle: (0, 0)" in capsys.readouterr().out
+    assert len(calls) == 1
+
+
 def test_eval_selective_rule_spec(capsys):
     spec = '{"family":"SELECTIVE_VICKREY","rule":{"family":"STRICT_WINNERS"}}'
     assert main(["eval", "--mech", spec, "--profile", "3,2,2", "--m", "1"]) == 0

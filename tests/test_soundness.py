@@ -1321,17 +1321,22 @@ def declared_mechanisms(draw, market):
 
 
 @st.composite
-def sampled_grids(draw):
-    """A sampled grid of n <= 5 agents and m < n objects, on one shared set
-    or one set per agent, of values in halves and thirds."""
+def sp_grids(draw):
+    """A grid of n <= 5 agents and m < n objects, on one shared set or one
+    set per agent, of values in halves and thirds: sampled, or exhaustive
+    over at most 200 profiles."""
     n = draw(st.integers(2, 5))
     market = MarketConfig(n, draw(st.integers(1, n - 1)))
+    sampled = draw(st.booleans())
+    longest = 9 if sampled else max(k for k in range(1, 10) if k**n <= 200)
     one_set = st.lists(st.builds(Fraction, st.integers(0, 12), st.sampled_from((1, 2, 3))),
-                       min_size=1, max_size=9, unique=True)
+                       min_size=1, max_size=longest, unique=True)
     if draw(st.booleans()):
         values = (tuple(draw(one_set)),) * n
     else:
         values = tuple(tuple(draw(one_set)) for _ in range(n))
+    if not sampled:
+        return GridSpace(market, values)
     seed, samples = draw(st.integers(0, 2**16)), draw(st.integers(1, 12))
     return GridSpace(market, values, mode=MODE_SAMPLED, seed=seed, samples=samples)
 
@@ -1339,10 +1344,13 @@ def sampled_grids(draw):
 @settings(max_examples=110, deadline=None)
 @given(st.data())
 def test_skipped_sp_misreports_never_pay(data):
-    """At every draw of sampled shared and per-agent grids, the SP generator
-    yields, in order, the violations it yields for the same mechanism with
-    no breakpoints, which fills every misreport."""
-    grid = data.draw(sampled_grids())
+    """At every profile of sampled grids and small exhaustive ones, shared
+    and per agent, the SP generator yields on a fresh table, in order, the
+    violations it yields for the same mechanism with no breakpoints, which
+    fills every misreport. The tables fill as the sweep goes, so a
+    misreport is read from the table at some profiles and skipped or
+    filled at others."""
+    grid = data.draw(sp_grids())
     sp = POINTWISE["SP"].violations
     for mechanism in data.draw(declared_mechanisms(grid.config)):
         assert mechanism.breakpoints is not None, mechanism.name
@@ -1553,8 +1561,8 @@ def test_rescaling_values_and_constants_rescales_every_report(
         assert got.strict_second == rescaled(want.strict_second, c), one.mechanism.name
 
 
-# the whole-table pass tests: SP by agent-line menus, AIW by sorted
-# representatives, each exact against its own generator
+# the whole-table pass tests: SP by agent-line menus, AIW by adjacent
+# swaps, each exact against its own generator
 
 
 MONEY = (*range(-2, 6), *(Fraction(k, 2) for k in range(-3, 11, 2)))  # ints and half-steps
@@ -1593,11 +1601,12 @@ def outcome_tables(draw):
     """A grid of n = 2..4 agents and 2..4 values, shared or per agent and
     in whole or half steps, and a CUSTOM mechanism given by a table of its
     outcomes there. The base is a built-in family with a transfer added to
-    each agent that depends only on the others' values (which keeps SP,
-    and, read off their sorted values, AIW too), outcomes chosen per sorted
-    profile (AIW, with or without tied places held equal), or outcomes
-    drawn at random. Then up to two profiles get a drawn outcome or one
-    transfer moved by a half."""
+    each agent that depends only on the others' values (which keeps SP;
+    read off their sorted values, AIW too; read off them in agent order,
+    a swap of two neighbouring agents trades their utilities, but may move
+    a third agent's), outcomes chosen per sorted profile (AIW, with or
+    without tied places held equal), or outcomes drawn at random. Then up
+    to two profiles get a drawn outcome or one transfer moved by a half."""
     n = draw(st.integers(2, 4))
     market = MarketConfig(n, draw(st.integers(1, n - 1)))
     pool = HALF_STEPS if draw(st.booleans()) else (0, 1, 2, 3)
@@ -1607,10 +1616,10 @@ def outcome_tables(draw):
         tuple(draw(one_set)) for _ in range(n))
     grid = GridSpace(market, values)
     rng = random.Random(draw(st.integers(0, 2**32)))
-    base = draw(st.sampled_from(("family", "symmetric", "sorted", "ties", "random")))
+    base = draw(st.sampled_from(("family", "symmetric", "ordered", "sorted", "ties", "random")))
     if base in ("sorted", "ties") and not shared:
         base = "random"  # a per-agent grid has no sorted profiles to share outcomes
-    if base in ("family", "symmetric"):
+    if base in ("family", "symmetric", "ordered"):
         family = rng.choice(builtin_mechanisms())
         offsets = {}
         outcomes = {}
@@ -1619,7 +1628,8 @@ def outcome_tables(draw):
             t = list(t)
             for i in market.agents:
                 others = at.values[:i] + at.values[i + 1:]
-                key = tuple(sorted(others)) if base == "symmetric" else (i, others)
+                key = {"family": (i, others), "symmetric": tuple(sorted(others)),
+                       "ordered": others}[base]
                 t[i] += offsets.setdefault(key, rng.choice(MONEY))
             outcomes[at.values] = list(x), t
     elif base in ("sorted", "ties"):
@@ -1668,7 +1678,7 @@ def test_sp_line_menus_pass_exactly_when_no_misreport_pays(drawn):
 
 @settings(max_examples=150, deadline=None)
 @given(outcome_tables())
-def test_aiw_representatives_pass_exactly_when_every_swap_does(drawn):
+def test_aiw_adjacent_swaps_pass_exactly_when_every_swap_does(drawn):
     check_pass_test("AIW", drawn)
 
 
@@ -1682,5 +1692,5 @@ def test_sp_line_menus_pass_exactly_at_a_larger_budget(drawn):
 @pytest.mark.slow
 @settings(max_examples=2000, deadline=None)
 @given(outcome_tables())
-def test_aiw_representatives_pass_exactly_at_a_larger_budget(drawn):
+def test_aiw_adjacent_swaps_pass_exactly_at_a_larger_budget(drawn):
     check_pass_test("AIW", drawn)
