@@ -42,7 +42,7 @@ from .axioms import (
     audit,
     check_ev_support,
     check_uncompromising,
-    find_reference_bundle,
+    reference_bundle,
     refresh_witness,
     replay_witness,
     validate_winner_rule,

@@ -15,23 +15,26 @@ Witnesses always replay: feeding the witness back through the mechanism
 reproduces the violating inequality exactly. Each axiom is defined once,
 as a generator of its violations, and the check, witness replay
 (`refresh_witness`) and shrinking all run that one definition. A
-pointwise axiom's generator reads only (table, point): one profile's
-outcomes off an `OutcomeTable`, and the profile's `GridPoint` from the
-table's grid's one sweep (see `grid`), with SP misreports and AIW swaps
-ranging over the grid's value sets. A witness replays on a table of the
-grid it was found on, which holds its values, and witness fields are
-exact `Fraction`s.
+pointwise axiom's generator is handed (table, point, outcome): the
+profile's `GridPoint` from the table's grid's one sweep (see `grid`) and
+its outcome, read once by the caller; SP misreports and AIW swaps range
+over the grid's value sets, and each is read off the `OutcomeTable` with
+the values it holds. A witness replays on a table of the grid it was
+found on, which holds its values, and witness fields are exact
+`Fraction`s.
 
 The sweeps take the table their caller built: `scan(table, axioms)`
 sweeps its grid once for any number of pointwise axioms, reads the
-outcome at every profile (`profiles_checked` counts every profile) and
-reports each axiom's lexicographically first violation; an axiom runs
-only at profiles ranked below its witness's, so an exhaustive scan stops
-running it at that witness. On an exhaustive grid the scan first
-completes the table in rank order and drops every axiom whose whole-table
-pass test (`PointwiseAxiom.holds`: SP by agent-line menus, AIW by
-adjacent swaps) says its generator would yield nothing; an axiom whose
-test fails runs its generator, the one source of witnesses.
+outcome at every profile once and hands it to each generator
+(`profiles_checked` counts every profile), and reports each axiom's
+lexicographically first violation; an axiom runs only at profiles ranked
+below its witness's, so an exhaustive scan stops running it at that
+witness. On an exhaustive grid the scan first completes the table in
+rank order and drops every axiom whose whole-table pass test
+(`PointwiseAxiom.holds`: SP by agent-line menus, AIW by adjacent swaps)
+says, on that list of outcomes, that its generator would yield nothing;
+an axiom whose test fails runs its generator, the one source of
+witnesses.
 `audit(table, names)` gives every named axiom's report from that one
 sweep, with the grid-scope NOM bounds read off the same table, and
 `welfare_compare(one, two)` reads two tables on one grid. So a caller
@@ -75,7 +78,7 @@ from .mechanisms import (
     first_violation,
     rule_condition_violation,
 )
-from .model import Profile, has_uniform_tail, rat, rat_str, utilities, vickrey_price
+from .model import has_uniform_tail, integer, rat, rat_str, vickrey_price
 
 
 @dataclass(frozen=True)
@@ -117,8 +120,6 @@ def _jsonify(value: Any) -> Any:
         return {k: _jsonify(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonify(v) for v in value]
-    if isinstance(value, (frozenset, set)):
-        return sorted(_jsonify(v) for v in value)
     return value
 
 
@@ -132,19 +133,18 @@ def witness_to_json(witness: dict) -> dict:
 
 
 def witness_from_json(data: dict) -> dict:
-    """Parse a serialized witness back into exact rationals."""
+    """Parse a serialized witness back into exact rationals; a float or a
+    boolean is refused, never truncated."""
     out: dict[str, Any] = {}
     for key, value in data.items():
         if key in _WITNESS_STR_FIELDS:
             out[key] = str(value)
         elif key in _WITNESS_INT_FIELDS:
-            out[key] = int(value)
+            out[key] = integer(value, key)
         elif key in _WITNESS_INT_LIST_FIELDS:
-            out[key] = [int(v) for v in value]
+            out[key] = [integer(v, key) for v in value]
         elif isinstance(value, list):
             out[key] = tuple(rat(v) for v in value)
-        elif isinstance(value, int):
-            out[key] = value
         else:
             out[key] = rat(value)
     return out
@@ -163,52 +163,55 @@ def _matching(found: Iterable[dict], witness: dict, identity: Sequence[str]) -> 
 class PointwiseAxiom:
     """An axiom that holds or fails profile by profile.
 
-    `violations(table, point)` yields every violation at one profile, in
-    witness-key order, reading the mechanism's outcomes off its
-    `OutcomeTable`; a deviation ranges over the value sets of the table's
-    grid. A witness is identified by its profile plus the `identity`
-    fields; its sort key is that tuple, and the scan reports the smallest
-    key found. Replay runs the same generator on a table of the grid the
-    witness was found on and keeps the violation whose identity matches,
-    so the scan and the replay cannot drift apart.
+    `violations(table, point, outcome)` yields every violation at one
+    profile, in witness-key order, from the mechanism's `outcome` there,
+    which the caller read; a deviation ranges over the value sets of the
+    table's grid and is read off the `OutcomeTable` with its own values. A
+    witness is identified by its profile plus the `identity` fields; its
+    sort key is that tuple, and the scan reports the smallest key found.
+    Replay runs the same generator on a table of the grid the witness was
+    found on and keeps the violation whose identity matches, so the scan
+    and the replay cannot drift apart.
 
-    `holds(table)`, where given, is a whole-table pass test on a completed
-    exhaustive table: True exactly when the generator yields nothing at
-    any profile, so a scan may skip the axiom; False says only that the
-    generator must run. It never makes a witness.
+    `holds(grid, outs)`, where given, is a whole-table pass test on the
+    outcome of every rank of an exhaustive grid, in rank order
+    (`OutcomeTable.complete`): True exactly when the generator yields
+    nothing at any profile, so a scan may skip the axiom; False says only
+    that the generator must run. It never makes a witness.
     """
 
     name: str
     identity: tuple[str, ...]
-    violations: Callable[[OutcomeTable, GridPoint], Iterator[dict]]
-    holds: Callable[[OutcomeTable], bool] | None = None
+    violations: Callable[[OutcomeTable, GridPoint, tuple], Iterator[dict]]
+    holds: Callable[[GridSpace, Sequence[tuple]], bool] | None = None
 
     def refresh(self, table: OutcomeTable, witness: dict) -> dict | None:
         """The violation with the witness's identity, recomputed at its
         profile on the table's grid, or None. A profile off the grid's value
         sets is refused; a deviation off them never matches."""
         at = table.grid.point(witness["profile"])
-        return _matching(self.violations(table, at), witness, self.identity)
+        found = self.violations(table, at, table.read(at.rank, at.scaled))
+        return _matching(found, witness, self.identity)
 
 
-def _ir_violations(table: OutcomeTable, at: GridPoint) -> Iterator[dict]:
+def _ir_violations(table: OutcomeTable, at: GridPoint, outcome: tuple) -> Iterator[dict]:
     """Individual rationality: every agent's utility is non-negative."""
-    x, t = table[at.rank]
+    x, t = outcome
     for i, v in enumerate(at.scaled):
         u = v * x[i] - t[i]
         if u < 0:
             yield {"profile": at.values, "agent": i, "utility": table.grid.exact(u)}
 
 
-def _ns_violations(table: OutcomeTable, at: GridPoint) -> Iterator[dict]:
+def _ns_violations(table: OutcomeTable, at: GridPoint, outcome: tuple) -> Iterator[dict]:
     """No subsidy: no agent is ever paid money (every transfer is >= 0)."""
-    _, t = table[at.rank]
+    _, t = outcome
     for i, paid in enumerate(t):
         if paid < 0:
             yield {"profile": at.values, "agent": i, "transfer": table.grid.exact(paid)}
 
 
-def _sp_violations(table: OutcomeTable, at: GridPoint) -> Iterator[dict]:
+def _sp_violations(table: OutcomeTable, at: GridPoint, outcome: tuple) -> Iterator[dict]:
     """Strategy-proofness: no single-agent misreport ever pays.
 
     Each agent misreports every other value of their set, so on an
@@ -219,28 +222,28 @@ def _sp_violations(table: OutcomeTable, at: GridPoint) -> Iterator[dict]:
     0..2, 483 lie outside the selective Vickrey class. Below the top the
     "only if" holds (`tests/test_soundness.py`).
 
-    A misreport missing from the table is filled (and kept only at a rank
-    of the grid's sweep, so off a sample's draws it is evaluated at every
-    read); for a mechanism that declares its breakpoints, the fills that
-    cannot pay are skipped. With the other agents' values fixed,
-    agent i's order cells are "below theta", "at theta" and "above
-    theta", where theta is the m-th highest of the others' values: i's
-    critical value, the one price on i's menu. Within one cell i's
-    utility is constant or falls as the report rises (see `Mechanism`).
-    An agent's reports are read in ascending order, so once a report of a
-    cell does not beat the truthful utility (the truthful report never
-    does), no higher report of that cell can, and skipping them leaves
-    the violations yielded, and their order, as they were. A cell is
-    numbered `(report > theta) + (report >= theta)`. The argument holds
-    in every cell whatever the report's rank, so the cut applies to every
-    missing misreport; one already in the table is read as it is, and
-    CUSTOM and rule-table mechanisms (breakpoints None) fill every
-    misreport.
+    Each misreport is read off the table with the point's values, its
+    own report in agent i's place (a fill is kept only at a rank of the
+    grid's sweep, so off a sample's draws it is evaluated at every read);
+    for a mechanism that declares its breakpoints, the reads that cannot
+    pay are skipped. With the other agents' values fixed, agent i's order
+    cells are "below theta", "at theta" and "above theta", where theta is
+    the m-th highest of the others' values: i's critical value, the one
+    price on i's menu. Within one cell i's utility is constant or falls
+    as the report rises (see `Mechanism`). An agent's reports are read in
+    ascending order, so once a report of a cell does not beat the
+    truthful utility (the truthful report never does), no higher report
+    of that cell can, and skipping them leaves the violations yielded,
+    and their order, as they were. A cell is numbered
+    `(report > theta) + (report >= theta)`. The argument holds in every
+    cell whatever the report's rank, and whether its outcome is kept, so
+    the cut applies to every misreport; CUSTOM and rule-table mechanisms
+    (breakpoints None) read every misreport.
     """
-    grid, get, fill = table.grid, table.get, table.fill
+    grid, read = table.grid, table.read
     cells = table.mechanism.breakpoints is not None
     m = grid.config.m
-    x, t = table[at.rank]
+    x, t = outcome
     scaled = at.scaled
     for i, v in enumerate(scaled):
         honest = v * x[i] - t[i]
@@ -251,22 +254,14 @@ def _sp_violations(table: OutcomeTable, at: GridPoint) -> Iterator[dict]:
         for k, report in enumerate(grid.scaled[i]):
             if k == own:
                 continue
-            rank = base + k * step
-            # A misreport off the table is filled from the point's own values.
-            out = get(rank)
-            if out is None:
-                if cells:
-                    if theta is None:
-                        theta = sorted(scaled[:i] + scaled[i + 1:])[-m]
-                        truth = (v > theta) + (v >= theta)
-                    cell = (report > theta) + (report >= theta)
-                    if cell == dead or (k > own and cell == truth):
-                        continue
-                out = fill(rank, scaled[:i] + (report,) + scaled[i + 1:])
-                if cells and v * out[0][i] - out[1][i] <= honest:
-                    dead = cell
+            if cells:
+                if theta is None:
+                    theta = sorted(scaled[:i] + scaled[i + 1:])[-m]
+                    truth = (v > theta) + (v >= theta)
+                cell = (report > theta) + (report >= theta)
+                if cell == dead or (k > own and cell == truth):
                     continue
-            dx, dt = out
+            dx, dt = read(base + k * step, scaled[:i] + (report,) + scaled[i + 1:])
             gained = v * dx[i] - dt[i]
             if gained > honest:
                 yield {
@@ -276,10 +271,13 @@ def _sp_violations(table: OutcomeTable, at: GridPoint) -> Iterator[dict]:
                     "truthful_utility": grid.exact(honest),
                     "misreport_utility": grid.exact(gained),
                 }
+            elif cells:
+                dead = cell
 
 
-def _sp_holds(table: OutcomeTable) -> bool:
-    """Whether no misreport pays anywhere on a completed exhaustive table.
+def _sp_holds(grid: GridSpace, outs: Sequence[tuple]) -> bool:
+    """Whether no misreport pays anywhere on an exhaustive grid, given the
+    outcome of every rank in rank order (`outs`).
 
     On an agent line (agent i, the others' values fixed) i's reports
     offer a menu, and by the taxation principle its best option at true
@@ -289,8 +287,6 @@ def _sp_holds(table: OutcomeTable) -> bool:
     beats the truthful utility. It reads only outcomes, so it is exact for
     CUSTOM and rule-table mechanisms too.
     """
-    grid = table.grid
-    outs = list(map(table.__getitem__, range(grid.size)))
     for i, (values, step) in enumerate(zip(grid.scaled, grid.stride)):
         span = step * len(values)
         bundles = [(x[i], t[i]) for x, t in outs]
@@ -309,41 +305,34 @@ def _sp_holds(table: OutcomeTable) -> bool:
     return True
 
 
-def _reference_bundle(values: Sequence, us: Sequence) -> tuple | None:
-    """(x, t) of a bundle every agent is exactly indifferent to, or None."""
-    if us.count(us[0]) == len(us):
-        return (0, -us[0])
-    diffs = [v - u for v, u in zip(values, us)]
-    if diffs.count(diffs[0]) == len(diffs):
-        return (1, diffs[0])
-    return None
-
-
-def find_reference_bundle(
-    mechanism: Mechanism, profile: Profile
-) -> tuple[int, Fraction] | None:
-    """The bundle (x, t) every agent is exactly indifferent to, if one exists.
+def reference_bundle(values: Sequence, utilities: Sequence) -> tuple | None:
+    """The bundle (x, t) every agent is exactly indifferent to, given each
+    agent's value and utility, or None if there is none.
 
     Only two shapes can work: (0, t0), which requires all utilities
     equal (returned first), and (1, p), which requires v_i - u_i to be
     the same for every agent. Anything else makes some agent strictly
     prefer or disprefer it.
     """
-    us = utilities(mechanism.evaluate(profile), profile)
-    return _reference_bundle(profile.values, us)
+    if utilities.count(utilities[0]) == len(utilities):
+        return (0, -utilities[0])
+    diffs = [v - u for v, u in zip(values, utilities)]
+    if diffs.count(diffs[0]) == len(diffs):
+        return (1, diffs[0])
+    return None
 
 
-def _ee_violations(table: OutcomeTable, at: GridPoint) -> Iterator[dict]:
+def _ee_violations(table: OutcomeTable, at: GridPoint, outcome: tuple) -> Iterator[dict]:
     """Egalitarian-equivalence: a reference bundle exists at every profile."""
-    x, t = table[at.rank]
+    x, t = outcome
     us = [v * xi - ti for v, xi, ti in zip(at.scaled, x, t)]
-    if _reference_bundle(at.scaled, us) is None:
+    if reference_bundle(at.scaled, us) is None:
         yield {"profile": at.values, "utilities": tuple(map(table.grid.exact, us))}
 
 
-def _eff_violations(table: OutcomeTable, at: GridPoint) -> Iterator[dict]:
+def _eff_violations(table: OutcomeTable, at: GridPoint, outcome: tuple) -> Iterator[dict]:
     """Decision efficiency: the objects always go to a surplus-maximizing set."""
-    x, _ = table[at.rank]
+    x, _ = outcome
     achieved = sum(v for v, xi in zip(at.scaled, x) if xi)
     optimum = sum(sorted(at.scaled, reverse=True)[: table.grid.config.m])
     if achieved != optimum:
@@ -354,9 +343,9 @@ def _eff_violations(table: OutcomeTable, at: GridPoint) -> Iterator[dict]:
         }
 
 
-def _ef_violations(table: OutcomeTable, at: GridPoint) -> Iterator[dict]:
+def _ef_violations(table: OutcomeTable, at: GridPoint, outcome: tuple) -> Iterator[dict]:
     """Envy-freeness: no agent prefers another agent's bundle to their own."""
-    x, t = table[at.rank]
+    x, t = outcome
     for i, v in enumerate(at.scaled):
         own = v * x[i] - t[i]
         for j in range(len(x)):
@@ -373,25 +362,29 @@ def _ef_violations(table: OutcomeTable, at: GridPoint) -> Iterator[dict]:
                 }
 
 
-def _aiw_violations(table: OutcomeTable, at: GridPoint) -> Iterator[dict]:
+def _aiw_violations(table: OutcomeTable, at: GridPoint, outcome: tuple) -> Iterator[dict]:
     """Anonymity in welfare: swapping two agents' valuations swaps their utilities.
 
     A grid whose agents hold different value sets is refused, since a
     swap could leave it. With one shared set the swap moves agent i's
-    index to j and back: one rank step per agent.
-    Off a sample's draws a swap is not kept, so each ordered pair
-    evaluates it: at most 1 + n(n-1) evaluations per draw.
+    index to j and back: one rank step per agent, and it is read with
+    the point's values swapped. Off a sample's draws a swap is not kept,
+    so each ordered pair evaluates it: at most 1 + n(n-1) evaluations
+    per draw.
     """
     if not table.grid.is_shared:
         raise ValueError("anonymity in welfare needs a shared value set across agents")
-    x, t = table[at.rank]
-    index, stride = at.index, table.grid.stride
-    for i, v in enumerate(at.scaled):
+    x, t = outcome
+    index, stride, scaled = at.index, table.grid.stride, at.scaled
+    for i, v in enumerate(scaled):
         mine = v * x[i] - t[i]
         for j in range(len(x)):
             if j == i:
                 continue
-            sx, st = table[at.rank + (index[j] - index[i]) * (stride[i] - stride[j])]
+            swap = list(scaled)
+            swap[i], swap[j] = scaled[j], v
+            sx, st = table.read(at.rank + (index[j] - index[i]) * (stride[i] - stride[j]),
+                                tuple(swap))
             theirs = v * sx[j] - st[j]
             if mine != theirs:
                 swapped = list(at.values)
@@ -406,8 +399,9 @@ def _aiw_violations(table: OutcomeTable, at: GridPoint) -> Iterator[dict]:
                 }
 
 
-def _aiw_holds(table: OutcomeTable) -> bool:
-    """Whether every swap keeps utilities on a completed exhaustive table.
+def _aiw_holds(grid: GridSpace, outs: Sequence[tuple]) -> bool:
+    """Whether every swap keeps utilities on an exhaustive grid, given the
+    outcome of every rank in rank order (`outs`).
 
     At every profile and for each k < n-1, agent k's utility must equal
     agent k+1's at the profile with those two values swapped, and, for
@@ -424,11 +418,9 @@ def _aiw_holds(table: OutcomeTable) -> bool:
     utilities. A grid whose agents hold different value sets is left to
     the generator, which refuses it.
     """
-    grid = table.grid
     if not grid.is_shared:
         return False
     n, stride = grid.config.n, grid.stride
-    outs = list(map(table.__getitem__, range(grid.size)))
     swaps = [(k, k + 1, stride[k] - stride[k + 1]) for k in range(n - 1)]
     indices = itertools.product(range(len(grid.scaled[0])), repeat=n)
     for rank, (index, scaled) in enumerate(zip(indices, itertools.product(*grid.scaled))):
@@ -473,30 +465,36 @@ def scan(table: OutcomeTable, axioms: Sequence[PointwiseAxiom]) -> dict[str, Axi
     axiom stops at its first witness; in a sample, which may repeat or
     reorder profiles, a failed axiom runs only at the draws that can
     still lower its key. Either way the outcome at every swept profile is
-    read (and so checked) and `profiles_checked` counts every profile;
-    deviation outcomes are read only where an axiom runs.
+    read once (and so checked) and handed to every axiom that runs there,
+    and `profiles_checked` counts every profile; deviation outcomes are
+    read only where an axiom runs.
 
     On an exhaustive grid every SP and AIW deviation is a swept profile,
     so the scan first completes the table (`OutcomeTable.complete`, the
     same fills in rank order, refusing a malformed outcome as the sweep
-    would) and then skips each axiom whose pass test `holds`; it passes
-    with the report it would get from the sweep.
+    would), skips each axiom whose pass test `holds` on that list of
+    outcomes (it passes with the report it would get from the sweep), and
+    sweeps the list by rank.
     """
     grid = table.grid
     found: list[dict | None] = [None] * len(axioms)  # the witness per axiom
     below = [grid.size] * len(axioms)  # the rank of that witness; every rank is below size
     axes = list(enumerate(axioms))
+    outs = None
     if grid.mode == MODE_EXHAUSTIVE:
-        table.complete()
-        axes = [(k, axiom) for k, axiom in axes if axiom.holds is None or not axiom.holds(table)]
+        outs = table.complete()
+        axes = [(k, axiom) for k, axiom in axes
+                if axiom.holds is None or not axiom.holds(grid, outs)]
+    read = table.read
     count = 0
     for at in grid.profiles():
         count += 1
         rank = at.rank
-        table[rank]  # every profile's outcome is checked, whichever axioms run
+        # every profile's outcome is checked, whichever axioms run
+        outcome = read(rank, at.scaled) if outs is None else outs[rank]
         for k, axiom in axes:
             if rank < below[k]:
-                hit = next(axiom.violations(table, at), None)
+                hit = next(axiom.violations(table, at, outcome), None)
                 if hit is not None:
                     found[k], below[k] = hit, rank
     return {
@@ -521,7 +519,7 @@ def _grid_bundle_map(table: OutcomeTable) -> tuple[dict, int]:
     count = 0
     for at in table.grid.profiles():
         count += 1
-        x, t = table[at.rank]
+        x, t = table.read(at.rank, at.scaled)
         for i, value in enumerate(at.scaled):
             slot = seen.setdefault((i, value), {})
             bundle = (x[i], t[i])
@@ -1005,7 +1003,7 @@ def welfare_compare(one: OutcomeTable, two: OutcomeTable) -> WelfareComparison:
     count = 0
     for at in grid.profiles():
         count += 1
-        (xa, ta), (xb, tb) = one[at.rank], two[at.rank]
+        (xa, ta), (xb, tb) = one.read(at.rank, at.scaled), two.read(at.rank, at.scaled)
         for i, v in enumerate(at.scaled):
             ua, ub = v * xa[i] - ta[i], v * xb[i] - tb[i]
             if ua != ub and (ua > ub) not in above:

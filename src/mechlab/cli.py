@@ -31,8 +31,8 @@ from .axioms import (
     MODE_SAMPLED,
     GridSpace,
     OutcomeTable,
-    _reference_bundle,
     audit,
+    reference_bundle,
     welfare_compare,
     witness_to_json,
 )
@@ -298,7 +298,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     mechanism = parse_mechanism(args.mech, market)
     allocation = mechanism.evaluate(profile)
     us = utilities(allocation, profile)
-    reference = _reference_bundle(profile.values, us)
+    reference = reference_bundle(profile.values, us)
     bundles = ", ".join(
         f"({xi}, {rat_str(ti)})" for xi, ti in zip(allocation.x, allocation.t)
     )

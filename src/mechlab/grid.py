@@ -12,10 +12,10 @@ grid's sweep (`GridSpace.ranks`, which nothing else reads, so the table
 alone decides what is kept), so the sweeps in `axioms` evaluate each
 swept profile once and compare ints. Whoever sweeps builds the table and
 hands it to every sweep that should share it; nothing keeps a table for
-later. `OutcomeTable.fill` is its one fill, fed the scaled values by the
-caller (an SP misreport, or `complete`, which fills an exhaustive grid
-in rank order from the product of its scaled sets) or by decoding the
-rank (any other read); it refuses a mechanism whose rule table was
+later. `OutcomeTable.read` is its one read and `fill` its one fill: every
+caller passes the scaled values of the rank it reads, so no read works
+them out from the rank. `complete` reads an exhaustive grid's every rank
+in rank order. The table refuses a mechanism whose rule table was
 written for another market.
 """
 
@@ -291,24 +291,26 @@ class OutcomeTable(dict):
     The grid holds the geometry (`GridSpace.scale`, `scaled`, `stride`),
     so a single-agent misreport is one rank addition and a swap two.
     Values and transfers are scaled by the grid's `scale`, and a positive
-    scale preserves every comparison. `fill(rank, scaled)` is the one
-    fill: the mechanism's `outcome` is called on the scaled values at the
-    table's scale (see `mechanisms.Outcome`), `Mechanism.checked` refuses
-    a malformed result, and the pair (x, t) of indicators and scaled
-    transfers is kept as a plain tuple (a tuple subclass unpacks slower
-    on every read). A read of a missing rank decodes it into the scaled
-    values and fills; an SP misreport already holds its values, so it
-    calls `fill` itself and no rank is decoded. A transfer that is a multiple
-    of 1/scale is an int, any other the exact `Fraction`; the grid's
-    `exact` turns it back into the `Fraction` a witness holds.
+    scale preserves every comparison. `read(rank, scaled)` is the one
+    read: the kept outcome at `rank`, or else `fill(rank, scaled)`. Every
+    caller already holds the scaled values of the rank it reads (a swept
+    point, an SP misreport, an AIW swap), so it passes them. `fill` is the
+    one fill: the mechanism's `outcome` is called on the scaled values at
+    the table's scale (see `mechanisms.Outcome`), `Mechanism.checked`
+    refuses a malformed result, and the pair (x, t) of indicators and
+    scaled transfers is a plain tuple (a tuple subclass unpacks slower on
+    every read). A transfer that is a multiple of 1/scale is an int, any
+    other the exact `Fraction`; the grid's `exact` turns it back into the
+    `Fraction` a witness holds.
 
     Only an outcome at a rank of the grid's sweep (`GridSpace.ranks`) is
     kept, so a sampled table holds at most `samples` entries; any other
     (an off-sample SP misreport or AIW swap, a shrink candidate) is
-    computed and checked at every read that needs it. `complete` fills
-    every rank of an exhaustive grid in rank order, so that whole-table
-    pass tests can read a full table; an exhaustive sweep reads every
-    rank anyway, so completing it evaluates nothing more.
+    computed and checked at every read that needs it. `complete` reads
+    every rank of an exhaustive grid in rank order and returns their
+    outcomes as a list, which whole-table pass tests index by rank; an
+    exhaustive sweep reads every rank anyway, so completing it evaluates
+    nothing more.
 
     The table belongs to whoever builds it: every sweep that should share
     its outcomes is handed the same table, and it holds its mechanism as a
@@ -324,22 +326,19 @@ class OutcomeTable(dict):
         self.mechanism = mechanism
         self.grid = grid
         self._market, self._scale = grid.config, grid.scale
-        # agent i's scaled value at rank r is scaled[i][r // stride[i] % len]
-        self._digits = tuple(zip(grid.scaled, grid.stride, map(len, grid.scaled)))
         self._kept = grid.ranks
         self._interned: dict[tuple, tuple] = {}
 
-    def __missing__(self, rank: int) -> tuple:
-        return self.fill(rank, tuple([scaled[rank // step % size]
-                                      for scaled, step, size in self._digits]))
+    def read(self, rank: int, scaled: tuple[int, ...]) -> tuple:
+        """The outcome at `rank`, whose scaled values the caller passes as
+        `scaled`: the kept one, or else a fill."""
+        outcome = self.get(rank)
+        return self.fill(rank, scaled) if outcome is None else outcome
 
-    def complete(self) -> None:
-        """Fill every rank of an exhaustive grid not yet filled, in rank
-        order, from the grid's scaled value sets; no rank is decoded."""
-        fill = self.fill
-        for rank, scaled in enumerate(itertools.product(*self.grid.scaled)):
-            if rank not in self:
-                fill(rank, scaled)
+    def complete(self) -> list[tuple]:
+        """Every rank's outcome of an exhaustive grid, in rank order, each
+        read from the grid's scaled value sets."""
+        return list(map(self.read, itertools.count(), itertools.product(*self.grid.scaled)))
 
     def fill(self, rank: int, scaled: tuple[int, ...]) -> tuple:
         """The checked outcome at `rank`, whose scaled values the caller
@@ -349,4 +348,3 @@ class OutcomeTable(dict):
         if rank in self._kept:
             outcome = self[rank] = self._interned.setdefault(outcome, outcome)
         return outcome
-

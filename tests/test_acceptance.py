@@ -21,9 +21,9 @@ from mechlab import (
     builtin_mechanisms,
     efficient_vickrey_mechanism,
     ev_pab_mechanism,
-    find_reference_bundle,
     no_trade_mechanism,
     pay_as_bid_mechanism,
+    reference_bundle,
     refresh_witness,
     selective_vickrey_mechanism,
     utilities,
@@ -222,7 +222,7 @@ def test_criterion_08_anonymity_in_welfare_split():
 
 
 def test_criterion_09_reference_bundle_matches_brute_force():
-    """find_reference_bundle agrees with trying every candidate bundle."""
+    """reference_bundle agrees with trying every candidate bundle."""
     rng = random.Random(90125)
     pool = list(builtin_mechanisms()) + [
         selective_vickrey_mechanism(WinnerRule.dictatorial_threshold(0, 2)),
@@ -249,7 +249,7 @@ def test_criterion_09_reference_bundle_matches_brute_force():
              if all(v * z[0] - z[1] == u for v, u in zip(p.values, outcome))),
             None,
         )
-        found = find_reference_bundle(mech, p)
+        found = reference_bundle(p.values, outcome)
         if (found is None) != (brute is None):
             disagreements += 1
         elif found is not None and not all(

@@ -21,12 +21,13 @@ from mechlab import (
     builtin_mechanisms,
     efficient_vickrey_mechanism,
     ev_pab_mechanism,
-    find_reference_bundle,
     no_trade_mechanism,
     pay_as_bid_mechanism,
+    reference_bundle,
     refresh_witness,
     replay_witness,
     selective_vickrey_mechanism,
+    utilities,
     vickrey_mechanism,
     vickrey_price,
     welfare_compare,
@@ -337,50 +338,44 @@ def test_a_replay_on_an_unswept_sample_draws_nothing(monkeypatch):
 # Distinct ranks a sampled SP audit fills on `SAMPLED_SP_GRID`: the drawn
 # points, and the single-agent misreports at the draws ranked below the
 # witness that can pay. A built-in family declares its breakpoints, so a
-# misreport not yet in the table, drawn or not, is skipped when a lower
-# report of its order cell (below, at or above the agent's critical value)
-# or the truthful one did not pay; a CUSTOM mechanism declares none and
-# fills every misreport, as a built-in did before the skip (186 for each
+# misreport, drawn or not and kept or not, is skipped when a lower report
+# of its order cell (below, at or above the agent's critical value) or the
+# truthful one did not pay; a CUSTOM mechanism declares none and fills
+# every misreport, as a built-in did before the skip (186 for each
 # Vickrey-priced family). Only the drawn points are kept.
 SAMPLED_SP_GRID = GridSpace.shared(CFG1, range(6), mode=MODE_SAMPLED, seed=2, samples=30)
 SAMPLED_SP_FILLS = {
-    "vickrey": 135,
-    "efficient_vickrey": 135,
+    "vickrey": 130,
+    "efficient_vickrey": 130,
     "pay_as_bid": 66,
-    "no_trade": 135,
-    "selective_vickrey(strict_winners)": 135,
+    "no_trade": 130,
+    "selective_vickrey(strict_winners)": 130,
     "ev_pab(always_ev)": 73,
     "custom_vickrey": 186,
 }
 
 
-def test_a_sampled_sp_audit_decodes_only_the_drawn_ranks(monkeypatch):
-    """SP misreports are filled from the drawn point's own values, so only
-    a drawn rank is decoded. A mechanism that passes SP fills every drawn
-    profile and each of its misreports that can pay; one that fails fills
-    them only at draws ranked below its witness. The table keeps exactly
-    the drawn ranks."""
-    decoded, filled = [], []
-    missing, fill = OutcomeTable.__missing__, OutcomeTable.fill
-
-    def counted(table, rank):
-        decoded.append(rank)
-        return missing(table, rank)
+def test_a_sampled_sp_audit_keeps_only_the_drawn_ranks(monkeypatch):
+    """Every read passes the values of its rank, so each fill is handed
+    exactly them. A mechanism that passes SP fills every drawn profile and
+    each of its misreports that can pay; one that fails fills them only at
+    draws ranked below its witness. The table keeps exactly the drawn
+    ranks."""
+    filled = []
+    fill = OutcomeTable.fill
 
     def recorded(table, rank, scaled):
         filled.append(rank)
+        assert table.grid.point(tuple(map(table.grid.exact, scaled))).rank == rank
         return fill(table, rank, scaled)
 
-    monkeypatch.setattr(OutcomeTable, "__missing__", counted)
     monkeypatch.setattr(OutcomeTable, "fill", recorded)
     drawn = {at.rank for at in SAMPLED_SP_GRID.profiles()}
     custom = Mechanism("custom_vickrey", "CUSTOM", vickrey_mechanism().evaluate)
     for mechanism in [*builtin_mechanisms(), custom]:
-        decoded.clear()
         filled.clear()
         table = OutcomeTable(mechanism, SAMPLED_SP_GRID)
         audit(table, ("SP",))
-        assert len(decoded) <= SAMPLED_SP_GRID.samples and set(decoded) <= drawn
         assert len(set(filled)) == SAMPLED_SP_FILLS[mechanism.name], mechanism.name
         assert set(table) == drawn, mechanism.name
 
@@ -414,9 +409,9 @@ def test_a_passing_sampled_sp_sweep_fills_at_most_three_misreports_per_line(monk
     for mechanism in passing:
         table = OutcomeTable(mechanism, grid)
         for at in grid.profiles():
-            table[at.rank]
+            outcome = table.read(at.rank, at.scaled)
             filled.clear()
-            assert list(sp(table, at)) == [], mechanism.name
+            assert list(sp(table, at, outcome)) == [], mechanism.name
             lines = [[i for i, (v, w) in enumerate(zip(at.scaled, scaled)) if v != w]
                      for scaled in filled]
             per_agent = [sum(line == [i] for line in lines) for i in range(5)]
@@ -617,11 +612,16 @@ def test_sp_fails_for_always_ev_pricing():
 # reference bundles and equal treatment
 
 
+def reference_at(mechanism, profile):
+    """The reference bundle of the mechanism's outcome at the profile."""
+    return reference_bundle(profile.values, utilities(mechanism.evaluate(profile), profile))
+
+
 def test_find_reference_bundle_examples():
     aev = ev_pab_mechanism(PricingRule.always_ev())
-    assert find_reference_bundle(aev, Profile(CFG1, (3, 2, 2))) == (1, 2)
-    assert find_reference_bundle(vickrey_mechanism(), Profile(CFG1, (3, 2, 1))) is None
-    assert find_reference_bundle(no_trade_mechanism(0), Profile(CFG1, (3, 2, 1))) == (0, 0)
+    assert reference_at(aev, Profile(CFG1, (3, 2, 2))) == (1, 2)
+    assert reference_at(vickrey_mechanism(), Profile(CFG1, (3, 2, 1))) is None
+    assert reference_at(no_trade_mechanism(0), Profile(CFG1, (3, 2, 1))) == (0, 0)
 
 
 def test_ee_vickrey_fails():
@@ -649,7 +649,7 @@ def test_selective_reference_bundle_is_zero_or_priced_object():
         mech = selective_vickrey_mechanism(rule)
         for point in GRID.profiles():
             p = Profile(GRID.config, point.values)
-            ref = find_reference_bundle(mech, p)
+            ref = reference_at(mech, p)
             assert ref in ((0, 0), (1, vickrey_price(p.values, p.config.m)))
 
 
@@ -999,6 +999,15 @@ def test_witness_json_round_trip():
     for axiom, witness in cases:
         encoded = witness_to_json(witness)
         assert witness_from_json(encoded) == witness, axiom
+    # a float or a boolean is refused, never truncated to an int or kept
+    sp = witness_to_json(cases[0][1])
+    for field, value, error, message in [
+        ("agent", 1.9, ValueError, "^agent must be an integer, got 1.9$"),
+        ("other", True, ValueError, "^other must be an integer, got true$"),
+        ("misreport", True, TypeError, "^booleans are not rational values$"),
+    ]:
+        with pytest.raises(error, match=message):
+            witness_from_json({**sp, field: value})
 
 
 def test_report_to_json_shape():
@@ -1008,6 +1017,11 @@ def test_report_to_json_shape():
     assert data["verdict"] == "FAIL"
     assert data["profiles_checked"] == 64
     assert data["witness"]["utility"] == "-1"
+
+
+def test_refresh_witness_refuses_an_unknown_axiom():
+    with pytest.raises(ValueError, match="^unknown axiom: X$"):
+        refresh_witness(vickrey_mechanism(), "X", {"profile": (0, 0, 0)}, GRID)
 
 
 def test_replay_witness_accepts_real_and_rejects_doctored():

@@ -1,5 +1,6 @@
 """Command line surface: eval, audit, suite, compare, config validation, exit codes."""
 
+import dataclasses
 import json
 import os
 import random
@@ -13,6 +14,7 @@ import pytest
 
 from mechlab import (
     CHECKERS,
+    SUITES,
     Allocation,
     GridSpace,
     MarketConfig,
@@ -384,6 +386,20 @@ def test_suite_unknown_name_exits_two(capsys):
     assert exc.value.code == 2
 
 
+def test_a_suite_that_misses_its_pattern_exits_one(capsys, monkeypatch):
+    """A suite whose matrix misses its expected pattern prints MISMATCH and
+    then each mismatched cell, and exits 1: here the independence suite
+    with one expectation doctored, so vickrey's failed EE cell is expected
+    to pass."""
+    result = SUITES["independence"]()
+    doctored = result.expected | {("vickrey", "EE"): "PASS"}
+    monkeypatch.setitem(SUITES, "independence",
+                        lambda: dataclasses.replace(result, expected=doctored))
+    assert main(["suite", "independence"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2:] == ["expected pattern: MISMATCH", "  vickrey / EE: expected PASS, got FAIL"]
+
+
 def test_compare_subcommand(tmp_path, capsys):
     path = write_config(tmp_path)
     code = main([
@@ -676,6 +692,8 @@ def winner_table(entries):
         ({"mechanisms": ["VICKREY", "PAY_AS_BID"],
           "axioms": ["SP", "SP", "WELFARE_COMPARE", "WELFARE_COMPARE"]},
          "error: axiom 'SP' is listed twice"),
+        ({"mechanisms": []}, "error: config needs at least one mechanism"),
+        ({"axioms": []}, "error: config needs at least one axiom"),
     ],
     ids=[
         "mode-not-object", "output-not-object", "float-agents", "bool-objects",
@@ -693,6 +711,7 @@ def winner_table(entries):
         "exhaustive-mode-samples", "sampled-mode-zero-samples", "unknown-mode-kind",
         "long-output-list", "long-mechanisms-object",
         "long-agents-string", "long-table-profile", "axiom-listed-twice",
+        "no-mechanisms", "no-axioms",
     ],
 )
 def test_config_boundary_errors_exit_two(tmp_path, capsys, overrides, message):
@@ -834,6 +853,17 @@ def test_readme_config_loads_and_its_echo_loads_back(tmp_path):
     assert load_config(str(again)).echo() == echo
 
 
+def test_a_config_that_is_not_json_exits_two(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text("market: 3 agents\n")
+    assert main(["audit", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: config is not valid JSON: Expecting value: line 1 column 1 (char 0)\n"
+    )
+
+
 def test_deeply_nested_config_exits_two(tmp_path, capsys):
     path = tmp_path / "deep.json"
     path.write_text("[" * 100000 + "]" * 100000)
@@ -972,8 +1002,8 @@ def test_a_malformed_outcome_at_the_last_rank_is_refused_before_any_pass_test(
         return vickrey.evaluate(profile)
 
     wellformed = OutcomeTable(Mechanism("wellformed", "CUSTOM", partial(fn, last=None)), grid)
-    wellformed.complete()
-    assert all(POINTWISE[name].holds(wellformed) for name in ("SP", "AIW"))
+    outs = wellformed.complete()
+    assert all(POINTWISE[name].holds(grid, outs) for name in ("SP", "AIW"))
     bad = Mechanism("bad", "CUSTOM", fn)
     message = "bad gave 2 objects; the market has 1"
     with pytest.raises(ValueError, match=message):

@@ -83,10 +83,10 @@ def test_the_public_surface_is_pinned():
         "Mechanism", "OutcomeTable", "PricingRule", "Profile", "SUITES",
         "SuiteResult", "WelfareComparison", "WinnerRule", "audit",
         "builtin_mechanisms", "check_ev_support", "check_uncompromising",
-        "efficient_vickrey_mechanism", "ev_pab_mechanism", "find_reference_bundle",
-        "has_uniform_tail", "mechanism_from_spec", "no_trade_mechanism",
-        "pay_as_bid_mechanism", "random_uncompromising_rules",
-        "random_winner_rule_table", "rat", "rat_str", "refresh_witness",
+        "efficient_vickrey_mechanism", "ev_pab_mechanism", "has_uniform_tail",
+        "mechanism_from_spec", "no_trade_mechanism", "pay_as_bid_mechanism",
+        "random_uncompromising_rules", "random_winner_rule_table", "rat",
+        "rat_str", "reference_bundle", "refresh_witness",
         "replay_witness", "selective_vickrey_mechanism", "shrink_witness",
         "suite_anonymity", "suite_independence", "suite_nom_class",
         "suite_sp_class", "suite_welfare", "utilities", "validate_winner_rule",

@@ -473,8 +473,9 @@ def reference_scan(table, axioms):
     best, lowered, count = {}, False, 0
     for at in grid.profiles():
         count += 1
+        outcome = table.read(at.rank, at.scaled)
         for axiom in axioms:
-            hit = next(axiom.violations(table, at), None)
+            hit = next(axiom.violations(table, at, outcome), None)
             if hit is not None:
                 key = (at.rank, *(hit[f] for f in axiom.identity))
                 if axiom.name not in best or key < best[axiom.name][0]:
@@ -644,38 +645,40 @@ def differential_mechanisms(grid):
 
 @pytest.mark.parametrize("grid", GRIDS, ids=range(len(GRIDS)))
 def test_every_table_rank_equals_evaluate_with_its_transfers_scaled(grid):
-    """At every rank of a table on the grid's value sets and on their
-    half-step refinement, the entry is `evaluate` at that profile with each
-    transfer multiplied by the table's scale: an int when that is whole,
-    the exact `Fraction` otherwise. The grid's `exact` maps each transfer back."""
+    """At every rank of a completed table on the grid's value sets and on
+    their half-step refinement, the entry is `evaluate` at that profile
+    with each transfer multiplied by the table's scale: an int when that
+    is whole, the exact `Fraction` otherwise. The grid's `exact` maps each
+    transfer back."""
     market = grid.config
     for values in (grid.values, half_step(grid.values)):
         for mechanism in differential_mechanisms(grid):
             space = GridSpace(market, values)
-            table = OutcomeTable(mechanism, space)
-            for rank, combo in enumerate(itertools.product(*values)):
+            outs = OutcomeTable(mechanism, space).complete()
+            assert len(outs) == space.size
+            for combo, (got_x, got_t) in zip(itertools.product(*values), outs):
                 x, t = mechanism.evaluate(Profile(market, combo))
                 scaled = tuple(ti * space.scale for ti in t)
                 want = tuple(s.numerator if s.denominator == 1 else s for s in scaled)
-                got_x, got_t = table[rank]
                 assert (got_x, got_t) == (x, want), (mechanism.name, combo)
                 assert list(map(type, got_t)) == list(map(type, want)), (mechanism.name, combo)
                 assert tuple(map(space.exact, got_t)) == t, (mechanism.name, combo)
 
 
 @pytest.mark.parametrize("grid", [GRIDS[2], GRIDS[5]], ids=["whole", "halves"])
-def test_value_fed_fills_equal_decoded_fills(grid):
-    """SP misreports are filled from the drawn point's values, not decoded
-    from their rank, and an off-sample outcome is not kept. During a
-    sampled SP and AIW audit on the grid and on its half-step refinement,
-    every outcome `fill` returns was handed the values of its rank, and is
-    what a fresh table decodes at that rank and `evaluate` at its profile
-    with each transfer scaled, of the same types."""
+def test_every_fill_is_handed_the_values_of_its_rank(grid):
+    """Every read passes the values of the rank it reads, and an
+    off-sample outcome is not kept. During a sampled SP and AIW audit on
+    the grid and on its half-step refinement, every outcome `fill` returns
+    was handed exactly the values of its rank, and is `evaluate` at its
+    profile with each transfer scaled, of the same types. So a read
+    handed another profile's values (an AIW swap read unswapped, say)
+    fails here."""
     market = grid.config
     for values in (grid.values, half_step(grid.values)):
         space = GridSpace(market, values, mode=MODE_SAMPLED, seed=grid.seed, samples=grid.samples)
         for mechanism in differential_mechanisms(grid):
-            table, fresh = OutcomeTable(mechanism, space), OutcomeTable(mechanism, space)
+            table = OutcomeTable(mechanism, space)
             captured = []
 
             def capture(rank, scaled, fill=table.fill):
@@ -693,9 +696,8 @@ def test_value_fed_fills_equal_decoded_fills(grid):
                 x, t = mechanism.evaluate(Profile(market, combo))
                 scaled = tuple(ti * space.scale for ti in t)
                 want = tuple(s.numerator if s.denominator == 1 else s for s in scaled)
-                assert (got_x, got_t) == fresh[rank] == (x, want), (mechanism.name, combo)
+                assert (got_x, got_t) == (x, want), (mechanism.name, combo)
                 assert list(map(type, got_t)) == list(map(type, want)), (mechanism.name, combo)
-                assert list(map(type, fresh[rank][1])) == list(map(type, want))
 
 
 # metamorphic relations between grids: a witness replays on every grid
@@ -1345,19 +1347,26 @@ def sp_grids(draw):
 @given(st.data())
 def test_skipped_sp_misreports_never_pay(data):
     """At every profile of sampled grids and small exhaustive ones, shared
-    and per agent, the SP generator yields on a fresh table, in order, the
-    violations it yields for the same mechanism with no breakpoints, which
-    fills every misreport. The tables fill as the sweep goes, so a
-    misreport is read from the table at some profiles and skipped or
-    filled at others."""
+    and per agent, the SP generator yields, in order, the violations it
+    yields for the same mechanism with no breakpoints, which reads every
+    misreport. The tables start fresh and fill as the sweep goes, so a
+    misreport is kept at some profiles and filled at others; on an
+    exhaustive grid they are also drawn completed before the sweep, so
+    every misreport the cut skips or reads is kept."""
     grid = data.draw(sp_grids())
+    completed = grid.mode != MODE_SAMPLED and data.draw(st.booleans())
     sp = POINTWISE["SP"].violations
     for mechanism in data.draw(declared_mechanisms(grid.config)):
         assert mechanism.breakpoints is not None, mechanism.name
         every = dataclasses.replace(mechanism, breakpoints=None)
         skipping, filling = OutcomeTable(mechanism, grid), OutcomeTable(every, grid)
+        if completed:
+            skipping.complete()
+            filling.complete()
         for at in grid.profiles():
-            assert list(sp(skipping, at)) == list(sp(filling, at)), (mechanism.name, at)
+            got = sp(skipping, at, skipping.read(at.rank, at.scaled))
+            want = sp(filling, at, filling.read(at.rank, at.scaled))
+            assert list(got) == list(want), (mechanism.name, at)
 
 
 @pytest.mark.slow
@@ -1647,27 +1656,29 @@ def outcome_tables(draw):
     return grid, Mechanism(f"drawn({base})", "CUSTOM", lambda profile: frozen[profile.values])
 
 
-def generator_settles(name, table):
-    """Whether the axiom's generator yields nothing at any profile."""
+def generator_settles(name, table, outs):
+    """Whether the axiom's generator yields nothing at any profile, each
+    handed its outcome off the completed table's list."""
     violations = POINTWISE[name].violations
-    return not any(next(violations(table, at), None) for at in table.grid.profiles())
+    return not any(next(violations(table, at, outs[at.rank]), None)
+                   for at in table.grid.profiles())
 
 
 def check_pass_test(name, drawn):
-    """The axiom's `holds` on the completed table is True exactly when its
-    generator yields nothing; AIW on a per-agent grid is never settled by
-    its pass test, and its scan refuses the grid."""
+    """The axiom's `holds` on the completed table's outcomes is True
+    exactly when its generator yields nothing; AIW on a per-agent grid is
+    never settled by its pass test, and its scan refuses the grid."""
     grid, mechanism = drawn
     table = OutcomeTable(mechanism, grid)
-    table.complete()
-    assert len(table) == grid.size
-    holds = POINTWISE[name].holds(table)
+    outs = table.complete()
+    assert len(table) == len(outs) == grid.size
+    holds = POINTWISE[name].holds(grid, outs)
     if name == "AIW" and not grid.is_shared:
         assert holds is False
         with pytest.raises(ValueError, match="shared value set"):
             scan(table, [POINTWISE[name]])
         return
-    assert holds == generator_settles(name, table), mechanism.name
+    assert holds == generator_settles(name, table, outs), mechanism.name
 
 
 @settings(max_examples=150, deadline=None)
